@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test bench bench-engine bench-shard golden repro examples clean lint lint-graph typecheck sweep-oversub-smoke serve-smoke
+.PHONY: install test bench bench-engine golden repro examples clean lint lint-graph typecheck sweep-oversub-smoke serve-smoke
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -49,15 +49,6 @@ bench:
 bench-engine:
 	$(PYTHON) -m repro bench engine --scale-hosts 50000,100000 \
 		-o BENCH_engine.json
-
-# Sharded-dispatcher bench: one verified 4-shard 50k-host cell
-# (serial pruned vs pooled vs inline; records the measured pool wall
-# ratio and the critical-path speedup).  Not written to the committed
-# baseline — use bench-engine with --shard-hosts for that.
-bench-shard:
-	PYTHONPATH=src $(PYTHON) -m repro bench engine --hosts 500 \
-		--policies progress --shard-hosts 50000 --shard-counts 4 \
-		-o bench_shard.json
 
 # Regenerate the golden decision-trace corpus (tests/fixtures/golden).
 golden:

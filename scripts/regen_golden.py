@@ -12,24 +12,24 @@ Freezes, under ``tests/fixtures/golden/``:
   stability does not depend on numpy's bit-stream across versions);
 * ``<policy>.jsonl`` — one JSON-Lines decision stream per placement
   policy, recorded with the **naive** reference kernel
-  (:mod:`repro.simulator.refkernel`), the pre-change oracle;
+  (:mod:`repro.simulator.refkernel`), the oracle;
 * ``manifest.json`` — cluster shape, per-policy summaries and the
   generation parameters, for provenance.
 
 ``tests/simulator/test_golden_trace.py`` replays the frozen trace
-through the incremental and pruned kernels (byte-identical stream
-required), the naive kernel (ditto) and the object engine
-(field-level diff via :func:`repro.obs.audit.diff_decision_streams`).
+through the incremental kernel (byte-identical stream required), the
+naive kernel (ditto) and the object engine (field-level diff via
+:func:`repro.obs.audit.diff_decision_streams`).
 
 Additionally freezes the **scale tier** under
 ``tests/fixtures/golden/scale/``: a 5000-host trace and one canonical
 *result stream* per policy (:func:`repro.simulator.conformance.
-result_stream`), recorded with the naive kernel through the
-uninstrumented run loop.  Decision recording disables the engine's
-fast path, so only these result-stream fixtures pin the shape-cache
-and pruned-kernel selection code that production runs execute;
-``tests/simulator/test_scale_golden.py`` replays them for every
-kernel, byte-for-byte.
+result_stream`), recorded with the naive kernel in an unrecorded run.
+A recorded run computes the full per-host tables instead of calling
+``VectorCluster.select``, so only these result-stream fixtures pin the
+shape-cache selection code that production runs execute;
+``tests/simulator/test_scale_golden.py`` replays them for both
+kernels, byte-for-byte.
 
 Regenerate only when a *deliberate* decision-semantics change lands,
 and say so in the commit message.
@@ -65,9 +65,9 @@ NUM_HOSTS = 5
 HOST_CPUS = 16
 HOST_MEM_GB = 64.0
 
-#: Scale tier: enough hosts that the pruned kernel's partition
-#: structures span many blocks (5000 hosts = 20 blocks of 256), with a
-#: workload small enough that the naive oracle regenerates in seconds.
+#: Scale tier: enough hosts that the first-fit block scan and the
+#: shape cache's mutation-log replay run for real, with a workload
+#: small enough that the naive oracle regenerates in seconds.
 SCALE_SEED = 2031
 SCALE_TARGET_POPULATION = 1200
 SCALE_NUM_HOSTS = 5000

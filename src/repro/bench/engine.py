@@ -1,36 +1,31 @@
 """``repro bench engine`` — placement-kernel micro-benchmark.
 
 Measures the vector engine's event throughput (arrivals + departures
-processed per second) for every placement kernel on the same generated
-workloads:
+processed per second) for both placement kernels on the same generated
+workloads, through the same run loop:
 
-* ``incremental`` — the allocation-free kernel in
+* ``incremental`` — the production kernel in
   :mod:`repro.simulator.vectorpool` (dirty-host bookkeeping, candidate
   masks, shape-keyed masked-score cache);
-* ``pruned`` — the hierarchical candidate-pruning kernel in
-  :mod:`repro.simulator.prunekernel` (partition maxima and candidate
-  counters on top of the incremental caches, sublinear ``select()``);
-* ``naive`` — the retained pre-change reference in
-  :mod:`repro.simulator.refkernel`, run end to end through the
-  pre-change flow (heap drain, allocating selection), so speedups are
-  measured against the engine as it existed before the rewrite.
+* ``naive`` — the reference in :mod:`repro.simulator.refkernel`
+  (allocating cluster-wide feasibility and scores on every arrival),
+  the baseline every speedup is a ratio against.
 
-Every cell verifies that all kernels produce identical placements,
+Every cell verifies that both kernels produce identical placements,
 rejections, pooling counts and timelines before its timing is trusted
 — a benchmark of a wrong kernel is worthless.  Per-op timers go
 through :class:`repro.obs.metrics.MetricsRegistry` (the ``select_s``
 timer the engine already maintains), identically for every arm.
 
-The grid has three tiers.  **Standard** cells carry the full policy
+The grid has two tiers.  **Standard** cells carry the full policy
 grid at the committed load factor; **scale** cells (``scale_hosts``,
 typically 50k and 100k) run a policy subset at a reduced load factor so
 the naive baseline arm — milliseconds per event at 100k hosts — stays
-affordable, and report a peak-RSS memory column next to throughput;
-**shard** cells (``shard_hosts``) time the :mod:`repro.sharding`
-dispatcher against the single-process ``pruned`` kernel, one cell per
-shard count.  Every cell is constructed through
-:class:`repro.api.RunSpec` — the bench times exactly what
-``repro.api.run`` executes.
+affordable, and report a peak-RSS memory column next to throughput.
+Every cell is constructed through :class:`repro.api.RunSpec` — the
+bench times exactly what ``repro.api.run`` executes.  (The sharded
+dispatcher is timed by ``perf/``'s ``shard_2w`` workload and checked
+by ``repro shard --verify --baseline``, not here.)
 ``peak_rss_mb`` is ``ru_maxrss``, the *process-lifetime high-water
 mark*: it never decreases across arms or cells, so read it as "the run
 up to and including this arm fit in this much memory", not as a
@@ -76,13 +71,10 @@ __all__ = [
 ]
 
 #: Schema version of the JSON payload (bump on incompatible change).
-#: 2: per-kernel ``speedups`` + ``peak_rss_mb`` columns, scale-tier
-#: cells (``tier`` field, ``scale_*`` grid keys), third kernel.
-#: 3: ``shards`` column on every cell, shard-tier cells (``shard_*``
-#: grid keys) timing the :mod:`repro.sharding` dispatcher against the
-#: single-process ``pruned`` kernel; cells construct through
-#: :class:`repro.api.RunSpec`.
-SCHEMA = 3
+#: 4: two kernels (``incremental``, ``naive``) on standard and scale
+#: tiers; per-kernel ``speedups`` + ``peak_rss_mb`` columns; cells
+#: construct through :class:`repro.api.RunSpec`.
+SCHEMA = 4
 
 #: The bench's fixed workload mix (1:1 / 2:1 / 3:1 percentages).
 _BENCH_MIX = (40.0, 30.0, 30.0)
@@ -104,15 +96,6 @@ class EngineBenchSpec:
     only ``scale_policies`` at ``scale_vms_per_host`` load so the
     naive reference arm stays tractable at 100k hosts.  Empty (the
     default) skips the tier entirely.
-
-    ``shard_hosts`` adds the shard tier: each cell times the
-    :class:`repro.sharding.ShardedSimulation` dispatcher (hash router,
-    one worker process per shard) against the single-process ``pruned``
-    kernel on the same workload — the speedup the two-level
-    architecture buys over the fastest serial kernel.  The serial arm
-    gets the warmup slice; the sharded arm deliberately does not (its
-    workers are fresh processes either way, and its timing *includes*
-    pool start-up — that cost is real).
     """
 
     hosts: tuple[int, ...] = (500, 2000, 5000)
@@ -128,17 +111,10 @@ class EngineBenchSpec:
     scale_policies: tuple[str, ...] = ("first_fit", "best_fit", "progress")
     scale_vms_per_host: float = 0.5
     scale_warmup_vms: int = 200
-    shard_hosts: tuple[int, ...] = ()
-    shard_counts: tuple[int, ...] = (4,)
-    shard_policies: tuple[str, ...] = ("progress",)
-    shard_vms_per_host: float = 0.5
-    shard_warmup_vms: int = 200
 
     def __post_init__(self) -> None:
         unknown = [
-            p
-            for p in (*self.policies, *self.scale_policies, *self.shard_policies)
-            if p not in POLICIES
+            p for p in (*self.policies, *self.scale_policies) if p not in POLICIES
         ]
         if unknown:
             raise BenchError(f"unknown policies {unknown}; expected {POLICIES}")
@@ -151,15 +127,6 @@ class EngineBenchSpec:
         if any(n <= 0 for n in self.scale_hosts):
             raise BenchError(
                 f"scale hosts must be positive, got {self.scale_hosts}"
-            )
-        if any(n <= 0 for n in self.shard_hosts):
-            raise BenchError(
-                f"shard hosts must be positive, got {self.shard_hosts}"
-            )
-        if any(n < 2 for n in self.shard_counts):
-            raise BenchError(
-                f"shard counts must be >= 2 (1 is the serial arm), "
-                f"got {self.shard_counts}"
             )
 
 
@@ -189,8 +156,6 @@ def _cell_run_spec(
     policy: str,
     kernel: str,
     vms_per_host: float,
-    shards: int = 1,
-    workers: int = 1,
 ) -> RunSpec:
     """One benchmark arm as a :class:`repro.api.RunSpec`.
 
@@ -208,8 +173,6 @@ def _cell_run_spec(
         host_mem_gb=spec.host_mem_gb,
         policy=policy,
         kernel=kernel,
-        shards=shards,
-        workers=workers,
     )
 
 
@@ -225,7 +188,7 @@ def _run_tier(
     cells = []
     for num_hosts in hosts:
         trace_spec = _cell_run_spec(
-            spec, num_hosts, policies[0], "pruned", vms_per_host
+            spec, num_hosts, policies[0], "incremental", vms_per_host
         )
         workload = build_workload(trace_spec)
         machines = build_machines(trace_spec)
@@ -281,7 +244,6 @@ def _run_tier(
                     "num_hosts": num_hosts,
                     "policy": policy,
                     "tier": tier,
-                    "shards": 1,
                     "num_events": num_events,
                     "placed": len(result.placements),
                     "rejected": len(result.rejections),
@@ -296,129 +258,11 @@ def _run_tier(
             )
             say(
                 f"hosts={num_hosts:6d} {policy:20s} "
-                f"pruned {arms['pruned']['payload']['events_per_s']:9.0f} ev/s "
-                f"({speedups['pruned']:.2f}x)  "
                 f"incremental {arms['incremental']['payload']['events_per_s']:9.0f} ev/s "
                 f"({speedups['incremental']:.2f}x)  "
                 f"naive {arms['naive']['payload']['events_per_s']:9.0f} ev/s  "
                 f"rss {arms['naive']['payload']['peak_rss_mb']:.0f}MB"
             )
-    return cells
-
-
-def _run_shard_tier(
-    spec: EngineBenchSpec, say: Callable[[str], None]
-) -> list[dict]:
-    """Shard-tier cells: dispatcher-vs-serial on the ``pruned`` kernel.
-
-    The serial arm is the single-process ``pruned`` kernel (the fastest
-    serial configuration — the honest baseline); each shard count then
-    runs the same workload through the dispatcher with one worker
-    process per shard.  ``spec.verify`` replays the sharded run inline
-    (``workers=1``) and requires the result to match exactly — the
-    determinism contract, not a decision-equivalence claim: sharding
-    *changes* placement decisions (each VM only sees its shard's
-    hosts), so the cell also records the serial arm's placed count for
-    the routing-cost comparison.
-
-    Two speedups are recorded.  ``sharded`` is the measured pool
-    wall-clock ratio — on a machine with fewer cores than shards the
-    workers timeshare and this can drop below 1×.  ``critical_path``
-    divides the serial wall by the *slowest shard's* uncontended wall,
-    taken from the inline verify pass where shards run one at a time —
-    the wall-clock the pool converges to once every shard has its own
-    core.  Both come from the same run; neither is a projection.
-    """
-    cells = []
-    for num_hosts in spec.shard_hosts:
-        serial_spec = _cell_run_spec(
-            spec, num_hosts, spec.shard_policies[0], "pruned",
-            spec.shard_vms_per_host,
-        )
-        workload = build_workload(serial_spec)
-        machines = build_machines(serial_spec)
-        num_events = len(workload) + sum(
-            1 for vm in workload if vm.departure is not None
-        )
-        warmup = workload[: spec.shard_warmup_vms]
-        for policy in spec.shard_policies:
-            serial_spec = _cell_run_spec(
-                spec, num_hosts, policy, "pruned", spec.shard_vms_per_host
-            )
-            serial_sim = build_simulation(serial_spec, machines)
-            serial_sim.run(warmup)
-            t0 = perf_counter()
-            serial_result = serial_sim.run(workload)
-            serial_wall = perf_counter() - t0
-            serial_payload = {
-                "wall_s": serial_wall,
-                "events_per_s": num_events / serial_wall,
-                "peak_rss_mb": _peak_rss_mb(),
-            }
-            for shards in spec.shard_counts:
-                sharded_spec = serial_spec.replace(shards=shards, workers=shards)
-                sim = build_simulation(sharded_spec, machines)
-                t0 = perf_counter()
-                result = sim.run(workload)
-                wall_s = perf_counter() - t0
-                speedups = {"sharded": serial_wall / wall_s}
-                kernels = {
-                    "serial": dict(serial_payload),
-                    "sharded": {
-                        "wall_s": wall_s,
-                        "events_per_s": num_events / wall_s,
-                        "peak_rss_mb": _peak_rss_mb(),
-                    },
-                }
-                if spec.verify:
-                    inline_sim = build_simulation(
-                        sharded_spec.replace(workers=1), machines
-                    )
-                    inline = inline_sim.run(workload)
-                    if _result_fingerprint(inline) != _result_fingerprint(result):
-                        raise BenchError(
-                            f"sharded run is not schedule-invariant at "
-                            f"hosts={num_hosts} policy={policy} shards={shards}: "
-                            "pooled and inline execution disagree"
-                        )
-                    critical_s = max(inline_sim.shard_walls)
-                    kernels["inline"] = {
-                        "wall_s": sum(inline_sim.shard_walls),
-                        "critical_path_s": critical_s,
-                        "events_per_s": num_events / critical_s,
-                        "peak_rss_mb": _peak_rss_mb(),
-                    }
-                    speedups["critical_path"] = serial_wall / critical_s
-                cells.append(
-                    {
-                        "num_hosts": num_hosts,
-                        "policy": policy,
-                        "tier": "shard",
-                        "shards": shards,
-                        "num_events": num_events,
-                        "placed": len(result.placements),
-                        "rejected": len(result.rejections),
-                        "pooled": result.pooled_placements,
-                        "serial_placed": len(serial_result.placements),
-                        "verified": spec.verify,
-                        "kernels": kernels,
-                        "speedups": speedups,
-                        "speedup": speedups["sharded"],
-                    }
-                )
-                critical = (
-                    f"critical path {speedups['critical_path']:.2f}x  "
-                    if "critical_path" in speedups
-                    else ""
-                )
-                say(
-                    f"hosts={num_hosts:6d} {policy:20s} "
-                    f"{shards} shards {num_events / wall_s:9.0f} ev/s "
-                    f"({speedups['sharded']:.2f}x)  {critical}"
-                    f"serial pruned {serial_payload['events_per_s']:9.0f} ev/s  "
-                    f"placed {len(result.placements)} "
-                    f"(serial {len(serial_result.placements)})"
-                )
     return cells
 
 
@@ -428,7 +272,7 @@ def run_engine_bench(
 ) -> dict:
     """Run the grid and return the JSON-ready payload.
 
-    For each (cluster size, policy) cell every kernel replays the same
+    For each (cluster size, policy) cell both kernels replay the same
     workload once, after a shared warmup slice; with ``spec.verify``
     the results must agree exactly or :class:`BenchError` is raised.
     ``progress`` (when given) receives one line per cell.
@@ -443,17 +287,9 @@ def run_engine_bench(
             spec, spec.scale_hosts, spec.scale_policies,
             spec.scale_vms_per_host, spec.scale_warmup_vms, "scale", say,
         )
-    shard_cells: list[dict] = []
-    if spec.shard_hosts:
-        shard_cells = _run_shard_tier(spec, say)
-        cells += shard_cells
     headline = max(
-        (c for c in cells if c["tier"] != "shard"),
-        key=lambda c: (
-            c["num_hosts"],
-            c["policy"] == "progress",
-            c["speedups"]["pruned"],
-        ),
+        cells,
+        key=lambda c: (c["num_hosts"], c["policy"] == "progress", c["speedup"]),
     )
     payload = {
         "schema": SCHEMA,
@@ -470,11 +306,6 @@ def run_engine_bench(
             "scale_policies": list(spec.scale_policies),
             "scale_vms_per_host": spec.scale_vms_per_host,
             "scale_warmup_vms": spec.scale_warmup_vms,
-            "shard_hosts": list(spec.shard_hosts),
-            "shard_counts": list(spec.shard_counts),
-            "shard_policies": list(spec.shard_policies),
-            "shard_vms_per_host": spec.shard_vms_per_host,
-            "shard_warmup_vms": spec.shard_warmup_vms,
         },
         "environment": {
             "python": platform.python_version(),
@@ -487,20 +318,10 @@ def run_engine_bench(
             "policy": headline["policy"],
             "speedup": headline["speedup"],
             "speedups": headline["speedups"],
-            "events_per_s": headline["kernels"]["pruned"]["events_per_s"],
+            "events_per_s": headline["kernels"]["incremental"]["events_per_s"],
         },
         "cells": cells,
     }
-    if shard_cells:
-        best = max(shard_cells, key=lambda c: (c["num_hosts"], c["shards"]))
-        payload["shard_headline"] = {
-            "num_hosts": best["num_hosts"],
-            "policy": best["policy"],
-            "shards": best["shards"],
-            "speedup": best["speedup"],
-            "speedups": dict(best["speedups"]),
-            "events_per_s": best["kernels"]["sharded"]["events_per_s"],
-        }
     return payload
 
 
@@ -523,12 +344,11 @@ def crossover_report(payload: dict) -> list[str]:
     """
     lines = []
     for cell in payload.get("cells", ()):
-        base = "serial pruned" if cell.get("tier") == "shard" else "naive"
         for kernel, ratio in sorted(_cell_speedups(cell).items()):
             if ratio < 1.0:
                 lines.append(
                     f"hosts={cell['num_hosts']} policy={cell['policy']}: "
-                    f"{kernel} {ratio:.2f}x vs {base} (crossover: {base} "
+                    f"{kernel} {ratio:.2f}x vs naive (crossover: naive "
                     "wins this cell)"
                 )
     return lines
@@ -557,15 +377,10 @@ def compare_engine_bench(
                 f"expected {SCHEMA}"
             )
     problems = []
-    baseline_cells = {
-        (c["num_hosts"], c["policy"], c.get("shards", 1)): c
-        for c in baseline["cells"]
-    }
+    baseline_cells = {(c["num_hosts"], c["policy"]): c for c in baseline["cells"]}
     matched = 0
     for cell in current["cells"]:
-        ref = baseline_cells.get(
-            (cell["num_hosts"], cell["policy"], cell.get("shards", 1))
-        )
+        ref = baseline_cells.get((cell["num_hosts"], cell["policy"]))
         if ref is None:
             continue
         matched += 1

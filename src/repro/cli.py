@@ -52,7 +52,7 @@ from repro.analysis import (
 )
 from repro.core.errors import ReproError
 from repro.hardware import SIM_WORKER, MachineSpec
-from repro.simulator import POLICIES, demand_lower_bound, minimal_cluster
+from repro.simulator import KERNELS, POLICIES, demand_lower_bound, minimal_cluster
 from repro.workload import (
     DISTRIBUTIONS,
     PROVIDERS,
@@ -112,9 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--policy", default="progress",
                     help="shared-cluster policy (progress, progress_bestfit, "
                          "first_fit, best_fit, worst_fit)")
-    ev.add_argument("--kernel", default="incremental",
-                    help="placement kernel for the shared cluster "
-                         "(incremental, naive, pruned)")
+    ev.add_argument("--kernel", choices=KERNELS, default="incremental",
+                    help="placement kernel for the shared cluster")
     ev.add_argument("--shards", type=int, default=1,
                     help="fan the shared cluster out over N dispatcher "
                          "shards (default 1: unsharded)")
@@ -144,9 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--resume", action="store_true",
                        help="skip cells already completed in --out "
                             "(failed cells are retried)")
-    sweep.add_argument("--kernel", default="incremental",
-                       help="placement kernel for every cell "
-                            "(incremental, naive, pruned)")
+    sweep.add_argument("--kernel", choices=KERNELS, default="incremental",
+                       help="placement kernel for every cell")
     sweep.add_argument("--shards", type=int, default=1,
                        help="dispatcher shards per cell (run inline inside "
                             "each cell worker; default 1)")
@@ -176,8 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     ov.add_argument("--update-every", type=float, default=3600.0,
                     help="estimator update period, seconds (default 3600)")
     ov.add_argument("--policy", choices=POLICIES, default="progress")
-    ov.add_argument("--kernel", choices=("incremental", "naive"),
-                    default="incremental")
+    ov.add_argument("--kernel", choices=KERNELS, default="incremental")
     ov.add_argument("--machine", type=_machine, default=SIM_WORKER,
                     help="worker spec as CPUS:MEM_GB (default 32:128)")
     ov.add_argument("-o", "--out", default=None,
@@ -201,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     sh.add_argument("--machine", type=_machine, default=SIM_WORKER,
                     help="host spec as CPUS:MEM_GB (default 32:128)")
     sh.add_argument("--policy", choices=POLICIES, default="progress")
-    sh.add_argument("--kernel", default="pruned",
-                    help="placement kernel per shard (default pruned)")
+    sh.add_argument("--kernel", choices=KERNELS, default="incremental",
+                    help="placement kernel per shard")
     sh.add_argument("--shards", type=int, default=4,
                     help="shard count (default 4)")
     sh.add_argument("--router", default="hash",
@@ -298,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-benchmark the engines (currently: the placement kernel)",
     )
     be.add_argument("target", choices=("engine",),
-                    help="what to benchmark (engine: pruned/incremental vs "
-                         "naive placement kernels)")
+                    help="what to benchmark (engine: incremental vs "
+                         "naive placement kernel)")
     be.add_argument("--hosts", default="500,2000,5000",
                     help="comma-separated cluster sizes (default 500,2000,5000)")
     be.add_argument("--policies", default="all",
@@ -321,18 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "cells (default 0.5, keeps the naive arm tractable)")
     be.add_argument("--scale-warmup-vms", type=int, default=200,
                     help="warmup slice for scale cells (default 200)")
-    be.add_argument("--shard-hosts", default="",
-                    help="comma-separated cluster sizes for the shard tier "
-                         "(sharded dispatcher vs serial pruned kernel; "
-                         "default: none)")
-    be.add_argument("--shard-counts", default="4",
-                    help="comma-separated shard counts for shard-tier cells "
-                         "(default 4)")
-    be.add_argument("--shard-policies", default="progress",
-                    help="policy subset for the shard tier (default progress)")
-    be.add_argument("--shard-vms-per-host", type=float, default=0.5,
-                    help="workload target population per host for shard "
-                         "cells (default 0.5)")
     be.add_argument("--no-verify", action="store_true",
                     help="skip the kernel-equality check on each cell")
     be.add_argument("-o", "--out", default=None,
@@ -696,12 +681,9 @@ def _cmd_bench(args) -> int:
     try:
         hosts = tuple(int(h) for h in args.hosts.split(",") if h)
         scale_hosts = tuple(int(h) for h in args.scale_hosts.split(",") if h)
-        shard_hosts = tuple(int(h) for h in args.shard_hosts.split(",") if h)
-        shard_counts = tuple(int(s) for s in args.shard_counts.split(",") if s)
     except ValueError:
         raise SystemExit(
-            "invalid --hosts/--scale-hosts/--shard-hosts/--shard-counts: "
-            "use e.g. 500,2000,5000"
+            "invalid --hosts/--scale-hosts: use e.g. 500,2000,5000"
         )
     spec = EngineBenchSpec(
         hosts=hosts,
@@ -716,27 +698,12 @@ def _cmd_bench(args) -> int:
         scale_policies=tuple(p for p in args.scale_policies.split(",") if p),
         scale_vms_per_host=args.scale_vms_per_host,
         scale_warmup_vms=args.scale_warmup_vms,
-        shard_hosts=shard_hosts,
-        shard_counts=shard_counts,
-        shard_policies=tuple(p for p in args.shard_policies.split(",") if p),
-        shard_vms_per_host=args.shard_vms_per_host,
     )
     payload = run_engine_bench(spec, progress=print)
     head = payload["headline"]
-    pruned_x = head["speedups"].get("pruned", head["speedup"])
     print(f"headline: hosts={head['num_hosts']} policy={head['policy']} "
-          f"{head['events_per_s']:.0f} ev/s, pruned {pruned_x:.2f}x / "
+          f"{head['events_per_s']:.0f} ev/s, "
           f"incremental {head['speedup']:.2f}x over naive")
-    shard_head = payload.get("shard_headline")
-    if shard_head:
-        critical = shard_head["speedups"].get("critical_path")
-        suffix = (
-            f", critical path {critical:.2f}x" if critical is not None else ""
-        )
-        print(f"shard headline: hosts={shard_head['num_hosts']} "
-              f"policy={shard_head['policy']} shards={shard_head['shards']} "
-              f"{shard_head['events_per_s']:.0f} ev/s, "
-              f"{shard_head['speedup']:.2f}x over serial pruned{suffix}")
     for line in crossover_report(payload):
         print(f"CROSSOVER: {line}")
     if args.out:

@@ -621,35 +621,29 @@ class MutableStateRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# R007 — kernel signature parity (vectorpool vs refkernel/prunekernel)
+# R007 — kernel signature parity (vectorpool vs refkernel)
 # ---------------------------------------------------------------------------
 
 
 class KernelParityRule(Rule):
     rule_id = "R007"
-    title = "alternate-kernel decision surfaces must match VectorCluster"
+    title = "reference-kernel decision surfaces must match VectorCluster"
     hint = (
-        "keep VectorCluster.<name> and refkernel.naive_<name> / "
-        "prunekernel.pruned_<name> parameter names, order and defaults "
-        "identical — the golden-trace and kernel-equivalence suites "
-        "compare the kernels call-for-call"
+        "keep VectorCluster.<name> and refkernel.naive_<name> parameter "
+        "names, order and defaults identical — the golden-trace and "
+        "kernel-equivalence suites compare the kernels call-for-call"
     )
 
     ref_module = "repro.simulator.refkernel"
     vec_module = "repro.simulator.vectorpool"
     vec_class = "VectorCluster"
     naive_prefix = "naive_"
-    #: Every (module, function prefix, label) whose ``<prefix><name>``
-    #: free functions mirror a ``VectorCluster.<name>`` method.
-    kernel_modules: tuple[tuple[str, str, str], ...] = (
-        (ref_module, naive_prefix, "refkernel"),
-        ("repro.simulator.prunekernel", "pruned_", "prunekernel"),
-    )
 
     def check_index(self, index) -> list[Finding]:
         modules = index.by_module()
         vec = modules.get(self.vec_module)
-        if vec is None:
+        ref = modules.get(self.ref_module)
+        if vec is None or ref is None:
             return []  # partial lint run: nothing to compare against
         class_prefix = f"{self.vec_class}."
         methods = {
@@ -665,43 +659,40 @@ class KernelParityRule(Rule):
                     f"class:{self.vec_class}",
                 )
             ]
+        prefix = self.naive_prefix
+        mirrors = {
+            name[len(prefix):]: info
+            for name, info in ref.signatures.items()
+            if "." not in name
+            and name.startswith(prefix)
+            and not name[len(prefix):].startswith("_")
+        }
         found: list[Finding] = []
-        for module, prefix, label in self.kernel_modules:
-            ref = modules.get(module)
-            if ref is None:
-                continue  # partial lint run
-            mirrors = {
-                name[len(prefix):]: info
-                for name, info in ref.signatures.items()
-                if "." not in name
-                and name.startswith(prefix)
-                and not name[len(prefix):].startswith("_")
-            }
-            for name, info in sorted(mirrors.items()):
-                snippet = f"def {prefix}{name}"
-                method = methods.get(name)
-                if method is None:
-                    found.append(
-                        _index_finding(
-                            self, ref.rel_path, info["line"], 0,
-                            f"{label}.{prefix}{name} has no "
-                            f"{self.vec_class}.{name} counterpart",
-                            snippet,
-                        )
+        for name, info in sorted(mirrors.items()):
+            snippet = f"def {prefix}{name}"
+            method = methods.get(name)
+            if method is None:
+                found.append(
+                    _index_finding(
+                        self, ref.rel_path, info["line"], 0,
+                        f"refkernel.{prefix}{name} has no "
+                        f"{self.vec_class}.{name} counterpart",
+                        snippet,
                     )
-                    continue
-                ref_sig = tuple(info["params"])
-                vec_sig = tuple(method["params"])
-                if ref_sig != vec_sig:
-                    found.append(
-                        _index_finding(
-                            self, ref.rel_path, info["line"], 0,
-                            f"signature drift on {name}: {label}.{prefix}{name}"
-                            f"({', '.join(ref_sig)}) vs {self.vec_class}.{name}"
-                            f"({', '.join(vec_sig)})",
-                            snippet,
-                        )
+                )
+                continue
+            ref_sig = tuple(info["params"])
+            vec_sig = tuple(method["params"])
+            if ref_sig != vec_sig:
+                found.append(
+                    _index_finding(
+                        self, ref.rel_path, info["line"], 0,
+                        f"signature drift on {name}: refkernel.{prefix}{name}"
+                        f"({', '.join(ref_sig)}) vs {self.vec_class}.{name}"
+                        f"({', '.join(vec_sig)})",
+                        snippet,
                     )
+                )
         return found
 
 

@@ -6,8 +6,8 @@ exact ``(time, kind, seq)`` total order of
 :func:`repro.simulator.events.workload_event_list`, routing every
 arrival to a shard through a :mod:`repro.sharding.router` policy.  Each
 shard then runs its sub-workload through an ordinary
-:class:`~repro.simulator.vectorpool.VectorSimulation` — the existing
-``kernel=`` seam unchanged — in its own worker process, and the
+:class:`~repro.simulator.vectorpool.VectorSimulation` — same
+``kernel=`` default as an unsharded run — in its own worker process, and the
 dispatcher merges the per-shard result streams back into one
 :class:`~repro.simulator.engine.SimulationResult`
 (:mod:`repro.sharding.merge`).
@@ -95,7 +95,7 @@ class ShardPlan:
         router: str = "hash",
         seed: int = 0,
         policy: str = "progress",
-        kernel: str = "pruned",
+        kernel: str = "incremental",
     ) -> "ShardPlan":
         if shards < 1:
             raise ConfigError(f"need at least one shard, got {shards}")
@@ -268,7 +268,7 @@ class ShardedSimulation:
         machines: Sequence[MachineSpec],
         config: Optional[SlackVMConfig] = None,
         policy: str = "progress",
-        kernel: str = "pruned",
+        kernel: str = "incremental",
         shards: int = 1,
         router: str = "hash",
         workers: int = 0,

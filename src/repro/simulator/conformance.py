@@ -1,11 +1,12 @@
 """Canonical serialization of simulation results, for conformance tests.
 
 The golden decision-record corpus (``tests/fixtures/golden/*.jsonl``)
-locks the *instrumented* path byte-for-byte — but recording disables
-the engine's uninstrumented fast loop, so those fixtures never execute
-the shape-cache or pruned-kernel selection code at all.  The
+locks *recorded* runs byte-for-byte — but a recorded run computes the
+full per-host tables for every arrival instead of calling
+``VectorCluster.select``, so those fixtures never execute the
+shape-cache selection code at all.  The
 scale-tier fixtures (``tests/fixtures/golden/scale/``) close that gap:
-they freeze the **result stream** of an uninstrumented run — every
+they freeze the **result stream** of an unrecorded run — every
 placement decision in arrival order, the rejection list, and a digest
 of the full allocation timeline — in a canonical text form that any
 kernel must reproduce byte-for-byte.

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterator
 
+from repro.core.errors import SimulationError
 from repro.core.types import VMRequest
 
 __all__ = [
@@ -64,42 +65,37 @@ class EventQueue:
         while self._heap:
             yield heapq.heappop(self._heap)
 
-    def sorted_drain(self) -> list[Event]:
-        """Drain every queued event at once, in exactly ``drain()`` order.
-
-        The event order is total (``(time, kind, seq)`` — no two events
-        compare equal), so one key-based sort yields the same sequence
-        as repeated heap pops at a fraction of the comparison cost; the
-        vector engine's uninstrumented hot loop iterates the returned
-        list directly.  Events pushed afterwards start a fresh queue.
-        """
-        events = self._heap
-        self._heap = []
-        events.sort(key=lambda e: (e.time, e.kind, e.seq))
-        return events
-
 
 def workload_events(workload: list[VMRequest]) -> EventQueue:
-    """Queue every arrival and (finite) departure of a trace."""
+    """Queue every arrival and (finite) departure of a trace.
+
+    The queue starts as :func:`workload_event_list` — a list sorted by
+    the total order ``(time, kind, seq)`` already satisfies the heap
+    invariant — so ``drain()`` yields exactly that list and later
+    pushes continue its ``seq`` numbering.
+    """
     q = EventQueue()
-    for vm in sorted(workload, key=lambda v: (v.arrival, v.vm_id)):
-        q.push(vm.arrival, EventKind.ARRIVAL, vm)
-        if vm.departure is not None:
-            q.push(vm.departure, EventKind.DEPARTURE, vm)
+    q._heap = workload_event_list(workload)
+    q._seq = len(q._heap)
     return q
 
 
 def workload_event_list(workload: list[VMRequest]) -> list[Event]:
     """Every event of a trace as a time-ordered list.
 
-    Exactly ``workload_events(workload).sorted_drain()`` — same events,
-    same ``seq`` numbering, same total order — without paying the heap
-    invariant on every push.  The vector engine's uninstrumented fast
-    path iterates this list directly.
+    The one place a trace becomes events: arrivals are numbered in
+    ``(arrival, vm_id)`` order, each finite departure takes the next
+    ``seq``, and the list is sorted by ``(time, kind, seq)``.  A trace
+    that uses a ``vm_id`` twice is refused — the engines key placements
+    and live VMs by id, so a reused id would be mis-accounted.
     """
     events: list[Event] = []
+    seen: set[str] = set()
     seq = 0
     for vm in sorted(workload, key=lambda v: (v.arrival, v.vm_id)):
+        if vm.vm_id in seen:
+            raise SimulationError(f"duplicate vm_id {vm.vm_id!r} in the workload")
+        seen.add(vm.vm_id)
         events.append(Event(vm.arrival, EventKind.ARRIVAL, seq, vm))
         seq += 1
         if vm.departure is not None:

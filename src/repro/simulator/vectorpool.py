@@ -7,8 +7,7 @@ keeps the whole cluster state in numpy arrays, so filtering and scoring
 all hosts for a placement is a handful of vector operations instead of
 a Python loop.
 
-Since the incremental-kernel rewrite, the hot path is also
-*allocation-free* and *event-proportional*:
+The hot path is *allocation-free* and *event-proportional*:
 
 * ``feasibility()``/``scores()`` write into preallocated scratch
   buffers instead of allocating ~8 fresh temporaries per event;
@@ -23,34 +22,28 @@ Since the incremental-kernel rewrite, the hot path is also
   feasibility block by block and stops at the first feasible host
   instead of touching the full array.
 
-``kernel="pruned"`` (:mod:`repro.simulator.prunekernel`) layers
-hierarchical candidate pruning on top: per-partition score maxima and
-candidate counters make ``select()`` *sublinear* in hosts, invalidated
-lazily through the same mutation log and falling back to the full
-vectorized scan whenever the summaries cannot be patched.  The
-uninstrumented run loop additionally drains events in same-timestamp
-batches (:func:`repro.simulator.events.iter_event_batches`) so a
-tick's departures all land before its first selection.
+``VectorSimulation.run`` is one event loop for every kernel, recorded
+or not: it drains events in same-timestamp batches
+(:func:`repro.simulator.events.iter_event_batches`) so a tick's
+departures all land before its first selection.
 
 Every cached quantity is refreshed with the *same elementwise IEEE
 operations* the naive kernel applies cluster-wide, so the incremental
-and pruned kernels are bit-identical to the retained reference
-implementation in :mod:`repro.simulator.refkernel` (``kernel="naive"``
-switches back to it).  Four independent oracles enforce the
-equivalence:
+kernel is bit-identical to the reference implementation in
+:mod:`repro.simulator.refkernel` (``kernel="naive"`` switches to it;
+it exists as the oracle for tests and ``repro bench engine``, not as a
+production choice).  Four independent oracles enforce the equivalence:
 
 * the golden-trace conformance suite
   (``tests/simulator/test_golden_trace.py``) replays frozen JSONL
   decision streams byte-for-byte;
 * the scale-tier conformance suite
   (``tests/simulator/test_scale_golden.py``) replays frozen 5000-host
-  result streams byte-for-byte through the *uninstrumented* loop —
-  the path the shape cache and the pruning structures actually run on;
+  result streams byte-for-byte through unrecorded runs — the path
+  the shape cache actually runs on;
 * the kernel-equivalence property suite
-  (``tests/simulator/test_kernel_equivalence.py``) compares all
-  kernels element-wise on random cluster states, with
-  ``tests/simulator/test_prune_invariants.py`` pinning the partition
-  summaries against the arrays they summarise;
+  (``tests/simulator/test_kernel_equivalence.py``) compares the two
+  kernels element-wise on random cluster states;
 * the engine-equivalence suite (``tests/simulator/test_equivalence.py``)
   checks placements against the object path.
 
@@ -102,15 +95,9 @@ from repro.scheduling.constants import (
 # Submodule imports, not `from repro.simulator import ...`: importing
 # through the package __init__ (which imports this module transitively)
 # would create a module-level cycle (R009).
-import repro.simulator.prunekernel as prunekernel
 import repro.simulator.refkernel as refkernel
 from repro.simulator.engine import PlacementRecord, SimulationResult, Timeline
-from repro.simulator.events import (
-    EventKind,
-    iter_event_batches,
-    workload_event_list,
-    workload_events,
-)
+from repro.simulator.events import iter_event_batches, workload_event_list
 
 if TYPE_CHECKING:  # annotation-only: keeps simulator below oversub (R009)
     from repro.oversub.controller import OversubController, OversubParams
@@ -128,13 +115,10 @@ POLICIES = (
     "progress_bestfit",
 )
 
-#: Placement-kernel implementations: ``incremental`` is the
-#: allocation-free default; ``naive`` is the retained pre-change
-#: reference (:mod:`repro.simulator.refkernel`); ``pruned`` adds
-#: hierarchical candidate pruning on top of the incremental caches so
-#: ``select()`` is sublinear in hosts
-#: (:mod:`repro.simulator.prunekernel`).
-KERNELS = ("incremental", "naive", "pruned")
+#: Placement-kernel implementations: ``incremental`` is the production
+#: kernel; ``naive`` is the reference the tests and ``repro bench
+#: engine`` compare it against (:mod:`repro.simulator.refkernel`).
+KERNELS = ("incremental", "naive")
 
 # Shared with the object-path schedulers via repro.scheduling.constants,
 # so the two engines cannot drift apart silently.
@@ -202,10 +186,6 @@ class VectorCluster:
     per-host caches behind a dirty-host set (see the module docstring
     for the invariants).
     """
-
-    #: Shape-cache capacity, exposed for the pruned kernel's identical
-    #: eviction policy (see :data:`_SHAPE_CACHE_CAP`).
-    _shape_cache_cap = _SHAPE_CACHE_CAP
 
     def __init__(
         self,
@@ -387,12 +367,6 @@ class VectorCluster:
         self._sc_f3 = np.empty(n, dtype=float)
         self._sc_b1 = np.empty(n, dtype=bool)
         self._sel_not = np.empty(n, dtype=bool)
-        # Hierarchical-pruning bookkeeping (partition geometry and
-        # per-level candidate counters); None for the other kernels,
-        # which never pay for its upkeep.
-        self._prune: Optional[prunekernel.PruneState] = (
-            prunekernel.PruneState(n, L) if self.kernel == "pruned" else None
-        )
 
     def _touch(self, host: int) -> None:
         """Mark one host's derived caches stale (cheap, O(1))."""
@@ -608,15 +582,12 @@ class VectorCluster:
                     & (self._pool_max_slack[li] >= 1.0)
                 )
             self._cand[li] = own
-        if self._prune is not None:
-            self._prune.rebuild_cand_counts(self._cand)
 
     def _refresh_cand_host(self, j: int) -> None:
         """Scalar candidate-mask refresh of one dirty host."""
         fc = float(self._free_cpu[j])
         mem_possible = self._free_mem_tol[j] > 0.0
         pooling = self.config.pooling
-        prune = self._prune
         for li in range(len(self.ratios)):
             r = float(self.ratios[li])
             mg = (
@@ -633,8 +604,6 @@ class VectorCluster:
                 and self._pool_max_slack[li, j] >= 1.0
             ):
                 cand = True
-            if prune is not None:
-                prune.adjust_cand_bit(li, j, bool(self._cand[li, j]), cand)
             self._cand[li, j] = cand
 
     @property
@@ -767,8 +736,6 @@ class VectorCluster:
         if self.kernel == "naive":
             feasible, _g, _o = refkernel.naive_feasibility(self, vm)
             return int(np.argmax(feasible)) if feasible.any() else None
-        if self.kernel == "pruned":
-            return prunekernel.pruned_first_feasible(self, vm)
         self._sync_cand()
         cand = self._cand[li]
         n = self.num_hosts
@@ -813,8 +780,6 @@ class VectorCluster:
         every host (capacities are positive), so the argmax landing on
         -inf is exactly the "no feasible host" case.
         """
-        if self.kernel == "pruned":
-            return prunekernel.pruned_select(self, vm, policy)
         if policy == "first_fit":
             return self.first_feasible(vm)
         if self.kernel == "naive" or not self._uniform_mem:
@@ -1228,9 +1193,10 @@ class VectorSimulation:
     """Run a workload through a :class:`VectorCluster` under a policy.
 
     ``kernel`` selects the placement kernel (see
-    :data:`~repro.simulator.vectorpool.KERNELS`); the uninstrumented
-    run loop additionally short-circuits ``first_fit`` selection and
-    performs allocation-free masked selection for scored policies.
+    :data:`~repro.simulator.vectorpool.KERNELS`).  An unrecorded run
+    asks the cluster for the selected host only; an enabled recorder
+    makes every arrival compute the full feasibility and score tables
+    its decision record carries.
     """
 
     def __init__(
@@ -1262,6 +1228,7 @@ class VectorSimulation:
     def run(self, workload: list[VMRequest]) -> SimulationResult:
         recording = self.recorder.enabled
         measuring = self.metrics.enabled
+        policy = self.policy
         cluster = VectorCluster(
             self.machines,
             self.config,
@@ -1269,12 +1236,6 @@ class VectorSimulation:
             recorder=self.recorder if recording else None,
             kernel=self.kernel,
         )
-        # The instrumented path keeps the full feasibility/score arrays
-        # alive for the decision record; the fast path only needs the
-        # selected host, so it can short-circuit.  The naive kernel
-        # keeps the pre-change flow end to end (heap drain, allocating
-        # np.where selection) so benchmarks measure the real baseline.
-        fast = not recording and cluster.kernel != "naive"
         controller: Optional[OversubController] = None
         target: Optional[_VectorCapacityTarget] = None
         if self.oversub is not None:
@@ -1286,131 +1247,94 @@ class VectorSimulation:
         pooled = 0
         alive: set[str] = set()
         arrival_seq = 0
-        if fast:
-            # Batched drain: same-timestamp events are grouped into one
-            # (departures, arrivals) dispatch so every departure of the
-            # tick lands before the tick's first selection and the lazy
-            # cache sync it triggers is paid once per batch, not once
-            # per event.  Controller advancement and timeline samples
-            # stay strictly per event — the batches only regroup the
-            # dispatch, the observable stream is unchanged (and the
-            # fail-fast break still precedes the rejected arrival's
-            # timeline sample, exactly like the per-event loop).
-            halted = False
-            for departures, arrivals in iter_event_batches(
-                workload_event_list(workload)
-            ):
-                for event in departures:
-                    if controller is not None and target is not None:
-                        controller.advance(target, event.time)
-                    vm = event.vm
-                    if vm.vm_id in alive:
-                        cluster.remove(vm.vm_id)
-                        alive.discard(vm.vm_id)
-                        if measuring:
-                            self.metrics.counter(metric_names.DEPARTURES).inc()
-                    timeline.record(
-                        event.time,
-                        cluster.total_alloc_cpu,
-                        cluster.total_alloc_mem,
-                    )
-                for event in arrivals:
-                    if controller is not None and target is not None:
-                        controller.advance(target, event.time)
-                    vm = event.vm
-                    t0 = perf_counter() if measuring else 0.0
-                    host = cluster.select(vm, self.policy)
-                    if measuring:
-                        self.metrics.timer(metric_names.SELECT_S).observe(
-                            perf_counter() - t0
-                        )
-                        self.metrics.counter(metric_names.ARRIVALS).inc()
-                    if host is None:
-                        rejections.append(vm.vm_id)
-                        if measuring:
-                            self.metrics.counter(metric_names.REJECTIONS).inc()
-                        if self.fail_fast:
-                            halted = True
-                            break
-                    else:
-                        record = cluster.deploy(vm, host)
-                        pooled += record.pooled
-                        placements[vm.vm_id] = record
-                        alive.add(vm.vm_id)
-                        if measuring:
-                            self.metrics.counter(metric_names.PLACEMENTS).inc()
-                            if record.pooled:
-                                self.metrics.counter(metric_names.POOLED).inc()
-                    # Both running totals are bit-equal to the full
-                    # array sums (integral CPU growth; fixed-point
-                    # memory accounting — see VectorCluster.
-                    # total_alloc_cpu / total_alloc_mem).
-                    timeline.record(
-                        event.time,
-                        cluster.total_alloc_cpu,
-                        cluster.total_alloc_mem,
-                    )
-                if halted:
-                    break
-        else:
-            for event in workload_events(workload).drain():
-                if controller is not None and target is not None:
-                    controller.advance(target, event.time)
-                vm = event.vm
-                if event.kind is EventKind.ARRIVAL:
-                    t0 = perf_counter() if measuring else 0.0
-                    feasible, growth, _own = cluster.feasibility(vm)
-                    any_feasible = bool(feasible.any())
-                    scores = None
-                    if any_feasible or recording:
-                        scores = np.where(
-                            feasible, cluster.scores(vm, self.policy), -np.inf
-                        )
-                    host = int(np.argmax(scores)) if any_feasible else None
-                    if measuring:
-                        self.metrics.timer(metric_names.SELECT_S).observe(
-                            perf_counter() - t0
-                        )
-                        self.metrics.counter(metric_names.ARRIVALS).inc()
-                    if host is None:
-                        rejections.append(vm.vm_id)
-                        if measuring:
-                            self.metrics.counter(metric_names.REJECTIONS).inc()
-                        if recording:
-                            self._record(
-                                event, arrival_seq, cluster, feasible, scores,
-                                vm, None, None, None,
-                            )
-                        arrival_seq += 1
-                        if self.fail_fast:
-                            break
-                    else:
-                        record = cluster.deploy(vm, host)
-                        pooled += record.pooled
-                        placements[vm.vm_id] = record
-                        alive.add(vm.vm_id)
-                        if measuring:
-                            self.metrics.counter(metric_names.PLACEMENTS).inc()
-                            if record.pooled:
-                                self.metrics.counter(metric_names.POOLED).inc()
-                        if recording:
-                            own_growth = 0 if record.pooled else int(growth[host])
-                            self._record(
-                                event, arrival_seq, cluster, feasible, scores,
-                                vm, host, record, own_growth,
-                            )
-                        arrival_seq += 1
-                else:
-                    if vm.vm_id in alive:
-                        cluster.remove(vm.vm_id)
-                        alive.discard(vm.vm_id)
-                        if measuring:
-                            self.metrics.counter(metric_names.DEPARTURES).inc()
+        # The incremental kernel's running totals are bit-equal to the
+        # full array sums (integral CPU growth; fixed-point memory
+        # accounting — see VectorCluster.total_alloc_cpu /
+        # total_alloc_mem); refkernel's deploy/remove do not maintain
+        # them, so the naive kernel samples the sums themselves.
+        if cluster.kernel == "naive":
+            def sample(time: float) -> None:
                 timeline.record(
-                    event.time,
+                    time,
                     float(cluster.alloc_cpu.sum()),
                     float(cluster.alloc_mem.sum()),
                 )
+        else:
+            def sample(time: float) -> None:
+                timeline.record(
+                    time, cluster.total_alloc_cpu, cluster.total_alloc_mem
+                )
+        # Same-timestamp events are grouped into one (departures,
+        # arrivals) dispatch so every departure of the tick lands before
+        # the tick's first selection and the lazy cache sync it triggers
+        # is paid once per batch.  Controller advancement and timeline
+        # samples stay strictly per event, and a fail-fast rejection
+        # halts before its own timeline sample.
+        halted = False
+        for departures, arrivals in iter_event_batches(
+            workload_event_list(workload)
+        ):
+            for event in departures:
+                if controller is not None and target is not None:
+                    controller.advance(target, event.time)
+                vm = event.vm
+                if vm.vm_id in alive:
+                    cluster.remove(vm.vm_id)
+                    alive.discard(vm.vm_id)
+                    if measuring:
+                        self.metrics.counter(metric_names.DEPARTURES).inc()
+                sample(event.time)
+            for event in arrivals:
+                if controller is not None and target is not None:
+                    controller.advance(target, event.time)
+                vm = event.vm
+                t0 = perf_counter() if measuring else 0.0
+                if recording:
+                    # The decision record needs the full per-host tables.
+                    feasible, growth, _own = cluster.feasibility(vm)
+                    scores = np.where(
+                        feasible, cluster.scores(vm, policy), -np.inf
+                    )
+                    host = int(np.argmax(scores)) if feasible.any() else None
+                else:
+                    host = cluster.select(vm, policy)
+                if measuring:
+                    self.metrics.timer(metric_names.SELECT_S).observe(
+                        perf_counter() - t0
+                    )
+                    self.metrics.counter(metric_names.ARRIVALS).inc()
+                if host is None:
+                    rejections.append(vm.vm_id)
+                    if measuring:
+                        self.metrics.counter(metric_names.REJECTIONS).inc()
+                    if recording:
+                        self._record(
+                            event, arrival_seq, cluster, feasible, scores,
+                            vm, None, None, None,
+                        )
+                        arrival_seq += 1
+                    if self.fail_fast:
+                        halted = True
+                        break
+                else:
+                    record = cluster.deploy(vm, host)
+                    pooled += record.pooled
+                    placements[vm.vm_id] = record
+                    alive.add(vm.vm_id)
+                    if measuring:
+                        self.metrics.counter(metric_names.PLACEMENTS).inc()
+                        if record.pooled:
+                            self.metrics.counter(metric_names.POOLED).inc()
+                    if recording:
+                        own_growth = 0 if record.pooled else int(growth[host])
+                        self._record(
+                            event, arrival_seq, cluster, feasible, scores,
+                            vm, host, record, own_growth,
+                        )
+                        arrival_seq += 1
+                sample(event.time)
+            if halted:
+                break
         if measuring:
             self.metrics.gauge(metric_names.FINAL_ALLOC_CPU).set(float(cluster.alloc_cpu.sum()))
             self.metrics.gauge(metric_names.FINAL_ALLOC_MEM).set(float(cluster.alloc_mem.sum()))

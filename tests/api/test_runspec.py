@@ -68,7 +68,7 @@ class TestSerialization:
     def test_round_trips_through_dict(self):
         spec = RunSpec(
             provider="ovhcloud", mix=(40, 30, 30), target_population=80,
-            seed=9, num_hosts=8, policy="best_fit", kernel="pruned",
+            seed=9, num_hosts=8, policy="best_fit", kernel="naive",
             shards=2, workers=2,
         )
         data = spec.to_dict()
@@ -81,7 +81,7 @@ class TestSerialization:
     def test_fingerprint_keys_every_field(self):
         base = RunSpec()
         assert base.fingerprint() != base.replace(seed=1).fingerprint()
-        assert base.fingerprint() != base.replace(kernel="pruned").fingerprint()
+        assert base.fingerprint() != base.replace(kernel="naive").fingerprint()
         assert base.fingerprint() == RunSpec().fingerprint()
 
     def test_from_dict_refuses_unknown_fields_and_versions(self):

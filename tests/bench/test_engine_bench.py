@@ -13,7 +13,7 @@ from repro.bench.engine import SCHEMA, BenchError
 
 @pytest.fixture(scope="module")
 def payload():
-    # Tiny grid: enough to exercise generation, all three kernels, the
+    # Tiny grid: enough to exercise generation, both kernels, the
     # per-cell verification and the payload shape.
     spec = EngineBenchSpec(
         hosts=(12,), policies=("progress", "first_fit"), vms_per_host=2.0,
@@ -29,14 +29,14 @@ def test_payload_shape(payload):
         assert cell["verified"]
         assert cell["num_events"] > 0
         assert cell["tier"] == "standard"
-        assert set(cell["kernels"]) == {"incremental", "naive", "pruned"}
+        assert set(cell["kernels"]) == {"incremental", "naive"}
         for arm in cell["kernels"].values():
             assert arm["wall_s"] > 0
             assert arm["events_per_s"] > 0
             assert arm["select_mean_us"] >= 0
             assert arm["select_ops_per_s"] >= 0
             assert arm["peak_rss_mb"] > 0
-        assert set(cell["speedups"]) == {"incremental", "pruned"}
+        assert set(cell["speedups"]) == {"incremental"}
         for kernel, ratio in cell["speedups"].items():
             assert ratio == pytest.approx(
                 cell["kernels"]["naive"]["wall_s"]
@@ -44,11 +44,10 @@ def test_payload_shape(payload):
             )
         # Legacy schema-1 column: the incremental-vs-naive ratio.
         assert cell["speedup"] == cell["speedups"]["incremental"]
-        assert cell["shards"] == 1
     head = payload["headline"]
     assert head["policy"] in ("progress", "first_fit")
     assert head["num_hosts"] == 12
-    assert set(head["speedups"]) == {"incremental", "pruned"}
+    assert set(head["speedups"]) == {"incremental"}
     assert payload["environment"]["cpus"] >= 1
 
 
@@ -67,42 +66,6 @@ def test_scale_tier_cells():
     assert tiers == {(8, "standard"), (16, "scale")}
     assert payload["grid"]["scale_hosts"] == [16]
     assert payload["grid"]["scale_policies"] == ["first_fit"]
-
-
-def test_shard_tier_cells():
-    spec = EngineBenchSpec(
-        hosts=(8,), policies=("first_fit",), vms_per_host=2.0, warmup_vms=0,
-        shard_hosts=(16,), shard_counts=(2,), shard_policies=("progress",),
-        shard_vms_per_host=1.0, shard_warmup_vms=0,
-    )
-    payload = run_engine_bench(spec)
-    shard_cells = [c for c in payload["cells"] if c["tier"] == "shard"]
-    assert len(shard_cells) == 1
-    cell = shard_cells[0]
-    assert cell["num_hosts"] == 16 and cell["shards"] == 2
-    assert cell["verified"]
-    assert set(cell["kernels"]) == {"serial", "sharded", "inline"}
-    assert cell["kernels"]["inline"]["critical_path_s"] > 0
-    assert set(cell["speedups"]) == {"sharded", "critical_path"}
-    assert cell["speedups"]["critical_path"] == pytest.approx(
-        cell["kernels"]["serial"]["wall_s"]
-        / cell["kernels"]["inline"]["critical_path_s"]
-    )
-    # The shard tier never leaks into the kernel-comparison headline.
-    assert payload["headline"]["num_hosts"] == 8
-    head = payload["shard_headline"]
-    assert head["num_hosts"] == 16 and head["shards"] == 2
-    assert payload["grid"]["shard_hosts"] == [16]
-    assert payload["grid"]["shard_counts"] == [2]
-
-
-def test_shard_spec_validation():
-    with pytest.raises(BenchError):
-        EngineBenchSpec(shard_counts=(1,))
-    with pytest.raises(BenchError):
-        EngineBenchSpec(shard_hosts=(0,))
-    with pytest.raises(BenchError):
-        EngineBenchSpec(shard_policies=("nope",))
 
 
 def test_progress_callback_gets_one_line_per_cell():
@@ -145,79 +108,61 @@ def _fake(cells):
 
 
 def test_compare_passes_within_tolerance():
-    baseline = _fake([(500, "progress", {"incremental": 3.0, "pruned": 4.0})])
-    current = _fake([(500, "progress", {"incremental": 1.6, "pruned": 2.1})])
+    baseline = _fake([(500, "progress", {"incremental": 3.0})])
+    current = _fake([(500, "progress", {"incremental": 1.6})])
     assert compare_engine_bench(current, baseline, tolerance=0.5) == []
 
 
 def test_compare_flags_regression_per_kernel():
-    baseline = _fake([(500, "progress", {"incremental": 3.0, "pruned": 4.0})])
-    current = _fake([(500, "progress", {"incremental": 2.9, "pruned": 1.4})])
+    baseline = _fake([
+        (500, "progress", {"incremental": 3.0}),
+        (500, "best_fit", {"incremental": 3.0}),
+    ])
+    current = _fake([
+        (500, "progress", {"incremental": 1.4}),
+        (500, "best_fit", {"incremental": 2.9}),
+    ])
     problems = compare_engine_bench(current, baseline, tolerance=0.5)
     assert len(problems) == 1
-    assert "kernel=pruned" in problems[0]
+    assert "kernel=incremental" in problems[0]
     assert "progress" in problems[0]
 
 
 def test_compare_marks_known_crossover_cells():
-    baseline = _fake([(500, "first_fit", {"incremental": 0.95, "pruned": 1.2})])
-    current = _fake([(500, "first_fit", {"incremental": 0.40, "pruned": 1.2})])
+    baseline = _fake([(500, "first_fit", {"incremental": 0.95})])
+    current = _fake([(500, "first_fit", {"incremental": 0.40})])
     problems = compare_engine_bench(current, baseline, tolerance=0.5)
     assert len(problems) == 1
     assert "known crossover cell" in problems[0]
 
 
 def test_compare_ignores_cells_missing_from_baseline():
-    ok = {"incremental": 3.0, "pruned": 3.0}
+    ok = {"incremental": 3.0}
     baseline = _fake([(500, "progress", ok)])
-    current = _fake([(500, "progress", ok), (9999, "best_fit", {"incremental": 0.1, "pruned": 0.1})])
+    current = _fake([(500, "progress", ok), (9999, "best_fit", {"incremental": 0.1})])
     assert compare_engine_bench(current, baseline) == []
 
 
 def test_compare_requires_at_least_one_matching_cell():
-    baseline = _fake([(500, "progress", {"incremental": 3.0, "pruned": 3.0})])
-    current = _fake([(123, "worst_fit", {"incremental": 5.0, "pruned": 5.0})])
+    baseline = _fake([(500, "progress", {"incremental": 3.0})])
+    current = _fake([(123, "worst_fit", {"incremental": 5.0})])
     problems = compare_engine_bench(current, baseline)
     assert len(problems) == 1
     assert "no benchmark cell matches" in problems[0]
 
 
 def test_compare_rejects_schema_mismatch_and_bad_tolerance():
-    good = _fake([(500, "progress", {"incremental": 3.0, "pruned": 3.0})])
+    good = _fake([(500, "progress", {"incremental": 3.0})])
     with pytest.raises(BenchError):
         compare_engine_bench({"schema": 999, "cells": []}, good)
     with pytest.raises(BenchError):
         compare_engine_bench(good, good, tolerance=1.5)
 
 
-def test_compare_keys_cells_by_shard_count():
-    # A 4-shard cell and a 1-shard cell at the same (hosts, policy)
-    # are distinct comparison keys — a shard regression can't hide
-    # behind a healthy serial cell.
-    def cell(shards, speedups):
-        return {
-            "num_hosts": 500, "policy": "progress", "shards": shards,
-            "speedup": speedups.get("incremental", 1.0),
-            "speedups": dict(speedups),
-        }
-
-    baseline = {"schema": SCHEMA, "cells": [
-        cell(1, {"incremental": 3.0, "pruned": 3.0}),
-        cell(4, {"sharded": 0.8, "critical_path": 3.0}),
-    ]}
-    current = {"schema": SCHEMA, "cells": [
-        cell(1, {"incremental": 3.0, "pruned": 3.0}),
-        cell(4, {"sharded": 0.8, "critical_path": 1.0}),
-    ]}
-    problems = compare_engine_bench(current, baseline, tolerance=0.5)
-    assert len(problems) == 1
-    assert "critical_path" in problems[0]
-
-
 def test_crossover_report_lists_sub_1x_cells_only():
     payload = _fake([
-        (500, "first_fit", {"incremental": 0.97, "pruned": 1.3}),
-        (5000, "progress", {"incremental": 3.0, "pruned": 5.0}),
+        (500, "first_fit", {"incremental": 0.97}),
+        (5000, "progress", {"incremental": 3.0}),
     ])
     lines = crossover_report(payload)
     assert len(lines) == 1

@@ -404,42 +404,6 @@ def test_r007_silent_on_partial_lint_run(tree):
     assert tree.rule_ids() == []
 
 
-_PRUNE_OK = """
-def pruned_feasibility(cluster, vm, strict=True):
-    pass
-"""
-
-_PRUNE_DRIFT = """
-def pruned_feasibility(cluster, request, strict=True):
-    pass
-
-
-def pruned_orphan(cluster):
-    pass
-
-
-def _pruned_helper(cluster, anything, goes=1):
-    pass
-"""
-
-
-def test_r007_covers_prunekernel_mirrors(tree):
-    tree.write("src/repro/simulator/vectorpool.py", src(_VEC_OK))
-    tree.write("src/repro/simulator/prunekernel.py", src(_PRUNE_OK))
-    assert tree.rule_ids() == []
-
-
-def test_r007_flags_prunekernel_drift_but_not_private_helpers(tree):
-    tree.write("src/repro/simulator/vectorpool.py", src(_VEC_OK))
-    tree.write("src/repro/simulator/prunekernel.py", src(_PRUNE_DRIFT))
-    findings = tree.lint()
-    assert [f.rule_id for f in findings] == ["R007", "R007"]
-    messages = "\n".join(f.message for f in findings)
-    assert "prunekernel.pruned_feasibility" in messages
-    assert "pruned_orphan" in messages
-    assert "_pruned_helper" not in messages
-
-
 # ---------------------------------------------------------------------------
 # R008 — metric emit sites
 # ---------------------------------------------------------------------------

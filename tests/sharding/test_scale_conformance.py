@@ -18,7 +18,7 @@ import pytest
 
 from repro.hardware import MachineSpec
 from repro.sharding import ShardedSimulation
-from repro.simulator import result_stream
+from repro.simulator import KERNELS, result_stream
 from repro.workload.traces import load_trace
 
 SCALE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "golden" / "scale"
@@ -53,7 +53,7 @@ def streams(machines, workload):
     out = {}
     for shards in SHARD_COUNTS:
         sim = ShardedSimulation(
-            machines, shards=shards, kernel="pruned", workers=1, seed=1234
+            machines, shards=shards, workers=1, seed=1234
         )
         result = sim.run(workload)
         out[shards] = (sim, result, result_stream(result))
@@ -64,7 +64,7 @@ def streams(machines, workload):
 def test_merged_run_is_seed_reproducible(streams, machines, workload, shards):
     _, _, stream = streams[shards]
     again = ShardedSimulation(
-        machines, shards=shards, kernel="pruned", workers=1, seed=1234
+        machines, shards=shards, workers=1, seed=1234
     ).run(workload)
     assert result_stream(again) == stream
 
@@ -98,7 +98,7 @@ def test_kernels_agree_under_sharding(machines, workload):
     # The kernel seam is per-shard: every kernel must merge to the
     # same stream for the same plan.
     base = None
-    for kernel in ("incremental", "pruned"):
+    for kernel in KERNELS:
         stream = result_stream(
             ShardedSimulation(
                 machines, shards=4, kernel=kernel, workers=1, seed=1234

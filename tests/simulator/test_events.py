@@ -1,10 +1,21 @@
 """Tests of the event queue ordering and same-timestamp batching."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from repro.core import LEVEL_1_1, VMRequest, VMSpec
-from repro.simulator import EventKind, EventQueue, workload_events
+from repro.core import LEVEL_1_1, SimulationError, VMRequest, VMSpec
+from repro.hardware import MachineSpec
+from repro.scheduling.baselines import scheduler_for_policy
+from repro.sharding import ShardedSimulation
+from repro.simulator import (
+    EventKind,
+    EventQueue,
+    Simulation,
+    VectorSimulation,
+    build_hosts,
+    workload_events,
+)
 from repro.simulator.events import iter_event_batches, workload_event_list
 
 
@@ -49,6 +60,34 @@ def test_workload_events_includes_finite_departures_only():
         (5.0, EventKind.ARRIVAL),
         (10.0, EventKind.DEPARTURE),
     ]
+
+
+def test_queue_drains_exactly_the_event_list_and_keeps_numbering():
+    trace = [vm(f"vm-{i}", float(i % 3), float(i % 3) + 2.0) for i in range(12)]
+    events = workload_event_list(trace)
+    assert list(workload_events(trace).drain()) == events
+    # A later push continues the numbering (ties break after the trace).
+    q = workload_events(trace)
+    q.push(0.0, EventKind.ARRIVAL, vm("late"))
+    assert [e.vm.vm_id for e in q.drain() if e.time == 0.0][-1] == "late"
+
+
+@pytest.mark.parametrize(
+    "second",
+    [vm("dup", 1.0, 3.0), vm("dup", 7.0, None)],
+    ids=["while-alive", "after-departure"],
+)
+def test_duplicate_vm_id_is_refused_by_every_engine(second):
+    trace = [vm("dup", 0.0, 5.0), vm("other", 0.0, None), second]
+    machine = MachineSpec("pm", 8, 32.0)
+    engines = [
+        Simulation(build_hosts(machine, 2), scheduler_for_policy("first_fit")),
+        VectorSimulation([machine] * 2),
+        ShardedSimulation([machine] * 2, shards=2, workers=1),
+    ]
+    for engine in engines:
+        with pytest.raises(SimulationError, match="duplicate vm_id 'dup'"):
+            engine.run(trace)
 
 
 def test_queue_len_and_bool():

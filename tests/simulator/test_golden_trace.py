@@ -5,9 +5,9 @@ JSON-Lines decision stream per policy, recorded by
 ``scripts/regen_golden.py`` with the **naive** reference kernel — the
 pre-change oracle.  These tests replay the frozen trace and require:
 
-* the incremental and pruned kernels' recorded streams to be
-  **byte-identical** to the golden file (the kernel rewrites'
-  bit-equality contract, end to end through JSON serialization);
+* the incremental kernel's recorded stream to be **byte-identical**
+  to the golden file (the kernel's bit-equality contract, end to end
+  through JSON serialization);
 * the naive kernel to still reproduce its own stream byte-for-byte
   (guards the fixtures against accidental regeneration drift);
 * the object engine (``Simulation`` + ``LocalScheduler``) to match the
@@ -90,12 +90,6 @@ def test_corpus_exercises_every_admission_kind(manifest):
 def test_incremental_kernel_is_byte_identical(machines, workload, policy):
     golden = (GOLDEN_DIR / f"{policy}.jsonl").read_text(encoding="utf-8")
     assert _vector_stream(machines, workload, policy, "incremental") == golden
-
-
-@pytest.mark.parametrize("policy", POLICIES)
-def test_pruned_kernel_is_byte_identical(machines, workload, policy):
-    golden = (GOLDEN_DIR / f"{policy}.jsonl").read_text(encoding="utf-8")
-    assert _vector_stream(machines, workload, policy, "pruned") == golden
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -1,16 +1,16 @@
 """Scale-tier golden conformance: 5000 hosts, byte-level, every kernel.
 
 The main golden corpus (``tests/fixtures/golden/``) locks the
-*instrumented* decision stream — but recording disables the engine's
-uninstrumented fast loop, so neither the shape-keyed score cache nor
-the pruned kernel's partition structures execute under it.  These
+*recorded* decision stream — but a recorded run computes the full
+per-host tables for every arrival, so the shape-keyed score cache
+behind ``VectorCluster.select`` never executes under it.  These
 fixtures lock the other path: each ``scale/<policy>.stream`` is the
 canonical result stream (:func:`repro.simulator.conformance.
 result_stream` — placements in arrival order, rejections, SHA-256 of
-the float64 allocation timeline) of an **uninstrumented** naive-kernel
+the float64 allocation timeline) of an **unrecorded** naive-kernel
 run over a frozen 5000-host trace, and every kernel must reproduce it
-byte-for-byte.  5000 hosts spans ~20 pruning partitions, so partition
-argmax, counter skips and mutation-log replay all run for real here.
+byte-for-byte.  At 5000 hosts the shape cache's mutation-log replay
+and the first-fit block scan run for real.
 
 Regenerate (deliberate semantics changes only):
 ``PYTHONPATH=src python scripts/regen_golden.py``.
@@ -59,15 +59,6 @@ def test_corpus_covers_every_policy(manifest):
 
 def test_manifest_matches_trace(manifest, workload):
     assert manifest["num_vms"] == len(workload)
-
-
-def test_fixture_spans_many_pruning_partitions(manifest):
-    # The whole point of the tier: the pruned kernel's partition
-    # structures must be non-trivial (one block would degenerate to
-    # the full scan it is supposed to avoid).
-    from repro.simulator.prunekernel import PRUNE_BLOCK
-
-    assert manifest["num_hosts"] // PRUNE_BLOCK >= 10
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -14,7 +14,14 @@ from repro.core import (
     VMSpec,
 )
 from repro.hardware import MachineSpec
-from repro.simulator import POLICIES, VectorCluster, VectorSimulation
+from repro.obs.records import NULL_RECORDER, MemoryRecorder
+from repro.simulator import (
+    KERNELS,
+    POLICIES,
+    VectorCluster,
+    VectorSimulation,
+    result_stream,
+)
 
 
 def vm(vm_id, vcpus=2, mem=4.0, level=LEVEL_2_1, arrival=0.0, departure=None):
@@ -158,3 +165,57 @@ class TestVectorSimulation:
         assert result.feasible
         assert result.placements["a"].host == 0
         assert result.placements["b"].host == 0
+
+
+def _churn_trace():
+    """48 VMs over 2 small hosts: every level, same-timestamp arrival
+    and departure bursts, rejections and departures of rejected VMs."""
+    levels = (LEVEL_1_1, LEVEL_2_1, LEVEL_3_1)
+    return [
+        vm(
+            f"vm-{i:02d}", vcpus=1 + i % 4, mem=float(1 + i % 5),
+            level=levels[i % 3], arrival=float(i // 4),
+            departure=None if i % 5 == 0 else float(i // 4 + 1 + i % 3),
+        )
+        for i in range(48)
+    ]
+
+
+#: One 8-CPU host filled by "a" and "b"; at t=5 "a" departs, "c" (too
+#: big even then) is rejected, and "d"/"e" must never be simulated.
+_HALTING_TRACE = [
+    vm("a", vcpus=4, level=LEVEL_1_1, arrival=0.0, departure=5.0),
+    vm("b", vcpus=4, level=LEVEL_1_1, arrival=0.0),
+    vm("c", vcpus=8, level=LEVEL_1_1, arrival=5.0),
+    vm("d", vcpus=1, level=LEVEL_1_1, arrival=5.0),
+    vm("e", vcpus=1, level=LEVEL_1_1, arrival=6.0),
+]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_recorded_and_unrecorded_runs_agree(policy, kernel):
+    def run(trace, hosts, fail_fast, recorder=NULL_RECORDER):
+        return VectorSimulation(
+            hosts, policy=policy, kernel=kernel, fail_fast=fail_fast,
+            recorder=recorder,
+        ).run(trace)
+
+    trace = _churn_trace()
+    recorder = MemoryRecorder()
+    plain = run(trace, machines(2), False)
+    recorded = run(trace, machines(2), False, recorder)
+    assert result_stream(recorded) == result_stream(plain)
+    assert plain.rejections
+    assert len(plain.placements) + len(plain.rejections) == len(trace)
+    assert len(recorder.decisions) == len(trace)
+
+    recorder = MemoryRecorder()
+    plain = run(_HALTING_TRACE, machines(1), True)
+    recorded = run(_HALTING_TRACE, machines(1), True, recorder)
+    assert result_stream(recorded) == result_stream(plain)
+    assert plain.rejections == ["c"] and sorted(plain.placements) == ["a", "b"]
+    # Arrivals of a and b, departure of a; the rejected arrival gets no
+    # sample and nothing after it runs.
+    assert plain.timeline.times == [0.0, 0.0, 5.0]
+    assert [d.vm_id for d in recorder.decisions] == ["a", "b", "c"]

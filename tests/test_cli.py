@@ -194,6 +194,17 @@ def test_shard_command_checkpoint_resume(tmp_path, capsys):
     assert counts(first) == counts(resumed)
 
 
+@pytest.mark.parametrize("command", ["evaluate", "sweep", "oversub", "shard"])
+def test_kernel_flag_is_limited_to_the_known_kernels(command, capsys):
+    parser = build_parser()
+    assert parser.parse_args([command, "--kernel", "naive"]).kernel == "naive"
+    assert parser.parse_args([command]).kernel == "incremental"
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, "--kernel", "no-such-kernel"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_shard_resume_requires_checkpoint():
     with pytest.raises(SystemExit, match="--resume requires --checkpoint"):
         main(["shard", "--resume", "--hosts", "4", "--population", "10"])
