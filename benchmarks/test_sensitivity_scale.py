@@ -12,8 +12,8 @@ decay like 1/N.
 import numpy as np
 
 from conftest import publish
-from repro.analysis import evaluate_distribution, format_table
-from repro.workload import OVHCLOUD
+from repro.analysis import format_table
+from repro.api import RunSpec, evaluate
 
 SEEDS = (42, 7)
 POPULATIONS = (125, 250, 500, 1000)
@@ -23,7 +23,7 @@ def compute():
     out = {}
     for pop in POPULATIONS:
         outcomes = [
-            evaluate_distribution(OVHCLOUD, "F", target_population=pop, seed=s)
+            evaluate(RunSpec(provider="ovhcloud", mix="F", target_population=pop, seed=s))
             for s in SEEDS
         ]
         out[pop] = (

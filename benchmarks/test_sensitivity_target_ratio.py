@@ -10,9 +10,9 @@ ratio separates the levels.
 """
 
 from conftest import publish
-from repro.analysis import evaluate_distribution, format_table
+from repro.analysis import format_table
+from repro.api import RunSpec, evaluate
 from repro.hardware import MachineSpec
-from repro.workload import OVHCLOUD
 
 SEED = 42
 POPULATION = 300
@@ -24,10 +24,10 @@ def compute():
     out = {}
     for mem in MEM_SIZES:
         machine = MachineSpec(f"pm-{int(mem)}", 32, mem)
-        outcome = evaluate_distribution(
-            OVHCLOUD, "F", machine=machine,
-            target_population=POPULATION, seed=SEED,
-        )
+        outcome = evaluate(RunSpec(
+            provider="ovhcloud", mix="F", host_cpus=machine.cpus,
+            host_mem_gb=machine.mem_gb, target_population=POPULATION, seed=SEED,
+        ))
         out[machine.target_ratio] = (
             outcome.baseline_pms, outcome.slackvm_pms, outcome.savings_percent
         )

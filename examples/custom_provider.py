@@ -14,7 +14,7 @@ own fleet statistics:
 Run: python examples/custom_provider.py
 """
 
-from repro.analysis import classify_levels, evaluate_distribution
+from repro.analysis import classify_levels, evaluate_catalog
 from repro.core import VMSpec
 from repro.hardware import MachineSpec
 from repro.workload import CalibrationTarget, calibrate_catalog
@@ -56,8 +56,8 @@ def main() -> None:
     print()
 
     print("Dedicated clusters vs SlackVM (mix F, 300 target VMs):")
-    outcome = evaluate_distribution(catalog, "F", machine=MACHINE,
-                                    target_population=300, seed=42)
+    outcome = evaluate_catalog(catalog, "F", machine=MACHINE,
+                               target_population=300, seed=42)
     for ratio, pms in sorted(outcome.baseline_pms_per_level.items()):
         print(f"  dedicated {ratio:g}:1 : {pms} PMs")
     print(f"  baseline total   : {outcome.baseline_pms} PMs")

@@ -2,7 +2,7 @@
 
 from repro.analysis.experiments import (
     DistributionOutcome,
-    evaluate_distribution,
+    evaluate_catalog,
     fig3_series,
     fig4_grid,
 )
@@ -28,7 +28,7 @@ from repro.analysis.reporting import (
 
 __all__ = [
     "DistributionOutcome",
-    "evaluate_distribution",
+    "evaluate_catalog",
     "fig3_series",
     "fig4_grid",
     "LimitingFactor",

@@ -36,7 +36,7 @@ from repro.workload.generator import WorkloadParams, generate_workload
 
 __all__ = [
     "DistributionOutcome",
-    "evaluate_distribution",
+    "evaluate_catalog",
     "fig3_series",
     "fig4_grid",
 ]
@@ -64,7 +64,7 @@ class DistributionOutcome:
         return pm_savings_percent(self.baseline_pms, self.slackvm_pms)
 
 
-def _evaluate_catalog(
+def evaluate_catalog(
     catalog: Catalog,
     mix: LevelMix | str,
     machine: MachineSpec = SIM_WORKER,
@@ -153,44 +153,6 @@ def _evaluate_catalog(
     )
 
 
-def evaluate_distribution(
-    catalog: Catalog,
-    mix: LevelMix | str,
-    machine: MachineSpec = SIM_WORKER,
-    target_population: int = 500,
-    seed: int = 0,
-    policy: str = "progress",
-    pooling: bool = True,
-    baseline_policy: str = "first_fit",
-    workload: Sequence[VMRequest] | None = None,
-) -> DistributionOutcome:
-    """Deprecated driver — parse a :class:`repro.api.RunSpec` instead.
-
-    Kept working for one release; delegates to the internal
-    :func:`_evaluate_catalog` (identical results).  New code should
-    build a spec and call :func:`repro.api.evaluate`.
-    """
-    import warnings
-
-    warnings.warn(
-        "evaluate_distribution() is deprecated; build a repro.api.RunSpec "
-        "and call repro.api.evaluate(spec) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _evaluate_catalog(
-        catalog,
-        mix,
-        machine=machine,
-        target_population=target_population,
-        seed=seed,
-        policy=policy,
-        pooling=pooling,
-        baseline_policy=baseline_policy,
-        workload=workload,
-    )
-
-
 def fig3_series(
     catalog: Catalog,
     machine: MachineSpec = SIM_WORKER,
@@ -220,7 +182,7 @@ def fig3_series(
         )
     mixes = dict(mixes) if mixes is not None else dict(DISTRIBUTIONS)
     return {
-        label: _evaluate_catalog(
+        label: evaluate_catalog(
             catalog,
             mix,
             machine=machine,
@@ -263,7 +225,7 @@ def fig4_grid(
     out: dict[str, float] = {}
     for label, mix in mixes.items():
         vals = [
-            _evaluate_catalog(
+            evaluate_catalog(
                 catalog,
                 mix,
                 machine=machine,

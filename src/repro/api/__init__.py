@@ -8,8 +8,7 @@ kernel, oversub strategy, shard geometry, seed); :func:`run`
 materializes and executes it.  :func:`evaluate` runs the paper's
 §VII-B baseline-vs-SlackVM protocol for the same spec.  CLI handlers,
 the sweep runner's cells and the bench harness all construct through
-this module — it is the only supported construction path; the older
-keyword sprawl survives behind deprecation shims for one release.
+this module — it is the only supported construction path.
 """
 
 from repro.api.run import (

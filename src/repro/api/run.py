@@ -185,16 +185,16 @@ def evaluate(
 ) -> "DistributionOutcome":  # noqa: F821 — deferred import below
     """The §VII-B protocol (dedicated baselines vs shared SlackVM).
 
-    Wraps :func:`repro.analysis.experiments._evaluate_catalog` — the
+    Wraps :func:`repro.analysis.experiments.evaluate_catalog` — the
     minimal-cluster search per level plus the shared cluster, run on
     the spec's kernel and shard geometry.
     """
-    from repro.analysis.experiments import _evaluate_catalog
+    from repro.analysis.experiments import evaluate_catalog
 
     machine = MachineSpec(
         name="host", cpus=spec.host_cpus, mem_gb=spec.host_mem_gb
     )
-    return _evaluate_catalog(
+    return evaluate_catalog(
         PROVIDERS[spec.provider],
         spec.mix_tuple,
         machine=machine,

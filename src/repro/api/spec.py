@@ -1,33 +1,28 @@
 """The unified run specification — one frozen value names one run.
 
-Every front end (CLI handlers, the sweep runner's cells, the engine
-bench harness) used to hand-thread its own subset of a dozen
-positional knobs into :class:`VectorSimulation`, ``evaluate_distribution``
-and friends.  :class:`RunSpec` is the single description they all parse
-into now: cluster topology, workload recipe, scheduling policy, kernel,
+:class:`RunSpec` is the single description every front end (CLI
+handlers, the sweep runner's cells, the engine bench harness) parses
+into: cluster topology, workload recipe, scheduling policy, kernel,
 oversubscription strategy, shard geometry and seed, with validation at
 construction so a bad knob fails before any work starts.
 
 The spec is *declarative* — building workloads, machines and engines
-from it lives in :mod:`repro.api.run`.  ``to_dict``/``from_dict``
-round-trip through JSON primitives and :meth:`fingerprint` hashes the
-canonical form, the same discipline as
-:class:`repro.runner.spec.SweepSpec`.
+from it lives in :mod:`repro.api.run`.  Serialization, fingerprint and
+``replace`` come from :class:`repro.core.spec.Spec`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from hashlib import sha256
-from json import dumps
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.core.errors import ConfigError
+from repro.core.spec import Spec
 from repro.oversub.estimators import STRATEGIES
 from repro.sharding.router import ROUTERS
 from repro.simulator.vectorpool import KERNELS, POLICIES
 from repro.workload.catalog import PROVIDERS
-from repro.workload.distributions import DISTRIBUTIONS, LevelMix
+from repro.workload.distributions import DISTRIBUTIONS, LevelMix, normalize_mix
 
 __all__ = ["ENGINES", "RunSpec", "SPEC_VERSION"]
 
@@ -39,7 +34,7 @@ SPEC_VERSION = 1
 
 
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(Spec):
     """One simulated run, fully described.
 
     ``num_hosts=0`` means *auto-size*: build the smallest demand-derived
@@ -52,6 +47,8 @@ class RunSpec:
     :class:`repro.sharding.ShardedSimulation` (``workers=0`` → one
     process per shard).
     """
+
+    VERSIONS = (SPEC_VERSION,)
 
     # -- workload ------------------------------------------------------------
     provider: str = "azure"
@@ -81,20 +78,7 @@ class RunSpec:
     workers: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.mix, str):
-            if self.mix.upper() not in DISTRIBUTIONS:
-                raise ConfigError(
-                    f"unknown mix {self.mix!r}; expected a letter "
-                    f"{'/'.join(DISTRIBUTIONS)} or a percent triple"
-                )
-            object.__setattr__(self, "mix", self.mix.upper())
-        else:
-            mix = tuple(float(s) for s in self.mix)
-            if len(mix) != 3:
-                raise ConfigError(
-                    f"mix triple must have 3 shares, got {len(mix)}"
-                )
-            object.__setattr__(self, "mix", mix)
+        object.__setattr__(self, "mix", normalize_mix(self.mix))
         if self.provider not in PROVIDERS:
             raise ConfigError(
                 f"unknown provider {self.provider!r}; "
@@ -159,38 +143,3 @@ class RunSpec:
         if isinstance(self.mix, str):
             return self.mix
         return ",".join(f"{s:g}" for s in self.mix)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        out: dict = {"version": SPEC_VERSION}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunSpec":
-        version = data.get("version", SPEC_VERSION)
-        if version != SPEC_VERSION:
-            raise ConfigError(
-                f"RunSpec version {version} is not supported "
-                f"(this build speaks {SPEC_VERSION})"
-            )
-        names = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - names - {"version"})
-        if unknown:
-            raise ConfigError(f"unknown RunSpec fields: {unknown}")
-        kwargs = {k: v for k, v in data.items() if k in names}
-        return cls(**kwargs)
-
-    def fingerprint(self) -> str:
-        canon = dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-    def replace(self, **changes) -> "RunSpec":
-        """A copy with ``changes`` applied (re-validated)."""
-        from dataclasses import replace as dc_replace
-
-        return dc_replace(self, **changes)
-

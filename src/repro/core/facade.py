@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.analysis.experiments import DistributionOutcome, _evaluate_catalog
+from repro.analysis.experiments import DistributionOutcome, evaluate_catalog
 from repro.core.config import SlackVMConfig
 from repro.core.types import VMRequest
 from repro.hardware.machine import SIM_WORKER, MachineSpec
@@ -74,7 +74,7 @@ class SlackVM:
     ) -> DistributionOutcome:
         """Compare dedicated clusters vs the SlackVM shared cluster on a
         pre-generated workload trace."""
-        return _evaluate_catalog(
+        return evaluate_catalog(
             catalog,
             mix=(100.0, 0.0, 0.0),  # overridden by the trace's own levels
             machine=self.machine,
@@ -92,7 +92,7 @@ class SlackVM:
         seed: int = 0,
     ) -> DistributionOutcome:
         """Generate a trace for ``mix`` and run the full §VII-B protocol."""
-        return _evaluate_catalog(
+        return evaluate_catalog(
             catalog,
             mix,
             machine=self.machine,

@@ -1,7 +1,7 @@
 """Parallel experiment runner (sweep sharding, checkpointing, resume).
 
 The paper's headline figures sweep many independent
-``evaluate_distribution`` cells (provider × mix × seed, each hiding a
+:func:`repro.api.evaluate` cells (provider × mix × seed, each hiding a
 ``minimal_cluster`` sizing search).  This package shards such a sweep
 across a process pool while keeping the results bit-identical to a
 serial run:
@@ -12,15 +12,18 @@ serial run:
 * :mod:`repro.runner.results` — JSON-lossless (de)serialization of
   :class:`~repro.analysis.experiments.DistributionOutcome` and the
   per-cell result record;
-* :mod:`repro.runner.checkpoint` — append-only JSONL checkpoints with
-  resume-from-partial-results;
-* :mod:`repro.runner.runner` — :func:`run_sweep`, the process-pool
-  executor with worker-side fault capture and metrics;
+* :mod:`repro.runner.checkpoint` — :class:`JsonlCheckpoint`, the
+  append-only fingerprinted JSONL checkpoint (also the shard
+  dispatcher's);
+* :mod:`repro.runner.pool` — :func:`run_pool`, the inline-or-process
+  -pool loop (also the shard dispatcher's);
+* :mod:`repro.runner.runner` — :func:`run_sweep`, cells over the pool
+  with worker-side fault capture and metrics;
 * :mod:`repro.runner.figures` — drop-in parallel variants of the
   Figure 3/4 drivers.
 """
 
-from repro.runner.checkpoint import SweepCheckpoint
+from repro.runner.checkpoint import JsonlCheckpoint
 from repro.runner.figures import parallel_fig3_series, parallel_fig4_grid
 from repro.runner.results import CellResult, outcome_from_dict, outcome_to_dict
 from repro.runner.runner import SweepResult, run_sweep
@@ -33,7 +36,7 @@ __all__ = [
     "CellResult",
     "outcome_to_dict",
     "outcome_from_dict",
-    "SweepCheckpoint",
+    "JsonlCheckpoint",
     "SweepResult",
     "run_sweep",
     "parallel_fig3_series",

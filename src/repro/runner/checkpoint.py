@@ -1,19 +1,27 @@
-"""Append-only JSONL sweep checkpoints with resume.
+"""The one append-only, fingerprinted JSONL checkpoint.
 
-File layout (one JSON object per line, ``sort_keys`` canonical form):
+File layout (one JSON object per line, :func:`canonical_json` form):
 
-* line 1 — header: ``{"kind": "header", "fingerprint": ..., "spec":
-  {...}, "version": 1}``;
-* then one ``{"kind": "cell", ...}`` record per *completed* cell, in
-  completion order (see :meth:`CellResult.to_record` for the schema).
+* line 1 — header: ``{"kind": "header", "version": 1, "fingerprint":
+  ..., <body_key>: {...}}``.  The sweep runner stores its
+  :class:`~repro.runner.spec.SweepSpec` under ``"spec"``, the shard
+  dispatcher its :class:`~repro.sharding.ShardPlan` under ``"plan"``;
+* then one record per *completed* unit of work, in completion order,
+  flushed as it is appended: killing a run loses at most the in-flight
+  units.
 
-Completion order is nondeterministic under a process pool, so the
-byte-identity contract between two runs of the same spec holds for the
-*sorted* line sets, not the raw files.  Records are flushed per cell:
-killing a sweep loses at most the in-flight cells, and a resumed run
-(:meth:`SweepCheckpoint.load`) re-executes only cells with no ``ok``
-record.  A cell appearing twice (e.g. a failure retried by a resume)
-is resolved to its last record.
+The class owns the file discipline only.  It deals in raw record
+dicts; which records count as "done" is the caller's business (last
+``ok`` cell per key for sweeps, ``ok`` record per shard index for the
+dispatcher).  Completion order is nondeterministic under a process
+pool, so byte-identity between two runs holds for the *sorted* line
+sets, not the raw files.  Floats survive the round trip bit-identically
+(``json`` emits ``repr`` and parses it back exactly).
+
+A line counts only if it ends in a newline: a writer killed mid-record
+leaves a torn tail, which :meth:`load` ignores and a resuming
+:meth:`start` cuts off before appending, so the next record never
+lands on the fragment.
 """
 
 from __future__ import annotations
@@ -22,55 +30,59 @@ import json
 from pathlib import Path
 from typing import Optional, TextIO
 
-from repro.core.errors import RunnerError
-from repro.runner.results import CellResult
-from repro.runner.spec import SweepSpec
+from repro.core.errors import ReproError
+from repro.core.spec import canonical_json
 
-__all__ = ["SweepCheckpoint"]
-
-
-def _canon(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+__all__ = ["JsonlCheckpoint"]
 
 
-class SweepCheckpoint:
-    """One sweep's JSONL result file (writer + resume loader)."""
+class JsonlCheckpoint:
+    """One run's JSONL result file (writer + resume loader).
 
-    def __init__(self, path: str | Path):
+    ``body_key`` names the header field holding the run's description;
+    ``error`` is the caller's typed exception (``RunnerError``,
+    ``ShardingError``) raised for every refusal.
+    """
+
+    def __init__(self, path: str | Path, body_key: str, error: type[ReproError]):
         self.path = Path(path)
+        self.body_key = body_key
+        self.error = error
         self._fh: Optional[TextIO] = None
 
     # -- writing -------------------------------------------------------------
 
-    def start(self, spec: SweepSpec, resume: bool = False) -> dict[str, CellResult]:
-        """Open the checkpoint and return already-completed results.
+    def start(self, fingerprint: str, body: dict, resume: bool = False) -> list[dict]:
+        """Open the checkpoint and return the records already in it.
 
         With ``resume=False`` any existing file is truncated and a
-        fresh header written.  With ``resume=True`` an existing file is
-        validated against ``spec`` (fingerprint match) and its cell
-        records returned; a missing file degrades to a fresh start.
+        fresh header written.  With ``resume=True`` an existing file
+        must carry ``fingerprint``; its torn tail, if any, is dropped
+        and its records returned.  A missing file degrades to a fresh
+        start.
         """
-        done: dict[str, CellResult] = {}
         if resume and self.path.exists():
-            done = self.load(spec)
+            records, intact = self._scan(fingerprint)
+            with self.path.open("r+b") as fh:
+                fh.truncate(intact)
             self._fh = self.path.open("a", encoding="utf-8")
-            return done
+            return records
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("w", encoding="utf-8")
-        header = {
-            "kind": "header",
-            "version": 1,
-            "fingerprint": spec.fingerprint(),
-            "spec": spec.to_dict(),
-        }
-        self._fh.write(_canon(header) + "\n")
-        self._fh.flush()
-        return done
+        self.append(
+            {
+                "kind": "header",
+                "version": 1,
+                "fingerprint": fingerprint,
+                self.body_key: body,
+            }
+        )
+        return []
 
-    def append(self, result: CellResult) -> None:
+    def append(self, record: dict) -> None:
         if self._fh is None:
-            raise RunnerError("checkpoint not started")
-        self._fh.write(_canon(result.to_record()) + "\n")
+            raise self.error("checkpoint not started")
+        self._fh.write(canonical_json(record) + "\n")
         self._fh.flush()
 
     def close(self) -> None:
@@ -78,67 +90,56 @@ class SweepCheckpoint:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self) -> "SweepCheckpoint":
+    def __enter__(self) -> "JsonlCheckpoint":
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         self.close()
 
     # -- reading -------------------------------------------------------------
 
-    def load(self, spec: Optional[SweepSpec] = None) -> dict[str, CellResult]:
-        """Parse the file into ``{cell key: last CellResult}``.
+    def load(self, fingerprint: Optional[str] = None) -> list[dict]:
+        """Every intact record after the header, in file order.
 
-        When ``spec`` is given the header fingerprint must match — a
-        checkpoint from a different grid must not silently satisfy a
-        resume.  Truncated trailing lines (a killed writer) are
-        tolerated and dropped.
+        When ``fingerprint`` is given the header must match — a
+        checkpoint from a different run must not silently satisfy a
+        resume.  Blank, unparseable and torn lines are dropped.
         """
+        return self._scan(fingerprint)[0]
+
+    def _scan(self, fingerprint: Optional[str]) -> tuple[list[dict], int]:
+        """``(records, byte length of the newline-terminated prefix)``."""
         if not self.path.exists():
-            raise RunnerError(f"no checkpoint at {self.path}")
-        results: dict[str, CellResult] = {}
+            raise self.error(f"no checkpoint at {self.path}")
         header = None
-        with self.path.open("r", encoding="utf-8") as fh:
-            for i, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
+        records: list[dict] = []
+        intact = 0
+        with self.path.open("rb") as fh:
+            for raw in fh:
+                if not raw.endswith(b"\n"):
+                    break  # torn tail: a kill mid-write
+                intact += len(raw)
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    # A kill mid-write leaves at most one torn last line.
+                    record = json.loads(raw)
+                except ValueError:
                     continue
-                kind = record.get("kind")
-                if i == 0:
-                    if kind != "header":
-                        raise RunnerError(
-                            f"{self.path} is not a sweep checkpoint (no header)"
+                if not isinstance(record, dict):
+                    continue
+                if header is None:
+                    if record.get("kind") != "header":
+                        raise self.error(
+                            f"{self.path} is not a checkpoint (no header)"
                         )
                     header = record
-                    continue
-                if kind == "cell":
-                    result = CellResult.from_record(record)
-                    results[result.key] = result
+                else:
+                    records.append(record)
         if header is None:
-            raise RunnerError(f"{self.path} is empty")
-        if spec is not None and header.get("fingerprint") != spec.fingerprint():
-            raise RunnerError(
-                f"checkpoint {self.path} was produced by a different sweep "
-                f"spec (fingerprint {header.get('fingerprint')} != "
-                f"{spec.fingerprint()}); refusing to resume"
+            raise self.error(f"{self.path} has no intact header")
+        if fingerprint is not None and header.get("fingerprint") != fingerprint:
+            raise self.error(
+                f"checkpoint {self.path} was written for a different "
+                f"{self.body_key} or workload (fingerprint "
+                f"{header.get('fingerprint')} != {fingerprint}); "
+                "refusing to resume"
             )
-        return results
-
-    def load_spec(self) -> SweepSpec:
-        """Reconstruct the spec a checkpoint was produced with."""
-        if not self.path.exists():
-            raise RunnerError(f"no checkpoint at {self.path}")
-        with self.path.open("r", encoding="utf-8") as fh:
-            first = fh.readline().strip()
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError:
-            raise RunnerError(f"{self.path} has a corrupt header") from None
-        if header.get("kind") != "header":
-            raise RunnerError(f"{self.path} is not a sweep checkpoint")
-        return SweepSpec.from_dict(header["spec"])
+        return records, intact

@@ -1,12 +1,11 @@
 """Process-pool sweep execution with fault capture and checkpointing.
 
-``run_sweep`` shards a :class:`~repro.runner.spec.SweepSpec` across a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  The worker function
-receives only JSON primitives (provider *names*, mix triples, integer
-seeds) and resolves library objects locally, so no start method or
-pickling subtlety leaks into the API, and the exact same function runs
-in-process for ``workers <= 1`` — the serial path *is* the parallel
-path minus the pool, which is what makes the two bit-identical.
+``run_sweep`` shards a :class:`~repro.runner.spec.SweepSpec` across
+:func:`repro.runner.pool.run_pool`.  The worker function receives only
+JSON primitives (provider *names*, mix triples, integer seeds) and
+resolves library objects locally, so no start method or pickling
+subtlety leaks into the API, and the exact same function runs
+in-process for ``workers <= 1``.
 
 Fault model: any exception inside a cell (unknown provider, infeasible
 sizing, workload error) is captured in the worker and returned as a
@@ -19,15 +18,14 @@ the sweep.
 from __future__ import annotations
 
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.errors import RunnerError
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.runner.checkpoint import SweepCheckpoint
+from repro.runner.checkpoint import JsonlCheckpoint
+from repro.runner.pool import error_record, run_pool
 from repro.runner.results import STATUS_FAILED, STATUS_OK, CellResult, outcome_to_dict
 from repro.runner.spec import SweepCell, SweepSpec
 
@@ -67,14 +65,8 @@ def _cell_payload(spec: SweepSpec, cell: SweepCell) -> dict:
     }
 
 
-def _run_cell(payload: dict) -> dict:
-    """Execute one cell; never raises — failures become records.
-
-    Module-level so the process pool can address it by qualified name;
-    imports are deferred so a forked worker touches the heavy modules
-    only when it actually runs a cell.
-    """
-    started = time.perf_counter()
+def _cell_record(payload: dict) -> dict:
+    """The identity half of a cell record; the caller adds the status."""
     record = {
         "kind": "cell",
         "provider": payload["provider"],
@@ -83,6 +75,18 @@ def _run_cell(payload: dict) -> dict:
         "seed": payload["seed"],
     }
     record["key"] = "{provider}/{mix_label}/{seed}".format(**record)
+    return record
+
+
+def _run_cell(payload: dict) -> dict:
+    """Execute one cell; never raises — failures become records.
+
+    Module-level so the process pool can address it by qualified name;
+    imports are deferred so a forked worker touches the heavy modules
+    only when it actually runs a cell.
+    """
+    started = time.perf_counter()
+    record = _cell_record(payload)
     try:
         from repro.api import RunSpec, evaluate
 
@@ -94,11 +98,7 @@ def _run_cell(payload: dict) -> dict:
         record["outcome"] = outcome_to_dict(outcome)
     except Exception as exc:  # noqa: BLE001 — fault capture is the contract
         record["status"] = STATUS_FAILED
-        record["error"] = {
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "traceback": traceback.format_exc(),
-        }
+        record["error"] = error_record(exc)
     record["elapsed_s"] = time.perf_counter() - started
     return record
 
@@ -170,11 +170,16 @@ def run_sweep(
     cells = spec.cells()
     total = len(cells)
 
-    checkpoint: Optional[SweepCheckpoint] = None
+    checkpoint: Optional[JsonlCheckpoint] = None
     done: dict[str, CellResult] = {}
     if out is not None:
-        checkpoint = SweepCheckpoint(out)
-        done = checkpoint.start(spec, resume=resume)
+        checkpoint = JsonlCheckpoint(out, "spec", RunnerError)
+        # A cell on file twice (a failure retried by a resume) resolves
+        # to its last record.
+        for record in checkpoint.start(spec.fingerprint(), spec.to_dict(), resume):
+            if record.get("kind") == "cell":
+                result = CellResult.from_record(record)
+                done[result.key] = result
     # Only successful prior results satisfy a cell; failures re-run.
     satisfied = {k: r for k, r in done.items() if r.ok}
     pending = [c for c in cells if c.key not in satisfied]
@@ -194,7 +199,7 @@ def run_sweep(
         if checkpoint is not None:
             # elapsed_s is operator telemetry; resume/replay keys on the
             # cell fingerprint and never reads it (tests/runner pin this).
-            checkpoint.append(result)  # reprolint: disable=R013
+            checkpoint.append(result.to_record())  # reprolint: disable=R013
         if metrics.enabled:
             metrics.counter(metric_names.RUNNER_CELLS_DONE).inc()
             if not result.ok:
@@ -207,44 +212,14 @@ def run_sweep(
                 f"{result.key} -> {status} ({result.elapsed_s:.2f}s)"
             )
 
+    payloads = [_cell_payload(spec, cell) for cell in pending]
     try:
-        if workers <= 1 or len(pending) <= 1:
-            for cell in pending:
-                record = _run_cell(_cell_payload(spec, cell))
-                finish(CellResult.from_record(record, record.get("elapsed_s", 0.0)))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_run_cell, _cell_payload(spec, cell)): cell
-                    for cell in pending
-                }
-                for future in as_completed(futures):
-                    cell = futures[future]
-                    exc = future.exception()
-                    if exc is not None:
-                        # Worker died outside _run_cell's catch (e.g.
-                        # OOM-killed): synthesize the failed record.
-                        finish(
-                            CellResult(
-                                provider=cell.provider,
-                                mix_label=cell.mix_label,
-                                mix=cell.mix,
-                                seed=cell.seed,
-                                status=STATUS_FAILED,
-                                error={
-                                    "type": type(exc).__name__,
-                                    "message": str(exc),
-                                    "traceback": "".join(
-                                        traceback.format_exception(exc)
-                                    ),
-                                },
-                            )
-                        )
-                        continue
-                    record = future.result()
-                    finish(
-                        CellResult.from_record(record, record.get("elapsed_s", 0.0))
-                    )
+        for payload, record, error in run_pool(_run_cell, payloads, workers):
+            if error is not None:
+                # Worker died outside _run_cell's catch (e.g. OOM-killed).
+                record = _cell_record(payload)
+                record.update(status=STATUS_FAILED, error=error)
+            finish(CellResult.from_record(record, record.get("elapsed_s", 0.0)))
     finally:
         if checkpoint is not None:
             checkpoint.close()

@@ -1,7 +1,7 @@
 """Sweep specification: the experiment grid and its seed derivation.
 
 A :class:`SweepSpec` names a provider × mix × seed grid with the knobs
-``evaluate_distribution`` exposes.  Everything in the spec is a plain
+:func:`repro.api.evaluate` exposes.  Everything in the spec is a plain
 JSON value, which buys three properties at once:
 
 * cells can be shipped to worker processes without pickling library
@@ -19,14 +19,13 @@ guarantees statistically independent streams per seed slot.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.core.errors import RunnerError
+from repro.core.spec import Spec
 from repro.hardware.machine import SIM_WORKER
 from repro.workload.distributions import DISTRIBUTIONS, LevelMix
 
@@ -103,7 +102,7 @@ class SweepCell:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Spec):
     """A provider × mix × seed experiment grid.
 
     ``providers`` are registry names resolved against
@@ -116,6 +115,9 @@ class SweepSpec:
     ``num_seeds`` derivation; the latter is the recommended mode for
     many-seed sweeps.
     """
+
+    VERSIONS = (1, SPEC_VERSION)
+    ERROR = RunnerError
 
     providers: tuple[str, ...] = ("ovhcloud",)
     mixes: tuple[str, ...] = tuple(DISTRIBUTIONS)
@@ -142,8 +144,10 @@ class SweepSpec:
             raise RunnerError("a sweep needs at least one mix")
         if self.seeds is None and self.num_seeds <= 0:
             raise RunnerError("num_seeds must be positive when seeds is not given")
-        if self.seeds is not None and not self.seeds:
-            raise RunnerError("explicit seeds tuple cannot be empty")
+        if self.seeds is not None:
+            if not self.seeds:
+                raise RunnerError("explicit seeds tuple cannot be empty")
+            object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if self.target_population <= 0:
             raise RunnerError("target_population must be positive")
         if self.machine_cpus <= 0 or self.machine_mem_gb <= 0:
@@ -161,7 +165,7 @@ class SweepSpec:
     def effective_seeds(self) -> tuple[int, ...]:
         """The per-slot seeds: explicit, or SeedSequence-derived."""
         if self.seeds is not None:
-            return tuple(int(s) for s in self.seeds)
+            return self.seeds
         return derive_seeds(self.root_seed, self.num_seeds)
 
     def cells(self) -> list[SweepCell]:
@@ -194,57 +198,6 @@ class SweepSpec:
 
     def __iter__(self) -> Iterator[SweepCell]:
         return iter(self.cells())
-
-    # -- (de)serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "version": SPEC_VERSION,
-            "providers": list(self.providers),
-            "mixes": list(self.mixes),
-            "seeds": None if self.seeds is None else [int(s) for s in self.seeds],
-            "root_seed": self.root_seed,
-            "num_seeds": self.num_seeds,
-            "target_population": self.target_population,
-            "policy": self.policy,
-            "baseline_policy": self.baseline_policy,
-            "pooling": self.pooling,
-            "machine_cpus": self.machine_cpus,
-            "machine_mem_gb": self.machine_mem_gb,
-            "kernel": self.kernel,
-            "shards": self.shards,
-            "router": self.router,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SweepSpec":
-        version = data.get("version", SPEC_VERSION)
-        if version not in (1, SPEC_VERSION):
-            raise RunnerError(
-                f"unsupported sweep spec version {version} (expected {SPEC_VERSION})"
-            )
-        seeds = data.get("seeds")
-        return cls(
-            providers=tuple(data["providers"]),
-            mixes=tuple(data["mixes"]),
-            seeds=None if seeds is None else tuple(int(s) for s in seeds),
-            root_seed=int(data.get("root_seed", 0)),
-            num_seeds=int(data.get("num_seeds", 1)),
-            target_population=int(data["target_population"]),
-            policy=data.get("policy", "progress"),
-            baseline_policy=data.get("baseline_policy", "first_fit"),
-            pooling=bool(data.get("pooling", True)),
-            machine_cpus=int(data["machine_cpus"]),
-            machine_mem_gb=float(data["machine_mem_gb"]),
-            kernel=data.get("kernel", "incremental"),
-            shards=int(data.get("shards", 1)),
-            router=data.get("router", "hash"),
-        )
-
-    def fingerprint(self) -> str:
-        """Content hash used to detect spec drift on resume."""
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
 def seeds_from_arg(text: str | Sequence[int]) -> tuple[int, ...]:

@@ -24,6 +24,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from repro.core.errors import ConfigError
+from repro.core.spec import check_fields
 
 __all__ = ["DIST_KINDS", "RVConfig", "DiurnalConfig", "TrafficConfig", "DAY"]
 
@@ -44,15 +45,6 @@ def _require_number(value: object, name: str) -> float:
     if not math.isfinite(out):
         raise ConfigError(f"{name} must be finite, got {out!r}")
     return out
-
-
-def _check_fields(data: Mapping[str, object], allowed: tuple[str, ...],
-                  what: str) -> None:
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"{what} payload must be a mapping, got {data!r}")
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {what} fields: {unknown}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +105,7 @@ class RVConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "RVConfig":
-        _check_fields(data, ("kind", "mean", "sigma"), "RVConfig")
+        check_fields(data, ("kind", "mean", "sigma"), "RVConfig")
         if "kind" not in data or "mean" not in data:
             raise ConfigError("RVConfig needs both 'kind' and 'mean'")
         kind = data["kind"]
@@ -155,7 +147,7 @@ class DiurnalConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "DiurnalConfig":
-        _check_fields(data, ("amplitude", "period"), "DiurnalConfig")
+        check_fields(data, ("amplitude", "period"), "DiurnalConfig")
         if "amplitude" not in data:
             raise ConfigError("DiurnalConfig needs 'amplitude'")
         return cls(amplitude=data["amplitude"],  # type: ignore[arg-type]
@@ -219,8 +211,7 @@ class TrafficConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "TrafficConfig":
-        _check_fields(data, ("interarrival", "lifetime", "diurnal"),
-                      "TrafficConfig")
+        check_fields(data, ("interarrival", "lifetime", "diurnal"), "TrafficConfig")
         if "interarrival" not in data or "lifetime" not in data:
             raise ConfigError(
                 "TrafficConfig needs both 'interarrival' and 'lifetime'"

@@ -30,9 +30,8 @@ import asyncio
 import itertools
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from hashlib import sha256
-from json import dumps
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -42,6 +41,7 @@ from repro.api.spec import RunSpec
 from repro.controlplane.controller import CloudController, VMState, VMTicket
 from repro.core.config import SlackVMConfig
 from repro.core.errors import CapacityError, ConfigError
+from repro.core.spec import Spec
 from repro.core.types import VMRequest
 from repro.hardware.machine import MachineSpec
 from repro.obs import names as metric_names
@@ -50,10 +50,11 @@ from repro.scheduling.baselines import scheduler_for_policy
 from repro.serving.clock import VirtualClock, run_virtual
 from repro.serving.config import DIST_KINDS, RVConfig, TrafficConfig
 from repro.serving.generator import RequestSource, ServiceRequest
+from repro.sharding.dispatcher import ShardPlan
 from repro.sharding.router import HashRouter
 from repro.simulator.vectorpool import POLICIES
 from repro.workload.catalog import OVERSUB_MEM_CAP_GB, PROVIDERS, Catalog
-from repro.workload.distributions import DISTRIBUTIONS, LevelMix
+from repro.workload.distributions import LevelMix, normalize_mix
 
 __all__ = [
     "SERVICE_SPEC_VERSION",
@@ -74,7 +75,7 @@ _STOP = None
 
 
 @dataclass(frozen=True)
-class ServiceSpec:
+class ServiceSpec(Spec):
     """One service run, fully described (the serving twin of RunSpec).
 
     ``rate`` is the mean arrival rate in requests per *virtual* second
@@ -86,6 +87,8 @@ class ServiceSpec:
     fleet into that many independent :class:`CloudController` shards
     behind a seeded consistent-hash router.
     """
+
+    VERSIONS = (SERVICE_SPEC_VERSION,)
 
     # -- traffic -------------------------------------------------------------
     provider: str = "azure"
@@ -113,18 +116,7 @@ class ServiceSpec:
     service_mean: float = 0.005
 
     def __post_init__(self) -> None:
-        if isinstance(self.mix, str):
-            if self.mix.upper() not in DISTRIBUTIONS:
-                raise ConfigError(
-                    f"unknown mix {self.mix!r}; expected a letter "
-                    f"{'/'.join(DISTRIBUTIONS)} or a percent triple"
-                )
-            object.__setattr__(self, "mix", self.mix.upper())
-        else:
-            mix = tuple(float(s) for s in self.mix)
-            if len(mix) != 3:
-                raise ConfigError(f"mix triple must have 3 shares, got {len(mix)}")
-            object.__setattr__(self, "mix", mix)
+        object.__setattr__(self, "mix", normalize_mix(self.mix))
         if self.provider not in PROVIDERS:
             raise ConfigError(
                 f"unknown provider {self.provider!r}; "
@@ -189,40 +181,6 @@ class ServiceSpec:
         """Per-decision scheduler service time (virtual seconds)."""
         return RVConfig(self.service_kind, self.service_mean)
 
-    # -- serialization (same discipline as RunSpec) --------------------------
-
-    def to_dict(self) -> dict:
-        out: dict = {"version": SERVICE_SPEC_VERSION}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServiceSpec":
-        version = data.get("version", SERVICE_SPEC_VERSION)
-        if version != SERVICE_SPEC_VERSION:
-            raise ConfigError(
-                f"ServiceSpec version {version} is not supported "
-                f"(this build speaks {SERVICE_SPEC_VERSION})"
-            )
-        names = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - names - {"version"})
-        if unknown:
-            raise ConfigError(f"unknown ServiceSpec fields: {unknown}")
-        kwargs = {k: v for k, v in data.items() if k in names}
-        return cls(**kwargs)
-
-    def fingerprint(self) -> str:
-        canon = dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-    def replace(self, **changes: Any) -> "ServiceSpec":
-        """A copy with ``changes`` applied (re-validated)."""
-        from dataclasses import replace as dc_replace
-
-        return dc_replace(self, **changes)
-
 
 def _mean_footprint(catalog: Catalog, mix: Union[str, LevelMix]) -> Tuple[float, float]:
     """Expected physical (cpu, mem) per VM under the mix shares."""
@@ -266,19 +224,6 @@ def build_fleet(spec: ServiceSpec) -> List[MachineSpec]:
         shards=spec.shards,
     )
     return build_machines(run_spec)
-
-
-def _split_fleet(machines: List[MachineSpec], shards: int) -> List[List[MachineSpec]]:
-    """Balanced contiguous host blocks, largest remainders first —
-    the same geometry as :class:`repro.sharding.dispatcher.ShardPlan`."""
-    base, extra = divmod(len(machines), shards)
-    blocks: List[List[MachineSpec]] = []
-    start = 0
-    for shard in range(shards):
-        size = base + (1 if shard < extra else 0)
-        blocks.append(machines[start:start + size])
-        start += size
-    return blocks
 
 
 @dataclass
@@ -366,14 +311,16 @@ class PlacementService:
         self._service_rng = np.random.default_rng(service_seed)
         self._service_time = spec.service_time()
         config = SlackVMConfig()
+        machines = build_fleet(spec)
+        plan = ShardPlan.build(len(machines), spec.shards)
         self.controllers = [
             CloudController(
-                block,
+                machines[plan.block(shard)],
                 config,
                 scheduler_for_policy(spec.policy),
                 max_pending=spec.max_pending,
             )
-            for block in _split_fleet(build_fleet(spec), spec.shards)
+            for shard in range(spec.shards)
         ]
         self._router = HashRouter(spec.shards, seed=spec.seed)
         self._queue: "asyncio.Queue[Optional[Tuple[str, Any]]]" = asyncio.Queue()

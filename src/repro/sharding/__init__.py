@@ -10,7 +10,6 @@ unsharded engine — the golden-corpus contract the conformance suite
 pins.
 """
 
-from repro.sharding.checkpoint import ShardCheckpoint
 from repro.sharding.dispatcher import ShardedSimulation, ShardPlan, workload_digest
 from repro.sharding.router import ROUTERS, HashRouter, ScoreRouter, make_router
 
@@ -21,6 +20,5 @@ __all__ = [
     "make_router",
     "ShardPlan",
     "ShardedSimulation",
-    "ShardCheckpoint",
     "workload_digest",
 ]

@@ -28,20 +28,21 @@ byte-identity contract against the golden decision corpus.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.config import SlackVMConfig
 from repro.core.errors import ConfigError, ShardingError
+from repro.core.spec import Spec, canonical_json, digest16
 from repro.core.types import VMRequest
 from repro.hardware.machine import MachineSpec
 from repro.obs import names as metric_names
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.records import NULL_RECORDER, DecisionRecorder
 from repro.oversub.controller import OversubParams
+from repro.runner.checkpoint import JsonlCheckpoint
+from repro.runner.pool import error_record, run_pool
 from repro.runner.spec import derive_seeds
 from repro.sharding.merge import merge_shard_results
 from repro.sharding.router import ROUTERS, make_router
@@ -62,14 +63,13 @@ def workload_digest(workload: Sequence[VMRequest]) -> str:
     """
     digest = hashlib.sha256()
     for vm in sorted(workload, key=lambda v: (v.arrival, v.vm_id)):
-        row = json.dumps(vm_to_dict(vm), sort_keys=True, separators=(",", ":"))
-        digest.update(row.encode("utf-8"))
+        digest.update(canonical_json(vm_to_dict(vm)).encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()[:16]
 
 
 @dataclass(frozen=True, slots=True)
-class ShardPlan:
+class ShardPlan(Spec):
     """The frozen geometry + policy tuple a sharded run is a function of.
 
     ``sizes``/``offsets`` describe the contiguous host blocks: shard
@@ -137,27 +137,13 @@ class ShardPlan:
         """Global host-index slice owned by ``shard``."""
         return slice(self.offsets[shard], self.offsets[shard] + self.sizes[shard])
 
-    def to_dict(self) -> dict:
-        return {
-            "num_hosts": self.num_hosts,
-            "shards": self.shards,
-            "sizes": list(self.sizes),
-            "offsets": list(self.offsets),
-            "router": self.router,
-            "seed": self.seed,
-            "policy": self.policy,
-            "kernel": self.kernel,
-        }
-
     def fingerprint(self, workload: str = "") -> str:
         """Stable hex fingerprint; salts in a workload digest when given.
 
         Keys the shard checkpoint header: a checkpoint resumed against
         a different plan *or* a different trace must be refused.
         """
-        body = {"plan": self.to_dict(), "workload": workload}
-        canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+        return digest16({"plan": self.to_dict(), "workload": workload})
 
 
 def _config_payload(config: SlackVMConfig) -> dict:
@@ -233,17 +219,7 @@ def _run_shard(payload: dict) -> dict:
             "wall_s": wall_s,
         }
     except Exception as exc:  # noqa: BLE001 — fault capture, re-raised in parent
-        import traceback
-
-        return {
-            "ok": False,
-            "shard": payload["shard"],
-            "error": {
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": traceback.format_exc(),
-            },
-        }
+        return {"ok": False, "shard": payload["shard"], "error": error_record(exc)}
 
 
 class ShardedSimulation:
@@ -259,8 +235,10 @@ class ShardedSimulation:
     ``workers`` bounds the process pool; ``0`` means one worker per
     shard, ``1`` runs every shard inline (no pool — the debugging and
     property-test path).  ``checkpoint`` names a JSONL file written
-    through :class:`repro.sharding.checkpoint.ShardCheckpoint`;
-    ``resume=True`` skips shards that file already holds.
+    through :class:`repro.runner.checkpoint.JsonlCheckpoint` (header
+    body ``"plan"``, fingerprint salted with the workload digest);
+    ``resume=True`` skips shards that file already holds an ``ok``
+    record for.
     """
 
     def __init__(
@@ -438,49 +416,33 @@ class ShardedSimulation:
         self, payloads: list[dict], workload: list[VMRequest]
     ) -> list[dict]:
         """Run shard payloads, via pool or inline, returning by index."""
-        from repro.sharding.checkpoint import ShardCheckpoint
-
         results: dict[int, dict] = {}
-        ckpt: Optional[ShardCheckpoint] = None
+        ckpt: Optional[JsonlCheckpoint] = None
         if self.checkpoint is not None:
-            ckpt = ShardCheckpoint(self.checkpoint)
+            ckpt = JsonlCheckpoint(self.checkpoint, "plan", ShardingError)
             fingerprint = self.plan.fingerprint(workload_digest(workload))
-            results = ckpt.start(self.plan, fingerprint, resume=self.resume)
+            for record in ckpt.start(fingerprint, self.plan.to_dict(), self.resume):
+                if record.get("kind") == "shard" and record.get("ok"):
+                    results[int(record["shard"])] = record
 
         pending = [p for p in payloads if p["shard"] not in results]
+        workers = self.workers if self.workers > 0 else len(pending)
         try:
-            workers = self.workers if self.workers > 0 else len(pending)
-            if workers <= 1 or len(pending) <= 1:
-                for payload in pending:
-                    record = _run_shard(payload)
-                    self._harvest(record, results, ckpt)
-            else:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(pending))
-                ) as pool:
-                    futures = [pool.submit(_run_shard, p) for p in pending]
-                    for future in as_completed(futures):
-                        self._harvest(future.result(), results, ckpt)
+            for payload, record, error in run_pool(_run_shard, pending, workers):
+                if error is None and not record["ok"]:
+                    error = record["error"]
+                if error is not None:
+                    # Raised in the shard, or its worker died (e.g. OOM-killed).
+                    raise ShardingError(
+                        f"shard {payload['shard']} failed with "
+                        f"{error['type']}: {error['message']}\n{error['traceback']}"
+                    )
+                results[record["shard"]] = record
+                if ckpt is not None:
+                    # wall_s is operator telemetry; shard resume keys on the
+                    # payload fingerprint and never reads it.
+                    ckpt.append({"kind": "shard", **record})  # reprolint: disable=R013
         finally:
             if ckpt is not None:
                 ckpt.close()
         return [results[s] for s in range(self.shards)]
-
-    def _harvest(
-        self,
-        record: dict,
-        results: dict[int, dict],
-        ckpt: Optional["ShardCheckpoint"],  # noqa: F821 — deferred import
-    ) -> None:
-        if not record.get("ok"):
-            error = record.get("error", {})
-            raise ShardingError(
-                f"shard {record.get('shard')} failed with "
-                f"{error.get('type')}: {error.get('message')}\n"
-                f"{error.get('traceback', '')}"
-            )
-        results[record["shard"]] = record
-        if ckpt is not None:
-            # wall_s is operator telemetry; shard resume keys on the
-            # payload fingerprint and never reads it.
-            ckpt.append(record)  # reprolint: disable=R013

@@ -23,15 +23,11 @@ stream is a few kilobytes and pins the same arithmetic.
 from __future__ import annotations
 
 import hashlib
-import json
 
+from repro.core.spec import canonical_json
 from repro.simulator.engine import SimulationResult
 
 __all__ = ["result_stream"]
-
-
-def _line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def result_stream(result: SimulationResult) -> str:
@@ -44,7 +40,7 @@ def result_stream(result: SimulationResult) -> str:
     pooling verdicts and per-event allocation trajectories.
     """
     lines = [
-        _line(
+        canonical_json(
             {
                 "vm": vm_id,
                 "host": rec.host,
@@ -59,7 +55,7 @@ def result_stream(result: SimulationResult) -> str:
         times.tobytes() + cpu.tobytes() + mem.tobytes()
     ).hexdigest()
     lines.append(
-        _line(
+        canonical_json(
             {
                 "summary": {
                     "num_hosts": result.num_hosts,

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.errors import WorkloadError
+from repro.core.errors import ConfigError, WorkloadError
 
-__all__ = ["LevelMix", "DISTRIBUTIONS", "mix_shares", "enumerate_mixes"]
+__all__ = ["LevelMix", "DISTRIBUTIONS", "normalize_mix", "mix_shares", "enumerate_mixes"]
 
 #: Shares of (1:1, 2:1, 3:1) per named distribution, in percent.
 LevelMix = tuple[float, float, float]
@@ -35,6 +35,22 @@ DISTRIBUTIONS: dict[str, LevelMix] = {
     "N": (0, 25, 75),
     "O": (0, 0, 100),
 }
+
+
+def normalize_mix(mix: LevelMix | str) -> LevelMix | str:
+    """A spec's ``mix`` field in canonical form: the upper-cased
+    distribution letter, or the percent triple as three floats."""
+    if isinstance(mix, str):
+        if mix.upper() not in DISTRIBUTIONS:
+            raise ConfigError(
+                f"unknown mix {mix!r}; expected a letter "
+                f"{'/'.join(DISTRIBUTIONS)} or a percent triple"
+            )
+        return mix.upper()
+    triple = tuple(float(s) for s in mix)
+    if len(triple) != 3:
+        raise ConfigError(f"mix triple must have 3 shares, got {len(triple)}")
+    return triple  # type: ignore[return-value]
 
 
 def mix_shares(mix: LevelMix | str) -> Mapping[float, float]:

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.analysis import evaluate_distribution, fig3_series, fig4_grid
+from repro.analysis import evaluate_catalog, fig3_series, fig4_grid
+from repro.api import RunSpec, evaluate
 from repro.workload import OVHCLOUD, WorkloadParams, generate_workload
 
 
 def test_distribution_outcome_fields():
-    out = evaluate_distribution(OVHCLOUD, "F", target_population=120, seed=42)
+    out = evaluate(RunSpec(provider="ovhcloud", mix="F", target_population=120, seed=42))
     assert out.provider == "ovhcloud"
     assert out.mix == (50, 0, 50)
     assert set(out.baseline_pms_per_level) == {1.0, 3.0}
@@ -18,13 +19,13 @@ def test_distribution_outcome_fields():
 def test_complementary_mix_saves_pms():
     """The headline effect: mixing CPU-bound 1:1 with memory-bound 3:1
     needs fewer shared PMs than dedicated clusters."""
-    out = evaluate_distribution(OVHCLOUD, "F", target_population=300, seed=42)
+    out = evaluate(RunSpec(provider="ovhcloud", mix="F", target_population=300, seed=42))
     assert out.savings_percent > 0
     assert out.slackvm_pms < out.baseline_pms
 
 
 def test_single_level_mix_has_no_structural_gain():
-    out = evaluate_distribution(OVHCLOUD, "A", target_population=150, seed=1)
+    out = evaluate(RunSpec(provider="ovhcloud", mix="A", target_population=150, seed=1))
     # One level: the shared cluster IS a dedicated cluster (modulo
     # scheduler differences) — savings must be (near) zero.
     assert abs(out.savings_percent) <= 10.0
@@ -35,13 +36,13 @@ def test_explicit_workload_is_used():
     trace = generate_workload(
         WorkloadParams(catalog=OVHCLOUD, level_mix="F", target_population=100, seed=7)
     )
-    out = evaluate_distribution(OVHCLOUD, "F", workload=trace)
-    out2 = evaluate_distribution(OVHCLOUD, "F", workload=trace)
+    out = evaluate_catalog(OVHCLOUD, "F", workload=trace)
+    out2 = evaluate_catalog(OVHCLOUD, "F", workload=trace)
     assert out.slackvm_pms == out2.slackvm_pms  # fully deterministic
 
 
 def test_unallocated_shares_are_shares():
-    out = evaluate_distribution(OVHCLOUD, "E", target_population=120, seed=3)
+    out = evaluate(RunSpec(provider="ovhcloud", mix="E", target_population=120, seed=3))
     for shares in (out.baseline_unallocated, out.slackvm_unallocated):
         assert 0.0 <= shares.cpu <= 1.0
         assert 0.0 <= shares.mem <= 1.0

@@ -4,15 +4,14 @@ import csv
 
 import pytest
 
-from repro.analysis import evaluate_distribution
 from repro.analysis.export import export_fig2_csv, export_fig3_csv, export_fig4_csv
+from repro.api import RunSpec, evaluate
 from repro.perfmodel import TestbedParams, run_testbed
-from repro.workload import OVHCLOUD
 
 
 @pytest.fixture(scope="module")
 def outcome():
-    return evaluate_distribution(OVHCLOUD, "F", target_population=80, seed=0)
+    return evaluate(RunSpec(provider="ovhcloud", mix="F", target_population=80, seed=0))
 
 
 def read_csv(path):

@@ -1,7 +1,6 @@
 """Tests of the ASCII renderers."""
 
 from repro.analysis import (
-    evaluate_distribution,
     format_table,
     render_fig3,
     render_fig4,
@@ -9,7 +8,7 @@ from repro.analysis import (
     render_table2,
     render_table4,
 )
-from repro.workload import OVHCLOUD
+from repro.api import RunSpec, evaluate
 
 
 def test_format_table_alignment():
@@ -36,7 +35,7 @@ def test_render_table4():
 
 
 def test_render_fig3_and_fig4():
-    outcome = evaluate_distribution(OVHCLOUD, "F", target_population=80, seed=0)
+    outcome = evaluate(RunSpec(provider="ovhcloud", mix="F", target_population=80, seed=0))
     fig3 = render_fig3({"F": outcome})
     assert "F" in fig3 and "50/0/50" in fig3
     fig4 = render_fig4({"F": outcome.savings_percent, "A": 0.0})

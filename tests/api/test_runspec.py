@@ -1,6 +1,4 @@
-"""RunSpec: validation, round-trip, builders, run(), deprecation shims."""
-
-import warnings
+"""RunSpec: validation, round-trip, builders, run()."""
 
 import pytest
 
@@ -13,8 +11,10 @@ from repro.api import (
     build_workload,
     run,
 )
-from repro.core.errors import ConfigError
-from repro.sharding import ShardedSimulation
+from repro.core.errors import ConfigError, RunnerError
+from repro.runner import SweepSpec
+from repro.serving import ServiceSpec
+from repro.sharding import ShardedSimulation, ShardPlan
 from repro.simulator import Simulation, result_stream
 from repro.workload.distributions import DISTRIBUTIONS
 
@@ -78,6 +78,11 @@ class TestSerialization:
         assert clone == spec
         assert clone.fingerprint() == spec.fingerprint()
 
+    def test_fingerprints_are_pinned(self):
+        # Literals, not round trips: the wire form must not move by a byte.
+        assert RunSpec().fingerprint() == "d763d6f0187a0539"
+        assert RunSpec(mix=(50, 0, 50)).fingerprint() == "df4d76f75b57dff1"
+
     def test_fingerprint_keys_every_field(self):
         base = RunSpec()
         assert base.fingerprint() != base.replace(seed=1).fingerprint()
@@ -94,6 +99,24 @@ class TestSerialization:
         spec = RunSpec(num_hosts=8)
         with pytest.raises(ConfigError, match="cannot split"):
             spec.replace(shards=16)
+
+    @pytest.mark.parametrize(
+        ("spec", "error"),
+        [
+            (RunSpec(), ConfigError),
+            (ServiceSpec(), ConfigError),
+            (SweepSpec(), RunnerError),
+            (ShardPlan.build(10, 3), ConfigError),
+        ],
+        ids=lambda v: type(v).__name__ if not isinstance(v, type) else "",
+    )
+    def test_every_spec_type_shares_the_from_dict_contract(self, spec, error):
+        cls = type(spec)
+        assert cls.from_dict(spec.to_dict()) == spec
+        with pytest.raises(error, match=f"unknown {cls.__name__} fields"):
+            cls.from_dict({**spec.to_dict(), "bogus": 1})
+        with pytest.raises(error, match="version|unknown"):
+            cls.from_dict({**spec.to_dict(), "version": 99})
 
 
 class TestBuilders:
@@ -169,20 +192,3 @@ class TestRun:
         wl = build_workload(spec)[:10]
         result = run(spec, workload=wl)
         assert len(result.placements) + len(result.rejections) == 10
-
-
-class TestDeprecationShims:
-    def test_evaluate_distribution_warns_and_matches_the_new_api(self):
-        from repro.analysis import evaluate_distribution
-        from repro.api import evaluate
-        from repro.workload.catalog import OVHCLOUD
-
-        with pytest.warns(DeprecationWarning, match="repro.api.RunSpec"):
-            old = evaluate_distribution(
-                OVHCLOUD, "F", target_population=60, seed=42
-            )
-        spec = RunSpec(provider="ovhcloud", mix="F", target_population=60, seed=42)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            new = evaluate(spec)
-        assert new == old

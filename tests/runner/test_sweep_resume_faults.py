@@ -1,12 +1,16 @@
 """Checkpoint resume and worker-side fault capture."""
 
+import hashlib
 import json
+import multiprocessing
+import os
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.core.errors import RunnerError
-from repro.runner import SweepCheckpoint, SweepSpec, run_sweep
+from repro.runner import CellResult, JsonlCheckpoint, SweepSpec, run_sweep
 from repro.runner.runner import _cell_payload, _run_cell
 
 SPEC = SweepSpec(
@@ -45,10 +49,30 @@ def test_resume_runs_only_missing_cells(tmp_path):
     assert again.executed == () and len(again.skipped) == 4
 
 
-def test_resume_tolerates_torn_last_line(tmp_path):
-    out = tmp_path / "sweep.jsonl"
+def _load_cells(path: Path) -> dict[str, CellResult]:
+    records = JsonlCheckpoint(path, "spec", RunnerError).load(SPEC.fingerprint())
+    return {r["key"]: CellResult.from_record(r) for r in records}
+
+
+@pytest.fixture(scope="module")
+def full_sweep(tmp_path_factory):
+    """One uninterrupted checkpointed sweep: (result, file bytes)."""
+    out = tmp_path_factory.mktemp("full") / "sweep.jsonl"
     full = run_sweep(SPEC, workers=1, out=str(out))
-    text = out.read_text(encoding="utf-8").splitlines()
+    assert full.ok
+    return full, out.read_bytes()
+
+
+def test_checkpoint_header_bytes_are_pinned(full_sweep):
+    # A literal, not a round trip: the file format must not move by a byte.
+    header = full_sweep[1].split(b"\n", 1)[0]
+    assert hashlib.sha256(header).hexdigest()[:16] == "0d66d9000bbffc43"
+
+
+def test_resume_tolerates_torn_last_line(tmp_path, full_sweep):
+    out = tmp_path / "sweep.jsonl"
+    full, data = full_sweep
+    text = data.decode("utf-8").splitlines()
     # A kill mid-write leaves a truncated record on the last line.
     out.write_text("\n".join(text[:2]) + '\n{"kind": "cell", "pro',
                    encoding="utf-8")
@@ -56,6 +80,37 @@ def test_resume_tolerates_torn_last_line(tmp_path):
     assert resumed.ok
     assert len(resumed.skipped) == 1 and len(resumed.executed) == 3
     assert resumed.results == full.results
+    # The fragment was cut off before appending: the finished file
+    # holds every cell, so a second resume has nothing left to run.
+    assert _load_cells(out) == full.results
+    again = run_sweep(SPEC, workers=1, out=str(out), resume=True)
+    assert again.executed == () and len(again.skipped) == 4
+
+
+@pytest.mark.parametrize("cut", [1, 2, 25, 300])
+def test_resume_after_a_tear_inside_the_last_record(tmp_path, full_sweep, cut):
+    # cut=1 loses only the newline: a record is not on file until its
+    # line is terminated, whatever the fragment happens to parse as.
+    out = tmp_path / "sweep.jsonl"
+    full, data = full_sweep
+    assert cut < len(data.splitlines()[-1]) + 1
+    out.write_bytes(data[:-cut])
+    resumed = run_sweep(SPEC, workers=1, out=str(out), resume=True)
+    assert len(resumed.skipped) == 3 and len(resumed.executed) == 1
+    assert resumed.results == full.results
+    assert sorted(out.read_bytes().splitlines()) == sorted(data.splitlines())
+    again = run_sweep(SPEC, workers=1, out=str(out), resume=True)
+    assert again.executed == () and len(again.skipped) == 4
+
+
+@pytest.mark.parametrize("keep", [0, 1, 40])
+def test_resume_refuses_a_torn_header(tmp_path, full_sweep, keep):
+    # Never a silent fresh start: the typed error leaves the file alone.
+    out = tmp_path / "sweep.jsonl"
+    out.write_bytes(full_sweep[1][:keep])
+    with pytest.raises(RunnerError, match="no intact header"):
+        run_sweep(SPEC, workers=1, out=str(out), resume=True)
+    assert out.read_bytes() == full_sweep[1][:keep]
 
 
 def test_resume_refuses_foreign_checkpoint(tmp_path):
@@ -64,7 +119,7 @@ def test_resume_refuses_foreign_checkpoint(tmp_path):
     other = SweepSpec(
         providers=("ovhcloud",), mixes=("A",), seeds=(6,), target_population=40
     )
-    with pytest.raises(RunnerError, match="different sweep spec"):
+    with pytest.raises(RunnerError, match="different spec.*refusing to resume"):
         run_sweep(other, workers=1, out=str(out), resume=True)
 
 
@@ -99,8 +154,8 @@ def test_failed_cell_is_recorded_and_siblings_complete(tmp_path):
         result.raise_on_failure()
 
     # The failure is checkpointed like any other record...
-    loaded = SweepCheckpoint(out).load(spec)
-    assert loaded["nosuch/F/5"].status == "failed"
+    loaded = JsonlCheckpoint(out, "spec", RunnerError).load(spec.fingerprint())
+    assert {r["key"]: r["status"] for r in loaded}["nosuch/F/5"] == "failed"
     # ...and a resume retries exactly the failed cell.
     resumed = run_sweep(spec, workers=1, out=str(out), resume=True)
     assert resumed.executed == ("nosuch/F/5",)
@@ -133,3 +188,43 @@ def test_run_cell_payload_roundtrip():
     assert record["key"] == cell.key
     assert record["elapsed_s"] > 0
     assert record["outcome"]["seed"] == cell.seed
+
+
+def _evaluate_or_die(spec, **kwargs):
+    """``repro.api.evaluate`` for forked pool workers: the mix-C cell
+    kills its process once both siblings have finished; the others
+    leave a marker behind."""
+    from repro.api.run import evaluate
+
+    markers = Path(os.environ["REPRO_TEST_MARKERS"])
+    if spec.mix == (75.0, 0.0, 25.0):  # the sweep ships mix C as its triple
+        deadline = time.monotonic() + 30.0
+        while len(list(markers.iterdir())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.3)  # let the siblings' results reach the parent
+        os._exit(1)
+    outcome = evaluate(spec, **kwargs)
+    (markers / spec.mix_label).touch()
+    return outcome
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the fault is injected by patching the parent before the fork",
+)
+def test_a_killed_worker_is_a_failed_cell_not_a_crashed_sweep(tmp_path, monkeypatch):
+    markers = tmp_path / "markers"
+    markers.mkdir()
+    monkeypatch.setenv("REPRO_TEST_MARKERS", str(markers))
+    monkeypatch.setattr("repro.api.evaluate", _evaluate_or_die)
+    spec = SweepSpec(providers=("ovhcloud",), mixes=("A", "C", "O"), seeds=(5,),
+                     target_population=40)
+    out = tmp_path / "sweep.jsonl"
+    result = run_sweep(spec, workers=3, out=str(out))
+    dead = result.results["ovhcloud/C/5"]
+    assert dead.status == "failed" and dead.error["type"] == "BrokenProcessPool"
+    assert result.results["ovhcloud/A/5"].ok and result.results["ovhcloud/O/5"].ok
+    # The failure is on file; a resume (with a healthy worker) retries it.
+    monkeypatch.undo()
+    resumed = run_sweep(spec, workers=1, out=str(out), resume=True)
+    assert resumed.ok and resumed.executed == ("ovhcloud/C/5",)

@@ -79,6 +79,12 @@ def test_spec_roundtrip_and_fingerprint():
     assert clone.fingerprint() == spec.fingerprint()
     other = SweepSpec.from_dict({**spec.to_dict(), "root_seed": 8})
     assert other.fingerprint() != spec.fingerprint()
+    # A literal, not a round trip: the wire form must not move by a byte.
+    assert SweepSpec().fingerprint() == "bdff7b4c5eee723c"
+    # Version-1 payloads (no kernel/shards/router) still parse.
+    v1 = {k: v for k, v in spec.to_dict().items()
+          if k not in ("kernel", "shards", "router")}
+    assert SweepSpec.from_dict({**v1, "version": 1}) == spec
 
 
 def test_spec_validation():

@@ -16,7 +16,7 @@ from repro.serving import PlacementService, ServiceSpec, run_virtual
 QUEUE_BOUND = 8
 
 
-def overload_spec(**kw) -> ServiceSpec:
+def saturating_spec(**kw) -> ServiceSpec:
     # Arrival rate 100/s vs service rate 1/0.02 = 50/s: sustained 2x
     # overload, so the queue saturates and stays saturated.
     defaults = dict(
@@ -37,7 +37,7 @@ def overload_spec(**kw) -> ServiceSpec:
 @pytest.fixture(scope="module")
 def overloaded():
     metrics = MetricsRegistry()
-    service = PlacementService(overload_spec(), metrics=metrics)
+    service = PlacementService(saturating_spec(), metrics=metrics)
     run_virtual(service.run(), service.clock)
     return service, metrics, service.report()
 
@@ -82,17 +82,17 @@ def test_timeout_rate_matches_ledger(overloaded):
 def test_overload_replays_byte_identically():
     # Backpressure must not introduce nondeterminism: the saturated
     # path (rejects + timeouts + pending expiries) replays exactly.
-    first = PlacementService(overload_spec())
+    first = PlacementService(saturating_spec())
     run_virtual(first.run(), first.clock)
-    second = PlacementService(overload_spec())
+    second = PlacementService(saturating_spec())
     run_virtual(second.run(), second.clock)
     assert first.decision_log == second.decision_log
     assert first.audit_fingerprint() == second.audit_fingerprint()
 
 
 def test_wider_queue_sheds_less():
-    narrow = PlacementService(overload_spec())
+    narrow = PlacementService(saturating_spec())
     run_virtual(narrow.run(), narrow.clock)
-    wide = PlacementService(overload_spec(queue_bound=64))
+    wide = PlacementService(saturating_spec(queue_bound=64))
     run_virtual(wide.run(), wide.clock)
     assert wide.counts["rejected"] < narrow.counts["rejected"]

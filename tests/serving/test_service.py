@@ -13,6 +13,7 @@ from repro.serving import (
     serve,
 )
 from repro.serving.service import auto_size, build_fleet
+from repro.sharding import ShardPlan
 
 
 def small_spec(**kw) -> ServiceSpec:
@@ -27,6 +28,8 @@ def test_spec_round_trip_and_fingerprint():
     assert clone == spec
     assert clone.fingerprint() == spec.fingerprint()
     assert clone.fingerprint() != small_spec().fingerprint()
+    # A literal, not a round trip: the wire form must not move by a byte.
+    assert ServiceSpec().fingerprint() == "c6f37dcdfbec0747"
 
 
 @pytest.mark.parametrize("kw", [
@@ -111,6 +114,20 @@ def test_shard_and_unsharded_totals_agree():
     placed_4 = serve(small_spec(seed=5, shards=4)).counts["placed"]
     # Same stream, ample capacity: sharding must not lose requests.
     assert placed_1 == placed_4
+
+
+@pytest.mark.parametrize(
+    ("shards", "fingerprint"),
+    [(1, "76e0e29a22c891d4"), (2, "be81d6e30dfb26a2"), (3, "a11204d3c15d832a")],
+)
+def test_uneven_fleet_split_replays_the_pinned_decision_log(shards, fingerprint):
+    # 7 hosts divide by neither 2 nor 3: the controller blocks are
+    # ShardPlan's balanced contiguous ones, remainder to the low shards.
+    spec = ServiceSpec(provider="ovhcloud", mix="F", rate=40.0, duration=8.0,
+                       seed=3, num_hosts=7, shards=shards)
+    sizes = [len(c.hosts) for c in PlacementService(spec).controllers]
+    assert sizes == list(ShardPlan.build(7, shards).sizes)
+    assert serve(spec).fingerprint.startswith(fingerprint)
 
 
 def test_metrics_emitted_under_registry():

@@ -7,11 +7,12 @@ scale so the suite stays fast.
 
 import pytest
 
-from repro.analysis import evaluate_distribution
+from repro.analysis import evaluate_catalog
+from repro.api import RunSpec, evaluate
 from repro.core import LEVEL_1_1, LEVEL_3_1, SlackVMConfig
 from repro.hardware import SIM_WORKER
 from repro.simulator import demand_lower_bound, minimal_cluster
-from repro.workload import AZURE, OVHCLOUD, WorkloadParams, generate_workload
+from repro.workload import OVHCLOUD, WorkloadParams, generate_workload
 
 
 POP = 200  # concurrent VMs; small but large enough for stable shapes
@@ -42,11 +43,11 @@ class TestComplementarity:
         assert cpu_un > mem_un  # CPU stranded, memory exhausted
 
     def test_sharing_complementary_levels_saves_pms(self):
-        out = evaluate_distribution(OVHCLOUD, "F", target_population=POP, seed=42)
+        out = evaluate(RunSpec(provider="ovhcloud", mix="F", target_population=POP, seed=42))
         assert out.savings_percent > 2.0
 
     def test_azure_also_gains_on_low_1to1_mixes(self):
-        out = evaluate_distribution(AZURE, "J", target_population=POP, seed=42)
+        out = evaluate(RunSpec(provider="azure", mix="J", target_population=POP, seed=42))
         assert out.savings_percent >= 0.0
 
 
@@ -81,10 +82,10 @@ class TestSchedulerQuality:
 class TestPooling:
     def test_pooling_never_hurts_cluster_size(self):
         workload = trace(OVHCLOUD, "M", seed=11)
-        pooled = evaluate_distribution(
+        pooled = evaluate_catalog(
             OVHCLOUD, "M", workload=workload, pooling=True
         )
-        unpooled = evaluate_distribution(
+        unpooled = evaluate_catalog(
             OVHCLOUD, "M", workload=workload, pooling=False
         )
         assert pooled.slackvm_pms <= unpooled.slackvm_pms + 1
@@ -92,8 +93,8 @@ class TestPooling:
 
 class TestDeterminism:
     def test_full_pipeline_is_reproducible(self):
-        a = evaluate_distribution(OVHCLOUD, "F", target_population=100, seed=3)
-        b = evaluate_distribution(OVHCLOUD, "F", target_population=100, seed=3)
+        spec = RunSpec(provider="ovhcloud", mix="F", target_population=100, seed=3)
+        a, b = evaluate(spec), evaluate(spec)
         assert a.slackvm_pms == b.slackvm_pms
         assert a.baseline_pms_per_level == b.baseline_pms_per_level
         assert tuple(a.slackvm_unallocated) == tuple(b.slackvm_unallocated)
