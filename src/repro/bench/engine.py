@@ -60,6 +60,7 @@ from repro.api import RunSpec, build_machines, build_simulation, build_workload
 from repro.core.errors import ReproError
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry
+from repro.simulator.conformance import result_stream
 from repro.simulator.vectorpool import KERNELS, POLICIES
 from repro.workload.catalog import PROVIDERS
 
@@ -128,17 +129,6 @@ class EngineBenchSpec:
             raise BenchError(
                 f"scale hosts must be positive, got {self.scale_hosts}"
             )
-
-
-def _result_fingerprint(result) -> tuple:
-    return (
-        {k: (v.host, v.hosted_ratio, v.pooled) for k, v in result.placements.items()},
-        tuple(result.rejections),
-        result.pooled_placements,
-        result.timeline.times,
-        result.timeline.alloc_cpu,
-        result.timeline.alloc_mem,
-    )
 
 
 def _peak_rss_mb() -> float:
@@ -223,11 +213,8 @@ def _run_tier(
                     },
                 }
             if spec.verify:
-                fingerprints = {
-                    k: _result_fingerprint(a["result"]) for k, a in arms.items()
-                }
-                first, *rest = fingerprints.values()
-                if any(fp != first for fp in rest):
+                first, *rest = (result_stream(a["result"]) for a in arms.values())
+                if any(stream != first for stream in rest):
                     raise BenchError(
                         f"kernels disagree on hosts={num_hosts} policy={policy}; "
                         "run `repro audit` to localize the divergence"

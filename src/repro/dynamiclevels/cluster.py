@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,9 +27,8 @@ from repro.core.config import SlackVMConfig
 from repro.core.errors import CapacityError, ConfigError
 from repro.core.types import VMRequest
 from repro.hardware.machine import MachineSpec
-from repro.simulator.engine import PlacementRecord, SimulationResult, Timeline
-from repro.simulator.events import EventKind, workload_events
-from repro.simulator.vectorpool import VectorCluster
+from repro.simulator.engine import PlacementRecord, SimulationResult, run_events
+from repro.simulator.vectorpool import VectorBackend, VectorCluster
 from repro.dynamiclevels.predictor import analytic_peak_demand
 
 __all__ = ["DynamicLevelParams", "DynamicLevelCluster", "DynamicLevelSimulation"]
@@ -114,6 +113,16 @@ class DynamicLevelCluster(VectorCluster):
                 feasible |= ((slack >= v) & mem_ok).any(axis=0)
         return feasible, growth, own_ok
 
+    # The inherited short-cuts (shape cache, candidate-mask block scan)
+    # assume static-level feasibility; select from the tables above.
+
+    def first_feasible(self, vm: VMRequest) -> Optional[int]:
+        feasible, _growth, _own = self.feasibility(vm)
+        return int(np.argmax(feasible)) if feasible.any() else None
+
+    def select(self, vm: VMRequest, policy: str) -> Optional[int]:
+        return self._select_uncached(vm, policy)
+
     def deploy(self, vm: VMRequest, host: int) -> PlacementRecord:
         li = self._vm_level_index(vm)
         v = vm.spec.vcpus
@@ -139,7 +148,7 @@ class DynamicLevelCluster(VectorCluster):
             self.alloc_mem[host] += own_mem
             self._placements[vm.vm_id] = (host, li, v, m)
             self._requests[vm.vm_id] = vm
-            self._touch(host)  # keep the inherited score caches coherent
+            self.invalidate(host)  # arrays edited in place: caches + running totals
             return PlacementRecord(vm.vm_id, host, vm.level.ratio, pooled=False)
         if self.config.pooling and vm.level.ratio > 1:
             best = None
@@ -160,7 +169,7 @@ class DynamicLevelCluster(VectorCluster):
                 self.alloc_mem[host] += m / self.mem_ratios[best]
                 self._placements[vm.vm_id] = (host, best, v, m)
                 self._requests[vm.vm_id] = vm
-                self._touch(host)
+                self.invalidate(host)
                 return PlacementRecord(
                     vm.vm_id, host, float(self.ratios[best]), pooled=True
                 )
@@ -187,7 +196,7 @@ class DynamicLevelCluster(VectorCluster):
         self.alloc_mem[host] -= m / self.mem_ratios[li]
         if self.alloc_mem[host] < 1e-9:
             self.alloc_mem[host] = 0.0
-        self._touch(host)
+        self.invalidate(host)
 
 
 class DynamicLevelSimulation:
@@ -213,44 +222,6 @@ class DynamicLevelSimulation:
 
     def run(self, workload: list[VMRequest]) -> SimulationResult:
         cluster = DynamicLevelCluster(self.machines, self.config, self.params)
-        queue = workload_events(list(workload))
-        placements: dict[str, PlacementRecord] = {}
-        rejections: list[str] = []
-        timeline = Timeline()
-        pooled = 0
-        alive: set[str] = set()
-        for event in queue.drain():
-            vm = event.vm
-            if event.kind is EventKind.ARRIVAL:
-                feasible, _g, _o = cluster.feasibility(vm)
-                if not feasible.any():
-                    rejections.append(vm.vm_id)
-                    if self.fail_fast:
-                        break
-                else:
-                    scores = np.where(
-                        feasible, cluster.scores(vm, self.policy), -np.inf
-                    )
-                    host = int(np.argmax(scores))
-                    record = cluster.deploy(vm, host)
-                    pooled += record.pooled
-                    placements[vm.vm_id] = record
-                    alive.add(vm.vm_id)
-            else:
-                if vm.vm_id in alive:
-                    cluster.remove(vm.vm_id)
-                    alive.discard(vm.vm_id)
-            timeline.record(
-                event.time,
-                float(cluster.alloc_cpu.sum()),
-                float(cluster.alloc_mem.sum()),
-            )
-        return SimulationResult(
-            num_hosts=cluster.num_hosts,
-            capacity_cpu=float(cluster.cap_cpu.sum()),
-            capacity_mem=float(cluster.cap_mem.sum()),
-            placements=placements,
-            rejections=rejections,
-            timeline=timeline,
-            pooled_placements=pooled,
+        return run_events(
+            VectorBackend(cluster, self.policy), workload, fail_fast=self.fail_fast
         )

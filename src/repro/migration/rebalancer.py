@@ -20,9 +20,8 @@ from repro.core.config import SlackVMConfig
 from repro.core.errors import CapacityError
 from repro.core.types import VMRequest
 from repro.hardware.machine import MachineSpec
-from repro.simulator.engine import PlacementRecord, SimulationResult, Timeline
-from repro.simulator.events import EventKind, workload_events
-from repro.simulator.vectorpool import POLICIES, VectorCluster
+from repro.simulator.engine import LoopState, PlacementRecord, SimulationResult, run_events
+from repro.simulator.vectorpool import POLICIES, VectorBackend, VectorCluster
 
 __all__ = ["Migration", "RebalanceReport", "Rebalancer", "MigratingSimulation"]
 
@@ -103,7 +102,8 @@ class Rebalancer:
 
 class MigratingSimulation:
     """A :class:`~repro.simulator.vectorpool.VectorSimulation` variant
-    that runs a consolidation pass at a fixed simulated interval.
+    that runs a consolidation pass at a fixed simulated interval (a
+    ``before_event`` hook of :func:`~repro.simulator.engine.run_events`).
 
     Matches the vector engine's semantics between passes; suitable for
     :func:`repro.simulator.sizing.minimal_cluster` via its
@@ -129,53 +129,23 @@ class MigratingSimulation:
     def run(self, workload: list[VMRequest]) -> SimulationResult:
         cluster = VectorCluster(self.machines, self.config)
         rebalancer = Rebalancer(policy=self.policy)
-        queue = workload_events(list(workload))
-        placements: dict[str, PlacementRecord] = {}
-        rejections: list[str] = []
-        timeline = Timeline()
-        pooled = 0
-        alive: set[str] = set()
         next_rebalance = self.rebalance_interval
         self.total_migrations = 0
-        for event in queue.drain():
-            while event.time >= next_rebalance:
+
+        def rebalance(time: float, state: LoopState) -> None:
+            nonlocal next_rebalance
+            while time >= next_rebalance:
                 report = rebalancer.consolidate(cluster)
                 self.last_report = report
                 self.total_migrations += report.num_migrations
                 for mig in report.migrations:
-                    rec = placements[mig.vm_id]
-                    placements[mig.vm_id] = PlacementRecord(
+                    rec = state.placements[mig.vm_id]
+                    state.placements[mig.vm_id] = PlacementRecord(
                         rec.vm_id, mig.target, rec.hosted_ratio, rec.pooled
                     )
                 next_rebalance += self.rebalance_interval
-            vm = event.vm
-            if event.kind is EventKind.ARRIVAL:
-                feasible, _g, _o = cluster.feasibility(vm)
-                if not feasible.any():
-                    rejections.append(vm.vm_id)
-                    if self.fail_fast:
-                        break
-                else:
-                    host = cluster.select_best(feasible, vm, self.policy)
-                    record = cluster.deploy(vm, host)
-                    pooled += record.pooled
-                    placements[vm.vm_id] = record
-                    alive.add(vm.vm_id)
-            else:
-                if vm.vm_id in alive:
-                    cluster.remove(vm.vm_id)
-                    alive.discard(vm.vm_id)
-            timeline.record(
-                event.time,
-                float(cluster.alloc_cpu.sum()),
-                float(cluster.alloc_mem.sum()),
-            )
-        return SimulationResult(
-            num_hosts=cluster.num_hosts,
-            capacity_cpu=float(cluster.cap_cpu.sum()),
-            capacity_mem=float(cluster.cap_mem.sum()),
-            placements=placements,
-            rejections=rejections,
-            timeline=timeline,
-            pooled_placements=pooled,
+
+        backend = VectorBackend(cluster, self.policy)
+        return run_events(
+            backend, workload, fail_fast=self.fail_fast, before_event=rebalance
         )

@@ -1,18 +1,20 @@
-"""Reference simulation engine (object path).
+"""The event loop, its placement-backend seam, and the object engine.
 
-Runs a workload trace against a list of per-PM
-:class:`~repro.localsched.agent.LocalScheduler` hosts under a
-:class:`~repro.scheduling.global_scheduler.ScoreBasedScheduler`.  This
-is the faithful-but-slow path; the vectorized engine in
-:mod:`repro.simulator.vectorpool` implements identical semantics for
-the at-scale benches, and the test suite asserts their equivalence.
+The simulator is an allocation-bookkeeping DES: an arrival selects a
+host and deploys, a departure frees, every event samples the
+cluster-wide allocation.  :func:`run_events` is that loop, the only one
+in the package; it drives a :class:`PlacementBackend`, and whatever an
+engine variant does between events rides on its ``before_event`` hook.
+:class:`Simulation` is the faithful-but-slow object backend;
+:class:`~repro.simulator.vectorpool.VectorBackend` implements identical
+semantics on arrays, and the test suite asserts their equivalence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -33,17 +35,22 @@ from repro.obs.records import (
     NULL_RECORDER,
 )
 from repro.scheduling.global_scheduler import ScoreBasedScheduler
-from repro.simulator.events import EventKind, workload_events
+from repro.simulator.events import iter_event_batches, workload_event_list
 
 if TYPE_CHECKING:  # annotation-only: keeps simulator below oversub (R009)
     from repro.oversub.controller import (
+        CapacityTarget,
         OversubController,
         OversubParams,
         OversubSummary,
     )
     from repro.oversub.pipeline import ObjectClusterTarget
 
-__all__ = ["PlacementRecord", "Timeline", "SimulationResult", "Simulation", "build_hosts"]
+__all__ = [
+    "PlacementRecord", "Timeline", "SimulationResult", "PlacementBackend",
+    "WorkloadRunner", "LoopState", "run_events", "run_with_controller",
+    "Simulation", "build_hosts",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,6 +140,199 @@ class SimulationResult:
         return float(cpu[i]), float(mem[i])
 
 
+class PlacementBackend(Protocol):
+    """What :func:`run_events` needs of a cluster: place, remove, snapshot.
+
+    Hosts are indices below ``num_hosts``.  The loop tracks which VMs
+    are alive and where; it only removes a VM it deployed.
+    """
+
+    num_hosts: int
+    #: ``DecisionRecord.scheduler`` of the decisions this backend takes.
+    scheduler_name: str
+
+    def select(self, vm: VMRequest) -> Optional[int]:
+        """Best host for ``vm``; None when no host can admit it."""
+
+    def decide(self, vm: VMRequest) -> tuple[Optional[int], tuple[HostDecision, ...]]:
+        """``select`` plus the per-host table a decision record carries."""
+
+    def deploy(self, vm: VMRequest, host: int) -> PlacementRecord:
+        """Place ``vm`` on the ``host`` just selected for it."""
+
+    def remove(self, vm_id: str, host: int) -> None:
+        """Free a deployed VM (``host`` as its placement records it)."""
+
+    def totals(self) -> tuple[float, float]:
+        """Cluster-wide allocated ``(cpu, mem)`` right now."""
+
+    def capacity(self) -> tuple[float, float]:
+        """Physical ``(cpu, mem)`` of the fleet, net of dead hosts."""
+
+
+class WorkloadRunner(Protocol):
+    """Any engine variant or dispatcher: what sizing searches probe."""
+
+    def run(self, workload: list[VMRequest]) -> SimulationResult: ...
+
+
+class LoopState(NamedTuple):
+    """The bookkeeping of :func:`run_events` a hook may rewrite in place:
+    a hook that moves a VM replaces its placement, one that loses a VM
+    drops it from ``alive`` (its departure then frees nothing)."""
+
+    placements: dict[str, PlacementRecord]
+    alive: set[str]
+
+
+def run_events(
+    backend: PlacementBackend,
+    workload: Sequence[VMRequest],
+    *,
+    fail_fast: bool = False,
+    recorder: DecisionRecorder = NULL_RECORDER,
+    metrics: MetricsRegistry = NULL_METRICS,
+    before_event: Optional[Callable[[float, LoopState], None]] = None,
+) -> SimulationResult:
+    """Drive ``workload`` through ``backend``: the one event loop.
+
+    Events fire in ``(time, kind, seq)`` order, in same-timestamp
+    batches: a tick's departures all land before its first selection,
+    so a lazily synchronised backend syncs once per batch.  Every event
+    ends with a timeline sample; with ``fail_fast`` the first rejection
+    ends the run before its own sample.
+
+    ``before_event(time, state)`` runs ahead of every event and is the
+    only place an engine variant acts (advance an oversubscription
+    controller, fail hosts and re-place the victims, consolidate): it
+    mutates the backend's cluster itself and reports moved or lost VMs
+    through ``state``.  An enabled ``recorder`` routes arrivals through
+    ``backend.decide`` and gets one ``DecisionRecord`` each; enabled
+    ``metrics`` get the ``engine.*`` series.
+    """
+    recording = recorder.enabled
+    measuring = metrics.enabled
+    placements: dict[str, PlacementRecord] = {}
+    rejections: list[str] = []
+    alive: set[str] = set()
+    state = LoopState(placements, alive)
+    timeline = Timeline()
+    sample = timeline.record
+    select, deploy, remove, totals = (
+        backend.select, backend.deploy, backend.remove, backend.totals
+    )
+    pooled = 0
+    arrival_seq = 0
+    decisions: tuple[HostDecision, ...] = ()
+    halted = False
+    for departures, arrivals in iter_event_batches(workload_event_list(workload)):
+        for event in departures:
+            if before_event is not None:
+                before_event(event.time, state)
+            vm_id = event.vm.vm_id
+            if vm_id in alive:
+                remove(vm_id, placements[vm_id].host)
+                alive.discard(vm_id)
+                if measuring:
+                    metrics.counter(metric_names.DEPARTURES).inc()
+            cpu, mem = totals()
+            sample(event.time, cpu, mem)
+        for event in arrivals:
+            if before_event is not None:
+                before_event(event.time, state)
+            vm = event.vm
+            t0 = perf_counter() if measuring else 0.0
+            if recording:
+                host, decisions = backend.decide(vm)
+            else:
+                host = select(vm)
+            if measuring:
+                metrics.timer(metric_names.SELECT_S).observe(perf_counter() - t0)
+                metrics.counter(metric_names.ARRIVALS).inc()
+            if host is None:
+                placed = None
+                rejections.append(vm.vm_id)
+                if measuring:
+                    metrics.counter(metric_names.REJECTIONS).inc()
+            else:
+                allocated = totals()[0] if recording else 0.0
+                placed = deploy(vm, host)
+                pooled += placed.pooled
+                placements[vm.vm_id] = placed
+                alive.add(vm.vm_id)
+                if measuring:
+                    metrics.counter(metric_names.PLACEMENTS).inc()
+                    if placed.pooled:
+                        metrics.counter(metric_names.POOLED).inc()
+            if recording:
+                if measuring:
+                    metrics.histogram(metric_names.CANDIDATES).observe(
+                        sum(d.eligible for d in decisions)
+                    )
+                if placed is None:
+                    admission, hosted_ratio, growth = ADMISSION_REJECTED, None, None
+                else:
+                    admission = ADMISSION_POOLED if placed.pooled else ADMISSION_GROWTH
+                    hosted_ratio = placed.hosted_ratio
+                    # CPUs the hosting vNode acquired: vNodes grow by whole cores.
+                    growth = int(totals()[0] - allocated)
+                recorder.record_decision(
+                    DecisionRecord(
+                        seq=arrival_seq,
+                        time=event.time,
+                        vm_id=vm.vm_id,
+                        scheduler=backend.scheduler_name,
+                        hosts=decisions,
+                        chosen=host,
+                        admission=admission,
+                        hosted_ratio=hosted_ratio,
+                        growth=growth,
+                    )
+                )
+                arrival_seq += 1
+            if host is None and fail_fast:
+                halted = True
+                break
+            cpu, mem = totals()
+            sample(event.time, cpu, mem)
+        if halted:
+            break
+    if measuring:
+        cpu, mem = totals()
+        metrics.gauge(metric_names.FINAL_ALLOC_CPU).set(cpu)
+        metrics.gauge(metric_names.FINAL_ALLOC_MEM).set(mem)
+    cap_cpu, cap_mem = backend.capacity()
+    return SimulationResult(
+        num_hosts=backend.num_hosts,
+        capacity_cpu=cap_cpu,
+        capacity_mem=cap_mem,
+        placements=placements,
+        rejections=rejections,
+        timeline=timeline,
+        pooled_placements=pooled,
+    )
+
+
+def run_with_controller(
+    backend: PlacementBackend,
+    workload: Sequence[VMRequest],
+    controller: Optional[OversubController],
+    target: Optional[CapacityTarget],
+    **loop_options,
+) -> SimulationResult:
+    """:func:`run_events`, first advancing an oversubscription
+    ``controller`` (if any) over ``target`` to each event's time; its
+    ledger becomes the result's ``oversub``."""
+    if controller is None:
+        return run_events(backend, workload, **loop_options)
+    result = run_events(
+        backend, workload, **loop_options,
+        before_event=lambda time, _state: controller.advance(target, time),
+    )
+    result.oversub = controller.summary()
+    return result
+
+
 def build_hosts(
     machine: MachineSpec, count: int, config: SlackVMConfig | None = None
 ) -> list[LocalScheduler]:
@@ -153,14 +353,14 @@ def build_hosts(
 
 
 class Simulation:
-    """Drive a workload trace through a cluster + global scheduler.
+    """The object engine: a cluster of hosts + a global scheduler.
 
-    ``recorder``/``metrics`` plug the :mod:`repro.obs` layer in: when an
-    enabled recorder is supplied, every arrival emits one
-    :class:`~repro.obs.records.DecisionRecord` (full filter/score
-    table via :meth:`ScoreBasedScheduler.decide`) and every deploy one
-    admission record; the defaults are no-ops costing one flag check
-    per event, keeping the uninstrumented path unchanged.
+    It is its own :class:`PlacementBackend` (``run`` hands ``self`` to
+    :func:`run_events`).  With an enabled ``recorder`` every arrival
+    emits one :class:`~repro.obs.records.DecisionRecord` (full
+    filter/score table via :meth:`ScoreBasedScheduler.decide`) and
+    every deploy one admission record.  ``oversub`` adds the dynamic
+    controller; ``deploy``/``remove`` keep its view of the live VMs.
     """
 
     def __init__(
@@ -212,114 +412,49 @@ class Simulation:
                 if host.recorder is None:
                     host.recorder = recorder
 
-    def run(self, workload: list[VMRequest]) -> SimulationResult:
-        queue = workload_events(workload)
-        placements: dict[str, PlacementRecord] = {}
-        rejections: list[str] = []
-        timeline = Timeline()
-        pooled = 0
-        cap_cpu = float(sum(h.machine.cpus for h in self.hosts))
-        cap_mem = float(sum(h.machine.mem_gb for h in self.hosts))
-        alive: set[str] = set()
-        recording = self.recorder.enabled
-        measuring = self.metrics.enabled
-        arrival_seq = 0
-        controller = self._oversub_controller
-        target = self._oversub_target
-        for event in queue.drain():
-            if controller is not None and target is not None:
-                controller.advance(target, event.time)
-            vm = event.vm
-            if event.kind is EventKind.ARRIVAL:
-                decisions: tuple[HostDecision, ...] = ()
-                t0 = perf_counter() if measuring else 0.0
-                if recording:
-                    idx, decisions = self.scheduler.decide(self.hosts, vm)
-                else:
-                    idx = self.scheduler.select(self.hosts, vm)
-                if measuring:
-                    self.metrics.timer(metric_names.SELECT_S).observe(perf_counter() - t0)
-                    self.metrics.counter(metric_names.ARRIVALS).inc()
-                if idx is None:
-                    rejections.append(vm.vm_id)
-                    if measuring:
-                        self.metrics.counter(metric_names.REJECTIONS).inc()
-                    if recording:
-                        self._record(event, arrival_seq, decisions, None, None)
-                    arrival_seq += 1
-                    if self.fail_fast:
-                        break
-                else:
-                    placement = self.hosts[idx].deploy(vm)
-                    pooled += placement.pooled
-                    placements[vm.vm_id] = PlacementRecord(
-                        vm.vm_id, idx, placement.hosted_level.ratio, placement.pooled
-                    )
-                    alive.add(vm.vm_id)
-                    if target is not None:
-                        target.live[vm.vm_id] = (vm, idx)
-                    if measuring:
-                        self.metrics.counter(metric_names.PLACEMENTS).inc()
-                        if placement.pooled:
-                            self.metrics.counter(metric_names.POOLED).inc()
-                    if recording:
-                        self._record(event, arrival_seq, decisions, idx, placement)
-                    arrival_seq += 1
-            else:
-                if vm.vm_id in alive:
-                    self.hosts[placements[vm.vm_id].host].remove(vm.vm_id)
-                    alive.discard(vm.vm_id)
-                    if target is not None:
-                        target.live.pop(vm.vm_id, None)
-                    if measuring:
-                        self.metrics.counter(metric_names.DEPARTURES).inc()
-            timeline.record(
-                event.time,
-                float(sum(h.allocated_cpus for h in self.hosts)),
-                float(sum(h.allocated_mem for h in self.hosts)),
-            )
-        if measuring:
-            self.metrics.gauge(metric_names.FINAL_ALLOC_CPU).set(
-                float(sum(h.allocated_cpus for h in self.hosts))
-            )
-            self.metrics.gauge(metric_names.FINAL_ALLOC_MEM).set(
-                float(sum(h.allocated_mem for h in self.hosts))
-            )
-        return SimulationResult(
-            num_hosts=len(self.hosts),
-            capacity_cpu=cap_cpu,
-            capacity_mem=cap_mem,
-            placements=placements,
-            rejections=rejections,
-            timeline=timeline,
-            pooled_placements=pooled,
-            oversub=controller.summary() if controller is not None else None,
+    # -- PlacementBackend ------------------------------------------------------
+
+    @property
+    def num_hosts(self) -> int:
+        return len(self.hosts)
+
+    @property
+    def scheduler_name(self) -> str:
+        return self.scheduler.name
+
+    def select(self, vm: VMRequest) -> Optional[int]:
+        return self.scheduler.select(self.hosts, vm)
+
+    def decide(self, vm: VMRequest) -> tuple[Optional[int], tuple[HostDecision, ...]]:
+        return self.scheduler.decide(self.hosts, vm)
+
+    def deploy(self, vm: VMRequest, host: int) -> PlacementRecord:
+        placement = self.hosts[host].deploy(vm)
+        if self._oversub_target is not None:
+            self._oversub_target.live[vm.vm_id] = (vm, host)
+        return PlacementRecord(
+            vm.vm_id, host, placement.hosted_level.ratio, placement.pooled
         )
 
-    def _record(self, event, seq, decisions, chosen, placement) -> None:
-        """Emit one DecisionRecord for an arrival (instrumented path only)."""
-        if placement is None:
-            admission = ADMISSION_REJECTED
-            hosted_ratio = None
-            growth = None
-        else:
-            admission = ADMISSION_POOLED if placement.pooled else ADMISSION_GROWTH
-            hosted_ratio = placement.hosted_level.ratio
-            growth = len(placement.new_cpus)
-        if self.metrics.enabled:
-            self.metrics.histogram(metric_names.CANDIDATES).observe(
-                sum(d.eligible for d in decisions)
-            )
-        self.recorder.record_decision(
-            DecisionRecord(
-                seq=seq,
-                time=event.time,
-                vm_id=event.vm.vm_id,
-                scheduler=self.scheduler.name,
-                hosts=decisions,
-                chosen=chosen,
-                admission=admission,
-                hosted_ratio=hosted_ratio,
-                growth=growth,
-            )
+    def remove(self, vm_id: str, host: int) -> None:
+        self.hosts[host].remove(vm_id)
+        if self._oversub_target is not None:
+            self._oversub_target.live.pop(vm_id, None)
+
+    def totals(self) -> tuple[float, float]:
+        return (
+            float(sum(h.allocated_cpus for h in self.hosts)),
+            float(sum(h.allocated_mem for h in self.hosts)),
+        )
+
+    def capacity(self) -> tuple[float, float]:
+        return (
+            float(sum(h.machine.cpus for h in self.hosts)),
+            float(sum(h.machine.mem_gb for h in self.hosts)),
+        )
+
+    def run(self, workload: list[VMRequest]) -> SimulationResult:
+        return run_with_controller(
+            self, workload, self._oversub_controller, self._oversub_target,
+            fail_fast=self.fail_fast, recorder=self.recorder, metrics=self.metrics,
         )

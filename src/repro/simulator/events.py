@@ -118,9 +118,7 @@ def iter_event_batches(
     exact float equality — the same comparison the event ordering uses,
     so "same batch" and "tied in the queue" are the same predicate.
 
-    The vector engine drains each batch through one grouped dispatch
-    (bulk departures, then arrivals) instead of per-event dispatch,
-    amortising cache synchronisation across the batch.
+    :func:`repro.simulator.engine.run_events` is the one consumer.
     """
     n = len(events)
     i = 0

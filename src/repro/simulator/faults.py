@@ -2,7 +2,8 @@
 
 Production clusters lose PMs; a packing scheduler must leave enough
 aggregate headroom to re-place the victims.  This module extends the
-vector engine with host-failure events: at a failure's timestamp the
+vector engine with host-failure events (a ``before_event`` hook of
+:func:`~repro.simulator.engine.run_events`): at a failure's timestamp the
 host is drained and marked dead (its remaining capacity is zero), every
 victim VM is re-submitted through the global scheduler, and VMs that no
 longer fit anywhere are recorded as *lost*.
@@ -21,9 +22,8 @@ from repro.core.config import SlackVMConfig
 from repro.core.errors import SimulationError
 from repro.core.types import VMRequest
 from repro.hardware.machine import MachineSpec
-from repro.simulator.engine import PlacementRecord, SimulationResult, Timeline
-from repro.simulator.events import EventKind, workload_events
-from repro.simulator.vectorpool import POLICIES, VectorCluster
+from repro.simulator.engine import LoopState, SimulationResult, run_events
+from repro.simulator.vectorpool import POLICIES, VectorBackend, VectorCluster
 
 __all__ = ["HostFailure", "FaultReport", "FaultySimulation"]
 
@@ -76,9 +76,7 @@ class FaultySimulation:
         self.policy = policy
         self.report = FaultReport()
 
-    def _fail_host(self, cluster: VectorCluster, host: int,
-                   placements: dict[str, PlacementRecord],
-                   alive: set[str]) -> None:
+    def _fail_host(self, cluster: VectorCluster, host: int, state: LoopState) -> None:
         victims = [cluster.request_of(vm_id) for vm_id in cluster.vms_on(host)]
         for vm in victims:
             cluster.remove(vm.vm_id)
@@ -89,58 +87,27 @@ class FaultySimulation:
         for vm in sorted(
             victims, key=lambda r: (-r.spec.vcpus, -r.spec.mem_gb, r.vm_id)
         ):
-            feasible, _g, _o = cluster.feasibility(vm)
-            if feasible.any():
-                target = cluster.select_best(feasible, vm, self.policy)
-                record = cluster.deploy(vm, target)
-                placements[vm.vm_id] = record
-                self.report.recovered_vms += 1
-            else:
+            target = cluster.select(vm, self.policy)
+            if target is None:
                 self.report.lost_vms.append(vm.vm_id)
-                alive.discard(vm.vm_id)
+                state.alive.discard(vm.vm_id)
+            else:
+                state.placements[vm.vm_id] = cluster.deploy(vm, target)
+                self.report.recovered_vms += 1
 
     def run(self, workload: list[VMRequest]) -> SimulationResult:
         cluster = VectorCluster(self.machines, self.config)
-        queue = workload_events(list(workload))
-        placements: dict[str, PlacementRecord] = {}
-        rejections: list[str] = []
-        timeline = Timeline()
-        pooled = 0
-        alive: set[str] = set()
-        pending_failures = list(self.failures)
+        backend = VectorBackend(cluster, self.policy)
+        pending = list(self.failures)
         self.report = FaultReport()
-        for event in queue.drain():
-            while pending_failures and pending_failures[0].time <= event.time:
-                failure = pending_failures.pop(0)
-                self._fail_host(cluster, failure.host, placements, alive)
-            vm = event.vm
-            if event.kind is EventKind.ARRIVAL:
-                feasible, _g, _o = cluster.feasibility(vm)
-                if not feasible.any():
-                    rejections.append(vm.vm_id)
-                else:
-                    host = cluster.select_best(feasible, vm, self.policy)
-                    record = cluster.deploy(vm, host)
-                    pooled += record.pooled
-                    placements[vm.vm_id] = record
-                    alive.add(vm.vm_id)
-            else:
-                if vm.vm_id in alive:
-                    cluster.remove(vm.vm_id)
-                    alive.discard(vm.vm_id)
-            timeline.record(
-                event.time,
-                float(cluster.alloc_cpu.sum()),
-                float(cluster.alloc_mem.sum()),
-            )
-        for failure in pending_failures:  # failures after the last event
-            self._fail_host(cluster, failure.host, placements, alive)
-        return SimulationResult(
-            num_hosts=cluster.num_hosts,
-            capacity_cpu=float(cluster.cap_cpu.sum()),
-            capacity_mem=float(cluster.cap_mem.sum()),
-            placements=placements,
-            rejections=rejections,
-            timeline=timeline,
-            pooled_placements=pooled,
-        )
+
+        def inject(time: float, state: LoopState) -> None:
+            while pending and pending[0].time <= time:
+                self._fail_host(cluster, pending.pop(0).host, state)
+
+        result = run_events(backend, workload, before_event=inject)
+        # Failures after the last event still kill their hosts, and the
+        # reported capacity is net of them.
+        inject(float("inf"), LoopState(result.placements, set()))
+        result.capacity_cpu, result.capacity_mem = backend.capacity()
+        return result

@@ -22,7 +22,7 @@ from repro.core.config import SlackVMConfig
 from repro.core.errors import SimulationError
 from repro.core.types import VMRequest
 from repro.hardware.machine import MachineSpec
-from repro.simulator.engine import SimulationResult
+from repro.simulator.engine import SimulationResult, WorkloadRunner
 from repro.simulator.vectorpool import VectorSimulation
 
 __all__ = ["SizingResult", "demand_lower_bound", "minimal_cluster"]
@@ -87,7 +87,7 @@ def minimal_cluster(
     machine: Union[MachineSpec, Sequence[MachineSpec]],
     policy: str = "progress",
     config: SlackVMConfig | None = None,
-    simulation_factory: Callable[[list[MachineSpec]], VectorSimulation] | None = None,
+    simulation_factory: Callable[[list[MachineSpec]], WorkloadRunner] | None = None,
     lower_bound: int | None = None,
 ) -> SizingResult:
     """Smallest cluster of ``machine`` hosting ``workload``.
@@ -98,8 +98,8 @@ def minimal_cluster(
 
     ``simulation_factory`` may replace the default
     :class:`VectorSimulation` construction (used by ablations that need
-    custom engines); it receives the machine list and must return an
-    object with ``run(workload) -> SimulationResult``.
+    custom engines); it receives the machine list and must return a
+    :class:`~repro.simulator.engine.WorkloadRunner`.
 
     ``lower_bound`` overrides the demand-derived search floor — needed
     when a custom engine packs tighter than the static accounting the

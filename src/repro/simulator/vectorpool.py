@@ -22,10 +22,10 @@ The hot path is *allocation-free* and *event-proportional*:
   feasibility block by block and stops at the first feasible host
   instead of touching the full array.
 
-``VectorSimulation.run`` is one event loop for every kernel, recorded
-or not: it drains events in same-timestamp batches
-(:func:`repro.simulator.events.iter_event_batches`) so a tick's
-departures all land before its first selection.
+The event loop is not here: :class:`VectorBackend` binds a cluster to
+a policy, and :func:`repro.simulator.engine.run_events` drives it in
+same-timestamp batches, so a tick's departures all land before its
+first selection and the lazy cache sync is paid once per batch.
 
 Every cached quantity is refreshed with the *same elementwise IEEE
 operations* the naive kernel applies cluster-wide, so the incremental
@@ -64,7 +64,6 @@ events/sec against the committed ``BENCH_engine.json`` baseline.
 from __future__ import annotations
 
 import math
-from time import perf_counter
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
@@ -73,14 +72,9 @@ from repro.core.config import SlackVMConfig
 from repro.core.errors import CapacityError, ConfigError
 from repro.core.types import VMRequest
 from repro.hardware.machine import MachineSpec
-from repro.obs import names as metric_names
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.records import (
-    ADMISSION_GROWTH,
-    ADMISSION_POOLED,
-    ADMISSION_REJECTED,
     AdmissionRecord,
-    DecisionRecord,
     DecisionRecorder,
     HostDecision,
     NULL_RECORDER,
@@ -96,13 +90,12 @@ from repro.scheduling.constants import (
 # through the package __init__ (which imports this module transitively)
 # would create a module-level cycle (R009).
 import repro.simulator.refkernel as refkernel
-from repro.simulator.engine import PlacementRecord, SimulationResult, Timeline
-from repro.simulator.events import iter_event_batches, workload_event_list
+from repro.simulator.engine import PlacementRecord, SimulationResult, run_with_controller
 
 if TYPE_CHECKING:  # annotation-only: keeps simulator below oversub (R009)
-    from repro.oversub.controller import OversubController, OversubParams
+    from repro.oversub.controller import OversubParams
 
-__all__ = ["VectorCluster", "VectorSimulation", "POLICIES", "KERNELS"]
+__all__ = ["VectorCluster", "VectorBackend", "VectorSimulation", "POLICIES", "KERNELS"]
 
 #: Scheduling policies understood by the vector engine; mirrors
 #: :mod:`repro.scheduling.baselines`.
@@ -783,10 +776,7 @@ class VectorCluster:
         if policy == "first_fit":
             return self.first_feasible(vm)
         if self.kernel == "naive" or not self._uniform_mem:
-            feasible, _growth, _own = self.feasibility(vm)
-            if not feasible.any():
-                return None
-            return self.select_best(feasible, vm, policy)
+            return self._select_uncached(vm, policy)
         li = self._vm_level_index(vm)
         # vm.level.ratio participates in the key because the pooling
         # trigger compares the *raw* ratio against 1, which can differ
@@ -796,10 +786,7 @@ class VectorCluster:
         pos = len(self._mutlog)
         if entry is None:
             if len(self._shape_cache) >= _SHAPE_CACHE_CAP:
-                feasible, _growth, _own = self.feasibility(vm)
-                if not feasible.any():
-                    return None
-                return self.select_best(feasible, vm, policy)
+                return self._select_uncached(vm, policy)
             entry = [pos, self._masked_scores(vm, li, policy, None)]
             self._shape_cache[key] = entry
         elif entry[0] < pos:
@@ -817,6 +804,13 @@ class VectorCluster:
         if math.isinf(best) and best < 0:
             return None
         return int(j)
+
+    def _select_uncached(self, vm: VMRequest, policy: str) -> Optional[int]:
+        """``select`` straight from the full ``feasibility`` tables."""
+        feasible, _growth, _own = self.feasibility(vm)
+        if not feasible.any():
+            return None
+        return self.select_best(feasible, vm, policy)
 
     def _masked_scores(
         self, vm: VMRequest, li: int, policy: str, out: Optional[np.ndarray]
@@ -1169,12 +1163,63 @@ class VectorCluster:
         )
 
 
-class _VectorCapacityTarget:
-    """:class:`repro.oversub.controller.CapacityTarget` port over a
-    :class:`VectorCluster`."""
+class VectorBackend:
+    """A :class:`VectorCluster` (or subclass) bound to one policy: the
+    array-side :class:`~repro.simulator.engine.PlacementBackend` and (last
+    four methods) the oversubscription controller's ``CapacityTarget``."""
 
-    def __init__(self, cluster: VectorCluster):
+    def __init__(self, cluster: VectorCluster, policy: str):
         self.cluster = cluster
+        self.policy = policy
+        self.num_hosts = cluster.num_hosts
+        self.scheduler_name = f"vector:{policy}"
+        self.deploy = cluster.deploy  # already ``(vm, host) -> PlacementRecord``
+
+    def select(self, vm: VMRequest) -> Optional[int]:
+        return self.cluster.select(vm, self.policy)
+
+    def decide(self, vm: VMRequest) -> tuple[Optional[int], tuple[HostDecision, ...]]:
+        """Selection from the full per-host tables (``select`` only ever
+        materialises the winner).  Filter names mirror the object
+        path's ``LevelSupportFilter``/``CapacityFilter`` verdicts so the
+        two decision streams diff field-by-field in the audit tool."""
+        cluster = self.cluster
+        feasible, _growth, _own = cluster.feasibility(vm)
+        scores = np.where(feasible, cluster.scores(vm, self.policy), -np.inf)
+        host = int(np.argmax(scores)) if feasible.any() else None
+        li = cluster.level_index(vm.level.ratio)
+        decisions = []
+        for j in range(cluster.num_hosts):
+            eligible = bool(feasible[j])
+            verdicts = {
+                "LevelSupportFilter": bool(cluster.supported[li, j]),
+                "CapacityFilter": eligible,
+            }
+            if eligible:
+                score = float(scores[j])
+                decisions.append(
+                    HostDecision(j, True, verdicts, {"policy": score}, score)
+                )
+            else:
+                decisions.append(HostDecision(j, False, verdicts))
+        return host, tuple(decisions)
+
+    def remove(self, vm_id: str, host: int) -> None:
+        self.cluster.remove(vm_id)
+
+    def totals(self) -> tuple[float, float]:
+        # Running totals are bit-equal to the array sums (see total_alloc_cpu
+        # / total_alloc_mem) but refkernel's deploy/remove do not maintain them.
+        cluster = self.cluster
+        if cluster.kernel == "naive":
+            return float(cluster.alloc_cpu.sum()), float(cluster.alloc_mem.sum())
+        return cluster.total_alloc_cpu, cluster.total_alloc_mem
+
+    def capacity(self) -> tuple[float, float]:
+        # Under a dynamic estimator ``cap_cpu`` holds the last effective
+        # override; the result reports the *physical* fleet.
+        cluster = self.cluster
+        return float(cluster.physical_cpu.sum()), float(cluster.cap_mem.sum())
 
     def placements(self) -> Iterator[tuple[VMRequest, int]]:
         return self.cluster.placed_requests()
@@ -1192,11 +1237,11 @@ class _VectorCapacityTarget:
 class VectorSimulation:
     """Run a workload through a :class:`VectorCluster` under a policy.
 
-    ``kernel`` selects the placement kernel (see
-    :data:`~repro.simulator.vectorpool.KERNELS`).  An unrecorded run
-    asks the cluster for the selected host only; an enabled recorder
-    makes every arrival compute the full feasibility and score tables
-    its decision record carries.
+    A constructor over :func:`~repro.simulator.engine.run_events`: each
+    ``run`` builds a fresh cluster, binds it in a :class:`VectorBackend`
+    and, with ``oversub``, adds the dynamic controller.  ``kernel``
+    selects the placement kernel (see
+    :data:`~repro.simulator.vectorpool.KERNELS`).
     """
 
     def __init__(
@@ -1226,176 +1271,14 @@ class VectorSimulation:
         self.oversub = oversub
 
     def run(self, workload: list[VMRequest]) -> SimulationResult:
-        recording = self.recorder.enabled
-        measuring = self.metrics.enabled
-        policy = self.policy
         cluster = VectorCluster(
-            self.machines,
-            self.config,
-            self.host_levels,
-            recorder=self.recorder if recording else None,
+            self.machines, self.config, self.host_levels,
+            recorder=self.recorder if self.recorder.enabled else None,
             kernel=self.kernel,
         )
-        controller: Optional[OversubController] = None
-        target: Optional[_VectorCapacityTarget] = None
-        if self.oversub is not None:
-            controller = self.oversub.build_controller(self.metrics)
-            target = _VectorCapacityTarget(cluster)
-        placements: dict[str, PlacementRecord] = {}
-        rejections: list[str] = []
-        timeline = Timeline()
-        pooled = 0
-        alive: set[str] = set()
-        arrival_seq = 0
-        # The incremental kernel's running totals are bit-equal to the
-        # full array sums (integral CPU growth; fixed-point memory
-        # accounting — see VectorCluster.total_alloc_cpu /
-        # total_alloc_mem); refkernel's deploy/remove do not maintain
-        # them, so the naive kernel samples the sums themselves.
-        if cluster.kernel == "naive":
-            def sample(time: float) -> None:
-                timeline.record(
-                    time,
-                    float(cluster.alloc_cpu.sum()),
-                    float(cluster.alloc_mem.sum()),
-                )
-        else:
-            def sample(time: float) -> None:
-                timeline.record(
-                    time, cluster.total_alloc_cpu, cluster.total_alloc_mem
-                )
-        # Same-timestamp events are grouped into one (departures,
-        # arrivals) dispatch so every departure of the tick lands before
-        # the tick's first selection and the lazy cache sync it triggers
-        # is paid once per batch.  Controller advancement and timeline
-        # samples stay strictly per event, and a fail-fast rejection
-        # halts before its own timeline sample.
-        halted = False
-        for departures, arrivals in iter_event_batches(
-            workload_event_list(workload)
-        ):
-            for event in departures:
-                if controller is not None and target is not None:
-                    controller.advance(target, event.time)
-                vm = event.vm
-                if vm.vm_id in alive:
-                    cluster.remove(vm.vm_id)
-                    alive.discard(vm.vm_id)
-                    if measuring:
-                        self.metrics.counter(metric_names.DEPARTURES).inc()
-                sample(event.time)
-            for event in arrivals:
-                if controller is not None and target is not None:
-                    controller.advance(target, event.time)
-                vm = event.vm
-                t0 = perf_counter() if measuring else 0.0
-                if recording:
-                    # The decision record needs the full per-host tables.
-                    feasible, growth, _own = cluster.feasibility(vm)
-                    scores = np.where(
-                        feasible, cluster.scores(vm, policy), -np.inf
-                    )
-                    host = int(np.argmax(scores)) if feasible.any() else None
-                else:
-                    host = cluster.select(vm, policy)
-                if measuring:
-                    self.metrics.timer(metric_names.SELECT_S).observe(
-                        perf_counter() - t0
-                    )
-                    self.metrics.counter(metric_names.ARRIVALS).inc()
-                if host is None:
-                    rejections.append(vm.vm_id)
-                    if measuring:
-                        self.metrics.counter(metric_names.REJECTIONS).inc()
-                    if recording:
-                        self._record(
-                            event, arrival_seq, cluster, feasible, scores,
-                            vm, None, None, None,
-                        )
-                        arrival_seq += 1
-                    if self.fail_fast:
-                        halted = True
-                        break
-                else:
-                    record = cluster.deploy(vm, host)
-                    pooled += record.pooled
-                    placements[vm.vm_id] = record
-                    alive.add(vm.vm_id)
-                    if measuring:
-                        self.metrics.counter(metric_names.PLACEMENTS).inc()
-                        if record.pooled:
-                            self.metrics.counter(metric_names.POOLED).inc()
-                    if recording:
-                        own_growth = 0 if record.pooled else int(growth[host])
-                        self._record(
-                            event, arrival_seq, cluster, feasible, scores,
-                            vm, host, record, own_growth,
-                        )
-                        arrival_seq += 1
-                sample(event.time)
-            if halted:
-                break
-        if measuring:
-            self.metrics.gauge(metric_names.FINAL_ALLOC_CPU).set(float(cluster.alloc_cpu.sum()))
-            self.metrics.gauge(metric_names.FINAL_ALLOC_MEM).set(float(cluster.alloc_mem.sum()))
-        # With a dynamic estimator active, ``cap_cpu`` holds the last
-        # effective override; the result reports the *physical* fleet.
-        return SimulationResult(
-            num_hosts=cluster.num_hosts,
-            capacity_cpu=float(
-                (cluster.physical_cpu if controller is not None else cluster.cap_cpu).sum()
-            ),
-            capacity_mem=float(cluster.cap_mem.sum()),
-            placements=placements,
-            rejections=rejections,
-            timeline=timeline,
-            pooled_placements=pooled,
-            oversub=controller.summary() if controller is not None else None,
-        )
-
-    def _record(
-        self, event, seq, cluster, feasible, scores, vm, host, placement, growth
-    ) -> None:
-        """Emit one DecisionRecord for an arrival (instrumented path only).
-
-        Filter names mirror the object path's
-        ``LevelSupportFilter``/``CapacityFilter`` verdicts so the two
-        decision streams diff field-by-field in the audit tool.
-        """
-        li = cluster.level_index(vm.level.ratio)
-        decisions = []
-        for j in range(cluster.num_hosts):
-            supported = bool(cluster.supported[li, j])
-            eligible = bool(feasible[j])
-            verdicts = {
-                "LevelSupportFilter": supported,
-                "CapacityFilter": eligible,
-            }
-            if eligible:
-                score = float(scores[j])
-                decisions.append(
-                    HostDecision(j, True, verdicts, {"policy": score}, score)
-                )
-            else:
-                decisions.append(HostDecision(j, False, verdicts))
-        if placement is None:
-            admission, hosted_ratio = ADMISSION_REJECTED, None
-        elif placement.pooled:
-            admission, hosted_ratio = ADMISSION_POOLED, placement.hosted_ratio
-        else:
-            admission, hosted_ratio = ADMISSION_GROWTH, placement.hosted_ratio
-        if self.metrics.enabled:
-            self.metrics.histogram(metric_names.CANDIDATES).observe(int(feasible.sum()))
-        self.recorder.record_decision(
-            DecisionRecord(
-                seq=seq,
-                time=event.time,
-                vm_id=vm.vm_id,
-                scheduler=f"vector:{self.policy}",
-                hosts=tuple(decisions),
-                chosen=host,
-                admission=admission,
-                hosted_ratio=hosted_ratio,
-                growth=growth,
-            )
+        backend = VectorBackend(cluster, self.policy)
+        controller = self.oversub and self.oversub.build_controller(self.metrics)
+        return run_with_controller(
+            backend, workload, controller, backend,
+            fail_fast=self.fail_fast, recorder=self.recorder, metrics=self.metrics,
         )

@@ -122,3 +122,60 @@ def test_pooling_through_dynamic_cluster():
     assert record.pooled
     cluster.remove("low")
     assert cluster.vnode_vcpus[1, 0] == 3  # 2:1 vNode restored
+
+
+def _azure_f_seed3():
+    """Azure mix F, population 200, seed 3 on 14 hosts of 32c/128 GB."""
+    from repro.api import RunSpec, build_config, build_workload
+
+    spec = RunSpec(provider="azure", mix="F", target_population=200, seed=3)
+    trace = build_workload(spec)
+    return trace, build_config(spec, trace), machines(14, cpus=32, mem=128.0)
+
+
+def test_fixed_seed_run_is_pinned():
+    """Byte-level fence recorded at the commit before the engines moved
+    onto ``run_events``."""
+    import hashlib
+
+    from repro.simulator import result_stream
+
+    trace, config, fleet = _azure_f_seed3()
+    result = DynamicLevelSimulation(fleet, config, policy="progress").run(trace)
+    assert hashlib.sha256(result_stream(result).encode()).hexdigest() == (
+        "758dcc39b696aca2fca06b736b48a50cae4d5b192388edb4a2f956a23029a2de"
+    )
+    assert (len(result.placements), len(result.rejections)) == (659, 0)
+    assert result.peak_allocation() == (297.0, 795.0)
+
+
+@pytest.mark.parametrize("policy", ["progress", "first_fit"])
+def test_select_and_totals_answer_from_the_dynamic_tables(policy):
+    """``select``/``first_feasible`` and the running totals must follow
+    the overridden (peak-demand) admission and accounting, not the
+    static-level caches inherited from :class:`VectorCluster`."""
+    from repro.simulator.events import EventKind, workload_event_list
+
+    trace, config, fleet = _azure_f_seed3()
+    cluster = DynamicLevelCluster(fleet, config)
+    alive = set()
+    for event in workload_event_list(trace):
+        request = event.vm
+        if event.kind is EventKind.ARRIVAL:
+            feasible, _growth, _own = cluster.feasibility(request)
+            expected = (
+                int(np.argmax(np.where(feasible, cluster.scores(request, policy), -np.inf)))
+                if feasible.any() else None
+            )
+            assert cluster.select(request, policy) == expected
+            if policy == "first_fit":
+                assert cluster.first_feasible(request) == expected
+            if expected is not None:
+                cluster.deploy(request, expected)
+                alive.add(request.vm_id)
+        elif request.vm_id in alive:
+            cluster.remove(request.vm_id)
+            alive.discard(request.vm_id)
+        assert cluster.total_alloc_cpu == float(cluster.alloc_cpu.sum())
+        assert cluster.total_alloc_mem == float(cluster.alloc_mem.sum())
+    assert cluster.total_alloc_cpu > 0

@@ -55,3 +55,27 @@ def test_multiple_rebalance_intervals_fire():
     result = sim.run(trace)
     assert result.feasible
     assert sim.last_report is not None
+
+
+def test_fixed_seed_run_is_pinned():
+    """Byte-level fence recorded at the commit before the engines moved
+    onto ``run_events``: six daily rebalance ticks over a one-week
+    trace on a cluster tight enough to reject and to pool."""
+    import hashlib
+
+    from repro.api import RunSpec, build_config, build_workload
+    from repro.simulator import result_stream
+
+    spec = RunSpec(provider="azure", mix="E", target_population=120, seed=5)
+    trace = build_workload(spec)
+    sim = MigratingSimulation(machines(5, cpus=32, mem=128.0),
+                              build_config(spec, trace), policy="progress",
+                              rebalance_interval=86_400.0)
+    result = sim.run(trace)
+    assert hashlib.sha256(result_stream(result).encode()).hexdigest() == (
+        "b6c1461571a93b7a96c48f27f23af4e238d43ddebf575fbc4d91e1c6de718420"
+    )
+    assert sim.total_migrations == 137
+    assert sim.last_report.num_migrations == 77
+    assert (len(result.placements), len(result.rejections)) == (411, 22)
+    assert result.pooled_placements == 5

@@ -38,11 +38,10 @@ def test_emit_sites_only_reference_known_names():
     import repro.serving.service
     import repro.sharding.dispatcher
     import repro.simulator.engine
-    import repro.simulator.vectorpool
 
     for module in (
+        # The one event loop: the only emitter of the ``engine.*`` series.
         repro.simulator.engine,
-        repro.simulator.vectorpool,
         repro.runner.runner,
         repro.bench.engine,
         repro.oversub.controller,

@@ -101,3 +101,30 @@ def test_departure_of_rejected_vm_is_ignored():
     result = sim.run(trace)
     assert result.rejections == ["big"]
     assert "ok" in result.placements
+
+
+def test_there_is_exactly_one_event_loop():
+    """Structural fence: ``src/repro`` walks a workload's events in one
+    place (``run_events``) and builds a ``SimulationResult`` only there
+    and in the shard merge — an engine variant is a backend and/or a
+    ``before_event`` hook, never another loop."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).resolve().parent
+    walkers, builders = [], set()
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if name in ("iter_event_batches", "drain") and module != "simulator/events.py":
+                walkers.append(module)
+            elif name == "SimulationResult":
+                builders.add(module)
+    assert walkers == ["simulator/engine.py"]
+    assert builders == {"simulator/engine.py", "sharding/merge.py"}

@@ -86,3 +86,39 @@ def test_capacity_reported_net_of_failures():
                            policy="first_fit")
     result = sim.run([vm("a", arrival=1.0)])
     assert result.capacity_cpu == pytest.approx(3 * 8)
+
+
+def test_fixed_seed_run_is_pinned():
+    """Byte-level fence recorded at the commit before the engines moved
+    onto ``run_events``: two mid-trace failures with victims (some
+    recovered, some lost), one failure after the last event."""
+    import hashlib
+
+    from repro.api import RunSpec, build_config, build_workload
+    from repro.simulator import result_stream
+
+    spec = RunSpec(provider="azure", mix="E", target_population=120, seed=11)
+    trace = build_workload(spec)
+    assert max(v.departure or v.arrival for v in trace) < 10_000_000.0
+    sim = FaultySimulation(
+        [MachineSpec(f"pm-{i}", 32, 128.0) for i in range(6)],
+        [HostFailure(200_000.0, 2), HostFailure(400_000.0, 0),
+         HostFailure(10_000_000.0, 4)],
+        build_config(spec, trace),
+        policy="progress",
+    )
+    result = sim.run(trace)
+    assert hashlib.sha256(result_stream(result).encode()).hexdigest() == (
+        "6b865526d87b3289df3abde2de3746b7d5ae77378c11596ed76a0f452229fee7"
+    )
+    assert sim.report.failed_hosts == [2, 0, 4]
+    assert sim.report.recovered_vms == 46
+    assert sim.report.lost_vms == [f"vm-{n}" for n in (
+        "00014 00199 00215 00237 00242 00263 00048 00410 00262 00374 00321 00363 "
+        "00367 00400 00245 00361 00364 00365 00370 00379 00188 00256 00403"
+    ).split()]
+    assert (len(result.placements), len(result.rejections)) == (394, 26)
+    assert result.pooled_placements == 3
+    # The trailing failure's dead host is out of the reported capacity.
+    assert result.capacity_cpu == pytest.approx(3 * 32)
+    assert result.capacity_mem == pytest.approx(3 * 128.0)
