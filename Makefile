@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test bench bench-engine golden repro examples clean lint lint-graph typecheck sweep-oversub-smoke serve-smoke
+.PHONY: install test bench golden repro examples clean lint typecheck sweep-oversub-smoke serve-smoke perf-smoke
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -19,19 +19,6 @@ test-quick:
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.devtools.lint src scripts --baseline lint-baseline.json
 
-# Index-cache smoke: cold run builds .reprolint-cache.json, warm run
-# must reuse it end-to-end (zero reparses) — both dump the import
-# graph and exit 0.
-lint-graph:
-	rm -f .reprolint-cache.json
-	PYTHONPATH=src $(PYTHON) -m repro.devtools.lint src scripts --graph > /dev/null
-	PYTHONPATH=src $(PYTHON) -m repro.devtools.lint src scripts --graph \
-		| $(PYTHON) -c "import json,sys; g=json.load(sys.stdin); \
-			assert g['cache']['parsed'] == 0, g['cache']; \
-			assert not g['violations'] and not g['cycles'], g['violations'] or g['cycles']; \
-			print('warm graph: %d modules, %d edges, cache fully reused' \
-				% (len(g['modules']), len(g['edges'])))"
-
 # mypy --strict via the [tool.mypy] config in pyproject.toml (the
 # lenient modules are per-module overrides there).  Needs the `dev`
 # extra: pip install -e .[dev]
@@ -42,13 +29,6 @@ typecheck:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Regenerate the committed placement-kernel baseline (quiet machine!).
-# Includes the 50k/100k-host scale tier — budget ~30-45 minutes, the
-# naive reference arm is milliseconds per event at 100k hosts.
-bench-engine:
-	$(PYTHON) -m repro bench engine --scale-hosts 50000,100000 \
-		-o BENCH_engine.json
 
 # Regenerate the golden decision-trace corpus (tests/fixtures/golden).
 golden:
@@ -77,6 +57,15 @@ serve-smoke:
 		print('p99 %.3f ms, %d arrivals' % (p99 * 1e3, r['counts']['arrivals']))"
 	PYTHONPATH=src $(PYTHON) -m repro.devtools.lint src/repro/serving
 
+# Perf-ledger smoke: a quarter-size pass over all eight perf/ workloads
+# (output digests + conservation checks), the harness's own tests and
+# the slow scale-tier conformance streams.  Mirrors CI's perf-smoke
+# job; numbers worth citing come from full `perf/run.py` runs.
+perf-smoke:
+	PYTHONPATH=src $(PYTHON) perf/run.py --smoke -o perf_smoke.json
+	PYTHONPATH=src $(PYTHON) -m pytest perf/tests -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/simulator/test_scale_golden.py -q -m slow
+
 repro:
 	$(PYTHON) scripts/reproduce_all.py -o REPORT.md
 
@@ -88,5 +77,4 @@ examples:
 
 clean:
 	rm -rf build dist src/*.egg-info .pytest_cache .hypothesis
-	rm -f .reprolint-cache.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

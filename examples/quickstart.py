@@ -13,12 +13,13 @@ then compares:
 Run: python examples/quickstart.py
 """
 
-from repro import SlackVM
-from repro.workload import OVHCLOUD
+from repro import RunSpec, evaluate
+
 
 def main() -> None:
-    slackvm = SlackVM()  # paper defaults: 32-core/128 GB PMs, levels 1/2/3:1
-    outcome = slackvm.evaluate_mix(OVHCLOUD, mix="F", target_population=500, seed=42)
+    # paper defaults: 32-core/128 GB PMs, levels 1/2/3:1
+    outcome = evaluate(RunSpec(provider="ovhcloud", mix="F",
+                               target_population=500, seed=42))
 
     print("SlackVM quickstart — OVHcloud catalog, distribution F (50% 1:1, 50% 3:1)")
     print("-" * 72)

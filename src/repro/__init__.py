@@ -4,7 +4,7 @@ Reproduces *SLACKVM: Packing Virtual Machines in Oversubscribed Cloud
 Infrastructures* (Jacquet, Ledoux, Rouvoy — IEEE CLUSTER 2024) as a
 self-contained Python library:
 
-* :mod:`repro.core` — data model, configuration, high-level facade;
+* :mod:`repro.core` — data model, configuration, typed errors;
 * :mod:`repro.hardware` — CPU topologies and the Algorithm 1 core
   distance metric;
 * :mod:`repro.localsched` — the per-PM agent partitioning resources
@@ -22,15 +22,14 @@ self-contained Python library:
 * :mod:`repro.migration` — the paper's future-work live-migration
   rebalancer;
 * :mod:`repro.api` — the unified :class:`~repro.api.RunSpec` /
-  :func:`~repro.api.run` entry point every front end constructs
-  through;
+  :func:`~repro.api.run` / :func:`~repro.api.evaluate` entry point
+  every front end constructs through;
 * :mod:`repro.sharding` — the two-level dispatcher fanning one
   datacenter out over N vector-engine shards.
 """
 
-from repro.api import RunSpec, run
+from repro.api import RunSpec, evaluate, run
 from repro.core.config import SlackVMConfig
-from repro.core.facade import SlackVM
 from repro.core.types import (
     DEFAULT_LEVELS,
     LEVEL_1_1,
@@ -47,7 +46,7 @@ __version__ = "1.0.0"
 __all__ = [
     "RunSpec",
     "run",
-    "SlackVM",
+    "evaluate",
     "SlackVMConfig",
     "ResourceVector",
     "OversubscriptionLevel",

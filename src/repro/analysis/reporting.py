@@ -107,11 +107,19 @@ def render_fig3(outcomes: Mapping[str, DistributionOutcome]) -> str:
     )
 
 
-def render_fig4(savings: Mapping[str, float]) -> str:
-    """PM-savings heatmap over (1:1 share, 2:1 share), Fig. 4 layout."""
-    shares = sorted({DISTRIBUTIONS[k][0] for k in savings}, reverse=False)
-    y_shares = sorted({DISTRIBUTIONS[k][1] for k in savings}, reverse=True)
-    by_mix = {DISTRIBUTIONS[k]: v for k, v in savings.items()}
+def render_fig4(
+    savings: Mapping[str, float],
+    mixes: Mapping[str, tuple[float, float, float]] = DISTRIBUTIONS,
+) -> str:
+    """PM-savings heatmap over (1:1 share, 2:1 share), Fig. 4 layout.
+
+    ``mixes`` maps each label of ``savings`` to its share triple (the
+    paper's letters by default; pass the cells' own mixes for labelled
+    custom triples).
+    """
+    shares = sorted({mixes[k][0] for k in savings}, reverse=False)
+    y_shares = sorted({mixes[k][1] for k in savings}, reverse=True)
+    by_mix = {tuple(mixes[k]): v for k, v in savings.items()}
     rows = []
     for s2 in y_shares:
         row = [f"2:1={s2:>3.0f}%"]

@@ -7,7 +7,7 @@
 kernel, oversub strategy, shard geometry, seed); :func:`run`
 materializes and executes it.  :func:`evaluate` runs the paper's
 §VII-B baseline-vs-SlackVM protocol for the same spec.  CLI handlers,
-the sweep runner's cells and the bench harness all construct through
+the sweep runner's cells and the ``perf/`` ledger all construct through
 this module — it is the only supported construction path.
 """
 

@@ -1,7 +1,7 @@
 """The unified run specification — one frozen value names one run.
 
 :class:`RunSpec` is the single description every front end (CLI
-handlers, the sweep runner's cells, the engine bench harness) parses
+handlers, the sweep runner's cells, the ``perf/`` ledger) parses
 into: cluster topology, workload recipe, scheduling policy, kernel,
 oversubscription strategy, shard geometry and seed, with validation at
 construction so a bad knob fails before any work starts.

@@ -21,10 +21,8 @@ Exposes the library's main workflows without writing Python:
 * ``slackvm audit`` — differential replay of one workload through both
   engines (object + vectorized), reporting the first divergence and
   dumping decision records + metrics as JSON;
-* ``slackvm bench engine`` — placement-kernel micro-benchmark
-  (events/sec vs cluster size, incremental vs naive kernel, every
-  policy), optionally checked against a committed baseline
-  (``--check BENCH_engine.json``).
+* ``slackvm lint`` — the ``repro.devtools.lint`` static analysis
+  (everything after ``lint`` is handed to it verbatim).
 
 Every subcommand is deterministic given ``--seed``.  The same CLI is
 installed both as ``slackvm`` and as ``repro`` (and runs via
@@ -290,70 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     au.add_argument("--no-decisions", action="store_true",
                     help="omit the per-arrival decision records from the dump")
 
-    be = sub.add_parser(
-        "bench",
-        help="micro-benchmark the engines (currently: the placement kernel)",
-    )
-    be.add_argument("target", choices=("engine",),
-                    help="what to benchmark (engine: incremental vs "
-                         "naive placement kernel)")
-    be.add_argument("--hosts", default="500,2000,5000",
-                    help="comma-separated cluster sizes (default 500,2000,5000)")
-    be.add_argument("--policies", default="all",
-                    help="comma-separated policy subset, or 'all' (default)")
-    be.add_argument("--provider", choices=sorted(PROVIDERS), default="azure")
-    be.add_argument("--seed", type=int, default=7)
-    be.add_argument("--vms-per-host", type=float, default=4.0,
-                    help="workload target population per host (default 4)")
-    be.add_argument("--machine", type=_machine, default=_machine("48:192"),
-                    help="host spec as CPUS:MEM_GB (default 48:192)")
-    be.add_argument("--scale-hosts", default="",
-                    help="comma-separated datacenter-scale cluster sizes "
-                         "(e.g. 50000,100000; default: none)")
-    be.add_argument("--scale-policies", default="first_fit,best_fit,progress",
-                    help="policy subset for the scale tier "
-                         "(default first_fit,best_fit,progress)")
-    be.add_argument("--scale-vms-per-host", type=float, default=0.5,
-                    help="workload target population per host for scale "
-                         "cells (default 0.5, keeps the naive arm tractable)")
-    be.add_argument("--scale-warmup-vms", type=int, default=200,
-                    help="warmup slice for scale cells (default 200)")
-    be.add_argument("--no-verify", action="store_true",
-                    help="skip the kernel-equality check on each cell")
-    be.add_argument("-o", "--out", default=None,
-                    help="write the JSON results (e.g. BENCH_engine.json)")
-    be.add_argument("--check", default=None,
-                    help="baseline JSON to compare speedups against "
-                         "(exit 1 when a cell falls below it)")
-    be.add_argument("--tolerance", type=float, default=0.5,
-                    help="allowed fractional speedup regression vs the "
-                         "baseline (default 0.5: half the baseline ratio)")
-
-    li = sub.add_parser(
-        "lint",
+    sub.add_parser(
+        "lint", add_help=False,
         help="determinism & simulation-safety static analysis "
-             "(rules R001-R013; exit 0 clean, 1 new findings, 2 usage error)",
+             "(rules R001-R013; options: `lint --help`)",
     )
-    li.add_argument("paths", nargs="*",
-                    help="files/directories (default: src and scripts)")
-    li.add_argument("--format", choices=("text", "json"), default="text",
-                    dest="fmt", help="report format (default text)")
-    li.add_argument("--baseline", default=None,
-                    help="baseline JSON; its findings don't fail the run")
-    li.add_argument("--write-baseline", action="store_true",
-                    help="rewrite --baseline from the current findings")
-    li.add_argument("--rules", default=None,
-                    help="comma-separated rule subset (e.g. R001,R004)")
-    li.add_argument("--list-rules", action="store_true",
-                    help="print the rule table and exit")
-    li.add_argument("--graph", action="store_true",
-                    help="dump the import graph / layering analysis as "
-                         "JSON and exit 0")
-    li.add_argument("--cache", default=None,
-                    help="project index cache file "
-                         "(default .reprolint-cache.json)")
-    li.add_argument("--no-cache", action="store_true",
-                    help="ignore and don't write the index cache")
     return parser
 
 
@@ -367,6 +306,22 @@ def _parse_mix(text: str):
         raise SystemExit(
             f"invalid mix {text!r}: use a letter A-O or 'S1,S2,S3' shares"
         ) from None
+
+
+def _split_mixes(text: str) -> tuple[str, ...]:
+    """Split a ``--mixes`` list on commas.
+
+    A ``label:S1`` token takes the next two tokens as its ``S2,S3``;
+    a bare triple in a list is three (invalid) entries — it needs the
+    ``label:`` form to say where it ends.
+    """
+    tokens = [t for t in text.split(",") if t]
+    mixes = []
+    while tokens:
+        take = 3 if ":" in tokens[0] else 1
+        mixes.append(",".join(tokens[:take]))
+        del tokens[:take]
+    return tuple(mixes)
 
 
 def _cmd_tables(_args) -> None:
@@ -442,10 +397,9 @@ def _cmd_sweep(args) -> None:
         seeds = derive_seeds(args.seed, args.num_seeds)
     else:
         seeds = (args.seed,)
-    mixes = tuple(m for m in args.mixes.split(",") if m) if args.mixes else None
     spec = SweepSpec(
         providers=(args.provider,),
-        mixes=mixes if mixes is not None else tuple(DISTRIBUTIONS),
+        mixes=_split_mixes(args.mixes) if args.mixes else tuple(DISTRIBUTIONS),
         seeds=seeds,
         target_population=args.population,
         kernel=args.kernel,
@@ -470,12 +424,11 @@ def _cmd_sweep(args) -> None:
     print(render_fig3(outcomes))
     print()
     print(f"Figure 4 — PM savings % ({args.provider})")
-    print(render_fig4({k: sum(v) / len(v) for k, v in savings.items()}))
+    print(render_fig4({k: sum(v) / len(v) for k, v in savings.items()},
+                      mixes={k: o.mix for k, o in outcomes.items()}))
 
 
 def _cmd_oversub(args) -> None:
-    import json
-
     from repro.oversub.evaluate import OversubSweepSpec, run_oversub_sweep
     from repro.runner import derive_seeds
 
@@ -486,7 +439,6 @@ def _cmd_oversub(args) -> None:
     from repro.api import RunSpec
 
     strategies = tuple(s for s in args.strategies.split(",") if s)
-    mixes = tuple(m for m in args.mixes.split(",") if m)
     base = RunSpec(
         provider=args.provider,
         target_population=args.population,
@@ -500,7 +452,7 @@ def _cmd_oversub(args) -> None:
     spec = OversubSweepSpec.from_run_spec(
         base,
         strategies=strategies,
-        mixes=mixes,
+        mixes=_split_mixes(args.mixes),
         seeds=seeds,
         scarcity=args.scarcity,
     )
@@ -664,89 +616,6 @@ def _cmd_audit(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench import (
-        EngineBenchSpec,
-        compare_engine_bench,
-        crossover_report,
-        run_engine_bench,
-    )
-    from repro.simulator.vectorpool import POLICIES as _ALL_POLICIES
-
-    policies = (
-        tuple(_ALL_POLICIES)
-        if args.policies == "all"
-        else tuple(p for p in args.policies.split(",") if p)
-    )
-    try:
-        hosts = tuple(int(h) for h in args.hosts.split(",") if h)
-        scale_hosts = tuple(int(h) for h in args.scale_hosts.split(",") if h)
-    except ValueError:
-        raise SystemExit(
-            "invalid --hosts/--scale-hosts: use e.g. 500,2000,5000"
-        )
-    spec = EngineBenchSpec(
-        hosts=hosts,
-        policies=policies,
-        provider=args.provider,
-        seed=args.seed,
-        vms_per_host=args.vms_per_host,
-        host_cpus=args.machine.cpus,
-        host_mem_gb=args.machine.mem_gb,
-        verify=not args.no_verify,
-        scale_hosts=scale_hosts,
-        scale_policies=tuple(p for p in args.scale_policies.split(",") if p),
-        scale_vms_per_host=args.scale_vms_per_host,
-        scale_warmup_vms=args.scale_warmup_vms,
-    )
-    payload = run_engine_bench(spec, progress=print)
-    head = payload["headline"]
-    print(f"headline: hosts={head['num_hosts']} policy={head['policy']} "
-          f"{head['events_per_s']:.0f} ev/s, "
-          f"incremental {head['speedup']:.2f}x over naive")
-    for line in crossover_report(payload):
-        print(f"CROSSOVER: {line}")
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        print(f"wrote results to {args.out}")
-    if args.check:
-        baseline = json.loads(Path(args.check).read_text(encoding="utf-8"))
-        for line in crossover_report(baseline):
-            print(f"baseline CROSSOVER: {line}")
-        problems = compare_engine_bench(payload, baseline, tolerance=args.tolerance)
-        if problems:
-            for problem in problems:
-                print(f"PERF REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(f"baseline check passed ({args.check}, "
-              f"tolerance {args.tolerance:.0%})")
-    return 0
-
-
-def _cmd_lint(args) -> int:
-    from repro.devtools.lint import main as lint_main
-
-    argv: list[str] = list(args.paths)
-    argv += ["--format", args.fmt]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.write_baseline:
-        argv.append("--write-baseline")
-    if args.rules:
-        argv += ["--rules", args.rules]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.graph:
-        argv.append("--graph")
-    if args.cache:
-        argv += ["--cache", args.cache]
-    if args.no_cache:
-        argv.append("--no-cache")
-    return lint_main(argv)
-
-
 _COMMANDS = {
     "tables": _cmd_tables,
     "generate": _cmd_generate,
@@ -758,12 +627,15 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "testbed": _cmd_testbed,
     "audit": _cmd_audit,
-    "bench": _cmd_bench,
-    "lint": _cmd_lint,
 }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from repro.devtools.lint import main as lint_main
+
+        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     try:
         rc = _COMMANDS[args.command](args)

@@ -10,12 +10,11 @@ package A to package B is legal only when B sits *strictly below* A
 cycle-breakers for late-bound wiring — but module-level back-edges and
 import cycles are findings.
 
-Two modules intentionally live above their home package and carry
-explicit overrides rather than silent exemptions: ``repro.core.facade``
-(the kitchen-sink convenience surface re-exporting simulator/analysis
-types) and ``repro.obs.audit`` (the cross-layer audit fingerprint that
-hashes scheduler and simulator state).  The root ``repro`` package
-``__init__`` is the public re-export surface and is exempt outright.
+One module intentionally lives above its home package and carries an
+explicit override rather than a silent exemption: ``repro.obs.audit``
+(the cross-layer audit fingerprint that hashes scheduler and simulator
+state).  The root ``repro`` package ``__init__`` is the public
+re-export surface and is exempt outright.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ ARCH_LAYERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("oversub", ("oversub",)),
     ("sharding", ("sharding",)),
     ("api", ("api",)),
-    ("surface", ("serving", "bench", "devtools")),
+    ("surface", ("serving", "devtools")),
     ("cli", ("cli",)),
     ("entry", ("__main__",)),
 )
@@ -59,9 +58,6 @@ ARCH_LAYERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 #: home package.  Keep this list short and justified — each entry is an
 #: architectural decision, not an escape hatch.
 MODULE_LAYER_OVERRIDES: Dict[str, str] = {
-    # Convenience facade: one-stop re-export of workload+simulator+
-    # analysis for notebooks; sits beside the api band by design.
-    "repro.core.facade": "api",
     # Audit fingerprints hash live scheduler/simulator state, so the
     # module reaches across layers on purpose (read-only).
     "repro.obs.audit": "api",
@@ -312,9 +308,4 @@ def graph_payload(index: ProjectIndex) -> dict:
         "edges": [edge.to_dict() for edge in edges],
         "violations": layering_violations(index, edges),
         "cycles": find_cycles(index, edges),
-        "cache": {
-            "files": len(index.summaries),
-            "parsed": index.parsed,
-            "reused": index.reused,
-        },
     }

@@ -5,22 +5,13 @@ every file under the lint paths into a :class:`ModuleSummary` — the
 module's resolved import records, its pragma coverage map, every
 function signature, and the single-writer call/mutation summary the
 serving rules key on — plus the raw per-file findings of the AST
-rules.  Both are cached in a JSON file keyed on each file's content
-fingerprint (sha256), so a warm ``repro lint`` run reparses only the
-files that changed; the cross-module rules (R007 import parity, R009
-layering, R011 single-writer) consume *summaries*, never trees, and
-therefore run at full strength even when every file came out of the
-cache.
-
-The cache is a pure accelerator: deleting it (or passing
-``--no-cache``) only costs a full reparse, never a different answer.
+rules.  The cross-module rules (R007 import parity, R009 layering,
+R011 single-writer) consume *summaries*, never trees.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,20 +25,11 @@ from repro.devtools.rules import (
 )
 
 __all__ = [
-    "INDEX_CACHE_VERSION",
-    "DEFAULT_CACHE_NAME",
     "ImportRecord",
     "ModuleSummary",
     "ProjectIndex",
     "signature_of",
 ]
-
-#: Bump whenever the summary or cached-finding schema changes; stale
-#: versions are discarded wholesale (a cache miss, never an error).
-INDEX_CACHE_VERSION = 1
-
-#: Default cache file name, created next to the lint invocation's cwd.
-DEFAULT_CACHE_NAME = ".reprolint-cache.json"
 
 _PRAGMA = re.compile(r"#\s*reprolint:\s*disable=([A-Z0-9, ]+)")
 _WRITER_MARK = re.compile(r"#\s*reprolint:\s*writer\b")
@@ -75,35 +57,10 @@ class ImportRecord:
     type_checking: bool  # under an `if TYPE_CHECKING:` guard
     snippet: str  # stripped source line (finding fingerprints)
 
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "line": self.line,
-            "col": self.col,
-            "deferred": self.deferred,
-            "type_checking": self.type_checking,
-            "snippet": self.snippet,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ImportRecord":
-        return ImportRecord(
-            target=data["target"],
-            line=int(data["line"]),
-            col=int(data["col"]),
-            deferred=bool(data["deferred"]),
-            type_checking=bool(data["type_checking"]),
-            snippet=data["snippet"],
-        )
-
 
 @dataclass
 class ModuleSummary:
-    """Everything the cross-module rules need to know about one file.
-
-    JSON-round-trippable by construction — a warm lint run rebuilds
-    these from the cache without touching :mod:`ast`.
-    """
+    """Everything the cross-module rules need to know about one file."""
 
     module: str
     rel_path: str
@@ -117,29 +74,6 @@ class ModuleSummary:
     #: Per controller-owning class: writer annotations, the intra-class
     #: call graph and every controller mutation site (R011).
     writer_classes: Dict[str, dict] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "rel_path": self.rel_path,
-            "imports": [imp.to_dict() for imp in self.imports],
-            "pragmas": {str(k): list(v) for k, v in self.pragmas.items()},
-            "signatures": self.signatures,
-            "writer_classes": self.writer_classes,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ModuleSummary":
-        return ModuleSummary(
-            module=data["module"],
-            rel_path=data["rel_path"],
-            imports=[ImportRecord.from_dict(d) for d in data["imports"]],
-            pragmas={
-                int(k): tuple(v) for k, v in data.get("pragmas", {}).items()
-            },
-            signatures=dict(data.get("signatures", {})),
-            writer_classes=data.get("writer_classes", {}),
-        )
 
 
 def signature_of(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> Tuple[str, ...]:
@@ -429,7 +363,7 @@ def _collect_writer_classes(ctx: ModuleContext) -> Dict[str, dict]:
 
 
 def build_summary(ctx: ModuleContext) -> ModuleSummary:
-    """The cacheable cross-module summary of one parsed file."""
+    """The cross-module summary of one parsed file."""
     return ModuleSummary(
         module=ctx.module,
         rel_path=ctx.rel_path,
@@ -446,7 +380,13 @@ def build_summary(ctx: ModuleContext) -> ModuleSummary:
 
 
 def _module_name(rel: Path) -> str:
-    """Dotted module name (same scheme as :func:`lint._module_name`)."""
+    """Dotted module name for reporting and rule scoping.
+
+    Files under a ``src`` directory get their package-dotted name
+    (``src/repro/cli.py`` -> ``repro.cli``); anything else is rooted at
+    its top directory name (``scripts/regen_golden.py`` ->
+    ``scripts.regen_golden``).
+    """
     parts = list(rel.with_suffix("").parts)
     if "src" in parts:
         parts = parts[parts.index("src") + 1 :]
@@ -458,108 +398,27 @@ def _module_name(rel: Path) -> str:
 
 
 class ProjectIndex:
-    """Parse-once project model with a content-fingerprint cache.
+    """Parse-once project model: ``build()`` parses every given file,
+    summarizes it and runs the per-file rules on it."""
 
-    ``build()`` walks the given files; files whose sha256 matches the
-    cache are restored (summary + raw findings) without parsing, the
-    rest are parsed, summarized, and run through the per-file rules.
-    ``parsed``/``reused`` counters expose the split for the warm-run
-    acceptance test and the ``--graph`` dump.
-    """
-
-    def __init__(
-        self,
-        root: Optional[Path] = None,
-        cache_path: Optional[str | Path] = None,
-    ):
+    def __init__(self, root: Optional[Path] = None):
         self.root = Path(root) if root is not None else Path.cwd()
-        self.cache_path = Path(cache_path) if cache_path else None
         self.summaries: Dict[str, ModuleSummary] = {}  # rel_path ->
         self.findings: Dict[str, List[Finding]] = {}  # raw, pre-pragma
-        self.parsed = 0
-        self.reused = 0
-        self._cache = self._load_cache()
-        self._dirty = False
-
-    # -- cache I/O -----------------------------------------------------------
-
-    def _load_cache(self) -> dict:
-        if self.cache_path is None or not self.cache_path.is_file():
-            return {}
-        try:
-            payload = json.loads(self.cache_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return {}
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != INDEX_CACHE_VERSION
-        ):
-            return {}
-        files = payload.get("files")
-        return files if isinstance(files, dict) else {}
-
-    def save_cache(self) -> None:
-        """Persist the current per-file state (no-op without a path).
-
-        Entries for files outside this run's scope are kept as loaded,
-        so a partial lint (one package, one file) never truncates the
-        whole-project cache.
-        """
-        if self.cache_path is None or not self._dirty:
-            return
-        files: Dict[str, dict] = {
-            rel: entry
-            for rel, entry in self._cache.items()
-            if rel not in self.summaries
-            and all(k in entry for k in ("fingerprint", "summary", "findings"))
-        }
-        for rel in sorted(self.summaries):
-            if rel in self._cache:
-                files[rel] = {
-                    "fingerprint": self._cache[rel]["fingerprint"],
-                    "summary": self.summaries[rel].to_dict(),
-                    "findings": [
-                        _finding_to_cache(f) for f in self.findings[rel]
-                    ],
-                }
-        payload = {"version": INDEX_CACHE_VERSION, "files": files}
-        self.cache_path.write_text(
-            json.dumps(payload, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-
-    # -- build ---------------------------------------------------------------
 
     def build(self, files: Sequence[Path], rules: Sequence[Rule]) -> None:
-        """Index every file, reusing cache entries where sha256 matches.
+        """Index every file.
 
-        ``rules`` is the per-file rule set to evaluate on parsed files;
-        the raw findings of *all* of them are cached so later runs can
-        report any subset without reparsing.
+        ``rules`` is the per-file rule set to evaluate; the raw findings
+        of *all* of them are kept so any subset can be reported.
         """
         for path in files:
             source = path.read_text(encoding="utf-8")
-            fingerprint = hashlib.sha256(source.encode("utf-8")).hexdigest()
             try:
                 rel = path.relative_to(self.root)
             except ValueError:
                 rel = path
             rel_posix = rel.as_posix()
-            cached = self._cache.get(rel_posix)
-            if cached is not None and cached.get("fingerprint") == fingerprint:
-                try:
-                    summary = ModuleSummary.from_dict(cached["summary"])
-                    findings = [
-                        _finding_from_cache(rel_posix, d)
-                        for d in cached["findings"]
-                    ]
-                except (KeyError, TypeError, ValueError):
-                    cached = None  # malformed entry: fall through to parse
-                else:
-                    self.summaries[rel_posix] = summary
-                    self.findings[rel_posix] = findings
-                    self.reused += 1
-                    continue
             tree = ast.parse(source, filename=str(path))
             module = _module_name(rel)
             ctx = ModuleContext(
@@ -576,9 +435,6 @@ class ProjectIndex:
                     raw.extend(rule.check(ctx))
             self.summaries[rel_posix] = build_summary(ctx)
             self.findings[rel_posix] = raw
-            self._cache[rel_posix] = {"fingerprint": fingerprint}
-            self.parsed += 1
-            self._dirty = True
 
     # -- views ---------------------------------------------------------------
 
@@ -589,26 +445,3 @@ class ProjectIndex:
     def pragmas_for(self, rel_path: str) -> Dict[int, Tuple[str, ...]]:
         summary = self.summaries.get(rel_path)
         return summary.pragmas if summary is not None else {}
-
-
-def _finding_to_cache(finding: Finding) -> dict:
-    return {
-        "rule": finding.rule_id,
-        "line": finding.line,
-        "col": finding.col,
-        "message": finding.message,
-        "hint": finding.hint,
-        "snippet": finding.snippet,
-    }
-
-
-def _finding_from_cache(rel_path: str, data: dict) -> Finding:
-    return Finding(
-        rule_id=data["rule"],
-        path=rel_path,
-        line=int(data["line"]),
-        col=int(data["col"]),
-        message=data["message"],
-        hint=data["hint"],
-        snippet=data["snippet"],
-    )

@@ -14,17 +14,14 @@ directory.  Options::
     --rules R001,R004     run a subset of rules
     --list-rules          print the rule table and exit
     --graph               dump the import graph / layering analysis (JSON)
-    --cache PATH          index cache file (default .reprolint-cache.json)
-    --no-cache            ignore and don't write the index cache
 
 Exit codes: **0** clean (modulo baseline), **1** new findings,
 **2** usage error (bad path/format/rule, malformed baseline).
 
 The pass is whole-program: every file is parsed once into the
-:class:`~repro.devtools.index.ProjectIndex` (content-fingerprint
-cached, so warm runs reparse only changed files), the per-file AST
-rules run on parse, and the graph rules (R007 parity, R009 layering,
-R011 single-writer) run over the cached module summaries.
+:class:`~repro.devtools.index.ProjectIndex`, the per-file AST rules
+run on parse, and the graph rules (R007 parity, R009 layering, R011
+single-writer) run over the module summaries.
 
 Suppression: non-determinism rules honour a
 ``# reprolint: disable=Rxxx`` pragma on the flagged line (or on the
@@ -37,20 +34,17 @@ never be baselined.
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import sys
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.devtools.baseline import Baseline, BaselineError
-from repro.devtools.index import DEFAULT_CACHE_NAME, ProjectIndex
+from repro.devtools.index import ProjectIndex
 from repro.devtools.rules import (
     DETERMINISM_RULES,
     RULES,
     Finding,
-    ImportMap,
-    ModuleContext,
     Rule,
     rule_table,
 )
@@ -71,26 +65,8 @@ class LintUsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# discovery & parsing
+# discovery
 # ---------------------------------------------------------------------------
-
-
-def _module_name(path: Path) -> str:
-    """Dotted module name for reporting and rule scoping.
-
-    Files under a ``src`` directory get their package-dotted name
-    (``src/repro/cli.py`` -> ``repro.cli``); anything else is rooted at
-    its top directory name (``scripts/regen_golden.py`` ->
-    ``scripts.regen_golden``).
-    """
-    parts = list(path.with_suffix("").parts)
-    if "src" in parts:
-        parts = parts[parts.index("src") + 1 :]
-    elif len(parts) > 1:
-        parts = parts[-2:]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts) or path.stem
 
 
 def discover_files(paths: Sequence[str | Path]) -> list[Path]:
@@ -105,24 +81,6 @@ def discover_files(paths: Sequence[str | Path]) -> list[Path]:
         else:
             raise LintUsageError(f"no such file or directory: {path}")
     return sorted(files)
-
-
-def load_context(path: Path, root: Optional[Path] = None) -> ModuleContext:
-    source = path.read_text(encoding="utf-8")
-    tree = ast.parse(source, filename=str(path))
-    try:
-        rel = path.relative_to(root or Path.cwd())
-    except ValueError:
-        rel = path
-    module = _module_name(rel)
-    return ModuleContext(
-        path=path,
-        rel_path=rel.as_posix(),
-        module=module,
-        tree=tree,
-        lines=source.splitlines(),
-        imports=ImportMap.collect(tree, module),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +102,12 @@ def _suppressed(finding: Finding, pragmas: Dict[int, Tuple[str, ...]]) -> bool:
 
 
 def build_index(
-    paths: Sequence[str | Path],
-    root: Optional[Path] = None,
-    cache: Optional[str | Path] = None,
+    paths: Sequence[str | Path], root: Optional[Path] = None
 ) -> ProjectIndex:
-    """Index every Python file under ``paths``.
-
-    All per-file rules run on each (re)parsed file so the cache stays
-    complete regardless of any ``--rules`` subset in effect.
-    """
-    files = discover_files(paths)
-    index = ProjectIndex(root=root or Path.cwd(), cache_path=cache)
-    index.build(files, RULES)
+    """Index every Python file under ``paths`` (all per-file rules run;
+    a ``--rules`` subset only filters what is reported)."""
+    index = ProjectIndex(root=root or Path.cwd())
+    index.build(discover_files(paths), RULES)
     return index
 
 
@@ -182,19 +134,14 @@ def lint_paths(
     paths: Sequence[str | Path],
     rules: Sequence[Rule] = RULES,
     root: Optional[Path] = None,
-    cache: Optional[str | Path] = None,
 ) -> list[Finding]:
     """Run the rule set over every Python file under ``paths``.
 
     Findings come back sorted by (path, line, rule) and already
     filtered through inline pragmas; baseline subtraction is the
-    caller's concern (see :class:`Baseline`).  Pass ``cache`` to reuse
-    and update an index cache file across runs.
+    caller's concern (see :class:`Baseline`).
     """
-    index = build_index(paths, root=root, cache=cache)
-    findings = findings_from_index(index, rules)
-    index.save_cache()
-    return findings
+    return findings_from_index(build_index(paths, root=root), rules)
 
 
 class LintReport:
@@ -285,18 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--graph",
         action="store_true",
-        help="dump the import graph, layering analysis and cache stats "
-        "as JSON and exit 0",
-    )
-    parser.add_argument(
-        "--cache",
-        default=DEFAULT_CACHE_NAME,
-        help=f"project index cache file (default {DEFAULT_CACHE_NAME})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and don't write the index cache",
+        help="dump the import graph and layering analysis as JSON "
+        "and exit 0",
     )
     return parser
 
@@ -334,19 +271,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for rule_id, title, _hint in rule_table():
             print(f"{rule_id}  {title}")
         return 0
-    cache = None if args.no_cache else args.cache
     try:
         rules = _select_rules(args.rules)
         paths = args.paths or _default_paths()
-        index = build_index(paths, cache=cache)
+        index = build_index(paths)
         if args.graph:
             from repro.devtools.graphs import graph_payload
 
-            index.save_cache()
             print(json.dumps(graph_payload(index), indent=2, sort_keys=True))
             return 0
         findings = findings_from_index(index, rules)
-        index.save_cache()
         if args.write_baseline:
             if not args.baseline:
                 raise LintUsageError("--write-baseline requires --baseline PATH")

@@ -18,11 +18,11 @@ strict.
 Two rule shapes coexist:
 
 * **AST rules** implement :meth:`Rule.check` and see one parsed file
-  at a time (cacheable per file: R001–R006, R008, R010, R012, R013);
+  at a time (R001–R006, R008, R010, R012, R013);
 * **graph rules** implement :meth:`Rule.check_index` and see the
   whole-program :class:`~repro.devtools.index.ProjectIndex` — module
-  summaries, never trees — so they run at full strength on a warm
-  cache (R007 kernel parity, R009 layering, R011 single-writer).
+  summaries, never trees (R007 kernel parity, R009 layering, R011
+  single-writer).
 
 Adding a rule: subclass :class:`Rule`, set ``rule_id``/``title``/
 ``hint`` (and ``packages`` to scope it), implement :meth:`check` or
@@ -37,7 +37,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 __all__ = [
     "Finding",
@@ -175,16 +175,11 @@ class Rule:
     def check(self, ctx: ModuleContext) -> list[Finding]:
         return []
 
-    def check_project(self, ctxs: Sequence[ModuleContext]) -> list[Finding]:
-        """Cross-module checks over parsed trees (legacy hook)."""
-        return []
-
     def check_index(self, index) -> list[Finding]:
         """Cross-module checks over a :class:`ProjectIndex`.
 
         Graph rules implement this instead of :meth:`check`; it runs
-        once per lint invocation and consumes cached module summaries,
-        so it works without reparsing on warm runs.
+        once per lint invocation over the module summaries.
         """
         return []
 

@@ -20,7 +20,7 @@ guarantees statistically independent streams per seed slot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -199,12 +199,3 @@ class SweepSpec(Spec):
     def __iter__(self) -> Iterator[SweepCell]:
         return iter(self.cells())
 
-
-def seeds_from_arg(text: str | Sequence[int]) -> tuple[int, ...]:
-    """Parse a CLI ``--seeds`` value: ``"42,7"`` or an int sequence."""
-    if isinstance(text, str):
-        try:
-            return tuple(int(x) for x in text.split(","))
-        except ValueError:
-            raise RunnerError(f"invalid seeds {text!r}: expected comma-separated ints")
-    return tuple(int(x) for x in text)

@@ -12,9 +12,9 @@ incremental kernel in :mod:`repro.simulator.vectorpool`:
   (``tests/simulator/test_kernel_equivalence.py``) asserts the
   incremental kernel's outputs equal these element-wise on random
   cluster states, and
-* ``repro bench engine`` runs both kernels side by side, so the
-  committed ``BENCH_engine.json`` speedups are measured against this
-  exact code.
+* ``benchmarks/test_engine_kernel_speedup.py`` runs both kernels side
+  by side, so the incremental kernel's speedup is measured against
+  this exact code.
 
 Both functions read only the cluster's raw state arrays (``cap_*``,
 ``alloc_*``, ``vnode_*``, ``supported``) — never the incremental

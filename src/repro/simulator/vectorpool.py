@@ -31,8 +31,9 @@ Every cached quantity is refreshed with the *same elementwise IEEE
 operations* the naive kernel applies cluster-wide, so the incremental
 kernel is bit-identical to the reference implementation in
 :mod:`repro.simulator.refkernel` (``kernel="naive"`` switches to it;
-it exists as the oracle for tests and ``repro bench engine``, not as a
-production choice).  Four independent oracles enforce the equivalence:
+it exists as the oracle for tests and the kernel-speedup benchmark,
+not as a production choice).  Four independent oracles enforce the
+equivalence:
 
 * the golden-trace conformance suite
   (``tests/simulator/test_golden_trace.py``) replays frozen JSONL
@@ -57,8 +58,8 @@ arrays).  Code that mutates the state arrays (``cap_*``, ``alloc_*``,
 
 Following the hpc-parallel guidance, this is the profiled hot path of
 the repository: Figures 3 and 4 run hundreds of cluster-sizing
-simulations through this engine, and ``repro bench engine`` tracks its
-events/sec against the committed ``BENCH_engine.json`` baseline.
+simulations through this engine, and the ``perf/`` ledger's
+``vector_5k`` / ``vector_50k`` workloads track its events/sec.
 """
 
 from __future__ import annotations
@@ -109,8 +110,9 @@ POLICIES = (
 )
 
 #: Placement-kernel implementations: ``incremental`` is the production
-#: kernel; ``naive`` is the reference the tests and ``repro bench
-#: engine`` compare it against (:mod:`repro.simulator.refkernel`).
+#: kernel; ``naive`` is the reference the tests and
+#: ``benchmarks/test_engine_kernel_speedup.py`` compare it against
+#: (:mod:`repro.simulator.refkernel`).
 KERNELS = ("incremental", "naive")
 
 # Shared with the object-path schedulers via repro.scheduling.constants,

@@ -138,33 +138,6 @@ def test_graph_dump_shape_and_exit_0(project, capsys):
     assert payload["modules"]["repro.scheduling.ok"]["package"] == "scheduling"
     assert payload["violations"] == []
     assert payload["cycles"] == []
-    assert payload["cache"]["files"] == 1
-
-
-def test_default_cache_written_and_reused(project, capsys):
-    write(project, "src/repro/scheduling/ok.py", CLEAN)
-    assert lint_main(["src", "--graph"]) == 0
-    assert json.loads(capsys.readouterr().out)["cache"]["parsed"] == 1
-    assert (project / ".reprolint-cache.json").exists()
-
-    assert lint_main(["src", "--graph"]) == 0
-    warm = json.loads(capsys.readouterr().out)["cache"]
-    assert warm == {"files": 1, "parsed": 0, "reused": 1}
-
-
-def test_no_cache_flag_skips_the_cache_file(project, capsys):
-    write(project, "src/repro/scheduling/ok.py", CLEAN)
-    assert lint_main(["src", "--no-cache"]) == 0
-    assert not (project / ".reprolint-cache.json").exists()
-    capsys.readouterr()
-
-
-def test_cache_flag_relocates_the_cache_file(project, capsys):
-    write(project, "src/repro/scheduling/ok.py", CLEAN)
-    assert lint_main(["src", "--cache", "custom-cache.json"]) == 0
-    assert (project / "custom-cache.json").exists()
-    assert not (project / ".reprolint-cache.json").exists()
-    capsys.readouterr()
 
 
 def test_repro_cli_lint_graph_passthrough(project, capsys):

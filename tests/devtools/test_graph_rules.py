@@ -8,6 +8,10 @@ exactly the expected finding.
 from __future__ import annotations
 
 import textwrap
+from pathlib import Path
+
+import repro
+from repro.devtools.graphs import ARCH_LAYERS
 
 
 def src(code: str) -> str:
@@ -107,6 +111,16 @@ def test_r009_unknown_package_must_be_placed_in_a_layer(tree):
     findings = [f for f in tree.lint() if f.rule_id == "R009"]
     assert len(findings) == 1
     assert "'repro.mystery' is not in the architecture DAG" in findings[0].message
+
+
+def test_arch_layers_name_exactly_the_packages_that_exist():
+    # R009 flags a package missing from the DAG; nothing else flags a
+    # band entry whose package is gone.
+    root = Path(repro.__file__).parent
+    on_disk = {p.name for p in root.iterdir() if (p / "__init__.py").is_file()}
+    placed = [pkg for _band, pkgs in ARCH_LAYERS for pkg in pkgs]
+    assert len(placed) == len(set(placed))
+    assert set(placed) == on_disk | {"cli", "__main__"}
 
 
 # ---------------------------------------------------------------------------

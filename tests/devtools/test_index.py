@@ -1,18 +1,13 @@
-"""Project index: fingerprint cache reuse, invalidation, resilience.
-
-The whole-program pass parses every file once into a
-:class:`~repro.devtools.index.ProjectIndex`; per-file rule findings and
-module summaries are cached keyed on content fingerprints so a warm run
-reparses nothing and an edit reparses exactly the changed file.
+"""Project index: the whole-program pass parses every file once into a
+:class:`~repro.devtools.index.ProjectIndex` (per-file rule findings +
+module summaries the graph rules read).
 """
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
-from repro.devtools.index import INDEX_CACHE_VERSION, ProjectIndex
 from repro.devtools.lint import build_index, findings_from_index
 
 
@@ -52,58 +47,22 @@ def write_tree(root: Path) -> dict[str, Path]:
     return out
 
 
-def finding_keys(index: ProjectIndex) -> list[tuple]:
-    return [
-        (f.rule_id, f.path, f.line, f.col, f.message)
-        for f in findings_from_index(index)
-    ]
-
-
-def test_cold_build_parses_everything(tmp_path):
+def test_build_parses_every_file(tmp_path):
     write_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    index = build_index([tmp_path / "src"], root=tmp_path, cache=cache)
-    assert index.parsed == 3
-    assert index.reused == 0
+    index = build_index([tmp_path / "src"], root=tmp_path)
+    assert len(index.summaries) == 3
     assert any(f.rule_id == "R001" for f in findings_from_index(index))
-
-
-def test_warm_build_reuses_cache_without_reparsing(tmp_path):
-    write_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    cold = build_index([tmp_path / "src"], root=tmp_path, cache=cache)
-    cold.save_cache()
-
-    warm = build_index([tmp_path / "src"], root=tmp_path, cache=cache)
-    assert warm.parsed == 0
-    assert warm.reused == 3
-    # Cached per-file findings round-trip exactly.
-    assert finding_keys(warm) == finding_keys(cold)
-
-
-def test_content_change_invalidates_only_that_file(tmp_path):
-    files = write_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    build_index([tmp_path / "src"], root=tmp_path, cache=cache).save_cache()
-
-    # Fix the R001 violation: only dirty.py should reparse.
-    files["src/repro/core/dirty.py"].write_text(CLEAN, encoding="utf-8")
-    index = build_index([tmp_path / "src"], root=tmp_path, cache=cache)
-    assert index.parsed == 1
-    assert index.reused == 2
-    assert not any(f.rule_id == "R001" for f in findings_from_index(index))
+    assert not list(tmp_path.glob("*.json"))  # the linter writes nothing
 
 
 def test_new_file_joins_cache_incrementally(tmp_path):
     write_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    build_index([tmp_path / "src"], root=tmp_path, cache=cache).save_cache()
+    build_index([tmp_path / "src"], root=tmp_path)
 
     extra = tmp_path / "src/repro/core/extra.py"
     extra.write_text(DIRTY, encoding="utf-8")
-    index = build_index([tmp_path / "src"], root=tmp_path, cache=cache)
-    assert index.parsed == 1
-    assert index.reused == 3
+    index = build_index([tmp_path / "src"], root=tmp_path)
+    assert len(index.summaries) == 4
     r001 = [f for f in findings_from_index(index) if f.rule_id == "R001"]
     assert {f.path for f in r001} == {
         "src/repro/core/dirty.py",
@@ -112,66 +71,11 @@ def test_new_file_joins_cache_incrementally(tmp_path):
 
 
 def test_graph_rules_run_at_full_strength_on_a_warm_cache(tmp_path):
-    # An R009 violation lives only in the cached summaries: the warm run
-    # must still surface it with zero reparses.
+    # An R009 violation lives only in the module summaries.
     write_tree(tmp_path)
     bad = tmp_path / "src/repro/core/upward.py"
     bad.write_text("import repro.scheduling.policy\n", encoding="utf-8")
-    cache = tmp_path / "cache.json"
-    build_index([tmp_path / "src"], root=tmp_path, cache=cache).save_cache()
-
-    warm = build_index([tmp_path / "src"], root=tmp_path, cache=cache)
-    assert warm.parsed == 0
-    r009 = [f for f in findings_from_index(warm) if f.rule_id == "R009"]
+    index = build_index([tmp_path / "src"], root=tmp_path)
+    r009 = [f for f in findings_from_index(index) if f.rule_id == "R009"]
     assert len(r009) == 1
     assert r009[0].path == "src/repro/core/upward.py"
-
-
-def test_malformed_cache_is_tolerated(tmp_path):
-    write_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    cache.write_text("{ this is not json", encoding="utf-8")
-    index = build_index([tmp_path / "src"], root=tmp_path, cache=cache)
-    assert index.parsed == 3
-    index.save_cache()
-    payload = json.loads(cache.read_text(encoding="utf-8"))
-    assert payload["version"] == INDEX_CACHE_VERSION
-
-
-def test_stale_cache_version_forces_full_reparse(tmp_path):
-    write_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    build_index([tmp_path / "src"], root=tmp_path, cache=cache).save_cache()
-    payload = json.loads(cache.read_text(encoding="utf-8"))
-    payload["version"] = INDEX_CACHE_VERSION + 1
-    cache.write_text(json.dumps(payload), encoding="utf-8")
-
-    index = build_index([tmp_path / "src"], root=tmp_path, cache=cache)
-    assert index.parsed == 3
-    assert index.reused == 0
-
-
-def test_partial_scope_run_keeps_out_of_scope_cache_entries(tmp_path):
-    # CI lints subsets (e.g. src/repro/devtools alone); a scoped run
-    # must not evict the rest of the project from the cache.
-    write_tree(tmp_path)
-    cache = tmp_path / "cache.json"
-    build_index([tmp_path / "src"], root=tmp_path, cache=cache).save_cache()
-
-    scoped = build_index(
-        [tmp_path / "src/repro/core"], root=tmp_path, cache=cache
-    )
-    assert scoped.parsed == 0
-    scoped.save_cache()
-
-    warm = build_index([tmp_path / "src"], root=tmp_path, cache=cache)
-    assert warm.parsed == 0
-    assert warm.reused == 3
-
-
-def test_no_cache_path_never_touches_disk(tmp_path):
-    write_tree(tmp_path)
-    index = build_index([tmp_path / "src"], root=tmp_path, cache=None)
-    index.save_cache()
-    assert not list(tmp_path.glob("*.json"))
-    assert index.parsed == 3

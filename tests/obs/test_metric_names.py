@@ -32,7 +32,6 @@ def test_names_are_unique_and_well_formed():
 def test_emit_sites_only_reference_known_names():
     # The registry must stay in sync with what the engines emit: every
     # attribute access `metric_names.X` across the library resolves.
-    import repro.bench.engine
     import repro.oversub.controller
     import repro.runner.runner
     import repro.serving.service
@@ -43,7 +42,6 @@ def test_emit_sites_only_reference_known_names():
         # The one event loop: the only emitter of the ``engine.*`` series.
         repro.simulator.engine,
         repro.runner.runner,
-        repro.bench.engine,
         repro.oversub.controller,
         repro.sharding.dispatcher,
         repro.serving.service,

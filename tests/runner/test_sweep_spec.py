@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.errors import RunnerError
 from repro.runner import SweepSpec, derive_seeds
-from repro.runner.spec import resolve_mix_entry, seeds_from_arg
+from repro.runner.spec import resolve_mix_entry
 from repro.workload.distributions import DISTRIBUTIONS
 
 
@@ -102,10 +102,3 @@ def test_spec_validation():
         SweepSpec(mixes=("A", "a"))  # duplicate label after normalization
     with pytest.raises(RunnerError):
         SweepSpec(machine_cpus=0)
-
-
-def test_seeds_from_arg():
-    assert seeds_from_arg("42,7") == (42, 7)
-    assert seeds_from_arg([1, 2]) == (1, 2)
-    with pytest.raises(RunnerError):
-        seeds_from_arg("42,x")

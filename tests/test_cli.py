@@ -239,3 +239,30 @@ def test_evaluate_with_shards(capsys):
                  "--population", "60", "--seed", "1",
                  "--shards", "2"]) == 0
     assert "savings" in capsys.readouterr().out
+
+
+def test_subcommand_set():
+    (sub,) = (a for a in build_parser()._actions if a.choices)
+    assert list(sub.choices) == [
+        "tables", "generate", "size", "evaluate", "sweep", "oversub",
+        "shard", "serve", "testbed", "audit", "lint",
+    ]
+
+
+def test_sweep_mixes_accepts_a_labelled_triple_in_a_list(capsys):
+    assert main(["sweep", "--population", "30",
+                 "--mixes", "A,hot:50,0,50"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert {"A", "hot"} <= {row[0] for row in rows if row}
+
+
+def test_oversub_mixes_accepts_a_labelled_triple(capsys):
+    assert main(["oversub", "--strategies", "static", "--population", "30",
+                 "--mixes", "hot:50,0,50,F"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert {row[2] for row in rows if row[:1] == ["static"]} == {"hot", "F"}
+
+
+def test_bare_triple_in_a_mix_list_names_the_label_form(capsys):
+    assert main(["sweep", "--population", "30", "--mixes", "A,50,0,50"]) == 1
+    assert "label:S1,S2,S3" in capsys.readouterr().err
