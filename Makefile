@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test bench golden repro examples clean lint typecheck sweep-oversub-smoke serve-smoke perf-smoke
+.PHONY: install test bench golden repro report-check examples clean lint typecheck sweep-oversub-smoke serve-smoke perf-smoke
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -71,6 +71,14 @@ repro:
 
 repro-fast:
 	$(PYTHON) scripts/reproduce_all.py --fast -o REPORT.md
+
+# The Figure 3 / Figure 4 sections of the fast report must equal the
+# fixture recorded before `run_sweep` became the only grid driver.
+# Mirrors the last step of CI's sweep-smoke job.
+report-check:
+	PYTHONPATH=src $(PYTHON) scripts/reproduce_all.py --fast -o /tmp/report.md
+	awk '/^## /{p=/^## Figure [34] /} p' /tmp/report.md \
+		| diff -u tests/analysis/data/report_fast_fig34.txt -
 
 examples:
 	@for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f || exit 1; done

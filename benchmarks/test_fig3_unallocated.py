@@ -12,8 +12,7 @@ import os
 from conftest import RESULTS_DIR, publish
 from repro.analysis.export import export_fig3_csv
 from repro.analysis import grouped_hbar, render_fig3
-from repro.runner import parallel_fig3_series
-from repro.workload import OVHCLOUD
+from repro.runner import SweepSpec, run_sweep
 
 SEED = 42
 POPULATION = 500
@@ -21,10 +20,10 @@ WORKERS = min(4, os.cpu_count() or 1)
 
 
 def compute():
-    # Sharded over a process pool; bit-identical to the serial driver.
-    return parallel_fig3_series(
-        OVHCLOUD, target_population=POPULATION, seed=SEED, workers=WORKERS
-    )
+    # Sharded over a process pool; bit-identical for any worker count.
+    spec = SweepSpec(providers=("ovhcloud",), seeds=(SEED,),
+                     target_population=POPULATION)
+    return run_sweep(spec, workers=WORKERS).fig3()
 
 
 def test_fig3(benchmark):

@@ -9,19 +9,19 @@ as the pure metric on every mix.
 """
 
 from conftest import publish
-from repro.analysis import fig4_grid, render_fig4
-from repro.workload import OVHCLOUD
+from repro.analysis import render_fig4
+from repro.runner import SweepSpec, run_sweep
 
 SEEDS = (42,)
 POPULATION = 500
 
 
 def compute():
+    base = SweepSpec(providers=("ovhcloud",), seeds=SEEDS,
+                     target_population=POPULATION)
     return {
-        "progress": fig4_grid(OVHCLOUD, target_population=POPULATION,
-                              seeds=SEEDS, policy="progress"),
-        "progress_bestfit": fig4_grid(OVHCLOUD, target_population=POPULATION,
-                                      seeds=SEEDS, policy="progress_bestfit"),
+        policy: run_sweep(base.replace(policy=policy)).fig4()
+        for policy in ("progress", "progress_bestfit")
     }
 
 

@@ -11,9 +11,7 @@ import os
 from conftest import RESULTS_DIR, publish
 from repro.analysis.export import export_fig4_csv
 from repro.analysis import render_fig4
-from repro.runner import parallel_fig4_grid
-from repro.workload import AZURE, OVHCLOUD
-from repro.workload.distributions import DISTRIBUTIONS
+from repro.runner import SweepSpec, run_sweep
 
 SEEDS = (42, 7)
 POPULATION = 500
@@ -24,15 +22,11 @@ COMPLEMENTARY = {"E", "F", "I", "J"}  # mixes pairing 1:1 with 3:1
 
 
 def compute():
-    # Sharded over a process pool; bit-identical to the serial driver.
-    return {
-        "ovhcloud": parallel_fig4_grid(
-            OVHCLOUD, target_population=POPULATION, seeds=SEEDS, workers=WORKERS
-        ),
-        "azure": parallel_fig4_grid(
-            AZURE, target_population=POPULATION, seeds=SEEDS, workers=WORKERS
-        ),
-    }
+    # One grid over a process pool; bit-identical for any worker count.
+    spec = SweepSpec(providers=("ovhcloud", "azure"), seeds=SEEDS,
+                     target_population=POPULATION)
+    sweep = run_sweep(spec, workers=WORKERS)
+    return {provider: sweep.fig4(provider) for provider in spec.providers}
 
 
 def test_fig4(benchmark):

@@ -9,15 +9,19 @@ own fleet statistics:
    the same minimum-KL solver that produced the paper catalogs;
 2. classify which resource each oversubscription level exhausts on the
    fleet's hardware;
-3. run the dedicated-vs-SlackVM comparison on a generated workload.
+3. register the catalog under its name and run the dedicated-vs-SlackVM
+   comparison on a generated workload through ``evaluate(RunSpec(...))``
+   (catalogs are addressed by registry name everywhere — it is what a
+   sweep's worker processes resolve).
 
 Run: python examples/custom_provider.py
 """
 
-from repro.analysis import classify_levels, evaluate_catalog
+from repro import RunSpec, evaluate
+from repro.analysis import classify_levels
 from repro.core import VMSpec
 from repro.hardware import MachineSpec
-from repro.workload import CalibrationTarget, calibrate_catalog
+from repro.workload import PROVIDERS, CalibrationTarget, calibrate_catalog
 
 # A fictional European provider: slightly beefier VMs than Azure,
 # leaner than OVHcloud.
@@ -56,8 +60,11 @@ def main() -> None:
     print()
 
     print("Dedicated clusters vs SlackVM (mix F, 300 target VMs):")
-    outcome = evaluate_catalog(catalog, "F", machine=MACHINE,
-                               target_population=300, seed=42)
+    PROVIDERS[catalog.name] = catalog
+    outcome = evaluate(RunSpec(
+        provider=catalog.name, mix="F", target_population=300, seed=42,
+        host_cpus=MACHINE.cpus, host_mem_gb=MACHINE.mem_gb,
+    ))
     for ratio, pms in sorted(outcome.baseline_pms_per_level.items()):
         print(f"  dedicated {ratio:g}:1 : {pms} PMs")
     print(f"  baseline total   : {outcome.baseline_pms} PMs")

@@ -11,25 +11,26 @@ Run: python examples/provider_study.py [azure|ovhcloud] [population]
 
 import sys
 
-from repro.analysis import fig3_series, render_fig3, render_fig4
-from repro.workload import PROVIDERS
+from repro.analysis import render_fig3, render_fig4
+from repro.runner import SweepSpec, run_sweep
 
 
 def main() -> None:
     provider = sys.argv[1] if len(sys.argv) > 1 else "ovhcloud"
     population = int(sys.argv[2]) if len(sys.argv) > 2 else 250
-    catalog = PROVIDERS[provider]
 
     print(f"Sweeping 15 level mixes for {provider} "
           f"(target {population} concurrent VMs, one-week trace)...")
-    outcomes = fig3_series(catalog, target_population=population, seed=42)
+    sweep = run_sweep(SweepSpec(providers=(provider,), seeds=(42,),
+                                target_population=population))
+    outcomes = sweep.fig3()
 
     print()
     print("Figure 3 — unallocated resources at peak, baseline vs SlackVM")
     print(render_fig3(outcomes))
     print()
     print("Figure 4 — PMs saved by the shared cluster (%)")
-    print(render_fig4({k: o.savings_percent for k, o in outcomes.items()}))
+    print(render_fig4(sweep.fig4()))
     print()
     best = max(outcomes.items(), key=lambda kv: kv[1].savings_percent)
     label, o = best

@@ -8,10 +8,11 @@ against EXPERIMENTS.md.
 Run: python scripts/reproduce_all.py [--fast] [--workers N] [-o REPORT.md]
      (--fast uses smaller populations/durations; ~30 s instead of ~2 min)
 
-The Figure 3/4 sweeps run through ``repro.runner``, sharded over
-``--workers`` processes (default: all cores).  The runner's
-determinism contract keeps the report bit-identical for any worker
-count, so parallelism only changes the wall clock.
+Figures 3 and 4 are one ``repro.runner.run_sweep`` grid (both
+providers x 15 mixes x the seeds), sharded over ``--workers``
+processes (default: all cores).  The runner's determinism contract
+keeps the report bit-identical for any worker count, so parallelism
+only changes the wall clock.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from repro.analysis import (
 )
 from repro.oversub.evaluate import OversubSweepSpec, run_oversub_sweep
 from repro.perfmodel import TestbedParams, run_testbed
-from repro.runner import parallel_fig3_series, parallel_fig4_grid
-from repro.workload import AZURE, OVHCLOUD, PROVIDERS
+from repro.runner import SweepSpec, run_sweep
+from repro.workload import PROVIDERS
 
 
 def main() -> None:
@@ -72,14 +73,16 @@ def main() -> None:
         "slackvm": {k: v.quartiles_ms() for k, v in testbed.slackvm.items()},
     }))
 
-    fig3 = parallel_fig3_series(OVHCLOUD, target_population=population,
-                                seed=seeds[0], workers=args.workers)
-    add("Figure 3 — unallocated resources (OVHcloud)", render_fig3(fig3))
-
-    for catalog in (OVHCLOUD, AZURE):
-        grid = parallel_fig4_grid(catalog, target_population=population,
-                                  seeds=seeds, workers=args.workers)
-        add(f"Figure 4 — PM savings % ({catalog.name})", render_fig4(grid))
+    sweep = run_sweep(
+        SweepSpec(providers=("ovhcloud", "azure"), seeds=seeds,
+                  target_population=population),
+        workers=args.workers,
+    )
+    add("Figure 3 — unallocated resources (OVHcloud)",
+        render_fig3(sweep.fig3("ovhcloud")))
+    for provider in sweep.spec.providers:
+        add(f"Figure 4 — PM savings % ({provider})",
+            render_fig4(sweep.fig4(provider)))
 
     oversub = run_oversub_sweep(OversubSweepSpec(
         providers=("azure", "ovhcloud"), mixes=("F", "J"), seeds=(42,),

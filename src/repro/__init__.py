@@ -17,8 +17,8 @@ self-contained Python library:
   OVHcloud catalogs matching the paper's Tables I & II;
 * :mod:`repro.perfmodel` — the physical-testbed substitute (SMT-aware
   contention + latency model) behind Table IV / Fig. 2;
-* :mod:`repro.analysis` — experiment drivers and report rendering for
-  Figures 3 & 4;
+* :mod:`repro.analysis` — ratio tables, the Figure 3 & 4 result record
+  and report rendering;
 * :mod:`repro.migration` — the paper's future-work live-migration
   rebalancer;
 * :mod:`repro.api` — the unified :class:`~repro.api.RunSpec` /

@@ -1,11 +1,6 @@
-"""Paper analysis: ratio tables, experiment drivers, report rendering."""
+"""Paper analysis: ratio tables, the §VII-B result record, report rendering."""
 
-from repro.analysis.experiments import (
-    DistributionOutcome,
-    evaluate_catalog,
-    fig3_series,
-    fig4_grid,
-)
+from repro.analysis.experiments import DistributionOutcome
 from repro.analysis.ratios import (
     LimitingFactor,
     classify_levels,
@@ -28,9 +23,6 @@ from repro.analysis.reporting import (
 
 __all__ = [
     "DistributionOutcome",
-    "evaluate_catalog",
-    "fig3_series",
-    "fig4_grid",
     "LimitingFactor",
     "classify_levels",
     "limiting_factor",

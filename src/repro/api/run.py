@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence, Union
 
+from repro.analysis.experiments import DistributionOutcome
 from repro.api.spec import RunSpec
 from repro.core.config import SlackVMConfig
 from repro.core.errors import ConfigError
@@ -27,8 +28,14 @@ from repro.obs.records import NULL_RECORDER, DecisionRecorder
 from repro.oversub.controller import OversubParams
 from repro.oversub.estimators import make_estimator
 from repro.sharding.dispatcher import ShardedSimulation
-from repro.simulator.engine import Simulation, SimulationResult, build_hosts
-from repro.simulator.sizing import demand_lower_bound
+from repro.simulator.engine import (
+    Simulation,
+    SimulationResult,
+    WorkloadRunner,
+    build_hosts,
+)
+from repro.simulator.metrics import combine_unallocated, unallocated_at_peak
+from repro.simulator.sizing import demand_lower_bound, minimal_cluster
 from repro.workload.catalog import PROVIDERS
 from repro.workload.generator import WorkloadParams, generate_workload
 
@@ -178,34 +185,75 @@ def run(
     return sim.run(wl)
 
 
+#: ``RunSpec`` fields :func:`evaluate` cannot honour: the protocol sizes
+#: its own vector-engine clusters at the trace's static levels.
+_NOT_IN_PROTOCOL = {"engine": "vector", "num_hosts": 0, "oversub": None}
+
+
 def evaluate(
     spec: RunSpec,
     baseline_policy: str = "first_fit",
     workload: Optional[Sequence[VMRequest]] = None,
-) -> "DistributionOutcome":  # noqa: F821 — deferred import below
-    """The §VII-B protocol (dedicated baselines vs shared SlackVM).
+) -> DistributionOutcome:
+    """The §VII-B protocol for one (provider, mix, seed) point.
 
-    Wraps :func:`repro.analysis.experiments.evaluate_catalog` — the
-    minimal-cluster search per level plus the shared cluster, run on
-    the spec's kernel and shard geometry.
+    1. take the spec's one-week trace (``workload`` overrides it, e.g.
+       a replayed production trace);
+    2. **baseline** — split it per level present and size one dedicated
+       ``baseline_policy`` cluster per level (each PM offers one level);
+    3. **SlackVM** — size one shared cluster where every PM hosts all
+       levels, probing with the spec's policy, kernel and shard geometry
+       through :func:`build_simulation` (shard count clamped to the
+       probed size — the search explores fleets smaller than the
+       geometry);
+    4. report PMs saved (Fig. 4) and the unallocated CPU / memory
+       shares at each cluster's peak (Fig. 3).
+
+    The dedicated baselines keep the default engine — they reproduce
+    the paper's reference numbers and are not the thing under study.
     """
-    from repro.analysis.experiments import evaluate_catalog
+    for name, required in _NOT_IN_PROTOCOL.items():
+        value = getattr(spec, name)
+        if value != required:
+            raise ConfigError(
+                f"evaluate() sizes its own vector-engine clusters and cannot "
+                f"honour {name}={value!r}; use run(spec) for a single "
+                f"simulation with that setting"
+            )
+    wl = list(workload) if workload is not None else build_workload(spec)
+    machine = MachineSpec(name="host", cpus=spec.host_cpus, mem_gb=spec.host_mem_gb)
 
-    machine = MachineSpec(
-        name="host", cpus=spec.host_cpus, mem_gb=spec.host_mem_gb
-    )
-    return evaluate_catalog(
-        PROVIDERS[spec.provider],
-        spec.mix_tuple,
-        machine=machine,
-        target_population=spec.target_population,
+    baseline_pms: dict[float, int] = {}
+    baseline_results = []
+    # Split per level actually present in the trace (robust to supplied
+    # workloads whose shares differ from ``spec.mix``).
+    for ratio in sorted({vm.level.ratio for vm in wl}):
+        sized = minimal_cluster(
+            [vm for vm in wl if vm.level.ratio == ratio],
+            machine,
+            policy=baseline_policy,
+            config=SlackVMConfig(levels=(OversubscriptionLevel(ratio),)),
+        )
+        baseline_pms[ratio] = sized.pms
+        baseline_results.append(sized.result)
+
+    shared_cfg = build_config(spec, wl)
+
+    def probe(machines: list[MachineSpec]) -> WorkloadRunner:
+        # An unsharded probe stops at its first rejection; fail_fast is
+        # ill-defined across shards, so sharded probes run to the end.
+        shards = min(spec.shards, len(machines))
+        probe_spec = spec.replace(shards=shards, fail_fast=shards == 1)
+        return build_simulation(probe_spec, machines, config=shared_cfg)
+
+    shared = minimal_cluster(wl, machine, simulation_factory=probe)
+    return DistributionOutcome(
+        provider=spec.provider,
+        mix=spec.mix_tuple,
         seed=spec.seed,
-        policy=spec.policy,
-        pooling=spec.pooling,
-        baseline_policy=baseline_policy,
-        workload=workload,
-        kernel=spec.kernel,
-        shards=spec.shards,
-        router=spec.router,
-        workers=spec.workers,
+        baseline_pms_per_level=baseline_pms,
+        slackvm_pms=shared.pms,
+        baseline_unallocated=combine_unallocated(baseline_results),
+        slackvm_unallocated=unallocated_at_peak(shared.result),
+        pooled_placements=shared.result.pooled_placements,
     )

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -48,14 +47,21 @@ from repro.analysis import (
     table1_row,
     table2_row,
 )
+from repro.api import (
+    RunSpec,
+    build_config,
+    build_machines,
+    build_simulation,
+    build_workload,
+    evaluate,
+)
 from repro.core.errors import ReproError
 from repro.hardware import SIM_WORKER, MachineSpec
+from repro.runner import SweepSpec, derive_seeds, run_sweep
 from repro.simulator import KERNELS, POLICIES, demand_lower_bound, minimal_cluster
 from repro.workload import (
     DISTRIBUTIONS,
     PROVIDERS,
-    WorkloadParams,
-    generate_workload,
     load_trace,
     peak_population,
     save_trace,
@@ -75,6 +81,77 @@ def _machine(text: str) -> MachineSpec:
         ) from exc
 
 
+def _mix(text: str):
+    """Parse ``--mix``: a paper letter A-O or ``S1,S2,S3`` percent shares."""
+    if text.upper() in DISTRIBUTIONS:
+        return text.upper()
+    try:
+        s1, s2, s3 = (float(x) for x in text.split(","))
+        return (s1, s2, s3)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid mix {text!r}: use a letter A-O or 'S1,S2,S3' shares"
+        ) from None
+
+
+#: The :class:`RunSpec`-shaped flags, declared once as ``flag: (spec
+#: field, argparse options)``.  A subcommand takes the ones it needs,
+#: with its own defaults, through ``_add_spec_args``; ``_run_spec``
+#: maps whichever it took back onto spec fields.
+_SPEC_FLAGS = {
+    "provider": ("provider", dict(
+        choices=sorted(PROVIDERS), help="provider catalog (default %(default)s)")),
+    "mix": ("mix", dict(
+        type=_mix,
+        help=f"level mix, one of {'/'.join(DISTRIBUTIONS)} or S1,S2,S3 "
+             "percent shares (default %(default)s)")),
+    "population": ("target_population", dict(
+        type=int, help="target concurrent VMs (default %(default)s)")),
+    "seed": ("seed", dict(type=int, help="workload seed (default %(default)s)")),
+    "hosts": ("num_hosts", dict(
+        type=int,
+        help="cluster size; 0 (default) auto-sizes from the demand lower "
+             "bound with 15%% headroom")),
+    "machine": (None, dict(
+        type=_machine, help="host spec as CPUS:MEM_GB (default 32:128)")),
+    "policy": ("policy", dict(
+        choices=POLICIES, help="scheduling policy (default %(default)s)")),
+    "kernel": ("kernel", dict(
+        choices=KERNELS, help="placement kernel (default %(default)s)")),
+    "shards": ("shards", dict(
+        type=int, help="dispatcher shards; 1 is unsharded (default %(default)s)")),
+    "router": ("router", dict(
+        help="shard routing policy: hash or score (default %(default)s)")),
+}
+
+
+def _add_spec_args(parser: argparse.ArgumentParser, **defaults) -> None:
+    """Add the shared flags named by ``defaults`` (flag name -> default)."""
+    for flag, default in defaults.items():
+        parser.add_argument(f"--{flag}", default=default, **_SPEC_FLAGS[flag][1])
+
+
+def _run_spec(args: argparse.Namespace, **overrides) -> RunSpec:
+    """The one ``args -> RunSpec`` mapping: every shared flag the
+    subcommand declared, then ``overrides``."""
+    given = vars(args)
+    fields = {
+        field: given[flag]
+        for flag, (field, _) in _SPEC_FLAGS.items()
+        if field is not None and flag in given
+    }
+    if "machine" in given:
+        fields.update(host_cpus=args.machine.cpus, host_mem_gb=args.machine.mem_gb)
+    return RunSpec(**{**fields, **overrides})
+
+
+def _seeds(args: argparse.Namespace) -> tuple[int, ...]:
+    """``--seed`` literally, or ``--num-seeds`` spawned from it."""
+    if args.num_seeds > 1:
+        return derive_seeds(args.seed, args.num_seeds)
+    return (args.seed,)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slackvm",
@@ -85,45 +162,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("tables", help="print the catalog analysis (Tables I & II)")
 
     gen = sub.add_parser("generate", help="generate a workload trace (JSONL)")
-    gen.add_argument("--provider", choices=sorted(PROVIDERS), default="ovhcloud")
-    gen.add_argument("--mix", default="F",
-                     help=f"level mix, one of {'/'.join(DISTRIBUTIONS)} "
-                          "or S1,S2,S3 percent shares")
-    gen.add_argument("--population", type=int, default=500,
-                     help="target concurrent VMs (default 500)")
-    gen.add_argument("--seed", type=int, default=0)
+    _add_spec_args(gen, provider="ovhcloud", mix="F", population=500, seed=0)
     gen.add_argument("-o", "--output", required=True, help="output trace path")
 
     size = sub.add_parser("size", help="size a minimal cluster for a trace")
     size.add_argument("trace", help="JSONL trace file")
-    size.add_argument("--policy", default="progress",
-                      help="scheduling policy (default: progress)")
-    size.add_argument("--machine", type=_machine, default=SIM_WORKER,
-                      help="worker spec as CPUS:MEM_GB (default 32:128)")
+    _add_spec_args(size, policy="progress", machine=SIM_WORKER)
 
     ev = sub.add_parser("evaluate",
                         help="compare dedicated clusters vs SlackVM for one mix")
-    ev.add_argument("--provider", choices=sorted(PROVIDERS), default="ovhcloud")
-    ev.add_argument("--mix", default="F")
-    ev.add_argument("--population", type=int, default=500)
-    ev.add_argument("--seed", type=int, default=42)
-    ev.add_argument("--policy", default="progress",
-                    help="shared-cluster policy (progress, progress_bestfit, "
-                         "first_fit, best_fit, worst_fit)")
-    ev.add_argument("--kernel", choices=KERNELS, default="incremental",
-                    help="placement kernel for the shared cluster")
-    ev.add_argument("--shards", type=int, default=1,
-                    help="fan the shared cluster out over N dispatcher "
-                         "shards (default 1: unsharded)")
-    ev.add_argument("--router", default="hash",
-                    help="shard routing policy (hash, score)")
-    ev.add_argument("--machine", type=_machine, default=SIM_WORKER,
-                    help="worker spec as CPUS:MEM_GB (default 32:128)")
+    _add_spec_args(ev, provider="ovhcloud", mix="F", population=500, seed=42,
+                   policy="progress", kernel="incremental", shards=1,
+                   router="hash", machine=SIM_WORKER)
 
     sweep = sub.add_parser("sweep", help="run the Fig. 3/4 sweep for a provider")
-    sweep.add_argument("--provider", choices=sorted(PROVIDERS), default="ovhcloud")
-    sweep.add_argument("--population", type=int, default=250)
-    sweep.add_argument("--seed", type=int, default=42)
+    _add_spec_args(sweep, provider="ovhcloud", population=250, seed=42,
+                   kernel="incremental", shards=1, router="hash")
     sweep.add_argument("--num-seeds", type=int, default=1,
                        help="average Fig. 4 over this many seeds derived "
                             "from --seed via SeedSequence.spawn (default 1: "
@@ -141,28 +195,20 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--resume", action="store_true",
                        help="skip cells already completed in --out "
                             "(failed cells are retried)")
-    sweep.add_argument("--kernel", choices=KERNELS, default="incremental",
-                       help="placement kernel for every cell")
-    sweep.add_argument("--shards", type=int, default=1,
-                       help="dispatcher shards per cell (run inline inside "
-                            "each cell worker; default 1)")
-    sweep.add_argument("--router", default="hash",
-                       help="shard routing policy (hash, score)")
 
     ov = sub.add_parser(
         "oversub",
         help="compare dynamic-oversubscription strategies "
              "(packing gain vs violation risk on a scarce cluster)",
     )
+    _add_spec_args(ov, provider="azure", population=120, seed=42,
+                   policy="progress", kernel="incremental", machine=SIM_WORKER)
     ov.add_argument("--strategies", default="static,percentile,doa,greedy",
                     help="comma-separated strategy subset "
                          "(static, percentile, doa, greedy)")
-    ov.add_argument("--provider", choices=sorted(PROVIDERS), default="azure")
     ov.add_argument("--mixes", default="F",
                     help="comma-separated mixes (letters A-O or "
                          "'label:S1,S2,S3' triples)")
-    ov.add_argument("--population", type=int, default=120)
-    ov.add_argument("--seed", type=int, default=42)
     ov.add_argument("--num-seeds", type=int, default=1,
                     help="run this many seeds derived from --seed "
                          "(default 1: use --seed literally)")
@@ -171,10 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "demand lower bound (default 0.5: scarce)")
     ov.add_argument("--update-every", type=float, default=3600.0,
                     help="estimator update period, seconds (default 3600)")
-    ov.add_argument("--policy", choices=POLICIES, default="progress")
-    ov.add_argument("--kernel", choices=KERNELS, default="incremental")
-    ov.add_argument("--machine", type=_machine, default=SIM_WORKER,
-                    help="worker spec as CPUS:MEM_GB (default 32:128)")
     ov.add_argument("-o", "--out", default=None,
                     help="write the per-cell results as JSON")
 
@@ -183,26 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one workload through the sharded dispatcher "
              "(N vector-engine shards in worker processes)",
     )
-    sh.add_argument("--provider", choices=sorted(PROVIDERS), default="azure")
-    sh.add_argument("--mix", default="F",
-                    help=f"level mix, one of {'/'.join(DISTRIBUTIONS)} "
-                         "or S1,S2,S3 percent shares")
-    sh.add_argument("--population", type=int, default=500,
-                    help="target concurrent VMs (default 500)")
-    sh.add_argument("--seed", type=int, default=42)
-    sh.add_argument("--hosts", type=int, default=0,
-                    help="cluster size; 0 auto-sizes from the demand "
-                         "lower bound with 15%% headroom (default)")
-    sh.add_argument("--machine", type=_machine, default=SIM_WORKER,
-                    help="host spec as CPUS:MEM_GB (default 32:128)")
-    sh.add_argument("--policy", choices=POLICIES, default="progress")
-    sh.add_argument("--kernel", choices=KERNELS, default="incremental",
-                    help="placement kernel per shard")
-    sh.add_argument("--shards", type=int, default=4,
-                    help="shard count (default 4)")
-    sh.add_argument("--router", default="hash",
-                    help="routing policy: hash (consistent hashing over "
-                         "VM id) or score (aggregate M/C)")
+    _add_spec_args(sh, provider="azure", mix="F", population=500, seed=42,
+                   hosts=0, machine=SIM_WORKER, policy="progress",
+                   kernel="incremental", shards=4, router="hash")
     sh.add_argument("--workers", type=int, default=0,
                     help="worker processes (default 0: one per shard; "
                          "1 runs every shard inline)")
@@ -225,26 +250,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the online placement service on virtual time "
              "(open-loop traffic, bounded queue, SLO report)",
     )
-    sv.add_argument("--provider", choices=sorted(PROVIDERS), default="azure")
-    sv.add_argument("--mix", default="F",
-                    help=f"level mix, one of {'/'.join(DISTRIBUTIONS)} "
-                         "or S1,S2,S3 percent shares")
+    _add_spec_args(sv, provider="azure", mix="F", seed=0, machine=SIM_WORKER,
+                   policy="progress", shards=1)
     sv.add_argument("--duration", type=float, default=30.0,
                     help="admission window, virtual seconds (default 30)")
     sv.add_argument("--rate", type=float, default=50.0,
                     help="mean arrival rate, requests per virtual second "
                          "(default 50)")
-    sv.add_argument("--seed", type=int, default=0)
     sv.add_argument("--hosts", type=int, default=0,
                     help="fleet size; 0 auto-sizes from Little's law "
                          "(rate x mean lifetime at the catalog's mean "
                          "footprint, default)")
-    sv.add_argument("--machine", type=_machine, default=SIM_WORKER,
-                    help="host spec as CPUS:MEM_GB (default 32:128)")
-    sv.add_argument("--policy", choices=POLICIES, default="progress")
-    sv.add_argument("--shards", type=int, default=1,
-                    help="independent controller shards behind the "
-                         "hash router (default 1)")
     sv.add_argument("--queue-bound", type=int, default=64,
                     help="admission queue bound; arrivals beyond it are "
                          "rejected (default 64)")
@@ -272,17 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay one workload through both engines and diff their "
              "placement decisions event-by-event",
     )
-    au.add_argument("--policy", choices=POLICIES, default="progress")
-    au.add_argument("--provider", choices=sorted(PROVIDERS), default="ovhcloud")
-    au.add_argument("--mix", default="F")
-    au.add_argument("--vms", type=int, default=500,
+    _add_spec_args(au, policy="progress", provider="ovhcloud", mix="F", seed=7,
+                   machine=SIM_WORKER)
+    au.add_argument("--vms", dest="population", type=int, default=500,
                     help="target concurrent VMs of the generated workload")
-    au.add_argument("--seed", type=int, default=7)
-    au.add_argument("--pms", type=int, default=0,
+    au.add_argument("--pms", dest="hosts", type=int, default=0,
                     help="cluster size; 0 sizes it from the demand lower "
                          "bound with 15%% headroom")
-    au.add_argument("--machine", type=_machine, default=SIM_WORKER,
-                    help="worker spec as CPUS:MEM_GB (default 32:128)")
     au.add_argument("-o", "--output", default="slackvm_audit.json",
                     help="JSON dump path (metrics + decision records)")
     au.add_argument("--no-decisions", action="store_true",
@@ -294,18 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(rules R001-R013; options: `lint --help`)",
     )
     return parser
-
-
-def _parse_mix(text: str):
-    if text.upper() in DISTRIBUTIONS:
-        return text.upper()
-    try:
-        s1, s2, s3 = (float(x) for x in text.split(","))
-        return (s1, s2, s3)
-    except ValueError:
-        raise SystemExit(
-            f"invalid mix {text!r}: use a letter A-O or 'S1,S2,S3' shares"
-        ) from None
 
 
 def _split_mixes(text: str) -> tuple[str, ...]:
@@ -336,13 +336,7 @@ def _cmd_tables(_args) -> None:
 
 
 def _cmd_generate(args) -> None:
-    params = WorkloadParams(
-        catalog=PROVIDERS[args.provider],
-        level_mix=_parse_mix(args.mix),
-        target_population=args.population,
-        seed=args.seed,
-    )
-    workload = generate_workload(params)
+    workload = build_workload(_run_spec(args))
     save_trace(workload, args.output)
     print(f"wrote {len(workload)} VM lifecycles to {args.output} "
           f"(peak population {peak_population(workload)})")
@@ -362,22 +356,7 @@ def _cmd_size(args) -> None:
 
 
 def _cmd_evaluate(args) -> None:
-    from repro.api import RunSpec, evaluate
-
-    spec = RunSpec(
-        provider=args.provider,
-        mix=_parse_mix(args.mix),
-        target_population=args.population,
-        seed=args.seed,
-        host_cpus=args.machine.cpus,
-        host_mem_gb=args.machine.mem_gb,
-        policy=args.policy,
-        kernel=args.kernel,
-        shards=args.shards,
-        router=args.router,
-        workers=1,
-    )
-    outcome = evaluate(spec)
+    outcome = evaluate(_run_spec(args, workers=1))
     s1, s2, s3 = outcome.mix
     print(f"provider {outcome.provider}, mix {s1:g}/{s2:g}/{s3:g} "
           f"(1:1/2:1/3:1), {args.population} target VMs, seed {args.seed}")
@@ -389,18 +368,12 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
-    from repro.runner import SweepSpec, derive_seeds, run_sweep
-
     if args.resume and not args.out:
         raise SystemExit("--resume requires --out")
-    if args.num_seeds > 1:
-        seeds = derive_seeds(args.seed, args.num_seeds)
-    else:
-        seeds = (args.seed,)
     spec = SweepSpec(
         providers=(args.provider,),
         mixes=_split_mixes(args.mixes) if args.mixes else tuple(DISTRIBUTIONS),
-        seeds=seeds,
+        seeds=_seeds(args),
         target_population=args.population,
         kernel=args.kernel,
         shards=args.shards,
@@ -413,47 +386,22 @@ def _cmd_sweep(args) -> None:
         print(f"checkpoint: {args.out} ({len(sweep.executed)} cells run, "
               f"{len(sweep.skipped)} resumed, {sweep.elapsed_s:.1f}s "
               f"at {args.workers} worker(s))", file=sys.stderr)
-    sweep.raise_on_failure()
-    # Fig. 3 uses the first seed's outcomes; Fig. 4 averages all seeds.
-    outcomes = {r.mix_label: r.outcome for r in sweep.results.values()
-                if r.seed == seeds[0]}
-    savings: dict[str, list[float]] = {}
-    for r in sweep.results.values():
-        savings.setdefault(r.mix_label, []).append(r.outcome.savings_percent)
+    fig3, fig4 = sweep.fig3(), sweep.fig4()  # raise on a failed cell first
     print(f"Figure 3 — unallocated resources ({args.provider})")
-    print(render_fig3(outcomes))
+    print(render_fig3(fig3))
     print()
     print(f"Figure 4 — PM savings % ({args.provider})")
-    print(render_fig4({k: sum(v) / len(v) for k, v in savings.items()},
-                      mixes={k: o.mix for k, o in outcomes.items()}))
+    print(render_fig4(fig4, mixes=dict(spec.resolved_mixes)))
 
 
 def _cmd_oversub(args) -> None:
     from repro.oversub.evaluate import OversubSweepSpec, run_oversub_sweep
-    from repro.runner import derive_seeds
 
-    if args.num_seeds > 1:
-        seeds = derive_seeds(args.seed, args.num_seeds)
-    else:
-        seeds = (args.seed,)
-    from repro.api import RunSpec
-
-    strategies = tuple(s for s in args.strategies.split(",") if s)
-    base = RunSpec(
-        provider=args.provider,
-        target_population=args.population,
-        seed=args.seed,
-        host_cpus=args.machine.cpus,
-        host_mem_gb=args.machine.mem_gb,
-        policy=args.policy,
-        kernel=args.kernel,
-        oversub_update_every=args.update_every,
-    )
     spec = OversubSweepSpec.from_run_spec(
-        base,
-        strategies=strategies,
+        _run_spec(args, oversub_update_every=args.update_every),
+        strategies=tuple(s for s in args.strategies.split(",") if s),
         mixes=_split_mixes(args.mixes),
-        seeds=seeds,
+        seeds=_seeds(args),
         scarcity=args.scarcity,
     )
     result = run_oversub_sweep(spec)
@@ -470,31 +418,11 @@ def _cmd_oversub(args) -> None:
 def _cmd_shard(args) -> int:
     from time import perf_counter
 
-    from repro.api import (
-        RunSpec,
-        build_config,
-        build_machines,
-        build_simulation,
-        build_workload,
-    )
     from repro.simulator.conformance import result_stream
 
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume requires --checkpoint")
-    spec = RunSpec(
-        provider=args.provider,
-        mix=_parse_mix(args.mix),
-        target_population=args.population,
-        seed=args.seed,
-        num_hosts=args.hosts,
-        host_cpus=args.machine.cpus,
-        host_mem_gb=args.machine.mem_gb,
-        policy=args.policy,
-        kernel=args.kernel,
-        shards=args.shards,
-        router=args.router,
-        workers=args.workers,
-    )
+    spec = _run_spec(args, workers=args.workers)
     workload = load_trace(args.trace) if args.trace else build_workload(spec)
     machines = build_machines(spec, workload)
     config = build_config(spec, workload)
@@ -542,7 +470,7 @@ def _cmd_serve(args) -> int:
 
     spec = ServiceSpec(
         provider=args.provider,
-        mix=_parse_mix(args.mix),
+        mix=args.mix,
         rate=args.rate,
         duration=args.duration,
         seed=args.seed,
@@ -585,27 +513,12 @@ def _cmd_testbed(args) -> None:
 def _cmd_audit(args) -> int:
     from repro.obs.audit import audit_workload
 
-    params = WorkloadParams(
-        catalog=PROVIDERS[args.provider],
-        level_mix=_parse_mix(args.mix),
-        target_population=args.vms,
-        seed=args.seed,
-    )
-    workload = generate_workload(params)
-    lb = demand_lower_bound(workload, args.machine)
-    pms = args.pms if args.pms > 0 else max(1, math.ceil(lb * 1.15))
-    machines = [
-        MachineSpec(
-            name=f"{args.machine.name}-{i}",
-            cpus=args.machine.cpus,
-            mem_gb=args.machine.mem_gb,
-            topology_factory=args.machine.topology_factory,
-        )
-        for i in range(pms)
-    ]
+    spec = _run_spec(args)
+    workload = build_workload(spec)
+    machines = build_machines(spec, workload)
     print(f"replaying {len(workload)} VM lifecycles "
-          f"(peak population {peak_population(workload)}) on {pms} PMs "
-          f"(lower bound {lb})")
+          f"(peak population {peak_population(workload)}) on {len(machines)} PMs "
+          f"(lower bound {demand_lower_bound(workload, args.machine)})")
     report = audit_workload(workload, machines, policy=args.policy)
     print(report.summary())
     payload = report.to_dict(include_decisions=not args.no_decisions)

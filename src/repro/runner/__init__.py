@@ -18,13 +18,11 @@ serial run:
 * :mod:`repro.runner.pool` — :func:`run_pool`, the inline-or-process
   -pool loop (also the shard dispatcher's);
 * :mod:`repro.runner.runner` — :func:`run_sweep`, cells over the pool
-  with worker-side fault capture and metrics;
-* :mod:`repro.runner.figures` — drop-in parallel variants of the
-  Figure 3/4 drivers.
+  with worker-side fault capture and metrics; :class:`SweepResult`
+  carries the two figure reductions (``fig3()`` / ``fig4()``).
 """
 
 from repro.runner.checkpoint import JsonlCheckpoint
-from repro.runner.figures import parallel_fig3_series, parallel_fig4_grid
 from repro.runner.results import CellResult, outcome_from_dict, outcome_to_dict
 from repro.runner.runner import SweepResult, run_sweep
 from repro.runner.spec import SweepCell, SweepSpec, derive_seeds
@@ -39,6 +37,4 @@ __all__ = [
     "JsonlCheckpoint",
     "SweepResult",
     "run_sweep",
-    "parallel_fig3_series",
-    "parallel_fig4_grid",
 ]

@@ -21,6 +21,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
+from repro.analysis.experiments import DistributionOutcome
 from repro.core.errors import RunnerError
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
@@ -121,9 +124,37 @@ class SweepResult:
     def failures(self) -> list[CellResult]:
         return [r for r in self.results.values() if not r.ok]
 
-    def outcomes(self) -> dict[str, "object"]:
+    def outcomes(self) -> dict[str, DistributionOutcome]:
         """``{cell key: DistributionOutcome}`` for the ok cells."""
-        return {k: r.outcome for k, r in self.results.items() if r.ok}
+        return {k: r.outcome for k, r in self.results.items() if r.outcome is not None}
+
+    def _figure_cells(
+        self, provider: Optional[str]
+    ) -> list[tuple[CellResult, DistributionOutcome]]:
+        """One provider's cells (the spec's first by default), all ok."""
+        self.raise_on_failure()
+        provider = self.spec.providers[0] if provider is None else provider
+        return [
+            (r, r.outcome)
+            for r in self.results.values()
+            if r.provider == provider and r.outcome is not None
+        ]
+
+    def fig3(self, provider: Optional[str] = None) -> dict[str, DistributionOutcome]:
+        """Fig. 3 series: each mix label's outcome at the first seed."""
+        first = self.spec.effective_seeds()[0]
+        return {
+            r.mix_label: outcome
+            for r, outcome in self._figure_cells(provider)
+            if r.seed == first
+        }
+
+    def fig4(self, provider: Optional[str] = None) -> dict[str, float]:
+        """Fig. 4 grid: seed-mean PM savings (%) per mix label."""
+        savings: dict[str, list[float]] = {}
+        for r, outcome in self._figure_cells(provider):
+            savings.setdefault(r.mix_label, []).append(outcome.savings_percent)
+        return {label: float(np.mean(vals)) for label, vals in savings.items()}
 
     def raise_on_failure(self) -> "SweepResult":
         failures = self.failures()

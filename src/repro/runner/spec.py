@@ -11,8 +11,7 @@ JSON value, which buys three properties at once:
 * two runs of the same spec enumerate the same cells in the same order
   with the same seeds — the determinism contract of the runner.
 
-Seeds come either from an explicit ``seeds`` tuple (drop-in for the
-legacy drivers that pinned literal seeds) or are derived from
+Seeds come either from an explicit ``seeds`` tuple or are derived from
 ``root_seed`` with :meth:`numpy.random.SeedSequence.spawn`, which
 guarantees statistically independent streams per seed slot.
 """

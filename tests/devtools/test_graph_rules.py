@@ -123,6 +123,32 @@ def test_arch_layers_name_exactly_the_packages_that_exist():
     assert set(placed) == on_disk | {"cli", "__main__"}
 
 
+def test_deferred_upward_imports_only_shrink():
+    # A function-scoped import is R009's sanctioned escape hatch; the
+    # ones that point *up* the DAG are the architecture's debts.  Two
+    # are left (sweep cells call the api they sit under; the engine
+    # wires the oversub pipeline in on demand) — pay one down and
+    # shrink this set, never grow it.
+    from repro.devtools.graphs import graph_payload, module_rank
+    from repro.devtools.lint import build_index
+
+    src_root = Path(repro.__file__).parents[1]
+    payload = graph_payload(build_index([src_root], root=src_root.parent))
+    upward = {
+        (edge["from"], edge["to"])
+        for edge in payload["edges"]
+        if edge["deferred"]
+        and edge["from"].split(".")[:2] != edge["to"].split(".")[:2]
+        and None not in (module_rank(edge["from"]), module_rank(edge["to"]))
+        and module_rank(edge["to"]) >= module_rank(edge["from"])
+    }
+    assert upward == {
+        ("repro.runner.runner", "repro.api"),
+        ("repro.simulator.engine", "repro.oversub.pipeline"),
+    }
+    assert payload["violations"] == [] and payload["cycles"] == []
+
+
 # ---------------------------------------------------------------------------
 # R010 — async safety in repro.serving
 # ---------------------------------------------------------------------------

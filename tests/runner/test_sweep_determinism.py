@@ -3,21 +3,13 @@
 The runner's core contract — cell results are a pure function of the
 spec, for any worker count and completion order — is asserted at the
 strongest level available: byte equality of the sorted checkpoint
-lines, and object equality of the figure-driver outputs against their
-legacy serial counterparts.
+lines, and object equality of the results and figure reductions.
 """
 
 from pathlib import Path
 
-from repro.analysis import fig3_series, fig4_grid
 from repro.obs.metrics import MetricsRegistry
-from repro.runner import (
-    SweepSpec,
-    parallel_fig3_series,
-    parallel_fig4_grid,
-    run_sweep,
-)
-from repro.workload import OVHCLOUD
+from repro.runner import SweepSpec, run_sweep
 
 SPEC = SweepSpec(
     providers=("ovhcloud",),
@@ -41,33 +33,8 @@ def test_serial_vs_parallel_checkpoints_byte_identical(tmp_path):
     )
     # Object-level equality too (JSON round-trip is lossless).
     assert serial.results == parallel.results
-
-
-def test_parallel_fig3_matches_serial_driver():
-    mixes = {"A": (100.0, 0.0, 0.0), "F": (50.0, 0.0, 50.0)}
-    serial = fig3_series(OVHCLOUD, target_population=40, seed=42, mixes=mixes)
-    parallel = parallel_fig3_series(
-        OVHCLOUD, target_population=40, seed=42, mixes=mixes, workers=2
-    )
-    assert parallel == serial
-
-
-def test_parallel_fig4_matches_serial_driver():
-    mixes = {"A": (100.0, 0.0, 0.0), "F": (50.0, 0.0, 50.0)}
-    serial = fig4_grid(
-        OVHCLOUD, target_population=40, seeds=(42, 7), mixes=mixes
-    )
-    parallel = parallel_fig4_grid(
-        OVHCLOUD, target_population=40, seeds=(42, 7), mixes=mixes, workers=2
-    )
-    assert parallel == serial
-
-
-def test_workers_kwarg_on_legacy_drivers_delegates():
-    mixes = {"F": (50.0, 0.0, 50.0)}
-    assert fig3_series(
-        OVHCLOUD, target_population=40, seed=1, mixes=mixes, workers=2
-    ) == fig3_series(OVHCLOUD, target_population=40, seed=1, mixes=mixes)
+    assert serial.fig3() == parallel.fig3()
+    assert serial.fig4() == parallel.fig4()
 
 
 def test_runner_metrics_progress_and_throughput(tmp_path):

@@ -7,7 +7,6 @@ scale so the suite stays fast.
 
 import pytest
 
-from repro.analysis import evaluate_catalog
 from repro.api import RunSpec, evaluate
 from repro.core import LEVEL_1_1, LEVEL_3_1, SlackVMConfig
 from repro.hardware import SIM_WORKER
@@ -82,12 +81,9 @@ class TestSchedulerQuality:
 class TestPooling:
     def test_pooling_never_hurts_cluster_size(self):
         workload = trace(OVHCLOUD, "M", seed=11)
-        pooled = evaluate_catalog(
-            OVHCLOUD, "M", workload=workload, pooling=True
-        )
-        unpooled = evaluate_catalog(
-            OVHCLOUD, "M", workload=workload, pooling=False
-        )
+        spec = RunSpec(provider="ovhcloud", mix="M")
+        pooled = evaluate(spec, workload=workload)
+        unpooled = evaluate(spec.replace(pooling=False), workload=workload)
         assert pooled.slackvm_pms <= unpooled.slackvm_pms + 1
 
 
