@@ -29,20 +29,28 @@ from repro.simulator.vectorpool import POLICIES, VectorCluster
 
 RATIOS = (1.0, 2.0, 3.0)
 
-def _vm(i: int, vcpus: int, mem: float, ratio: float) -> VMRequest:
-    return VMRequest(
-        vm_id=f"vm-{i:03d}",
-        spec=VMSpec(vcpus, mem),
-        level=OversubscriptionLevel(ratio),
-    )
+#: Level sets the property test draws from: the paper's (memory never
+#: oversubscribed) and one with a distinct ``mem_ratio`` per level, which
+#: turns off the fused pooling mask and the shape cache.
+LEVEL_SETS = (
+    tuple(OversubscriptionLevel(r) for r in RATIOS),
+    tuple(OversubscriptionLevel(r, m) for r, m in zip(RATIOS, (1.0, 1.5, 2.0))),
+)
 
 
-def _clusters(machines):
+def _vm(i: int, vcpus: int, mem: float, level) -> VMRequest:
+    """``level`` is an :class:`OversubscriptionLevel` or a bare CPU ratio."""
+    if not isinstance(level, OversubscriptionLevel):
+        level = OversubscriptionLevel(level)
+    return VMRequest(vm_id=f"vm-{i:03d}", spec=VMSpec(vcpus, mem), level=level)
+
+
+def _clusters(machines, cfg=None, host_levels=None):
     """(incremental, naive-reference) over the same fleet."""
-    cfg = SlackVMConfig()
+    cfg = cfg or SlackVMConfig()
     return (
-        VectorCluster(machines, cfg, kernel="incremental"),
-        VectorCluster(machines, cfg, kernel="naive"),
+        VectorCluster(machines, cfg, host_levels, kernel="incremental"),
+        VectorCluster(machines, cfg, host_levels, kernel="naive"),
     )
 
 
@@ -65,7 +73,11 @@ def _assert_probe_equal(inc, ref, vm, policy):
     assert np.array_equal(own_f, own_r), vm
     # Bit-exact, not approx: the kernels must share every rounding.
     assert np.array_equal(inc.scores(vm, policy), scores_r), vm
-    assert inc.select(vm, policy) == _naive_select(ref, vm, policy), vm
+    chosen = inc.select(vm, policy)
+    assert chosen == _naive_select(ref, vm, policy), vm
+    # Same state, same answer: the second call is served by the shape
+    # cache when it applies (scored policy, one memory ratio).
+    assert inc.select(vm, policy) == chosen, vm
 
 
 @st.composite
@@ -74,12 +86,24 @@ def operation_sequence(draw):
     machines = [
         MachineSpec(
             f"pm-{i}",
-            draw(st.sampled_from([4, 8, 16])),
-            float(draw(st.sampled_from([16, 32, 64]))),
+            draw(st.sampled_from([1, 2, 4, 16])),
+            float(draw(st.sampled_from([4, 16, 64]))),
         )
         for i in range(num_hosts)
     ]
-    num_ops = draw(st.integers(min_value=1, max_value=40))
+    levels = draw(st.sampled_from(LEVEL_SETS))
+    cfg = SlackVMConfig(levels=levels, pooling=draw(st.booleans()))
+    # None = every host offers every level; otherwise a non-empty
+    # subset of the ratios per host (dedicated PMs in a mixed fleet).
+    host_levels = draw(
+        st.none()
+        | st.lists(
+            st.lists(st.sampled_from(RATIOS), min_size=1, unique=True),
+            min_size=num_hosts,
+            max_size=num_hosts,
+        )
+    )
+    num_ops = draw(st.integers(min_value=1, max_value=60))
     ops = []
     for i in range(num_ops):
         kind = draw(
@@ -95,7 +119,7 @@ def operation_sequence(draw):
                         i,
                         draw(st.sampled_from([1, 2, 4, 8])),
                         float(draw(st.sampled_from([1, 2, 4, 8, 16]))),
-                        draw(st.sampled_from(RATIOS)),
+                        draw(st.sampled_from(levels)),
                     ),
                 )
             )
@@ -109,17 +133,17 @@ def operation_sequence(draw):
         10**6,
         draw(st.sampled_from([1, 2, 4])),
         float(draw(st.sampled_from([1, 2, 8]))),
-        draw(st.sampled_from(RATIOS)),
+        draw(st.sampled_from(levels)),
     )
-    return machines, ops, probe
+    return machines, cfg, host_levels, ops, probe
 
 
 @pytest.mark.slow
 @settings(max_examples=80, deadline=None)
 @given(case=operation_sequence(), policy=st.sampled_from(POLICIES))
 def test_kernels_agree_through_random_operation_sequences(case, policy):
-    machines, ops, probe = case
-    inc, ref = _clusters(machines)
+    machines, cfg, host_levels, ops, probe = case
+    inc, ref = _clusters(machines, cfg, host_levels)
     dead: set[int] = set()
     for op, arg in ops:
         if op == "arrive":
@@ -149,6 +173,13 @@ def test_kernels_agree_through_random_operation_sequences(case, policy):
             for c in (inc, ref):
                 c.set_effective_capacity(eff.copy())
     _assert_probe_equal(inc, ref, probe, policy)
+    # One drawn probe rarely lands on a host that is CPU-full, nearly
+    # memory-full and holds pooling slack all at once; sweeping every
+    # small shape over the final state makes those verdicts count.
+    for level in cfg.levels:
+        for vcpus in (1, 2, 4):
+            for mem in (1.0, 2.0, 4.0, 8.0, 16.0):
+                _assert_probe_equal(inc, ref, _vm(10**6 + 1, vcpus, mem, level), policy)
     assert np.array_equal(inc.alloc_cpu, ref.alloc_cpu)
     assert np.array_equal(inc.alloc_mem, ref.alloc_mem)
     assert np.array_equal(inc.vnode_vcpus, ref.vnode_vcpus)
@@ -213,6 +244,32 @@ def test_all_dead_cluster_rejects_everything():
         assert inc.select(vm, policy) is None
         assert _naive_select(ref, vm, policy) is None
         _assert_probe_equal(inc, ref, vm, policy)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_pooling_checks_memory_at_the_hosting_levels_ratio(policy):
+    """A CPU-full host with slack in its 2:1 vNode and distinct
+    ``mem_ratio`` per level: a 3:1 VM can only pool, and whether it fits
+    is decided by the *2:1* level's memory ratio (the VM is upgraded
+    into that vNode).  Random sequences almost never reach this state."""
+    machines = [MachineSpec("pm-0", 2, 16.0), MachineSpec("pm-1", 2, 16.0)]
+    cfg = SlackVMConfig(levels=LEVEL_SETS[1])
+    one, mid, low = LEVEL_SETS[1]
+    inc, ref = _clusters(machines, cfg, host_levels=[RATIOS, (1.0,)])
+    for c in (inc, ref):
+        c.deploy(_vm(0, 1, 8.0, one), 0)  # 1 CPU, 8 GB
+        c.deploy(_vm(1, 1, 3.0, mid), 0)  # 1 CPU (slack 1 vCPU), 3 / 1.5 = 2 GB
+    # CPU-full, 6 GB free.  8 GB at 2:1's 1.5 is 5.33 GB: pools.
+    fits = _vm(2, 1, 8.0, low)
+    feasible, _growth, own_ok = inc.feasibility(fits)
+    assert (feasible.tolist(), own_ok.tolist()) == ([True, False], [False, False])
+    _assert_probe_equal(inc, ref, fits, policy)
+    # 10 GB is 6.67 GB at 1.5 (too much) though only 5 GB at 3:1's own 2.0.
+    too_big = _vm(3, 1, 10.0, low)
+    assert not inc.feasibility(too_big)[0].any()
+    _assert_probe_equal(inc, ref, too_big, policy)
+    for c in (inc, ref):
+        assert c.deploy(fits, 0).pooled
 
 
 # -- adversarial cache states (the shape cache and candidate masks
