@@ -58,13 +58,16 @@ serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.devtools.lint src/repro/serving
 
 # Perf-ledger smoke: a quarter-size pass over all eight perf/ workloads
-# (output digests + conservation checks), the harness's own tests and
-# the slow scale-tier conformance streams.  Mirrors CI's perf-smoke
-# job; numbers worth citing come from full `perf/run.py` runs.
+# (output digests + conservation checks), the harness's own tests, the
+# slow scale-tier conformance streams and the naive-vs-incremental
+# kernel ratio (floors + equal result streams; the one number perf/
+# never measures).  Mirrors CI's perf-smoke job; numbers worth citing
+# come from full `perf/run.py` runs.
 perf-smoke:
 	PYTHONPATH=src $(PYTHON) perf/run.py --smoke -o perf_smoke.json
 	PYTHONPATH=src $(PYTHON) -m pytest perf/tests -q
 	PYTHONPATH=src $(PYTHON) -m pytest tests/simulator/test_scale_golden.py -q -m slow
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_engine_kernel_speedup.py -q -s
 
 repro:
 	$(PYTHON) scripts/reproduce_all.py -o REPORT.md

@@ -37,9 +37,13 @@ def test_engine_kernel_speedup():
         for kernel in KERNELS:
             sim = VectorSimulation(machines, policy=policy, kernel=kernel)
             sim.run(workload)  # warm-up
-            t0 = perf_counter()
-            result = sim.run(workload)
-            wall[kernel] = perf_counter() - t0
+            # Best of three: a single ~0.3 s shot swings by ±30 % on a
+            # shared 2-vCPU box, which is the width of the floors below.
+            wall[kernel] = float("inf")
+            for _ in range(3):
+                t0 = perf_counter()
+                result = sim.run(workload)
+                wall[kernel] = min(wall[kernel], perf_counter() - t0)
             stream[kernel] = result_stream(result)
         assert stream["incremental"] == stream["naive"], policy
         speedup[policy] = wall["naive"] / wall["incremental"]

@@ -20,7 +20,7 @@ from repro.core.errors import ConfigError
 from repro.core.spec import Spec
 from repro.oversub.estimators import STRATEGIES
 from repro.sharding.router import ROUTERS
-from repro.simulator.vectorpool import KERNELS, POLICIES
+from repro.simulator.vectorpool import KERNELS, check_policy
 from repro.workload.catalog import PROVIDERS
 from repro.workload.distributions import DISTRIBUTIONS, LevelMix, normalize_mix
 
@@ -90,10 +90,7 @@ class RunSpec(Spec):
             raise ConfigError("num_hosts must be >= 0 (0 = auto-size)")
         if self.host_cpus <= 0 or self.host_mem_gb <= 0:
             raise ConfigError("host_cpus and host_mem_gb must be positive")
-        if self.policy not in POLICIES:
-            raise ConfigError(
-                f"unknown policy {self.policy!r}; expected one of {POLICIES}"
-            )
+        check_policy(self.policy)
         if self.kernel not in KERNELS:
             raise ConfigError(
                 f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.config import SlackVMConfig
-from repro.core.errors import CapacityError
 from repro.core.types import VMRequest
 from repro.hardware.machine import MachineSpec
 from repro.simulator.engine import LoopState, PlacementRecord, SimulationResult, run_events
-from repro.simulator.vectorpool import POLICIES, VectorBackend, VectorCluster
+from repro.simulator.vectorpool import VectorBackend, VectorCluster, check_policy
 
 __all__ = ["Migration", "RebalanceReport", "Rebalancer", "MigratingSimulation"]
 
@@ -47,8 +46,7 @@ class Rebalancer:
     """Evacuate lightly-loaded hosts onto the rest of the cluster."""
 
     def __init__(self, policy: str = "progress", max_migrations: int = 10_000):
-        if policy not in POLICIES:
-            raise CapacityError(f"unknown policy {policy!r}")
+        check_policy(policy)
         self.policy = policy
         self.max_migrations = max_migrations
 
@@ -61,9 +59,7 @@ class Rebalancer:
             vm = cluster.request_of(vm_id)
             cluster.remove(vm_id)
             feasible, _g, _o = cluster.feasibility(vm)
-            # Masking the scratch view is fine: the next feasibility()
-            # call overwrites it entirely.
-            feasible[source] = False
+            feasible[source] = False  # ours to edit: the tables are fresh arrays
             if not feasible.any():
                 # Rollback: restore this VM and all prior moves.
                 cluster.deploy(vm, source)

@@ -32,7 +32,7 @@ from repro.oversub.estimators import STRATEGIES, make_estimator
 from repro.runner.spec import resolve_mix_entry
 from repro.simulator.engine import SimulationResult
 from repro.simulator.sizing import demand_lower_bound
-from repro.simulator.vectorpool import KERNELS, POLICIES, VectorSimulation
+from repro.simulator.vectorpool import KERNELS, VectorSimulation, check_policy
 from repro.workload.catalog import PROVIDERS
 from repro.workload.distributions import LevelMix
 from repro.workload.generator import WorkloadParams, generate_workload
@@ -86,10 +86,7 @@ class OversubSweepSpec:
             raise ConfigError("need at least one mix and one seed")
         if not 0.0 < self.scarcity <= 2.0:
             raise ConfigError(f"scarcity must be in (0,2], got {self.scarcity}")
-        if self.policy not in POLICIES:
-            raise ConfigError(
-                f"unknown policy {self.policy!r}; expected one of {POLICIES}"
-            )
+        check_policy(self.policy)
         if self.kernel not in KERNELS:
             raise ConfigError(
                 f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.analysis.experiments import DistributionOutcome
-from repro.core.errors import RunnerError
+from repro.core.errors import ConfigError, RunnerError
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.runner.checkpoint import JsonlCheckpoint
@@ -134,6 +134,11 @@ class SweepResult:
         """One provider's cells (the spec's first by default), all ok."""
         self.raise_on_failure()
         provider = self.spec.providers[0] if provider is None else provider
+        if provider not in self.spec.providers:
+            raise ConfigError(
+                f"provider {provider!r} is not in this sweep; "
+                f"expected one of {self.spec.providers}"
+            )
         return [
             (r, r.outcome)
             for r in self.results.values()

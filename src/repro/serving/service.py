@@ -52,7 +52,7 @@ from repro.serving.config import DIST_KINDS, RVConfig, TrafficConfig
 from repro.serving.generator import RequestSource, ServiceRequest
 from repro.sharding.dispatcher import ShardPlan
 from repro.sharding.router import HashRouter
-from repro.simulator.vectorpool import POLICIES
+from repro.simulator.vectorpool import check_policy
 from repro.workload.catalog import OVERSUB_MEM_CAP_GB, PROVIDERS, Catalog
 from repro.workload.distributions import LevelMix, normalize_mix
 
@@ -152,10 +152,7 @@ class ServiceSpec(Spec):
             raise ConfigError(
                 f"cannot split {self.num_hosts} hosts into {self.shards} shards"
             )
-        if self.policy not in POLICIES:
-            raise ConfigError(
-                f"unknown policy {self.policy!r}; expected one of {POLICIES}"
-            )
+        check_policy(self.policy)
         if self.queue_bound < 1:
             raise ConfigError("queue_bound must be >= 1")
         if self.max_pending < 0:

@@ -48,7 +48,7 @@ from repro.sharding.merge import merge_shard_results
 from repro.sharding.router import ROUTERS, make_router
 from repro.simulator.engine import SimulationResult
 from repro.simulator.events import EventKind, workload_event_list
-from repro.simulator.vectorpool import KERNELS, POLICIES, VectorSimulation
+from repro.simulator.vectorpool import KERNELS, VectorSimulation, check_policy
 from repro.workload.traces import vm_from_dict, vm_to_dict
 
 __all__ = ["ShardPlan", "ShardedSimulation", "workload_digest"]
@@ -107,10 +107,7 @@ class ShardPlan(Spec):
             raise ConfigError(
                 f"unknown router {router!r}; expected one of {ROUTERS}"
             )
-        if policy not in POLICIES:
-            raise ConfigError(
-                f"unknown policy {policy!r}; expected one of {POLICIES}"
-            )
+        check_policy(policy)
         if kernel not in KERNELS:
             raise ConfigError(
                 f"unknown kernel {kernel!r}; expected one of {KERNELS}"

@@ -23,7 +23,7 @@ from repro.core.errors import SimulationError
 from repro.core.types import VMRequest
 from repro.hardware.machine import MachineSpec
 from repro.simulator.engine import LoopState, SimulationResult, run_events
-from repro.simulator.vectorpool import POLICIES, VectorBackend, VectorCluster
+from repro.simulator.vectorpool import VectorBackend, VectorCluster, check_policy
 
 __all__ = ["HostFailure", "FaultReport", "FaultySimulation"]
 
@@ -62,8 +62,7 @@ class FaultySimulation:
         config: SlackVMConfig | None = None,
         policy: str = "progress",
     ):
-        if policy not in POLICIES:
-            raise SimulationError(f"unknown policy {policy!r}")
+        check_policy(policy)
         self.machines = list(machines)
         for f in failures:
             if f.host >= len(self.machines):

@@ -7,10 +7,17 @@ keeps the whole cluster state in numpy arrays, so filtering and scoring
 all hosts for a placement is a handful of vector operations instead of
 a Python loop.
 
-The hot path is *allocation-free* and *event-proportional*:
+The admission test (Algorithm 1's vNode rule: own level first, §V-B
+pooling into a stricter vNode otherwise) and the policy scores
+(Algorithm 2) are each written once, as routines over the rows of a
+host selection — ``_admission_rows`` / ``_score_rows``; every consumer
+(the public ``feasibility()`` / ``scores()`` tables, the first-fit
+block scan, the shape cache's build and subset refresh) is a caller.
+The one thing a cluster variant replaces is the vNode sizing rule
+(``_required_cpus`` / ``_required_cpus_rows``).
 
-* ``feasibility()``/``scores()`` write into preallocated scratch
-  buffers instead of allocating ~8 fresh temporaries per event;
+The hot path is *event-proportional*:
+
 * per-host derived quantities (free capacity, allocated M/C ratio and
   its deviation from the machine target, the negative-progress load
   factor, per-level pooling slack and minimum vNode growth) are
@@ -48,11 +55,8 @@ equivalence:
 * the engine-equivalence suite (``tests/simulator/test_equivalence.py``)
   checks placements against the object path.
 
-Because ``feasibility()``/``scores()`` return views into internal
-scratch buffers, their results are only valid until the next
-``feasibility()``/``scores()`` call on the same cluster; copy them if
-you need to keep two results alive (``kernel="naive"`` returns fresh
-arrays).  Code that mutates the state arrays (``cap_*``, ``alloc_*``,
+``feasibility()``/``scores()`` return fresh arrays on either kernel.
+Code that mutates the state arrays (``cap_*``, ``alloc_*``,
 ``vnode_*``) directly — rather than through ``deploy``/``remove``/
 ``kill_host`` — must call :meth:`VectorCluster.invalidate` afterwards.
 
@@ -96,7 +100,10 @@ from repro.simulator.engine import PlacementRecord, SimulationResult, run_with_c
 if TYPE_CHECKING:  # annotation-only: keeps simulator below oversub (R009)
     from repro.oversub.controller import OversubParams
 
-__all__ = ["VectorCluster", "VectorBackend", "VectorSimulation", "POLICIES", "KERNELS"]
+__all__ = [
+    "VectorCluster", "VectorBackend", "VectorSimulation", "POLICIES", "KERNELS",
+    "check_policy",
+]
 
 #: Scheduling policies understood by the vector engine; mirrors
 #: :mod:`repro.scheduling.baselines`.
@@ -108,6 +115,13 @@ POLICIES = (
     "progress_no_factor",
     "progress_bestfit",
 )
+
+
+def check_policy(policy: str) -> None:
+    """Raise :class:`ConfigError` unless ``policy`` is one of :data:`POLICIES`."""
+    if policy not in POLICIES:
+        raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+
 
 #: Placement-kernel implementations: ``incremental`` is the production
 #: kernel; ``naive`` is the reference the tests and
@@ -152,7 +166,7 @@ _LR_VCPUS, _LR_CPUS, _LR_MAX_SLACK = range(3)
 #: Maximum number of (level, shape, policy) masked-score rows kept per
 #: cluster.  Catalog workloads re-request a few dozen distinct VM
 #: shapes; workloads with unbounded shape diversity bypass the cache
-#: (the scratch pipeline serves them) instead of thrashing it.
+#: (the full tables serve them) instead of thrashing it.
 _SHAPE_CACHE_CAP = 64
 
 #: Mutation-log length that triggers compaction (purely a memory bound;
@@ -279,11 +293,7 @@ class VectorCluster:
     # -- incremental-kernel state --------------------------------------------
 
     def _init_kernel_state(self, L: int, n: int) -> None:
-        """Allocate the derived-quantity caches and scratch buffers.
-
-        Everything the hot path writes per event lives here, allocated
-        once; ``feasibility()``/``scores()`` never allocate afterwards.
-        """
+        """Allocate the derived-quantity caches and their dirty sets."""
         # Stricter oversubscribed levels eligible as §V-B pooling hosts
         # for a VM at each level (static given the config).
         self._stricter_levels: tuple[tuple[int, ...], ...] = tuple(
@@ -313,7 +323,6 @@ class VectorCluster:
         # Constant score terms.
         self._neg_idx = -np.arange(n, dtype=float)
         self._base[_R_TIEBREAK] = _TIEBREAK * self._neg_idx
-        self._tiebreak_term = self._base[_R_TIEBREAK]
         # Remaining per-host derived quantities (the dirty-host
         # maintained ones shared with the shape cache are _base rows,
         # bound to named views in __init__).
@@ -344,24 +353,6 @@ class VectorCluster:
         self._dirty_all = True
         self._cand_dirty: set[int] = set()
         self._cand_dirty_all = True
-        # Scratch buffers: feasibility (fb_*), scores (sc_*) and
-        # selection (sel_*) use disjoint sets so a feasibility result
-        # stays valid across the scores/selection calls of one event.
-        self._fb_growth = np.empty(n, dtype=float)
-        self._fb_own = np.empty(n, dtype=bool)
-        self._fb_feasible = np.empty(n, dtype=bool)
-        self._fb_f1 = np.empty(n, dtype=float)
-        self._fb_b1 = np.empty(n, dtype=bool)
-        self._fb_b2 = np.empty(n, dtype=bool)
-        self._fb_pool_acc = np.empty(n, dtype=bool)
-        self._fb_pool_tmp = np.empty(n, dtype=bool)
-        self._fb_pool_mem = np.empty(n, dtype=bool)
-        self._sc_scores = np.empty(n, dtype=float)
-        self._sc_f1 = np.empty(n, dtype=float)
-        self._sc_f2 = np.empty(n, dtype=float)
-        self._sc_f3 = np.empty(n, dtype=float)
-        self._sc_b1 = np.empty(n, dtype=bool)
-        self._sel_not = np.empty(n, dtype=bool)
 
     def _touch(self, host: int) -> None:
         """Mark one host's derived caches stale (cheap, O(1))."""
@@ -634,7 +625,31 @@ class VectorCluster:
             )
         return li
 
-    # -- admission (vectorized across hosts) --------------------------------
+    # -- vNode sizing: the one rule a cluster variant replaces -----------------
+
+    def _required_cpus(
+        self, li: int, host: int, vcpus: float, vm: Optional[VMRequest]
+    ) -> float:
+        """CPUs the level-``li`` vNode on ``host`` must own to expose
+        ``vcpus`` (Algorithm 1: ``ceil(vcpus / n)``).
+
+        Scalar form, used by ``deploy`` (``vm`` is the arrival, already
+        counted in ``vcpus``) and ``remove`` (``vm`` is None).  Python
+        floats: same IEEE division as the array form, several times
+        cheaper than a numpy scalar.
+        """
+        return math.ceil(vcpus / self._ratio_vals[li])
+
+    def _required_cpus_rows(
+        self, li: int, sel: slice | np.ndarray, vcpus: np.ndarray, vm: VMRequest
+    ) -> np.ndarray:
+        """Array form of :meth:`_required_cpus` for the hosts in ``sel``
+        with ``vm`` arriving.  ``vcpus`` is the caller's private
+        temporary and may be overwritten."""
+        np.divide(vcpus, self.ratios[li], out=vcpus)
+        return np.ceil(vcpus, out=vcpus)
+
+    # -- admission and scores, row-wise over a host selection ------------------
 
     def feasibility(self, vm: VMRequest) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-host admission data for ``vm``.
@@ -643,81 +658,127 @@ class VectorCluster:
         CPUs the VM's own-level vNode must acquire on each host and
         ``own_ok`` marks hosts where the own-level path (rather than
         §V-B pooling) applies.  Mirrors ``LocalScheduler.plan``.
-
-        The incremental kernel returns views into scratch buffers,
-        valid until the next ``feasibility()`` call on this cluster.
         """
         if self.kernel == "naive":
             return refkernel.naive_feasibility(self, vm)
         li = self._vm_level_index(vm)
         self._sync()
-        self._feasibility_block(vm, li, slice(0, self.num_hosts))
-        return self._fb_feasible, self._fb_growth, self._fb_own
+        return self._admission_rows(vm, li, slice(None), self._base)
 
-    def _feasibility_block(self, vm: VMRequest, li: int, sl: slice) -> np.ndarray:
-        """Exact feasibility of the hosts in ``sl``, into scratch views.
+    def _admission_rows(
+        self, vm: VMRequest, li: int, sel: slice | np.ndarray, base: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(feasible, growth, own_ok)`` for the hosts in ``sel``.
 
-        Every operation is elementwise in the host dimension (pooling
-        reduces over *levels*), so evaluating a block produces the same
-        verdicts as evaluating the whole cluster — which is what makes
-        the first-fit block scan sound.
+        ``sel`` is a slice or an index array and ``base`` is
+        ``self._base[:, sel]`` (gathered by the caller, who may share it
+        with :meth:`_score_rows`).  Gathered rows can be views of the
+        state, so nothing here writes into them.  Every operation is
+        elementwise in the host dimension (pooling reduces over
+        *levels*), so a block or a subset gets the verdicts, bit for
+        bit, that the whole cluster would — which is what makes the
+        first-fit block scan and the shape cache's subset refresh sound.
+        Callers guarantee a synced cache.
         """
-        r = self.ratios[li]
+        lvl = self._lvl[li][:, sel]
+        sup = self.supported[li, sel]
         v = float(vm.spec.vcpus)
         m = vm.spec.mem_gb
-        f1 = self._fb_f1[sl]
-        growth = self._fb_growth[sl]
-        own_ok = self._fb_own[sl]
-        feasible = self._fb_feasible[sl]
-        b1 = self._fb_b1[sl]
-        b2 = self._fb_b2[sl]
-        # growth = max(0, ceil((vnode_vcpus[li] + v) / r) - vnode_cpus[li])
-        np.add(self.vnode_vcpus[li, sl], v, out=f1)
-        np.divide(f1, r, out=f1)
-        np.ceil(f1, out=f1)
-        np.subtract(f1, self.vnode_cpus[li, sl], out=f1)
-        np.maximum(f1, 0.0, out=growth)
+        # growth = max(0, required(vnode_vcpus[li] + v) - vnode_cpus[li])
+        growth = self._required_cpus_rows(li, sel, np.add(lvl[_LR_VCPUS], v), vm)
+        np.subtract(growth, lvl[_LR_CPUS], out=growth)
+        np.maximum(growth, 0.0, out=growth)
         # own_ok = supported & (own mem fits) & (growth fits free CPUs)
-        np.less_equal(m / self.mem_ratios[li], self._free_mem_tol[sl], out=b1)
-        np.less_equal(growth, self._free_cpu[sl], out=b2)
-        np.logical_and(self.supported[li, sl], b1, out=own_ok)
-        np.logical_and(own_ok, b2, out=own_ok)
-        np.copyto(feasible, own_ok)
-        if self.config.pooling and vm.level.ratio > 1:
-            rows = self._stricter_levels[li]
-            if rows and self._uniform_mem:
-                # One memory ratio everywhere: each stricter level's
-                # memory check equals the own-level one (b1), and the
-                # per-level slack disjunction collapses to a single
-                # comparison against the cached per-host max slack
-                # (``max(slack) >= v`` iff ``any(slack_j >= v)``).
-                acc = self._fb_pool_acc[sl]
-                np.greater_equal(self._pool_max_slack[li, sl], v, out=acc)
-                np.logical_and(acc, b1, out=acc)
-                # Pooling also requires the VM's own level to be part of
-                # the host's offer (mirrors LocalScheduler.supports).
-                np.logical_and(acc, self.supported[li, sl], out=acc)
-                np.logical_or(feasible, acc, out=feasible)
-            elif rows:
-                acc = self._fb_pool_acc[sl]
-                tmp = self._fb_pool_tmp[sl]
-                mem_ok = self._fb_pool_mem[sl]
-                first = True
-                for lj in rows:
-                    np.greater_equal(self._pool_slack[lj, sl], v, out=tmp)
-                    np.less_equal(m / self.mem_ratios[lj], self._free_mem_tol[sl], out=mem_ok)
-                    np.logical_and(tmp, mem_ok, out=tmp)
-                    np.logical_and(tmp, self.supported[lj, sl], out=tmp)
-                    if first:
-                        np.copyto(acc, tmp)
-                        first = False
-                    else:
-                        np.logical_or(acc, tmp, out=acc)
-                # Pooling also requires the VM's own level to be part of
-                # the host's offer (mirrors LocalScheduler.supports).
-                np.logical_and(acc, self.supported[li, sl], out=acc)
-                np.logical_or(feasible, acc, out=feasible)
-        return feasible
+        mem_ok = np.less_equal(m / self.mem_ratios[li], base[_R_FREE_MEM_TOL])
+        own_ok = np.less_equal(growth, base[_R_FREE_CPU])
+        np.logical_and(own_ok, mem_ok, out=own_ok)
+        np.logical_and(own_ok, sup, out=own_ok)
+        rows = self._stricter_levels[li]
+        if not (rows and self.config.pooling and vm.level.ratio > 1):
+            return own_ok.copy(), growth, own_ok
+        if self._uniform_mem:
+            # One memory ratio everywhere: each stricter level's memory
+            # check equals the own-level one, and the per-level slack
+            # disjunction collapses to a single comparison against the
+            # cached per-host max slack (``max(slack) >= v`` iff
+            # ``any(slack_j >= v)``).
+            pool = np.greater_equal(lvl[_LR_MAX_SLACK], v)
+            np.logical_and(pool, mem_ok, out=pool)
+        else:
+            pool = np.zeros_like(own_ok)
+            for lj in rows:
+                fits = np.greater_equal(self._pool_slack[lj, sel], v)
+                np.logical_and(
+                    fits,
+                    np.less_equal(m / self.mem_ratios[lj], base[_R_FREE_MEM_TOL]),
+                    out=fits,
+                )
+                np.logical_and(fits, self.supported[lj, sel], out=fits)
+                np.logical_or(pool, fits, out=pool)
+        # Pooling also requires the VM's own level to be part of the
+        # host's offer (mirrors LocalScheduler.supports).
+        np.logical_and(pool, sup, out=pool)
+        return np.logical_or(own_ok, pool, out=pool), growth, own_ok
+
+    def _score_rows(
+        self, vm: VMRequest, li: int, policy: str, base: np.ndarray
+    ) -> np.ndarray:
+        """Policy scores (higher better) of the hosts whose ``_base``
+        rows are ``base``, mirroring the object weighers.  Reads the
+        rows, never writes them; callers guarantee a synced cache."""
+        vm_cpu = vm.spec.vcpus / self.ratios[li]
+        vm_mem = vm.spec.mem_gb / self.mem_ratios[li]
+        if policy in ("best_fit", "worst_fit"):
+            s = self._free_after(base, vm_cpu, vm_mem)
+            if policy == "best_fit":
+                np.negative(s, out=s)
+            # primary * 1.0 is a bitwise no-op and is skipped.
+        elif policy in ("progress", "progress_no_factor", "progress_bestfit"):
+            # progress = |current - target| - |next - target|, with the
+            # first term cached per host (_mc_dev).
+            s = np.add(base[_R_ALLOC_MEM], vm_mem)
+            f2 = np.add(base[_R_ALLOC_CPU], vm_cpu)
+            np.divide(s, f2, out=s)
+            np.subtract(s, base[_R_TARGET], out=s)
+            np.abs(s, out=s)
+            np.subtract(base[_R_MC_DEV], s, out=s)
+            if policy != "progress_no_factor":
+                np.multiply(s, base[_R_LOAD], out=f2)
+                np.copyto(s, f2, where=np.less(s, 0.0))
+            if policy == "progress_bestfit":
+                # The paper's suggested composition: the M/C incentive
+                # alongside an existing packing rule (§VII-B2).
+                f2 = self._free_after(base, vm_cpu, vm_mem)
+                np.negative(f2, out=f2)
+                np.multiply(f2, _BESTFIT_BLEND, out=f2)
+                np.add(s, f2, out=s)
+        else:
+            raise ConfigError(
+                f"unknown policy {policy!r}; expected one of {POLICIES}"
+            )
+        return np.add(s, base[_R_TIEBREAK], out=s)
+
+    @staticmethod
+    def _free_after(base: np.ndarray, vm_cpu: float, vm_mem: float) -> np.ndarray:
+        """Normalized free capacity after a hypothetical placement:
+        ``(cap_cpu - (alloc_cpu + vm_cpu)) / cap_cpu + (cap_mem -
+        (alloc_mem + vm_mem)) / cap_mem``."""
+        o = np.add(base[_R_ALLOC_CPU], vm_cpu)
+        np.subtract(base[_R_CAP_CPU], o, out=o)
+        np.divide(o, base[_R_CAP_CPU], out=o)
+        t = np.add(base[_R_ALLOC_MEM], vm_mem)
+        np.subtract(base[_R_CAP_MEM], t, out=t)
+        np.divide(t, base[_R_CAP_MEM], out=t)
+        return np.add(o, t, out=o)
+
+    def _masked_rows(
+        self, vm: VMRequest, li: int, policy: str, sel: slice | np.ndarray
+    ) -> np.ndarray:
+        """``where(feasible, scores, -inf)`` for the hosts in ``sel``:
+        what the shape cache stores, from one gather of ``_base``."""
+        base = self._base[:, sel]
+        feasible, _growth, _own = self._admission_rows(vm, li, sel, base)
+        return np.where(feasible, self._score_rows(vm, li, policy, base), -np.inf)
 
     def first_feasible(self, vm: VMRequest) -> Optional[int]:
         """Lowest-index host that can admit ``vm``; None if nobody can.
@@ -738,7 +799,8 @@ class VectorCluster:
             hi = min(lo + FIRST_FIT_CHUNK, n)
             if not cand[lo:hi].any():
                 continue
-            feasible = self._feasibility_block(vm, li, slice(lo, hi))
+            block = slice(lo, hi)
+            feasible, _g, _o = self._admission_rows(vm, li, block, self._base[:, block])
             if feasible.any():
                 return lo + int(np.argmax(feasible))
         return None
@@ -746,17 +808,9 @@ class VectorCluster:
     def select_best(self, feasible: np.ndarray, vm: VMRequest, policy: str) -> int:
         """Best feasible host under ``policy`` (lowest index wins ties).
 
-        Identical to ``argmax(where(feasible, scores(vm, policy),
-        -inf))`` but masks in place on the score scratch buffer, so the
-        selection allocates nothing.  ``feasible`` must have at least
-        one True entry.
+        ``feasible`` must have at least one True entry.
         """
-        scores = self.scores(vm, policy)
-        if self.kernel == "naive":
-            return int(np.argmax(np.where(feasible, scores, -np.inf)))
-        np.logical_not(feasible, out=self._sel_not)
-        np.copyto(scores, -np.inf, where=self._sel_not)
-        return int(np.argmax(scores))
+        return int(np.argmax(np.where(feasible, self.scores(vm, policy), -np.inf)))
 
     def select(self, vm: VMRequest, policy: str) -> Optional[int]:
         """Best feasible host for ``vm`` under ``policy``; None if none.
@@ -769,11 +823,13 @@ class VectorCluster:
         ``where(feasible, scores, -inf)`` only changes on hosts
         deployed to / removed from since its previous arrival.  The
         cache therefore refreshes just the hosts recorded in the
-        mutation log since the shape's last sync — with the exact
-        elementwise operations of the full pipeline, so the selection
-        is bit-identical to the uncached path.  Scores are finite on
-        every host (capacities are positive), so the argmax landing on
-        -inf is exactly the "no feasible host" case.
+        mutation log since the shape's last sync — through the same
+        :meth:`_masked_rows` routine as a full build, so every refreshed
+        entry carries the bits a rebuild would produce (the untouched
+        entries already do: their inputs are unchanged) and the
+        selection is bit-identical to the uncached path.  Scores are
+        finite on every host (capacities are positive), so the argmax
+        landing on -inf is exactly the "no feasible host" case.
         """
         if policy == "first_fit":
             return self.first_feasible(vm)
@@ -789,16 +845,17 @@ class VectorCluster:
         if entry is None:
             if len(self._shape_cache) >= _SHAPE_CACHE_CAP:
                 return self._select_uncached(vm, policy)
-            entry = [pos, self._masked_scores(vm, li, policy, None)]
+            self._sync()
+            entry = [pos, self._masked_rows(vm, li, policy, slice(None))]
             self._shape_cache[key] = entry
         elif entry[0] < pos:
             touched = self._mutlog[entry[0] : pos]
+            self._sync()
             if len(touched) * 4 >= self.num_hosts:
-                self._masked_scores(vm, li, policy, entry[1])
+                entry[1] = self._masked_rows(vm, li, policy, slice(None))
             else:
-                self._sync()
                 idx = np.fromiter(sorted(set(touched)), dtype=np.intp)
-                self._refresh_shape(entry[1], idx, vm, li, policy)
+                entry[1][idx] = self._masked_rows(vm, li, policy, idx)
             entry[0] = pos
         masked = entry[1]
         j = masked.argmax()
@@ -814,113 +871,11 @@ class VectorCluster:
             return None
         return self.select_best(feasible, vm, policy)
 
-    def _masked_scores(
-        self, vm: VMRequest, li: int, policy: str, out: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """``where(feasible, scores, -inf)`` over the whole cluster.
-
-        The shape-cache (re)build path; allocates a fresh array when
-        ``out`` is None, otherwise fills ``out`` with the same bits.
-        """
-        self._sync()
-        feasible = self._feasibility_block(vm, li, slice(0, self.num_hosts))
-        scores = self.scores(vm, policy)
-        if out is None:
-            return np.where(feasible, scores, -np.inf)
-        np.logical_not(feasible, out=self._sel_not)
-        np.copyto(out, scores)
-        np.copyto(out, -np.inf, where=self._sel_not)
-        return out
-
-    def _refresh_shape(
-        self,
-        masked: np.ndarray,
-        idx: np.ndarray,
-        vm: VMRequest,
-        li: int,
-        policy: str,
-    ) -> None:
-        """Recompute a shape's masked scores for the hosts in ``idx``.
-
-        Gathers every per-host input in two fancy indexes (the packed
-        ``_base``/``_lvl`` layout exists for this) and applies the
-        exact elementwise operations of ``_feasibility_block`` and
-        ``scores`` to the subset, so every refreshed entry carries the
-        same bits a full rebuild would produce — and the untouched
-        entries already do, since their inputs are unchanged.  Callers
-        guarantee ``_uniform_mem`` (fused pooling) and a synced cache.
-        """
-        base = self._base[:, idx]
-        lvl = self._lvl[li][:, idx]
-        sup = self.supported[li, idx]
-        r = self.ratios[li]
-        v = float(vm.spec.vcpus)
-        m = vm.spec.mem_gb
-        # Feasibility: own level, then fused §V-B pooling.  The gathered
-        # rows are private copies, so chains may clobber them in place.
-        g = lvl[_LR_VCPUS]
-        np.add(g, v, out=g)
-        np.divide(g, r, out=g)
-        np.ceil(g, out=g)
-        np.subtract(g, lvl[_LR_CPUS], out=g)
-        np.maximum(g, 0.0, out=g)
-        b1 = np.less_equal(m / self.mem_ratios[li], base[_R_FREE_MEM_TOL])
-        feasible = np.less_equal(g, base[_R_FREE_CPU])
-        np.logical_and(feasible, b1, out=feasible)
-        np.logical_and(feasible, sup, out=feasible)
-        if self.config.pooling and vm.level.ratio > 1 and self._stricter_levels[li]:
-            acc = np.greater_equal(lvl[_LR_MAX_SLACK], v)
-            np.logical_and(acc, b1, out=acc)
-            np.logical_and(acc, sup, out=acc)
-            np.logical_or(feasible, acc, out=feasible)
-        # Scores (mirrors ``scores()`` per policy).
-        vm_cpu = vm.spec.vcpus / self.ratios[li]
-        vm_mem = vm.spec.mem_gb / self.mem_ratios[li]
-        if policy in ("best_fit", "worst_fit"):
-            s = self._free_after_subset(base, vm_cpu, vm_mem)
-            if policy == "best_fit":
-                np.negative(s, out=s)
-            np.add(s, base[_R_TIEBREAK], out=s)
-        elif policy in ("progress", "progress_no_factor", "progress_bestfit"):
-            s = np.add(base[_R_ALLOC_MEM], vm_mem)
-            f2 = np.add(base[_R_ALLOC_CPU], vm_cpu)
-            np.divide(s, f2, out=s)
-            np.subtract(s, base[_R_TARGET], out=s)
-            np.abs(s, out=s)
-            np.subtract(base[_R_MC_DEV], s, out=s)
-            if policy != "progress_no_factor":
-                np.multiply(s, base[_R_LOAD], out=f2)
-                np.copyto(s, f2, where=np.less(s, 0.0))
-            if policy == "progress_bestfit":
-                f2 = self._free_after_subset(base, vm_cpu, vm_mem)
-                np.negative(f2, out=f2)
-                np.multiply(f2, _BESTFIT_BLEND, out=f2)
-                np.add(s, f2, out=s)
-            np.add(s, base[_R_TIEBREAK], out=s)
-        else:  # unreachable: cache entries are created via scores()
-            raise ConfigError(
-                f"unknown policy {policy!r}; expected one of {POLICIES}"
-            )
-        masked[idx] = np.where(feasible, s, -np.inf)
-
-    @staticmethod
-    def _free_after_subset(base: np.ndarray, vm_cpu, vm_mem) -> np.ndarray:
-        """Subset analogue of :meth:`_free_after` on gathered rows."""
-        o = np.add(base[_R_ALLOC_CPU], vm_cpu)
-        np.subtract(base[_R_CAP_CPU], o, out=o)
-        np.divide(o, base[_R_CAP_CPU], out=o)
-        t = np.add(base[_R_ALLOC_MEM], vm_mem)
-        np.subtract(base[_R_CAP_MEM], t, out=t)
-        np.divide(t, base[_R_CAP_MEM], out=t)
-        np.add(o, t, out=o)
-        return o
-
     def deploy(self, vm: VMRequest, host: int) -> PlacementRecord:
         """Place ``vm`` on ``host`` (own-level first, §V-B pooling fallback)."""
         if self.kernel == "naive":
             return refkernel.naive_deploy(self, vm, host)
         li = self._vm_level_index(vm)
-        r = self._ratio_vals[li]
         v = vm.spec.vcpus
         m = vm.spec.mem_gb
         if vm.vm_id in self._placements:
@@ -930,8 +885,7 @@ class VectorCluster:
         vv = self.vnode_vcpus.item(li, host)
         vc = self.vnode_cpus.item(li, host)
         ac = self.alloc_cpu.item(host)
-        required = math.ceil((vv + v) / r)
-        growth = max(0.0, required - vc)
+        growth = max(0.0, self._required_cpus(li, host, vv + v, vm) - vc)
         own_mem = m / self._mem_ratio_vals[li]
         if not self.supported.item(li, host):
             raise CapacityError(
@@ -1011,10 +965,9 @@ class VectorCluster:
         except KeyError:
             raise CapacityError(f"VM {vm_id} is not placed") from None
         self._requests.pop(vm_id, None)
-        r = self._ratio_vals[li]
         vv = self.vnode_vcpus.item(li, host) - v
         self.vnode_vcpus[li, host] = vv
-        required = 0.0 if vv == 0 else math.ceil(vv / r)
+        required = self._required_cpus(li, host, vv, None)
         release = self.vnode_cpus.item(li, host) - required
         self.vnode_cpus[li, host] = required
         self.alloc_cpu[host] = self.alloc_cpu.item(host) - release
@@ -1075,66 +1028,14 @@ class VectorCluster:
     # -- scoring -------------------------------------------------------------
 
     def scores(self, vm: VMRequest, policy: str) -> np.ndarray:
-        """Per-host scores (higher better), mirroring the object weighers.
-
-        The incremental kernel returns a view into a scratch buffer,
-        valid until the next ``scores()``/``select_best()`` call on
-        this cluster.
-        """
+        """Per-host scores (higher better), mirroring the object weighers."""
         if self.kernel == "naive":
             return refkernel.naive_scores(self, vm, policy)
-        s = self._sc_scores
         if policy == "first_fit":
-            np.copyto(s, self._neg_idx)
-            return s
+            return self._neg_idx.copy()
         li = self._vm_level_index(vm)
         self._sync()
-        vm_cpu = vm.spec.vcpus / self.ratios[li]
-        vm_mem = vm.spec.mem_gb / self.mem_ratios[li]
-        f1 = self._sc_f1
-        f2 = self._sc_f2
-        if policy in ("best_fit", "worst_fit"):
-            self._free_after(vm_cpu, vm_mem, f1, f2)
-            if policy == "best_fit":
-                np.negative(f1, out=f1)
-            # primary * 1.0 is a bitwise no-op and is skipped.
-            np.add(f1, self._tiebreak_term, out=s)
-            return s
-        if policy in ("progress", "progress_no_factor", "progress_bestfit"):
-            # progress = |current - target| - |next - target|, with the
-            # first term cached per host (_mc_dev).
-            np.add(self.alloc_mem, vm_mem, out=f1)
-            np.add(self.alloc_cpu, vm_cpu, out=f2)
-            np.divide(f1, f2, out=f1)
-            np.subtract(f1, self._target, out=f1)
-            np.abs(f1, out=f1)
-            np.subtract(self._mc_dev, f1, out=f1)
-            if policy != "progress_no_factor":
-                np.multiply(f1, self._load_factor, out=f2)
-                np.less(f1, 0.0, out=self._sc_b1)
-                np.copyto(f1, f2, where=self._sc_b1)
-            if policy == "progress_bestfit":
-                # The paper's suggested composition: the M/C incentive
-                # alongside an existing packing rule (§VII-B2).
-                self._free_after(vm_cpu, vm_mem, f2, self._sc_f3)
-                np.negative(f2, out=f2)
-                np.multiply(f2, _BESTFIT_BLEND, out=f2)
-                np.add(f1, f2, out=f1)
-            np.add(f1, self._tiebreak_term, out=s)
-            return s
-        raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-
-    def _free_after(self, vm_cpu, vm_mem, out: np.ndarray, tmp: np.ndarray) -> None:
-        """Normalized free capacity after a hypothetical placement:
-        ``(cap_cpu - (alloc_cpu + vm_cpu)) / cap_cpu + (cap_mem -
-        (alloc_mem + vm_mem)) / cap_mem`` into ``out``."""
-        np.add(self.alloc_cpu, vm_cpu, out=out)
-        np.subtract(self.cap_cpu, out, out=out)
-        np.divide(out, self.cap_cpu, out=out)
-        np.add(self.alloc_mem, vm_mem, out=tmp)
-        np.subtract(self.cap_mem, tmp, out=tmp)
-        np.divide(tmp, self.cap_mem, out=tmp)
-        np.add(out, tmp, out=out)
+        return self._score_rows(vm, li, policy, self._base)
 
     # -- introspection --------------------------------------------------------
 
@@ -1258,8 +1159,7 @@ class VectorSimulation:
         kernel: str = "incremental",
         oversub: OversubParams | None = None,
     ):
-        if policy not in POLICIES:
-            raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+        check_policy(policy)
         if kernel not in KERNELS:
             raise ConfigError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
         self.machines = list(machines)

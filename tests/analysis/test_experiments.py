@@ -115,6 +115,13 @@ def test_fig4_grid_seed_averaging(sweep):
         assert mean == float(np.mean(per_seed))
 
 
+@pytest.mark.parametrize("figure", ["fig3", "fig4"])
+def test_figure_of_a_provider_outside_the_sweep_is_an_error(sweep, figure):
+    """A typo'd provider used to read as an empty figure."""
+    with pytest.raises(ConfigError, match=r"'azrue'.*\('ovhcloud',\)"):
+        getattr(sweep, figure)("azrue")
+
+
 def test_figures_are_per_provider_and_never_partial():
     two = run_sweep(SWEEP.replace(providers=("ovhcloud", "azure"), mixes=("F",), seeds=(5,)))
     assert two.fig3()["F"].provider == "ovhcloud"  # the spec's first by default

@@ -179,3 +179,29 @@ def test_select_and_totals_answer_from_the_dynamic_tables(policy):
         assert cluster.total_alloc_cpu == float(cluster.alloc_cpu.sum())
         assert cluster.total_alloc_mem == float(cluster.alloc_mem.sum())
     assert cluster.total_alloc_cpu > 0
+
+
+def test_dynamic_cluster_inherits_the_base_accounting(monkeypatch):
+    """Only the sizing rule differs from :class:`VectorCluster`: deploy /
+    remove keep the O(1) running totals (no per-event O(hosts) recount)
+    and emit the base class's admission records."""
+    from repro.core import LEVEL_2_1
+    from repro.obs import MemoryRecorder
+
+    cluster = DynamicLevelCluster(machines(cpus=8), SlackVMConfig(),
+                                  DynamicLevelParams(max_ratio=6.0))
+    cluster.recorder = MemoryRecorder()
+    monkeypatch.setattr(
+        cluster, "_recount_mem",
+        lambda: pytest.fail("O(hosts) recount on the per-event path"),
+    )
+    cluster.deploy(vm("prem", vcpus=6, mem=4.0, level=LEVEL_1_1, param=1.0), host=0)
+    cluster.deploy(vm("mid", vcpus=3, mem=4.0, level=LEVEL_2_1, param=1.0), host=0)
+    cluster.deploy(vm("low", vcpus=1, mem=2.0, param=1.0), host=0)  # pools into 2:1
+    assert [(a.vm_id, a.hosted_ratio, a.growth, a.pooled)
+            for a in cluster.recorder.admissions] == [
+        ("prem", 1.0, 6, False), ("mid", 2.0, 2, False), ("low", 2.0, 0, True),
+    ]
+    cluster.remove("mid")
+    assert cluster.total_alloc_cpu == float(cluster.alloc_cpu.sum()) == 7.0
+    assert cluster.total_alloc_mem == float(cluster.alloc_mem.sum()) == 6.0

@@ -101,7 +101,7 @@ def test_migrating_simulation_consolidates_fragmentation():
 
 
 def test_unknown_policy_rejected():
-    from repro.core import CapacityError
+    from repro.core import ConfigError
 
-    with pytest.raises(CapacityError):
+    with pytest.raises(ConfigError):
         Rebalancer(policy="nope")

@@ -137,6 +137,47 @@ def test_there_is_exactly_one_event_loop():
     assert builders == {"simulator/engine.py", "sharding/merge.py"}
 
 
+def test_there_is_exactly_one_admission_formula():
+    """Structural fence: the incremental kernel writes its policy scores
+    in one function, keeps no per-call scratch attributes, and the
+    dynamic-level variant replaces the sizing rule without carrying its
+    own copy of the admission / accounting code."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    def tree(module):
+        path = Path(repro.__file__).resolve().parent / module
+        return ast.parse(path.read_text(encoding="utf-8"))
+
+    vectorpool = tree("simulator/vectorpool.py")
+    scorers = {
+        func.name
+        for func in ast.walk(vectorpool)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Constant) and node.value == "progress_bestfit"
+    }
+    scratch = [
+        node.attr
+        for node in ast.walk(vectorpool)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr.startswith(("_fb_", "_sc_", "_sel_not"))
+    ]
+    copied = []
+    for node in ast.walk(tree("dynamiclevels/cluster.py")):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in ("AdmissionRecord", "PlacementRecord"):
+                copied.append(node.func.id)
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            if getattr(node.value, "attr", "") == "_placements":
+                copied.append("self._placements[...] = ")
+        elif isinstance(node, ast.Constant) and node.value == 1e-9:
+            copied.append("1e-9")
+    assert (scorers, scratch, copied) == ({"_score_rows"}, [], [])
+
+
 def test_workloads_and_sizing_searches_are_built_in_one_place():
     """Structural fence: outside ``repro.workload`` a trace is generated
     only by ``api.build_workload`` (plus ``oversub/evaluate.py``, whose

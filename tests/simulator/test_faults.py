@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import LEVEL_1_1, SimulationError, SlackVMConfig, VMRequest, VMSpec
+from repro.core import (
+    LEVEL_1_1,
+    ConfigError,
+    SimulationError,
+    SlackVMConfig,
+    VMRequest,
+    VMSpec,
+)
 from repro.hardware import MachineSpec
 from repro.simulator.faults import FaultySimulation, HostFailure
 
@@ -77,7 +84,7 @@ def test_invalid_failures_rejected():
         FaultySimulation(machines(2), [HostFailure(1.0, 5)])
     with pytest.raises(SimulationError):
         HostFailure(-1.0, 0)
-    with pytest.raises(SimulationError):
+    with pytest.raises(ConfigError):
         FaultySimulation(machines(2), [], policy="bogus")
 
 

@@ -2,7 +2,9 @@
 
 Whatever the policy, pooling setting or workload, the simulator must
 never overcommit physical CPUs, never oversubscribe memory, and every
-vNode must honour its level's vCPU-per-CPU guarantee.
+vNode must honour its level's vCPU-per-CPU guarantee.  Every test runs
+over both cluster variants: :class:`VectorCluster` (static vNode sizing)
+and :class:`DynamicLevelCluster` (sizing by predicted peak).
 """
 
 import math
@@ -12,10 +14,15 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.core import OversubscriptionLevel, SlackVMConfig, VMRequest, VMSpec
+from repro.dynamiclevels import DynamicLevelCluster
 from repro.hardware import MachineSpec
 from repro.simulator import EventKind, VectorCluster, workload_events
 
 MACHINE = MachineSpec("pm", 16, 64.0)
+
+#: ``cluster_cls(machines, config)`` for every variant under test — a
+#: drawn input, so each test's example budget is split between the two.
+cluster_classes = st.sampled_from([VectorCluster, DynamicLevelCluster])
 
 
 @st.composite
@@ -37,6 +44,9 @@ def workloads(draw):
                 departure=arrival + draw(st.floats(min_value=0.1, max_value=30.0))
                 if departs
                 else None,
+                # Only the dynamic variant reads these (predicted peak).
+                usage_kind=draw(st.sampled_from(["idle", "stress", "interactive"])),
+                usage_param=draw(st.sampled_from([0.1, 0.4, 1.0])),
             )
         )
     return vms
@@ -52,33 +62,43 @@ def check_invariants(cluster: VectorCluster):
     assert np.all(cluster.alloc_mem >= -1e-9)
     assert np.all(cluster.vnode_cpus >= -1e-9)
     assert np.all(cluster.vnode_vcpus >= -1e-9)
-    # Each vNode honours its oversubscription guarantee:
-    # vcpus <= ratio * cpus, and cpus is the minimal ceil.
+    # Each vNode honours its oversubscription guarantee: vcpus <= ratio *
+    # cpus, and cpus is the minimal ceil.  A dynamic oversubscribed vNode
+    # may float up to ``max_ratio`` but never reserves more than static.
+    dynamic = isinstance(cluster, DynamicLevelCluster)
     for li, ratio in enumerate(cluster.ratios):
         vcpus = cluster.vnode_vcpus[li]
         cpus = cluster.vnode_cpus[li]
-        assert np.all(vcpus <= ratio * cpus + 1e-9)
+        bound = max(ratio, cluster.params.max_ratio) if dynamic and ratio > 1 else ratio
+        assert np.all(vcpus <= bound * cpus + 1e-9)
         for j in range(cluster.num_hosts):
-            expected = 0 if vcpus[j] == 0 else math.ceil(vcpus[j] / ratio)
-            assert cpus[j] == expected
+            static = 0 if vcpus[j] == 0 else math.ceil(vcpus[j] / ratio)
+            assert cpus[j] <= static if dynamic else cpus[j] == static
     # PM-level CPU allocation is exactly the sum of its vNodes.
     assert np.allclose(cluster.alloc_cpu, cluster.vnode_cpus.sum(axis=0))
+    # The O(1) running totals are the array sums, bit for bit.
+    assert cluster.total_alloc_cpu == float(cluster.alloc_cpu.sum())
+    assert cluster.total_alloc_mem == float(cluster.alloc_mem.sum())
 
 
-@settings(max_examples=50, deadline=None)
-@given(workload=workloads(), pooling=st.booleans(),
+@settings(max_examples=100, deadline=None)
+@given(cluster_cls=cluster_classes, workload=workloads(), pooling=st.booleans(),
        policy=st.sampled_from(["first_fit", "progress"]))
-def test_capacity_invariants_hold_at_every_event(workload, pooling, policy):
+def test_capacity_invariants_hold_at_every_event(cluster_cls, workload, pooling, policy):
     cfg = SlackVMConfig(pooling=pooling)
-    cluster = VectorCluster([MachineSpec(f"pm-{i}", 16, 64.0) for i in range(3)], cfg)
+    cluster = cluster_cls([MachineSpec(f"pm-{i}", 16, 64.0) for i in range(3)], cfg)
     alive = set()
     for event in workload_events(workload).drain():
         vm = event.vm
         if event.kind is EventKind.ARRIVAL:
             feasible, _, _ = cluster.feasibility(vm)
-            if feasible.any():
-                scores = np.where(feasible, cluster.scores(vm, policy), -np.inf)
-                cluster.deploy(vm, int(np.argmax(scores)))
+            # select == argmax(where(feasible, scores, -inf)), lowest
+            # index on ties (np.argmax), None when nobody can host.
+            scores = np.where(feasible, cluster.scores(vm, policy), -np.inf)
+            expected = int(np.argmax(scores)) if feasible.any() else None
+            assert cluster.select(vm, policy) == expected
+            if expected is not None:
+                cluster.deploy(vm, expected)
                 alive.add(vm.vm_id)
         elif vm.vm_id in alive:
             cluster.remove(vm.vm_id)
@@ -86,13 +106,13 @@ def test_capacity_invariants_hold_at_every_event(workload, pooling, policy):
         check_invariants(cluster)
 
 
-@settings(max_examples=50, deadline=None)
-@given(workload=workloads())
-def test_full_drain_returns_to_empty(workload):
+@settings(max_examples=100, deadline=None)
+@given(cluster_cls=cluster_classes, workload=workloads())
+def test_full_drain_returns_to_empty(cluster_cls, workload):
     """Deploy whatever fits, then remove everything: the cluster state
     must return exactly to zero (no accounting leaks)."""
     cfg = SlackVMConfig(pooling=True)
-    cluster = VectorCluster([MachineSpec("pm", 16, 64.0)], cfg)
+    cluster = cluster_cls([MACHINE], cfg)
     placed = []
     for vm in sorted(workload, key=lambda v: v.vm_id):
         feasible, _, _ = cluster.feasibility(vm)
@@ -107,12 +127,12 @@ def test_full_drain_returns_to_empty(workload):
     assert np.all(cluster.vnode_vcpus == 0)
 
 
-@settings(max_examples=30, deadline=None)
-@given(workload=workloads())
-def test_feasibility_never_lies(workload):
+@settings(max_examples=60, deadline=None)
+@given(cluster_cls=cluster_classes, workload=workloads())
+def test_feasibility_never_lies(cluster_cls, workload):
     """If feasibility() says a host can take the VM, deploy must succeed."""
     cfg = SlackVMConfig(pooling=True)
-    cluster = VectorCluster([MachineSpec(f"pm-{i}", 16, 64.0) for i in range(2)], cfg)
+    cluster = cluster_cls([MachineSpec(f"pm-{i}", 16, 64.0) for i in range(2)], cfg)
     for vm in sorted(workload, key=lambda v: v.vm_id):
         feasible, _, _ = cluster.feasibility(vm)
         for host in np.flatnonzero(feasible):
