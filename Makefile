@@ -35,12 +35,15 @@ golden:
 	$(PYTHON) scripts/regen_golden.py
 
 # Dynamic-oversubscription smoke: the StaticRatio no-op contract
-# (byte-identical golden traces on both kernels) plus a small strategy
-# sweep through the CLI.
+# (byte-identical golden traces on both kernels), the bit-level pins of
+# all four strategies on both engines, and a small strategy sweep
+# through the CLI whose cells must equal the recorded fixture.
 sweep-oversub-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/oversub/test_golden_static.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/oversub/test_golden_static.py \
+		tests/oversub/test_strategy_pins.py -q
 	PYTHONPATH=src $(PYTHON) -m repro oversub --population 60 --seed 3 \
-		--update-every 1800
+		--update-every 1800 -o oversub_smoke.json
+	diff oversub_smoke.json tests/oversub/data/oversub_smoke.json
 
 # Online-service smoke: the serving suite, a 30s-virtual-time run at a
 # fixed seed (completes in well under a second of wall time) with a
