@@ -37,17 +37,23 @@ class PercentilePredictor:
             raise ConfigError(f"percentile must be in (0,100], got {self.percentile}")
 
     def predict(self, samples: np.ndarray) -> float:
-        samples = np.asarray(samples, dtype=float)
-        if samples.size == 0:
+        return float(self.predict_rows(np.asarray(samples, dtype=float)[None, :])[0])
+
+    def predict_rows(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`predict` of every row of a ``(windows × samples)``
+        matrix in one call (bit-identical to the per-row calls)."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.shape[1] == 0:
             raise ConfigError("cannot predict from an empty sample window")
         # Recorded traces may have gaps (NaN samples); those must not
         # leak into placement scores.  Ignore them, but refuse a window
         # with no valid sample at all.
-        if np.isnan(samples).any():
-            if np.isnan(samples).all():
+        gaps = np.isnan(rows)
+        if gaps.any():
+            if gaps.all(axis=1).any():
                 raise ConfigError("cannot predict from an all-NaN sample window")
-            return float(np.nanpercentile(samples, self.percentile))
-        return float(np.percentile(samples, self.percentile))
+            return np.nanpercentile(rows, self.percentile, axis=1)
+        return np.percentile(rows, self.percentile, axis=1)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from repro.oversub.estimators import (
     DoaEstimator,
     GreedyEstimator,
     HostWindow,
+    HostWindows,
     PeakPredictor,
     PercentileEstimator,
     StaticRatio,
@@ -45,6 +46,7 @@ __all__ = [
     "DoaEstimator",
     "GreedyEstimator",
     "HostWindow",
+    "HostWindows",
     "PeakPredictor",
     "PercentileEstimator",
     "StaticRatio",

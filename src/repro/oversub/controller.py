@@ -1,10 +1,10 @@
 """Periodic effective-capacity control loop + violation accounting.
 
 :class:`OversubController` is the piece both engines share: every
-``update_every`` simulated seconds it collects per-host usage windows
+``update_every`` simulated seconds it collects the hosts' usage windows
 (:class:`~repro.oversub.monitor.ClusterUsageMonitor`), asks the
 configured :class:`~repro.oversub.estimators.CapacityEstimator` for
-each host's effective capacity, and pushes the resulting vector back
+the effective-capacity vector, and pushes it back
 into the engine through the small :class:`CapacityTarget` port —
 ``VectorCluster`` adapts it with a capacity-array override, the object
 engine with an :class:`~repro.oversub.pipeline.EffectiveCapacityView`.
@@ -140,7 +140,6 @@ class OversubController:
     host_windows: int = field(default=0, init=False)
     violations: int = field(default=0, init=False)
     _eff_ratio_sum: float = field(default=0.0, init=False)
-    _next_update: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.update_every <= 0:
@@ -148,37 +147,35 @@ class OversubController:
                 f"update_every must be positive, got {self.update_every}"
             )
         self.estimator.reset()
-        self._next_update = self.update_every
 
     def advance(self, target: CapacityTarget, now: float) -> None:
         """Run every update instant due at or before ``now``.
 
-        Updates fire at exact multiples of ``update_every`` regardless
-        of the event cadence, so the observation grid is identical
-        across policies and kernels.
+        Updates fire at exact multiples of ``update_every`` (the k-th at
+        ``k × update_every``, not a running sum) regardless of the event
+        cadence, so the observation grid is identical across policies
+        and kernels.
         """
-        while now >= self._next_update:
-            self._update(target, self._next_update)
-            self._next_update += self.update_every
+        while now >= (due := (self.updates + 1) * self.update_every):
+            self._update(target, due)
 
     def _update(self, target: CapacityTarget, time: float) -> None:
-        windows = self.monitor.collect(
+        windows = self.monitor.windows(
             target.placements(),
             target.physical_capacity(),
             target.allocated_capacity(),
             time,
         )
-        eff = np.empty(len(windows), dtype=float)
-        violations = 0
-        ratio_sum = 0.0
-        counted = 0
-        for w in windows:
-            eff[w.host] = self.estimator.effective_capacity(w)
-            if w.physical > 0:
-                if w.peak_demand > self.violation_threshold * w.physical:
-                    violations += 1
-                ratio_sum += eff[w.host] / w.physical
-                counted += 1
+        eff = self.estimator.effective_capacities(windows)
+        powered = windows.physical > 0
+        physical = windows.physical[powered]
+        counted = int(physical.size)
+        breach = windows.peak_demand[powered] > self.violation_threshold * physical
+        violations = int(np.count_nonzero(breach))
+        # Summed left to right like the per-host loop this replaces: pairwise
+        # np.sum or a compensated sum() would move eff_ratio_mean's last bit.
+        ratios = np.add.accumulate(eff[powered] / physical)
+        ratio_sum = float(ratios[-1]) if counted else 0.0
         target.apply_effective_capacity(eff)
         self.updates += 1
         self.host_windows += counted

@@ -2,9 +2,11 @@
 
 SlackVM fixes each level's oversubscription ratio statically and defers
 dynamic levels to future work (paper §VIII).  This module supplies the
-missing layer: a :class:`CapacityEstimator` maps one host's *observed*
-usage window (:class:`HostWindow`) to the effective CPU capacity the
-scheduler should pack against.  Strategies:
+missing layer: a :class:`CapacityEstimator` maps the hosts' *observed*
+usage windows (:class:`HostWindows`, one row per host) to the effective
+CPU capacities the scheduler should pack against.  Every rule is
+written once, over arrays; :class:`HostWindow` is the one-row view of
+the same code.  Strategies:
 
 * :class:`StaticRatio` — the paper's baseline: a fixed multiple of the
   physical core count (``ratio=1.0`` reproduces today's behaviour
@@ -18,7 +20,7 @@ scheduler should pack against.  Strategies:
 * :class:`GreedyEstimator` — step the ratio up while the host is
   quiescent, multiplicative back-off toward 1 on a threshold breach.
 
-Every estimate is clamped into ``[window.used, ratio_cap × physical]``:
+Every estimate is clamped row-wise into ``[used, ratio_cap × physical]``:
 never below what the VMs demonstrably used (capacity that is already
 consumed cannot be reclaimed by prediction), never above the configured
 oversubscription ceiling.  The property suite pins this contract.
@@ -26,8 +28,8 @@ oversubscription ceiling.  The property suite pins this contract.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 import numpy as np
@@ -35,6 +37,7 @@ import numpy as np
 from repro.core.errors import ConfigError
 
 __all__ = [
+    "HostWindows",
     "HostWindow",
     "PeakPredictor",
     "CapacityEstimator",
@@ -51,7 +54,10 @@ class PeakPredictor(Protocol):
     """Anything that maps a sample window to a predicted peak.
 
     Satisfied by :class:`repro.dynamiclevels.predictor.PercentilePredictor`
-    and :class:`~repro.dynamiclevels.predictor.MeanStdPredictor`.
+    and :class:`~repro.dynamiclevels.predictor.MeanStdPredictor`.  One
+    that also has ``predict_rows(samples_2d) -> ndarray`` (``predict`` of
+    every row) is asked once per batch, any other once per row; either
+    way the peaks feed the same estimator formula.
     """
 
     def predict(self, samples: np.ndarray) -> float: ...
@@ -66,91 +72,128 @@ def _default_predictor(percentile: float) -> PeakPredictor:
     return PercentilePredictor(percentile)
 
 
-class HostWindow:
-    """One host's observed usage over a time window.
+def _predicted_peaks(predictor: PeakPredictor, samples: np.ndarray) -> np.ndarray:
+    if hasattr(predictor, "predict_rows"):
+        return np.asarray(predictor.predict_rows(samples), dtype=float)
+    return np.array([float(predictor.predict(row)) for row in samples])
 
-    ``samples`` holds the *demanded* physical cores on the window's
-    sample grid — unclipped, so a breach (demand above the physical
-    core count) is visible to the estimators and the violation
-    accounting.  ``allocated`` is what the scheduler has reserved.
+
+@dataclass(eq=False)
+class HostWindows:
+    """The hosts' observed usage over one window, one row per host.
+
+    ``samples`` is the ``(hosts × samples_per_window)`` matrix of
+    *demanded* physical cores on the window's sample grid — unclipped,
+    so a breach (demand above the physical core count) is visible to
+    the estimators and the violation accounting.  ``allocated`` is what
+    the scheduler has reserved.  ``hosts`` (default ``0..n-1``, no
+    repeats) keys the stateful strategies' per-host state: dense
+    non-negative indices, since that state is an array ``max(hosts) + 1``
+    wide.
     """
 
-    __slots__ = ("host", "time", "physical", "allocated", "samples")
+    physical: np.ndarray
+    allocated: np.ndarray
+    samples: np.ndarray
+    hosts: np.ndarray | None = None
 
-    def __init__(
-        self,
-        host: int,
-        time: float,
-        physical: float,
-        allocated: float,
-        samples: np.ndarray,
-    ):
-        if physical < 0:
-            raise ConfigError(f"physical capacity must be >= 0, got {physical}")
-        if allocated < 0:
-            raise ConfigError(f"allocated capacity must be >= 0, got {allocated}")
-        self.host = host
-        self.time = time
-        self.physical = physical
-        self.allocated = allocated
-        self.samples = np.asarray(samples, dtype=float)
-
-    @property
-    def used(self) -> float:
-        """Peak *served* usage: the demand peak, capped by the physical
-        cores (a host cannot serve more than it has)."""
-        if self.samples.size == 0:
-            return 0.0
-        return float(min(self.samples.max(), self.physical))
-
-    @property
-    def peak_demand(self) -> float:
-        """Uncapped demand peak (exceeds ``physical`` on a breach)."""
-        if self.samples.size == 0:
-            return 0.0
-        return float(self.samples.max())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"HostWindow(host={self.host}, time={self.time}, "
-            f"physical={self.physical}, allocated={self.allocated}, "
-            f"samples=<{self.samples.size}>)"
+    def __post_init__(self) -> None:
+        self.physical = np.asarray(self.physical, dtype=float)
+        self.allocated = np.asarray(self.allocated, dtype=float)
+        self.samples = np.asarray(self.samples, dtype=float)
+        n = self.physical.size
+        self.hosts = np.arange(n) if self.hosts is None else np.asarray(self.hosts)
+        shapes = self.physical.shape, self.allocated.shape, self.hosts.shape
+        if shapes != ((n,),) * 3 or self.samples.shape[:-1] != (n,):
+            raise ConfigError(
+                "physical, allocated, hosts and the sample rows describe different "
+                f"host counts: {shapes} and {self.samples.shape}"
+            )
+        if (self.physical < 0).any() or (self.allocated < 0).any():
+            raise ConfigError("physical and allocated capacities must be >= 0")
+        if (self.hosts < 0).any():
+            raise ConfigError("host ids index the per-host state and must be >= 0")
+        #: Uncapped demand peak per host (exceeds ``physical`` on a
+        #: breach); 0 for an empty window.
+        self.peak_demand = (
+            self.samples.max(axis=1) if self.samples.shape[1] else np.zeros(n)
         )
+        #: Peak *served* usage: the demand peak, capped by the physical
+        #: cores (a host cannot serve more than it has).
+        self.used = np.minimum(self.peak_demand, self.physical)
+
+
+@dataclass(eq=False)
+class HostWindow:
+    """One host's window: the scalar view of a one-row
+    :class:`HostWindows` (``rows``, which does all the work)."""
+
+    host: int
+    time: float
+    physical: float
+    allocated: float
+    samples: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.samples = np.asarray(self.samples, dtype=float)
+        self.rows = rows = HostWindows(
+            [self.physical], [self.allocated], self.samples[None, :], [self.host]
+        )
+        self.used, self.peak_demand = float(rows.used[0]), float(rows.peak_demand[0])
 
 
 class CapacityEstimator(ABC):
-    """Maps a host's usage window to an effective CPU capacity.
+    """Maps the hosts' usage windows to effective CPU capacities.
 
-    Subclasses implement :meth:`_estimate`; callers use
-    :meth:`effective_capacity`, which applies the safety clamp
-    ``[window.used, ratio_cap × physical]``.  Stateful strategies key
-    their state by ``window.host`` and must implement :meth:`reset` so
+    Subclasses implement :meth:`_estimate` over a :class:`HostWindows`
+    batch (one array formula, no per-host loop); callers use
+    :meth:`effective_capacities`, which applies the safety clamp
+    ``[used, ratio_cap × physical]`` to the whole vector.  A stateful
+    strategy names its per-host state's initial values in :attr:`_fresh`
+    and reads it through :meth:`_host_state`; :meth:`reset` drops it so
     one instance can be reused across independent runs.
     """
 
     #: Registry key; subclasses override.
     name = "estimator"
+    #: Initial per-host state, one entry per state row (stateless: none).
+    _fresh: tuple[float, ...] = ()
 
     def __init__(self, ratio_cap: float = 3.0):
         if ratio_cap < 1.0:
             raise ConfigError(f"ratio_cap must be >= 1, got {ratio_cap}")
         self.ratio_cap = ratio_cap
+        self.reset()
 
     @abstractmethod
-    def _estimate(self, window: HostWindow) -> float:
-        """Raw effective-capacity estimate in physical cores."""
+    def _estimate(self, windows: HostWindows) -> np.ndarray:
+        """Raw per-host effective-capacity estimates in physical cores."""
+
+    def effective_capacities(self, windows: HostWindows) -> np.ndarray:
+        """Clamped effective capacity of every host in the batch."""
+        raw = self._estimate(windows)
+        upper = self.ratio_cap * windows.physical
+        return np.minimum(np.maximum(raw, windows.used), upper)
 
     def effective_capacity(self, window: HostWindow) -> float:
-        """Clamped effective capacity for one host window."""
-        raw = self._estimate(window)
-        upper = self.ratio_cap * window.physical
-        return float(min(max(raw, window.used), upper))
+        """:meth:`effective_capacities` of the one-row batch."""
+        return float(self.effective_capacities(window.rows)[0])
 
     def reset(self) -> None:
-        """Drop per-host state (stateless strategies: no-op)."""
+        """Drop per-host state (stateless strategies: nothing to drop)."""
+        self._state = np.empty((len(self._fresh), 0))
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}(ratio_cap={self.ratio_cap})"
+
+    def _host_state(self, hosts: np.ndarray) -> np.ndarray:
+        """A copy of the ``hosts`` columns of the state (new hosts start
+        at :attr:`_fresh`); write back with ``self._state[:, hosts] = …``."""
+        unseen = int(hosts.max(initial=-1)) + 1 - self._state.shape[1]
+        if unseen > 0:
+            fresh = np.tile(np.array(self._fresh)[:, None], unseen)
+            self._state = np.concatenate([self._state, fresh], axis=1)
+        return self._state[:, hosts]
 
 
 class StaticRatio(CapacityEstimator):
@@ -168,8 +211,8 @@ class StaticRatio(CapacityEstimator):
         super().__init__(ratio_cap=ratio)
         self.ratio = ratio
 
-    def _estimate(self, window: HostWindow) -> float:
-        return self.ratio * window.physical
+    def _estimate(self, windows: HostWindows) -> np.ndarray:
+        return self.ratio * windows.physical
 
 
 class PercentileEstimator(CapacityEstimator):
@@ -199,16 +242,20 @@ class PercentileEstimator(CapacityEstimator):
         self.predictor = predictor if predictor is not None else _default_predictor(95.0)
         self.headroom = headroom
 
-    def _estimate(self, window: HostWindow) -> float:
-        if window.allocated <= 0.0 or window.samples.size == 0:
-            return window.physical
-        peak = float(self.predictor.predict(window.samples))
-        if peak <= 0.0:
-            # Reserved but (as good as) unused: the signal supports the
-            # most aggressive packing the ceiling allows.
-            return self.ratio_cap * window.physical
-        target = (1.0 - self.headroom) * window.physical
-        return window.allocated * target / peak
+    def _estimate(self, windows: HostWindows) -> np.ndarray:
+        raw = windows.physical.copy()
+        if windows.samples.shape[1] == 0:
+            return raw
+        rows = np.flatnonzero(windows.allocated > 0.0)
+        physical = windows.physical[rows]
+        peak = _predicted_peaks(self.predictor, windows.samples[rows])
+        target = (1.0 - self.headroom) * physical
+        with np.errstate(all="ignore"):  # peak 0 is masked, a tiny one clamped
+            scaled = windows.allocated[rows] * target / peak
+        # Reserved but (as good as) unused: the signal supports the
+        # most aggressive packing the ceiling allows.
+        raw[rows] = np.where(peak <= 0.0, self.ratio_cap * physical, scaled)
+        return raw
 
 
 class DoaEstimator(CapacityEstimator):
@@ -225,6 +272,8 @@ class DoaEstimator(CapacityEstimator):
     """
 
     name = "doa"
+    #: Per host: ratio, previous peak, consecutive stable windows.
+    _fresh = (1.0, np.nan, 0.0)
 
     def __init__(
         self,
@@ -251,31 +300,23 @@ class DoaEstimator(CapacityEstimator):
         self.decrease = decrease
         self.stable_windows = stable_windows
         self.stability_margin = stability_margin
-        # host -> (ratio, previous peak, consecutive-stable-windows)
-        self._state: dict[int, tuple[float, float, int]] = {}
 
-    def reset(self) -> None:
-        self._state.clear()
-
-    def _estimate(self, window: HostWindow) -> float:
-        ratio, last_peak, streak = self._state.get(window.host, (1.0, math.nan, 0))
-        peak = 0.0
-        if window.samples.size and window.physical > 0:
-            peak = float(self.predictor.predict(window.samples))
-        alerted = window.physical > 0 and peak >= self.alert * window.physical
-        if alerted:
-            ratio = max(1.0, ratio - self.decrease)
-            streak = 0
-        else:
-            stable = (
-                not math.isnan(last_peak)
-                and abs(peak - last_peak) <= self.stability_margin * window.physical
-            )
-            streak = streak + 1 if stable else 0
-            if streak >= self.stable_windows:
-                ratio = min(self.ratio_cap, ratio + self.increase)
-        self._state[window.host] = (ratio, peak, streak)
-        return ratio * window.physical
+    def _estimate(self, windows: HostWindows) -> np.ndarray:
+        physical = windows.physical
+        ratio, last_peak, streak = self._host_state(windows.hosts)
+        peak = np.zeros(physical.size)
+        if windows.samples.shape[1]:
+            rows = np.flatnonzero(physical > 0)
+            peak[rows] = _predicted_peaks(self.predictor, windows.samples[rows])
+        alerted = (physical > 0) & (peak >= self.alert * physical)
+        # NaN (no previous window) compares False: never stable.
+        stable = np.abs(peak - last_peak) <= self.stability_margin * physical
+        streak = np.where(alerted | ~stable, 0.0, streak + 1.0)
+        raised = np.minimum(self.ratio_cap, ratio + self.increase)
+        calm = np.where(streak >= self.stable_windows, raised, ratio)
+        ratio = np.where(alerted, np.maximum(1.0, ratio - self.decrease), calm)
+        self._state[:, windows.hosts] = ratio, peak, streak
+        return ratio * physical
 
 
 class GreedyEstimator(CapacityEstimator):
@@ -290,6 +331,7 @@ class GreedyEstimator(CapacityEstimator):
     """
 
     name = "greedy"
+    _fresh = (1.0,)  # per host: ratio
 
     def __init__(
         self,
@@ -308,19 +350,16 @@ class GreedyEstimator(CapacityEstimator):
         self.quiet = quiet
         self.step = step
         self.backoff = backoff
-        self._ratio: dict[int, float] = {}
 
-    def reset(self) -> None:
-        self._ratio.clear()
-
-    def _estimate(self, window: HostWindow) -> float:
-        ratio = self._ratio.get(window.host, 1.0)
-        if window.peak_demand <= self.quiet * window.physical:
-            ratio = min(self.ratio_cap, ratio + self.step)
-        else:
-            ratio = max(1.0, 1.0 + (ratio - 1.0) * self.backoff)
-        self._ratio[window.host] = ratio
-        return ratio * window.physical
+    def _estimate(self, windows: HostWindows) -> np.ndarray:
+        (ratio,) = self._host_state(windows.hosts)
+        ratio = np.where(
+            windows.peak_demand <= self.quiet * windows.physical,
+            np.minimum(self.ratio_cap, ratio + self.step),
+            np.maximum(1.0, 1.0 + (ratio - 1.0) * self.backoff),
+        )
+        self._state[:, windows.hosts] = ratio
+        return ratio * windows.physical
 
 
 #: Strategy registry: name -> zero-argument factory with the defaults

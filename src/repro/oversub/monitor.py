@@ -3,10 +3,11 @@
 The estimators need *observed* usage, but the packing simulations are
 allocation-driven — nothing in the event loop evaluates the usage
 profiles.  :class:`ClusterUsageMonitor` closes that gap: given the live
-placements at an update instant, it reconstructs each host's demanded
+placements at an update instant, it reconstructs every host's demanded
 cores over the trailing window from the same closed-form usage model
 :mod:`repro.perfmodel` is driven by (:mod:`repro.workload.usage`), and
-packages them as :class:`~repro.oversub.estimators.HostWindow` rows.
+packages them as one :class:`~repro.oversub.estimators.HostWindows`
+batch.
 
 Demand is *unclipped* by host capacity: a host whose VMs want more
 cores than it has shows a breach in its window, which is exactly the
@@ -23,11 +24,12 @@ import numpy as np
 
 from repro.core.errors import ConfigError
 from repro.core.types import VMRequest
-from repro.oversub.estimators import HostWindow
+from repro.oversub.estimators import HostWindow, HostWindows
 from repro.workload.usage import (
     InteractiveProfile,
     StressProfile,
     UsageProfile,
+    diurnal_demand,
     profile_for,
 )
 
@@ -68,10 +70,11 @@ class ClusterUsageMonitor:
     """Samples per-host demanded-core windows at update instants.
 
     ``window`` is the trailing observation span in seconds and
-    ``samples_per_window`` the grid resolution.  :meth:`collect` is the
-    estimator-facing hot path: one vectorized
-    :meth:`~repro.workload.usage.UsageProfile.demand_series` call per
-    live VM, accumulated into per-host rows.
+    ``samples_per_window`` the grid resolution.  :meth:`windows` is the
+    estimator-facing hot path: one broadcast
+    :func:`~repro.workload.usage.diurnal_demand` over the live VMs'
+    profile constants (derived once per VM, kept while it stays placed),
+    accumulated into per-host rows in placement order.
     """
 
     def __init__(self, window: float = 1800.0, samples_per_window: int = 16):
@@ -83,44 +86,52 @@ class ClusterUsageMonitor:
             )
         self.window = window
         self.samples_per_window = samples_per_window
+        # vm_id -> (request, its demand constants), live VMs only.
+        self._constants: dict[str, tuple[VMRequest, tuple[float, ...]]] = {}
 
-    def collect(
+    def windows(
         self,
         placements: Iterable[tuple[VMRequest, int]],
         physical: Sequence[float],
         allocated: Sequence[float],
         time: float,
-    ) -> list[HostWindow]:
-        """One :class:`HostWindow` per host, ending at ``time``.
+    ) -> HostWindows:
+        """Every host's window ending at ``time``, as one batch.
 
         ``placements`` yields ``(request, host_index)`` for every live
         VM; ``physical``/``allocated`` are per-host core counts.  A
         VM's contribution before its arrival instant is zero (windows
         can reach back past an arrival).
         """
-        physical_arr = np.asarray(physical, dtype=float)
-        allocated_arr = np.asarray(allocated, dtype=float)
-        if physical_arr.shape != allocated_arr.shape:
-            raise ConfigError(
-                "physical and allocated describe different host counts: "
-                f"{physical_arr.shape} vs {allocated_arr.shape}"
-            )
-        n = int(physical_arr.size)
-        start = max(0.0, time - self.window)
-        times = np.linspace(start, time, self.samples_per_window)
-        demand = np.zeros((n, self.samples_per_window), dtype=float)
+        samples = self.samples_per_window
+        times = np.linspace(max(0.0, time - self.window), time, samples)
+        if samples == 1:  # linspace would return the window's start
+            times[0] = time
+        demand = np.zeros((len(physical), samples))
+        # Constants are reused only for the very request they were
+        # derived from: a departed VM's id may come back as another VM.
+        seen, live, hosts, rows = self._constants, {}, [], []
         for vm, host in placements:
-            series = profile_for_vm(vm).demand_series(times) * float(vm.spec.vcpus)
-            if vm.arrival > start:
-                series = np.where(times >= vm.arrival, series, 0.0)
-            demand[host] += series
+            known = seen.get(vm.vm_id)
+            if known is None or known[0] is not vm:
+                wave = profile_for_vm(vm).wave
+                known = (vm, (*wave, float(vm.spec.vcpus), vm.arrival))
+            live[vm.vm_id] = known
+            hosts.append(host)
+            rows.append(known[1])
+        self._constants = live
+        if hosts:
+            base, amplitude, phase, vcpus, arrival = np.array(rows).T[:, :, None]
+            series = diurnal_demand(times, base, amplitude, phase) * vcpus
+            # Unbuffered, in placement order: bit-identical to adding
+            # each VM's series to its host's row one after the other.
+            np.add.at(demand, hosts, np.where(times >= arrival, series, 0.0))
+        return HostWindows(physical, allocated, demand)
+
+    def collect(self, placements, physical, allocated, time: float) -> list[HostWindow]:
+        """:meth:`windows`, split into one :class:`HostWindow` per host."""
+        batch = self.windows(placements, physical, allocated, time)
         return [
-            HostWindow(
-                host=j,
-                time=time,
-                physical=float(physical_arr[j]),
-                allocated=float(allocated_arr[j]),
-                samples=demand[j],
-            )
-            for j in range(n)
+            HostWindow(j, time, float(batch.physical[j]), float(batch.allocated[j]), row)
+            for j, row in enumerate(batch.samples)
         ]

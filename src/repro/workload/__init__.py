@@ -23,6 +23,7 @@ from repro.workload.usage import (
     InteractiveProfile,
     StressProfile,
     UsageProfile,
+    diurnal_demand,
     profile_for,
 )
 
@@ -55,5 +56,6 @@ __all__ = [
     "StressProfile",
     "InteractiveProfile",
     "profile_for",
+    "diurnal_demand",
     "DEFAULT_BEHAVIOUR_SHARES",
 ]

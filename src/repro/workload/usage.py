@@ -23,6 +23,7 @@ __all__ = [
     "StressProfile",
     "InteractiveProfile",
     "profile_for",
+    "diurnal_demand",
     "DEFAULT_BEHAVIOUR_SHARES",
     "INTERACTIVE_AMPLITUDE",
 ]
@@ -73,6 +74,11 @@ class IdleProfile(UsageProfile):
     def demand_series(self, times: np.ndarray) -> np.ndarray:
         return np.full(np.asarray(times).shape, self.floor)
 
+    @property
+    def wave(self) -> tuple[float, float, float]:
+        """As a :func:`diurnal_demand` wave: amplitude 0 around ``floor``."""
+        return (self.floor, 0.0, 0.0)
+
 
 @dataclass(frozen=True)
 class StressProfile(UsageProfile):
@@ -89,6 +95,11 @@ class StressProfile(UsageProfile):
 
     def demand_series(self, times: np.ndarray) -> np.ndarray:
         return np.full(np.asarray(times).shape, self.utilization)
+
+    @property
+    def wave(self) -> tuple[float, float, float]:
+        """As a :func:`diurnal_demand` wave: amplitude 0 around ``utilization``."""
+        return (self.utilization, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -115,11 +126,27 @@ class InteractiveProfile(UsageProfile):
         return min(1.0, self.base * wave)
 
     def demand_series(self, times: np.ndarray) -> np.ndarray:
-        # Same IEEE operations (and order) as the scalar path, so the
-        # two are bit-identical; math.pi == np.pi.
-        t = np.asarray(times, dtype=float)
-        wave = 1.0 + self.amplitude * np.sin(2 * math.pi * (t / DAY_SECONDS + self.phase))
-        return np.minimum(1.0, self.base * wave)
+        return diurnal_demand(times, *self.wave)
+
+    @property
+    def wave(self) -> tuple[float, float, float]:
+        """``(base, amplitude, phase)``, the arguments of :func:`diurnal_demand`."""
+        return (self.base, self.amplitude, self.phase)
+
+
+def diurnal_demand(times, base, amplitude, phase) -> np.ndarray:
+    """:class:`InteractiveProfile`'s demand at every instant in ``times``.
+
+    ``base``/``amplitude``/``phase`` broadcast against ``times``:
+    scalars give one VM's series, ``(vms × 1)`` columns give the whole
+    ``(vms × samples)`` matrix in one expression (amplitude 0 is a flat
+    profile at ``base``).  Same IEEE operations (and order) as
+    :meth:`InteractiveProfile.demand`, so every form is bit-identical
+    to the scalar path; ``math.pi == np.pi``.
+    """
+    t = np.asarray(times, dtype=float)
+    wave = 1.0 + amplitude * np.sin(2 * math.pi * (t / DAY_SECONDS + phase))
+    return np.minimum(1.0, base * wave)
 
 
 def profile_for(kind: str, param: float, phase: float = 0.0) -> UsageProfile:

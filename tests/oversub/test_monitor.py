@@ -87,6 +87,28 @@ class TestCollect:
         )
         assert windows[0].samples == pytest.approx([0.0, 0.0, 2.0, 2.0])
 
+    def test_one_sample_window_observes_its_end(self):
+        # A window "ending at time" with a single sample must observe
+        # `time`, not the window's start (linspace(start, time, 1)).
+        mon = ClusterUsageMonitor(window=90.0, samples_per_window=1)
+        windows = mon.collect(
+            [(vm("late", param=1.0, vcpus=2, arrival=50.0), 0)], [8.0], [2.0], 100.0
+        )
+        assert windows[0].samples.tolist() == [2.0]
+
+    def test_reused_vm_id_gets_fresh_constants(self):
+        mon = ClusterUsageMonitor(window=10.0, samples_per_window=2)
+        first = vm("a", param=0.5, vcpus=4)
+        again = vm("a", param=1.0, vcpus=2)
+        assert mon.collect([(first, 0)], [8.0], [4.0], 10.0)[0].samples.tolist() == [2.0, 2.0]
+        # Same id, another request, no update in between saw it gone.
+        assert mon.collect([(again, 0)], [8.0], [2.0], 20.0)[0].samples.tolist() == [2.0, 2.0]
+        assert mon.collect([], [8.0], [0.0], 30.0)[0].samples.tolist() == [0.0, 0.0]
+        third = vm("a", kind="idle", param=0.0, vcpus=10)
+        assert mon.collect([(third, 0)], [8.0], [10.0], 40.0)[0].samples == pytest.approx(
+            [0.2, 0.2]
+        )
+
     def test_window_clamped_at_time_zero(self):
         mon = ClusterUsageMonitor(window=1000.0, samples_per_window=3)
         windows = mon.collect([], [8.0], [0.0], 10.0)

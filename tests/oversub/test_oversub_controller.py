@@ -75,6 +75,29 @@ class TestAdvance:
         controller.advance(target, 350.0)  # idempotent at the same time
         assert controller.updates == 3
 
+    def test_update_instants_are_integer_multiples(self):
+        # k × update_every, not a running sum: ten additions of 0.1
+        # give 0.9999999999999999, and that stamp is the window end
+        # the monitor samples at.
+        controller = OversubParams(StaticRatio(), update_every=0.1).build_controller()
+        seen = []
+        windows = controller.monitor.windows
+        controller.monitor.windows = lambda *args: seen.append(args[-1]) or windows(*args)
+        controller.advance(FakeTarget([16.0]), 1.0)
+        assert seen == [k * 0.1 for k in range(1, 11)]
+        assert seen[-1] == 1.0
+
+    def test_window_ends_on_the_exact_instant(self):
+        # A VM arriving at t=1.0 is inside the window of the tenth
+        # update (stamped 1.0); a drifted stamp just below 1.0 misses it.
+        controller = OversubParams(StaticRatio(), update_every=0.1).build_controller()
+        target = FakeTarget([16.0], allocated=[16.0])
+        hot = VMRequest(vm_id="hot", spec=VMSpec(32, 4.0), level=LEVEL_1_1, arrival=1.0,
+                        usage_kind="stress", usage_param=1.0)
+        target.live = [(hot, 0)]
+        controller.advance(target, 1.0)
+        assert (controller.updates, controller.violations) == (10, 1)
+
     def test_static_ratio_applies_physical(self):
         controller = OversubParams(StaticRatio(), update_every=50.0).build_controller()
         target = FakeTarget([16.0, 8.0])
@@ -104,6 +127,14 @@ class TestLedger:
         summary = controller.summary()
         assert summary.violation_rate == pytest.approx(0.5)
         assert summary.strategy == "static"
+
+    def test_unpowered_hosts_are_not_host_windows(self):
+        controller = OversubParams(StaticRatio(), update_every=100.0).build_controller()
+        target = FakeTarget([16.0, 0.0, 8.0])
+        controller.advance(target, 200.0)
+        assert controller.host_windows == 4
+        assert controller.summary().eff_ratio_mean == 1.0
+        assert target.applied[0].tolist() == [16.0, 0.0, 8.0]
 
     def test_summary_without_updates_is_neutral(self):
         controller = OversubParams(StaticRatio()).build_controller()
