@@ -20,8 +20,8 @@ import numpy as np
 
 from repro.core.types import OversubscriptionLevel, VMSpec
 from repro.serving.config import TrafficConfig
-from repro.workload.catalog import OVERSUB_MEM_CAP_GB, Catalog
-from repro.workload.distributions import LevelMix, mix_shares
+from repro.workload.catalog import OVERSUB_MEM_CAP_GB, Catalog, draw_index, level_draws
+from repro.workload.distributions import LevelMix
 
 __all__ = ["ServiceRequest", "RequestSource", "arrival_times"]
 
@@ -55,27 +55,20 @@ class RequestSource:
         oversub_mem_cap: float = OVERSUB_MEM_CAP_GB,
     ):
         self.traffic = traffic
-        self._catalog = catalog
-        self._restricted = catalog.restricted(oversub_mem_cap)
-        shares = {r: s for r, s in mix_shares(mix).items() if s > 0}
-        self._ratios = np.array(sorted(shares))
-        self._probs = np.array([shares[r] for r in self._ratios])
+        self._levels, self._level_cdf = level_draws(catalog, mix, oversub_mem_cap)
         self._rng = np.random.default_rng(seed)
         self._ids = itertools.count()
 
     def next_request(self, now: float) -> Tuple[float, ServiceRequest]:
         """The gap from ``now`` to the next arrival, and that request."""
         gap = self.traffic.next_gap(self._rng, now)
-        ratio = float(
-            self._ratios[self._rng.choice(len(self._ratios), p=self._probs)]
-        )
-        cat = self._catalog if ratio <= 1.0 else self._restricted
+        level, cat = self._levels[draw_index(self._level_cdf, self._rng)]
         spec = cat.sample(self._rng)
         lifetime = self.traffic.lifetime.sample(self._rng)
         request = ServiceRequest(
             req_id=f"req-{next(self._ids):06d}",
             spec=spec,
-            level=OversubscriptionLevel(ratio),
+            level=level,
             arrival=now + gap,
             lifetime=lifetime,
         )

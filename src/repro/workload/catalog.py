@@ -21,19 +21,36 @@ sizes, 1-vCPU flavors most common); the tests in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.errors import WorkloadError
-from repro.core.types import VMSpec
+from repro.core.types import OversubscriptionLevel, VMSpec
+from repro.workload.distributions import LevelMix, mix_shares
 
-__all__ = ["Catalog", "AZURE", "OVHCLOUD", "PROVIDERS", "OVERSUB_MEM_CAP_GB"]
+__all__ = ["Catalog", "AZURE", "OVHCLOUD", "PROVIDERS", "OVERSUB_MEM_CAP_GB",
+           "cdf_of", "draw_index", "level_draws"]
 
 #: §III-A: providers do not offer oversubscribed VMs above 8 GB
 #: ("OVHcloud does not offer oversubscribed VMs with a capacity
 #: exceeding 8 GB") — the same cap is applied to both catalogs.
 OVERSUB_MEM_CAP_GB = 8.0
+
+
+def cdf_of(probabilities: Sequence[float]) -> np.ndarray:
+    """The CDF ``Generator.choice(p=...)`` draws from, by numpy's own recipe
+    (so any non-negative weights with a positive sum are drawable)."""
+    cdf = np.asarray(probabilities, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_index(cdf: np.ndarray, rng: np.random.Generator, size: int | None = None):
+    """What ``rng.choice(len(cdf), size, p=...)`` picks from :func:`cdf_of`'s
+    CDF, with the same generator state after: one ``rng.random()`` per draw."""
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 @dataclass(frozen=True)
@@ -42,6 +59,7 @@ class Catalog:
 
     name: str
     entries: tuple[tuple[VMSpec, float], ...]
+    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -54,6 +72,7 @@ class Catalog:
         specs = [s for s, _ in self.entries]
         if len(set(specs)) != len(specs):
             raise WorkloadError(f"catalog {self.name} has duplicate flavors")
+        object.__setattr__(self, "_cdf", cdf_of(self.probabilities))
 
     # -- moments -----------------------------------------------------------
 
@@ -101,11 +120,28 @@ class Catalog:
         )
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw flavor(s) from the catalog distribution."""
-        idx = rng.choice(len(self.entries), size=size, p=self.probabilities)
+        """Draw a flavor (``size=None``) or a list of ``size`` flavors: one
+        ``rng.random()`` each through the CDF cached at construction, which
+        picks what ``rng.choice(len(entries), size, p=probabilities)`` picks
+        and leaves ``rng`` in the same state."""
+        idx = draw_index(self._cdf, rng, size)
         if size is None:
-            return self.entries[int(idx)][0]
-        return [self.entries[i][0] for i in np.asarray(idx)]
+            return self.entries[idx][0]
+        return [self.entries[i][0] for i in idx.tolist()]
+
+
+def level_draws(
+    catalog: Catalog, mix: LevelMix | str, max_mem_gb: float = OVERSUB_MEM_CAP_GB
+) -> tuple[list[tuple[OversubscriptionLevel, Catalog]], np.ndarray]:
+    """The active levels of ``mix`` in ratio order, each with the catalog its
+    VMs draw flavors from (restricted above 1:1, §III-A — built only for an
+    active level, and drawing nothing), plus the CDF over their shares."""
+    shares = {r: s for r, s in mix_shares(mix).items() if s > 0}
+    levels = [
+        (OversubscriptionLevel(r), catalog if r <= 1 else catalog.restricted(max_mem_gb))
+        for r in sorted(shares)
+    ]
+    return levels, cdf_of([shares[level.ratio] for level, _ in levels])
 
 
 def _cat(name: str, rows: list[tuple[int, float, float]]) -> Catalog:

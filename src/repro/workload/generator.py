@@ -8,7 +8,10 @@ heavy-tailed lifetimes.  Oversubscribed VMs draw from the catalog
 restricted to flavors of at most 8 GB (§III-A hypothesis).
 
 All randomness flows through a seeded :class:`numpy.random.Generator`,
-so every experiment in the benches is reproducible bit-for-bit.
+so every experiment in the benches is reproducible bit-for-bit.  Draw
+order (pinned by ``tests/workload/test_trace_pins.py``): arrivals, then
+levels, lifetimes and behaviours as whole arrays, then per VM one
+``rng.random()`` for its flavor and, unless idle, one ``rng.beta``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import numpy as np
 
 from repro.core.errors import WorkloadError
 from repro.core.types import OversubscriptionLevel, VMRequest
-from repro.workload.catalog import OVERSUB_MEM_CAP_GB, Catalog
-from repro.workload.distributions import LevelMix, mix_shares
+from repro.workload.catalog import OVERSUB_MEM_CAP_GB, Catalog, cdf_of, draw_index, level_draws
+from repro.workload.distributions import LevelMix
 from repro.workload.usage import DEFAULT_BEHAVIOUR_SHARES
 
 __all__ = ["WorkloadParams", "generate_workload", "peak_population", "remap_levels"]
@@ -83,57 +86,45 @@ def _arrival_times(params: WorkloadParams, rng: np.random.Generator) -> np.ndarr
     return times[keep]
 
 
-def _sample_levels(
-    shares: Mapping[float, float], n: int, rng: np.random.Generator
-) -> np.ndarray:
-    ratios = np.array(sorted(shares))
-    probs = np.array([shares[r] for r in ratios])
-    return ratios[rng.choice(len(ratios), size=n, p=probs)]
-
-
 def _sample_behaviours(
     shares: Mapping[str, float], n: int, rng: np.random.Generator
 ) -> list[str]:
     kinds = sorted(shares)
-    probs = np.array([shares[k] for k in kinds])
-    idx = rng.choice(len(kinds), size=n, p=probs)
-    return [kinds[i] for i in idx]
+    idx = draw_index(cdf_of([shares[k] for k in kinds]), rng, n)
+    return [kinds[i] for i in idx.tolist()]
 
 
 def generate_workload(params: WorkloadParams) -> list[VMRequest]:
     """Generate one reproducible VM lifecycle trace."""
     rng = np.random.default_rng(params.seed)
-    shares = mix_shares(params.level_mix)
-    active_shares = {r: s for r, s in shares.items() if s > 0}
-    arrivals = _arrival_times(params, rng)
+    table, cdf = level_draws(params.catalog, params.level_mix, params.oversub_mem_cap)
+    arrivals = _arrival_times(params, rng).tolist()
     n = len(arrivals)
     if n == 0:
         raise WorkloadError("generated zero arrivals; increase duration or population")
-    levels = _sample_levels(active_shares, n, rng)
-    lifetimes = rng.exponential(params.mean_lifetime, size=n)
+    levels = draw_index(cdf, rng, n).tolist()
+    lifetimes = rng.exponential(params.mean_lifetime, size=n).tolist()
     behaviours = _sample_behaviours(params.behaviour_shares, n, rng)
-    restricted = params.catalog.restricted(params.oversub_mem_cap)
     requests: list[VMRequest] = []
     for i in range(n):
-        ratio = float(levels[i])
-        cat = params.catalog if ratio <= 1.0 else restricted
+        level, cat = table[levels[i]]
         spec = cat.sample(rng)
         kind = behaviours[i]
         if kind == "idle":
             param = 0.0
         elif kind == "stress":
             # CloudFactory-like skewed utilisation: most VMs are light.
-            param = float(np.clip(rng.beta(2.0, 3.0), 0.02, 1.0))
+            param = min(max(rng.beta(2.0, 3.0), 0.02), 1.0)
         else:
-            param = float(np.clip(rng.beta(2.5, 4.0), 0.05, 0.9))
+            param = min(max(rng.beta(2.5, 4.0), 0.05), 0.9)
         departure = arrivals[i] + lifetimes[i]
         requests.append(
             VMRequest(
                 vm_id=f"vm-{i:05d}",
                 spec=spec,
-                level=OversubscriptionLevel(ratio),
-                arrival=float(arrivals[i]),
-                departure=float(departure) if departure < params.duration else None,
+                level=level,
+                arrival=arrivals[i],
+                departure=departure if departure < params.duration else None,
                 usage_kind=kind,
                 usage_param=param,
             )

@@ -2,18 +2,22 @@
 
 import pytest
 
+from repro.core import VMSpec
 from repro.core.errors import ConfigError
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import (
     PlacementService,
+    RequestSource,
     ServiceSpec,
     VirtualClock,
     run_virtual,
     serve,
 )
+from repro.serving.config import TrafficConfig
 from repro.serving.service import auto_size, build_fleet
 from repro.sharding import ShardPlan
+from repro.workload import Catalog
 
 
 def small_spec(**kw) -> ServiceSpec:
@@ -107,6 +111,15 @@ def test_sharded_run_routes_to_every_shard():
         [t for t in c.list_vms()]) for c in service.controllers]
     assert len(service.controllers) == 3
     assert sum(1 for n in per_shard if n > 0) == 3
+
+
+def test_premium_only_source_accepts_a_large_flavor_catalog():
+    # No flavor fits under the 8 GB cap; a 1:1-only mix never needs one.
+    big = Catalog("big", ((VMSpec(8, 32.0), 0.5), (VMSpec(16, 64.0), 0.5)))
+    source = RequestSource(big, (100, 0, 0), TrafficConfig.open_loop(10.0, 5.0), seed=1)
+    requests = [r for _, r in source.window(10.0)]
+    assert requests and {r.level.ratio for r in requests} == {1.0}
+    assert {r.spec for r in requests} <= set(big.specs)
 
 
 def test_shard_and_unsharded_totals_agree():

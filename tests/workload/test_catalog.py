@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import VMSpec, WorkloadError
 from repro.workload import AZURE, OVERSUB_MEM_CAP_GB, OVHCLOUD, PROVIDERS, Catalog
@@ -75,6 +77,38 @@ class TestSampling:
         rng = np.random.default_rng(123)
         draws = AZURE.sample(rng, size=20_000)
         assert np.mean([d.vcpus for d in draws]) == pytest.approx(2.25, rel=0.05)
+
+    @pytest.mark.parametrize("size", [None, 7])
+    def test_every_accepted_catalog_samples(self, size):
+        # Off by 5e-7: inside the constructor's 1e-6 tolerance, outside
+        # the ~1.5e-8 one rng.choice(p=...) enforces.
+        cat = Catalog("x", ((VMSpec(1, 1.0), 0.5), (VMSpec(2, 2.0), 0.5000005)))
+        drawn = cat.sample(np.random.default_rng(0), size=size)
+        assert set([drawn] if size is None else drawn) <= set(cat.specs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(
+            st.floats(0.0, 1.0, allow_subnormal=False), min_size=1, max_size=12
+        ).filter(lambda w: sum(w) > 0),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.one_of(st.none(), st.integers(1, 60)),
+    )
+    def test_sample_is_rng_choice_in_lockstep(self, weights, seed, size):
+        # Renormalised as the frozen catalogs are; the oracle is numpy's
+        # own weighted choice on an identically seeded generator.
+        total = sum(weights)
+        cat = Catalog("h", tuple(
+            (VMSpec(i + 1, 1.0), w / total) for i, w in enumerate(weights)
+        ))
+        ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        idx = oracle.choice(len(weights), size=size, p=cat.probabilities)
+        expected = (
+            cat.entries[int(idx)][0] if size is None
+            else [cat.entries[i][0] for i in idx]
+        )
+        assert cat.sample(ours, size=size) == expected
+        assert ours.random() == oracle.random()
 
 
 class TestValidation:
