@@ -177,8 +177,10 @@ class VMSpec:
 class VMRequest:
     """One VM lifecycle entry in a workload trace.
 
-    ``arrival``/``departure`` are simulation timestamps in seconds;
-    ``departure`` may be ``None`` for VMs that outlive the trace.
+    ``arrival``/``departure`` are finite simulation timestamps in
+    seconds; ``departure`` may be ``None`` for VMs that outlive the
+    trace.  A NaN or infinite time is refused: it would break the
+    event list's ordering.
     ``usage_kind`` tags the CPU behaviour used by the performance model
     (one of ``"idle"``, ``"stress"``, ``"interactive"``) and
     ``usage_param`` its intensity (utilisation for stress, requests/s
@@ -195,11 +197,13 @@ class VMRequest:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        if self.arrival < 0:
-            raise ConfigError(f"arrival must be >= 0, got {self.arrival}")
-        if self.departure is not None and self.departure <= self.arrival:
+        # Chained comparisons, so NaN fails them too.
+        if not 0 <= self.arrival < math.inf:
+            raise ConfigError(f"arrival must be finite and >= 0, got {self.arrival}")
+        if self.departure is not None and not self.arrival < self.departure < math.inf:
             raise ConfigError(
-                f"departure ({self.departure}) must be after arrival ({self.arrival})"
+                f"departure ({self.departure}) must be finite and after "
+                f"arrival ({self.arrival})"
             )
 
     @property

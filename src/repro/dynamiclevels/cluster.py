@@ -101,12 +101,10 @@ class DynamicLevelCluster(VectorCluster):
         self.peak_demand[li, host] = max(0.0, left) if self.vnode_vcpus[li, host] > v else 0.0
         super().remove(vm_id)  # sizes the shrunk vNode from the updated ledger
 
-    # The inherited short-cuts assume static sizing: the shape key does
-    # not carry a VM's predicted peak, and the candidate masks bound
-    # growth by the static rule.  Select from the full tables instead.
-
-    def first_feasible(self, vm: VMRequest) -> Optional[int]:
-        return self._select_uncached(vm, "first_fit")
+    # The inherited shape cache assumes static sizing: its key does not
+    # carry a VM's predicted peak.  Select from the full tables instead.
+    # (The inherited first-fit block scan is exact: it sizes through
+    # ``_required_cpus_rows``.)
 
     def select(self, vm: VMRequest, policy: str) -> Optional[int]:
         return self._select_uncached(vm, policy)

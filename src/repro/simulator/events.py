@@ -9,9 +9,8 @@ and insertion order breaks remaining ties.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.core.errors import SimulationError
 from repro.core.types import VMRequest
@@ -33,12 +32,19 @@ class EventKind(IntEnum):
     ARRIVAL = 1
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Event:
+class Event(NamedTuple):
+    """One arrival or departure.
+
+    Events order as plain tuples: by ``time``, then ``kind``
+    (departures first), then ``seq``.  Every producer numbers ``seq``
+    uniquely, so a comparison is decided by ``(time, kind, seq)`` and
+    never reaches ``vm``.
+    """
+
     time: float
     kind: EventKind
     seq: int
-    vm: VMRequest = field(compare=False)
+    vm: VMRequest
 
 
 class EventQueue:
@@ -101,7 +107,7 @@ def workload_event_list(workload: list[VMRequest]) -> list[Event]:
         if vm.departure is not None:
             events.append(Event(vm.departure, EventKind.DEPARTURE, seq, vm))
             seq += 1
-    events.sort(key=lambda e: (e.time, e.kind, e.seq))
+    events.sort()
     return events
 
 

@@ -16,18 +16,15 @@ block scan, the shape cache's build and subset refresh) is a caller.
 The one thing a cluster variant replaces is the vNode sizing rule
 (``_required_cpus`` / ``_required_cpus_rows``).
 
-The hot path is *event-proportional*:
-
-* per-host derived quantities (free capacity, allocated M/C ratio and
-  its deviation from the machine target, the negative-progress load
-  factor, per-level pooling slack and minimum vNode growth) are
-  maintained incrementally through a dirty-host set — ``deploy()`` and
-  ``remove()`` touch one host, so only that host's cached rows are
-  refreshed, not the whole cluster;
-* per-level candidate masks (a cheap necessary condition for
-  admission) let ``first_fit`` short-circuit: the scan evaluates exact
-  feasibility block by block and stops at the first feasible host
-  instead of touching the full array.
+The hot path is *event-proportional*: per-host derived quantities
+(free capacity, the allocated M/C ratio's deviation from the machine
+target, the negative-progress load factor, per-level pooling slack) are
+maintained through a dirty-host set — ``deploy()`` and ``remove()``
+touch one host, and the next sync refreshes each dirty host's cached
+rows with a scalar routine; only construction, ``invalidate()`` and a
+capacity override rebuild the whole cluster.  ``first_fit`` evaluates
+exact feasibility block by block and stops at the first block holding
+a feasible host instead of touching the full array.
 
 The event loop is not here: :class:`VectorBackend` binds a cluster to
 a policy, and :func:`repro.simulator.engine.run_events` drives it in
@@ -138,10 +135,6 @@ _EPS = CAPACITY_EPSILON
 #: Relative tolerance for resolving a computed level ratio to a
 #: configured level (e.g. ``2.9999999999`` → the 3:1 level).
 _LEVEL_RTOL = 1e-9
-
-#: Above this many dirty hosts a full vectorized cache refresh beats
-#: per-host scalar refreshes.
-_BULK_REFRESH_FRACTION = 8
 
 # Rows of the packed per-host matrix ``VectorCluster._base``: state
 # (alloc/cap), incrementally-maintained caches, and the constant
@@ -323,10 +316,6 @@ class VectorCluster:
         # Constant score terms.
         self._neg_idx = -np.arange(n, dtype=float)
         self._base[_R_TIEBREAK] = _TIEBREAK * self._neg_idx
-        # Remaining per-host derived quantities (the dirty-host
-        # maintained ones shared with the shape cache are _base rows,
-        # bound to named views in __init__).
-        self._mc_current = np.empty(n, dtype=float)  # allocated M/C ratio
         # Per-(level, host) derived quantities.  ``_pool_max_slack``
         # (a view of the packed cube) holds the loosest usable pooling
         # slack per (VM level, host): the max of ``_pool_slack`` over
@@ -342,22 +331,13 @@ class VectorCluster:
         # it last synchronized.
         self._mutlog: list[int] = []
         self._shape_cache: dict[tuple, list] = {}
-        # Per-level candidate masks: a *necessary* condition for any VM
-        # of that level to be admissible on the host (used by the
-        # first-fit short-circuit to skip definitely-infeasible hosts).
-        # Maintained behind their own dirty set so scored policies,
-        # which never consult them, pay nothing for their upkeep.
-        self._cand = np.empty((L, n), dtype=bool)
         # Dirty-host bookkeeping: every host starts dirty.
         self._dirty: set[int] = set()
         self._dirty_all = True
-        self._cand_dirty: set[int] = set()
-        self._cand_dirty_all = True
 
     def _touch(self, host: int) -> None:
         """Mark one host's derived caches stale (cheap, O(1))."""
         self._dirty.add(host)
-        self._cand_dirty.add(host)
         self._mutlog.append(host)
         if len(self._mutlog) >= _MUTLOG_COMPACT:
             self._compact_mutlog()
@@ -390,7 +370,6 @@ class VectorCluster:
         """
         if host is None:
             self._dirty_all = True
-            self._cand_dirty_all = True
             self._shape_cache.clear()
             self._mutlog.clear()
         else:
@@ -449,36 +428,14 @@ class VectorCluster:
         if self._dirty_all:
             self._refresh_all()
             self._dirty_all = False
-            self._dirty.clear()
-            return
-        if not self._dirty:
-            return
-        if len(self._dirty) * _BULK_REFRESH_FRACTION > self.num_hosts:
-            self._refresh_all()
         else:
             for j in sorted(self._dirty):
                 self._refresh_host(j)
         self._dirty.clear()
 
-    def _sync_cand(self) -> None:
-        """Bring the candidate masks up to date (first-fit path only)."""
-        self._sync()
-        if self._cand_dirty_all:
-            self._refresh_cand_all()
-            self._cand_dirty_all = False
-            self._cand_dirty.clear()
-            return
-        if not self._cand_dirty:
-            return
-        if len(self._cand_dirty) * _BULK_REFRESH_FRACTION > self.num_hosts:
-            self._refresh_cand_all()
-        else:
-            for j in sorted(self._cand_dirty):
-                self._refresh_cand_host(j)
-        self._cand_dirty.clear()
-
     def _refresh_all(self) -> None:
-        """Vectorized cache rebuild (startup, bulk invalidation).
+        """Vectorized cache rebuild (construction, ``invalidate()``, a
+        capacity override).
 
         Applies the same elementwise operations as
         :meth:`_refresh_host`, so both paths produce bit-identical
@@ -489,10 +446,10 @@ class VectorCluster:
         np.add(self._free_mem_tol, _EPS, out=self._free_mem_tol)
         np.divide(self.cap_mem, self.cap_cpu, out=self._target)
         busy = self.alloc_cpu > 0
-        self._mc_current[:] = np.where(
+        mc_current = np.where(
             busy, self.alloc_mem / np.where(busy, self.alloc_cpu, 1.0), self._target
         )
-        np.subtract(self._mc_current, self._target, out=self._mc_dev)
+        np.subtract(mc_current, self._target, out=self._mc_dev)
         np.abs(self._mc_dev, out=self._mc_dev)
         np.divide(self.alloc_cpu, self.cap_cpu, out=self._load_factor)
         np.add(self._load_factor, 1.0, out=self._load_factor)
@@ -527,7 +484,6 @@ class VectorCluster:
         tgt = cap_m / cap_c
         base[_R_TARGET, j] = tgt
         cur = am / ac if ac > 0 else tgt
-        self._mc_current[j] = cur
         base[_R_MC_DEV, j] = abs(cur - tgt)
         base[_R_LOAD, j] = ac / cap_c + 1.0
         lvl = self._lvl
@@ -546,51 +502,6 @@ class VectorCluster:
                 if slacks[lj] > best and supported.item(lj, j):
                     best = slacks[lj]
             lvl[li, _LR_MAX_SLACK, j] = best
-
-    def _refresh_cand_all(self) -> None:
-        """Vectorized candidate-mask rebuild (first-fit path)."""
-        ratios_col = self.ratios[:, None]
-        min_growth = np.ceil((self.vnode_vcpus + 1.0) / ratios_col)
-        np.subtract(min_growth, self.vnode_cpus, out=min_growth)
-        np.maximum(min_growth, 0.0, out=min_growth)
-        mem_possible = self._free_mem_tol > 0.0
-        pooling = self.config.pooling
-        for li in range(len(self.ratios)):
-            own = (
-                self.supported[li]
-                & (min_growth[li] <= self._free_cpu)
-                & mem_possible
-            )
-            if pooling and self.ratios[li] > 1 and self._stricter_levels[li]:
-                own |= (
-                    self.supported[li]
-                    & mem_possible
-                    & (self._pool_max_slack[li] >= 1.0)
-                )
-            self._cand[li] = own
-
-    def _refresh_cand_host(self, j: int) -> None:
-        """Scalar candidate-mask refresh of one dirty host."""
-        fc = float(self._free_cpu[j])
-        mem_possible = self._free_mem_tol[j] > 0.0
-        pooling = self.config.pooling
-        for li in range(len(self.ratios)):
-            r = float(self.ratios[li])
-            mg = (
-                math.ceil((float(self.vnode_vcpus[li, j]) + 1.0) / r)
-                - float(self.vnode_cpus[li, j])
-            )
-            cand = bool(self.supported[li, j]) and mem_possible and mg <= fc
-            if (
-                not cand
-                and pooling
-                and r > 1
-                and self.supported[li, j]
-                and mem_possible
-                and self._pool_max_slack[li, j] >= 1.0
-            ):
-                cand = True
-            self._cand[li, j] = cand
 
     @property
     def num_hosts(self) -> int:
@@ -784,25 +695,21 @@ class VectorCluster:
         """Lowest-index host that can admit ``vm``; None if nobody can.
 
         Matches ``argmax(where(feasible, -idx, -inf))`` exactly, but
-        short-circuits: the cached per-level candidate mask skips
-        blocks with no possibly-feasible host, and the scan stops at
-        the first block containing an exactly-feasible one.
+        short-circuits: exact feasibility is evaluated one
+        ``FIRST_FIT_CHUNK`` block at a time, and the scan stops at the
+        first block containing a feasible host.
         """
         li = self._vm_level_index(vm)
         if self.kernel == "naive":
             feasible, _g, _o = refkernel.naive_feasibility(self, vm)
             return int(np.argmax(feasible)) if feasible.any() else None
-        self._sync_cand()
-        cand = self._cand[li]
-        n = self.num_hosts
-        for lo in range(0, n, FIRST_FIT_CHUNK):
-            hi = min(lo + FIRST_FIT_CHUNK, n)
-            if not cand[lo:hi].any():
-                continue
-            block = slice(lo, hi)
+        self._sync()
+        for lo in range(0, self.num_hosts, FIRST_FIT_CHUNK):
+            block = slice(lo, lo + FIRST_FIT_CHUNK)
             feasible, _g, _o = self._admission_rows(vm, li, block, self._base[:, block])
-            if feasible.any():
-                return lo + int(np.argmax(feasible))
+            j = feasible.argmax()
+            if feasible.item(j):
+                return lo + int(j)
         return None
 
     def select_best(self, feasible: np.ndarray, vm: VMRequest, policy: str) -> int:
@@ -816,8 +723,8 @@ class VectorCluster:
         """Best feasible host for ``vm`` under ``policy``; None if none.
 
         Semantically ``select_best(feasibility(vm)[0], vm, policy)``
-        guarded by ``feasible.any()`` (or ``first_feasible`` for
-        first-fit), but scored policies go through a per-shape cache:
+        guarded by ``feasible.any()``.  First-fit is the block scan of
+        :meth:`first_feasible`; scored policies go through a per-shape cache:
         catalog workloads re-request the same few (level, vcpus, mem)
         shapes over and over, and a shape's masked score vector
         ``where(feasible, scores, -inf)`` only changes on hosts

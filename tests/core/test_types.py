@@ -127,3 +127,13 @@ class TestVMRequest:
     def test_departure_equal_arrival_rejected(self):
         with pytest.raises(ConfigError):
             self._vm(departure=10.0)
+
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf])
+    def test_non_finite_arrival_rejected(self, arrival):
+        with pytest.raises(ConfigError, match="arrival must be finite"):
+            self._vm(arrival=arrival)
+
+    @pytest.mark.parametrize("departure", [math.nan, math.inf])
+    def test_non_finite_departure_rejected(self, departure):
+        with pytest.raises(ConfigError, match="must be finite"):
+            self._vm(departure=departure)

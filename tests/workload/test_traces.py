@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import WorkloadError
+from repro.core import ConfigError, WorkloadError
 from repro.workload import (
     AZURE,
     WorkloadParams,
@@ -54,6 +54,18 @@ def test_invalid_json_line_reports_location(tmp_path):
     path.write_text('{"vm_id": "a", "vcpus": 1, "mem_gb": 1, "ratio": 1, "arrival": 0}\nnot-json\n')
     with pytest.raises(WorkloadError, match="bad.jsonl:2"):
         list(iter_trace(path))
+
+
+def test_nan_departure_row_rejected(tmp_path):
+    """``json`` parses a bare ``NaN``; the trace must not carry it into
+    the event list, where it would sit out of order."""
+    path = tmp_path / "nan.jsonl"
+    path.write_text(
+        '{"vm_id": "a", "vcpus": 1, "mem_gb": 1.0, "ratio": 1.0, "arrival": 0,'
+        ' "departure": NaN}\n'
+    )
+    with pytest.raises(ConfigError, match="must be finite"):
+        load_trace(path)
 
 
 def test_blank_lines_ignored(tmp_path):
