@@ -22,16 +22,10 @@ _EXPORTS = {
     "Finding": "repro.devtools.rules",
     "LintReport": "repro.devtools.lint",
     "lint_paths": "repro.devtools.lint",
-    "build_index": "repro.devtools.lint",
-    "findings_from_index": "repro.devtools.lint",
     "main": "repro.devtools.lint",
     "RULES": "repro.devtools.rules",
     "DETERMINISM_RULES": "repro.devtools.rules",
     "rule_table": "repro.devtools.rules",
-    "ProjectIndex": "repro.devtools.index",
-    "ModuleSummary": "repro.devtools.index",
-    "ARCH_LAYERS": "repro.devtools.graphs",
-    "graph_payload": "repro.devtools.graphs",
 }
 
 
@@ -54,14 +48,8 @@ __all__ = [
     "Finding",
     "LintReport",
     "lint_paths",
-    "build_index",
-    "findings_from_index",
     "main",
     "RULES",
     "DETERMINISM_RULES",
     "rule_table",
-    "ProjectIndex",
-    "ModuleSummary",
-    "ARCH_LAYERS",
-    "graph_payload",
 ]

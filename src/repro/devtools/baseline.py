@@ -62,7 +62,13 @@ class Baseline:
             payload = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise BaselineError(f"baseline {path} is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("version") != BASELINE_VERSION:
+        # `type(...) is int`, not isinstance: JSON `true` is a bool, and
+        # bools pass isinstance(x, int) and equal 1.
+        if (
+            not isinstance(payload, dict)
+            or type(payload.get("version")) is not int
+            or payload["version"] != BASELINE_VERSION
+        ):
             raise BaselineError(
                 f"baseline {path} must be an object with version={BASELINE_VERSION}"
             )
@@ -71,7 +77,7 @@ class Baseline:
             raise BaselineError(f"baseline {path}: 'findings' must be an object")
         fingerprints: dict[str, int] = {}
         for fp, count in table.items():
-            if not isinstance(fp, str) or not isinstance(count, int) or count < 1:
+            if type(count) is not int or count < 1:
                 raise BaselineError(
                     f"baseline {path}: entry {fp!r}: {count!r} is malformed"
                 )
@@ -126,6 +132,3 @@ class Baseline:
 
     def __len__(self) -> int:
         return sum(self.fingerprints.values())
-
-
-EMPTY_BASELINE = Baseline({})

@@ -13,15 +13,13 @@ directory.  Options::
     --write-baseline      rewrite PATH from the current findings and exit
     --rules R001,R004     run a subset of rules
     --list-rules          print the rule table and exit
-    --graph               dump the import graph / layering analysis (JSON)
 
 Exit codes: **0** clean (modulo baseline), **1** new findings,
 **2** usage error (bad path/format/rule, malformed baseline).
 
-The pass is whole-program: every file is parsed once into the
-:class:`~repro.devtools.index.ProjectIndex`, the per-file AST rules
-run on parse, and the graph rules (R007 parity, R009 layering, R011
-single-writer) run over the module summaries.
+The pass is one loop over the files: parse, run every rule's
+``check``, drop what a pragma covers; :class:`LintReport` then
+subtracts the baseline.
 
 Suppression: non-determinism rules honour a
 ``# reprolint: disable=Rxxx`` pragma on the flagged line (or on the
@@ -34,17 +32,20 @@ never be baselined.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
+import re
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Set
 
 from repro.devtools.baseline import Baseline, BaselineError
-from repro.devtools.index import ProjectIndex
 from repro.devtools.rules import (
     DETERMINISM_RULES,
     RULES,
     Finding,
+    ImportMap,
+    ModuleContext,
     Rule,
     rule_table,
 )
@@ -52,12 +53,12 @@ from repro.devtools.rules import (
 __all__ = [
     "Finding",
     "LintReport",
-    "build_index",
-    "findings_from_index",
     "lint_paths",
     "main",
     "LintUsageError",
 ]
+
+_PRAGMA = re.compile(r"#\s*reprolint:\s*disable=([A-Z0-9, ]+)")
 
 
 class LintUsageError(Exception):
@@ -83,51 +84,86 @@ def discover_files(paths: Sequence[str | Path]) -> list[Path]:
     return sorted(files)
 
 
-# ---------------------------------------------------------------------------
-# the pass
-# ---------------------------------------------------------------------------
+def _module_name(rel: Path) -> str:
+    """Dotted module name for reporting and rule scoping.
 
-
-def _suppressed(finding: Finding, pragmas: Dict[int, Tuple[str, ...]]) -> bool:
-    """True when pragma coverage disables this (non-determinism) rule.
-
-    Coverage comes from the module summary: the pragma's own line plus,
-    for simple multi-line statements, every continuation line — so a
-    pragma on the first line of a wrapped call suppresses findings the
-    parser anchors further down.
+    Files under a ``src`` directory get their package-dotted name
+    (``src/repro/cli.py`` -> ``repro.cli``); anything else is rooted at
+    its top directory name (``scripts/regen_golden.py`` ->
+    ``scripts.regen_golden``).
     """
+    parts = list(rel.with_suffix("").parts)
+    if "src" in parts:
+        parts = parts[parts.index("src") + 1 :]
+    elif len(parts) > 1:
+        parts = parts[-2:]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts) or rel.stem
+
+
+# ---------------------------------------------------------------------------
+# pragmas
+# ---------------------------------------------------------------------------
+
+#: Compound statements keep pragma coverage on their header line only —
+#: extending an `if`/`for` pragma over the whole suite would suppress
+#: far more than the author wrote it against.
+_SIMPLE_STMTS = (
+    ast.Assign,
+    ast.AnnAssign,
+    ast.AugAssign,
+    ast.Expr,
+    ast.Return,
+    ast.Raise,
+    ast.Assert,
+    ast.Delete,
+    ast.Import,
+    ast.ImportFrom,
+    ast.Global,
+    ast.Nonlocal,
+    ast.Pass,
+)
+
+
+def pragma_coverage(lines: Sequence[str], tree: ast.Module) -> Dict[int, Set[str]]:
+    """Line -> disabled rule codes, with multi-line statement extents.
+
+    A ``# reprolint: disable=Rxxx`` pragma on the *first* line of a
+    simple multi-line statement (a parenthesized call, a wrapped
+    comparison) covers every continuation line, so findings anchored to
+    a continuation line are suppressed by the pragma the author could
+    actually write — black and friends reflow the line the finding
+    lands on, not the line the pragma sits on.
+    """
+    coverage: Dict[int, Set[str]] = {}
+    for lineno, text in enumerate(lines, start=1):
+        match = _PRAGMA.search(text)
+        if match:
+            codes = {c.strip() for c in match.group(1).split(",") if c.strip()}
+            coverage.setdefault(lineno, set()).update(codes)
+    if coverage:
+        for node in ast.walk(tree):
+            if not isinstance(node, _SIMPLE_STMTS):
+                continue
+            codes = coverage.get(node.lineno)
+            if not codes:
+                continue
+            for lineno in range(node.lineno + 1, (node.end_lineno or node.lineno) + 1):
+                coverage.setdefault(lineno, set()).update(codes)
+    return coverage
+
+
+def _suppressed(finding: Finding, pragmas: Dict[int, Set[str]]) -> bool:
+    """True when a pragma covers this (non-determinism) finding."""
     if finding.rule_id in DETERMINISM_RULES:
         return False
     return finding.rule_id in pragmas.get(finding.line, ())
 
 
-def build_index(
-    paths: Sequence[str | Path], root: Optional[Path] = None
-) -> ProjectIndex:
-    """Index every Python file under ``paths`` (all per-file rules run;
-    a ``--rules`` subset only filters what is reported)."""
-    index = ProjectIndex(root=root or Path.cwd())
-    index.build(discover_files(paths), RULES)
-    return index
-
-
-def findings_from_index(
-    index: ProjectIndex, rules: Sequence[Rule] = RULES
-) -> list[Finding]:
-    """Pragma-filtered findings for ``rules`` from a built index."""
-    selected = {r.rule_id for r in rules}
-    findings: list[Finding] = []
-    for rel_path in sorted(index.findings):
-        pragmas = index.pragmas_for(rel_path)
-        for finding in index.findings[rel_path]:
-            if finding.rule_id in selected and not _suppressed(finding, pragmas):
-                findings.append(finding)
-    for rule in rules:
-        for finding in rule.check_index(index):
-            if not _suppressed(finding, index.pragmas_for(finding.path)):
-                findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+# ---------------------------------------------------------------------------
+# the pass
+# ---------------------------------------------------------------------------
 
 
 def lint_paths(
@@ -135,13 +171,36 @@ def lint_paths(
     rules: Sequence[Rule] = RULES,
     root: Optional[Path] = None,
 ) -> list[Finding]:
-    """Run the rule set over every Python file under ``paths``.
+    """Run ``rules`` over every Python file under ``paths``.
 
     Findings come back sorted by (path, line, rule) and already
     filtered through inline pragmas; baseline subtraction is the
     caller's concern (see :class:`Baseline`).
     """
-    return findings_from_index(build_index(paths, root=root), rules)
+    root = Path.cwd() if root is None else Path(root)
+    findings: list[Finding] = []
+    for path in discover_files(paths):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source, filename=str(path))
+        rel = path.relative_to(root) if path.is_relative_to(root) else path
+        module = _module_name(rel)
+        lines = source.splitlines()
+        ctx = ModuleContext(
+            path=path,
+            rel_path=rel.as_posix(),
+            module=module,
+            tree=tree,
+            lines=lines,
+            imports=ImportMap.collect(tree, module),
+        )
+        pragmas = pragma_coverage(lines, tree)
+        for rule in rules:
+            if rule.applies_to(module):
+                findings.extend(
+                    f for f in rule.check(ctx) if not _suppressed(f, pragmas)
+                )
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
+    return findings
 
 
 class LintReport:
@@ -229,12 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
     )
-    parser.add_argument(
-        "--graph",
-        action="store_true",
-        help="dump the import graph and layering analysis as JSON "
-        "and exit 0",
-    )
     return parser
 
 
@@ -273,14 +326,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     try:
         rules = _select_rules(args.rules)
-        paths = args.paths or _default_paths()
-        index = build_index(paths)
-        if args.graph:
-            from repro.devtools.graphs import graph_payload
-
-            print(json.dumps(graph_payload(index), indent=2, sort_keys=True))
-            return 0
-        findings = findings_from_index(index, rules)
+        findings = lint_paths(args.paths or _default_paths(), rules)
         if args.write_baseline:
             if not args.baseline:
                 raise LintUsageError("--write-baseline requires --baseline PATH")

@@ -1,10 +1,10 @@
-"""The reprolint rule set (R001–R013).
+"""The reprolint rule set (R001–R006, R013).
 
-Each rule is a small AST or graph pass tailored to this codebase's
-determinism contract: the golden-trace suite proves the engines'
-decisions are byte-identical across kernels and worker counts, and
-these rules make the coding patterns that could break that contract a
-lint failure *before* they become a trace diff.
+Each rule is a small AST pass over one file, tailored to this
+codebase's determinism contract: the golden-trace suite proves the
+engines' decisions are byte-identical across kernels and worker
+counts, and these rules make the coding patterns that could break that
+contract a lint failure *before* they become a trace diff.
 
 Rules are intentionally heuristic — they resolve imported names
 through a per-module alias table and recognise the repo's own idioms
@@ -15,20 +15,16 @@ non-determinism rules only, a ``# reprolint: disable=Rxxx`` pragma;
 a false negative costs a golden-trace bisection, so the rules lean
 strict.
 
-Two rule shapes coexist:
-
-* **AST rules** implement :meth:`Rule.check` and see one parsed file
-  at a time (R001–R006, R008, R010, R012, R013);
-* **graph rules** implement :meth:`Rule.check_index` and see the
-  whole-program :class:`~repro.devtools.index.ProjectIndex` — module
-  summaries, never trees (R007 kernel parity, R009 layering, R011
-  single-writer).
+R007–R012 are retired ids, never reused (pragmas and baselines name
+ids).  A rule is for a pattern that can appear in any file; a shape of
+this tree ("there is one X") is a structural test in
+``tests/structure/``.
 
 Adding a rule: subclass :class:`Rule`, set ``rule_id``/``title``/
-``hint`` (and ``packages`` to scope it), implement :meth:`check` or
-:meth:`check_index`, append it to :data:`RULES`, add good/bad
-fixtures in ``tests/devtools/`` and a row to the table in
-``docs/ARCHITECTURE.md`` §12.
+``hint`` (and ``packages`` to scope it), implement :meth:`check`,
+append it to :data:`RULES`, add good/bad fixtures in
+``tests/devtools/`` and a row to the table in ``docs/ARCHITECTURE.md``
+§12.
 """
 
 from __future__ import annotations
@@ -37,7 +33,9 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
+
+from repro.devtools.taint import wallclock_taint
 
 __all__ = [
     "Finding",
@@ -174,26 +172,6 @@ class Rule:
 
     def check(self, ctx: ModuleContext) -> list[Finding]:
         return []
-
-    def check_index(self, index) -> list[Finding]:
-        """Cross-module checks over a :class:`ProjectIndex`.
-
-        Graph rules implement this instead of :meth:`check`; it runs
-        once per lint invocation over the module summaries.
-        """
-        return []
-
-
-def _index_finding(
-    rule: "Rule",
-    rel_path: str,
-    line: int,
-    col: int,
-    message: str,
-    snippet: str,
-) -> Finding:
-    """A finding built from summary data (no live ModuleContext)."""
-    return Finding(rule.rule_id, rel_path, line, col, message, rule.hint, snippet)
 
 
 DECISION_PACKAGES = (
@@ -616,605 +594,6 @@ class MutableStateRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# R007 — kernel signature parity (vectorpool vs refkernel)
-# ---------------------------------------------------------------------------
-
-
-class KernelParityRule(Rule):
-    rule_id = "R007"
-    title = "reference-kernel decision surfaces must match VectorCluster"
-    hint = (
-        "keep VectorCluster.<name> and refkernel.naive_<name> parameter "
-        "names, order and defaults identical — the golden-trace and "
-        "kernel-equivalence suites compare the kernels call-for-call"
-    )
-
-    ref_module = "repro.simulator.refkernel"
-    vec_module = "repro.simulator.vectorpool"
-    vec_class = "VectorCluster"
-    naive_prefix = "naive_"
-
-    def check_index(self, index) -> list[Finding]:
-        modules = index.by_module()
-        vec = modules.get(self.vec_module)
-        ref = modules.get(self.ref_module)
-        if vec is None or ref is None:
-            return []  # partial lint run: nothing to compare against
-        class_prefix = f"{self.vec_class}."
-        methods = {
-            name[len(class_prefix):]: info
-            for name, info in vec.signatures.items()
-            if name.startswith(class_prefix)
-        }
-        if not methods:
-            return [
-                _index_finding(
-                    self, vec.rel_path, 1, 0,
-                    f"class {self.vec_class} not found in {self.vec_module}",
-                    f"class:{self.vec_class}",
-                )
-            ]
-        prefix = self.naive_prefix
-        mirrors = {
-            name[len(prefix):]: info
-            for name, info in ref.signatures.items()
-            if "." not in name
-            and name.startswith(prefix)
-            and not name[len(prefix):].startswith("_")
-        }
-        found: list[Finding] = []
-        for name, info in sorted(mirrors.items()):
-            snippet = f"def {prefix}{name}"
-            method = methods.get(name)
-            if method is None:
-                found.append(
-                    _index_finding(
-                        self, ref.rel_path, info["line"], 0,
-                        f"refkernel.{prefix}{name} has no "
-                        f"{self.vec_class}.{name} counterpart",
-                        snippet,
-                    )
-                )
-                continue
-            ref_sig = tuple(info["params"])
-            vec_sig = tuple(method["params"])
-            if ref_sig != vec_sig:
-                found.append(
-                    _index_finding(
-                        self, ref.rel_path, info["line"], 0,
-                        f"signature drift on {name}: refkernel.{prefix}{name}"
-                        f"({', '.join(ref_sig)}) vs {self.vec_class}.{name}"
-                        f"({', '.join(vec_sig)})",
-                        snippet,
-                    )
-                )
-        return found
-
-
-# ---------------------------------------------------------------------------
-# R008 — metrics emit sites must use registered constants
-# ---------------------------------------------------------------------------
-
-
-class MetricNameRule(Rule):
-    rule_id = "R008"
-    title = "metric emit sites must use registered name constants"
-    hint = (
-        "define the name in repro.obs.names (and ALL_METRIC_NAMES) and "
-        "emit via the constant, not an inline string literal"
-    )
-
-    kinds = frozenset({"counter", "gauge", "histogram", "timer"})
-    exempt_modules = ("repro.obs.metrics", "repro.obs.names")
-
-    def check(self, ctx: ModuleContext) -> list[Finding]:
-        if ctx.module in self.exempt_modules:
-            return []
-        found = []
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self.kinds
-            ):
-                continue
-            receiver = _dotted(node.func.value)
-            if receiver is None or "metrics" not in receiver.lower():
-                continue
-            if node.args and isinstance(node.args[0], ast.Constant) and isinstance(
-                node.args[0].value, str
-            ):
-                found.append(
-                    ctx.finding(
-                        self,
-                        node,
-                        f"inline metric name {node.args[0].value!r} at a "
-                        f".{node.func.attr}() emit site",
-                    )
-                )
-        return found
-
-
-# ---------------------------------------------------------------------------
-# R009 — architecture import layering (graph rule)
-# ---------------------------------------------------------------------------
-
-
-class ImportLayeringRule(Rule):
-    rule_id = "R009"
-    title = "module-level imports must follow the architecture DAG"
-    hint = (
-        "import strictly downward through the layers in "
-        "repro.devtools.graphs.ARCH_LAYERS; break legitimate late-bound "
-        "wiring with an `if TYPE_CHECKING:` guard or a function-scoped "
-        "import, and record deliberate exceptions in "
-        "MODULE_LAYER_OVERRIDES"
-    )
-
-    def check_index(self, index) -> list[Finding]:
-        # Deferred import: graphs -> index -> rules would otherwise cycle.
-        from repro.devtools.graphs import (
-            build_edges,
-            find_cycles,
-            layering_violations,
-        )
-
-        edges = build_edges(index)
-        found = [
-            _index_finding(
-                self,
-                v["rel_path"],
-                v["line"],
-                v["col"],
-                v["message"],
-                v["snippet"],
-            )
-            for v in layering_violations(index, edges)
-        ]
-        modules = index.by_module()
-        for cycle in find_cycles(index, edges):
-            anchor = modules[cycle[0]]
-            chain = " -> ".join([*cycle, cycle[0]])
-            found.append(
-                _index_finding(
-                    self,
-                    anchor.rel_path,
-                    1,
-                    0,
-                    f"module-level import cycle: {chain}",
-                    f"cycle:{'->'.join(cycle)}",
-                )
-            )
-        return found
-
-
-# ---------------------------------------------------------------------------
-# R010 — async safety in repro.serving
-# ---------------------------------------------------------------------------
-
-#: Dotted prefixes whose calls block the event loop.
-_BLOCKING_PREFIXES = (
-    "subprocess.",
-    "socket.",
-    "urllib.",
-    "requests.",
-    "http.client.",
-)
-_BLOCKING_CALLS = frozenset(
-    {"time.sleep", "os.system", "os.popen", "open", "input"}
-)
-_LOOP_FACTORIES = frozenset(
-    {"asyncio.get_event_loop", "asyncio.get_running_loop", "asyncio.new_event_loop"}
-)
-
-
-class AsyncSafetyRule(Rule):
-    rule_id = "R010"
-    title = "serving coroutines must stay on the virtual clock"
-    hint = (
-        "inside async code use `await clock.sleep(dt)` / `clock.now()` "
-        "(repro.serving.VirtualClock) instead of blocking calls, bare "
-        "asyncio.sleep, or loop.time(); await every coroutine you create"
-    )
-    packages = ("repro.serving",)
-
-    def check(self, ctx: ModuleContext) -> list[Finding]:
-        found: list[Finding] = []
-        async_defs = self._async_defs(ctx.tree)
-        for fn in self._functions(ctx.tree):
-            if isinstance(fn, ast.AsyncFunctionDef):
-                found.extend(self._check_async_body(ctx, fn))
-            found.extend(self._check_unawaited(ctx, fn, async_defs))
-        return found
-
-    @staticmethod
-    def _functions(tree: ast.Module) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
-        return [
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-
-    @staticmethod
-    def _async_defs(tree: ast.Module) -> frozenset[str]:
-        """Names of every async def in the module (incl. methods)."""
-        return frozenset(
-            node.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.AsyncFunctionDef)
-        )
-
-    @staticmethod
-    def _own_statements(fn: ast.AST) -> Iterable[ast.AST]:
-        """Walk a function body without descending into nested defs."""
-        stack: list[ast.AST] = list(ast.iter_child_nodes(fn))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    def _check_async_body(
-        self, ctx: ModuleContext, fn: ast.AsyncFunctionDef
-    ) -> list[Finding]:
-        found: list[Finding] = []
-        # Bindings first: the statement walk is unordered, so collect
-        # every `loop = asyncio.get_event_loop()` name before looking
-        # at calls.
-        loop_names: set[str] = set()
-        for node in self._own_statements(fn):
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                if ctx.imports.resolve(node.value.func) in _LOOP_FACTORIES:
-                    loop_names.update(
-                        t.id for t in node.targets if isinstance(t, ast.Name)
-                    )
-        for node in self._own_statements(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            qual = ctx.imports.resolve(node.func)
-            if qual in _BLOCKING_CALLS or (
-                qual is not None and qual.startswith(_BLOCKING_PREFIXES)
-            ):
-                found.append(
-                    ctx.finding(
-                        self,
-                        node,
-                        f"blocking call {qual}() inside async def "
-                        f"{fn.name} stalls the event loop",
-                    )
-                )
-            elif qual == "asyncio.sleep" and not self._is_zero_sleep(node):
-                found.append(
-                    ctx.finding(
-                        self,
-                        node,
-                        "bare asyncio.sleep bypasses VirtualClock "
-                        f"in async def {fn.name}",
-                    )
-                )
-            elif isinstance(node.func, ast.Attribute) and node.func.attr == "time":
-                receiver = node.func.value
-                is_loop = (
-                    isinstance(receiver, ast.Name) and receiver.id in loop_names
-                ) or (
-                    isinstance(receiver, ast.Call)
-                    and ctx.imports.resolve(receiver.func) in _LOOP_FACTORIES
-                )
-                if is_loop:
-                    found.append(
-                        ctx.finding(
-                            self,
-                            node,
-                            "loop.time() bypasses VirtualClock "
-                            f"in async def {fn.name}",
-                        )
-                    )
-        return found
-
-    @staticmethod
-    def _is_zero_sleep(node: ast.Call) -> bool:
-        """``asyncio.sleep(0)`` — the sanctioned cooperative yield."""
-        return (
-            len(node.args) == 1
-            and not node.keywords
-            and isinstance(node.args[0], ast.Constant)
-            and node.args[0].value == 0
-        )
-
-    def _check_unawaited(
-        self,
-        ctx: ModuleContext,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        async_defs: frozenset[str],
-    ) -> list[Finding]:
-        found: list[Finding] = []
-        for node in self._own_statements(fn):
-            if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)):
-                continue
-            call = node.value
-            name: Optional[str] = None
-            if isinstance(call.func, ast.Name):
-                name = call.func.id
-            elif (
-                isinstance(call.func, ast.Attribute)
-                and isinstance(call.func.value, ast.Name)
-                and call.func.value.id == "self"
-            ):
-                name = call.func.attr
-            if name in async_defs:
-                found.append(
-                    ctx.finding(
-                        self,
-                        node,
-                        f"coroutine {name}() created but never awaited "
-                        "(the call does nothing)",
-                    )
-                )
-        return found
-
-
-# ---------------------------------------------------------------------------
-# R011 — single-writer scheduler invariant (graph rule)
-# ---------------------------------------------------------------------------
-
-
-class SingleWriterRule(Rule):
-    rule_id = "R011"
-    title = "controller state has exactly one writer task"
-    hint = (
-        "route every controller mutation through the annotated scheduler "
-        "loop (mark it `# reprolint: writer`); other tasks enqueue work "
-        "items instead of touching self.controllers directly"
-    )
-    packages = ("repro.serving",)
-
-    def check_index(self, index) -> list[Finding]:
-        found: list[Finding] = []
-        for summary in sorted(
-            index.by_module().values(), key=lambda s: s.module
-        ):
-            if not self.applies_to(summary.module):
-                continue
-            for cls_name, cls in sorted(summary.writer_classes.items()):
-                found.extend(self._check_class(summary, cls_name, cls))
-        return found
-
-    def _check_class(self, summary, cls_name: str, cls: dict) -> list[Finding]:
-        methods: dict = cls["methods"]
-        writers = {n for n, m in methods.items() if m.get("writer")}
-        # __init__ builds the fleet before any task exists: implicit
-        # setup-phase writer, but it never satisfies the annotation
-        # requirement on its own.
-        setup_closure = self._closure({"__init__"}, methods)
-        writer_closure = self._closure(writers, methods)
-        mutating = {
-            name: m for name, m in methods.items() if m.get("mutations")
-        }
-        runtime_mutators = {
-            name for name in mutating if name not in setup_closure
-        }
-        found: list[Finding] = []
-        if runtime_mutators and not writers:
-            found.append(
-                _index_finding(
-                    self,
-                    summary.rel_path,
-                    cls["line"],
-                    0,
-                    f"class {cls_name} mutates controller state but no "
-                    "method is annotated `# reprolint: writer`",
-                    f"class:{cls_name}",
-                )
-            )
-            return found
-        for name in sorted(runtime_mutators):
-            if name in writer_closure:
-                continue
-            for mutation in mutating[name]["mutations"]:
-                found.append(
-                    _index_finding(
-                        self,
-                        summary.rel_path,
-                        mutation["line"],
-                        mutation["col"],
-                        f"{cls_name}.{name} {mutation['desc']} outside the "
-                        "single-writer scheduler closure",
-                        mutation["snippet"],
-                    )
-                )
-        return found
-
-    @staticmethod
-    def _closure(roots: set[str], methods: dict) -> set[str]:
-        """Methods reachable from ``roots`` via ``self.<m>()`` calls."""
-        seen = set(roots) & set(methods)
-        frontier = list(seen)
-        while frontier:
-            name = frontier.pop()
-            for callee in methods.get(name, {}).get("calls", ()):
-                if callee in methods and callee not in seen:
-                    seen.add(callee)
-                    frontier.append(callee)
-        return seen
-
-
-# ---------------------------------------------------------------------------
-# R012 — process-boundary hygiene (executor submissions)
-# ---------------------------------------------------------------------------
-
-_EXECUTOR_CONSTRUCTORS = frozenset(
-    {
-        "concurrent.futures.ProcessPoolExecutor",
-        "ProcessPoolExecutor",
-        "multiprocessing.Pool",
-    }
-)
-_NONTRANSPORTABLE_CONSTRUCTORS = frozenset(
-    {
-        "open",
-        "numpy.random.default_rng",
-        "default_rng",
-        "numpy.random.Generator",
-        "numpy.random.PCG64",
-        "numpy.random.SeedSequence",
-        "socket.socket",
-    }
-)
-
-
-class ProcessBoundaryRule(Rule):
-    rule_id = "R012"
-    title = "executor submissions must be module-level + JSON-primitive"
-    hint = (
-        "submit a module-level worker function with JSON-primitive "
-        "payload dicts (RunSpec.to_dict() style); reconstruct RNGs and "
-        "open files inside the worker from seeds/paths"
-    )
-    packages = ("repro.sharding", "repro.runner")
-
-    def check(self, ctx: ModuleContext) -> list[Finding]:
-        module_defs = {
-            node.name
-            for node in ctx.tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        found: list[Finding] = []
-        for fn in [
-            n
-            for n in ast.walk(ctx.tree)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]:
-            found.extend(self._check_scope(ctx, fn, module_defs))
-        return found
-
-    def _check_scope(
-        self,
-        ctx: ModuleContext,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        module_defs: set[str],
-    ) -> list[Finding]:
-        executors: set[str] = set()
-        tainted: dict[str, str] = {}  # name -> what it holds
-        nested_defs = {
-            node.name
-            for node in ast.walk(fn)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node is not fn
-        }
-        found: list[Finding] = []
-
-        def note_binding(name: str, value: ast.expr) -> None:
-            if not isinstance(value, ast.Call):
-                return
-            qual = ctx.imports.resolve(value.func)
-            if qual in _EXECUTOR_CONSTRUCTORS:
-                executors.add(name)
-            elif qual in _NONTRANSPORTABLE_CONSTRUCTORS:
-                tainted[name] = qual
-
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        note_binding(target.id, node.value)
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if isinstance(item.optional_vars, ast.Name):
-                        note_binding(item.optional_vars.id, item.context_expr)
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if not (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in ("submit", "map", "apply_async")
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in executors
-                ):
-                    continue
-                if not node.args:
-                    continue
-                target, *payload = node.args
-                found.extend(
-                    self._check_callable(ctx, node, target, module_defs, nested_defs)
-                )
-                for arg in [*payload, *[k.value for k in node.keywords]]:
-                    found.extend(self._check_payload(ctx, node, arg, tainted))
-        return found
-
-    def _check_callable(
-        self,
-        ctx: ModuleContext,
-        call: ast.Call,
-        target: ast.expr,
-        module_defs: set[str],
-        nested_defs: set[str],
-    ) -> list[Finding]:
-        if isinstance(target, ast.Lambda):
-            return [
-                ctx.finding(
-                    self,
-                    call,
-                    "lambda submitted across the process boundary is not "
-                    "importable by the worker",
-                )
-            ]
-        if isinstance(target, ast.Name):
-            if target.id in nested_defs and target.id not in module_defs:
-                return [
-                    ctx.finding(
-                        self,
-                        call,
-                        f"nested function {target.id}() submitted across the "
-                        "process boundary; move it to module level",
-                    )
-                ]
-            return []
-        if isinstance(target, ast.Attribute):
-            desc = _dotted(target) or "a bound method"
-            return [
-                ctx.finding(
-                    self,
-                    call,
-                    f"{desc} submitted across the process boundary; submit a "
-                    "module-level function instead of a bound method",
-                )
-            ]
-        return []
-
-    def _check_payload(
-        self,
-        ctx: ModuleContext,
-        call: ast.Call,
-        arg: ast.expr,
-        tainted: dict[str, str],
-    ) -> list[Finding]:
-        for node in ast.walk(arg):
-            if isinstance(node, ast.Name) and node.id in tainted:
-                return [
-                    ctx.finding(
-                        self,
-                        call,
-                        f"payload carries {tainted[node.id]}() handle "
-                        f"{node.id!r} across the process boundary; pass "
-                        "seeds/paths and rebuild in the worker",
-                    )
-                ]
-            if isinstance(node, ast.Call):
-                qual = ctx.imports.resolve(node.func)
-                if qual in _NONTRANSPORTABLE_CONSTRUCTORS:
-                    return [
-                        ctx.finding(
-                            self,
-                            call,
-                            f"payload constructs {qual}() inline across the "
-                            "process boundary; pass seeds/paths and rebuild "
-                            "in the worker",
-                        )
-                    ]
-        return []
-
-
-# ---------------------------------------------------------------------------
 # R013 — determinism taint: wall clock -> replayable artifacts
 # ---------------------------------------------------------------------------
 
@@ -1231,8 +610,6 @@ class DeterminismTaintRule(Rule):
     packages = DECISION_PACKAGES
 
     def check(self, ctx: ModuleContext) -> list[Finding]:
-        from repro.devtools.taint import wallclock_taint
-
         found: list[Finding] = []
         for sink in wallclock_taint(ctx.tree, ctx.imports.resolve):
             snippet = (
@@ -1265,12 +642,6 @@ RULES: tuple[Rule, ...] = (
     UnsortedSetIterRule(),
     FloatEqualityRule(),
     MutableStateRule(),
-    KernelParityRule(),
-    MetricNameRule(),
-    ImportLayeringRule(),
-    AsyncSafetyRule(),
-    SingleWriterRule(),
-    ProcessBoundaryRule(),
     DeterminismTaintRule(),
 )
 

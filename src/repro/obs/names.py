@@ -2,9 +2,9 @@
 
 Every ``metrics.counter(...)`` / ``gauge`` / ``histogram`` / ``timer``
 call site in the library must reference one of these constants instead
-of an inline string literal.  The static-analysis pass
-(:mod:`repro.devtools.lint`, rule R008) enforces this, which buys two
-properties production telemetry depends on:
+of an inline string literal.  A structural test
+(``tests/structure/test_metric_emit_sites.py``) enforces this, which
+buys two properties production telemetry depends on:
 
 * **grep-ability** — every emit site of a metric is found by searching
   for the constant, and renames are one-line changes;
@@ -154,7 +154,7 @@ SERVING_TIMEOUT_RATE = "serving.timeout.rate"
 #: Gauge — rejections / arrivals over the completed run.
 SERVING_REJECT_RATE = "serving.reject.rate"
 
-#: Every registered metric name; the R008 fixture tests and the
+#: Every registered metric name; the emit-site fence and the
 #: registry round-trip test key off this set.
 ALL_METRIC_NAMES: frozenset[str] = frozenset(
     {

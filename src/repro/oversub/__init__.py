@@ -20,7 +20,6 @@ from repro.oversub.estimators import (
     CapacityEstimator,
     DoaEstimator,
     GreedyEstimator,
-    HostWindow,
     HostWindows,
     PeakPredictor,
     PercentileEstimator,
@@ -45,7 +44,6 @@ __all__ = [
     "CapacityEstimator",
     "DoaEstimator",
     "GreedyEstimator",
-    "HostWindow",
     "HostWindows",
     "PeakPredictor",
     "PercentileEstimator",

@@ -5,8 +5,7 @@ dynamic levels to future work (paper §VIII).  This module supplies the
 missing layer: a :class:`CapacityEstimator` maps the hosts' *observed*
 usage windows (:class:`HostWindows`, one row per host) to the effective
 CPU capacities the scheduler should pack against.  Every rule is
-written once, over arrays; :class:`HostWindow` is the one-row view of
-the same code.  Strategies:
+written once, over arrays; one host is a one-row batch.  Strategies:
 
 * :class:`StaticRatio` — the paper's baseline: a fixed multiple of the
   physical core count (``ratio=1.0`` reproduces today's behaviour
@@ -38,7 +37,6 @@ from repro.core.errors import ConfigError
 
 __all__ = [
     "HostWindows",
-    "HostWindow",
     "PeakPredictor",
     "CapacityEstimator",
     "StaticRatio",
@@ -123,25 +121,6 @@ class HostWindows:
         self.used = np.minimum(self.peak_demand, self.physical)
 
 
-@dataclass(eq=False)
-class HostWindow:
-    """One host's window: the scalar view of a one-row
-    :class:`HostWindows` (``rows``, which does all the work)."""
-
-    host: int
-    time: float
-    physical: float
-    allocated: float
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=float)
-        self.rows = rows = HostWindows(
-            [self.physical], [self.allocated], self.samples[None, :], [self.host]
-        )
-        self.used, self.peak_demand = float(rows.used[0]), float(rows.peak_demand[0])
-
-
 class CapacityEstimator(ABC):
     """Maps the hosts' usage windows to effective CPU capacities.
 
@@ -174,10 +153,6 @@ class CapacityEstimator(ABC):
         raw = self._estimate(windows)
         upper = self.ratio_cap * windows.physical
         return np.minimum(np.maximum(raw, windows.used), upper)
-
-    def effective_capacity(self, window: HostWindow) -> float:
-        """:meth:`effective_capacities` of the one-row batch."""
-        return float(self.effective_capacities(window.rows)[0])
 
     def reset(self) -> None:
         """Drop per-host state (stateless strategies: nothing to drop)."""

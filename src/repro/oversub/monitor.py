@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.errors import ConfigError
 from repro.core.types import VMRequest
-from repro.oversub.estimators import HostWindow, HostWindows
+from repro.oversub.estimators import HostWindows
 from repro.workload.usage import (
     InteractiveProfile,
     StressProfile,
@@ -127,11 +127,3 @@ class ClusterUsageMonitor:
             # each VM's series to its host's row one after the other.
             np.add.at(demand, hosts, np.where(times >= arrival, series, 0.0))
         return HostWindows(physical, allocated, demand)
-
-    def collect(self, placements, physical, allocated, time: float) -> list[HostWindow]:
-        """:meth:`windows`, split into one :class:`HostWindow` per host."""
-        batch = self.windows(placements, physical, allocated, time)
-        return [
-            HostWindow(j, time, float(batch.physical[j]), float(batch.allocated[j]), row)
-            for j, row in enumerate(batch.samples)
-        ]

@@ -383,7 +383,7 @@ class PlacementService:
             self._backlog += 1
             self._queue.put_nowait(("arrive", request))
 
-    async def _scheduler_loop(self) -> None:  # reprolint: writer
+    async def _scheduler_loop(self) -> None:
         """The single writer: every controller mutation happens here."""
         while True:
             command = await self._queue.get()

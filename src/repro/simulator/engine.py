@@ -37,7 +37,7 @@ from repro.obs.records import (
 from repro.scheduling.global_scheduler import ScoreBasedScheduler
 from repro.simulator.events import iter_event_batches, workload_event_list
 
-if TYPE_CHECKING:  # annotation-only: keeps simulator below oversub (R009)
+if TYPE_CHECKING:  # annotation-only: keeps simulator below oversub (layering fence)
     from repro.oversub.controller import (
         CapacityTarget,
         OversubController,
@@ -382,7 +382,8 @@ class Simulation:
         self._oversub_controller: Optional[OversubController] = None
         if oversub is not None:
             # Deferred import: the engine only reaches up into the
-            # oversub layer when a controller is requested (R009).
+            # oversub layer when a controller is requested
+            # (tests/structure/test_layering.py).
             from repro.oversub.pipeline import (
                 EffectiveCapacityView,
                 ObjectClusterTarget,

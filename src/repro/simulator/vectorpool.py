@@ -90,11 +90,11 @@ from repro.scheduling.constants import (
 )
 # Submodule imports, not `from repro.simulator import ...`: importing
 # through the package __init__ (which imports this module transitively)
-# would create a module-level cycle (R009).
+# would create a module-level cycle (tests/structure/test_layering.py).
 import repro.simulator.refkernel as refkernel
 from repro.simulator.engine import PlacementRecord, SimulationResult, run_with_controller
 
-if TYPE_CHECKING:  # annotation-only: keeps simulator below oversub (R009)
+if TYPE_CHECKING:  # annotation-only: keeps simulator below oversub (layering fence)
     from repro.oversub.controller import OversubParams
 
 __all__ = [

@@ -35,7 +35,7 @@ def test_round_trip_write_load_filter(tmp_path):
     extra = finding(line=42)
     assert loaded.filter_new([*findings, extra]) == [extra]
     # Unknown fingerprints are always new.
-    fresh = finding(rule_id="R008")
+    fresh = finding(rule_id="R006")
     assert loaded.filter_new([fresh]) == [fresh]
 
 
@@ -76,26 +76,19 @@ def test_determinism_rules_rejected_at_load(tmp_path, rule_id):
         Baseline.load(path)
 
 
-def _layering_tree(tree):
-    tree.write("src/repro/core/thing.py", "import repro.api.surface\n")
+def _two_file_tree(tree):
     tree.write(
-        "src/repro/serving/svc.py",
-        "class Service:\n"
-        "    def __init__(self, controllers):\n"
-        "        self.controllers = list(controllers)\n"
-        "\n"
-        "    async def handle(self, vm):\n"
-        "        self.controllers[0].request(vm)\n",
+        "src/repro/scheduling/score.py",
+        "def same(score_a, score_b):\n    return score_a == score_b\n",
     )
-    tree.write("src/repro/api/surface.py", "X = 1\n")
+    tree.write("src/repro/runner/cfg.py", "def collect(items=[]):\n    return items\n")
 
 
 def test_cross_file_findings_round_trip_through_a_baseline(tree, tmp_path):
-    # Graph-rule findings (R009 layering, R011 single-writer) baseline
-    # and filter exactly like per-file findings.
-    _layering_tree(tree)
+    # Findings from several files baseline and filter as one table.
+    _two_file_tree(tree)
     findings = tree.lint()
-    assert sorted(f.rule_id for f in findings) == ["R009", "R011"]
+    assert sorted(f.rule_id for f in findings) == ["R005", "R006"]
 
     path = tmp_path / "baseline.json"
     Baseline.from_findings(findings).save(path)
@@ -103,24 +96,24 @@ def test_cross_file_findings_round_trip_through_a_baseline(tree, tmp_path):
 
 
 def test_cross_file_fingerprints_survive_unrelated_edits(tree, tmp_path):
-    # Fingerprints are line-number-free: pushing the violating import
-    # down the file must not resurrect a baselined R009 finding.
-    _layering_tree(tree)
+    # Fingerprints are line-number-free: pushing the violating default
+    # down the file must not resurrect a baselined R006 finding.
+    _two_file_tree(tree)
     path = tmp_path / "baseline.json"
     Baseline.from_findings(tree.lint()).save(path)
 
     tree.write(
-        "src/repro/core/thing.py",
-        '"""Docstring added above the import."""\n\n'
-        "import repro.api.surface\n",
+        "src/repro/runner/cfg.py",
+        '"""Docstring added above the def."""\n\n'
+        "def collect(items=[]):\n    return items\n",
     )
     moved = tree.lint()
-    assert any(f.rule_id == "R009" and f.line == 3 for f in moved)
+    assert any(f.rule_id == "R006" and f.line == 3 for f in moved)
     assert Baseline.load(path).filter_new(moved) == []
 
 
 def test_fingerprints_are_stable_under_finding_reorder(tree):
-    _layering_tree(tree)
+    _two_file_tree(tree)
     findings = tree.lint()
     forward = Baseline.from_findings(findings)
     backward = Baseline.from_findings(list(reversed(findings)))
@@ -136,6 +129,9 @@ def test_fingerprints_are_stable_under_finding_reorder(tree):
         json.dumps({"version": 1, "findings": [1]}),
         json.dumps({"version": 1, "findings": {"R005:a:b": 0}}),
         json.dumps({"version": 1, "findings": {"R005:a:b": "two"}}),
+        # Booleans are ints to isinstance and `True == 1`.
+        json.dumps({"version": True, "findings": {}}),
+        json.dumps({"version": 1, "findings": {"R005:a:b": True}}),
     ],
 )
 def test_malformed_baselines_rejected(tmp_path, payload):

@@ -1,11 +1,7 @@
-"""R012 process-boundary hygiene and R013 determinism taint.
+"""R013 determinism taint.
 
-R012: executor submissions in ``repro.sharding``/``repro.runner`` must
-be module-level callables with JSON-primitive payloads — no lambdas,
-nested functions, bound methods, RNGs or open handles across the fork.
-
-R013: wall-clock-derived values (``time.perf_counter`` and friends) may
-exist as telemetry but must never flow into a replayable artifact — a
+Wall-clock-derived values (``time.perf_counter`` and friends) may exist
+as telemetry but must never flow into a replayable artifact — a
 decision log, checkpoint, or fingerprint digest.
 """
 
@@ -16,171 +12,6 @@ import textwrap
 
 def src(code: str) -> str:
     return textwrap.dedent(code).lstrip()
-
-
-# ---------------------------------------------------------------------------
-# R012 — process-boundary hygiene
-# ---------------------------------------------------------------------------
-
-R012_GOOD = src(
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-
-    def _run_shard(payload):
-        return payload["seed"]
-
-
-    def dispatch(specs):
-        results = []
-        with ProcessPoolExecutor(2) as pool:
-            futures = [
-                pool.submit(_run_shard, {"seed": spec, "hosts": 100})
-                for spec in specs
-            ]
-            results = [f.result() for f in futures]
-        return results
-    """
-)
-
-
-def test_r012_module_level_worker_with_json_payload_is_clean(tree):
-    tree.write("src/repro/sharding/disp.py", R012_GOOD)
-    assert tree.rule_ids() == []
-
-
-def test_r012_lambda_submission_is_flagged(tree):
-    tree.write(
-        "src/repro/sharding/disp.py",
-        src(
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-
-            def dispatch(specs):
-                with ProcessPoolExecutor(2) as pool:
-                    return [pool.submit(lambda s: s, spec) for spec in specs]
-            """
-        ),
-    )
-    findings = [f for f in tree.lint() if f.rule_id == "R012"]
-    assert len(findings) == 1
-    assert "lambda submitted across the process boundary" in findings[0].message
-
-
-def test_r012_nested_function_submission_is_flagged(tree):
-    tree.write(
-        "src/repro/runner/pool.py",
-        src(
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-
-            def dispatch(specs):
-                def worker(spec):
-                    return spec
-
-                with ProcessPoolExecutor(2) as pool:
-                    return [pool.submit(worker, spec) for spec in specs]
-            """
-        ),
-    )
-    findings = [f for f in tree.lint() if f.rule_id == "R012"]
-    assert len(findings) == 1
-    assert "nested function worker() submitted" in findings[0].message
-
-
-def test_r012_bound_method_submission_is_flagged(tree):
-    tree.write(
-        "src/repro/sharding/disp.py",
-        src(
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-
-            class Dispatcher:
-                def run_one(self, spec):
-                    return spec
-
-                def dispatch(self, specs):
-                    with ProcessPoolExecutor(2) as pool:
-                        return [pool.submit(self.run_one, s) for s in specs]
-            """
-        ),
-    )
-    findings = [f for f in tree.lint() if f.rule_id == "R012"]
-    assert len(findings) == 1
-    assert "submit a module-level function instead of a bound method" in (
-        findings[0].message
-    )
-
-
-def test_r012_rng_handle_in_payload_is_flagged(tree):
-    tree.write(
-        "src/repro/sharding/disp.py",
-        src(
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            from numpy.random import default_rng
-
-
-            def _run_shard(rng):
-                return rng.integers(10)
-
-
-            def dispatch(seed):
-                rng = default_rng(seed)
-                with ProcessPoolExecutor(2) as pool:
-                    return pool.submit(_run_shard, rng).result()
-            """
-        ),
-    )
-    findings = [f for f in tree.lint() if f.rule_id == "R012"]
-    assert len(findings) == 1
-    assert "payload carries numpy.random.default_rng() handle 'rng'" in (
-        findings[0].message
-    )
-
-
-def test_r012_inline_open_handle_in_payload_is_flagged(tree):
-    tree.write(
-        "src/repro/runner/pool.py",
-        src(
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-
-            def _run_shard(handle):
-                return handle.read()
-
-
-            def dispatch(path):
-                with ProcessPoolExecutor(2) as pool:
-                    return pool.submit(_run_shard, open(path)).result()
-            """
-        ),
-    )
-    findings = [f for f in tree.lint() if f.rule_id == "R012"]
-    assert len(findings) == 1
-    assert "payload constructs open() inline" in findings[0].message
-
-
-def test_r012_only_applies_to_sharding_and_runner(tree):
-    tree.write(
-        "src/repro/core/disp.py",
-        src(
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-
-            def dispatch(specs):
-                with ProcessPoolExecutor(2) as pool:
-                    return [pool.submit(lambda s: s, spec) for spec in specs]
-            """
-        ),
-    )
-    assert "R012" not in tree.rule_ids()
 
 
 # ---------------------------------------------------------------------------

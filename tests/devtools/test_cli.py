@@ -125,26 +125,8 @@ def test_rules_subset(project, capsys):
 
 def test_list_rules(project, capsys):
     assert lint_main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule_id in ("R001", "R004", "R008"):
-        assert rule_id in out
-
-
-def test_graph_dump_shape_and_exit_0(project, capsys):
-    write(project, "src/repro/scheduling/ok.py", CLEAN)
-    assert lint_main(["src", "--graph"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert "repro.scheduling.ok" in payload["modules"]
-    assert payload["modules"]["repro.scheduling.ok"]["package"] == "scheduling"
-    assert payload["violations"] == []
-    assert payload["cycles"] == []
-
-
-def test_repro_cli_lint_graph_passthrough(project, capsys):
-    write(project, "src/repro/scheduling/ok.py", CLEAN)
-    assert cli_main(["lint", "src", "--graph"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert "repro.scheduling.ok" in payload["modules"]
+    ids = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert ids == ["R001", "R002", "R003", "R004", "R005", "R006", "R013"]
 
 
 def test_repro_cli_lint_subcommand(project, capsys):

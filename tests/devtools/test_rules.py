@@ -1,8 +1,7 @@
-"""Good/bad fixture pairs for the per-file reprolint rules (R001-R008).
+"""Good/bad fixture pairs for the reprolint rules R001-R006.
 
-The whole-program rules have their own fixture suites: R009-R011 in
-test_graph_rules.py, R012-R013 in test_boundary_taint.py, and the index
-cache in test_index.py.
+R013 (determinism taint) has its own fixture suite in
+test_boundary_taint.py.
 
 Each test writes a tiny module that either violates exactly one rule
 (the *bad* fixture — the rule must fire) or uses the blessed idiom
@@ -358,87 +357,6 @@ def test_r006_allows_none_default_and_post_init(tree):
 
 
 # ---------------------------------------------------------------------------
-# R007 — kernel signature parity
-# ---------------------------------------------------------------------------
-
-_REF = """
-def naive_feasibility(cluster, vm, strict=True):
-    pass
-"""
-
-_VEC_OK = """
-class VectorCluster:
-    def feasibility(self, vm, strict=True):
-        pass
-"""
-
-_VEC_DRIFT = """
-class VectorCluster:
-    def feasibility(self, vm, strict=False):
-        pass
-"""
-
-
-def test_r007_silent_when_signatures_match(tree):
-    tree.write("src/repro/simulator/refkernel.py", src(_REF))
-    tree.write("src/repro/simulator/vectorpool.py", src(_VEC_OK))
-    assert tree.rule_ids() == []
-
-
-def test_r007_flags_default_drift_and_missing_counterpart(tree):
-    tree.write(
-        "src/repro/simulator/refkernel.py",
-        src(_REF) + src("def naive_orphan(cluster, vm):\n    pass"),
-    )
-    tree.write("src/repro/simulator/vectorpool.py", src(_VEC_DRIFT))
-    findings = tree.lint()
-    assert [f.rule_id for f in findings] == ["R007", "R007"]
-    messages = "\n".join(f.message for f in findings)
-    assert "signature drift" in messages
-    assert "naive_orphan" in messages
-
-
-def test_r007_silent_on_partial_lint_run(tree):
-    # Only one of the kernel modules in the lint set: no comparison.
-    tree.write("src/repro/simulator/refkernel.py", src(_REF))
-    assert tree.rule_ids() == []
-
-
-# ---------------------------------------------------------------------------
-# R008 — metric emit sites
-# ---------------------------------------------------------------------------
-
-
-def test_r008_flags_inline_metric_names(tree):
-    tree.write(
-        "src/repro/simulator/emit.py",
-        src(
-            """
-            def run(metrics):
-                metrics.counter("arrivals")
-                self.metrics.gauge("final_alloc_cpu", 1.0)
-            """
-        ),
-    )
-    assert tree.rule_ids() == ["R008", "R008"]
-
-
-def test_r008_allows_registered_constants(tree):
-    tree.write(
-        "src/repro/simulator/emit.py",
-        src(
-            """
-            from repro.obs import names as metric_names
-
-            def run(metrics):
-                metrics.counter(metric_names.ARRIVALS)
-            """
-        ),
-    )
-    assert tree.rule_ids() == []
-
-
-# ---------------------------------------------------------------------------
 # pragma anchoring on multi-line statements
 # ---------------------------------------------------------------------------
 
@@ -501,7 +419,8 @@ def test_pragma_on_compound_header_does_not_cover_the_suite(tree):
 
 def test_rule_registry_is_consistent():
     ids = [r.rule_id for r in RULES]
-    assert ids == sorted(ids) and len(ids) == len(set(ids))
+    # R007-R012 are retired, never reused: pragmas and baselines name ids.
+    assert ids == ["R001", "R002", "R003", "R004", "R005", "R006", "R013"]
     assert DETERMINISM_RULES == {"R001", "R002", "R003", "R004"}
     assert [row[0] for row in rule_table()] == ids
     assert all(r.hint for r in RULES)

@@ -5,8 +5,7 @@ Three references are compared, bit for bit (``==``, never ``approx``;
 the monitor's demand matrix likewise, against the per-VM accumulation):
 
 * the batch form (``effective_capacities`` over ``HostWindows``),
-* the one-row view (``effective_capacity`` over one ``HostWindow`` at a
-  time — the same code on a 1-row batch),
+* one-row batches (each host alone in a ``HostWindows`` of its own),
 * ``Scalar*`` below: the per-host rules as they were written before the
   estimators were vectorised, kept here (and only here) as the oracle
   for "today's answers" on the edge rows — zero-sample windows,
@@ -26,7 +25,6 @@ from repro.oversub.estimators import (
     STRATEGIES,
     DoaEstimator,
     GreedyEstimator,
-    HostWindow,
     HostWindows,
     PercentileEstimator,
     make_estimator,
@@ -91,6 +89,12 @@ class ScalarGreedy:
         return ratio * physical
 
 
+def alone(est, host, physical, allocated, samples):
+    """``est``'s capacity for one host in a one-row batch of its own."""
+    batch = HostWindows([physical], [allocated], np.asarray(samples)[None, :], [host])
+    return float(est.effective_capacities(batch)[0])
+
+
 ORACLES = {
     "static": ScalarStatic,
     "percentile": ScalarPercentile,
@@ -149,14 +153,13 @@ def test_batch_rows_equal_one_row_views_and_the_scalar_rules(strategy, seq, data
             )
         )
         for row, host in enumerate(order):
-            window = HostWindow(host, 0.0, physical[host], allocated[host], samples[host])
-            alone = single.effective_capacity(window)
-            assert eff[row] == alone
-            assert alone == oracle_capacity(
-                oracle, est, host, physical[host], allocated[host], samples[host]
-            )
+            args = host, physical[host], allocated[host], samples[host]
+            one = alone(single, *args)
+            assert eff[row] == one
+            assert one == oracle_capacity(oracle, est, *args)
             # The clamp contract, row-wise.
-            assert window.used <= alone <= batch.ratio_cap * physical[host]
+            used = min(samples[host].max(), physical[host]) if samples[host].size else 0.0
+            assert used <= one <= batch.ratio_cap * physical[host]
 
 
 @settings(max_examples=30, deadline=None)
@@ -192,7 +195,7 @@ def test_host_ids_are_non_negative_state_indices():
     # A negative id would alias another host's state column.
     for make in (
         lambda: HostWindows([16.0, 16.0], [8.0, 8.0], np.ones((2, 4)), [0, -1]),
-        lambda: HostWindow(-1, 0.0, 16.0, 8.0, np.ones(4)),
+        lambda: HostWindows([16.0], [8.0], np.ones((1, 4)), [-1]),
     ):
         with pytest.raises(ConfigError):
             make()
@@ -208,11 +211,7 @@ def test_predictor_without_a_row_wise_form_is_called_per_row():
     est = PercentileEstimator(predictor=MeanStdPredictor(k=1.0))
     samples = np.array([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0], [0.0, 0.0, 0.0]])
     eff = est.effective_capacities(HostWindows([16.0] * 3, [8.0] * 3, samples))
-    alone = [
-        est.effective_capacity(HostWindow(j, 0.0, 16.0, 8.0, samples[j]))
-        for j in range(3)
-    ]
-    assert eff.tolist() == alone
+    assert eff.tolist() == [alone(est, j, 16.0, 8.0, samples[j]) for j in range(3)]
     assert eff[1] == 8.0 * (0.9 * 16.0) / 4.0
     assert eff[2] == 3.0 * 16.0
 

@@ -10,33 +10,34 @@ from repro.oversub.estimators import (
     STRATEGIES,
     DoaEstimator,
     GreedyEstimator,
-    HostWindow,
+    HostWindows,
     PercentileEstimator,
     StaticRatio,
     make_estimator,
 )
 
 
-def window(samples, physical=16.0, allocated=8.0, host=0, time=0.0):
-    return HostWindow(
-        host=host,
-        time=time,
-        physical=physical,
-        allocated=allocated,
-        samples=np.asarray(samples, dtype=float),
+def window(samples, physical=16.0, allocated=8.0, host=0):
+    """One host's window: a one-row batch."""
+    return HostWindows(
+        [physical], [allocated], np.asarray(samples, dtype=float)[None, :], [host]
     )
+
+
+def capacity(est, w):
+    return float(est.effective_capacities(w)[0])
 
 
 class TestHostWindow:
     def test_used_is_peak_capped_by_physical(self):
         w = window([2.0, 5.0, 3.0], physical=4.0)
-        assert w.peak_demand == 5.0
-        assert w.used == 4.0
+        assert w.peak_demand.tolist() == [5.0]
+        assert w.used.tolist() == [4.0]
 
     def test_empty_window(self):
         w = window([])
-        assert w.used == 0.0
-        assert w.peak_demand == 0.0
+        assert w.used.tolist() == [0.0]
+        assert w.peak_demand.tolist() == [0.0]
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ConfigError):
@@ -50,12 +51,12 @@ class TestStaticRatio:
         # The golden-trace identity hinges on this being exact, not
         # approximate: ratio 1.0 must reproduce the physical capacity.
         est = StaticRatio()
-        assert est.effective_capacity(window([3.0], physical=16.0)) == 16.0
-        assert est.effective_capacity(window([], physical=7.0)) == 7.0
+        assert capacity(est, window([3.0], physical=16.0)) == 16.0
+        assert capacity(est, window([], physical=7.0)) == 7.0
 
     def test_ratio_scales_physical(self):
         est = StaticRatio(ratio=2.0)
-        assert est.effective_capacity(window([0.0], physical=16.0)) == 32.0
+        assert capacity(est, window([0.0], physical=16.0)) == 32.0
 
     def test_ratio_below_one_rejected(self):
         with pytest.raises(ConfigError):
@@ -69,24 +70,24 @@ class TestPercentileEstimator:
         # physical (clamped by ratio_cap).
         est = PercentileEstimator()
         w = window([1.0, 1.5, 1.6], physical=16.0, allocated=8.0)
-        assert est.effective_capacity(w) > 16.0
+        assert capacity(est, w) > 16.0
 
     def test_hot_host_shrinks_toward_used(self):
         est = PercentileEstimator()
         w = window([14.0, 15.5, 15.0], physical=16.0, allocated=16.0)
-        eff = est.effective_capacity(w)
-        assert w.used <= eff < 16.0 * est.ratio_cap
+        eff = capacity(est, w)
+        assert w.used[0] <= eff < 16.0 * est.ratio_cap
         assert eff < 17.0
 
     def test_no_signal_is_neutral(self):
         est = PercentileEstimator()
-        assert est.effective_capacity(window([], allocated=4.0)) == 16.0
-        assert est.effective_capacity(window([1.0], allocated=0.0)) == 16.0
+        assert capacity(est, window([], allocated=4.0)) == 16.0
+        assert capacity(est, window([1.0], allocated=0.0)) == 16.0
 
     def test_zero_peak_hits_the_ceiling(self):
         est = PercentileEstimator(ratio_cap=2.5)
         w = window([0.0, 0.0], physical=16.0, allocated=8.0)
-        assert est.effective_capacity(w) == 2.5 * 16.0
+        assert capacity(est, w) == 2.5 * 16.0
 
     def test_headroom_validated(self):
         with pytest.raises(ConfigError):
@@ -99,41 +100,41 @@ class TestDoaEstimator:
         # Warm up to a raised ratio: identical quiet windows are stable.
         quiet = [window([1.0, 1.0], physical=16.0) for _ in range(6)]
         for w in quiet:
-            est.effective_capacity(w)
-        raised = est.effective_capacity(window([1.0, 1.0], physical=16.0))
+            capacity(est, w)
+        raised = capacity(est, window([1.0, 1.0], physical=16.0))
         assert raised > 16.0
-        hot = est.effective_capacity(window([15.0, 15.5], physical=16.0))
+        hot = capacity(est, window([15.0, 15.5], physical=16.0))
         assert hot < raised
 
     def test_unstable_hosts_do_not_creep_up(self):
         est = DoaEstimator(stability_margin=0.01, stable_windows=2)
         # Peaks jump around: never stable, ratio stays at 1.
         for peak in (1.0, 5.0, 2.0, 7.0, 3.0):
-            eff = est.effective_capacity(window([peak], physical=16.0))
+            eff = capacity(est, window([peak], physical=16.0))
         assert eff == 16.0
 
     def test_state_is_per_host(self):
         est = DoaEstimator(stable_windows=1)
         for _ in range(4):
-            est.effective_capacity(window([1.0], physical=16.0, host=0))
-        fresh = est.effective_capacity(window([1.0], physical=16.0, host=1))
-        warmed = est.effective_capacity(window([1.0], physical=16.0, host=0))
+            capacity(est, window([1.0], physical=16.0, host=0))
+        fresh = capacity(est, window([1.0], physical=16.0, host=1))
+        warmed = capacity(est, window([1.0], physical=16.0, host=0))
         assert warmed > fresh
 
     def test_reset_clears_state(self):
         est = DoaEstimator(stable_windows=1)
         for _ in range(4):
-            est.effective_capacity(window([1.0], physical=16.0))
+            capacity(est, window([1.0], physical=16.0))
         est.reset()
-        assert est.effective_capacity(window([1.0], physical=16.0)) == 16.0
+        assert capacity(est, window([1.0], physical=16.0)) == 16.0
 
 
 class TestGreedyEstimator:
     def test_quiescent_steps_up(self):
         est = GreedyEstimator(quiet=0.7, step=0.25, ratio_cap=3.0)
         w = window([2.0], physical=16.0)
-        first = est.effective_capacity(w)
-        second = est.effective_capacity(w)
+        first = capacity(est, w)
+        second = capacity(est, w)
         assert first == 1.25 * 16.0
         assert second == 1.5 * 16.0
 
@@ -141,9 +142,9 @@ class TestGreedyEstimator:
         est = GreedyEstimator(quiet=0.7, step=0.5, backoff=0.5)
         quiet = window([2.0], physical=16.0)
         for _ in range(4):
-            est.effective_capacity(quiet)  # ratio -> 3.0 capped
+            capacity(est, quiet)  # ratio -> 3.0 capped
         loud = window([15.0], physical=16.0)
-        eff = est.effective_capacity(loud)
+        eff = capacity(est, loud)
         # ratio 3.0 -> 1 + 2.0 * 0.5 = 2.0
         assert eff == pytest.approx(2.0 * 16.0)
 
@@ -151,7 +152,7 @@ class TestGreedyEstimator:
         est = GreedyEstimator()
         w = window([15.9], physical=16.0)
         for _ in range(10):
-            eff = est.effective_capacity(w)
+            eff = capacity(est, w)
         assert eff >= 16.0 - 1e-9
 
 
@@ -186,6 +187,6 @@ windows = st.builds(
 def test_effective_capacity_bounds(strategy, seq):
     est = make_estimator(strategy)
     for w in seq:
-        eff = est.effective_capacity(w)
-        assert eff >= w.used - 1e-9
-        assert eff <= est.ratio_cap * w.physical + 1e-9
+        eff = capacity(est, w)
+        assert eff >= w.used[0] - 1e-9
+        assert eff <= est.ratio_cap * w.physical[0] + 1e-9

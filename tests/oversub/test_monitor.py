@@ -1,4 +1,4 @@
-"""Usage-monitor tests: profile resolution and window collection."""
+"""Usage-monitor tests: profile resolution and the window batch."""
 
 import numpy as np
 import pytest
@@ -69,65 +69,63 @@ class TestCollect:
             (vm("b", param=0.25, vcpus=8), 0),
             (vm("c", param=1.0, vcpus=2), 1),
         ]
-        windows = mon.collect(placements, [16.0, 16.0, 16.0], [12.0, 2.0, 0.0], 200.0)
-        assert [w.host for w in windows] == [0, 1, 2]
+        batch = mon.windows(placements, [16.0, 16.0, 16.0], [12.0, 2.0, 0.0], 200.0)
+        assert batch.hosts.tolist() == [0, 1, 2]
         # Stress profiles are flat: host 0 sees 0.5*4 + 0.25*8 = 4.0.
-        assert windows[0].samples == pytest.approx([4.0] * 4)
-        assert windows[1].samples == pytest.approx([2.0] * 4)
-        assert windows[2].samples == pytest.approx([0.0] * 4)
-        assert windows[0].allocated == 12.0
-        assert all(w.time == 200.0 for w in windows)
+        assert batch.samples[0] == pytest.approx([4.0] * 4)
+        assert batch.samples[1] == pytest.approx([2.0] * 4)
+        assert batch.samples[2] == pytest.approx([0.0] * 4)
+        assert batch.allocated.tolist() == [12.0, 2.0, 0.0]
 
     def test_arrival_masks_pre_arrival_demand(self):
         mon = ClusterUsageMonitor(window=90.0, samples_per_window=4)
         # Window grid at t=100 covers [10, 40, 70, 100]; arrival at 50
         # zeroes the first two samples.
-        windows = mon.collect(
+        batch = mon.windows(
             [(vm("late", param=1.0, vcpus=2, arrival=50.0), 0)], [8.0], [2.0], 100.0
         )
-        assert windows[0].samples == pytest.approx([0.0, 0.0, 2.0, 2.0])
+        assert batch.samples[0] == pytest.approx([0.0, 0.0, 2.0, 2.0])
 
     def test_one_sample_window_observes_its_end(self):
         # A window "ending at time" with a single sample must observe
         # `time`, not the window's start (linspace(start, time, 1)).
         mon = ClusterUsageMonitor(window=90.0, samples_per_window=1)
-        windows = mon.collect(
+        batch = mon.windows(
             [(vm("late", param=1.0, vcpus=2, arrival=50.0), 0)], [8.0], [2.0], 100.0
         )
-        assert windows[0].samples.tolist() == [2.0]
+        assert batch.samples.tolist() == [[2.0]]
 
     def test_reused_vm_id_gets_fresh_constants(self):
         mon = ClusterUsageMonitor(window=10.0, samples_per_window=2)
         first = vm("a", param=0.5, vcpus=4)
         again = vm("a", param=1.0, vcpus=2)
-        assert mon.collect([(first, 0)], [8.0], [4.0], 10.0)[0].samples.tolist() == [2.0, 2.0]
+        assert mon.windows([(first, 0)], [8.0], [4.0], 10.0).samples.tolist() == [[2.0, 2.0]]
         # Same id, another request, no update in between saw it gone.
-        assert mon.collect([(again, 0)], [8.0], [2.0], 20.0)[0].samples.tolist() == [2.0, 2.0]
-        assert mon.collect([], [8.0], [0.0], 30.0)[0].samples.tolist() == [0.0, 0.0]
+        assert mon.windows([(again, 0)], [8.0], [2.0], 20.0).samples.tolist() == [[2.0, 2.0]]
+        assert mon.windows([], [8.0], [0.0], 30.0).samples.tolist() == [[0.0, 0.0]]
         third = vm("a", kind="idle", param=0.0, vcpus=10)
-        assert mon.collect([(third, 0)], [8.0], [10.0], 40.0)[0].samples == pytest.approx(
+        assert mon.windows([(third, 0)], [8.0], [10.0], 40.0).samples[0] == pytest.approx(
             [0.2, 0.2]
         )
 
     def test_window_clamped_at_time_zero(self):
         mon = ClusterUsageMonitor(window=1000.0, samples_per_window=3)
-        windows = mon.collect([], [8.0], [0.0], 10.0)
-        assert windows[0].samples == pytest.approx([0.0, 0.0, 0.0])
-        assert windows[0].time == 10.0
+        batch = mon.windows([], [8.0], [0.0], 10.0)
+        assert batch.samples[0] == pytest.approx([0.0, 0.0, 0.0])
 
     def test_demand_is_unclipped_by_capacity(self):
         # Breaches must stay visible: that's the violation signal.
         mon = ClusterUsageMonitor(window=10.0, samples_per_window=2)
-        windows = mon.collect(
+        batch = mon.windows(
             [(vm("big", param=1.0, vcpus=32), 0)], [16.0], [16.0], 20.0
         )
-        assert windows[0].peak_demand == pytest.approx(32.0)
-        assert windows[0].used == 16.0
+        assert batch.peak_demand[0] == pytest.approx(32.0)
+        assert batch.used.tolist() == [16.0]
 
     def test_shape_mismatch_rejected(self):
         mon = ClusterUsageMonitor()
         with pytest.raises(ConfigError):
-            mon.collect([], [8.0, 8.0], [0.0], 10.0)
+            mon.windows([], [8.0, 8.0], [0.0], 10.0)
 
     def test_params_validated(self):
         with pytest.raises(ConfigError):
@@ -137,12 +135,12 @@ class TestCollect:
 
     def test_interactive_contribution_is_diurnal(self):
         mon = ClusterUsageMonitor(window=43_200.0, samples_per_window=8)
-        windows = mon.collect(
+        batch = mon.windows(
             [(vm("web", kind="interactive", param=0.5, vcpus=4, phase=0.0), 0)],
             [16.0],
             [4.0],
             86_400.0,
         )
-        samples = windows[0].samples
+        samples = batch.samples[0]
         assert samples.max() > samples.min()  # actually varies over the day
         assert np.all(samples >= 0.0)

@@ -102,95 +102,3 @@ def test_departure_of_rejected_vm_is_ignored():
     assert result.rejections == ["big"]
     assert "ok" in result.placements
 
-
-def _calls_in_src():
-    """``(module, enclosing top-level name, called name)`` for every call
-    in ``src/repro`` — what the structural fences below read."""
-    import ast
-    from pathlib import Path
-
-    import repro
-
-    root = Path(repro.__file__).resolve().parent
-    for path in sorted(root.rglob("*.py")):
-        module = path.relative_to(root).as_posix()
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-                    yield module, getattr(top, "name", "<module>"), name
-
-
-def test_there_is_exactly_one_event_loop():
-    """Structural fence: ``src/repro`` walks a workload's events in one
-    place (``run_events``) and builds a ``SimulationResult`` only there
-    and in the shard merge — an engine variant is a backend and/or a
-    ``before_event`` hook, never another loop."""
-    walkers, builders = [], set()
-    for module, _top, name in _calls_in_src():
-        if name in ("iter_event_batches", "drain") and module != "simulator/events.py":
-            walkers.append(module)
-        elif name == "SimulationResult":
-            builders.add(module)
-    assert walkers == ["simulator/engine.py"]
-    assert builders == {"simulator/engine.py", "sharding/merge.py"}
-
-
-def test_there_is_exactly_one_admission_formula():
-    """Structural fence: the incremental kernel writes its policy scores
-    in one function, keeps no per-call scratch attributes, and the
-    dynamic-level variant replaces the sizing rule without carrying its
-    own copy of the admission / accounting code."""
-    import ast
-    from pathlib import Path
-
-    import repro
-
-    def tree(module):
-        path = Path(repro.__file__).resolve().parent / module
-        return ast.parse(path.read_text(encoding="utf-8"))
-
-    vectorpool = tree("simulator/vectorpool.py")
-    scorers = {
-        func.name
-        for func in ast.walk(vectorpool)
-        if isinstance(func, ast.FunctionDef)
-        for node in ast.walk(func)
-        if isinstance(node, ast.Constant) and node.value == "progress_bestfit"
-    }
-    scratch = [
-        node.attr
-        for node in ast.walk(vectorpool)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-        and node.attr.startswith(("_fb_", "_sc_", "_sel_not"))
-    ]
-    copied = []
-    for node in ast.walk(tree("dynamiclevels/cluster.py")):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id in ("AdmissionRecord", "PlacementRecord"):
-                copied.append(node.func.id)
-        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
-            if getattr(node.value, "attr", "") == "_placements":
-                copied.append("self._placements[...] = ")
-        elif isinstance(node, ast.Constant) and node.value == 1e-9:
-            copied.append("1e-9")
-    assert (scorers, scratch, copied) == ({"_score_rows"}, [], [])
-
-
-def test_workloads_and_sizing_searches_are_built_in_one_place():
-    """Structural fence: outside ``repro.workload`` a trace is generated
-    only by ``api.build_workload`` (plus ``oversub/evaluate.py``, whose
-    ``samples_per_window=8`` recipe differs from ``RunSpec``'s and is
-    the one named exception), and a minimal-cluster search is started
-    only by ``api.evaluate`` and ``repro size`` — a front end that
-    wants either goes through ``repro.api``."""
-    generators, sizers = set(), set()
-    for module, top, name in _calls_in_src():
-        if name in ("generate_workload", "WorkloadParams"):
-            if not module.startswith("workload/"):
-                generators.add(module)
-        elif name == "minimal_cluster":
-            sizers.add(f"{module}:{top}")
-    assert generators == {"api/run.py", "oversub/evaluate.py"}
-    assert sizers == {"api/run.py:evaluate", "cli.py:_cmd_size"}
