@@ -8,7 +8,7 @@ from repro.analysis.ratios import (
     table1_row,
     table2_row,
 )
-from repro.analysis.ascii_charts import boxplot, grouped_hbar, hbar
+from repro.analysis.ascii_charts import boxplot, grouped_hbar
 from repro.analysis.bounds import bfd_snapshot_bound, fractional_bound, peak_alive_set
 from repro.analysis.utilization import UtilizationReport, cluster_utilization
 from repro.analysis.reporting import (
@@ -34,7 +34,6 @@ __all__ = [
     "fractional_bound",
     "bfd_snapshot_bound",
     "peak_alive_set",
-    "hbar",
     "grouped_hbar",
     "boxplot",
     "render_table1",

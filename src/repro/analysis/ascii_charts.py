@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from repro.core.errors import ConfigError
 
-__all__ = ["hbar", "grouped_hbar", "boxplot"]
+__all__ = ["grouped_hbar", "boxplot"]
 
 _FULL = "█"
 _PART = " ▏▎▍▌▋▊▉█"
@@ -33,30 +33,6 @@ def _bar(value: float, max_value: float, width: int) -> str:
     frac = cells - full
     partial = _PART[round(frac * 8)] if full < width else ""
     return _FULL * full + partial.strip()
-
-
-def hbar(
-    rows: Sequence[tuple[str, float]],
-    width: int = 40,
-    max_value: float | None = None,
-    unit: str = "",
-) -> str:
-    """One labelled bar per row, scaled to the max (or ``max_value``)."""
-    if not rows:
-        raise ConfigError("hbar needs at least one row")
-    if width < 4:
-        raise ConfigError("width must be >= 4")
-    peak = max_value if max_value is not None else max(v for _, v in rows)
-    if peak <= 0:
-        peak = 1.0
-    label_w = max(len(label) for label, _ in rows)
-    lines = []
-    for label, value in rows:
-        lines.append(
-            f"{label.ljust(label_w)} |{_bar(value, peak, width).ljust(width)}| "
-            f"{value:.1f}{unit}"
-        )
-    return "\n".join(lines)
 
 
 def grouped_hbar(

@@ -4,7 +4,6 @@ from repro.core.config import SlackVMConfig
 from repro.core.errors import (
     CapacityError,
     ConfigError,
-    PlacementError,
     ReproError,
     ServingError,
     SimulationError,
@@ -28,7 +27,6 @@ __all__ = [
     "ConfigError",
     "TopologyError",
     "CapacityError",
-    "PlacementError",
     "WorkloadError",
     "SimulationError",
     "ServingError",

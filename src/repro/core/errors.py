@@ -11,7 +11,6 @@ __all__ = [
     "ConfigError",
     "TopologyError",
     "CapacityError",
-    "PlacementError",
     "WorkloadError",
     "SimulationError",
     "RunnerError",
@@ -36,10 +35,6 @@ class TopologyError(ReproError):
 class CapacityError(ReproError):
     """A resource reservation exceeds the capacity of its container
     (vNode, physical machine, or datacenter)."""
-
-
-class PlacementError(ReproError):
-    """No host can satisfy a VM deployment request."""
 
 
 class WorkloadError(ReproError):

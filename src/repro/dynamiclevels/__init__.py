@@ -5,17 +5,12 @@ from repro.dynamiclevels.cluster import (
     DynamicLevelParams,
     DynamicLevelSimulation,
 )
-from repro.dynamiclevels.predictor import (
-    MeanStdPredictor,
-    PercentilePredictor,
-    analytic_peak_demand,
-)
+from repro.dynamiclevels.predictor import PercentilePredictor, analytic_peak_demand
 
 __all__ = [
     "DynamicLevelParams",
     "DynamicLevelCluster",
     "DynamicLevelSimulation",
     "PercentilePredictor",
-    "MeanStdPredictor",
     "analytic_peak_demand",
 ]

@@ -44,9 +44,10 @@ class DynamicLevelParams:
     safety: float = 1.2
 
     def __post_init__(self) -> None:
-        if self.max_ratio < 1:
+        # Negated so that NaN fails too.
+        if not self.max_ratio >= 1:
             raise ConfigError(f"max_ratio must be >= 1, got {self.max_ratio}")
-        if self.safety < 1:
+        if not self.safety >= 1:
             raise ConfigError(f"safety must be >= 1, got {self.safety}")
 
 

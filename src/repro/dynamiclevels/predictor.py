@@ -1,12 +1,12 @@
 """Peak-usage prediction for dynamic oversubscription (paper §VIII).
 
 The paper's vNodes use *static* levels and point to dynamically
-computed ones as future work, citing peak-prediction approaches: a
-usage percentile (Resource Central [24]) or mean + k·std (Borg-style
-[1]).  This module provides both estimators plus an *analytic* per-VM
-peak derived from the workload model's usage profiles — the signal the
-dynamic-level cluster uses when sizing vNodes by predicted demand
-instead of the worst-case vCPU count.
+computed ones as future work, citing peak-prediction approaches such
+as a usage percentile (Resource Central [24]).  This module provides
+that estimator plus an *analytic* per-VM peak derived from the
+workload model's usage profiles — the signal the dynamic-level cluster
+uses when sizing vNodes by predicted demand instead of the worst-case
+vCPU count.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ from repro.core.errors import ConfigError
 from repro.core.types import VMRequest
 from repro.workload.usage import INTERACTIVE_AMPLITUDE
 
-__all__ = [
-    "PercentilePredictor",
-    "MeanStdPredictor",
-    "analytic_peak_demand",
-]
+__all__ = ["PercentilePredictor", "analytic_peak_demand"]
 
 
 @dataclass(frozen=True)
@@ -54,28 +50,6 @@ class PercentilePredictor:
                 raise ConfigError("cannot predict from an all-NaN sample window")
             return np.nanpercentile(rows, self.percentile, axis=1)
         return np.percentile(rows, self.percentile, axis=1)
-
-
-@dataclass(frozen=True)
-class MeanStdPredictor:
-    """Predict peak usage as mean + k standard deviations."""
-
-    k: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ConfigError(f"k must be >= 0, got {self.k}")
-
-    def predict(self, samples: np.ndarray) -> float:
-        samples = np.asarray(samples, dtype=float)
-        if samples.size == 0:
-            raise ConfigError("cannot predict from an empty sample window")
-        # Sample (ddof=1) rather than population std: the estimator
-        # windows this predictor sees are small, and population std
-        # systematically under-predicts the peak there.  A one-sample
-        # window has no spread information — predict the sample itself.
-        std = float(samples.std(ddof=1)) if samples.size > 1 else 0.0
-        return float(samples.mean() + self.k * std)
 
 
 def analytic_peak_demand(vm: VMRequest, safety: float = 1.1) -> float:

@@ -1,34 +1,21 @@
 """Hardware substrate: CPU topologies, cache distances, machine specs."""
 
-from repro.hardware.machine import EPYC_7662_DUAL, SIM_WORKER, MachineSpec, machine_from_topology
-from repro.hardware.serialization import (
-    load_topology,
-    save_topology,
-    topology_from_dict,
-    topology_to_dict,
-)
+from repro.hardware.machine import EPYC_7662_DUAL, SIM_WORKER, MachineSpec
 from repro.hardware.topology import (
     CpuInfo,
     Topology,
     build_topology,
     epyc_7662_dual,
     small_smp,
-    xeon_8280_dual,
 )
 
 __all__ = [
     "MachineSpec",
-    "machine_from_topology",
     "EPYC_7662_DUAL",
     "SIM_WORKER",
     "CpuInfo",
     "Topology",
     "build_topology",
     "epyc_7662_dual",
-    "xeon_8280_dual",
     "small_smp",
-    "topology_to_dict",
-    "topology_from_dict",
-    "save_topology",
-    "load_topology",
 ]

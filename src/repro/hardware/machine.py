@@ -15,7 +15,7 @@ from repro.core.errors import ConfigError
 from repro.core.types import ResourceVector
 from repro.hardware.topology import Topology, build_topology, epyc_7662_dual
 
-__all__ = ["MachineSpec", "EPYC_7662_DUAL", "SIM_WORKER", "machine_from_topology"]
+__all__ = ["MachineSpec", "EPYC_7662_DUAL", "SIM_WORKER"]
 
 
 @dataclass(frozen=True)
@@ -63,16 +63,6 @@ class MachineSpec:
                 f"topology exposes {topo.num_cpus} CPUs but spec says {self.cpus}"
             )
         return topo
-
-
-def machine_from_topology(name: str, topology: Topology, mem_gb: float) -> MachineSpec:
-    """Build a spec whose CPU count is derived from an explicit topology."""
-    return MachineSpec(
-        name=name,
-        cpus=topology.num_cpus,
-        mem_gb=mem_gb,
-        topology_factory=lambda: topology,
-    )
 
 
 #: The paper's physical testbed (Table III): 2× EPYC 7662, 256 threads, 1 TB.

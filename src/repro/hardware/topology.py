@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.errors import TopologyError
 
-__all__ = ["CpuInfo", "Topology", "build_topology", "epyc_7662_dual", "xeon_8280_dual", "small_smp"]
+__all__ = ["CpuInfo", "Topology", "build_topology", "epyc_7662_dual", "small_smp"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,11 +262,6 @@ def epyc_7662_dual() -> Topology:
         l2_group=1,
         numa_per_socket=1,
     )
-
-
-def xeon_8280_dual() -> Topology:
-    """A monolithic-LLC contrast machine: 2×28 cores, SMT 2."""
-    return build_topology(sockets=2, cores_per_socket=28, smt=2, llc_group=28)
 
 
 def small_smp(cores: int = 8, smt: int = 1) -> Topology:

@@ -8,11 +8,8 @@ from repro.localsched.drivers import (
     NullDriver,
     RecordingDriver,
 )
-from repro.localsched.numa_memory import NumaMemoryPlan, NumaMemoryPlanner
 from repro.localsched.pinning import (
-    PinningPlan,
     VirtualTopology,
-    pinning_plan,
     shared_llc_violations,
     virtual_topology,
 )
@@ -27,13 +24,9 @@ __all__ = [
     "NullDriver",
     "RecordingDriver",
     "DriverOp",
-    "NumaMemoryPlan",
-    "NumaMemoryPlanner",
     "VNode",
     "HostedVM",
-    "PinningPlan",
     "VirtualTopology",
-    "pinning_plan",
     "virtual_topology",
     "shared_llc_violations",
 ]

@@ -176,9 +176,6 @@ class LocalScheduler:
     def is_empty(self) -> bool:
         return not self._vm_home
 
-    def hosted_vm_ids(self) -> tuple[str, ...]:
-        return tuple(self._vm_home)
-
     # -- admission ----------------------------------------------------------
 
     def supports(self, level: OversubscriptionLevel) -> bool:

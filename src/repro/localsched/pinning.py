@@ -1,4 +1,4 @@
-"""Pinning plans and virtual-topology export (paper §V-A).
+"""Virtual-topology export and LLC-sharing isolation (paper §V-A).
 
 Every VM in a vNode is pinned to the vNode's *whole* CPU set — on
 deployment the pinning of all hosted VMs is extended to the new range,
@@ -19,18 +19,7 @@ from repro.hardware.topology import Topology
 from repro.localsched.agent import LocalScheduler
 from repro.localsched.vnode import VNode
 
-__all__ = ["PinningPlan", "VirtualTopology", "pinning_plan", "virtual_topology", "shared_llc_violations"]
-
-
-@dataclass(frozen=True, slots=True)
-class PinningPlan:
-    """vm_id -> logical CPUs the VM's vCPU threads may run on."""
-
-    pins: dict[str, tuple[int, ...]]
-    generation: int
-
-    def cpus_of(self, vm_id: str) -> tuple[int, ...]:
-        return self.pins[vm_id]
+__all__ = ["VirtualTopology", "virtual_topology", "shared_llc_violations"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,16 +36,6 @@ class VirtualTopology:
     @property
     def smt_active(self) -> bool:
         return self.smt_pairs > 0
-
-
-def pinning_plan(agent: LocalScheduler) -> PinningPlan:
-    """Current pinning of every VM hosted by ``agent``."""
-    pins: dict[str, tuple[int, ...]] = {}
-    for node in agent.vnodes:
-        cpu_set = node.cpu_ids
-        for vm_id in node.vm_ids:
-            pins[vm_id] = cpu_set
-    return PinningPlan(pins=pins, generation=agent.pin_generation)
 
 
 def virtual_topology(node: VNode, topology: Topology) -> VirtualTopology:

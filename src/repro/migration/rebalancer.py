@@ -13,10 +13,12 @@ migration pass enabled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.config import SlackVMConfig
+from repro.core.errors import ConfigError
 from repro.core.types import VMRequest
 from repro.hardware.machine import MachineSpec
 from repro.simulator.engine import LoopState, PlacementRecord, SimulationResult, run_events
@@ -114,6 +116,12 @@ class MigratingSimulation:
         fail_fast: bool = False,
         rebalance_interval: float = 86_400.0,
     ):
+        # Zero or negative never moves the next pass past the current
+        # time (the pass loop would spin); NaN would never fire.
+        if not 0 < rebalance_interval < math.inf:
+            raise ConfigError(
+                f"rebalance_interval must be finite and > 0, got {rebalance_interval}"
+            )
         self.machines = list(machines)
         self.config = config or SlackVMConfig()
         self.policy = policy

@@ -21,7 +21,6 @@ from repro.oversub.estimators import (
     DoaEstimator,
     GreedyEstimator,
     HostWindows,
-    PeakPredictor,
     PercentileEstimator,
     StaticRatio,
     make_estimator,
@@ -45,7 +44,6 @@ __all__ = [
     "DoaEstimator",
     "GreedyEstimator",
     "HostWindows",
-    "PeakPredictor",
     "PercentileEstimator",
     "StaticRatio",
     "make_estimator",

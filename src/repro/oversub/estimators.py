@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from repro.core.errors import ConfigError
 
 __all__ = [
     "HostWindows",
-    "PeakPredictor",
     "CapacityEstimator",
     "StaticRatio",
     "PercentileEstimator",
@@ -48,32 +47,13 @@ __all__ = [
 ]
 
 
-class PeakPredictor(Protocol):
-    """Anything that maps a sample window to a predicted peak.
-
-    Satisfied by :class:`repro.dynamiclevels.predictor.PercentilePredictor`
-    and :class:`~repro.dynamiclevels.predictor.MeanStdPredictor`.  One
-    that also has ``predict_rows(samples_2d) -> ndarray`` (``predict`` of
-    every row) is asked once per batch, any other once per row; either
-    way the peaks feed the same estimator formula.
-    """
-
-    def predict(self, samples: np.ndarray) -> float: ...
-
-
-def _default_predictor(percentile: float) -> PeakPredictor:
+def _percentile_predictor(percentile: float):
     # Imported lazily: repro.dynamiclevels.__init__ pulls in the
     # simulation engine, which imports this package — a module-level
     # import here would close that cycle.
     from repro.dynamiclevels.predictor import PercentilePredictor
 
     return PercentilePredictor(percentile)
-
-
-def _predicted_peaks(predictor: PeakPredictor, samples: np.ndarray) -> np.ndarray:
-    if hasattr(predictor, "predict_rows"):
-        return np.asarray(predictor.predict_rows(samples), dtype=float)
-    return np.array([float(predictor.predict(row)) for row in samples])
 
 
 @dataclass(eq=False)
@@ -205,16 +185,11 @@ class PercentileEstimator(CapacityEstimator):
 
     name = "percentile"
 
-    def __init__(
-        self,
-        predictor: PeakPredictor | None = None,
-        headroom: float = 0.1,
-        ratio_cap: float = 3.0,
-    ):
+    def __init__(self, headroom: float = 0.1, ratio_cap: float = 3.0):
         super().__init__(ratio_cap=ratio_cap)
         if not 0.0 <= headroom < 1.0:
             raise ConfigError(f"headroom must be in [0,1), got {headroom}")
-        self.predictor = predictor if predictor is not None else _default_predictor(95.0)
+        self.predictor = _percentile_predictor(95.0)
         self.headroom = headroom
 
     def _estimate(self, windows: HostWindows) -> np.ndarray:
@@ -223,7 +198,7 @@ class PercentileEstimator(CapacityEstimator):
             return raw
         rows = np.flatnonzero(windows.allocated > 0.0)
         physical = windows.physical[rows]
-        peak = _predicted_peaks(self.predictor, windows.samples[rows])
+        peak = self.predictor.predict_rows(windows.samples[rows])
         target = (1.0 - self.headroom) * physical
         with np.errstate(all="ignore"):  # peak 0 is masked, a tiny one clamped
             scaled = windows.allocated[rows] * target / peak
@@ -252,7 +227,6 @@ class DoaEstimator(CapacityEstimator):
 
     def __init__(
         self,
-        predictor: PeakPredictor | None = None,
         alert: float = 0.85,
         increase: float = 0.1,
         decrease: float = 0.5,
@@ -269,7 +243,7 @@ class DoaEstimator(CapacityEstimator):
             raise ConfigError(f"stable_windows must be >= 1, got {stable_windows}")
         if stability_margin < 0:
             raise ConfigError(f"stability_margin must be >= 0, got {stability_margin}")
-        self.predictor = predictor if predictor is not None else _default_predictor(90.0)
+        self.predictor = _percentile_predictor(90.0)
         self.alert = alert
         self.increase = increase
         self.decrease = decrease
@@ -282,7 +256,7 @@ class DoaEstimator(CapacityEstimator):
         peak = np.zeros(physical.size)
         if windows.samples.shape[1]:
             rows = np.flatnonzero(physical > 0)
-            peak[rows] = _predicted_peaks(self.predictor, windows.samples[rows])
+            peak[rows] = self.predictor.predict_rows(windows.samples[rows])
         alerted = (physical > 0) & (peak >= self.alert * physical)
         # NaN (no previous window) compares False: never stable.
         stable = np.abs(peak - last_peak) <= self.stability_margin * physical

@@ -4,7 +4,7 @@ from repro.perfmodel.apps import LatencyParams, LatencyTracker, percentile_windo
 from repro.perfmodel.churn import ChurnParams, ChurnResult, run_churn_testbed
 from repro.perfmodel.contention import ContentionGroup, GroupMember, GroupTick
 from repro.perfmodel.fairshare import water_fill, weighted_water_fill
-from repro.perfmodel.smt import CpuSetCapacity, cpu_set_capacity
+from repro.perfmodel.smt import CpuSetCapacity
 from repro.perfmodel.testbed import (
     LevelPerf,
     TestbedParams,
@@ -17,7 +17,6 @@ __all__ = [
     "water_fill",
     "weighted_water_fill",
     "CpuSetCapacity",
-    "cpu_set_capacity",
     "ContentionGroup",
     "GroupMember",
     "GroupTick",

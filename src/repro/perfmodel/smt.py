@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.core.errors import ConfigError
 
-__all__ = ["CpuSetCapacity", "cpu_set_capacity"]
+__all__ = ["CpuSetCapacity"]
 
 #: Throughput of a physical core running both SMT siblings, relative to
 #: one thread alone (literature reports 1.2–1.4 for mixed workloads).
@@ -83,10 +83,3 @@ class CpuSetCapacity:
         overflow = min(demand - self.physical, float(self.paired_cores))
         # Both siblings of each co-loaded pair are slowed.
         return min(1.0, 2.0 * overflow / max(demand, 1e-12))
-
-
-def cpu_set_capacity(
-    threads: int, physical: int, smt_speedup: float = DEFAULT_SMT_SPEEDUP
-) -> CpuSetCapacity:
-    """Convenience constructor."""
-    return CpuSetCapacity(threads=threads, physical=physical, smt_speedup=smt_speedup)

@@ -1,5 +1,5 @@
 """Global scheduling: Algorithm 2 progress score, filters, weighers,
-score-based selection, packing baselines and vClusters."""
+score-based selection and packing baselines."""
 
 from repro.scheduling.baselines import (
     best_fit_scheduler,
@@ -10,27 +10,11 @@ from repro.scheduling.baselines import (
     worst_fit_scheduler,
 )
 from repro.scheduling.constants import BESTFIT_BLEND, TIEBREAK_WEIGHT
-from repro.scheduling.filters import (
-    AntiAffinityFilter,
-    CapacityFilter,
-    HostFilter,
-    LevelSupportFilter,
-    MaxVMsFilter,
-)
+from repro.scheduling.filters import CapacityFilter, HostFilter, LevelSupportFilter
 from repro.scheduling.global_scheduler import ScoreBasedScheduler, SelectionTrace
-from repro.scheduling.policy import (
-    FILTER_REGISTRY,
-    WEIGHER_REGISTRY,
-    load_policy,
-    register_filter,
-    register_weigher,
-    scheduler_from_spec,
-)
 from repro.scheduling.progress import progress_score
-from repro.scheduling.vcluster import VCluster, VClusterStats
 from repro.scheduling.weighers import (
     BestFitWeigher,
-    ConsolidationWeigher,
     FirstFitWeigher,
     HostWeigher,
     ProgressWeigher,
@@ -41,23 +25,14 @@ __all__ = [
     "progress_score",
     "ScoreBasedScheduler",
     "SelectionTrace",
-    "scheduler_from_spec",
-    "load_policy",
-    "register_filter",
-    "register_weigher",
-    "FILTER_REGISTRY",
-    "WEIGHER_REGISTRY",
     "HostFilter",
     "LevelSupportFilter",
     "CapacityFilter",
-    "MaxVMsFilter",
-    "AntiAffinityFilter",
     "HostWeigher",
     "ProgressWeigher",
     "FirstFitWeigher",
     "BestFitWeigher",
     "WorstFitWeigher",
-    "ConsolidationWeigher",
     "first_fit_scheduler",
     "best_fit_scheduler",
     "worst_fit_scheduler",
@@ -66,6 +41,4 @@ __all__ = [
     "scheduler_for_policy",
     "TIEBREAK_WEIGHT",
     "BESTFIT_BLEND",
-    "VCluster",
-    "VClusterStats",
 ]

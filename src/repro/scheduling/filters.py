@@ -12,13 +12,7 @@ from abc import ABC, abstractmethod
 from repro.core.types import VMRequest
 from repro.localsched.agent import LocalScheduler
 
-__all__ = [
-    "HostFilter",
-    "LevelSupportFilter",
-    "CapacityFilter",
-    "MaxVMsFilter",
-    "AntiAffinityFilter",
-]
+__all__ = ["HostFilter", "LevelSupportFilter", "CapacityFilter"]
 
 
 class HostFilter(ABC):
@@ -48,39 +42,3 @@ class CapacityFilter(HostFilter):
 
     def passes(self, host: LocalScheduler, vm: VMRequest) -> bool:
         return host.can_deploy(vm)
-
-
-class MaxVMsFilter(HostFilter):
-    """Cap the VM count per host (an operational limit some providers use)."""
-
-    def __init__(self, max_vms: int):
-        self.max_vms = max_vms
-
-    def passes(self, host: LocalScheduler, vm: VMRequest) -> bool:
-        return host.num_vms < self.max_vms
-
-
-class AntiAffinityFilter(HostFilter):
-    """Spread VMs of the same anti-affinity group across PMs.
-
-    A production rule of the kind §VII-B says schedulers compose by the
-    hundreds: a VM carrying ``metadata["anti_affinity"] = <group>`` must
-    not land on a host already running a VM of the same group (replica
-    spreading for fault tolerance).  VMs without the tag pass freely.
-    """
-
-    GROUP_KEY = "anti_affinity"
-
-    def __init__(self):
-        # vm_id -> group, maintained from the placements we observe.
-        self._groups: dict[str, str] = {}
-
-    def passes(self, host: LocalScheduler, vm: VMRequest) -> bool:
-        group = vm.metadata.get(self.GROUP_KEY)
-        if group is None:
-            return True
-        self._groups[vm.vm_id] = group
-        for hosted_id in host.hosted_vm_ids():
-            if self._groups.get(hosted_id) == group:
-                return False
-        return True

@@ -20,7 +20,6 @@ __all__ = [
     "FirstFitWeigher",
     "BestFitWeigher",
     "WorstFitWeigher",
-    "ConsolidationWeigher",
 ]
 
 
@@ -75,10 +74,3 @@ class WorstFitWeigher(HostWeigher):
         cap = host.machine.capacity
         after = host.allocation() + vm.allocation()
         return (cap.cpu - after.cpu) / cap.cpu + (cap.mem - after.mem) / cap.mem
-
-
-class ConsolidationWeigher(HostWeigher):
-    """Prefer already-busy hosts over idle ones (keeps idle PMs dark)."""
-
-    def weigh(self, host: LocalScheduler, vm: VMRequest, index: int) -> float:
-        return 0.0 if host.is_empty else 1.0

@@ -15,6 +15,7 @@ substrate a production adopter needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,8 +37,8 @@ class HostFailure:
     host: int
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise SimulationError(f"failure time must be >= 0, got {self.time}")
+        if not 0 <= self.time < math.inf:
+            raise SimulationError(f"failure time must be finite and >= 0, got {self.time}")
         if self.host < 0:
             raise SimulationError(f"host index must be >= 0, got {self.host}")
 

@@ -1,20 +1,13 @@
 """Workload substrate: provider catalogs, level mixes, generator, traces."""
 
-from repro.workload.azure_trace import assign_levels, load_azure_trace
 from repro.workload.calibration import CalibrationTarget, calibrate_catalog
 from repro.workload.catalog import AZURE, OVERSUB_MEM_CAP_GB, OVHCLOUD, PROVIDERS, Catalog
-from repro.workload.distributions import DISTRIBUTIONS, enumerate_mixes, mix_shares
+from repro.workload.distributions import DISTRIBUTIONS, mix_shares
 from repro.workload.generator import (
     WorkloadParams,
     generate_workload,
     peak_population,
     remap_levels,
-)
-from repro.workload.timeseries import (
-    AZURE_LIKE_USAGE,
-    MarkovUsageModel,
-    TraceProfile,
-    generate_usage_series,
 )
 from repro.workload.traces import load_trace, save_trace, iter_trace
 from repro.workload.usage import (
@@ -31,14 +24,11 @@ __all__ = [
     "Catalog",
     "CalibrationTarget",
     "calibrate_catalog",
-    "load_azure_trace",
-    "assign_levels",
     "AZURE",
     "OVHCLOUD",
     "PROVIDERS",
     "OVERSUB_MEM_CAP_GB",
     "DISTRIBUTIONS",
-    "enumerate_mixes",
     "mix_shares",
     "WorkloadParams",
     "generate_workload",
@@ -47,10 +37,6 @@ __all__ = [
     "save_trace",
     "load_trace",
     "iter_trace",
-    "MarkovUsageModel",
-    "TraceProfile",
-    "generate_usage_series",
-    "AZURE_LIKE_USAGE",
     "UsageProfile",
     "IdleProfile",
     "StressProfile",

@@ -13,7 +13,7 @@ from typing import Mapping
 
 from repro.core.errors import ConfigError, WorkloadError
 
-__all__ = ["LevelMix", "DISTRIBUTIONS", "normalize_mix", "mix_shares", "enumerate_mixes"]
+__all__ = ["LevelMix", "DISTRIBUTIONS", "normalize_mix", "mix_shares"]
 
 #: Shares of (1:1, 2:1, 3:1) per named distribution, in percent.
 LevelMix = tuple[float, float, float]
@@ -69,17 +69,3 @@ def mix_shares(mix: LevelMix | str) -> Mapping[float, float]:
     if min(s1, s2, s3) < 0:
         raise WorkloadError("level shares must be non-negative")
     return {1.0: s1 / total, 2.0: s2 / total, 3.0: s3 / total}
-
-
-def enumerate_mixes(step: int = 25) -> dict[str, LevelMix]:
-    """Enumerate all percent mixes at ``step`` granularity, in the paper's
-    order (decreasing 1:1 share, then decreasing 2:1 share), labelled
-    alphabetically.  ``step=25`` reproduces exactly A–O."""
-    if step <= 0 or 100 % step:
-        raise WorkloadError(f"step must divide 100, got {step}")
-    mixes: list[LevelMix] = []
-    for s1 in range(100, -1, -step):
-        for s2 in range(100 - s1, -1, -step):
-            mixes.append((float(s1), float(s2), float(100 - s1 - s2)))
-    labels = [chr(ord("A") + i) if i < 26 else f"Z{i - 25}" for i in range(len(mixes))]
-    return dict(zip(labels, mixes))

@@ -2,30 +2,8 @@
 
 import pytest
 
-from repro.analysis.ascii_charts import boxplot, grouped_hbar, hbar
+from repro.analysis.ascii_charts import boxplot, grouped_hbar
 from repro.core import ConfigError
-
-
-class TestHbar:
-    def test_longest_bar_fills_width(self):
-        out = hbar([("a", 10.0), ("b", 5.0)], width=10)
-        lines = out.splitlines()
-        assert lines[0].count("█") == 10
-        assert 4 <= lines[1].count("█") <= 5
-
-    def test_values_printed(self):
-        out = hbar([("cpu", 12.3)], unit="%")
-        assert "12.3%" in out
-
-    def test_zero_values_render(self):
-        out = hbar([("a", 0.0)], width=10)
-        assert "0.0" in out
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            hbar([])
-        with pytest.raises(ConfigError):
-            hbar([("a", 1.0)], width=2)
 
 
 class TestGroupedHbar:

@@ -1,11 +1,14 @@
 """Tests of the dynamic-level cluster."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core import (
     LEVEL_1_1,
     LEVEL_3_1,
+    ConfigError,
     OversubscriptionLevel,
     SlackVMConfig,
     VMRequest,
@@ -25,6 +28,12 @@ def vm(vm_id, vcpus=3, mem=2.0, level=LEVEL_3_1, kind="stress", param=0.2,
 
 def machines(n=1, cpus=8, mem=64.0):
     return [MachineSpec(f"pm-{i}", cpus, mem) for i in range(n)]
+
+
+@pytest.mark.parametrize("field", ["max_ratio", "safety"])
+def test_params_reject_nan(field):
+    with pytest.raises(ConfigError):
+        DynamicLevelParams(**{field: math.nan})
 
 
 def test_lightly_used_vnode_reserves_below_static():

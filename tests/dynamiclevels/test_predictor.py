@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ConfigError, LEVEL_3_1, VMRequest, VMSpec
-from repro.dynamiclevels import (
-    MeanStdPredictor,
-    PercentilePredictor,
-    analytic_peak_demand,
-)
+from repro.dynamiclevels import PercentilePredictor, analytic_peak_demand
 
 
 def vm(kind, param, vcpus=4):
@@ -27,15 +23,6 @@ class TestSamplePredictors:
         with pytest.raises(ConfigError):
             PercentilePredictor(101.0)
 
-    def test_meanstd_predictor(self):
-        samples = np.array([1.0, 1.0, 1.0])
-        assert MeanStdPredictor(3.0).predict(samples) == pytest.approx(1.0)
-        # Sample std (ddof=1): std([0, 2]) = sqrt(2), not 1.
-        noisy = np.array([0.0, 2.0])
-        assert MeanStdPredictor(1.0).predict(noisy) == pytest.approx(
-            1.0 + np.sqrt(2.0)
-        )
-
     def test_percentile_ignores_nan_gaps(self):
         # Recorded traces have gaps; NaN must not leak into scores.
         gappy = np.array([1.0, np.nan, 3.0, np.nan])
@@ -47,20 +34,9 @@ class TestSamplePredictors:
         with pytest.raises(ConfigError):
             PercentilePredictor().predict(np.array([np.nan, np.nan]))
 
-    def test_meanstd_single_sample_has_no_spread(self):
-        # ddof=1 on one sample would be NaN; the guard predicts the
-        # sample itself.
-        assert MeanStdPredictor(3.0).predict(np.array([5.0])) == 5.0
-
     def test_empty_window_rejected(self):
         with pytest.raises(ConfigError):
             PercentilePredictor().predict(np.array([]))
-        with pytest.raises(ConfigError):
-            MeanStdPredictor().predict(np.array([]))
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ConfigError):
-            MeanStdPredictor(-1.0)
 
 
 class TestAnalyticPeak:

@@ -7,7 +7,6 @@ from repro.hardware import (
     EPYC_7662_DUAL,
     SIM_WORKER,
     MachineSpec,
-    machine_from_topology,
     small_smp,
 )
 
@@ -39,13 +38,6 @@ def test_explicit_topology_factory_is_used():
     topo = EPYC_7662_DUAL.build_topology()
     assert topo.num_sockets == 2
     assert topo.num_cpus == 256
-
-
-def test_machine_from_topology():
-    topo = small_smp(cores=8)
-    spec = machine_from_topology("tiny", topo, mem_gb=32.0)
-    assert spec.cpus == 8
-    assert spec.build_topology() is topo
 
 
 def test_topology_cpu_mismatch_rejected():

@@ -10,7 +10,6 @@ from repro.hardware import (
     build_topology,
     epyc_7662_dual,
     small_smp,
-    xeon_8280_dual,
 )
 
 
@@ -30,7 +29,8 @@ class TestBuilders:
         assert len(llcs) == 32
 
     def test_xeon_has_monolithic_llc_per_socket(self):
-        topo = xeon_8280_dual()
+        # 2x Xeon 8280: 28 cores per socket sharing one L3.
+        topo = build_topology(sockets=2, cores_per_socket=28, smt=2, llc_group=28)
         llcs = {c.cache_ids[-1] for c in topo.cpus()}
         assert len(llcs) == 2
 

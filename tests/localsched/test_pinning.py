@@ -1,4 +1,4 @@
-"""Tests for pinning plans and virtual topology export."""
+"""Tests for virtual topology export and LLC-sharing isolation."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.core import LEVEL_1_1, LEVEL_2_1, LEVEL_3_1, SlackVMConfig, TopologyE
 from repro.hardware import EPYC_7662_DUAL, MachineSpec, epyc_7662_dual
 from repro.localsched import (
     LocalScheduler,
-    pinning_plan,
     shared_llc_violations,
     virtual_topology,
 )
@@ -19,23 +18,6 @@ def vm(vm_id, vcpus=2, mem=4.0, level=LEVEL_2_1):
 @pytest.fixture
 def agent():
     return LocalScheduler(EPYC_7662_DUAL, SlackVMConfig(), topology=epyc_7662_dual())
-
-
-def test_all_vms_of_a_vnode_share_its_full_pinning(agent):
-    agent.deploy(vm("a", vcpus=4))
-    agent.deploy(vm("b", vcpus=2))
-    plan = pinning_plan(agent)
-    node = agent.vnode_for(LEVEL_2_1)
-    assert plan.cpus_of("a") == node.cpu_ids
-    assert plan.cpus_of("b") == node.cpu_ids
-
-
-def test_pinning_extends_to_new_range_on_growth(agent):
-    agent.deploy(vm("a", vcpus=4))
-    before = pinning_plan(agent).cpus_of("a")
-    agent.deploy(vm("b", vcpus=4))
-    after = pinning_plan(agent).cpus_of("a")
-    assert set(before) < set(after)
 
 
 def test_virtual_topology_reports_smt_pairs(agent):
@@ -79,9 +61,3 @@ def test_llc_violation_metric_requires_topology():
     agent = LocalScheduler(MachineSpec("pm", 8, 32.0), SlackVMConfig())
     with pytest.raises(TopologyError):
         shared_llc_violations(agent)
-
-
-def test_pinning_generation_matches_agent(agent):
-    agent.deploy(vm("a"))
-    plan = pinning_plan(agent)
-    assert plan.generation == agent.pin_generation

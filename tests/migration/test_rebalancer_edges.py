@@ -8,10 +8,12 @@ migration list stays empty) is indistinguishable from the plain
 :class:`VectorSimulation`.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.core import OversubscriptionLevel, SlackVMConfig, VMRequest, VMSpec
+from repro.core import ConfigError, OversubscriptionLevel, SlackVMConfig, VMRequest, VMSpec
 from repro.hardware import MachineSpec
 from repro.migration.rebalancer import MigratingSimulation, Rebalancer
 from repro.simulator import VectorSimulation
@@ -97,6 +99,13 @@ def test_interval_beyond_horizon_matches_plain_vector_simulation(policy):
     assert result.timeline.times == plain.timeline.times
     assert result.timeline.alloc_cpu == plain.timeline.alloc_cpu
     assert result.timeline.alloc_mem == plain.timeline.alloc_mem
+
+
+@pytest.mark.parametrize("interval", [0.0, -5.0, math.nan, math.inf])
+def test_rebalance_interval_must_be_finite_and_positive(interval):
+    # 0 and negative intervals used to spin forever in the pass loop.
+    with pytest.raises(ConfigError):
+        MigratingSimulation(_machines(), rebalance_interval=interval)
 
 
 def test_migrating_simulation_updates_placement_records():

@@ -20,13 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import LEVEL_1_1, ConfigError, VMRequest, VMSpec
-from repro.dynamiclevels.predictor import MeanStdPredictor
 from repro.oversub.estimators import (
     STRATEGIES,
     DoaEstimator,
     GreedyEstimator,
     HostWindows,
-    PercentileEstimator,
     make_estimator,
 )
 from repro.oversub.monitor import ClusterUsageMonitor, profile_for_vm
@@ -203,17 +201,6 @@ def test_host_ids_are_non_negative_state_indices():
     est = GreedyEstimator()
     sparse = HostWindows([16.0, 16.0], [8.0, 8.0], np.ones((2, 4)), [5, 2])
     assert est.effective_capacities(sparse).tolist() == [16.0 * (1.0 + est.step)] * 2
-
-
-def test_predictor_without_a_row_wise_form_is_called_per_row():
-    # MeanStdPredictor has no predict_rows: same estimator formula, the
-    # peaks come from one predict() per row.
-    est = PercentileEstimator(predictor=MeanStdPredictor(k=1.0))
-    samples = np.array([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0], [0.0, 0.0, 0.0]])
-    eff = est.effective_capacities(HostWindows([16.0] * 3, [8.0] * 3, samples))
-    assert eff.tolist() == [alone(est, j, 16.0, 8.0, samples[j]) for j in range(3)]
-    assert eff[1] == 8.0 * (0.9 * 16.0) / 4.0
-    assert eff[2] == 3.0 * 16.0
 
 
 # -- the monitor's demand matrix -----------------------------------------------

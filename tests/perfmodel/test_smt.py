@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ConfigError
-from repro.perfmodel import CpuSetCapacity, cpu_set_capacity
+from repro.perfmodel import CpuSetCapacity
 
 
 class TestCapacity:
@@ -65,7 +65,3 @@ class TestValidation:
     def test_speedup_below_one_rejected(self):
         with pytest.raises(ConfigError):
             CpuSetCapacity(threads=4, physical=4, smt_speedup=0.9)
-
-    def test_convenience_constructor(self):
-        cap = cpu_set_capacity(8, 4, 1.25)
-        assert cap.smt_speedup == 1.25

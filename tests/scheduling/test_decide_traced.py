@@ -12,10 +12,15 @@ from repro.scheduling import (
     scheduler_for_policy,
     slackvm_scheduler,
 )
-from repro.scheduling.weighers import ConsolidationWeigher
+from repro.scheduling.weighers import HostWeigher
 from repro.simulator import build_hosts
 
 MACHINE = MachineSpec("pm", 16, 64.0)
+
+
+class TieWeigher(HostWeigher):
+    def weigh(self, host, vm, index):
+        return 0.0
 
 
 def tie_heavy_workload(n=25, seed=11):
@@ -50,20 +55,15 @@ def _assert_agreement(scheduler, hosts, vm):
 
 class TestTieHeavyAgreement:
     def test_pure_tie_scheduler(self):
-        # ConsolidationWeigher scores every empty host identically: the
-        # worst case for tie handling.
-        scheduler = ScoreBasedScheduler(
-            weighers=((ConsolidationWeigher(), 1.0),), name="ties"
-        )
+        # Every host scores the same: the worst case for tie handling.
+        scheduler = ScoreBasedScheduler(weighers=((TieWeigher(), 1.0),), name="ties")
         hosts = build_hosts(MACHINE, 5)
         for vm in tie_heavy_workload():
             _assert_agreement(scheduler, hosts, vm)
             idx = scheduler.select(hosts, vm)
             _, table = scheduler.decide(hosts, vm)
-            busy = [h.host for h in table if h.eligible and not hosts[h.host].is_empty]
-            eligible = [h.host for h in table if h.eligible]
-            # Busy hosts outscore idle ones; ties keep the lowest index.
-            assert idx == (busy[0] if busy else eligible[0])
+            # Ties keep the lowest eligible index.
+            assert idx == next(h.host for h in table if h.eligible)
             hosts[idx].deploy(vm)
 
     def test_first_fit_replay(self):

@@ -16,7 +16,6 @@ from repro.scheduling import (
     CapacityFilter,
     FirstFitWeigher,
     LevelSupportFilter,
-    MaxVMsFilter,
     ScoreBasedScheduler,
     best_fit_scheduler,
     first_fit_scheduler,
@@ -46,12 +45,6 @@ class TestFilters:
         premium_only = hosts(1, config=SlackVMConfig(levels=(LEVEL_1_1,)))[0]
         assert LevelSupportFilter().passes(premium_only, vm(level=LEVEL_1_1))
         assert not LevelSupportFilter().passes(premium_only, vm(level=LEVEL_3_1))
-
-    def test_max_vms_filter(self):
-        host = hosts(1)[0]
-        host.deploy(vm(vm_id="a"))
-        assert MaxVMsFilter(2).passes(host, vm(vm_id="b"))
-        assert not MaxVMsFilter(1).passes(host, vm(vm_id="b"))
 
 
 class TestSelection:

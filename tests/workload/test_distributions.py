@@ -1,9 +1,9 @@
-"""Tests of the A-O level-mix enumeration."""
+"""Tests of the A-O level mixes."""
 
 import pytest
 
 from repro.core import WorkloadError
-from repro.workload import DISTRIBUTIONS, enumerate_mixes, mix_shares
+from repro.workload import DISTRIBUTIONS, mix_shares
 
 
 def test_fifteen_distributions():
@@ -30,23 +30,13 @@ def test_all_mixes_sum_to_100():
 
 
 def test_enumerate_matches_frozen_constants():
-    assert enumerate_mixes(25) == {
-        k: tuple(float(x) for x in v) for k, v in DISTRIBUTIONS.items()
-    }
-
-
-def test_enumerate_finer_step():
-    mixes = enumerate_mixes(50)
-    assert len(mixes) == 6
-    mixes10 = enumerate_mixes(10)
-    assert len(mixes10) == 66
-
-
-def test_enumerate_invalid_step():
-    with pytest.raises(WorkloadError):
-        enumerate_mixes(30)
-    with pytest.raises(WorkloadError):
-        enumerate_mixes(0)
+    # The paper's order: decreasing 1:1 share, then decreasing 2:1 share.
+    grid = [
+        (s1, s2, 100 - s1 - s2)
+        for s1 in range(100, -1, -25)
+        for s2 in range(100 - s1, -1, -25)
+    ]
+    assert list(DISTRIBUTIONS.values()) == grid
 
 
 class TestMixShares:
