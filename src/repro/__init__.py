@@ -19,8 +19,8 @@ self-contained Python library:
   contention + latency model) behind Table IV / Fig. 2;
 * :mod:`repro.analysis` — ratio tables, the Figure 3 & 4 result record
   and report rendering;
-* :mod:`repro.migration` — the paper's future-work live-migration
-  rebalancer;
+* :mod:`repro.oversub` — the paper's future-work dynamic
+  oversubscription: usage-predicted effective host capacities;
 * :mod:`repro.api` — the unified :class:`~repro.api.RunSpec` /
   :func:`~repro.api.run` / :func:`~repro.api.evaluate` entry point
   every front end constructs through;

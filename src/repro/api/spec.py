@@ -13,6 +13,7 @@ from it lives in :mod:`repro.api.run`.  Serialization, fingerprint and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -88,8 +89,9 @@ class RunSpec(Spec):
             raise ConfigError("target_population must be positive")
         if self.num_hosts < 0:
             raise ConfigError("num_hosts must be >= 0 (0 = auto-size)")
-        if self.host_cpus <= 0 or self.host_mem_gb <= 0:
-            raise ConfigError("host_cpus and host_mem_gb must be positive")
+        # Negated so that NaN fails too.
+        if not (0 < self.host_cpus < math.inf and 0 < self.host_mem_gb < math.inf):
+            raise ConfigError("host_cpus and host_mem_gb must be finite and positive")
         check_policy(self.policy)
         if self.kernel not in KERNELS:
             raise ConfigError(
@@ -104,8 +106,8 @@ class RunSpec(Spec):
                 f"unknown oversub strategy {self.oversub!r}; "
                 f"expected one of {sorted(STRATEGIES)}"
             )
-        if self.oversub_update_every <= 0:
-            raise ConfigError("oversub_update_every must be positive")
+        if not 0 < self.oversub_update_every < math.inf:
+            raise ConfigError("oversub_update_every must be finite and positive")
         if self.shards < 1:
             raise ConfigError(f"need at least one shard, got {self.shards}")
         if self.router not in ROUTERS:

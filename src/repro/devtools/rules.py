@@ -178,8 +178,6 @@ DECISION_PACKAGES = (
     "repro.scheduling",
     "repro.simulator",
     "repro.localsched",
-    "repro.migration",
-    "repro.dynamiclevels",
     "repro.controlplane",
     "repro.obs",
     "repro.runner",

@@ -8,6 +8,7 @@ its simulation use) with memory capacity, and optionally carries a full
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,10 +35,11 @@ class MachineSpec:
     topology_factory: Optional[Callable[[], Topology]] = None
 
     def __post_init__(self) -> None:
-        if self.cpus <= 0:
-            raise ConfigError(f"cpus must be positive, got {self.cpus}")
-        if self.mem_gb <= 0:
-            raise ConfigError(f"mem_gb must be positive, got {self.mem_gb}")
+        # Negated so that NaN fails too.
+        if not 0 < self.cpus < math.inf:
+            raise ConfigError(f"cpus must be finite and positive, got {self.cpus}")
+        if not 0 < self.mem_gb < math.inf:
+            raise ConfigError(f"mem_gb must be finite and positive, got {self.mem_gb}")
 
     @property
     def capacity(self) -> ResourceVector:

@@ -22,6 +22,7 @@ from repro.oversub.estimators import (
     GreedyEstimator,
     HostWindows,
     PercentileEstimator,
+    PercentilePredictor,
     StaticRatio,
     make_estimator,
 )
@@ -30,7 +31,6 @@ from repro.oversub.pipeline import (
     EffectiveCapacityFilter,
     EffectiveCapacityView,
     ObjectClusterTarget,
-    SlackAwareWeigher,
     with_oversub,
 )
 
@@ -45,6 +45,7 @@ __all__ = [
     "GreedyEstimator",
     "HostWindows",
     "PercentileEstimator",
+    "PercentilePredictor",
     "StaticRatio",
     "make_estimator",
     "ClusterUsageMonitor",
@@ -53,6 +54,5 @@ __all__ = [
     "EffectiveCapacityFilter",
     "EffectiveCapacityView",
     "ObjectClusterTarget",
-    "SlackAwareWeigher",
     "with_oversub",
 ]

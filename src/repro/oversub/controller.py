@@ -10,7 +10,7 @@ into the engine through the small :class:`CapacityTarget` port —
 engine with an :class:`~repro.oversub.pipeline.EffectiveCapacityView`.
 
 It also keeps the safety ledger: a host window whose demand peak
-exceeds ``violation_threshold × physical`` counts as one violation.
+exceeds the host's physical cores counts as one violation.
 Violations are counted for *every* strategy, including
 :class:`~repro.oversub.estimators.StaticRatio` — that is the baseline
 risk the packing-gain-vs-violation tables in EXPERIMENTS.md compare
@@ -19,6 +19,7 @@ against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
@@ -50,51 +51,37 @@ class CapacityTarget(Protocol):
         """Install the per-host effective capacities."""
 
 
+def _check_update_every(update_every: float) -> None:
+    # Negated so that NaN fails too; an infinite period never fires.
+    if not 0 < update_every < math.inf:
+        raise ConfigError(f"update_every must be finite and > 0, got {update_every}")
+
+
 @dataclass(frozen=True)
 class OversubParams:
     """Configuration of the dynamic-oversubscription loop.
 
-    ``window`` defaults to ``update_every`` (back-to-back observation
-    windows).  ``slack_weight`` only affects the object engine: when
-    positive, a :class:`~repro.oversub.pipeline.SlackAwareWeigher` with
-    that weight joins the scheduler's weigher stage.
+    Each update observes the window since the previous one
+    (back-to-back windows of ``update_every`` seconds).
     """
 
     estimator: CapacityEstimator
     update_every: float = 1800.0
-    window: float | None = None
     samples_per_window: int = 16
-    violation_threshold: float = 1.0
-    slack_weight: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.update_every <= 0:
-            raise ConfigError(
-                f"update_every must be positive, got {self.update_every}"
-            )
-        if self.window is not None and self.window <= 0:
-            raise ConfigError(f"window must be positive, got {self.window}")
-        if self.violation_threshold <= 0:
-            raise ConfigError(
-                f"violation_threshold must be positive, got {self.violation_threshold}"
-            )
-        if self.slack_weight < 0:
-            raise ConfigError(
-                f"slack_weight must be >= 0, got {self.slack_weight}"
-            )
+        _check_update_every(self.update_every)
 
     def build_controller(
         self, metrics: MetricsRegistry = NULL_METRICS
     ) -> "OversubController":
         monitor = ClusterUsageMonitor(
-            window=self.window if self.window is not None else self.update_every,
-            samples_per_window=self.samples_per_window,
+            window=self.update_every, samples_per_window=self.samples_per_window
         )
         return OversubController(
             estimator=self.estimator,
             monitor=monitor,
             update_every=self.update_every,
-            violation_threshold=self.violation_threshold,
             metrics=metrics,
         )
 
@@ -134,7 +121,6 @@ class OversubController:
     estimator: CapacityEstimator
     monitor: ClusterUsageMonitor
     update_every: float = 1800.0
-    violation_threshold: float = 1.0
     metrics: MetricsRegistry = NULL_METRICS
     updates: int = field(default=0, init=False)
     host_windows: int = field(default=0, init=False)
@@ -142,10 +128,7 @@ class OversubController:
     _eff_ratio_sum: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
-        if self.update_every <= 0:
-            raise ConfigError(
-                f"update_every must be positive, got {self.update_every}"
-            )
+        _check_update_every(self.update_every)
         self.estimator.reset()
 
     def advance(self, target: CapacityTarget, now: float) -> None:
@@ -170,7 +153,7 @@ class OversubController:
         powered = windows.physical > 0
         physical = windows.physical[powered]
         counted = int(physical.size)
-        breach = windows.peak_demand[powered] > self.violation_threshold * physical
+        breach = windows.peak_demand[powered] > physical
         violations = int(np.count_nonzero(breach))
         # Summed left to right like the per-host loop this replaces: pairwise
         # np.sum or a compensated sum() would move eff_ratio_mean's last bit.

@@ -36,6 +36,7 @@ import numpy as np
 from repro.core.errors import ConfigError
 
 __all__ = [
+    "PercentilePredictor",
     "HostWindows",
     "CapacityEstimator",
     "StaticRatio",
@@ -47,13 +48,35 @@ __all__ = [
 ]
 
 
-def _percentile_predictor(percentile: float):
-    # Imported lazily: repro.dynamiclevels.__init__ pulls in the
-    # simulation engine, which imports this package — a module-level
-    # import here would close that cycle.
-    from repro.dynamiclevels.predictor import PercentilePredictor
+@dataclass(frozen=True)
+class PercentilePredictor:
+    """Predict peak usage as a high percentile of observed samples
+    (Resource Central-style peak prediction)."""
 
-    return PercentilePredictor(percentile)
+    percentile: float = 99.0
+
+    def __post_init__(self) -> None:
+        if not 0 < self.percentile <= 100:
+            raise ConfigError(f"percentile must be in (0,100], got {self.percentile}")
+
+    def predict(self, samples: np.ndarray) -> float:
+        return float(self.predict_rows(np.asarray(samples, dtype=float)[None, :])[0])
+
+    def predict_rows(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`predict` of every row of a ``(windows × samples)``
+        matrix in one call (bit-identical to the per-row calls)."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.shape[1] == 0:
+            raise ConfigError("cannot predict from an empty sample window")
+        # Recorded traces may have gaps (NaN samples); those must not
+        # leak into placement scores.  Ignore them, but refuse a window
+        # with no valid sample at all.
+        gaps = np.isnan(rows)
+        if gaps.any():
+            if gaps.all(axis=1).any():
+                raise ConfigError("cannot predict from an all-NaN sample window")
+            return np.nanpercentile(rows, self.percentile, axis=1)
+        return np.percentile(rows, self.percentile, axis=1)
 
 
 @dataclass(eq=False)
@@ -189,7 +212,7 @@ class PercentileEstimator(CapacityEstimator):
         super().__init__(ratio_cap=ratio_cap)
         if not 0.0 <= headroom < 1.0:
             raise ConfigError(f"headroom must be in [0,1), got {headroom}")
-        self.predictor = _percentile_predictor(95.0)
+        self.predictor = PercentilePredictor(95.0)
         self.headroom = headroom
 
     def _estimate(self, windows: HostWindows) -> np.ndarray:
@@ -243,7 +266,7 @@ class DoaEstimator(CapacityEstimator):
             raise ConfigError(f"stable_windows must be >= 1, got {stable_windows}")
         if stability_margin < 0:
             raise ConfigError(f"stability_margin must be >= 0, got {stability_margin}")
-        self.predictor = _percentile_predictor(90.0)
+        self.predictor = PercentilePredictor(90.0)
         self.alert = alert
         self.increase = increase
         self.decrease = decrease

@@ -8,9 +8,7 @@ the reference engine composes through its Nova-style pipeline instead:
   capacity vector, keyed by machine name (filters see hosts, not
   indices);
 * :class:`EffectiveCapacityFilter` — a hard constraint: the host's
-  post-placement CPU reservation must fit its effective capacity;
-* :class:`SlackAwareWeigher` — a soft preference for hosts left with
-  the most predicted usage slack after the placement.
+  post-placement CPU reservation must fit its effective capacity.
 
 The object path's :class:`~repro.localsched.agent.LocalScheduler`
 allocates *physical* CPU slots, so on this path a dynamic capacity can
@@ -33,12 +31,10 @@ from repro.core.types import VMRequest
 from repro.localsched.agent import LocalScheduler
 from repro.scheduling.filters import HostFilter
 from repro.scheduling.global_scheduler import ScoreBasedScheduler
-from repro.scheduling.weighers import HostWeigher
 
 __all__ = [
     "EffectiveCapacityView",
     "EffectiveCapacityFilter",
-    "SlackAwareWeigher",
     "ObjectClusterTarget",
     "with_oversub",
 ]
@@ -48,8 +44,8 @@ class EffectiveCapacityView:
     """Mutable per-host effective CPU capacities, keyed by machine name.
 
     One instance is shared between the controller (which writes via
-    :meth:`update`) and the filter/weigher (which read per host).
-    Effective capacities start at physical.
+    :meth:`update`) and the filter (which reads per host).  Effective
+    capacities start at physical.
     """
 
     def __init__(self, names: Sequence[str], physical: Sequence[float]):
@@ -74,9 +70,6 @@ class EffectiveCapacityView:
     def effective_for(self, name: str) -> float:
         return float(self.effective[self._index[name]])
 
-    def physical_for(self, name: str) -> float:
-        return float(self.physical[self._index[name]])
-
 
 class EffectiveCapacityFilter(HostFilter):
     """Host passes iff the placement's CPU reservation fits its
@@ -99,27 +92,6 @@ class EffectiveCapacityFilter(HostFilter):
         eff = self.view.effective_for(host.machine.name)
         after = host.allocated_cpus + plan.growth
         return after <= eff + CAPACITY_EPSILON
-
-
-class SlackAwareWeigher(HostWeigher):
-    """Prefer hosts left with the most normalized predicted slack.
-
-    Score = ``(effective - reservation-after-placement) / physical``.
-    Unlike :class:`~repro.scheduling.weighers.WorstFitWeigher` this
-    measures slack against the *estimator's* capacity, so a host whose
-    VMs are predicted quiet ranks above an equally-reserved host
-    running hot.
-    """
-
-    def __init__(self, view: EffectiveCapacityView):
-        self.view = view
-
-    def weigh(self, host: LocalScheduler, vm: VMRequest, index: int) -> float:
-        plan = host.plan(vm)
-        growth = plan.growth if plan is not None else 0
-        eff = self.view.effective_for(host.machine.name)
-        after = host.allocated_cpus + growth
-        return (eff - after) / self.view.physical_for(host.machine.name)
 
 
 class ObjectClusterTarget:
@@ -150,22 +122,12 @@ class ObjectClusterTarget:
 
 
 def with_oversub(
-    scheduler: ScoreBasedScheduler,
-    view: EffectiveCapacityView,
-    slack_weight: float = 0.0,
+    scheduler: ScoreBasedScheduler, view: EffectiveCapacityView
 ) -> ScoreBasedScheduler:
-    """A copy of ``scheduler`` with the oversubscription stages added.
-
-    Appends :class:`EffectiveCapacityFilter` to the filter stage and,
-    when ``slack_weight`` is positive, a :class:`SlackAwareWeigher`
-    with that weight to the weigher stage.
-    """
-    if slack_weight < 0:
-        raise ConfigError(f"slack_weight must be >= 0, got {slack_weight}")
-    filters = (*scheduler.filters, EffectiveCapacityFilter(view))
-    weighers = scheduler.weighers
-    if slack_weight > 0:
-        weighers = (*weighers, (SlackAwareWeigher(view), slack_weight))
+    """A copy of ``scheduler`` with :class:`EffectiveCapacityFilter`
+    appended to its filter stage."""
     return ScoreBasedScheduler(
-        filters=filters, weighers=weighers, name=f"{scheduler.name}+oversub"
+        filters=(*scheduler.filters, EffectiveCapacityFilter(view)),
+        weighers=scheduler.weighers,
+        name=f"{scheduler.name}+oversub",
     )

@@ -18,6 +18,7 @@ guarantees statistically independent streams per seed slot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -149,8 +150,11 @@ class SweepSpec(Spec):
             object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if self.target_population <= 0:
             raise RunnerError("target_population must be positive")
-        if self.machine_cpus <= 0 or self.machine_mem_gb <= 0:
-            raise RunnerError("machine_cpus and machine_mem_gb must be positive")
+        # Negated so that NaN fails too.
+        if not (0 < self.machine_cpus < math.inf and 0 < self.machine_mem_gb < math.inf):
+            raise RunnerError(
+                "machine_cpus and machine_mem_gb must be finite and positive"
+            )
         if self.shards < 1:
             raise RunnerError(f"shards must be >= 1, got {self.shards}")
         resolved = tuple(resolve_mix_entry(m) for m in self.mixes)

@@ -204,7 +204,7 @@ def run_events(
 
     ``before_event(time, state)`` runs ahead of every event and is the
     only place an engine variant acts (advance an oversubscription
-    controller, fail hosts and re-place the victims, consolidate): it
+    controller, fail hosts and re-place the victims): it
     mutates the backend's cluster itself and reports moved or lost VMs
     through ``state``.  An enabled ``recorder`` routes arrivals through
     ``backend.decide`` and gets one ``DecisionRecord`` each; enabled
@@ -391,8 +391,8 @@ class Simulation:
             )
 
             # The object path composes through the Nova-style pipeline:
-            # an EffectiveCapacityFilter (and optional SlackAwareWeigher)
-            # reading a shared view the controller updates.  Local
+            # an EffectiveCapacityFilter reading a shared view the
+            # controller updates.  Local
             # agents allocate physical slots, so on this path a dynamic
             # capacity can only restrict placement; the vector engine's
             # capacity override is the path that admits beyond physical.
@@ -401,9 +401,7 @@ class Simulation:
                 [float(h.machine.cpus) for h in self.hosts],
             )
             self.oversub_view = view
-            self.scheduler = with_oversub(
-                scheduler, view, slack_weight=oversub.slack_weight
-            )
+            self.scheduler = with_oversub(scheduler, view)
             self._oversub_target = ObjectClusterTarget(self.hosts, view)
             self._oversub_controller = oversub.build_controller(metrics)
         if recorder.enabled:

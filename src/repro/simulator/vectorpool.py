@@ -13,8 +13,6 @@ pooling into a stricter vNode otherwise) and the policy scores
 host selection — ``_admission_rows`` / ``_score_rows``; every consumer
 (the public ``feasibility()`` / ``scores()`` tables, the first-fit
 block scan, the shape cache's build and subset refresh) is a caller.
-The one thing a cluster variant replaces is the vNode sizing rule
-(``_required_cpus`` / ``_required_cpus_rows``).
 
 The hot path is *event-proportional*: per-host derived quantities
 (free capacity, the allocated M/C ratio's deviation from the machine
@@ -261,7 +259,8 @@ class VectorCluster:
                 raise ConfigError("every host must support at least one level")
         # vm_id -> (host, hosted level index, vcpus, mem)
         self._placements: dict[str, tuple[int, int, int, float]] = {}
-        # vm_id -> original request (needed to re-place, e.g. migration)
+        # vm_id -> original request (the oversub monitor and failure
+        # injection read the live requests back)
         self._requests: dict[str, VMRequest] = {}
         # Running cluster-wide CPU allocation.  vNode growth/release are
         # always integral, and sums of integers are exact in float64, so
@@ -536,30 +535,6 @@ class VectorCluster:
             )
         return li
 
-    # -- vNode sizing: the one rule a cluster variant replaces -----------------
-
-    def _required_cpus(
-        self, li: int, host: int, vcpus: float, vm: Optional[VMRequest]
-    ) -> float:
-        """CPUs the level-``li`` vNode on ``host`` must own to expose
-        ``vcpus`` (Algorithm 1: ``ceil(vcpus / n)``).
-
-        Scalar form, used by ``deploy`` (``vm`` is the arrival, already
-        counted in ``vcpus``) and ``remove`` (``vm`` is None).  Python
-        floats: same IEEE division as the array form, several times
-        cheaper than a numpy scalar.
-        """
-        return math.ceil(vcpus / self._ratio_vals[li])
-
-    def _required_cpus_rows(
-        self, li: int, sel: slice | np.ndarray, vcpus: np.ndarray, vm: VMRequest
-    ) -> np.ndarray:
-        """Array form of :meth:`_required_cpus` for the hosts in ``sel``
-        with ``vm`` arriving.  ``vcpus`` is the caller's private
-        temporary and may be overwritten."""
-        np.divide(vcpus, self.ratios[li], out=vcpus)
-        return np.ceil(vcpus, out=vcpus)
-
     # -- admission and scores, row-wise over a host selection ------------------
 
     def feasibility(self, vm: VMRequest) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -595,8 +570,10 @@ class VectorCluster:
         sup = self.supported[li, sel]
         v = float(vm.spec.vcpus)
         m = vm.spec.mem_gb
-        # growth = max(0, required(vnode_vcpus[li] + v) - vnode_cpus[li])
-        growth = self._required_cpus_rows(li, sel, np.add(lvl[_LR_VCPUS], v), vm)
+        # growth = max(0, ceil((vnode_vcpus[li] + v) / n) - vnode_cpus[li])
+        growth = np.add(lvl[_LR_VCPUS], v)
+        np.divide(growth, self.ratios[li], out=growth)
+        np.ceil(growth, out=growth)
         np.subtract(growth, lvl[_LR_CPUS], out=growth)
         np.maximum(growth, 0.0, out=growth)
         # own_ok = supported & (own mem fits) & (growth fits free CPUs)
@@ -712,18 +689,12 @@ class VectorCluster:
                 return lo + int(j)
         return None
 
-    def select_best(self, feasible: np.ndarray, vm: VMRequest, policy: str) -> int:
-        """Best feasible host under ``policy`` (lowest index wins ties).
-
-        ``feasible`` must have at least one True entry.
-        """
-        return int(np.argmax(np.where(feasible, self.scores(vm, policy), -np.inf)))
-
     def select(self, vm: VMRequest, policy: str) -> Optional[int]:
-        """Best feasible host for ``vm`` under ``policy``; None if none.
+        """Best feasible host for ``vm`` under ``policy`` (lowest index
+        wins ties); None if none.
 
-        Semantically ``select_best(feasibility(vm)[0], vm, policy)``
-        guarded by ``feasible.any()``.  First-fit is the block scan of
+        Semantically ``argmax(where(feasible, scores, -inf))`` guarded
+        by ``feasible.any()``.  First-fit is the block scan of
         :meth:`first_feasible`; scored policies go through a per-shape cache:
         catalog workloads re-request the same few (level, vcpus, mem)
         shapes over and over, and a shape's masked score vector
@@ -776,7 +747,7 @@ class VectorCluster:
         feasible, _growth, _own = self.feasibility(vm)
         if not feasible.any():
             return None
-        return self.select_best(feasible, vm, policy)
+        return int(np.argmax(np.where(feasible, self.scores(vm, policy), -np.inf)))
 
     def deploy(self, vm: VMRequest, host: int) -> PlacementRecord:
         """Place ``vm`` on ``host`` (own-level first, §V-B pooling fallback)."""
@@ -792,7 +763,9 @@ class VectorCluster:
         vv = self.vnode_vcpus.item(li, host)
         vc = self.vnode_cpus.item(li, host)
         ac = self.alloc_cpu.item(host)
-        growth = max(0.0, self._required_cpus(li, host, vv + v, vm) - vc)
+        # Python floats: the same IEEE division as _admission_rows,
+        # several times cheaper than a numpy scalar.
+        growth = max(0.0, math.ceil((vv + v) / self._ratio_vals[li]) - vc)
         own_mem = m / self._mem_ratio_vals[li]
         if not self.supported.item(li, host):
             raise CapacityError(
@@ -874,7 +847,7 @@ class VectorCluster:
         self._requests.pop(vm_id, None)
         vv = self.vnode_vcpus.item(li, host) - v
         self.vnode_vcpus[li, host] = vv
-        required = self._required_cpus(li, host, vv, None)
+        required = math.ceil(vv / self._ratio_vals[li])
         release = self.vnode_cpus.item(li, host) - required
         self.vnode_cpus[li, host] = required
         self.alloc_cpu[host] = self.alloc_cpu.item(host) - release
@@ -965,16 +938,9 @@ class VectorCluster:
     def placed_vm_ids(self) -> tuple[str, ...]:
         return tuple(self._placements)
 
-    def host_weight(self, host: int) -> float:
-        """Normalized combined allocation of one host (0 = idle)."""
-        return float(
-            self.alloc_cpu[host] / self.cap_cpu[host]
-            + self.alloc_mem[host] / self.cap_mem[host]
-        )
-
 
 class VectorBackend:
-    """A :class:`VectorCluster` (or subclass) bound to one policy: the
+    """A :class:`VectorCluster` bound to one policy: the
     array-side :class:`~repro.simulator.engine.PlacementBackend` and (last
     four methods) the oversubscription controller's ``CapacityTarget``."""
 

@@ -37,9 +37,8 @@ DEFAULT_BEHAVIOUR_SHARES: dict[str, float] = {
 
 DAY_SECONDS = 86_400.0
 
-#: Default diurnal amplitude of :class:`InteractiveProfile`.  Consumers
-#: that reason about interactive peaks analytically (e.g.
-#: :func:`repro.dynamiclevels.predictor.analytic_peak_demand`) must
+#: Default diurnal amplitude of :class:`InteractiveProfile`.  Any
+#: consumer that reasons about interactive peaks analytically must
 #: import this constant instead of copying the value.
 INTERACTIVE_AMPLITUDE = 0.5
 

@@ -57,6 +57,14 @@ class TestValidation:
             (dict(engine="object", shards=2), "object engine"),
             (dict(shards=2, fail_fast=True), "fail_fast"),
             (dict(shards=2, oversub="percentile"), "oversubscription"),
+            # NaN passes a `<= 0` guard and an infinite period never
+            # fires: either would build a controller that never updates.
+            # Non-finite host sizes must fail here, before any work.
+            (dict(oversub_update_every=float("nan")), "update_every"),
+            (dict(oversub_update_every=float("inf")), "update_every"),
+            (dict(host_cpus=float("nan")), "finite"),
+            (dict(host_mem_gb=float("nan")), "finite"),
+            (dict(host_mem_gb=float("inf")), "finite"),
         ],
     )
     def test_bad_knobs_fail_at_construction(self, kwargs, match):

@@ -47,7 +47,12 @@ def test_topology_cpu_mismatch_rejected():
         spec.build_topology()
 
 
-@pytest.mark.parametrize("cpus,mem", [(0, 10.0), (-1, 10.0), (4, 0.0)])
+@pytest.mark.parametrize(
+    "cpus,mem",
+    [(0, 10.0), (-1, 10.0), (4, 0.0),
+     # Non-finite sizes: NaN passes a `<= 0` guard, inf is no real host.
+     (4, float("nan")), (4, float("inf")), (float("nan"), 10.0), (float("inf"), 10.0)],
+)
 def test_invalid_spec_rejected(cpus, mem):
     with pytest.raises(ConfigError):
         MachineSpec(name="bad", cpus=cpus, mem_gb=mem)

@@ -12,6 +12,7 @@ from repro.oversub.estimators import (
     GreedyEstimator,
     HostWindows,
     PercentileEstimator,
+    PercentilePredictor,
     StaticRatio,
     make_estimator,
 )
@@ -26,6 +27,33 @@ def window(samples, physical=16.0, allocated=8.0, host=0):
 
 def capacity(est, w):
     return float(est.effective_capacities(w)[0])
+
+
+class TestSamplePredictors:
+    def test_percentile_predictor(self):
+        samples = np.arange(101, dtype=float)
+        assert PercentilePredictor(99.0).predict(samples) == pytest.approx(99.0)
+
+    def test_percentile_bounds(self):
+        with pytest.raises(ConfigError):
+            PercentilePredictor(0.0)
+        with pytest.raises(ConfigError):
+            PercentilePredictor(101.0)
+
+    def test_percentile_ignores_nan_gaps(self):
+        # Recorded traces have gaps; NaN must not leak into scores.
+        gappy = np.array([1.0, np.nan, 3.0, np.nan])
+        result = PercentilePredictor(100.0).predict(gappy)
+        assert result == pytest.approx(3.0)
+        assert not np.isnan(result)
+
+    def test_percentile_rejects_all_nan_window(self):
+        with pytest.raises(ConfigError):
+            PercentilePredictor().predict(np.array([np.nan, np.nan]))
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(ConfigError):
+            PercentilePredictor().predict(np.array([]))
 
 
 class TestHostWindow:

@@ -8,6 +8,7 @@ from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry
 from repro.oversub.controller import OversubController, OversubParams, OversubSummary
 from repro.oversub.estimators import PercentileEstimator, StaticRatio
+from repro.oversub.monitor import ClusterUsageMonitor
 
 
 def vm(vm_id="vm", param=0.5, vcpus=4):
@@ -43,22 +44,21 @@ class TestParams:
         controller = params.build_controller()
         assert controller.monitor.window == 600.0
 
-    def test_explicit_window_kept(self):
-        params = OversubParams(StaticRatio(), update_every=600.0, window=120.0)
-        assert params.build_controller().monitor.window == 120.0
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(update_every=0.0),
-            dict(window=-5.0),
-            dict(violation_threshold=0.0),
-            dict(slack_weight=-0.1),
+            # NaN passes a `<= 0` guard and an infinite period never
+            # fires: either would build a controller that never updates.
+            dict(update_every=float("nan")),
+            dict(update_every=float("inf")),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             OversubParams(StaticRatio(), **kwargs)
+        with pytest.raises(ConfigError):
+            OversubController(StaticRatio(), ClusterUsageMonitor(), **kwargs)
 
 
 class TestAdvance:

@@ -1,4 +1,4 @@
-"""Object-pipeline tests: view, filter, weigher, engine integration."""
+"""Object-pipeline tests: view, filter, engine integration."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.oversub.estimators import StaticRatio
 from repro.oversub.pipeline import (
     EffectiveCapacityFilter,
     EffectiveCapacityView,
-    SlackAwareWeigher,
     with_oversub,
 )
 from repro.scheduling import first_fit_scheduler, slackvm_scheduler
@@ -30,14 +29,14 @@ class TestView:
     def test_starts_at_physical(self):
         view = EffectiveCapacityView(["a", "b"], [8.0, 16.0])
         assert view.effective_for("a") == 8.0
-        assert view.physical_for("b") == 16.0
+        assert view.effective_for("b") == 16.0
 
     def test_update_replaces_vector(self):
         view = EffectiveCapacityView(["a", "b"], [8.0, 16.0])
         view.update(np.array([12.0, 10.0]))
         assert view.effective_for("a") == 12.0
         assert view.effective_for("b") == 10.0
-        assert view.physical_for("a") == 8.0  # physical untouched
+        assert view.physical.tolist() == [8.0, 16.0]  # physical untouched
 
     def test_shape_mismatch_rejected(self):
         view = EffectiveCapacityView(["a"], [8.0])
@@ -75,32 +74,6 @@ class TestFilter:
         assert not filt.passes(host, vm("huge", vcpus=16))
 
 
-class TestWeigher:
-    def test_prefers_most_slack(self):
-        hosts = build_hosts(MACHINE, 2)
-        hosts[0].deploy(vm("seed", vcpus=4))
-        names = [h.machine.name for h in hosts]
-        view = EffectiveCapacityView(names, [8.0, 8.0])
-        weigher = SlackAwareWeigher(view)
-        candidate = vm("new", vcpus=2)
-        assert weigher.weigh(hosts[1], candidate, 1) > weigher.weigh(
-            hosts[0], candidate, 0
-        )
-
-    def test_estimated_quiet_host_outranks_hot_one(self):
-        hosts = build_hosts(MACHINE, 2)
-        for h in hosts:
-            h.deploy(vm(f"seed-{h.machine.name}", vcpus=4))
-        view = EffectiveCapacityView([h.machine.name for h in hosts], [8.0, 8.0])
-        # Equal reservations, but the estimator thinks host 1 is quiet.
-        view.update(np.array([8.0, 12.0]))
-        weigher = SlackAwareWeigher(view)
-        candidate = vm("new", vcpus=2)
-        assert weigher.weigh(hosts[1], candidate, 1) > weigher.weigh(
-            hosts[0], candidate, 0
-        )
-
-
 class TestWithOversub:
     def test_appends_filter_and_names_scheduler(self):
         view = EffectiveCapacityView(["a"], [8.0])
@@ -110,18 +83,6 @@ class TestWithOversub:
         assert len(wrapped.filters) == len(base.filters) + 1
         assert isinstance(wrapped.filters[-1], EffectiveCapacityFilter)
         assert wrapped.weighers == base.weighers
-
-    def test_slack_weight_adds_weigher(self):
-        view = EffectiveCapacityView(["a"], [8.0])
-        wrapped = with_oversub(slackvm_scheduler(), view, slack_weight=0.5)
-        weigher, weight = wrapped.weighers[-1]
-        assert isinstance(weigher, SlackAwareWeigher)
-        assert weight == 0.5
-
-    def test_negative_weight_rejected(self):
-        view = EffectiveCapacityView(["a"], [8.0])
-        with pytest.raises(ConfigError):
-            with_oversub(slackvm_scheduler(), view, slack_weight=-1.0)
 
 
 class TestEngineIntegration:

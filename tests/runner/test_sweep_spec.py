@@ -102,3 +102,10 @@ def test_spec_validation():
         SweepSpec(mixes=("A", "a"))  # duplicate label after normalization
     with pytest.raises(RunnerError):
         SweepSpec(machine_cpus=0)
+
+
+@pytest.mark.parametrize("field", ["machine_cpus", "machine_mem_gb"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_machine_rejected(field, value):
+    with pytest.raises(RunnerError, match="finite"):
+        SweepSpec(**{field: value})

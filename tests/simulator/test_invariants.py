@@ -2,9 +2,7 @@
 
 Whatever the policy, pooling setting or workload, the simulator must
 never overcommit physical CPUs, never oversubscribe memory, and every
-vNode must honour its level's vCPU-per-CPU guarantee.  Every test runs
-over both cluster variants: :class:`VectorCluster` (static vNode sizing)
-and :class:`DynamicLevelCluster` (sizing by predicted peak).
+vNode must be sized exactly as Algorithm 1 says: ``ceil(vcpus / ratio)``.
 """
 
 import math
@@ -14,15 +12,10 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.core import OversubscriptionLevel, SlackVMConfig, VMRequest, VMSpec
-from repro.dynamiclevels import DynamicLevelCluster
 from repro.hardware import MachineSpec
 from repro.simulator import EventKind, VectorCluster, workload_events
 
 MACHINE = MachineSpec("pm", 16, 64.0)
-
-#: ``cluster_cls(machines, config)`` for every variant under test — a
-#: drawn input, so each test's example budget is split between the two.
-cluster_classes = st.sampled_from([VectorCluster, DynamicLevelCluster])
 
 
 @st.composite
@@ -44,9 +37,6 @@ def workloads(draw):
                 departure=arrival + draw(st.floats(min_value=0.1, max_value=30.0))
                 if departs
                 else None,
-                # Only the dynamic variant reads these (predicted peak).
-                usage_kind=draw(st.sampled_from(["idle", "stress", "interactive"])),
-                usage_param=draw(st.sampled_from([0.1, 0.4, 1.0])),
             )
         )
     return vms
@@ -63,17 +53,13 @@ def check_invariants(cluster: VectorCluster):
     assert np.all(cluster.vnode_cpus >= -1e-9)
     assert np.all(cluster.vnode_vcpus >= -1e-9)
     # Each vNode honours its oversubscription guarantee: vcpus <= ratio *
-    # cpus, and cpus is the minimal ceil.  A dynamic oversubscribed vNode
-    # may float up to ``max_ratio`` but never reserves more than static.
-    dynamic = isinstance(cluster, DynamicLevelCluster)
+    # cpus, and cpus is the minimal ceil.
     for li, ratio in enumerate(cluster.ratios):
         vcpus = cluster.vnode_vcpus[li]
         cpus = cluster.vnode_cpus[li]
-        bound = max(ratio, cluster.params.max_ratio) if dynamic and ratio > 1 else ratio
-        assert np.all(vcpus <= bound * cpus + 1e-9)
+        assert np.all(vcpus <= ratio * cpus + 1e-9)
         for j in range(cluster.num_hosts):
-            static = 0 if vcpus[j] == 0 else math.ceil(vcpus[j] / ratio)
-            assert cpus[j] <= static if dynamic else cpus[j] == static
+            assert cpus[j] == math.ceil(vcpus[j] / ratio)
     # PM-level CPU allocation is exactly the sum of its vNodes.
     assert np.allclose(cluster.alloc_cpu, cluster.vnode_cpus.sum(axis=0))
     # The O(1) running totals are the array sums, bit for bit.
@@ -82,11 +68,11 @@ def check_invariants(cluster: VectorCluster):
 
 
 @settings(max_examples=100, deadline=None)
-@given(cluster_cls=cluster_classes, workload=workloads(), pooling=st.booleans(),
+@given(workload=workloads(), pooling=st.booleans(),
        policy=st.sampled_from(["first_fit", "progress"]))
-def test_capacity_invariants_hold_at_every_event(cluster_cls, workload, pooling, policy):
+def test_capacity_invariants_hold_at_every_event(workload, pooling, policy):
     cfg = SlackVMConfig(pooling=pooling)
-    cluster = cluster_cls([MachineSpec(f"pm-{i}", 16, 64.0) for i in range(3)], cfg)
+    cluster = VectorCluster([MachineSpec(f"pm-{i}", 16, 64.0) for i in range(3)], cfg)
     alive = set()
     for event in workload_events(workload).drain():
         vm = event.vm
@@ -107,12 +93,12 @@ def test_capacity_invariants_hold_at_every_event(cluster_cls, workload, pooling,
 
 
 @settings(max_examples=100, deadline=None)
-@given(cluster_cls=cluster_classes, workload=workloads())
-def test_full_drain_returns_to_empty(cluster_cls, workload):
+@given(workload=workloads())
+def test_full_drain_returns_to_empty(workload):
     """Deploy whatever fits, then remove everything: the cluster state
     must return exactly to zero (no accounting leaks)."""
     cfg = SlackVMConfig(pooling=True)
-    cluster = cluster_cls([MACHINE], cfg)
+    cluster = VectorCluster([MACHINE], cfg)
     placed = []
     for vm in sorted(workload, key=lambda v: v.vm_id):
         feasible, _, _ = cluster.feasibility(vm)
@@ -128,11 +114,11 @@ def test_full_drain_returns_to_empty(cluster_cls, workload):
 
 
 @settings(max_examples=60, deadline=None)
-@given(cluster_cls=cluster_classes, workload=workloads())
-def test_feasibility_never_lies(cluster_cls, workload):
+@given(workload=workloads())
+def test_feasibility_never_lies(workload):
     """If feasibility() says a host can take the VM, deploy must succeed."""
     cfg = SlackVMConfig(pooling=True)
-    cluster = cluster_cls([MachineSpec(f"pm-{i}", 16, 64.0) for i in range(2)], cfg)
+    cluster = VectorCluster([MachineSpec(f"pm-{i}", 16, 64.0) for i in range(2)], cfg)
     for vm in sorted(workload, key=lambda v: v.vm_id):
         feasible, _, _ = cluster.feasibility(vm)
         for host in np.flatnonzero(feasible):

@@ -140,11 +140,6 @@ class TestIntrospection:
         cluster.deploy(request, host=0)
         assert cluster.request_of("a") is request
 
-    def test_host_weight(self, cluster):
-        assert cluster.host_weight(0) == 0.0
-        cluster.deploy(vm("a", vcpus=4, mem=16.0), host=0)
-        assert cluster.host_weight(0) == pytest.approx(2 / 8 + 16 / 32)
-
 
 class TestVectorSimulation:
     def test_policies_constant_is_exhaustive(self):

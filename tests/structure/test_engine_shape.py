@@ -27,9 +27,10 @@ def test_there_is_exactly_one_event_loop(src_calls):
 
 def test_there_is_exactly_one_admission_formula(src_tree):
     """The incremental kernel writes its policy scores in one function,
-    keeps no per-call scratch attributes, and the dynamic-level variant
-    replaces the sizing rule without carrying its own copy of the
-    admission / accounting code."""
+    keeps no per-call scratch attributes, and no class under
+    ``src/repro`` subclasses ``VectorCluster`` — an engine variant is a
+    backend and/or a ``before_event`` hook, never a second cluster with
+    its own sizing or admission rule."""
     vectorpool = src_tree["simulator/vectorpool.py"]
     scorers = {
         func.name
@@ -44,17 +45,15 @@ def test_there_is_exactly_one_admission_formula(src_tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
         and node.attr.startswith(("_fb_", "_sc_", "_sel_not"))
     ]
-    copied = []
-    for node in ast.walk(src_tree["dynamiclevels/cluster.py"]):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id in ("AdmissionRecord", "PlacementRecord"):
-                copied.append(node.func.id)
-        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
-            if getattr(node.value, "attr", "") == "_placements":
-                copied.append("self._placements[...] = ")
-        elif isinstance(node, ast.Constant) and node.value == 1e-9:
-            copied.append("1e-9")
-    assert (scorers, scratch, copied) == ({"_score_rows"}, [], [])
+    subclasses = [
+        f"{module}::{node.name}"
+        for module, tree in src_tree.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for base in node.bases
+        if ast.unparse(base).rpartition(".")[2] == "VectorCluster"
+    ]
+    assert (scorers, scratch, subclasses) == ({"_score_rows"}, [], [])
 
 
 def test_reference_kernel_mirrors_the_vector_kernel_signatures():

@@ -105,6 +105,16 @@ def test_invalid_machine_spec_rejected():
         build_parser().parse_args(["size", "x.jsonl", "--machine", "banana"])
 
 
+@pytest.mark.parametrize("machine", ["32:nan", "32:inf"])
+def test_non_finite_machine_memory_is_a_usage_error(machine, capsys):
+    # A bad flag value is an argparse usage error (exit 2), not a
+    # traceback from deep in the sizing search or a run on infinite hosts.
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--population", "30", "--machine", machine])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
