@@ -71,19 +71,8 @@ class Topology:
         self._numa = dist
         self._height = heights.pop()
         self._distance_matrix: np.ndarray | None = None
-        self._siblings: dict[int, tuple[int, ...]] = {}
-        by_phys: dict[int, list[int]] = {}
-        for c in cpus:
-            by_phys.setdefault(c.physical_core, []).append(c.cpu_id)
-        for ids in by_phys.values():
-            t = tuple(sorted(ids))
-            for i in t:
-                self._siblings[i] = t
 
     # -- basic accessors -------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._cpus)
 
     @property
     def num_cpus(self) -> int:
@@ -95,22 +84,8 @@ class Topology:
         return len({c.physical_core for c in self._cpus})
 
     @property
-    def smt_factor(self) -> int:
-        """Threads per physical core (1 when SMT is off)."""
-        return self.num_cpus // self.num_physical_cores
-
-    @property
-    def cache_height(self) -> int:
-        """Number of cache levels described (e.g. 3 for L1/L2/L3)."""
-        return self._height
-
-    @property
     def num_sockets(self) -> int:
         return len({c.socket for c in self._cpus})
-
-    @property
-    def num_numa_nodes(self) -> int:
-        return len({c.numa_node for c in self._cpus})
 
     def cpu(self, cpu_id: int) -> CpuInfo:
         return self._cpus[cpu_id]
@@ -118,25 +93,9 @@ class Topology:
     def cpus(self) -> tuple[CpuInfo, ...]:
         return self._cpus
 
-    def cache_id(self, level: int, cpu_id: int) -> int:
-        """Cache-zone id of ``cpu_id`` at 1-based cache ``level``."""
-        if not 1 <= level <= self._height:
-            raise TopologyError(f"cache level {level} out of range 1..{self._height}")
-        return self._cpus[cpu_id].cache_ids[level - 1]
-
-    def siblings_of(self, cpu_id: int) -> tuple[int, ...]:
-        """All logical CPUs sharing ``cpu_id``'s physical core (incl. itself)."""
-        return self._siblings[cpu_id]
-
-    def physical_core_of(self, cpu_id: int) -> int:
-        return self._cpus[cpu_id].physical_core
-
     def physical_cores_spanned(self, cpu_ids: Iterable[int]) -> int:
         """Number of distinct physical cores covered by ``cpu_ids``."""
         return len({self._cpus[c].physical_core for c in cpu_ids})
-
-    def numa_distance(self, cpu0: int, cpu1: int) -> float:
-        return float(self._numa[self._cpus[cpu0].numa_node, self._cpus[cpu1].numa_node])
 
     # -- Algorithm 1 -----------------------------------------------------
 
@@ -181,18 +140,22 @@ class Topology:
         return self._distance_matrix
 
 
+#: Linux-style NUMA distances: a socket's own node, and another socket's.
+LOCAL_NUMA_DISTANCE = 10.0
+REMOTE_NUMA_DISTANCE = 32.0
+
+
 def build_topology(
     *,
     sockets: int = 1,
     cores_per_socket: int = 8,
     smt: int = 1,
     llc_group: int | None = None,
-    l2_group: int = 1,
-    numa_per_socket: int = 1,
-    remote_numa_distance: float = 32.0,
-    local_numa_distance: float = 10.0,
 ) -> Topology:
     """Construct a synthetic topology.
+
+    Each socket is one NUMA node, and every physical core has a private
+    L1 and L2 (cache height 3).
 
     Parameters
     ----------
@@ -200,32 +163,23 @@ def build_topology(
         Physical cores sharing one last-level cache.  ``None`` means the
         whole socket shares the LLC (monolithic, Intel-style); a small
         value (e.g. 4) models AMD CCX-style segmented L3.
-    l2_group:
-        Physical cores sharing one L2 (1 = private L2).
     smt:
         Hardware threads per physical core.
     """
     if sockets < 1 or cores_per_socket < 1 or smt < 1:
         raise TopologyError("sockets, cores_per_socket and smt must be >= 1")
-    if numa_per_socket < 1 or cores_per_socket % numa_per_socket:
-        raise TopologyError("numa_per_socket must divide cores_per_socket")
     if llc_group is None:
         llc_group = cores_per_socket
-    if llc_group < 1 or l2_group < 1:
-        raise TopologyError("cache group sizes must be >= 1")
+    if llc_group < 1:
+        raise TopologyError("llc_group must be >= 1")
 
     cpus: list[CpuInfo] = []
-    cores_per_node = cores_per_socket // numa_per_socket
-    total_nodes = sockets * numa_per_socket
     cpu_id = 0
     # Cache ids are allocated from disjoint ranges per level to keep them
     # globally unique (a core's L1 id can never collide with an L3 id).
     for sock in range(sockets):
         for core in range(cores_per_socket):
             phys = sock * cores_per_socket + core
-            node = sock * numa_per_socket + core // cores_per_node
-            l1 = phys  # private L1 per physical core
-            l2 = 1_000_000 + sock * cores_per_socket + core // l2_group
             l3 = 2_000_000 + sock * cores_per_socket + core // llc_group
             for _thread in range(smt):
                 cpus.append(
@@ -233,18 +187,13 @@ def build_topology(
                         cpu_id=cpu_id,
                         physical_core=phys,
                         socket=sock,
-                        numa_node=node,
-                        cache_ids=(l1, l2, l3),
+                        numa_node=sock,
+                        cache_ids=(phys, 1_000_000 + phys, l3),  # private L1, L2
                     )
                 )
                 cpu_id += 1
-    numa = np.full((total_nodes, total_nodes), remote_numa_distance)
-    np.fill_diagonal(numa, local_numa_distance)
-    # Nodes within one socket are closer than cross-socket.
-    for sock in range(sockets):
-        lo, hi = sock * numa_per_socket, (sock + 1) * numa_per_socket
-        numa[lo:hi, lo:hi] = (local_numa_distance + remote_numa_distance) / 2
-        np.fill_diagonal(numa[lo:hi, lo:hi], local_numa_distance)
+    numa = np.full((sockets, sockets), REMOTE_NUMA_DISTANCE)
+    np.fill_diagonal(numa, LOCAL_NUMA_DISTANCE)
     return Topology(cpus, numa)
 
 
@@ -254,14 +203,7 @@ def epyc_7662_dual() -> Topology:
     64 physical cores per socket, SMT 2 (256 threads total), L3 shared
     by CCX groups of 4 cores, one NUMA node per socket (NPS1).
     """
-    return build_topology(
-        sockets=2,
-        cores_per_socket=64,
-        smt=2,
-        llc_group=4,
-        l2_group=1,
-        numa_per_socket=1,
-    )
+    return build_topology(sockets=2, cores_per_socket=64, smt=2, llc_group=4)
 
 
 def small_smp(cores: int = 8, smt: int = 1) -> Topology:

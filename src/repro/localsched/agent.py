@@ -1,19 +1,23 @@
 """The SlackVM *local scheduler* (paper §V).
 
 One :class:`LocalScheduler` manages one PM.  It segregates the PM's
-logical CPUs into per-level vNodes, dynamically grows/shrinks them on VM
-arrival/departure, and (optionally) uses the topology-driven allocator
-for cache-aware CPU selection.
+logical CPUs into per-level vNodes and dynamically grows/shrinks them on
+VM arrival/departure.  Every VM of a vNode is pinned to the vNode's
+whole CPU set, so ``VNode.cpu_ids`` *is* the pinning, and
+``pin_generation`` counts its changes; no hypervisor is driven.
 
-Two operating modes:
+Two operating modes, which differ only in which CPUs a vNode gets:
 
-* **topology mode** — pass a :class:`~repro.hardware.topology.Topology`;
-  CPU ids are real logical CPUs and selection follows Algorithm 1.
-  Used by the performance-model testbed and the pinning examples.
-* **accounting mode** (default) — CPU ids are abstract slots picked in
-  index order.  Capacity bookkeeping is identical; this is what the
-  at-scale simulation uses, since packing results depend only on
-  allocation arithmetic.
+* **topology mode** — pass a :class:`~repro.hardware.topology.Topology`
+  with ``SlackVMConfig.topology_aware`` (the default); CPU ids are real
+  logical CPUs and :class:`~repro.localsched.allocator.CoreAllocator`
+  selects them by Algorithm 1.  Used by the performance-model testbed
+  and the pinning examples.
+* **index order** — no topology (accounting mode, the at-scale
+  simulation's default), or a topology with ``topology_aware=False``
+  (the ablation baseline): the lowest free CPU ids are picked.
+  Capacity bookkeeping is identical, since packing results depend only
+  on allocation arithmetic.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from repro.core.types import OversubscriptionLevel, ResourceVector, VMRequest
 from repro.hardware.machine import MachineSpec
 from repro.hardware.topology import Topology
 from repro.localsched.allocator import CoreAllocator
-from repro.localsched.drivers import HypervisorDriver, NullDriver
 from repro.core.constants import CAPACITY_EPSILON
 from repro.localsched.vnode import VNode
 from repro.obs.records import AdmissionRecord, DecisionRecorder
@@ -36,7 +39,7 @@ __all__ = ["DeployPlan", "Placement", "LocalScheduler"]
 
 
 class _SlotAllocator:
-    """Index-order CPU-slot allocator for accounting mode.
+    """Index-order CPU allocator: always the lowest free ids.
 
     Mirrors :class:`CoreAllocator`'s interface without needing a
     topology — the hot path of the at-scale simulation.
@@ -68,7 +71,7 @@ class _SlotAllocator:
         if dup:
             raise CapacityError(f"CPUs {dup} are already free")
         self._free_set.update(ids)
-        self._free.extend(sorted(ids, reverse=True))
+        self._free.extend(ids)
         # Keep pop() returning the lowest free id for determinism.
         self._free.sort(reverse=True)
 
@@ -102,25 +105,20 @@ class LocalScheduler:
         machine: MachineSpec,
         config: SlackVMConfig | None = None,
         topology: Optional[Topology] = None,
-        driver: Optional[HypervisorDriver] = None,
         recorder: Optional[DecisionRecorder] = None,
     ):
         self.machine = machine
         self.config = config or SlackVMConfig()
         self.topology = topology
-        #: Hypervisor boundary (§IV): receives create/destroy/repin ops.
-        self.driver = driver or NullDriver()
         #: Observability sink (repro.obs): receives one admission record
         #: per deploy when set and enabled.
         self.recorder = recorder
-        if topology is not None:
-            if topology.num_cpus != machine.cpus:
-                raise ConfigError(
-                    f"topology has {topology.num_cpus} CPUs, machine spec says {machine.cpus}"
-                )
-            self._alloc: CoreAllocator | _SlotAllocator = CoreAllocator(
-                topology, topology_aware=self.config.topology_aware
+        if topology is not None and topology.num_cpus != machine.cpus:
+            raise ConfigError(
+                f"topology has {topology.num_cpus} CPUs, machine spec says {machine.cpus}"
             )
+        if topology is not None and self.config.topology_aware:
+            self._alloc: CoreAllocator | _SlotAllocator = CoreAllocator(topology)
         else:
             self._alloc = _SlotAllocator(machine.cpus)
         self._vnodes: dict[float, VNode] = {}
@@ -198,12 +196,8 @@ class LocalScheduler:
         """
         if not self.supports(vm.level):
             return None
-        own = self._vnodes.get(vm.level.ratio)
-        growth = (
-            own.growth_for(vm)
-            if own is not None
-            else VNode("probe", vm.level).growth_for(vm)
-        )
+        own = self._vnodes.get(vm.level.ratio) or VNode("probe", vm.level)
+        growth = own.growth_for(vm)
         own_mem = vm.level.physical_mem_for(vm.spec.mem_gb)
         if growth <= self._alloc.num_free and own_mem <= self.free_mem + CAPACITY_EPSILON:
             return DeployPlan(vm.vm_id, vm.level.ratio, growth, pooled=False)
@@ -251,21 +245,18 @@ class LocalScheduler:
             self._seq += 1
             self._vnodes[vm.level.ratio] = node
         if plan.growth:
-            occupied = [c for v in self._vnodes.values() for c in v.cpu_ids]
             if node.num_cpus:
                 new_cpus = self._alloc.pick_grow(node.cpu_ids, plan.growth)
             else:
+                occupied = [c for v in self._vnodes.values() for c in v.cpu_ids]
                 new_cpus = self._alloc.pick_seed(plan.growth, occupied)
+            # §V: "extending the pinning of all hosted VMs in that vNode
+            # to the new range" — every resident follows node.cpu_ids.
             node.extend_cpus(new_cpus)
             self.pin_generation += 1
-            # §V: "extending the pinning of all hosted VMs in that vNode
-            # to the new range".
-            for resident in node.vm_ids:
-                self.driver.repin_vm(resident, node.cpu_ids)
         node.add_vm(vm)
         self._vm_home[vm.vm_id] = node.level.ratio
         self._mem_used += node.level.physical_mem_for(vm.spec.mem_gb)
-        self.driver.create_vm(vm, node.cpu_ids)
         if self.recorder is not None and self.recorder.enabled:
             self.recorder.record_admission(
                 AdmissionRecord(
@@ -291,17 +282,14 @@ class LocalScheduler:
         except KeyError:
             raise CapacityError(f"VM {vm_id} is not hosted on {self.machine.name}") from None
         node = self._vnodes[ratio]
-        hosted = node.remove_vm(vm_id)
-        self.driver.destroy_vm(vm_id)
-        self._mem_used -= node.level.physical_mem_for(hosted.mem_gb)
+        gone = node.remove_vm(vm_id)
+        self._mem_used -= node.level.physical_mem_for(gone.spec.mem_gb)
         if self._mem_used < CAPACITY_EPSILON:
             self._mem_used = 0.0
         excess = node.num_cpus - node.cpus_required()
         if excess:
             self._alloc.release(node.release_cpus(excess))
             self.pin_generation += 1
-            for resident in node.vm_ids:
-                self.driver.repin_vm(resident, node.cpu_ids)
         if node.is_empty:
             del self._vnodes[ratio]
 

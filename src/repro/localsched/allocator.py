@@ -10,8 +10,9 @@ questions:
   from every CPU already owned by other vNodes, maximizing isolation
   (ideally a separate socket, then a separate LLC group, ...).
 
-With ``topology_aware=False`` the allocator degrades to index-order
-picking — the ablation baseline for the topology benches.
+The index-order baseline (``SlackVMConfig(topology_aware=False)``, and
+every agent without a topology) is the local scheduler's slot
+allocator, not this class.
 """
 
 from __future__ import annotations
@@ -29,23 +30,14 @@ __all__ = ["CoreAllocator"]
 class CoreAllocator:
     """Tracks free CPUs of one PM and picks CPUs for vNodes."""
 
-    def __init__(self, topology: Topology, topology_aware: bool = True):
+    def __init__(self, topology: Topology):
         self._topo = topology
-        self._aware = topology_aware
         self._free: set[int] = set(range(topology.num_cpus))
-        self._dist = topology.distance_matrix() if topology_aware else None
-
-    @property
-    def topology(self) -> Topology:
-        return self._topo
+        self._dist = topology.distance_matrix()
 
     @property
     def num_free(self) -> int:
         return len(self._free)
-
-    @property
-    def free_cpus(self) -> frozenset[int]:
-        return frozenset(self._free)
 
     def release(self, cpu_ids: Iterable[int]) -> None:
         ids = list(cpu_ids)
@@ -85,9 +77,6 @@ class CoreAllocator:
             )
         if not anchor:
             return self.pick_seed(count, occupied=())
-        if not self._aware:
-            chosen = sorted(self._free)[:count]
-            return self._take(chosen)
 
         # Sorted materialization: the lexsort below breaks every tie on
         # cpu id, so selection is order-independent — but the array must
@@ -134,10 +123,6 @@ class CoreAllocator:
             raise CapacityError(
                 f"requested {count} CPUs but only {len(self._free)} are free"
             )
-        if not self._aware:
-            chosen = sorted(self._free)[:count]
-            return self._take(chosen)
-
         free = np.fromiter(sorted(self._free), dtype=int)
         occ = list(occupied)
         if occ:

@@ -12,40 +12,11 @@ the level's contention guarantee: ``ceil(allocated_vcpus / n)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.core.errors import CapacityError
 from repro.core.types import OversubscriptionLevel, ResourceVector, VMRequest
 
-__all__ = ["HostedVM", "VNode"]
-
-
-@dataclass(frozen=True, slots=True)
-class HostedVM:
-    """A VM resident in a vNode.
-
-    ``sold_level`` is the offer the customer bought; it can be looser
-    than the vNode's own level when §V-B pooling upgraded the VM into a
-    stricter vNode.
-    """
-
-    request: VMRequest
-
-    @property
-    def vm_id(self) -> str:
-        return self.request.vm_id
-
-    @property
-    def vcpus(self) -> int:
-        return self.request.spec.vcpus
-
-    @property
-    def mem_gb(self) -> float:
-        return self.request.spec.mem_gb
-
-    @property
-    def sold_level(self) -> OversubscriptionLevel:
-        return self.request.level
+__all__ = ["VNode"]
 
 
 class VNode:
@@ -57,7 +28,7 @@ class VNode:
         self.node_id = node_id
         self.level = level
         self._cpus: list[int] = []
-        self._vms: dict[str, HostedVM] = {}
+        self._vms: dict[str, VMRequest] = {}
         self._vcpus = 0
         self._mem = 0.0
 
@@ -99,12 +70,6 @@ class VNode:
     @property
     def vm_ids(self) -> tuple[str, ...]:
         return tuple(self._vms)
-
-    def hosted(self) -> tuple[HostedVM, ...]:
-        return tuple(self._vms.values())
-
-    def hosts(self, vm_id: str) -> bool:
-        return vm_id in self._vms
 
     def allocation(self) -> ResourceVector:
         """Physical resources consumed: owned CPUs + hosted memory."""
@@ -149,11 +114,13 @@ class VNode:
             )
         return released
 
-    def add_vm(self, vm: VMRequest) -> HostedVM:
+    def add_vm(self, vm: VMRequest) -> None:
         """Account ``vm`` into this vNode.
 
         The caller must have grown the CPU set first; admission enforces
         the oversubscription guarantee against the *current* CPU set.
+        ``vm.level`` is the offer the customer bought; it can be looser
+        than the vNode's own level when §V-B pooling upgraded the VM.
         """
         if vm.vm_id in self._vms:
             raise CapacityError(f"VM {vm.vm_id} already hosted in vNode {self.node_id}")
@@ -166,22 +133,20 @@ class VNode:
                 f"vNode {self.node_id}: {vm.spec.vcpus} vCPUs exceed slack "
                 f"{self.vcpu_slack:.2f} at level {self.level.name}"
             )
-        hosted = HostedVM(request=vm)
-        self._vms[vm.vm_id] = hosted
+        self._vms[vm.vm_id] = vm
         self._vcpus += vm.spec.vcpus
         self._mem += self.level.physical_mem_for(vm.spec.mem_gb)
-        return hosted
 
-    def remove_vm(self, vm_id: str) -> HostedVM:
+    def remove_vm(self, vm_id: str) -> VMRequest:
         try:
-            hosted = self._vms.pop(vm_id)
+            vm = self._vms.pop(vm_id)
         except KeyError:
             raise CapacityError(f"VM {vm_id} not hosted in vNode {self.node_id}") from None
-        self._vcpus -= hosted.vcpus
-        self._mem -= self.level.physical_mem_for(hosted.mem_gb)
+        self._vcpus -= vm.spec.vcpus
+        self._mem -= self.level.physical_mem_for(vm.spec.mem_gb)
         if not self._vms:
             self._mem = 0.0  # guard against float drift on empty nodes
-        return hosted
+        return vm
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

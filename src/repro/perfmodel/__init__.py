@@ -1,20 +1,21 @@
 """Performance model: CPU fair-sharing, SMT capacity, latency, testbed."""
 
 from repro.perfmodel.apps import LatencyParams, LatencyTracker, percentile_windows
-from repro.perfmodel.churn import ChurnParams, ChurnResult, run_churn_testbed
 from repro.perfmodel.contention import ContentionGroup, GroupMember, GroupTick
-from repro.perfmodel.fairshare import water_fill, weighted_water_fill
+from repro.perfmodel.fairshare import weighted_water_fill
 from repro.perfmodel.smt import CpuSetCapacity
 from repro.perfmodel.testbed import (
+    ChurnParams,
+    ChurnResult,
     LevelPerf,
     TestbedParams,
     TestbedResult,
     build_vm_population,
+    run_churn_testbed,
     run_testbed,
 )
 
 __all__ = [
-    "water_fill",
     "weighted_water_fill",
     "CpuSetCapacity",
     "ContentionGroup",

@@ -62,12 +62,13 @@ class LatencyParams:
     pool_exponent: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.service_time <= 0:
-            raise ConfigError("service_time must be positive")
-        if self.window <= 0:
-            raise ConfigError("window must be positive")
-        if self.smt_latency_penalty < 0 or self.interference < 0:
-            raise ConfigError("penalty coefficients must be >= 0")
+        # Negated so that NaN fails too.
+        for name in ("service_time", "window"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive")
+        for name in ("smt_latency_penalty", "interference", "pool_exponent"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
         if not 0 < self.rho_max < 1:
             raise ConfigError("rho_max must be in (0,1)")
 

@@ -55,10 +55,6 @@ class GroupTick:
         return out
 
     @property
-    def total_demand(self) -> float:
-        return float(self.demands.sum())
-
-    @property
     def total_allocation(self) -> float:
         return float(self.allocations.sum())
 
@@ -102,10 +98,6 @@ class ContentionGroup:
                 self._constant[i] = m.profile.demand(0.0) * m.vm.spec.vcpus
             else:
                 self._varying.append(i)
-
-    @property
-    def total_vcpus(self) -> int:
-        return int(self._vcpus.sum())
 
     def demands_at(self, t: float) -> np.ndarray:
         out = self._constant.copy()

@@ -14,18 +14,7 @@ import numpy as np
 
 from repro.core.errors import ConfigError
 
-__all__ = ["water_fill", "weighted_water_fill"]
-
-
-def water_fill(demands: np.ndarray, capacity: float) -> np.ndarray:
-    """Equal-weight progressive filling.
-
-    Solves ``sum(min(d_i, theta)) = capacity`` and returns
-    ``min(d_i, theta)``; when total demand fits, everyone gets their
-    demand.
-    """
-    demands = np.asarray(demands, dtype=float)
-    return weighted_water_fill(demands, np.ones_like(demands), capacity)
+__all__ = ["weighted_water_fill"]
 
 
 def weighted_water_fill(
@@ -35,8 +24,10 @@ def weighted_water_fill(
 
     Weight ``w_i`` is the consumer's share entitlement (we use its vCPU
     count: EEVDF schedules per-thread, so a VM with more runnable vCPU
-    threads draws a proportionally larger share).  Solves
-    ``sum(min(d_i, theta * w_i)) = capacity``.
+    threads draws a proportionally larger share; unit weights give the
+    equal-weight case).  Solves ``sum(min(d_i, theta * w_i)) = capacity``
+    and returns ``min(d_i, theta * w_i)``; when total demand fits,
+    everyone gets their demand.
     """
     demands = np.asarray(demands, dtype=float)
     weights = np.asarray(weights, dtype=float)

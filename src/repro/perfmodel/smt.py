@@ -17,6 +17,7 @@ physical cores contributing both their threads to the set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.errors import ConfigError
@@ -43,8 +44,9 @@ class CpuSetCapacity:
             )
         if self.threads > 2 * self.physical:
             raise ConfigError("at most 2 threads per physical core are modelled")
-        if self.smt_speedup < 1.0:
-            raise ConfigError("smt_speedup must be >= 1")
+        # Negated so that NaN fails too.
+        if not 1.0 <= self.smt_speedup < math.inf:
+            raise ConfigError(f"smt_speedup must be finite and >= 1, got {self.smt_speedup}")
 
     @property
     def paired_cores(self) -> int:

@@ -15,12 +15,8 @@ def topologies(draw):
     smt = draw(st.sampled_from([1, 2]))
     llc = draw(st.sampled_from([1, 2, 4]))
     llc = min(llc, cores)
-    numa = draw(st.sampled_from([1, 2]))
-    if cores % numa:
-        numa = 1
     return build_topology(
-        sockets=sockets, cores_per_socket=cores, smt=smt,
-        llc_group=llc, numa_per_socket=numa,
+        sockets=sockets, cores_per_socket=cores, smt=smt, llc_group=llc
     )
 
 
@@ -33,9 +29,8 @@ def test_distance_metric_properties(topo):
     assert np.all(np.diag(d) == 0)
     # Non-negative, and zero exactly between SMT siblings.
     assert np.all(d >= 0)
-    for cpu in range(topo.num_cpus):
-        for sib in topo.siblings_of(cpu):
-            assert d[cpu, sib] == 0
+    cores = np.array([c.physical_core for c in topo.cpus()])
+    assert np.array_equal(d == 0, cores[:, None] == cores[None, :])
 
 
 @settings(max_examples=50, deadline=None)

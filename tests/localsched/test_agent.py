@@ -163,6 +163,46 @@ class TestPinningEvents:
         agent.remove("a")  # vNode destroyed
         assert agent.pin_generation > g1
 
+    # Every VM is pinned to its vNode's whole CPU set (§V), so a VM's
+    # pinning is read off the vNode that hosts it.
+    @staticmethod
+    def pinning(agent, vm_id):
+        (node,) = [n for n in agent.vnodes if vm_id in n.vm_ids]
+        return node.cpu_ids
+
+    def test_growth_repins_every_resident(self, agent):
+        agent.deploy(vm(vm_id="a", vcpus=4))  # 2 CPUs
+        before, g0 = self.pinning(agent, "a"), agent.pin_generation
+        agent.deploy(vm(vm_id="b", vcpus=4))  # grows to 4 CPUs
+        node = agent.vnode_for(LEVEL_2_1)
+        assert node.num_cpus == 4 and node.cpu_ids[:2] == before
+        assert agent.pin_generation == g0 + 1
+        assert self.pinning(agent, "a") == self.pinning(agent, "b") == node.cpu_ids
+
+    def test_slack_reuse_changes_no_pinning(self, agent):
+        agent.deploy(vm(vm_id="a", vcpus=3))  # 2 CPUs, 1 vCPU of slack
+        before, g0 = self.pinning(agent, "a"), agent.pin_generation
+        agent.deploy(vm(vm_id="b", vcpus=1))  # fits in the slack
+        assert agent.pin_generation == g0
+        assert self.pinning(agent, "a") == self.pinning(agent, "b") == before
+
+    def test_departure_shrinks_the_vnode_under_survivors(self, agent):
+        agent.deploy(vm(vm_id="a", vcpus=4))
+        agent.deploy(vm(vm_id="b", vcpus=4))
+        before, g0 = self.pinning(agent, "b"), agent.pin_generation
+        agent.remove("a")  # 4 -> 2 CPUs, most recently added first
+        assert self.pinning(agent, "b") == before[:2]
+        assert agent.pin_generation == g0 + 1
+
+    def test_levels_do_not_cross_repin(self, agent):
+        agent.deploy(vm(vm_id="prem", vcpus=2, level=LEVEL_1_1))
+        before = self.pinning(agent, "prem")
+        agent.deploy(vm(vm_id="a", vcpus=4, level=LEVEL_2_1))
+        agent.deploy(vm(vm_id="b", vcpus=4, level=LEVEL_2_1))
+        # Growing the 2:1 vNode never touches the premium VM's pinning.
+        assert self.pinning(agent, "prem") == before
+        assert not set(before) & set(self.pinning(agent, "a"))
+
 
 class TestTopologyMode:
     def test_topology_mode_assigns_real_cpus(self):

@@ -2,9 +2,17 @@
 
 import pytest
 
-from repro.core import CapacityError, TopologyError
-from repro.hardware import build_topology, epyc_7662_dual
-from repro.localsched import CoreAllocator
+from repro.core import (
+    LEVEL_1_1,
+    LEVEL_2_1,
+    CapacityError,
+    SlackVMConfig,
+    TopologyError,
+    VMRequest,
+    VMSpec,
+)
+from repro.hardware import EPYC_7662_DUAL, build_topology, epyc_7662_dual
+from repro.localsched import CoreAllocator, LocalScheduler
 
 
 @pytest.fixture
@@ -57,8 +65,14 @@ class TestGrow:
         assert not (b_llcs & grown_llcs)
 
     def test_naive_mode_picks_index_order(self, epyc):
-        alloc = CoreAllocator(epyc, topology_aware=False)
-        assert alloc.pick_grow([99], 3) == [0, 1, 2]
+        agent = LocalScheduler(
+            EPYC_7662_DUAL, SlackVMConfig(topology_aware=False), topology=epyc
+        )
+        agent.deploy(VMRequest(vm_id="a", spec=VMSpec(3, 4.0), level=LEVEL_1_1))
+        agent.deploy(VMRequest(vm_id="b", spec=VMSpec(1, 4.0), level=LEVEL_2_1))
+        agent.deploy(VMRequest(vm_id="c", spec=VMSpec(2, 4.0), level=LEVEL_1_1))
+        assert agent.vnode_for(LEVEL_1_1).cpu_ids == (0, 1, 2, 4, 5)
+        assert agent.vnode_for(LEVEL_2_1).cpu_ids == (3,)
 
 
 class TestSeed:

@@ -27,7 +27,6 @@ def test_virtual_topology_reports_smt_pairs(agent):
     assert vt.num_cpus == 4
     assert vt.num_physical_cores == 2
     assert vt.smt_pairs == 2
-    assert vt.smt_active
 
 
 def test_virtual_topology_of_empty_vnode():
@@ -35,7 +34,7 @@ def test_virtual_topology_of_empty_vnode():
 
     vt = virtual_topology(VNode("n", LEVEL_2_1), epyc_7662_dual())
     assert vt.num_cpus == 0
-    assert not vt.smt_active
+    assert vt.smt_pairs == 0
 
 
 def test_vnodes_do_not_share_llc(agent):

@@ -61,7 +61,7 @@ def test_demand_noise_preserves_mean():
     group = ContentionGroup(
         cap, [member("a", vcpus=4, param=0.5)], rng=rng, noise_sigma=0.3
     )
-    demands = [group.step(float(t)).total_demand for t in range(3000)]
+    demands = [group.step(float(t)).demands.sum() for t in range(3000)]
     assert np.mean(demands) == pytest.approx(2.0, rel=0.1)
     assert np.std(demands) > 0.05
 
@@ -73,7 +73,7 @@ def test_noise_never_exceeds_vcpus():
         cap, [member("a", vcpus=2, param=0.9)], rng=rng, noise_sigma=1.0
     )
     for t in range(500):
-        assert group.step(float(t)).total_demand <= 2.0 + 1e-9
+        assert group.step(float(t)).demands.sum() <= 2.0 + 1e-9
 
 
 def test_noise_requires_rng():
@@ -86,8 +86,3 @@ def test_empty_group_rejected():
     with pytest.raises(ConfigError):
         ContentionGroup(CpuSetCapacity(threads=2, physical=2), [])
 
-
-def test_total_vcpus():
-    cap = CpuSetCapacity(threads=8, physical=8)
-    group = ContentionGroup(cap, [member("a", vcpus=2), member("b", vcpus=4)])
-    assert group.total_vcpus == 6

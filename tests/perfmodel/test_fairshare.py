@@ -6,23 +6,24 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import ConfigError
-from repro.perfmodel import water_fill, weighted_water_fill
+from repro.perfmodel import weighted_water_fill
 
 
 class TestUnit:
     def test_under_capacity_gives_full_demand(self):
         d = np.array([1.0, 2.0, 3.0])
-        assert water_fill(d, 10.0) == pytest.approx(d)
+        assert weighted_water_fill(d, np.ones_like(d), 10.0) == pytest.approx(d)
 
     def test_equal_demands_split_evenly(self):
         d = np.array([4.0, 4.0, 4.0])
-        assert water_fill(d, 6.0) == pytest.approx([2.0, 2.0, 2.0])
+        alloc = weighted_water_fill(d, np.ones_like(d), 6.0)
+        assert alloc == pytest.approx([2.0, 2.0, 2.0])
 
     def test_small_demands_are_protected(self):
         # EEVDF fairness: a light consumer keeps its demand; heavy ones
         # share the rest equally.
         d = np.array([1.0, 10.0, 10.0])
-        alloc = water_fill(d, 11.0)
+        alloc = weighted_water_fill(d, np.ones_like(d), 11.0)
         assert alloc[0] == pytest.approx(1.0)
         assert alloc[1] == pytest.approx(5.0)
         assert alloc[2] == pytest.approx(5.0)
@@ -33,10 +34,12 @@ class TestUnit:
         assert alloc == pytest.approx([2.0, 6.0])
 
     def test_zero_capacity(self):
-        assert water_fill(np.array([1.0, 2.0]), 0.0) == pytest.approx([0.0, 0.0])
+        d = np.array([1.0, 2.0])
+        assert weighted_water_fill(d, np.ones_like(d), 0.0) == pytest.approx([0.0, 0.0])
 
     def test_empty_demands(self):
-        assert water_fill(np.array([]), 5.0).size == 0
+        d = np.array([])
+        assert weighted_water_fill(d, np.ones_like(d), 5.0).size == 0
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -46,7 +49,7 @@ class TestUnit:
         with pytest.raises(ConfigError):
             weighted_water_fill(np.array([1.0]), np.array([0.0]), 1.0)
         with pytest.raises(ConfigError):
-            water_fill(np.array([1.0]), -1.0)
+            weighted_water_fill(np.array([1.0]), np.ones(1), -1.0)
 
 
 @st.composite

@@ -1,13 +1,23 @@
 """Tests of the testbed harness (short runs; the full experiment lives
 in benchmarks/test_table4_fig2_response_times.py)."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from repro.core import LEVEL_1_1, LEVEL_3_1, SlackVMConfig
+from repro.core import LEVEL_1_1, LEVEL_3_1, ConfigError, SimulationError, SlackVMConfig
 from repro.hardware import EPYC_7662_DUAL
 from repro.localsched import LocalScheduler
-from repro.perfmodel import TestbedParams, build_vm_population, run_testbed
+from repro.perfmodel import (
+    ChurnParams,
+    CpuSetCapacity,
+    LatencyParams,
+    TestbedParams,
+    build_vm_population,
+    run_testbed,
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +80,30 @@ def test_fig2_distributions_available(result):
         q1, q2, q3 = perf.quartiles_ms()
         assert q1 <= q2 <= q3
         assert perf.num_interactive > 0
+
+
+#: Every parameter dataclass of the testbed, with the arguments it needs
+#: besides the field under test, and the error it raises.
+PARAMS = (
+    (TestbedParams, {}, ConfigError),
+    (ChurnParams, {}, SimulationError),
+    (LatencyParams, {}, ConfigError),
+    (CpuSetCapacity, {"threads": 4, "physical": 2}, ConfigError),
+)
+FLOAT_FIELDS = [
+    (cls, extra, error, f.name)
+    for cls, extra, error in PARAMS
+    for f in dataclasses.fields(cls)
+    if f.type in (float, "float")
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0], ids=["nan", "inf", "neg"])
+@pytest.mark.parametrize(
+    "cls, extra, error, name",
+    FLOAT_FIELDS,
+    ids=[f"{cls.__name__}.{name}" for cls, _, _, name in FLOAT_FIELDS],
+)
+def test_float_parameters_must_be_finite_and_in_range(cls, extra, error, name, value):
+    with pytest.raises(error):
+        cls(**extra, **{name: value})

@@ -38,13 +38,8 @@ TEST_ONLY = {
     "analysis/bounds.py::bfd_snapshot_bound": _BOUNDS,
     "analysis/bounds.py::peak_alive_set": _BOUNDS,
     "obs/records.py::load_jsonl_records": "reads the golden decision corpus back",
-    "localsched/drivers.py::RecordingDriver": "the fake at the libvirt seam",
-    "localsched/drivers.py::DriverOp": "one operation RecordingDriver records",
     "hardware/topology.py::small_smp": "fixture topology",
     "serving/generator.py::arrival_times": "traffic-config property harness",
-    "perfmodel/fairshare.py::water_fill": (
-        "the equal-weight case the fair-share tests state in closed form"
-    ),
 }
 
 
