@@ -18,7 +18,7 @@ test-quick:
 # the architecture fences are tests/structure/, run by `make test`).
 # Exit codes: 0 clean, 1 new findings, 2 usage error.
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.devtools.lint src scripts --baseline lint-baseline.json
+	PYTHONPATH=src $(PYTHON) -m repro.devtools.lint src scripts
 
 # mypy --strict via the [tool.mypy] config in pyproject.toml (the
 # lenient modules are per-module overrides there).  Needs the `dev`
@@ -49,7 +49,7 @@ sweep-oversub-smoke:
 # Online-service smoke: the serving suite, a 30s-virtual-time run at a
 # fixed seed (completes in well under a second of wall time) with a
 # parseable SLO report and finite p99, and a clean determinism lint on
-# the package (no baseline allowance).  Mirrors CI's serving-smoke job.
+# the package.  Mirrors CI's serving-smoke job.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/serving -q
 	PYTHONPATH=src $(PYTHON) -m repro serve --duration 30 --rate 50 \

@@ -147,7 +147,6 @@ def build_simulation(
             fail_fast=spec.fail_fast,
             recorder=recorder,
             metrics=metrics,
-            oversub=_oversub_params(spec),
         )
     return ShardedSimulation(
         machines,

@@ -43,10 +43,10 @@ class RunSpec(Spec):
     ``mix`` is a paper distribution letter (``"F"``) or a
     ``(1:1, 2:1, 3:1)`` percent triple.  ``oversub=None`` keeps static
     levels; a strategy name from :data:`repro.oversub.STRATEGIES`
-    activates the dynamic controller.  ``shards=1`` is the plain
-    single-process engine; higher counts fan out through
-    :class:`repro.sharding.ShardedSimulation` (``workers=0`` → one
-    process per shard).
+    activates the dynamic controller (vector engine only).
+    ``shards=1`` is the plain single-process engine; higher counts fan
+    out through :class:`repro.sharding.ShardedSimulation`
+    (``workers=0`` → one process per shard).
     """
 
     VERSIONS = (SPEC_VERSION,)
@@ -122,6 +122,11 @@ class RunSpec(Spec):
             )
         if self.engine == "object" and self.shards > 1:
             raise ConfigError("the object engine does not support sharding")
+        if self.engine == "object" and self.oversub is not None:
+            raise ConfigError(
+                "the object engine models no dynamic oversubscription; "
+                "oversub needs engine='vector'"
+            )
         if self.shards > 1 and self.fail_fast:
             raise ConfigError("fail_fast requires shards=1")
         if self.shards > 1 and self.oversub is not None:

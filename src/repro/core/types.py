@@ -92,11 +92,15 @@ class OversubscriptionLevel:
     mem_ratio: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.ratio < 1:
-            raise ConfigError(f"oversubscription ratio must be >= 1, got {self.ratio}")
-        if self.mem_ratio < 1:
+        # Negated so that NaN fails too.
+        if not 1 <= self.ratio < math.inf:
             raise ConfigError(
-                f"memory oversubscription ratio must be >= 1, got {self.mem_ratio}"
+                f"oversubscription ratio must be finite and >= 1, got {self.ratio}"
+            )
+        if not 1 <= self.mem_ratio < math.inf:
+            raise ConfigError(
+                "memory oversubscription ratio must be finite and >= 1, "
+                f"got {self.mem_ratio}"
             )
 
     @property

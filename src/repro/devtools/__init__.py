@@ -6,7 +6,7 @@ pass over ``src/`` and ``scripts/`` whose rules encode the invariants
 the golden-trace and kernel-equivalence suites enforce dynamically —
 so determinism regressions fail a lint job *before* they fail a
 byte-identity diff.  See ``docs/ARCHITECTURE.md`` §12 for the rule
-table and the baseline workflow.
+table.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Any
 # (runpy's RuntimeWarning), so the package namespace resolves names on
 # first attribute access instead of at import time.
 _EXPORTS = {
-    "Baseline": "repro.devtools.baseline",
     "Finding": "repro.devtools.rules",
     "LintReport": "repro.devtools.lint",
     "lint_paths": "repro.devtools.lint",
@@ -44,7 +43,6 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintReport",
     "lint_paths",

@@ -9,24 +9,21 @@ With no paths, lints ``src`` and ``scripts`` under the current
 directory.  Options::
 
     --format text|json    report style (default text)
-    --baseline PATH       subtract a committed baseline (see baseline.py)
-    --write-baseline      rewrite PATH from the current findings and exit
     --rules R001,R004     run a subset of rules
     --list-rules          print the rule table and exit
 
-Exit codes: **0** clean (modulo baseline), **1** new findings,
-**2** usage error (bad path/format/rule, malformed baseline).
+Exit codes: **0** clean, **1** findings, **2** usage error (bad
+path/format/rule).
 
 The pass is one loop over the files: parse, run every rule's
-``check``, drop what a pragma covers; :class:`LintReport` then
-subtracts the baseline.
+``check``, drop what a pragma covers; :class:`LintReport` renders the
+rest.
 
 Suppression: non-determinism rules honour a
 ``# reprolint: disable=Rxxx`` pragma on the flagged line (or on the
 first line of the flagged multi-line statement); the determinism
-rules R001–R004 ignore pragmas *and* baseline entries — those
-findings can only be fixed.  R013 accepts a justified pragma but can
-never be baselined.
+rules R001–R004 ignore pragmas — those findings can only be fixed.
+R013 accepts a pragma only with a justification.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ import sys
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Set
 
-from repro.devtools.baseline import Baseline, BaselineError
 from repro.devtools.rules import (
     DETERMINISM_RULES,
     RULES,
@@ -62,7 +58,7 @@ _PRAGMA = re.compile(r"#\s*reprolint:\s*disable=([A-Z0-9, ]+)")
 
 
 class LintUsageError(Exception):
-    """Bad invocation (unknown rule, missing path, bad baseline): exit 2."""
+    """Bad invocation (unknown rule, missing path): exit 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +170,7 @@ def lint_paths(
     """Run ``rules`` over every Python file under ``paths``.
 
     Findings come back sorted by (path, line, rule) and already
-    filtered through inline pragmas; baseline subtraction is the
-    caller's concern (see :class:`Baseline`).
+    filtered through inline pragmas.
     """
     root = Path.cwd() if root is None else Path(root)
     findings: list[Finding] = []
@@ -204,16 +199,14 @@ def lint_paths(
 
 
 class LintReport:
-    """Findings + baseline arithmetic + reporters."""
+    """Findings + reporters."""
 
-    def __init__(self, findings: list[Finding], baseline: Optional[Baseline] = None):
+    def __init__(self, findings: list[Finding]):
         self.findings = findings
-        self.baseline = baseline
-        self.new = baseline.filter_new(findings) if baseline else list(findings)
 
     @property
     def ok(self) -> bool:
-        return not self.new
+        return not self.findings
 
     @property
     def exit_code(self) -> int:
@@ -221,29 +214,24 @@ class LintReport:
 
     def to_text(self) -> str:
         lines = []
-        for f in self.new:
+        for f in self.findings:
             lines.append(f"{f.path}:{f.line}:{f.col + 1}: {f.rule_id} {f.message}")
             lines.append(f"    hint: {f.hint}")
-        baselined = len(self.findings) - len(self.new)
-        summary = f"{len(self.new)} finding(s)"
-        if baselined:
-            summary += f" ({baselined} baselined occurrence(s) suppressed)"
-        lines.append(summary)
+        lines.append(f"{len(self.findings)} finding(s)")
         return "\n".join(lines)
 
     def to_json(self) -> str:
         payload = {
             "version": 1,
             "ok": self.ok,
-            "findings": [f.to_dict() for f in self.new],
-            "baselined": len(self.findings) - len(self.new),
+            "findings": [f.to_dict() for f in self.findings],
             "counts": self._counts(),
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def _counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for f in self.new:
+        for f in self.findings:
             counts[f.rule_id] = counts.get(f.rule_id, 0) + 1
         return counts
 
@@ -269,16 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         dest="fmt",
         help="report format (default text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline JSON; its findings don't fail the run",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite --baseline from the current findings and exit 0",
     )
     parser.add_argument(
         "--rules",
@@ -327,17 +305,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         rules = _select_rules(args.rules)
         findings = lint_paths(args.paths or _default_paths(), rules)
-        if args.write_baseline:
-            if not args.baseline:
-                raise LintUsageError("--write-baseline requires --baseline PATH")
-            Baseline.from_findings(findings).save(args.baseline)
-            print(f"wrote {len(findings)} finding(s) to {args.baseline}")
-            return 0
-        baseline = Baseline.load(args.baseline) if args.baseline else None
-    except (LintUsageError, BaselineError, OSError, SyntaxError) as exc:
+    except (LintUsageError, OSError, SyntaxError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    report = LintReport(findings, baseline)
+    report = LintReport(findings)
     print(report.to_json() if args.fmt == "json" else report.to_text())
     return report.exit_code
 

@@ -15,8 +15,7 @@ non-determinism rules only, a ``# reprolint: disable=Rxxx`` pragma;
 a false negative costs a golden-trace bisection, so the rules lean
 strict.
 
-R007–R012 are retired ids, never reused (pragmas and baselines name
-ids).  A rule is for a pattern that can appear in any file; a shape of
+R007–R012 are retired ids, never reused (pragmas name ids).  A rule is for a pattern that can appear in any file; a shape of
 this tree ("there is one X") is a structural test in
 ``tests/structure/``.
 
@@ -63,10 +62,10 @@ class Finding:
     col: int
     message: str
     hint: str
-    snippet: str  # stripped source line, part of the baseline fingerprint
+    snippet: str  # stripped source line, part of the fingerprint
 
     def fingerprint(self) -> str:
-        """Line-number-free identity used by baseline files."""
+        """Line-number-free identity of the finding (JSON reports)."""
         return f"{self.rule_id}:{self.path}:{self.snippet}"
 
     def to_dict(self) -> dict[str, object]:
@@ -162,7 +161,7 @@ class Rule:
     hint: str = ""
     #: Dotted module prefixes the rule applies to; None = every module.
     packages: Optional[tuple[str, ...]] = None
-    #: Determinism rules admit no baseline entries and no pragmas.
+    #: Determinism rules admit no pragmas.
     deterministic: bool = False
 
     def applies_to(self, module: str) -> bool:

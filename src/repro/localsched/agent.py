@@ -80,7 +80,6 @@ class _SlotAllocator:
 class DeployPlan:
     """A feasible (non-mutating) admission decision for one VM."""
 
-    vm_id: str
     hosted_ratio: float  # ratio of the vNode that will host the VM
     growth: int  # CPUs the vNode must acquire
     pooled: bool  # True when §V-B pooling upgrades the VM
@@ -90,10 +89,7 @@ class DeployPlan:
 class Placement:
     """The result of an effective deployment."""
 
-    vm_id: str
     hosted_level: OversubscriptionLevel
-    sold_level: OversubscriptionLevel
-    new_cpus: tuple[int, ...]
     pooled: bool
 
 
@@ -167,13 +163,6 @@ class LocalScheduler:
         """
         return ResourceVector(float(self.allocated_cpus), self._mem_used)
 
-    def free(self) -> ResourceVector:
-        return ResourceVector(float(self.free_cpus), self.free_mem)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._vm_home
-
     # -- admission ----------------------------------------------------------
 
     def supports(self, level: OversubscriptionLevel) -> bool:
@@ -200,11 +189,11 @@ class LocalScheduler:
         growth = own.growth_for(vm)
         own_mem = vm.level.physical_mem_for(vm.spec.mem_gb)
         if growth <= self._alloc.num_free and own_mem <= self.free_mem + CAPACITY_EPSILON:
-            return DeployPlan(vm.vm_id, vm.level.ratio, growth, pooled=False)
+            return DeployPlan(vm.level.ratio, growth, pooled=False)
         if self.config.pooling and vm.level.ratio > 1:
             host = self._pooling_candidate(vm)
             if host is not None:
-                return DeployPlan(vm.vm_id, host.level.ratio, 0, pooled=True)
+                return DeployPlan(host.level.ratio, 0, pooled=True)
         return None
 
     def _pooling_candidate(self, vm: VMRequest) -> Optional[VNode]:
@@ -267,13 +256,7 @@ class LocalScheduler:
                     pooled=plan.pooled,
                 )
             )
-        return Placement(
-            vm_id=vm.vm_id,
-            hosted_level=node.level,
-            sold_level=vm.level,
-            new_cpus=tuple(new_cpus),
-            pooled=plan.pooled,
-        )
+        return Placement(hosted_level=node.level, pooled=plan.pooled)
 
     def remove(self, vm_id: str) -> None:
         """Remove a VM, shrink its vNode, destroy it when empty."""

@@ -1,10 +1,11 @@
 """Usage-driven dynamic oversubscription (paper §VIII future work).
 
 Estimators map observed per-host usage windows to dynamic effective
-capacities (:mod:`~repro.oversub.estimators`); a shared controller
+capacities (:mod:`~repro.oversub.estimators`); a controller
 (:mod:`~repro.oversub.controller`) drives them periodically against
-either engine; the object pipeline composes through
-:mod:`~repro.oversub.pipeline`.  The strategy-sweep evaluation lives in
+the vector engine, whose capacity override admits beyond physical
+(the object engine models no dynamic oversubscription).  The
+strategy-sweep evaluation lives in
 :mod:`repro.oversub.evaluate` (imported explicitly — it pulls in the
 simulation engines).
 """
@@ -27,12 +28,6 @@ from repro.oversub.estimators import (
     make_estimator,
 )
 from repro.oversub.monitor import ClusterUsageMonitor, profile_for_vm, stable_phase
-from repro.oversub.pipeline import (
-    EffectiveCapacityFilter,
-    EffectiveCapacityView,
-    ObjectClusterTarget,
-    with_oversub,
-)
 
 __all__ = [
     "CapacityTarget",
@@ -51,8 +46,4 @@ __all__ = [
     "ClusterUsageMonitor",
     "profile_for_vm",
     "stable_phase",
-    "EffectiveCapacityFilter",
-    "EffectiveCapacityView",
-    "ObjectClusterTarget",
-    "with_oversub",
 ]

@@ -1,13 +1,13 @@
 """Periodic effective-capacity control loop + violation accounting.
 
-:class:`OversubController` is the piece both engines share: every
-``update_every`` simulated seconds it collects the hosts' usage windows
+:class:`OversubController` drives one engine: every ``update_every``
+simulated seconds it collects the hosts' usage windows
 (:class:`~repro.oversub.monitor.ClusterUsageMonitor`), asks the
 configured :class:`~repro.oversub.estimators.CapacityEstimator` for
-the effective-capacity vector, and pushes it back
-into the engine through the small :class:`CapacityTarget` port —
-``VectorCluster`` adapts it with a capacity-array override, the object
-engine with an :class:`~repro.oversub.pipeline.EffectiveCapacityView`.
+the effective-capacity vector, and pushes it back into the engine
+through the small :class:`CapacityTarget` port, which the vector
+engine's ``VectorBackend`` implements with a capacity-array override
+(``VectorSimulation.run`` advances the controller before every event).
 
 It also keeps the safety ledger: a host window whose demand peak
 exceeds the host's physical cores counts as one violation.
@@ -51,10 +51,14 @@ class CapacityTarget(Protocol):
         """Install the per-host effective capacities."""
 
 
-def _check_update_every(update_every: float) -> None:
+def check_cadence(update_every: float, samples_per_window: int = 1) -> None:
     # Negated so that NaN fails too; an infinite period never fires.
     if not 0 < update_every < math.inf:
         raise ConfigError(f"update_every must be finite and > 0, got {update_every}")
+    if not 1 <= samples_per_window < math.inf:
+        raise ConfigError(
+            f"samples_per_window must be finite and >= 1, got {samples_per_window}"
+        )
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ class OversubParams:
     samples_per_window: int = 16
 
     def __post_init__(self) -> None:
-        _check_update_every(self.update_every)
+        check_cadence(self.update_every, self.samples_per_window)
 
     def build_controller(
         self, metrics: MetricsRegistry = NULL_METRICS
@@ -128,7 +132,7 @@ class OversubController:
     _eff_ratio_sum: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
-        _check_update_every(self.update_every)
+        check_cadence(self.update_every)
         self.estimator.reset()
 
     def advance(self, target: CapacityTarget, now: float) -> None:

@@ -27,6 +27,7 @@ oversubscription ceiling.  The property suite pins this contract.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable
@@ -142,8 +143,9 @@ class CapacityEstimator(ABC):
     _fresh: tuple[float, ...] = ()
 
     def __init__(self, ratio_cap: float = 3.0):
-        if ratio_cap < 1.0:
-            raise ConfigError(f"ratio_cap must be >= 1, got {ratio_cap}")
+        # Negated so that NaN fails too; an infinite cap admits unboundedly.
+        if not 1.0 <= ratio_cap < math.inf:
+            raise ConfigError(f"ratio_cap must be finite and >= 1, got {ratio_cap}")
         self.ratio_cap = ratio_cap
         self.reset()
 
@@ -260,12 +262,16 @@ class DoaEstimator(CapacityEstimator):
         super().__init__(ratio_cap=ratio_cap)
         if not 0.0 < alert <= 1.0:
             raise ConfigError(f"alert threshold must be in (0,1], got {alert}")
-        if increase <= 0 or decrease <= 0:
-            raise ConfigError("increase and decrease steps must be positive")
-        if stable_windows < 1:
-            raise ConfigError(f"stable_windows must be >= 1, got {stable_windows}")
-        if stability_margin < 0:
-            raise ConfigError(f"stability_margin must be >= 0, got {stability_margin}")
+        if not (0 < increase < math.inf and 0 < decrease < math.inf):
+            raise ConfigError("increase and decrease steps must be finite and positive")
+        if not 1 <= stable_windows < math.inf:
+            raise ConfigError(
+                f"stable_windows must be finite and >= 1, got {stable_windows}"
+            )
+        if not 0 <= stability_margin < math.inf:
+            raise ConfigError(
+                f"stability_margin must be finite and >= 0, got {stability_margin}"
+            )
         self.predictor = PercentilePredictor(90.0)
         self.alert = alert
         self.increase = increase
@@ -315,8 +321,8 @@ class GreedyEstimator(CapacityEstimator):
         super().__init__(ratio_cap=ratio_cap)
         if not 0.0 < quiet <= 1.0:
             raise ConfigError(f"quiet threshold must be in (0,1], got {quiet}")
-        if step <= 0:
-            raise ConfigError(f"step must be positive, got {step}")
+        if not 0 < step < math.inf:
+            raise ConfigError(f"step must be finite and positive, got {step}")
         if not 0.0 <= backoff < 1.0:
             raise ConfigError(f"backoff must be in [0,1), got {backoff}")
         self.quiet = quiet

@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence
 from repro.core.errors import ConfigError
 from repro.core.types import VMRequest
 from repro.hardware.machine import SIM_WORKER, MachineSpec
-from repro.oversub.controller import OversubParams
+from repro.oversub.controller import OversubParams, check_cadence
 from repro.oversub.estimators import STRATEGIES, make_estimator
 from repro.runner.spec import resolve_mix_entry
 from repro.simulator.engine import SimulationResult
@@ -91,8 +91,9 @@ class OversubSweepSpec:
             raise ConfigError(
                 f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
             )
-        if self.target_population <= 0:
-            raise ConfigError("target_population must be positive")
+        if not 0 < self.target_population < math.inf:
+            raise ConfigError("target_population must be finite and positive")
+        check_cadence(self.update_every, self.samples_per_window)
 
     @classmethod
     def from_run_spec(

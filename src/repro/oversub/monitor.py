@@ -17,6 +17,7 @@ need.
 
 from __future__ import annotations
 
+import math
 import zlib
 from typing import Iterable, Sequence
 
@@ -78,11 +79,12 @@ class ClusterUsageMonitor:
     """
 
     def __init__(self, window: float = 1800.0, samples_per_window: int = 16):
-        if window <= 0:
-            raise ConfigError(f"window must be positive, got {window}")
-        if samples_per_window < 1:
+        # Negated so that NaN fails too.
+        if not 0 < window < math.inf:
+            raise ConfigError(f"window must be finite and positive, got {window}")
+        if not 1 <= samples_per_window < math.inf:
             raise ConfigError(
-                f"samples_per_window must be >= 1, got {samples_per_window}"
+                f"samples_per_window must be finite and >= 1, got {samples_per_window}"
             )
         self.window = window
         self.samples_per_window = samples_per_window

@@ -28,8 +28,8 @@ __all__ = [
     "TestbedResult",
     "LevelPerf",
     "run_testbed",
+    "build_vm_population",
     "ChurnParams",
     "ChurnResult",
     "run_churn_testbed",
-    "build_vm_population",
 ]

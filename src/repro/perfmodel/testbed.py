@@ -61,6 +61,16 @@ __all__ = [
     "run_churn_testbed",
 ]
 
+#: §VII-A's VM behaviours (idle / stress / interactive), in draw order.
+_KINDS = sorted(DEFAULT_BEHAVIOUR_SHARES)
+_KIND_PROBS = np.array([DEFAULT_BEHAVIOUR_SHARES[k] for k in _KINDS])
+#: Beta shapes of per-VM utilisation draws (Azure-like: most VMs use a
+#: small fraction of their vCPUs).
+STRESS_UTIL_BETA = (2.0, 7.0)
+INTERACTIVE_BASE_BETA = (2.0, 8.0)
+#: Share of the machine's CPUs the churn run reserves before churn starts.
+WARM_FILL = 0.7
+
 
 @dataclass(frozen=True)
 class TestbedParams:
@@ -75,13 +85,6 @@ class TestbedParams:
     dt: float = 1.0
     smt_speedup: float = 1.3
     latency: LatencyParams = field(default_factory=LatencyParams)
-    behaviour_shares: Mapping[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_BEHAVIOUR_SHARES)
-    )
-    #: Beta parameters of per-VM utilisation draws (Azure-like: most VMs
-    #: use a small fraction of their vCPUs).
-    stress_util_beta: tuple[float, float] = (2.0, 7.0)
-    interactive_base_beta: tuple[float, float] = (2.0, 8.0)
     #: Per-VM lognormal AR(1) demand burstiness (spreads Fig. 2's boxes).
     demand_noise_sigma: float = 0.2
     seed: int = 2024
@@ -147,17 +150,13 @@ def _draw_vm(
 ) -> VMRequest:
     cat = params.catalog if level.is_premium else restricted
     spec = cat.sample(rng)
-    kinds = sorted(params.behaviour_shares)
-    probs = np.array([params.behaviour_shares[k] for k in kinds])
-    kind = kinds[int(rng.choice(len(kinds), p=probs))]
+    kind = _KINDS[int(rng.choice(len(_KINDS), p=_KIND_PROBS))]
     if kind == "idle":
         param = 0.0
     elif kind == "stress":
-        a, b = params.stress_util_beta
-        param = float(np.clip(rng.beta(a, b), 0.02, 1.0))
+        param = float(np.clip(rng.beta(*STRESS_UTIL_BETA), 0.02, 1.0))
     else:
-        a, b = params.interactive_base_beta
-        param = float(np.clip(rng.beta(a, b), 0.05, 0.9))
+        param = float(np.clip(rng.beta(*INTERACTIVE_BASE_BETA), 0.05, 0.9))
     return VMRequest(
         vm_id=f"{level.name}-vm-{index:04d}",
         spec=spec,
@@ -168,21 +167,20 @@ def _draw_vm(
 
 
 def build_vm_population(
-    level: OversubscriptionLevel,
+    agent: LocalScheduler,
+    levels: Sequence[OversubscriptionLevel],
     params: TestbedParams,
     rng: np.random.Generator,
-    agent: LocalScheduler,
 ) -> list[VMRequest]:
-    """Fill ``agent`` with VMs of one level until the PM refuses one."""
+    """Deploy VMs round-robin over ``levels`` until ``agent`` refuses one."""
     restricted = params.catalog.restricted()
     vms: list[VMRequest] = []
-    for i in range(100_000):
-        vm = _draw_vm(restricted, level, params, rng, i)
+    for i in itertools.count():
+        vm = _draw_vm(restricted, levels[i % len(levels)], params, rng, i)
         if not agent.can_deploy(vm):
-            break
+            return vms
         agent.deploy(vm)
         vms.append(vm)
-    return vms
 
 
 def _members(vms: Sequence[VMRequest], rng: np.random.Generator) -> list[GroupMember]:
@@ -285,7 +283,7 @@ def run_testbed(params: TestbedParams | None = None) -> TestbedResult:
     baseline: dict[str, LevelPerf] = {}
     for level in params.levels:
         agent = LocalScheduler(params.machine, SlackVMConfig(levels=(level,)))
-        vms = build_vm_population(level, params, rng, agent)
+        vms = build_vm_population(agent, (level,), params, rng)
         group = ContentionGroup(
             pm_capacity, _members(vms, rng), rng=rng, noise_sigma=params.demand_noise_sigma
         )
@@ -295,15 +293,7 @@ def run_testbed(params: TestbedParams | None = None) -> TestbedResult:
     # SlackVM: all levels co-hosted on one topology-aware PM, ~1/3 each.
     config = SlackVMConfig(levels=params.levels, pooling=False)
     agent = LocalScheduler(params.machine, config, topology=topology)
-    restricted = params.catalog.restricted()
-    cohosted: list[VMRequest] = []
-    for i in itertools.count():
-        level = params.levels[i % len(params.levels)]
-        vm = _draw_vm(restricted, level, params, rng, i)
-        if not agent.can_deploy(vm):
-            break
-        agent.deploy(vm)
-        cohosted.append(vm)
+    cohosted = build_vm_population(agent, params.levels, params, rng)
     per_level = {
         lv.name: [vm for vm in cohosted if vm.level == lv] for lv in params.levels
     }
@@ -334,15 +324,10 @@ class ChurnParams:
     __test__ = False  # not a pytest class
 
     base: TestbedParams = field(default_factory=TestbedParams)
-    #: Target PM fill level before churn starts (fraction of the fill
-    #: the static testbed would reach).
-    warm_fill: float = 0.7
     #: Mean seconds between churn events (one arrival or departure).
     event_interval: float = 20.0
 
     def __post_init__(self) -> None:
-        if not 0.1 <= self.warm_fill <= 1.0:
-            raise SimulationError("warm_fill must be in [0.1, 1]")
         # Negated so that NaN fails too.
         if not 0 < self.event_interval < math.inf:
             raise SimulationError("event_interval must be finite and positive")
@@ -389,9 +374,8 @@ def run_churn_testbed(params: ChurnParams | None = None) -> ChurnResult:
             trackers[vm.vm_id] = LatencyTracker(base.latency, vm.vm_id, vm.spec.vcpus, rng)
         return True
 
-    # Warm fill: round-robin levels until the requested fraction of the
-    # machine's CPUs is reserved.
-    target_cpus = params.warm_fill * base.machine.cpus
+    # Warm fill: round-robin levels until WARM_FILL of the CPUs is reserved.
+    target_cpus = WARM_FILL * base.machine.cpus
     while agent.allocated_cpus < target_cpus:
         level = base.levels[counter % len(base.levels)]
         if not try_deploy(level):

@@ -349,7 +349,16 @@ class ShardedSimulation:
     # -- execution -----------------------------------------------------------
 
     def run(self, workload: list[VMRequest]) -> SimulationResult:
+        # Checked here, not in __init__: the CLI sets both attributes
+        # after construction.
+        if self.resume and self.checkpoint is None:
+            raise ConfigError("resume requires a checkpoint")
         if self.shards == 1:
+            if self.checkpoint is not None:
+                raise ConfigError(
+                    "a shard checkpoint needs shards > 1 (shards=1 runs one "
+                    "in-process simulation and writes no checkpoint)"
+                )
             self.metrics.gauge(metric_names.SHARD_COUNT).set(1)
             sim = VectorSimulation(
                 self.machines,

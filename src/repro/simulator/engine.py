@@ -38,18 +38,11 @@ from repro.scheduling.global_scheduler import ScoreBasedScheduler
 from repro.simulator.events import iter_event_batches, workload_event_list
 
 if TYPE_CHECKING:  # annotation-only: keeps simulator below oversub (layering fence)
-    from repro.oversub.controller import (
-        CapacityTarget,
-        OversubController,
-        OversubParams,
-        OversubSummary,
-    )
-    from repro.oversub.pipeline import ObjectClusterTarget
+    from repro.oversub.controller import OversubSummary
 
 __all__ = [
     "PlacementRecord", "Timeline", "SimulationResult", "PlacementBackend",
-    "WorkloadRunner", "LoopState", "run_events", "run_with_controller",
-    "Simulation", "build_hosts",
+    "WorkloadRunner", "LoopState", "run_events", "Simulation", "build_hosts",
 ]
 
 
@@ -313,26 +306,6 @@ def run_events(
     )
 
 
-def run_with_controller(
-    backend: PlacementBackend,
-    workload: Sequence[VMRequest],
-    controller: Optional[OversubController],
-    target: Optional[CapacityTarget],
-    **loop_options,
-) -> SimulationResult:
-    """:func:`run_events`, first advancing an oversubscription
-    ``controller`` (if any) over ``target`` to each event's time; its
-    ledger becomes the result's ``oversub``."""
-    if controller is None:
-        return run_events(backend, workload, **loop_options)
-    result = run_events(
-        backend, workload, **loop_options,
-        before_event=lambda time, _state: controller.advance(target, time),
-    )
-    result.oversub = controller.summary()
-    return result
-
-
 def build_hosts(
     machine: MachineSpec, count: int, config: SlackVMConfig | None = None
 ) -> list[LocalScheduler]:
@@ -359,8 +332,8 @@ class Simulation:
     :func:`run_events`).  With an enabled ``recorder`` every arrival
     emits one :class:`~repro.obs.records.DecisionRecord` (full
     filter/score table via :meth:`ScoreBasedScheduler.decide`) and
-    every deploy one admission record.  ``oversub`` adds the dynamic
-    controller; ``deploy``/``remove`` keep its view of the live VMs.
+    every deploy one admission record.  It models no dynamic
+    oversubscription: that is the vector engine's capacity override.
     """
 
     def __init__(
@@ -370,40 +343,12 @@ class Simulation:
         fail_fast: bool = False,
         recorder: DecisionRecorder = NULL_RECORDER,
         metrics: MetricsRegistry = NULL_METRICS,
-        oversub: OversubParams | None = None,
     ):
         self.hosts = list(hosts)
         self.scheduler = scheduler
         self.fail_fast = fail_fast
         self.recorder = recorder
         self.metrics = metrics
-        self.oversub = oversub
-        self._oversub_target: Optional[ObjectClusterTarget] = None
-        self._oversub_controller: Optional[OversubController] = None
-        if oversub is not None:
-            # Deferred import: the engine only reaches up into the
-            # oversub layer when a controller is requested
-            # (tests/structure/test_layering.py).
-            from repro.oversub.pipeline import (
-                EffectiveCapacityView,
-                ObjectClusterTarget,
-                with_oversub,
-            )
-
-            # The object path composes through the Nova-style pipeline:
-            # an EffectiveCapacityFilter reading a shared view the
-            # controller updates.  Local
-            # agents allocate physical slots, so on this path a dynamic
-            # capacity can only restrict placement; the vector engine's
-            # capacity override is the path that admits beyond physical.
-            view = EffectiveCapacityView(
-                [h.machine.name for h in self.hosts],
-                [float(h.machine.cpus) for h in self.hosts],
-            )
-            self.oversub_view = view
-            self.scheduler = with_oversub(scheduler, view)
-            self._oversub_target = ObjectClusterTarget(self.hosts, view)
-            self._oversub_controller = oversub.build_controller(metrics)
         if recorder.enabled:
             # Local agents emit their own admission records; wire any
             # un-instrumented host to the simulation's sink.
@@ -429,16 +374,12 @@ class Simulation:
 
     def deploy(self, vm: VMRequest, host: int) -> PlacementRecord:
         placement = self.hosts[host].deploy(vm)
-        if self._oversub_target is not None:
-            self._oversub_target.live[vm.vm_id] = (vm, host)
         return PlacementRecord(
             vm.vm_id, host, placement.hosted_level.ratio, placement.pooled
         )
 
     def remove(self, vm_id: str, host: int) -> None:
         self.hosts[host].remove(vm_id)
-        if self._oversub_target is not None:
-            self._oversub_target.live.pop(vm_id, None)
 
     def totals(self) -> tuple[float, float]:
         return (
@@ -453,7 +394,7 @@ class Simulation:
         )
 
     def run(self, workload: list[VMRequest]) -> SimulationResult:
-        return run_with_controller(
-            self, workload, self._oversub_controller, self._oversub_target,
+        return run_events(
+            self, workload,
             fail_fast=self.fail_fast, recorder=self.recorder, metrics=self.metrics,
         )

@@ -90,7 +90,7 @@ from repro.scheduling.constants import (
 # through the package __init__ (which imports this module transitively)
 # would create a module-level cycle (tests/structure/test_layering.py).
 import repro.simulator.refkernel as refkernel
-from repro.simulator.engine import PlacementRecord, SimulationResult, run_with_controller
+from repro.simulator.engine import PlacementRecord, SimulationResult, run_events
 
 if TYPE_CHECKING:  # annotation-only: keeps simulator below oversub (layering fence)
     from repro.oversub.controller import OversubParams
@@ -1052,8 +1052,15 @@ class VectorSimulation:
             kernel=self.kernel,
         )
         backend = VectorBackend(cluster, self.policy)
-        controller = self.oversub and self.oversub.build_controller(self.metrics)
-        return run_with_controller(
-            backend, workload, controller, backend,
-            fail_fast=self.fail_fast, recorder=self.recorder, metrics=self.metrics,
+        options = dict(
+            fail_fast=self.fail_fast, recorder=self.recorder, metrics=self.metrics
         )
+        if self.oversub is None:
+            return run_events(backend, workload, **options)
+        controller = self.oversub.build_controller(self.metrics)
+        result = run_events(
+            backend, workload, **options,
+            before_event=lambda time, _state: controller.advance(backend, time),
+        )
+        result.oversub = controller.summary()
+        return result

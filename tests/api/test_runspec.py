@@ -65,6 +65,8 @@ class TestValidation:
             (dict(host_cpus=float("nan")), "finite"),
             (dict(host_mem_gb=float("nan")), "finite"),
             (dict(host_mem_gb=float("inf")), "finite"),
+            # Only the vector engine models dynamic oversubscription.
+            (dict(engine="object", oversub="percentile"), "oversub"),
         ],
     )
     def test_bad_knobs_fail_at_construction(self, kwargs, match):

@@ -1,4 +1,4 @@
-"""CLI contract: exit codes 0/1/2, reporters, baseline flags.
+"""CLI contract: exit codes 0/1/2, reporters, rule selection.
 
 Exercised through ``python -m repro.devtools.lint``'s ``main()`` and,
 for the integration path, through ``repro lint`` (``repro.cli.main``).
@@ -21,13 +21,6 @@ DIRTY = textwrap.dedent(
 
     def stamp():
         return time.time()
-    """
-).lstrip()
-# A baselinable (non-determinism) violation: exact float == on a score.
-BASELINABLE = textwrap.dedent(
-    """
-    def same(score_a, score_b):
-        return score_a == score_b
     """
 ).lstrip()
 
@@ -80,40 +73,7 @@ def test_usage_errors_exit_2(project, capsys):
     assert lint_main(["no/such/dir"]) == 2
     assert lint_main(["src", "--rules", "R999"]) == 2
     assert lint_main(["src", "--format", "yaml"]) == 2  # argparse itself
-    assert lint_main(["src", "--write-baseline"]) == 2  # needs --baseline
     capsys.readouterr()
-
-
-def test_malformed_baseline_exits_2(project, capsys):
-    write(project, "src/repro/scheduling/ok.py", CLEAN)
-    write(project, "baseline.json", "{broken")
-    assert lint_main(["src", "--baseline", "baseline.json"]) == 2
-    assert "usage error" in capsys.readouterr().err
-
-
-def test_write_baseline_then_clean_then_new_finding(project, capsys):
-    write(project, "src/repro/scheduling/score.py", BASELINABLE)
-    assert lint_main(["src", "--baseline", "b.json", "--write-baseline"]) == 0
-    capsys.readouterr()
-
-    # Baselined: the legacy violation no longer fails the run...
-    assert lint_main(["src", "--baseline", "b.json"]) == 0
-    assert "1 baselined occurrence(s)" in capsys.readouterr().out
-
-    # ...but a second, new violation still does.
-    write(
-        project,
-        "src/repro/scheduling/score.py",
-        BASELINABLE + "\ndef worse(ratio):\n    return ratio == 0.5\n",
-    )
-    assert lint_main(["src", "--baseline", "b.json"]) == 1
-
-
-def test_write_baseline_refuses_determinism_findings(project, capsys):
-    write(project, "scripts/run.py", DIRTY)
-    assert lint_main(["scripts", "--baseline", "b.json", "--write-baseline"]) == 2
-    assert "cannot be baselined" in capsys.readouterr().err
-    assert not (project / "b.json").exists()
 
 
 def test_rules_subset(project, capsys):

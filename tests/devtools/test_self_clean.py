@@ -1,8 +1,8 @@
 """The repo's own source must satisfy its lint gate.
 
 This is the dogfooding test behind ``make lint`` / the CI lint job:
-``src`` and ``scripts`` lint clean modulo the committed baseline, and
-the determinism rules (which admit no baseline) are clean outright.
+``src`` and ``scripts`` lint clean, and the determinism rules (which
+admit no pragma) are clean outright.
 """
 
 from __future__ import annotations
@@ -12,12 +12,10 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.devtools.baseline import Baseline
 from repro.devtools.lint import LintReport, lint_paths
 from repro.devtools.rules import DETERMINISM_RULES
 
 REPO_ROOT = Path(repro.__file__).resolve().parents[2]
-BASELINE = REPO_ROOT / "lint-baseline.json"
 
 
 def repo_paths() -> list[Path]:
@@ -32,22 +30,13 @@ def findings():
     return lint_paths(repo_paths(), root=REPO_ROOT)
 
 
-def test_src_and_scripts_clean_modulo_baseline(findings):
-    baseline = Baseline.load(BASELINE) if BASELINE.exists() else Baseline({})
-    report = LintReport(findings, baseline)
-    assert report.ok, "new lint findings:\n" + report.to_text()
+def test_src_and_scripts_lint_clean(findings):
+    report = LintReport(findings)
+    assert report.ok, "lint findings:\n" + report.to_text()
 
 
 def test_determinism_rules_admit_zero_findings(findings):
     hard = [f for f in findings if f.rule_id in DETERMINISM_RULES]
-    assert hard == [], "determinism findings (unbaselinable):\n" + "\n".join(
+    assert hard == [], "determinism findings (no pragma applies):\n" + "\n".join(
         f"{f.path}:{f.line}: {f.rule_id} {f.message}" for f in hard
     )
-
-
-def test_committed_baseline_loads_and_is_empty():
-    # The acceptance bar for this repo: no legacy debt at all.  If a
-    # future change needs a baseline entry, relax this to a load-only
-    # check — determinism rules will still be rejected by Baseline.load.
-    assert BASELINE.exists(), "lint-baseline.json must be committed"
-    assert len(Baseline.load(BASELINE)) == 0

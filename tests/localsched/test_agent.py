@@ -84,10 +84,13 @@ class TestPooling:
         agent.deploy(vm(vm_id="prem", vcpus=6, mem=4.0, level=LEVEL_1_1))
         agent.deploy(vm(vm_id="mid", vcpus=3, mem=4.0, level=LEVEL_2_1))
         assert agent.free_cpus == 0
-        placement = agent.deploy(vm(vm_id="low", vcpus=1, mem=2.0, level=LEVEL_3_1))
+        low = vm(vm_id="low", vcpus=1, mem=2.0, level=LEVEL_3_1)
+        placement = agent.deploy(low)
         assert placement.pooled
         assert placement.hosted_level == LEVEL_2_1
-        assert placement.sold_level == LEVEL_3_1
+        # Hosted in the stricter vNode, still sold at its own level.
+        assert "low" in agent.vnode_for(LEVEL_2_1).vm_ids
+        assert low.level == LEVEL_3_1
 
     def test_pooling_disabled_rejects(self, machine):
         agent = LocalScheduler(machine, SlackVMConfig(pooling=False))
@@ -135,7 +138,7 @@ class TestRemove:
         agent.deploy(vm(vm_id="a"))
         agent.remove("a")
         assert agent.vnode_for(LEVEL_2_1) is None
-        assert agent.is_empty
+        assert agent.num_vms == 0
         assert agent.allocated_cpus == 0
         assert agent.allocated_mem == 0.0
 
@@ -209,9 +212,10 @@ class TestTopologyMode:
         agent = LocalScheduler(
             EPYC_7662_DUAL, SlackVMConfig(), topology=epyc_7662_dual()
         )
-        placement = agent.deploy(vm(vcpus=4, level=LEVEL_2_1))
-        assert len(placement.new_cpus) == 2
-        assert set(placement.new_cpus) <= set(range(256))
+        agent.deploy(vm(vcpus=4, level=LEVEL_2_1))
+        (node,) = agent.vnodes
+        assert len(node.cpu_ids) == 2
+        assert set(node.cpu_ids) <= set(range(256))
 
     def test_topology_cpu_count_mismatch_rejected(self, machine):
         from repro.core import ConfigError

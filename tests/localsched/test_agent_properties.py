@@ -96,7 +96,7 @@ def _run_ops(agent: LocalScheduler, ops):
     # Drain everything: the agent must return to pristine state.
     for vm_id in list(placed):
         agent.remove(vm_id)
-    assert agent.is_empty
+    assert agent.num_vms == 0
     assert agent.allocated_cpus == 0
     assert agent.allocated_mem == 0.0
     assert agent.vnodes == ()

@@ -1,11 +1,16 @@
 """Estimator unit tests + the effective-capacity bounds property."""
 
+import inspect
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ConfigError
+from repro.core import ConfigError, OversubscriptionLevel
+from repro.oversub import OversubParams
+from repro.oversub.evaluate import OversubSweepSpec
 from repro.oversub.estimators import (
     STRATEGIES,
     DoaEstimator,
@@ -218,3 +223,35 @@ def test_effective_capacity_bounds(strategy, seq):
         eff = capacity(est, w)
         assert eff >= w.used[0] - 1e-9
         assert eff <= est.ratio_cap * w.physical[0] + 1e-9
+
+
+#: Every oversubscription constructor, with the arguments it needs
+#: besides the parameter under test.
+CONSTRUCTORS = (
+    (StaticRatio, {}),
+    (PercentileEstimator, {}),
+    (DoaEstimator, {}),
+    (GreedyEstimator, {}),
+    (OversubParams, {"estimator": StaticRatio()}),
+    (OversubscriptionLevel, {"ratio": 2.0}),
+    (OversubSweepSpec, {}),
+)
+NUMERIC_PARAMS = [
+    (cls, extra, name)
+    for cls, extra in CONSTRUCTORS
+    for name, p in inspect.signature(cls).parameters.items()
+    if p.annotation in (float, int, "float", "int")
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0], ids=["nan", "inf", "neg"])
+@pytest.mark.parametrize(
+    "cls, extra, name",
+    NUMERIC_PARAMS,
+    ids=[f"{cls.__name__}.{name}" for cls, _, name in NUMERIC_PARAMS],
+)
+def test_numeric_parameters_must_be_finite_and_in_range(cls, extra, name, value):
+    # NaN slips past `x < 1`-style guards and inf admits without bound:
+    # both must fail at construction, not once a run is under way.
+    with pytest.raises(ConfigError):
+        cls(**{**extra, name: value})

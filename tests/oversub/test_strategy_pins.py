@@ -1,9 +1,9 @@
-"""Bit-level pins for all four strategies on both engines.
+"""Bit-level pins for all four strategies on the vector engine.
 
 ``test_golden_static.py`` pins only ``StaticRatio``; this file pins
 ``percentile`` / ``doa`` / ``greedy`` too.  One small scarce spec
 (rejections, violations, alerts and back-offs all occur) is run per
-strategy × engine and three things are compared with
+strategy and three things are compared with
 ``data/strategy_pins.json``: ``sha256(result_stream)``, the
 ``OversubSummary`` (``eff_ratio_mean`` to the last bit — JSON floats
 round-trip exactly), and the sha256 of every effective-capacity vector
@@ -28,7 +28,7 @@ from repro.oversub import STRATEGIES, OversubController
 from repro.simulator.conformance import result_stream
 
 PINS = Path(__file__).resolve().parent / "data" / "strategy_pins.json"
-ENGINES = ("vector", "object")
+ENGINES = ("vector",)
 
 
 def pin_spec(strategy: str, engine: str) -> RunSpec:

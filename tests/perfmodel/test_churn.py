@@ -50,6 +50,4 @@ def test_premium_latency_stays_in_static_band(result):
 
 def test_param_validation():
     with pytest.raises(SimulationError):
-        ChurnParams(warm_fill=0.0)
-    with pytest.raises(SimulationError):
         ChurnParams(event_interval=-1.0)

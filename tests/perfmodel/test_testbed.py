@@ -30,7 +30,7 @@ def test_fill_single_level_respects_capacity():
     params = TestbedParams()
     rng = np.random.default_rng(0)
     agent = LocalScheduler(EPYC_7662_DUAL, SlackVMConfig(levels=(LEVEL_1_1,)))
-    vms = build_vm_population(LEVEL_1_1, params, rng, agent)
+    vms = build_vm_population(agent, (LEVEL_1_1,), params, rng)
     assert sum(v.spec.vcpus for v in vms) <= EPYC_7662_DUAL.cpus
     assert sum(v.spec.mem_gb for v in vms) <= EPYC_7662_DUAL.mem_gb
     # The PM genuinely refused the next VM: it is nearly full.
@@ -41,9 +41,9 @@ def test_oversubscribed_fill_hosts_more_vms():
     params = TestbedParams()
     rng = np.random.default_rng(0)
     prem = LocalScheduler(EPYC_7662_DUAL, SlackVMConfig(levels=(LEVEL_1_1,)))
-    n_prem = len(build_vm_population(LEVEL_1_1, params, rng, prem))
+    n_prem = len(build_vm_population(prem, (LEVEL_1_1,), params, rng))
     over = LocalScheduler(EPYC_7662_DUAL, SlackVMConfig(levels=(LEVEL_3_1,)))
-    n_over = len(build_vm_population(LEVEL_3_1, params, rng, over))
+    n_over = len(build_vm_population(over, (LEVEL_3_1,), params, rng))
     assert n_over > 1.5 * n_prem  # §VII-A1: 131 vs 356 in the paper
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.api import RunSpec, build_config, build_machines, build_workload
 from repro.core import OversubscriptionLevel, VMRequest, VMSpec
-from repro.core.errors import ShardingError
+from repro.core.errors import ConfigError, ShardingError
 from repro.hardware import MachineSpec
 from repro.runner import JsonlCheckpoint
 from repro.sharding import ShardedSimulation, ShardPlan
@@ -230,3 +230,21 @@ def test_a_killed_shard_worker_is_a_sharding_error_and_resumable(tmp_path, monke
     resumed = _resume(machines, out).run(wl)
     assert result_stream(resumed) == result_stream(full)
     assert _shards_on_file(out) == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    ("shards", "checkpoint", "resume"),
+    [(1, True, False), (1, True, True), (1, False, True), (3, False, True)],
+)
+def test_a_checkpoint_option_that_would_be_ignored_is_a_config_error(
+    tmp_path, shards, checkpoint, resume
+):
+    # shards=1 runs in process and writes no checkpoint; resume needs one.
+    out = tmp_path / "shards.jsonl"
+    sim = ShardedSimulation(
+        _machines(6), shards=shards, workers=1,
+        checkpoint=str(out) if checkpoint else None, resume=resume,
+    )
+    with pytest.raises(ConfigError):
+        sim.run(_workload(30))
+    assert not out.exists()

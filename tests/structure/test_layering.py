@@ -122,10 +122,6 @@ def test_module_level_imports_have_no_cycle(imports):
 
 
 def test_deferred_upward_imports_only_shrink(imports):
-    # Two are left (sweep cells call the api they sit under; the engine
-    # wires the oversub pipeline in on demand) — pay one down and
-    # shrink this set, never grow it.
-    assert _upward(imports, "deferred") == {
-        ("repro.runner.runner", "repro.api"),
-        ("repro.simulator.engine", "repro.oversub.pipeline"),
-    }
+    # One is left (sweep cells call the api they sit under) — pay it
+    # down and empty this set, never grow it.
+    assert _upward(imports, "deferred") == {("repro.runner.runner", "repro.api")}

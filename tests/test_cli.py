@@ -215,6 +215,14 @@ def test_kernel_flag_is_limited_to_the_known_kernels(command, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_shard_checkpoint_needs_more_than_one_shard(tmp_path, capsys):
+    ckpt = tmp_path / "ck.jsonl"
+    assert main(["shard", "--shards", "1", "--population", "40",
+                 "--checkpoint", str(ckpt)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_shard_resume_requires_checkpoint():
     with pytest.raises(SystemExit, match="--resume requires --checkpoint"):
         main(["shard", "--resume", "--hosts", "4", "--population", "10"])
