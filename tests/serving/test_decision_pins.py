@@ -1,0 +1,89 @@
+"""Bit-level pins of ``serve()``'s decisions under every policy.
+
+Each pin records, for one :class:`~repro.serving.ServiceSpec`, the full
+``report.fingerprint`` (sha256 over the decision log and every shard's
+audit log), ``report.counts``, ``report.cluster`` and two tallies read
+off the audit logs: placements that used §V-B pooling and pending
+tickets later promoted to ACTIVE.  Three small specs run under each of
+the six placement policies:
+
+* ``pooled`` — a 4-host fleet under a 3:1-heavy mix: pooled placements
+  and pending→active promotions;
+* ``pressure`` — 2 hosts, a 6-deep admission queue, a 3-deep pending
+  queue and slow decisions: rejects and timeouts at both stages;
+* ``sharded`` — an auto-sized fleet split over 3 controller shards;
+
+and the ``serve_steady`` benchmark's 90-host fleet runs a 7.5-second
+slice under ``progress``.  A change to how the controller places VMs
+must leave ``data/decision_pins.json`` untouched; regenerate it (only
+for an intended change of the decisions) with
+``PYTHONPATH=src python tests/serving/test_decision_pins.py``.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.serving import PlacementService, ServiceSpec, run_virtual
+from repro.simulator.vectorpool import POLICIES
+
+PINS = Path(__file__).resolve().parent / "data" / "decision_pins.json"
+
+SPECS = {
+    "pooled": ServiceSpec(rate=30, duration=8, seed=3, num_hosts=4, mix=(20, 30, 50)),
+    "pressure": ServiceSpec(
+        rate=30, duration=4, seed=17, num_hosts=2, queue_bound=6,
+        service_mean=0.05, timeout_s=0.5, max_pending=3,
+    ),
+    "sharded": ServiceSpec(rate=40, duration=5, seed=5, shards=3),
+}
+PINNED = {
+    f"{name}/{policy}": spec.replace(policy=policy)
+    for name, spec in SPECS.items()
+    for policy in POLICIES
+}
+#: A slice of perf/workloads.py's ``serve_steady`` (auto-sized to 90 hosts).
+PINNED["steady/progress"] = ServiceSpec(rate=80, duration=7.5, mean_lifetime=20, seed=11)
+
+
+def decision_pin(spec: ServiceSpec) -> dict:
+    service = PlacementService(spec)
+    report = run_virtual(service.run(), service.clock)
+    audit = [entry for c in service.controllers for entry in c.audit_log]
+    queued = {vm_id for action, vm_id, _ in audit if action == "queue"}
+    placed = [(vm_id, detail) for action, vm_id, detail in audit if action == "place"]
+    return {
+        "fingerprint": report.fingerprint,
+        "counts": report.counts,
+        "cluster": report.cluster,
+        "pooled": sum(1 for _, detail in placed if detail.endswith("(pooled)")),
+        "promoted": sum(1 for vm_id, _ in placed if vm_id in queued),
+    }
+
+
+def compute_pins() -> dict:
+    return {key: decision_pin(spec) for key, spec in PINNED.items()}
+
+
+@pytest.fixture(scope="module")
+def pins() -> dict:
+    return json.loads(PINS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_serve_decisions_are_pinned(pins, key):
+    assert decision_pin(PINNED[key]) == pins[key]
+
+
+def test_pins_cover_exactly_the_pinned_specs(pins):
+    assert set(pins) == set(PINNED)
+
+
+if __name__ == "__main__":
+    PINS.parent.mkdir(exist_ok=True)
+    recorded = compute_pins()
+    PINS.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(recorded)} pins to {PINS}")
