@@ -46,12 +46,13 @@ sweep-oversub-smoke:
 		--update-every 1800 -o oversub_smoke.json
 	diff oversub_smoke.json tests/oversub/data/oversub_smoke.json
 
-# Online-service smoke: the serving suite, a 30s-virtual-time run at a
-# fixed seed (completes in well under a second of wall time) with a
-# parseable SLO report and finite p99, and a clean determinism lint on
-# the package.  Mirrors CI's serving-smoke job.
+# Online-service smoke: the serving and control-plane suites, a
+# 30s-virtual-time run at a fixed seed (completes in well under a
+# second of wall time) with a parseable SLO report and finite p99, and
+# a clean determinism lint on both packages.  Mirrors CI's
+# serving-smoke job.
 serve-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/serving -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/serving tests/controlplane -q
 	PYTHONPATH=src $(PYTHON) -m repro serve --duration 30 --rate 50 \
 		--seed 7 --report serving_slo.json
 	PYTHONPATH=src $(PYTHON) -c "import json, math; \
@@ -59,7 +60,7 @@ serve-smoke:
 		p99 = r['latency']['placement_p99_s']; \
 		assert math.isfinite(p99) and p99 > 0, p99; \
 		print('p99 %.3f ms, %d arrivals' % (p99 * 1e3, r['counts']['arrivals']))"
-	PYTHONPATH=src $(PYTHON) -m repro.devtools.lint src/repro/serving
+	PYTHONPATH=src $(PYTHON) -m repro.devtools.lint src/repro/serving src/repro/controlplane
 
 # Perf-ledger smoke: a quarter-size pass over all eight perf/ workloads
 # (output digests + conservation checks), the harness's own tests, the

@@ -4,7 +4,7 @@
 Drives the `CloudController` API the way an IaaS frontend would:
 request VMs at different oversubscription levels, watch the pending
 queue absorb a capacity crunch, delete VMs and see queued requests
-drain, then inspect the per-host agent reports and the audit log.
+drain, then inspect the per-host vNode reports and the audit log.
 
 Run: python examples/control_plane.py
 """
@@ -55,11 +55,11 @@ def main() -> None:
               (f" on pm-{t.host}" if t.host is not None else ""))
     print()
 
-    print("Per-host agent reports (vNodes as the local scheduler sees them):")
+    print("Per-host reports (one line per non-empty vNode):")
     for i in range(3):
         snap = controller.describe_host(i)
         nodes = ", ".join(
-            f"{n['level']}: {len(n['cpus'])} CPUs / {n['vcpus']} vCPUs"
+            f"{n['level']}: {n['cpus']} CPUs / {n['vcpus']} vCPUs"
             for n in snap["vnodes"]
         ) or "(idle)"
         print(f"  pm-{i}: {snap['num_vms']} VMs | {nodes}")

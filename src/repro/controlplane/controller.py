@@ -3,12 +3,12 @@
 The simulation packages replay *traces*; this module is the service
 view — an OpenStack-Nova-like API a provider integrates against:
 
-* ``request(spec, level)`` schedules a VM through the filter/weigher
-  pipeline and returns a ticket (ACTIVE on success, PENDING when no
-  host currently fits);
+* ``request(spec, level)`` places a VM through the vector engine's
+  kernel (:class:`~repro.simulator.vectorpool.VectorBackend`) and returns
+  a ticket (ACTIVE on success, PENDING when no host currently fits);
 * ``delete(vm_id)`` releases the VM and opportunistically retries the
   pending queue (capacity just freed up);
-* inspection calls expose cluster state, per-host agent reports and an
+* inspection calls expose cluster state, per-host vNode reports and an
   audit log of every scheduling decision.
 
 Single-threaded by design: the paper's control planes serialize
@@ -18,17 +18,16 @@ placement decisions per cluster, and so do we.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.config import SlackVMConfig
 from repro.core.errors import CapacityError, ConfigError
 from repro.core.types import OversubscriptionLevel, ResourceVector, VMRequest, VMSpec
 from repro.hardware.machine import MachineSpec
-from repro.localsched.agent import LocalScheduler
-from repro.scheduling.baselines import slackvm_scheduler
-from repro.scheduling.global_scheduler import ScoreBasedScheduler
+from repro.simulator.vectorpool import VectorBackend, VectorCluster, check_policy
 
 __all__ = ["VMState", "VMTicket", "ClusterState", "CloudController"]
 
@@ -72,27 +71,29 @@ class ClusterState:
 
 
 class CloudController:
-    """VM lifecycle service over a cluster of SlackVM local schedulers."""
+    """VM lifecycle service over one :class:`VectorBackend` bound to
+    ``policy`` (one of :data:`~repro.simulator.vectorpool.POLICIES`)."""
 
     def __init__(
         self,
         machines: Sequence[MachineSpec],
         config: SlackVMConfig | None = None,
-        scheduler: ScoreBasedScheduler | None = None,
+        policy: str = "progress",
         max_pending: int = 1000,
     ):
         if not machines:
             raise ConfigError("a controller needs at least one machine")
-        if max_pending < 0:
-            raise ConfigError("max_pending must be >= 0")
+        if (isinstance(max_pending, bool) or not isinstance(max_pending, numbers.Integral)
+                or max_pending < 0):
+            raise ConfigError(f"max_pending must be an integer >= 0, got {max_pending!r}")
+        check_policy(policy)
         self.config = config or SlackVMConfig()
-        self.scheduler = scheduler or slackvm_scheduler()
-        self.hosts: list[LocalScheduler] = [
-            LocalScheduler(m, self.config) for m in machines
-        ]
+        self.hosts: list[MachineSpec] = list(machines)
+        self.scheduler = VectorBackend(VectorCluster(self.hosts, self.config), policy)
         self.max_pending = max_pending
         self._tickets: dict[str, VMTicket] = {}
         self._pending: list[str] = []  # FIFO of vm_ids awaiting capacity
+        self._hosted: dict[str, int] = {}  # active vm_id -> hosting level index
         self._ids = itertools.count()
         #: Append-only audit log of (action, vm_id, detail) tuples.
         self.audit_log: list[tuple[str, str, str]] = []
@@ -104,7 +105,6 @@ class CloudController:
         spec: VMSpec,
         level: OversubscriptionLevel,
         tenant: Optional[str] = None,
-        metadata: Optional[Mapping] = None,
     ) -> VMTicket:
         """Schedule a new VM; returns an ACTIVE or PENDING ticket."""
         if not any(
@@ -116,7 +116,7 @@ class CloudController:
         ticket = VMTicket(vm_id=vm_id, spec=spec, level=level,
                           state=VMState.PENDING, tenant=tenant)
         self._tickets[vm_id] = ticket
-        if not self._try_place(ticket, dict(metadata or {})):
+        if not self._try_place(ticket):
             if len(self._pending) >= self.max_pending:
                 del self._tickets[vm_id]
                 raise CapacityError(
@@ -126,21 +126,20 @@ class CloudController:
             self.audit_log.append(("queue", vm_id, "no host fits; queued"))
         return ticket
 
-    def _try_place(self, ticket: VMTicket, metadata: dict) -> bool:
-        request = VMRequest(
-            vm_id=ticket.vm_id, spec=ticket.spec, level=ticket.level,
-            metadata=metadata,
-        )
-        idx = self.scheduler.select(self.hosts, request)
+    def _try_place(self, ticket: VMTicket) -> bool:
+        request = VMRequest(vm_id=ticket.vm_id, spec=ticket.spec, level=ticket.level)
+        idx = self.scheduler.select(request)
         if idx is None:
             return False
-        placement = self.hosts[idx].deploy(request)
+        placement = self.scheduler.deploy(request, idx)
+        hosted = self.scheduler.cluster.level_index(placement.hosted_ratio)
+        self._hosted[ticket.vm_id] = hosted
         ticket.state = VMState.ACTIVE
         ticket.host = idx
         ticket.pooled = placement.pooled
         self.audit_log.append(
             ("place", ticket.vm_id,
-             f"host {idx} vNode {placement.hosted_level.name}"
+             f"host {idx} vNode {self.config.levels[hosted].name}"
              + (" (pooled)" if placement.pooled else ""))
         )
         return True
@@ -154,7 +153,8 @@ class CloudController:
         if ticket.state is VMState.DELETED:
             raise CapacityError(f"VM {vm_id} already deleted")
         if ticket.state is VMState.ACTIVE:
-            self.hosts[ticket.host].remove(vm_id)
+            self.scheduler.remove(vm_id, ticket.host)
+            del self._hosted[vm_id]
         else:
             self._pending.remove(vm_id)
         ticket.state = VMState.DELETED
@@ -168,7 +168,7 @@ class CloudController:
         still_waiting: list[str] = []
         for vm_id in self._pending:
             ticket = self._tickets[vm_id]
-            if not self._try_place(ticket, {}):
+            if not self._try_place(ticket):
                 still_waiting.append(vm_id)
         self._pending = still_waiting
 
@@ -187,20 +187,34 @@ class CloudController:
         return tickets
 
     def describe_host(self, index: int) -> dict:
-        return self.hosts[index].describe()
+        """A JSON-friendly snapshot of one host: its allocation and one
+        entry per non-empty vNode (``cpus`` counts the vNode's cores)."""
+        cluster = self.scheduler.cluster
+        machine = self.hosts[index]
+        vms = cluster.vms_on(index)
+        vnodes = []
+        for li, level in enumerate(self.config.levels):
+            vcpus = int(cluster.vnode_vcpus[li, index])
+            if not vcpus:
+                continue
+            cpus = int(cluster.vnode_cpus[li, index])
+            vnodes.append({
+                "level": level.name, "cpus": cpus, "vcpus": vcpus,
+                "capacity_vcpus": level.ratio * cpus,
+                "vms": [vm_id for vm_id in vms if self._hosted[vm_id] == li],
+            })
+        return {
+            "machine": machine.name, "cpus": machine.cpus, "mem_gb": machine.mem_gb,
+            "allocated_cpus": int(cluster.alloc_cpu[index]),
+            "allocated_mem_gb": round(float(cluster.alloc_mem[index]), 6),
+            "num_vms": len(vms), "vnodes": vnodes,
+        }
 
     def state(self) -> ClusterState:
-        allocated = ResourceVector.zero()
-        capacity = ResourceVector.zero()
-        for host in self.hosts:
-            allocated = allocated + host.allocation()
-            capacity = capacity + host.machine.capacity
         return ClusterState(
             num_hosts=len(self.hosts),
-            active_vms=sum(
-                1 for t in self._tickets.values() if t.state is VMState.ACTIVE
-            ),
+            active_vms=len(self._hosted),
             pending_vms=len(self._pending),
-            allocated=allocated,
-            capacity=capacity,
+            allocated=ResourceVector(*self.scheduler.totals()),
+            capacity=ResourceVector(*self.scheduler.capacity()),
         )

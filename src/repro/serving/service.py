@@ -3,7 +3,7 @@
 Architecture (docs/ARCHITECTURE.md §15)::
 
     RequestSource ──► bounded admission queue ──► scheduler task ──► CloudController shard(s)
-      (open loop)        (backpressure)         (single writer)        (filter/weigher pipeline)
+      (open loop)        (backpressure)         (single writer)        (vector placement kernel)
 
 Three coroutine families share one virtual clock:
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from hashlib import sha256
@@ -46,7 +47,6 @@ from repro.core.types import VMRequest
 from repro.hardware.machine import MachineSpec
 from repro.obs import names as metric_names
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.scheduling.baselines import scheduler_for_policy
 from repro.serving.clock import VirtualClock, run_virtual
 from repro.serving.config import DIST_KINDS, RVConfig, TrafficConfig
 from repro.serving.generator import RequestSource, ServiceRequest
@@ -123,7 +123,7 @@ class ServiceSpec(Spec):
                 f"expected one of {sorted(PROVIDERS)}"
             )
         for name in ("rate", "duration", "mean_lifetime", "timeout_s",
-                     "service_mean"):
+                     "service_mean", "host_mem_gb"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
@@ -138,25 +138,22 @@ class ServiceSpec(Spec):
                     f"unknown {kind_field} {kind!r}; expected one of {DIST_KINDS}"
                 )
         if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ConfigError(
-                f"diurnal_amplitude must be in [0, 1), "
-                f"got {self.diurnal_amplitude!r}"
-            )
-        if self.num_hosts < 0:
-            raise ConfigError("num_hosts must be >= 0 (0 = auto-size)")
-        if self.host_cpus <= 0 or self.host_mem_gb <= 0:
-            raise ConfigError("host_cpus and host_mem_gb must be positive")
-        if self.shards < 1:
-            raise ConfigError(f"need at least one shard, got {self.shards}")
+            raise ConfigError(f"diurnal_amplitude must be in [0, 1), "
+                              f"got {self.diurnal_amplitude!r}")
+        # Integer fields: bools, floats (2.5, nan, inf) and values below
+        # the floor are refused; ``num_hosts=0`` auto-sizes the fleet.
+        for name, low in (("seed", 0), ("num_hosts", 0), ("host_cpus", 1),
+                          ("shards", 1), ("queue_bound", 1), ("max_pending", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < low):
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.num_hosts and self.shards > self.num_hosts:
             raise ConfigError(
                 f"cannot split {self.num_hosts} hosts into {self.shards} shards"
             )
         check_policy(self.policy)
-        if self.queue_bound < 1:
-            raise ConfigError("queue_bound must be >= 1")
-        if self.max_pending < 0:
-            raise ConfigError("max_pending must be >= 0")
 
     # -- derived views -------------------------------------------------------
 
@@ -314,7 +311,7 @@ class PlacementService:
             CloudController(
                 machines[plan.block(shard)],
                 config,
-                scheduler_for_policy(spec.policy),
+                spec.policy,
                 max_pending=spec.max_pending,
             )
             for shard in range(spec.shards)

@@ -159,3 +159,19 @@ class TestPoolingThroughService:
         t = c.request(VMSpec(1, 2.0), LEVEL_3_1)
         assert t.state is VMState.ACTIVE
         assert t.pooled
+
+    def test_describe_host_lists_pooled_vm_under_its_hosting_vnode(self):
+        c = controller(n=1, cpus=8, mem=32.0,
+                       config=SlackVMConfig(pooling=True))
+        a = c.request(VMSpec(6, 4.0), LEVEL_1_1)
+        b = c.request(VMSpec(3, 4.0), LEVEL_2_1)
+        t = c.request(VMSpec(1, 2.0), LEVEL_3_1)  # no free core: pooled on 2:1
+        snap = c.describe_host(0)
+        assert snap["allocated_cpus"] == 8
+        assert snap["num_vms"] == 3
+        assert snap["vnodes"] == [
+            {"level": "1:1", "cpus": 6, "vcpus": 6, "capacity_vcpus": 6.0,
+             "vms": [a.vm_id]},
+            {"level": "2:1", "cpus": 2, "vcpus": 4, "capacity_vcpus": 4.0,
+             "vms": [b.vm_id, t.vm_id]},
+        ]

@@ -1,9 +1,13 @@
 """PlacementService behaviour: spec validation, SLO report, sharding."""
 
+import dataclasses
+
 import pytest
 
+from repro.controlplane import CloudController
 from repro.core import VMSpec
 from repro.core.errors import ConfigError
+from repro.hardware import MachineSpec
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import (
@@ -55,6 +59,36 @@ def test_spec_round_trip_and_fingerprint():
 def test_invalid_specs_raise(kw):
     with pytest.raises(ConfigError):
         small_spec(**kw)
+
+
+#: Probe values a numeric field must refuse, unless listed in ACCEPTED.
+FLOAT_PROBES = (float("nan"), float("inf"), -1, 0)
+INT_PROBES = FLOAT_PROBES + (2.5,)
+ACCEPTED = {
+    ("seed", 0),
+    ("num_hosts", 0),  # auto-size the fleet
+    ("diurnal_amplitude", 0),
+    ("max_pending", 0),  # no capacity-pending queue
+}
+NUMERIC_CASES = [
+    (f.name, value)
+    for f in dataclasses.fields(ServiceSpec)
+    if f.type in ("int", "float")
+    for value in (INT_PROBES if f.type == "int" else FLOAT_PROBES)
+]
+
+
+@pytest.mark.parametrize(("name", "value"), NUMERIC_CASES,
+                         ids=[f"{n}={v}" for n, v in NUMERIC_CASES])
+def test_numeric_fields_refuse_non_finite_negative_and_fractional(name, value):
+    if (name, value) in ACCEPTED:
+        assert getattr(ServiceSpec(**{name: value}), name) == value
+        return
+    with pytest.raises(ConfigError, match=name):
+        ServiceSpec(**{name: value})
+    if name == "max_pending":  # the controller guards its own bound too
+        with pytest.raises(ConfigError, match=name):
+            CloudController([MachineSpec("pm-0", 8, 32.0)], max_pending=value)
 
 
 def test_from_dict_rejects_unknown_fields_and_versions():

@@ -21,8 +21,8 @@ RANKS = {
     "hardware": 1, "workload": 1, "obs": 1,
     "localsched": 2,
     "scheduling": 3, "perfmodel": 3,
-    "simulator": 4, "controlplane": 4,
-    "analysis": 5,
+    "simulator": 4,
+    "analysis": 5, "controlplane": 5,
     "runner": 6,
     "oversub": 7,
     "sharding": 8,
