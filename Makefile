@@ -14,7 +14,7 @@ test-fast:
 test-quick:
 	$(PYTHON) -m pytest tests/ -x -q -m "not slow" --ignore=tests/test_examples.py
 
-# Determinism & simulation-safety static analysis (rules R001-R006, R013;
+# Determinism & simulation-safety static analysis (rules R001-R006;
 # the architecture fences are tests/structure/, run by `make test`).
 # Exit codes: 0 clean, 1 new findings, 2 usage error.
 lint:

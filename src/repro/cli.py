@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "lint", add_help=False,
         help="determinism & simulation-safety static analysis "
-             "(rules R001-R006, R013; options: `lint --help`)",
+             "(rules R001-R006; options: `lint --help`)",
     )
     return parser
 

@@ -23,7 +23,6 @@ Suppression: non-determinism rules honour a
 ``# reprolint: disable=Rxxx`` pragma on the flagged line (or on the
 first line of the flagged multi-line statement); the determinism
 rules R001–R004 ignore pragmas — those findings can only be fixed.
-R013 accepts a pragma only with a justification.
 """
 
 from __future__ import annotations

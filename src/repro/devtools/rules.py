@@ -1,4 +1,4 @@
-"""The reprolint rule set (R001–R006, R013).
+"""The reprolint rule set (R001–R006).
 
 Each rule is a small AST pass over one file, tailored to this
 codebase's determinism contract: the golden-trace suite proves the
@@ -15,9 +15,12 @@ non-determinism rules only, a ``# reprolint: disable=Rxxx`` pragma;
 a false negative costs a golden-trace bisection, so the rules lean
 strict.
 
-R007–R012 are retired ids, never reused (pragmas name ids).  A rule is for a pattern that can appear in any file; a shape of
-this tree ("there is one X") is a structural test in
-``tests/structure/``.
+Retired ids (every id after R006 so far) are never reused: pragmas
+name ids.  A rule is for a pattern that can appear in any file; a
+shape of this tree ("there is one X") is a structural test in
+``tests/structure/``, and "no wall-clock value reaches a replayable
+artifact" is checked by replaying every front door under two skewed
+fake clocks (``tests/structure/test_replay_determinism.py``).
 
 Adding a rule: subclass :class:`Rule`, set ``rule_id``/``title``/
 ``hint`` (and ``packages`` to scope it), implement :meth:`check`,
@@ -33,8 +36,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
-
-from repro.devtools.taint import wallclock_taint
 
 __all__ = [
     "Finding",
@@ -591,44 +592,6 @@ class MutableStateRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# R013 — determinism taint: wall clock -> replayable artifacts
-# ---------------------------------------------------------------------------
-
-
-class DeterminismTaintRule(Rule):
-    rule_id = "R013"
-    title = "wall-clock values must not reach replayable artifacts"
-    hint = (
-        "decision logs, audit logs, checkpoints and fingerprint digests "
-        "must be functions of seeds and virtual time only; keep "
-        "perf_counter telemetry in metrics/report fields that replay "
-        "ignores, or drop it before persisting"
-    )
-    packages = DECISION_PACKAGES
-
-    def check(self, ctx: ModuleContext) -> list[Finding]:
-        found: list[Finding] = []
-        for sink in wallclock_taint(ctx.tree, ctx.imports.resolve):
-            snippet = (
-                ctx.lines[sink.line - 1].strip()
-                if sink.line - 1 < len(ctx.lines)
-                else ""
-            )
-            found.append(
-                Finding(
-                    self.rule_id,
-                    ctx.rel_path,
-                    sink.line,
-                    sink.col,
-                    f"wall-clock-derived value flows into {sink.description}",
-                    self.hint,
-                    snippet,
-                )
-            )
-        return found
-
-
-# ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
@@ -639,7 +602,6 @@ RULES: tuple[Rule, ...] = (
     UnsortedSetIterRule(),
     FloatEqualityRule(),
     MutableStateRule(),
-    DeterminismTaintRule(),
 )
 
 DETERMINISM_RULES: frozenset[str] = frozenset(

@@ -235,7 +235,7 @@ def run_sweep(
         if checkpoint is not None:
             # elapsed_s is operator telemetry; resume/replay keys on the
             # cell fingerprint and never reads it (tests/runner pin this).
-            checkpoint.append(result.to_record())  # reprolint: disable=R013
+            checkpoint.append(result.to_record())
         if metrics.enabled:
             metrics.counter(metric_names.RUNNER_CELLS_DONE).inc()
             if not result.ok:

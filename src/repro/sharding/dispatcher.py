@@ -286,9 +286,10 @@ class ShardedSimulation:
         self.checkpoint = checkpoint
         self.resume = resume
         #: Per-shard worker wall seconds of the last ``run()``, indexed
-        #: by shard; empty for ``shards=1`` (no worker ran).  The max is
-        #: the run's critical path — what wall-clock converges to when
-        #: every shard gets its own core.
+        #: by shard; empty for ``shards=1`` (no worker ran), 0.0 for a
+        #: shard resumed from the checkpoint.  The max is the run's
+        #: critical path — what wall-clock converges to when every shard
+        #: gets its own core.
         self.shard_walls: tuple[float, ...] = ()
         # Validates geometry, router, policy and kernel eagerly.
         self.plan = ShardPlan.build(
@@ -406,10 +407,11 @@ class ShardedSimulation:
 
         results = self._execute(payloads, workload)
 
-        self.shard_walls = tuple(record["wall_s"] for record in results)
+        self.shard_walls = tuple(record["wall_s"] or 0.0 for record in results)
         if measuring:
             for record in results:
-                self.metrics.timer(metric_names.SHARD_WALL_S).observe(record["wall_s"])
+                if record["wall_s"] is not None:
+                    self.metrics.timer(metric_names.SHARD_WALL_S).observe(record["wall_s"])
         merge_started = time.perf_counter()
         merged = merge_shard_results(self.plan, events, event_shards, results)
         if measuring:
@@ -429,7 +431,10 @@ class ShardedSimulation:
             fingerprint = self.plan.fingerprint(workload_digest(workload))
             for record in ckpt.start(fingerprint, self.plan.to_dict(), self.resume):
                 if record.get("kind") == "shard" and record.get("ok"):
-                    results[int(record["shard"])] = record
+                    # A resumed shard ran in another process: no wall of
+                    # this run (files written before the strip below
+                    # still carry one).
+                    results[int(record["shard"])] = {**record, "wall_s": None}
 
         pending = [p for p in payloads if p["shard"] not in results]
         workers = self.workers if self.workers > 0 else len(pending)
@@ -445,9 +450,11 @@ class ShardedSimulation:
                     )
                 results[record["shard"]] = record
                 if ckpt is not None:
-                    # wall_s is operator telemetry; shard resume keys on the
-                    # payload fingerprint and never reads it.
-                    ckpt.append({"kind": "shard", **record})  # reprolint: disable=R013
+                    # wall_s is this run's operator telemetry; shard resume
+                    # keys on the payload fingerprint and never reads it.
+                    ckpt.append(
+                        {"kind": "shard", **{k: v for k, v in record.items() if k != "wall_s"}}
+                    )
         finally:
             if ckpt is not None:
                 ckpt.close()

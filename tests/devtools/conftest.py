@@ -2,7 +2,7 @@
 
 Each test writes fixture modules into a temp directory laid out like
 the real repo (``src/repro/...``, ``scripts/...``) so package-scoped
-rules (R004, R005, R013) see the dotted module names they key on.
+rules (R004, R005) see the dotted module names they key on.
 """
 
 from __future__ import annotations

@@ -72,6 +72,7 @@ def test_json_report_shape(project, capsys):
 def test_usage_errors_exit_2(project, capsys):
     assert lint_main(["no/such/dir"]) == 2
     assert lint_main(["src", "--rules", "R999"]) == 2
+    assert lint_main(["src", "--rules", "R013"]) == 2  # retired
     assert lint_main(["src", "--format", "yaml"]) == 2  # argparse itself
     capsys.readouterr()
 
@@ -86,7 +87,7 @@ def test_rules_subset(project, capsys):
 def test_list_rules(project, capsys):
     assert lint_main(["--list-rules"]) == 0
     ids = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-    assert ids == ["R001", "R002", "R003", "R004", "R005", "R006", "R013"]
+    assert ids == ["R001", "R002", "R003", "R004", "R005", "R006"]
 
 
 def test_repro_cli_lint_subcommand(project, capsys):

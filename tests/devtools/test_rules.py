@@ -1,8 +1,5 @@
 """Good/bad fixture pairs for the reprolint rules R001-R006.
 
-R013 (determinism taint) has its own fixture suite in
-test_boundary_taint.py.
-
 Each test writes a tiny module that either violates exactly one rule
 (the *bad* fixture — the rule must fire) or uses the blessed idiom
 (the *good* fixture — the rule must stay silent).
@@ -419,8 +416,9 @@ def test_pragma_on_compound_header_does_not_cover_the_suite(tree):
 
 def test_rule_registry_is_consistent():
     ids = [r.rule_id for r in RULES]
-    # R007-R012 are retired, never reused: pragmas and baselines name ids.
-    assert ids == ["R001", "R002", "R003", "R004", "R005", "R006", "R013"]
+    # Retired ids (every id after R006 so far) are never reused: pragmas
+    # and baselines name ids.
+    assert ids == ["R001", "R002", "R003", "R004", "R005", "R006"]
     assert DETERMINISM_RULES == {"R001", "R002", "R003", "R004"}
     assert [row[0] for row in rule_table()] == ids
     assert all(r.hint for r in RULES)

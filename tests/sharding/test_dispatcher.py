@@ -153,6 +153,23 @@ def test_shard_metrics_are_emitted():
     assert sim.shard_walls and len(sim.shard_walls) == 3
 
 
+def test_resumed_shards_report_no_wall_of_this_run(tmp_path):
+    # The checkpoint keeps no wall-clock telemetry, and a resume does not
+    # pass another process's shard walls off as its own.
+    out = tmp_path / "shards.jsonl"
+    machines, wl = _machines(6), _workload(40)
+    ShardedSimulation(machines, shards=3, workers=1, checkpoint=str(out)).run(wl)
+    assert "wall_s" not in out.read_text(encoding="utf-8")
+    metrics = MetricsRegistry()
+    sim = ShardedSimulation(
+        machines, shards=3, workers=1, metrics=metrics,
+        checkpoint=str(out), resume=True,
+    )
+    sim.run(wl)
+    assert metrics.timer(metric_names.SHARD_WALL_S).count == 0
+    assert sim.shard_walls == (0.0,) * 3
+
+
 def test_single_shard_emits_count_gauge_only():
     metrics = MetricsRegistry()
     sim = ShardedSimulation(_machines(3), shards=1, metrics=metrics)
