@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test bench golden repro report-check examples clean lint typecheck sweep-oversub-smoke serve-smoke perf-smoke
+.PHONY: install test test-fast test-quick bench golden repro repro-fast report-check examples clean lint typecheck sweep-oversub-smoke serve-smoke perf-smoke
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop

@@ -9,7 +9,6 @@ from repro.analysis.ratios import (
     table2_row,
 )
 from repro.analysis.ascii_charts import boxplot, grouped_hbar
-from repro.analysis.bounds import bfd_snapshot_bound, fractional_bound, peak_alive_set
 from repro.analysis.utilization import UtilizationReport, cluster_utilization
 from repro.analysis.reporting import (
     format_table,
@@ -31,9 +30,6 @@ __all__ = [
     "format_table",
     "UtilizationReport",
     "cluster_utilization",
-    "fractional_bound",
-    "bfd_snapshot_bound",
-    "peak_alive_set",
     "grouped_hbar",
     "boxplot",
     "render_table1",

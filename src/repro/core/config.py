@@ -52,24 +52,3 @@ class SlackVMConfig:
             raise ConfigError("levels must be sorted strictest (1:1) first")
         if len(set(ratios)) != len(ratios):
             raise ConfigError("duplicate oversubscription levels")
-
-    def level_by_ratio(self, ratio: float) -> OversubscriptionLevel:
-        for lv in self.levels:
-            if lv.ratio == ratio:
-                return lv
-        raise ConfigError(f"no configured level with ratio {ratio}")
-
-    @property
-    def max_ratio(self) -> float:
-        return self.levels[-1].ratio
-
-    def with_levels(self, *ratios: float) -> "SlackVMConfig":
-        """Convenience constructor replacing the level set."""
-        levels = tuple(OversubscriptionLevel(r) for r in sorted(ratios))
-        return SlackVMConfig(
-            levels=levels,
-            pooling=self.pooling,
-            negative_progress_factor=self.negative_progress_factor,
-            topology_aware=self.topology_aware,
-            prefer_physical_cores=self.prefer_physical_cores,
-        )

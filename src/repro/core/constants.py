@@ -21,6 +21,7 @@ __all__ = [
     "BESTFIT_BLEND",
     "CAPACITY_EPSILON",
     "FIRST_FIT_CHUNK",
+    "ROUTERS",
     "floats_equal",
     "floats_differ",
 ]
@@ -47,6 +48,11 @@ CAPACITY_EPSILON = 1e-9
 #: host).  Purely a performance knob: block evaluation is elementwise
 #: per host, so any chunk size yields identical placements.
 FIRST_FIT_CHUNK = 1024
+
+#: Registered shard-routing policies (``repro shard --router``), made by
+#: :func:`repro.sharding.router.make_router`.  Defined here so a spec
+#: that ranks below :mod:`repro.sharding` (``SweepSpec``) can check one.
+ROUTERS = ("hash", "score")
 
 
 def floats_equal(a: float, b: float, eps: float = CAPACITY_EPSILON) -> bool:

@@ -37,8 +37,8 @@ __all__ = [
 class ResourceVector:
     """A two-dimensional resource quantity: CPU cores and memory (GB).
 
-    Supports elementwise arithmetic and dominance comparison; used for
-    machine capacities, allocations and free-capacity bookkeeping.
+    Supports elementwise arithmetic; used for machine capacities,
+    allocations and free-capacity bookkeeping.
     """
 
     cpu: float
@@ -55,23 +55,12 @@ class ResourceVector:
 
     __rmul__ = __mul__
 
-    def fits_within(self, capacity: "ResourceVector", eps: float = 1e-9) -> bool:
-        """Whether this vector is dominated by ``capacity`` in both dimensions."""
-        return self.cpu <= capacity.cpu + eps and self.mem <= capacity.mem + eps
-
-    def clamp_nonnegative(self) -> "ResourceVector":
-        return ResourceVector(max(self.cpu, 0.0), max(self.mem, 0.0))
-
     @property
     def mc_ratio(self) -> float:
         """Memory-per-Core ratio (GB per physical core); inf when cpu == 0."""
         if self.cpu == 0:
             return math.inf
         return self.mem / self.cpu
-
-    @staticmethod
-    def zero() -> "ResourceVector":
-        return ResourceVector(0.0, 0.0)
 
 
 @dataclass(frozen=True, slots=True, order=True)

@@ -83,10 +83,6 @@ class Topology:
     def num_physical_cores(self) -> int:
         return len({c.physical_core for c in self._cpus})
 
-    @property
-    def num_sockets(self) -> int:
-        return len({c.socket for c in self._cpus})
-
     def cpu(self, cpu_id: int) -> CpuInfo:
         return self._cpus[cpu_id]
 

@@ -147,10 +147,6 @@ class LocalScheduler:
         return self._mem_used
 
     @property
-    def free_cpus(self) -> int:
-        return self.machine.cpus - self.allocated_cpus
-
-    @property
     def free_mem(self) -> float:
         return self.machine.mem_gb - self._mem_used
 
@@ -275,28 +271,3 @@ class LocalScheduler:
             self.pin_generation += 1
         if node.is_empty:
             del self._vnodes[ratio]
-
-    # -- diagnostics ----------------------------------------------------------
-
-    def describe(self) -> dict:
-        """A JSON-friendly snapshot of the agent state (control-plane report)."""
-        return {
-            "machine": self.machine.name,
-            "cpus": self.machine.cpus,
-            "mem_gb": self.machine.mem_gb,
-            "allocated_cpus": self.allocated_cpus,
-            "allocated_mem_gb": round(self._mem_used, 6),
-            "num_vms": self.num_vms,
-            "vnodes": [
-                {
-                    "id": v.node_id,
-                    "level": v.level.name,
-                    "cpus": list(v.cpu_ids),
-                    "vcpus": v.allocated_vcpus,
-                    "capacity_vcpus": v.capacity_vcpus,
-                    "mem_gb": round(v.allocated_mem, 6),
-                    "vms": list(v.vm_ids),
-                }
-                for v in self._vnodes.values()
-            ],
-        }

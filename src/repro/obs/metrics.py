@@ -14,8 +14,7 @@ Design constraints:
 * **No dependencies** — instruments are plain Python; histograms store
   raw samples (simulation runs are bounded) and summarize on export.
 * **Uniform export** — :meth:`MetricsRegistry.to_dict` produces a
-  JSON-compatible snapshot; :meth:`MetricsRegistry.to_csv_rows` a flat
-  ``(name, kind, field, value)`` table for spreadsheets.
+  JSON-compatible snapshot.
 """
 
 from __future__ import annotations
@@ -213,23 +212,6 @@ class MetricsRegistry:
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def to_csv_rows(self) -> list[tuple[str, str, str, float]]:
-        """Flat ``(name, kind, field, value)`` rows for CSV export."""
-        rows: list[tuple[str, str, str, float]] = []
-        for name, inst in sorted(self._instruments.items()):
-            snap = inst.snapshot()
-            kind = snap.pop("kind")
-            for field, value in snap.items():
-                rows.append((name, kind, field, value))
-        return rows
-
-    def to_csv(self) -> str:
-        lines = ["name,kind,field,value"]
-        for name, kind, field, value in self.to_csv_rows():
-            lines.append(f"{name},{kind},{field},{value!r}" if isinstance(value, str)
-                         else f"{name},{kind},{field},{value}")
-        return "\n".join(lines) + "\n"
 
 
 class _NullInstrument:

@@ -60,12 +60,9 @@ class PercentilePredictor:
         if not 0 < self.percentile <= 100:
             raise ConfigError(f"percentile must be in (0,100], got {self.percentile}")
 
-    def predict(self, samples: np.ndarray) -> float:
-        return float(self.predict_rows(np.asarray(samples, dtype=float)[None, :])[0])
-
     def predict_rows(self, rows: np.ndarray) -> np.ndarray:
-        """:meth:`predict` of every row of a ``(windows × samples)``
-        matrix in one call (bit-identical to the per-row calls)."""
+        """The predicted peak of every row of a ``(windows × samples)``
+        matrix."""
         rows = np.asarray(rows, dtype=float)
         if rows.shape[1] == 0:
             raise ConfigError("cannot predict from an empty sample window")

@@ -124,10 +124,6 @@ class SweepResult:
     def failures(self) -> list[CellResult]:
         return [r for r in self.results.values() if not r.ok]
 
-    def outcomes(self) -> dict[str, DistributionOutcome]:
-        """``{cell key: DistributionOutcome}`` for the ok cells."""
-        return {k: r.outcome for k, r in self.results.items() if r.outcome is not None}
-
     def _figure_cells(
         self, provider: Optional[str]
     ) -> list[tuple[CellResult, DistributionOutcome]]:

@@ -24,9 +24,11 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.core.errors import RunnerError
+from repro.core.constants import ROUTERS
+from repro.core.errors import ConfigError, RunnerError
 from repro.core.spec import Spec
 from repro.hardware.machine import SIM_WORKER
+from repro.simulator.vectorpool import KERNELS, check_policy
 from repro.workload.distributions import DISTRIBUTIONS, LevelMix
 
 __all__ = ["SweepCell", "SweepSpec", "derive_seeds", "resolve_mix_entry"]
@@ -109,7 +111,8 @@ class SweepSpec(Spec):
     :data:`repro.workload.PROVIDERS` *inside the worker* — an unknown
     name surfaces as a failed-cell record, not a crashed sweep.  Mix
     entries are resolved eagerly (they are spec syntax; see
-    :func:`resolve_mix_entry`).
+    :func:`resolve_mix_entry`), and so are the policy, kernel and
+    router names: a misspelt one would fail every cell the same way.
 
     ``seeds`` (explicit) takes precedence over the ``root_seed`` /
     ``num_seeds`` derivation; the latter is the recommended mode for
@@ -157,6 +160,15 @@ class SweepSpec(Spec):
             )
         if self.shards < 1:
             raise RunnerError(f"shards must be >= 1, got {self.shards}")
+        for name in ("policy", "baseline_policy"):
+            try:
+                check_policy(getattr(self, name))
+            except ConfigError as exc:
+                raise RunnerError(f"{name}: {exc}") from None
+        for name, value, known in (("kernel", self.kernel, KERNELS),
+                                   ("router", self.router, ROUTERS)):
+            if value not in known:
+                raise RunnerError(f"unknown {name} {value!r}; expected one of {known}")
         resolved = tuple(resolve_mix_entry(m) for m in self.mixes)
         labels = [label for label, _ in resolved]
         if len(set(labels)) != len(labels):

@@ -11,7 +11,7 @@ from repro.scheduling.baselines import (
 )
 from repro.scheduling.constants import BESTFIT_BLEND, TIEBREAK_WEIGHT
 from repro.scheduling.filters import CapacityFilter, HostFilter, LevelSupportFilter
-from repro.scheduling.global_scheduler import ScoreBasedScheduler, SelectionTrace
+from repro.scheduling.global_scheduler import ScoreBasedScheduler
 from repro.scheduling.progress import progress_score
 from repro.scheduling.weighers import (
     BestFitWeigher,
@@ -24,7 +24,6 @@ from repro.scheduling.weighers import (
 __all__ = [
     "progress_score",
     "ScoreBasedScheduler",
-    "SelectionTrace",
     "HostFilter",
     "LevelSupportFilter",
     "CapacityFilter",

@@ -12,52 +12,30 @@ as the paper advocates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.types import VMRequest
 from repro.localsched.agent import LocalScheduler
 from repro.obs.records import HostDecision
 from repro.scheduling.filters import CapacityFilter, HostFilter, LevelSupportFilter
-from repro.scheduling.weighers import (
-    FirstFitWeigher,
-    HostWeigher,
-    ProgressWeigher,
-)
+from repro.scheduling.weighers import HostWeigher, ProgressWeigher
 
-__all__ = ["ScoreBasedScheduler", "SelectionTrace"]
-
-
-@dataclass(frozen=True, slots=True)
-class SelectionTrace:
-    """Diagnostic record of one selection round (for tests/analysis)."""
-
-    vm_id: str
-    candidates: tuple[int, ...]
-    scores: tuple[float, ...]
-    selected: Optional[int]
+__all__ = ["ScoreBasedScheduler"]
 
 
 class ScoreBasedScheduler:
     """Filter + weigh host selection.
 
-    Parameters
-    ----------
-    filters:
-        Hard constraints; defaults to level support + capacity.
-    weighers:
-        ``(weigher, weight)`` pairs combined as a weighted sum.
+    The hard constraints are level support + capacity; ``weighers``
+    are ``(weigher, weight)`` pairs combined as a weighted sum.
     """
 
     def __init__(
         self,
-        filters: Sequence[HostFilter] | None = None,
         weighers: Sequence[tuple[HostWeigher, float]] | None = None,
         name: str = "score-based",
     ):
-        self.filters: tuple[HostFilter, ...] = (
-            tuple(filters) if filters is not None else (LevelSupportFilter(), CapacityFilter())
-        )
+        self.filters: tuple[HostFilter, ...] = (LevelSupportFilter(), CapacityFilter())
         self.weighers: tuple[tuple[HostWeigher, float], ...] = (
             tuple(weighers) if weighers is not None else ((ProgressWeigher(), 1.0),)
         )
@@ -77,25 +55,6 @@ class ScoreBasedScheduler:
                 best_score = score
                 best_idx = idx
         return best_idx
-
-    def select_traced(
-        self, hosts: Sequence[LocalScheduler], vm: VMRequest
-    ) -> SelectionTrace:
-        """Like :meth:`select` but returns the full candidate/score table."""
-        cands: list[int] = []
-        scores: list[float] = []
-        for idx, host in enumerate(hosts):
-            if not all(f.passes(host, vm) for f in self.filters):
-                continue
-            cands.append(idx)
-            scores.append(
-                sum(w * weigher.weigh(host, vm, idx) for weigher, w in self.weighers)
-            )
-        selected = None
-        if cands:
-            best = max(range(len(cands)), key=lambda i: (scores[i], -cands[i]))
-            selected = cands[best]
-        return SelectionTrace(vm.vm_id, tuple(cands), tuple(scores), selected)
 
     def _weigher_names(self) -> tuple[str, ...]:
         """Stable display names for the weighers (deduplicated by rank)."""

@@ -14,7 +14,7 @@ from repro.serving.config import (
     RVConfig,
     TrafficConfig,
 )
-from repro.serving.generator import RequestSource, ServiceRequest, arrival_times
+from repro.serving.generator import RequestSource, ServiceRequest
 from repro.serving.service import (
     SERVICE_SPEC_VERSION,
     PlacementService,
@@ -33,7 +33,6 @@ __all__ = [
     "run_virtual",
     "RequestSource",
     "ServiceRequest",
-    "arrival_times",
     "SERVICE_SPEC_VERSION",
     "PlacementService",
     "ServiceReport",

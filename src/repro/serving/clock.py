@@ -53,11 +53,6 @@ class VirtualClock:
         """Current virtual time in seconds."""
         return self._now
 
-    @property
-    def pending(self) -> int:
-        """Live (not yet woken or cancelled) sleepers."""
-        return sum(1 for _, _, fut in self._sleepers if not fut.done())
-
     async def sleep(self, delay: float) -> None:
         """Park until the clock is advanced past ``now + delay``."""
         if delay < 0:

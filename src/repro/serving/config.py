@@ -4,8 +4,7 @@ The AsyncFlow/FastSim idiom: one *self-consistent contract* links the
 canonical distribution names (:data:`DIST_KINDS`), the random-variable
 schema (:class:`RVConfig`) and the traffic-generator payload
 (:class:`TrafficConfig`).  Every config is a frozen dataclass that
-validates at construction and round-trips exactly through
-``to_dict``/``from_dict``, so a typo'd kind or a negative rate raises
+validates at construction, so a typo'd kind or a negative rate raises
 :class:`~repro.core.errors.ConfigError` before the service starts —
 never mid-run.
 
@@ -19,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.errors import ConfigError
-from repro.core.spec import check_fields
 
 __all__ = ["DIST_KINDS", "RVConfig", "DiurnalConfig", "TrafficConfig", "DAY"]
 
@@ -52,17 +50,13 @@ class RVConfig:
     """One non-negative random variable, named by distribution kind.
 
     ``mean`` is the arithmetic mean of the sampled values for every
-    kind (for ``lognormal`` the underlying ``mu`` is solved from
-    ``mean`` and the log-space ``sigma``, so the arithmetic mean stays
-    ``mean`` whatever the skew).  ``sigma`` is only meaningful for
-    ``lognormal`` — supplying it with any other kind is a ConfigError,
-    mirroring the FastSim validators that reject inconsistent payloads
-    instead of ignoring them.
+    kind (``lognormal`` draws at log-space sigma 1 and solves the
+    underlying ``mu`` from ``mean``, so the arithmetic mean stays
+    ``mean``).
     """
 
     kind: str
     mean: float
-    sigma: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.kind not in DIST_KINDS:
@@ -74,15 +68,6 @@ class RVConfig:
         if mean <= 0:
             raise ConfigError(f"mean must be positive, got {mean!r}")
         object.__setattr__(self, "mean", mean)
-        if self.sigma is not None:
-            sigma = _require_number(self.sigma, "sigma")
-            if sigma <= 0:
-                raise ConfigError(f"sigma must be positive, got {sigma!r}")
-            if self.kind != "lognormal":
-                raise ConfigError(
-                    f"sigma only applies to lognormal, not {self.kind!r}"
-                )
-            object.__setattr__(self, "sigma", sigma)
 
     def sample(self, rng: np.random.Generator) -> float:
         """One non-negative finite draw from the configured distribution."""
@@ -92,27 +77,8 @@ class RVConfig:
             return float(rng.exponential(self.mean))
         if self.kind == "poisson":
             return float(rng.poisson(self.mean))
-        # lognormal: solve mu so the arithmetic mean equals self.mean.
-        sigma = self.sigma if self.sigma is not None else 1.0
-        mu = math.log(self.mean) - 0.5 * sigma * sigma
-        return float(rng.lognormal(mu, sigma))
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "mean": self.mean}
-        if self.sigma is not None:
-            out["sigma"] = self.sigma
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "RVConfig":
-        check_fields(data, ("kind", "mean", "sigma"), "RVConfig")
-        if "kind" not in data or "mean" not in data:
-            raise ConfigError("RVConfig needs both 'kind' and 'mean'")
-        kind = data["kind"]
-        if not isinstance(kind, str):
-            raise ConfigError(f"kind must be a string, got {kind!r}")
-        return cls(kind=kind, mean=data["mean"],  # type: ignore[arg-type]
-                   sigma=data.get("sigma"))  # type: ignore[arg-type]
+        # lognormal, sigma 1: solve mu so the arithmetic mean is self.mean.
+        return float(rng.lognormal(math.log(self.mean) - 0.5, 1.0))
 
 
 @dataclass(frozen=True)
@@ -142,17 +108,6 @@ class DiurnalConfig:
         """The rate multiplier at virtual time ``t`` (always > 0)."""
         return 1.0 + self.amplitude * math.sin(2.0 * math.pi * t / self.period)
 
-    def to_dict(self) -> dict:
-        return {"amplitude": self.amplitude, "period": self.period}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "DiurnalConfig":
-        check_fields(data, ("amplitude", "period"), "DiurnalConfig")
-        if "amplitude" not in data:
-            raise ConfigError("DiurnalConfig needs 'amplitude'")
-        return cls(amplitude=data["amplitude"],  # type: ignore[arg-type]
-                   period=data.get("period", DAY))  # type: ignore[arg-type]
-
 
 @dataclass(frozen=True)
 class TrafficConfig:
@@ -177,51 +132,9 @@ class TrafficConfig:
         if self.diurnal is not None and not isinstance(self.diurnal, DiurnalConfig):
             raise ConfigError("diurnal must be a DiurnalConfig or None")
 
-    @classmethod
-    def open_loop(cls, rate: float, mean_lifetime: float,
-                  diurnal_amplitude: float = 0.0) -> "TrafficConfig":
-        """Poisson-process traffic at ``rate`` requests/second."""
-        rate = _require_number(rate, "rate")
-        if rate <= 0:
-            raise ConfigError(f"rate must be positive, got {rate!r}")
-        diurnal = (
-            DiurnalConfig(diurnal_amplitude) if diurnal_amplitude else None
-        )
-        return cls(
-            interarrival=RVConfig("exponential", 1.0 / rate),
-            lifetime=RVConfig("exponential", mean_lifetime),
-            diurnal=diurnal,
-        )
-
     def next_gap(self, rng: np.random.Generator, now: float) -> float:
         """Seconds until the next arrival, diurnally modulated at ``now``."""
         gap = self.interarrival.sample(rng)
         if self.diurnal is not None:
             gap /= self.diurnal.factor(now)
         return gap
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "interarrival": self.interarrival.to_dict(),
-            "lifetime": self.lifetime.to_dict(),
-        }
-        if self.diurnal is not None:
-            out["diurnal"] = self.diurnal.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "TrafficConfig":
-        check_fields(data, ("interarrival", "lifetime", "diurnal"), "TrafficConfig")
-        if "interarrival" not in data or "lifetime" not in data:
-            raise ConfigError(
-                "TrafficConfig needs both 'interarrival' and 'lifetime'"
-            )
-        diurnal = data.get("diurnal")
-        return cls(
-            interarrival=RVConfig.from_dict(data["interarrival"]),  # type: ignore[arg-type]
-            lifetime=RVConfig.from_dict(data["lifetime"]),  # type: ignore[arg-type]
-            diurnal=(
-                DiurnalConfig.from_dict(diurnal)  # type: ignore[arg-type]
-                if diurnal is not None else None
-            ),
-        )

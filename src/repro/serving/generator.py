@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple, Union
+from typing import Iterator, Tuple, Union
 
 import numpy as np
 
 from repro.core.types import OversubscriptionLevel, VMSpec
 from repro.serving.config import TrafficConfig
-from repro.workload.catalog import OVERSUB_MEM_CAP_GB, Catalog, draw_index, level_draws
+from repro.workload.catalog import Catalog, draw_index, level_draws
 from repro.workload.distributions import LevelMix
 
-__all__ = ["ServiceRequest", "RequestSource", "arrival_times"]
+__all__ = ["ServiceRequest", "RequestSource"]
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,9 @@ class RequestSource:
         mix: Union[str, LevelMix],
         traffic: TrafficConfig,
         seed: Union[int, np.random.SeedSequence] = 0,
-        oversub_mem_cap: float = OVERSUB_MEM_CAP_GB,
     ):
         self.traffic = traffic
-        self._levels, self._level_cdf = level_draws(catalog, mix, oversub_mem_cap)
+        self._levels, self._level_cdf = level_draws(catalog, mix)
         self._rng = np.random.default_rng(seed)
         self._ids = itertools.count()
 
@@ -88,25 +87,3 @@ class RequestSource:
                 return
             now = request.arrival
             yield gap, request
-
-
-def arrival_times(
-    traffic: TrafficConfig,
-    duration: float,
-    seed: Union[int, np.random.SeedSequence] = 0,
-) -> List[float]:
-    """The bare arrival timestamps of ``traffic`` over ``[0, duration]``.
-
-    Pure function of ``(traffic, duration, seed)`` — the property the
-    config suite pins byte-for-byte.  Draws only gaps, so it is *not*
-    the same stream as :class:`RequestSource` (which interleaves level
-    and flavor draws); use it to study arrival processes in isolation.
-    """
-    rng = np.random.default_rng(seed)
-    times: List[float] = []
-    now = 0.0
-    while True:
-        now += traffic.next_gap(rng, now)
-        if now > duration:
-            return times
-        times.append(now)

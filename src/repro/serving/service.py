@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.api.run import build_machines
 from repro.api.spec import RunSpec
-from repro.controlplane.controller import CloudController, VMState, VMTicket
+from repro.controlplane.controller import CloudController, VMState
 from repro.core.config import SlackVMConfig
 from repro.core.errors import CapacityError, ConfigError
 from repro.core.spec import Spec
@@ -48,7 +48,7 @@ from repro.hardware.machine import MachineSpec
 from repro.obs import names as metric_names
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.serving.clock import VirtualClock, run_virtual
-from repro.serving.config import DIST_KINDS, RVConfig, TrafficConfig
+from repro.serving.config import DIST_KINDS, DiurnalConfig, RVConfig, TrafficConfig
 from repro.serving.generator import RequestSource, ServiceRequest
 from repro.sharding.dispatcher import ShardPlan
 from repro.sharding.router import HashRouter
@@ -163,11 +163,7 @@ class ServiceSpec(Spec):
             interarrival=RVConfig(self.interarrival_kind, 1.0 / self.rate),
             lifetime=RVConfig(self.lifetime_kind, self.mean_lifetime),
             diurnal=(
-                TrafficConfig.open_loop(
-                    self.rate, self.mean_lifetime, self.diurnal_amplitude
-                ).diurnal
-                if self.diurnal_amplitude > 0
-                else None
+                DiurnalConfig(self.diurnal_amplitude) if self.diurnal_amplitude > 0 else None
             ),
         )
 
@@ -521,13 +517,6 @@ class PlacementService:
             for action, vm_id, detail in controller.audit_log:
                 digest.update(f"{shard}|{action}|{vm_id}|{detail}\n".encode("utf-8"))
         return digest.hexdigest()
-
-    def tickets(self) -> List[VMTicket]:
-        """Every ticket across shards, in shard-then-creation order."""
-        out: List[VMTicket] = []
-        for controller in self.controllers:
-            out.extend(controller.list_vms())
-        return out
 
     def report(self) -> ServiceReport:
         arrivals = self.counts["arrivals"]

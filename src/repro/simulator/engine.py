@@ -124,14 +124,6 @@ class SimulationResult:
             1.0 - mem[i] / self.capacity_mem,
         )
 
-    def peak_allocation(self) -> tuple[float, float]:
-        """(cpu, mem) allocated at the peak instant; zero on an empty timeline."""
-        if not self.timeline.times:
-            return (0.0, 0.0)
-        i = self.peak_index()
-        _, cpu, mem = self.timeline.as_arrays()
-        return float(cpu[i]), float(mem[i])
-
 
 class PlacementBackend(Protocol):
     """What :func:`run_events` needs of a cluster: place, remove, snapshot.

@@ -3,7 +3,7 @@
 A minimal, deterministic event queue: events fire in timestamp order;
 at equal timestamps departures fire before arrivals (so a leaving VM's
 resources are reusable immediately, matching CloudSimPlus semantics),
-and insertion order breaks remaining ties.
+and the events' numbering breaks remaining ties.
 """
 
 from __future__ import annotations
@@ -52,11 +52,6 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: list[Event] = []
-        self._seq = 0
-
-    def push(self, time: float, kind: EventKind, vm: VMRequest) -> None:
-        heapq.heappush(self._heap, Event(time, kind, self._seq, vm))
-        self._seq += 1
 
     def pop(self) -> Event:
         return heapq.heappop(self._heap)
@@ -75,14 +70,12 @@ class EventQueue:
 def workload_events(workload: list[VMRequest]) -> EventQueue:
     """Queue every arrival and (finite) departure of a trace.
 
-    The queue starts as :func:`workload_event_list` — a list sorted by
-    the total order ``(time, kind, seq)`` already satisfies the heap
-    invariant — so ``drain()`` yields exactly that list and later
-    pushes continue its ``seq`` numbering.
+    The queue holds :func:`workload_event_list` — a list sorted by the
+    total order ``(time, kind, seq)`` already satisfies the heap
+    invariant — so ``drain()`` yields exactly that list.
     """
     q = EventQueue()
     q._heap = workload_event_list(workload)
-    q._seq = len(q._heap)
     return q
 
 

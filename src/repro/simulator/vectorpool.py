@@ -919,12 +919,6 @@ class VectorCluster:
 
     # -- introspection --------------------------------------------------------
 
-    def host_of(self, vm_id: str) -> int:
-        try:
-            return self._placements[vm_id][0]
-        except KeyError:
-            raise CapacityError(f"VM {vm_id} is not placed") from None
-
     def request_of(self, vm_id: str) -> VMRequest:
         try:
             return self._requests[vm_id]
@@ -933,10 +927,6 @@ class VectorCluster:
 
     def vms_on(self, host: int) -> list[str]:
         return [vm_id for vm_id, p in self._placements.items() if p[0] == host]
-
-    @property
-    def placed_vm_ids(self) -> tuple[str, ...]:
-        return tuple(self._placements)
 
 
 class VectorBackend:

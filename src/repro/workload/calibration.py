@@ -36,11 +36,9 @@ class CalibrationTarget:
     #: Table I: mean memory (GB) per VM over the full catalog.
     mean_mem_gb: float
     #: Table II (divided by the oversubscription ratio): mean GB per
-    #: vCPU over the oversubscription-eligible subset.  None skips the
-    #: restricted-moment constraint.
+    #: vCPU over the flavors of at most :data:`OVERSUB_MEM_CAP_GB`.
+    #: None skips the restricted-moment constraint.
     restricted_mem_per_vcpu: float | None = None
-    #: Memory cap defining the oversubscription-eligible subset.
-    oversub_mem_cap: float = OVERSUB_MEM_CAP_GB
 
     def __post_init__(self) -> None:
         if self.mean_vcpus <= 0 or self.mean_mem_gb <= 0:
@@ -82,7 +80,7 @@ def calibrate_catalog(
     n = len(flavors)
     v = np.array([f.vcpus for f in flavors], dtype=float)
     m = np.array([f.mem_gb for f in flavors], dtype=float)
-    small = m <= target.oversub_mem_cap
+    small = m <= OVERSUB_MEM_CAP_GB
 
     if prior is None:
         prior_arr = np.full(n, 1.0 / n)

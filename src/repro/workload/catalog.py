@@ -131,14 +131,14 @@ class Catalog:
 
 
 def level_draws(
-    catalog: Catalog, mix: LevelMix | str, max_mem_gb: float = OVERSUB_MEM_CAP_GB
+    catalog: Catalog, mix: LevelMix | str
 ) -> tuple[list[tuple[OversubscriptionLevel, Catalog]], np.ndarray]:
     """The active levels of ``mix`` in ratio order, each with the catalog its
     VMs draw flavors from (restricted above 1:1, §III-A — built only for an
     active level, and drawing nothing), plus the CDF over their shares."""
     shares = {r: s for r, s in mix_shares(mix).items() if s > 0}
     levels = [
-        (OversubscriptionLevel(r), catalog if r <= 1 else catalog.restricted(max_mem_gb))
+        (OversubscriptionLevel(r), catalog if r <= 1 else catalog.restricted())
         for r in sorted(shares)
     ]
     return levels, cdf_of([shares[level.ratio] for level, _ in levels])

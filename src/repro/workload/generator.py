@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.errors import WorkloadError
 from repro.core.types import OversubscriptionLevel, VMRequest
-from repro.workload.catalog import OVERSUB_MEM_CAP_GB, Catalog, cdf_of, draw_index, level_draws
+from repro.workload.catalog import Catalog, cdf_of, draw_index, level_draws
 from repro.workload.distributions import LevelMix
 from repro.workload.usage import DEFAULT_BEHAVIOUR_SHARES
 
@@ -51,7 +51,6 @@ class WorkloadParams:
     behaviour_shares: Mapping[str, float] = field(
         default_factory=lambda: dict(DEFAULT_BEHAVIOUR_SHARES)
     )
-    oversub_mem_cap: float = OVERSUB_MEM_CAP_GB
     #: Accepts a plain int or a :class:`numpy.random.SeedSequence` (e.g.
     #: one spawned by the sweep runner); both feed ``default_rng``
     #: directly, so a trace is a pure function of ``(params, seed)``.
@@ -97,7 +96,7 @@ def _sample_behaviours(
 def generate_workload(params: WorkloadParams) -> list[VMRequest]:
     """Generate one reproducible VM lifecycle trace."""
     rng = np.random.default_rng(params.seed)
-    table, cdf = level_draws(params.catalog, params.level_mix, params.oversub_mem_cap)
+    table, cdf = level_draws(params.catalog, params.level_mix)
     arrivals = _arrival_times(params, rng).tolist()
     n = len(arrivals)
     if n == 0:

@@ -9,15 +9,20 @@ tools.
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from repro.core.errors import WorkloadError
+from repro.core.spec import check_fields
 from repro.core.types import OversubscriptionLevel, VMRequest, VMSpec
 
 __all__ = ["vm_to_dict", "vm_from_dict", "save_trace", "load_trace", "iter_trace"]
 
-_REQUIRED = {"vm_id", "vcpus", "mem_gb", "ratio", "arrival"}
+#: The keys :func:`vm_to_dict` writes; the first five are required.
+_FIELDS = ("vm_id", "vcpus", "mem_gb", "ratio", "arrival",
+           "departure", "usage_kind", "usage_param")
+_REQUIRED = set(_FIELDS[:5])
 
 
 def vm_to_dict(vm: VMRequest) -> dict:
@@ -34,12 +39,24 @@ def vm_to_dict(vm: VMRequest) -> dict:
 
 
 def vm_from_dict(row: dict) -> VMRequest:
+    """The inverse of :func:`vm_to_dict`.
+
+    A row that is not a mapping, carries a key :func:`vm_to_dict` does
+    not write, lacks a required one or has a fractional ``vcpus`` is a
+    :class:`WorkloadError`.
+    """
+    check_fields(row, _FIELDS, "trace row", WorkloadError)
     missing = _REQUIRED - row.keys()
     if missing:
         raise WorkloadError(f"trace row missing fields {sorted(missing)}: {row}")
+    vcpus = row["vcpus"]
+    if isinstance(vcpus, bool) or not (
+        isinstance(vcpus, numbers.Integral) or isinstance(vcpus, float) and vcpus.is_integer()
+    ):
+        raise WorkloadError(f"trace row vcpus must be a whole number, got {vcpus!r}")
     return VMRequest(
         vm_id=str(row["vm_id"]),
-        spec=VMSpec(vcpus=int(row["vcpus"]), mem_gb=float(row["mem_gb"])),
+        spec=VMSpec(vcpus=int(vcpus), mem_gb=float(row["mem_gb"])),
         level=OversubscriptionLevel(float(row["ratio"])),
         arrival=float(row["arrival"]),
         departure=None if row.get("departure") is None else float(row["departure"]),

@@ -51,13 +51,10 @@ class UsageProfile(ABC):
         """Fraction of the VM's vCPUs demanded at time ``t``."""
 
     def demand_series(self, times: np.ndarray) -> np.ndarray:
-        """Demand at every instant in ``times``.
-
-        The base implementation loops over :meth:`demand`; the concrete
-        profiles override it with a vectorized equivalent (bit-identical
-        to the scalar path) because the oversubscription estimators
-        evaluate it once per host per observation window.
-        """
+        """Demand at every instant in ``times``, one :meth:`demand` call
+        each: the per-VM reference the oversubscription monitor's
+        :func:`diurnal_demand` matrix over every profile's ``wave`` must
+        equal bit for bit."""
         return np.array([self.demand(float(t)) for t in np.asarray(times)])
 
 
@@ -69,9 +66,6 @@ class IdleProfile(UsageProfile):
 
     def demand(self, t: float) -> float:
         return self.floor
-
-    def demand_series(self, times: np.ndarray) -> np.ndarray:
-        return np.full(np.asarray(times).shape, self.floor)
 
     @property
     def wave(self) -> tuple[float, float, float]:
@@ -91,9 +85,6 @@ class StressProfile(UsageProfile):
 
     def demand(self, t: float) -> float:
         return self.utilization
-
-    def demand_series(self, times: np.ndarray) -> np.ndarray:
-        return np.full(np.asarray(times).shape, self.utilization)
 
     @property
     def wave(self) -> tuple[float, float, float]:
@@ -123,9 +114,6 @@ class InteractiveProfile(UsageProfile):
     def demand(self, t: float) -> float:
         wave = 1.0 + self.amplitude * math.sin(2 * math.pi * (t / DAY_SECONDS + self.phase))
         return min(1.0, self.base * wave)
-
-    def demand_series(self, times: np.ndarray) -> np.ndarray:
-        return diurnal_demand(times, *self.wave)
 
     @property
     def wave(self) -> tuple[float, float, float]:

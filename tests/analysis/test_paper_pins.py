@@ -67,8 +67,13 @@ def serial():
     return {p: run_sweep(spec, workers=1) for p, spec in SWEEPS.items()}
 
 
+def _outcomes(sweep):
+    """``{cell key: DistributionOutcome}`` of a sweep whose cells all ran."""
+    return {key: r.outcome for key, r in sweep.raise_on_failure().results.items()}
+
+
 def _assert_pinned(provider, sweep):
-    got = {key: outcome_to_dict(o) for key, o in sweep.raise_on_failure().outcomes().items()}
+    got = {key: outcome_to_dict(o) for key, o in _outcomes(sweep).items()}
     want = {k: v for k, v in PINS["cells"].items() if k.startswith(provider + "/")}
     assert got == want
     # Fig. 4's reduction (seed-mean savings per label) is pinned to the
@@ -91,7 +96,7 @@ def test_fig3_ends_on_the_dedicated_baseline(serial, seed):
     """A (all 1:1) is CPU-bound, so a dedicated cluster strands memory;
     O (all 3:1) is memory-bound, so it strands CPU.  Recorded gaps:
     A mem−cpu = 0.219 / 0.185, O cpu−mem = 0.272 / 0.313."""
-    outcomes = serial["ovhcloud"].outcomes()
+    outcomes = _outcomes(serial["ovhcloud"])
     a, o = outcomes[f"ovhcloud/A/{seed}"], outcomes[f"ovhcloud/O/{seed}"]
     assert a.baseline_unallocated.mem - a.baseline_unallocated.cpu > 0.15
     assert o.baseline_unallocated.cpu - o.baseline_unallocated.mem > 0.25
@@ -106,7 +111,7 @@ def test_fig4_complementary_cell_saves_pms(serial):
     Recorded: ovhcloud saves 16.7 % / 7.7 % (mean 12.2 %) and both
     stranded shares shrink; azure saves a PM at seed 42 and ties at
     seed 7 (mean 6.25 %)."""
-    outcomes = serial["ovhcloud"].outcomes()
+    outcomes = _outcomes(serial["ovhcloud"])
     for seed in SEEDS:
         f = outcomes[f"ovhcloud/F/{seed}"]
         assert f.slackvm_pms < f.baseline_pms

@@ -34,25 +34,6 @@ def test_empty_levels_rejected():
         SlackVMConfig(levels=())
 
 
-def test_level_by_ratio():
-    cfg = SlackVMConfig()
-    assert cfg.level_by_ratio(2.0) == LEVEL_2_1
-    with pytest.raises(ConfigError):
-        cfg.level_by_ratio(5.0)
-
-
-def test_max_ratio():
-    assert SlackVMConfig().max_ratio == 3.0
-
-
-def test_with_levels_sorts_and_preserves_flags():
-    cfg = SlackVMConfig(pooling=False, topology_aware=False)
-    new = cfg.with_levels(4.0, 1.0, 2.0)
-    assert [lv.ratio for lv in new.levels] == [1.0, 2.0, 4.0]
-    assert new.pooling is False
-    assert new.topology_aware is False
-
-
 def test_single_level_config_is_valid():
     cfg = SlackVMConfig(levels=(LEVEL_3_1,))
-    assert cfg.max_ratio == 3.0
+    assert cfg.levels == (LEVEL_3_1,)

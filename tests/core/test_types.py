@@ -26,26 +26,11 @@ class TestResourceVector:
     def test_scalar_multiplication_commutes(self):
         assert 2 * ResourceVector(1, 2) == ResourceVector(1, 2) * 2 == ResourceVector(2, 4)
 
-    def test_fits_within(self):
-        assert ResourceVector(2, 4).fits_within(ResourceVector(2, 4))
-        assert ResourceVector(2, 4).fits_within(ResourceVector(3, 5))
-        assert not ResourceVector(2, 6).fits_within(ResourceVector(3, 5))
-        assert not ResourceVector(4, 4).fits_within(ResourceVector(3, 5))
-
-    def test_fits_within_tolerates_float_drift(self):
-        assert ResourceVector(2 + 1e-12, 4).fits_within(ResourceVector(2, 4))
-
     def test_mc_ratio(self):
         assert ResourceVector(32, 128).mc_ratio == 4.0
 
     def test_mc_ratio_of_zero_cpu_is_infinite(self):
         assert math.isinf(ResourceVector(0, 128).mc_ratio)
-
-    def test_clamp_nonnegative(self):
-        assert ResourceVector(-1, 2).clamp_nonnegative() == ResourceVector(0, 2)
-
-    def test_zero(self):
-        assert ResourceVector.zero() == ResourceVector(0.0, 0.0)
 
 
 class TestOversubscriptionLevel:

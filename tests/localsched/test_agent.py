@@ -62,7 +62,7 @@ class TestDeploy:
 
     def test_cpu_exhaustion_blocks_deploy(self, agent):
         agent.deploy(vm(vm_id="a", vcpus=8, mem=8.0, level=LEVEL_1_1))
-        assert agent.free_cpus == 0
+        assert agent.allocated_cpus == agent.machine.cpus
         assert not agent.can_deploy(vm(vm_id="b", vcpus=1, mem=1.0, level=LEVEL_1_1))
 
     def test_deploy_failure_raises(self, agent):
@@ -83,7 +83,7 @@ class TestPooling:
         # 1 vCPU of slack (3 vCPUs over 2 CPUs at 2:1 => slack 1).
         agent.deploy(vm(vm_id="prem", vcpus=6, mem=4.0, level=LEVEL_1_1))
         agent.deploy(vm(vm_id="mid", vcpus=3, mem=4.0, level=LEVEL_2_1))
-        assert agent.free_cpus == 0
+        assert agent.allocated_cpus == agent.machine.cpus
         low = vm(vm_id="low", vcpus=1, mem=2.0, level=LEVEL_3_1)
         placement = agent.deploy(low)
         assert placement.pooled
@@ -222,13 +222,3 @@ class TestTopologyMode:
 
         with pytest.raises(ConfigError):
             LocalScheduler(machine, SlackVMConfig(), topology=epyc_7662_dual())
-
-
-class TestDescribe:
-    def test_describe_snapshot(self, agent):
-        agent.deploy(vm(vm_id="a", vcpus=3, mem=6.0, level=LEVEL_2_1))
-        snap = agent.describe()
-        assert snap["num_vms"] == 1
-        assert snap["allocated_cpus"] == 2
-        assert snap["vnodes"][0]["level"] == "2:1"
-        assert snap["vnodes"][0]["vms"] == ["a"]

@@ -69,17 +69,6 @@ class TestExport:
         assert d["b"] == {"kind": "gauge", "value": 1.5}
         assert json.loads(reg.to_json()) == d
 
-    def test_csv(self):
-        reg = MetricsRegistry()
-        reg.counter("a").inc(2)
-        reg.timer("t").observe(0.5)
-        csv = reg.to_csv()
-        lines = csv.strip().splitlines()
-        assert lines[0] == "name,kind,field,value"
-        assert "a,counter,value,2" in lines
-        assert "t,timer,count,1" in lines
-        assert "t,timer,total_s,0.5" in lines
-
 
 class TestNullRegistry:
     def test_disabled_and_inert(self):

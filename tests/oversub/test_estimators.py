@@ -30,6 +30,11 @@ def window(samples, physical=16.0, allocated=8.0, host=0):
     )
 
 
+def predict(predictor, samples):
+    """``predictor``'s peak of one window, as a one-row batch."""
+    return float(predictor.predict_rows(np.asarray(samples, dtype=float)[None, :])[0])
+
+
 def capacity(est, w):
     return float(est.effective_capacities(w)[0])
 
@@ -37,7 +42,7 @@ def capacity(est, w):
 class TestSamplePredictors:
     def test_percentile_predictor(self):
         samples = np.arange(101, dtype=float)
-        assert PercentilePredictor(99.0).predict(samples) == pytest.approx(99.0)
+        assert predict(PercentilePredictor(99.0), samples) == pytest.approx(99.0)
 
     def test_percentile_bounds(self):
         with pytest.raises(ConfigError):
@@ -48,17 +53,17 @@ class TestSamplePredictors:
     def test_percentile_ignores_nan_gaps(self):
         # Recorded traces have gaps; NaN must not leak into scores.
         gappy = np.array([1.0, np.nan, 3.0, np.nan])
-        result = PercentilePredictor(100.0).predict(gappy)
+        result = predict(PercentilePredictor(100.0), gappy)
         assert result == pytest.approx(3.0)
         assert not np.isnan(result)
 
     def test_percentile_rejects_all_nan_window(self):
         with pytest.raises(ConfigError):
-            PercentilePredictor().predict(np.array([np.nan, np.nan]))
+            predict(PercentilePredictor(), [np.nan, np.nan])
 
     def test_empty_window_rejected(self):
         with pytest.raises(ConfigError):
-            PercentilePredictor().predict(np.array([]))
+            predict(PercentilePredictor(), [])
 
 
 class TestHostWindow:

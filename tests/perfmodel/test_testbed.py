@@ -34,7 +34,7 @@ def test_fill_single_level_respects_capacity():
     assert sum(v.spec.vcpus for v in vms) <= EPYC_7662_DUAL.cpus
     assert sum(v.spec.mem_gb for v in vms) <= EPYC_7662_DUAL.mem_gb
     # The PM genuinely refused the next VM: it is nearly full.
-    assert agent.free_cpus < 16 or agent.free_mem < 64
+    assert agent.allocated_cpus > agent.machine.cpus - 16 or agent.free_mem < 64
 
 
 def test_oversubscribed_fill_hosts_more_vms():

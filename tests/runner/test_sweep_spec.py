@@ -109,3 +109,14 @@ def test_spec_validation():
 def test_non_finite_machine_rejected(field, value):
     with pytest.raises(RunnerError, match="finite"):
         SweepSpec(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("policy", "progres"), ("baseline_policy", "firstfit"), ("kernel", "pruned"),
+     ("router", "ring")],
+)
+def test_unknown_name_is_refused_at_construction(field, value):
+    # Refused up front, not by every cell of run_sweep in turn.
+    with pytest.raises(RunnerError, match=repr(value)):
+        SweepSpec(**{field: value})

@@ -97,21 +97,20 @@ class TestTrace:
     def test_traced_selection_reports_candidates_and_scores(self):
         cluster = hosts(3, cpus=2, mem=4.0)
         cluster[0].deploy(vm(vm_id="full", vcpus=2, mem=4.0, level=LEVEL_1_1))
-        sched = first_fit_scheduler()
-        trace = sched.select_traced(cluster, vm(vm_id="x", vcpus=2, mem=4.0))
-        assert trace.candidates == (1, 2)
-        assert trace.selected == 1
-        assert len(trace.scores) == 2
+        selected, table = first_fit_scheduler().decide(cluster, vm(vm_id="x", vcpus=2, mem=4.0))
+        assert tuple(h.host for h in table if h.eligible) == (1, 2)
+        assert selected == 1
+        assert all(h.score is not None for h in table if h.eligible)
 
     def test_traced_selection_with_no_candidates(self):
         cluster = hosts(1, cpus=1, mem=1.0)
-        trace = first_fit_scheduler().select_traced(cluster, vm(vcpus=8, mem=9.0))
-        assert trace.selected is None
-        assert trace.candidates == ()
+        selected, table = first_fit_scheduler().decide(cluster, vm(vcpus=8, mem=9.0))
+        assert selected is None
+        assert not any(h.eligible for h in table)
 
     def test_traced_agrees_with_select(self):
         cluster = hosts(4)
         cluster[1].deploy(vm(vm_id="a", vcpus=4, mem=8.0, level=LEVEL_1_1))
         for sched in (first_fit_scheduler(), best_fit_scheduler(), slackvm_scheduler()):
             probe = vm(vm_id="probe")
-            assert sched.select(cluster, probe) == sched.select_traced(cluster, probe).selected
+            assert sched.select(cluster, probe) == sched.decide(cluster, probe)[0]

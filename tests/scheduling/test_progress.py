@@ -13,8 +13,8 @@ def test_empty_pm_is_considered_ideal():
     any deployment can only move it away (progress <= 0)."""
     balanced = ResourceVector(2.0, 8.0)  # exactly the target ratio
     skewed = ResourceVector(2.0, 2.0)
-    assert progress_score(PM, ResourceVector.zero(), balanced) == 0.0
-    assert progress_score(PM, ResourceVector.zero(), skewed) < 0.0
+    assert progress_score(PM, ResourceVector(0.0, 0.0), balanced) == 0.0
+    assert progress_score(PM, ResourceVector(0.0, 0.0), skewed) < 0.0
 
 
 def test_counterbalancing_vm_scores_positive():

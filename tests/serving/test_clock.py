@@ -83,22 +83,6 @@ def test_cancelled_sleeper_is_skipped():
     assert run_virtual(body(clock), clock) == 2.0
 
 
-def test_pending_counts_live_sleepers_only():
-    async def body(clock):
-        task = asyncio.ensure_future(clock.sleep(5.0))
-        await asyncio.sleep(0)
-        before = clock.pending
-        task.cancel()
-        await asyncio.sleep(0)
-        after = clock.pending
-        return before, after
-
-    clock = VirtualClock()
-    before, after = run_virtual(body(clock), clock)
-    assert before == 1
-    assert after == 0
-
-
 def test_harness_returns_result_and_end_time():
     async def body():
         return "done"

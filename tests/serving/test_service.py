@@ -18,7 +18,7 @@ from repro.serving import (
     run_virtual,
     serve,
 )
-from repro.serving.config import TrafficConfig
+from repro.serving.config import RVConfig, TrafficConfig
 from repro.serving.service import auto_size, build_fleet
 from repro.sharding import ShardPlan
 from repro.workload import Catalog
@@ -150,7 +150,8 @@ def test_sharded_run_routes_to_every_shard():
 def test_premium_only_source_accepts_a_large_flavor_catalog():
     # No flavor fits under the 8 GB cap; a 1:1-only mix never needs one.
     big = Catalog("big", ((VMSpec(8, 32.0), 0.5), (VMSpec(16, 64.0), 0.5)))
-    source = RequestSource(big, (100, 0, 0), TrafficConfig.open_loop(10.0, 5.0), seed=1)
+    traffic = TrafficConfig(RVConfig("exponential", 1.0 / 10.0), RVConfig("exponential", 5.0))
+    source = RequestSource(big, (100, 0, 0), traffic, seed=1)
     requests = [r for _, r in source.window(10.0)]
     assert requests and {r.level.ratio for r in requests} == {1.0}
     assert {r.spec for r in requests} <= set(big.specs)

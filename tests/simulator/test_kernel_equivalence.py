@@ -155,7 +155,7 @@ def test_kernels_agree_through_random_operation_sequences(case, policy):
                 for c in (inc, ref):
                     c.deploy(arg, host)
         elif op == "depart":
-            placed = inc.placed_vm_ids
+            placed = [vm.vm_id for vm, _ in inc.placed_requests()]
             if placed:
                 vm_id = placed[arg % len(placed)]
                 for c in (inc, ref):
@@ -418,4 +418,4 @@ def test_dirty_host_count_grows_to_every_host_between_selects(num_hosts, policy)
                     c.deploy(vm, host)
         for ratio in RATIOS:
             _assert_probe_equal(inc, ref, _vm(10**6, 1, 2.0, ratio), policy)
-    assert inc.placed_vm_ids
+    assert any(inc.placed_requests())

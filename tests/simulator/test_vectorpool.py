@@ -129,9 +129,10 @@ class TestScores:
 
 
 class TestIntrospection:
-    def test_host_of_and_vms_on(self, cluster):
-        cluster.deploy(vm("a"), host=1)
-        assert cluster.host_of("a") == 1
+    def test_placed_requests_and_vms_on(self, cluster):
+        request = vm("a")
+        cluster.deploy(request, host=1)
+        assert list(cluster.placed_requests()) == [(request, 1)]
         assert cluster.vms_on(1) == ["a"]
         assert cluster.vms_on(0) == []
 

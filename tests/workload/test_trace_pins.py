@@ -22,7 +22,7 @@ import pytest
 from repro.api import RunSpec, build_workload
 from repro.core.spec import canonical_json
 from repro.serving import RequestSource
-from repro.serving.config import TrafficConfig
+from repro.serving.config import DiurnalConfig, RVConfig, TrafficConfig
 from repro.workload import AZURE
 from repro.workload.traces import vm_to_dict
 
@@ -57,9 +57,10 @@ def trace_pin(spec: RunSpec) -> str:
 
 
 def source_pin() -> str:
-    source = RequestSource(
-        AZURE, (40, 30, 30), TrafficConfig.open_loop(40.0, 20.0, 0.25), seed=5
+    traffic = TrafficConfig(
+        RVConfig("exponential", 1.0 / 40.0), RVConfig("exponential", 20.0), DiurnalConfig(0.25)
     )
+    source = RequestSource(AZURE, (40, 30, 30), traffic, seed=5)
     return sha(
         [gap, r.req_id, r.spec.vcpus, r.spec.mem_gb, r.level.ratio, r.arrival, r.lifetime]
         for gap, r in source.window(60.0)

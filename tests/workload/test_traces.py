@@ -86,3 +86,22 @@ def test_defaults_for_optional_fields(tmp_path):
     vm = load_trace(path)[0]
     assert vm.departure is None
     assert vm.usage_kind == "stress"
+
+
+_ROW = '{"vm_id": "a", "vcpus": 1, "mem_gb": 1.0, "ratio": 1.0, "arrival": 0%s}'
+
+
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        (_ROW % ', "departur": 3.0', "unknown trace row fields"),  # would never depart
+        (_ROW.replace('"vcpus": 1', '"vcpus": 2.5') % "", "whole number"),
+        ("[1, 2, 3]", "must be a mapping"),
+    ],
+    ids=["unknown-field", "fractional-vcpus", "not-an-object"],
+)
+def test_malformed_rows_are_workload_errors(tmp_path, line, match):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(WorkloadError, match=match):
+        load_trace(path)

@@ -9,6 +9,7 @@ from repro.workload import (
     IdleProfile,
     InteractiveProfile,
     StressProfile,
+    diurnal_demand,
     profile_for,
 )
 
@@ -90,11 +91,11 @@ def test_demand_series_matches_scalar():
     ids=["idle", "stress", "interactive", "interactive-clamped"],
 )
 def test_vectorized_demand_series_is_bit_identical(profile):
-    # The vectorized overrides must not just be close — the estimator
-    # layer and the scalar perfmodel path read the same signal, so the
-    # two implementations are required to agree bit-for-bit.
+    # The oversubscription monitor's vectorized form must not just be
+    # close — the estimator layer and the scalar perfmodel path read the
+    # same signal, so the two are required to agree bit-for-bit.
     times = np.linspace(-DAY, 3 * DAY, 1013)
-    series = profile.demand_series(times)
+    series = diurnal_demand(times, *profile.wave)
     scalar = np.array([profile.demand(float(t)) for t in times])
     assert series.shape == times.shape
     assert np.array_equal(series, scalar)
