@@ -1,9 +1,9 @@
-"""repro.serving — the asyncio online placement service.
+"""repro.serving — the online placement service.
 
 Wraps :class:`~repro.controlplane.controller.CloudController` shards,
 each placing through the vector engine's kernel, behind a bounded
-admission queue driven by open-loop seeded traffic on a virtual clock.
-See docs/ARCHITECTURE.md §15.
+admission queue driven by open-loop seeded traffic — one synchronous
+loop over a virtual clock's timer heap.  See docs/ARCHITECTURE.md §15.
 """
 
 from repro.serving.clock import VirtualClock, run_virtual

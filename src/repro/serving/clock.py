@@ -1,18 +1,17 @@
-"""Virtual time for the asyncio serving layer.
+"""Virtual time for the serving layer.
 
-The service's coroutines never touch the wall clock: they read
-``clock.now()`` and wait with ``await clock.sleep(dt)`` against an
-injectable :class:`VirtualClock`.  :func:`run_virtual` drives an
-ordinary asyncio event loop to quiescence, then advances the clock to
-the earliest pending deadline — so a 30-second-of-virtual-time service
-run completes in milliseconds of real time, and the interleaving of
-arrival, departure and timeout coroutines is a deterministic function
-of the seed alone (single thread, FIFO ready queue, seq-numbered
-sleeper heap).
+The service never touches the wall clock: it reads ``clock.now()`` and
+arms timers with ``clock.call_later(dt, fn, arg)`` on an injectable
+:class:`VirtualClock`, one heap ordered by ``(deadline, seq)``.  Time
+moves only when :meth:`VirtualClock.advance` fires the earliest timer,
+so a 30-second-of-virtual-time run completes in milliseconds and its
+interleaving is a function of the seed alone.  ``await clock.sleep(dt)``
+is a future on the same heap, and :func:`run_virtual` drives an asyncio
+loop to quiescence between advances — the contract
+``run_virtual(service.run(), service.clock)`` keeps.
 
 This is what keeps reprolint R001 clean across :mod:`repro.serving`
-and what makes every serving test replayable: simulated time only
-moves when the harness says so.
+and what makes every serving test replayable.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
-from typing import Any, Coroutine, List, Tuple, TypeVar
+from typing import Any, Callable, Coroutine, List, Tuple, TypeVar
 
 from repro.core.errors import ServingError
 
@@ -35,46 +34,51 @@ _FALLBACK_DRAIN_ROUNDS = 32
 
 
 class VirtualClock:
-    """A monotonically advancing simulated clock with async sleepers.
+    """A monotonically advancing simulated clock with one timer heap.
 
-    ``sleep`` parks the calling coroutine on a future keyed by
-    ``(deadline, seq)``; :meth:`advance` wakes exactly one sleeper —
-    the earliest deadline, ties broken by creation order — and moves
-    ``now`` to its deadline.  Cancelled sleepers (a torn-down departure
-    watchdog) are skipped silently.
+    :meth:`call_later` callbacks and :meth:`sleep` futures share one
+    heap keyed by ``(deadline, seq)``; :meth:`advance` moves ``now`` to
+    the earliest deadline (ties by creation order) and fires that one
+    entry.  Sleepers cancelled while parked are skipped silently.
     """
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
         self._seq = itertools.count()
-        self._sleepers: List[Tuple[float, int, "asyncio.Future[None]"]] = []
+        self._timers: List[Tuple[float, int, Callable[[Any], None], Any]] = []
 
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
 
+    def call_later(self, delay: float, fn: Callable[[Any], None], arg: Any = None) -> None:
+        """Call ``fn(arg)`` when the clock is advanced to ``now + delay``."""
+        if delay < 0:
+            raise ServingError(f"cannot wait a negative delay ({delay!r})")
+        heapq.heappush(self._timers, (self._now + float(delay), next(self._seq), fn, arg))
+
     async def sleep(self, delay: float) -> None:
         """Park until the clock is advanced past ``now + delay``."""
-        if delay < 0:
-            raise ServingError(f"cannot sleep a negative delay ({delay!r})")
-        loop = asyncio.get_running_loop()
-        fut: "asyncio.Future[None]" = loop.create_future()
-        heapq.heappush(
-            self._sleepers, (self._now + float(delay), next(self._seq), fut)
-        )
+        fut: "asyncio.Future[None]" = asyncio.get_running_loop().create_future()
+        self.call_later(delay, _wake, fut)
         await fut
 
     def advance(self) -> bool:
-        """Wake the earliest live sleeper; False when none remain."""
-        while self._sleepers:
-            deadline, _, fut = heapq.heappop(self._sleepers)
-            if fut.done():  # cancelled while parked
+        """Fire the earliest live timer; False when none remain."""
+        timers = self._timers
+        while timers:
+            deadline, _, fn, arg = heapq.heappop(timers)
+            if fn is _wake and arg.done():  # a sleeper cancelled while parked
                 continue
             if deadline > self._now:
                 self._now = deadline
-            fut.set_result(None)
+            fn(arg)
             return True
         return False
+
+
+def _wake(fut: "asyncio.Future[None]") -> None:
+    fut.set_result(None)
 
 
 async def _drive(clock: VirtualClock, task: "asyncio.Task[T]") -> None:

@@ -1,22 +1,27 @@
-"""The asyncio online placement service.
+"""The online placement service.
 
 Architecture (docs/ARCHITECTURE.md §15)::
 
-    RequestSource ──► bounded admission queue ──► scheduler task ──► CloudController shard(s)
-      (open loop)        (backpressure)         (single writer)        (vector placement kernel)
+    RequestSource ──► bounded admission queue ──► scheduler ──► CloudController shard(s)
+      (open loop)        (backpressure)        (single writer)    (vector placement kernel)
 
-Three coroutine families share one virtual clock:
+One synchronous loop fires the virtual clock's timers in ``(deadline,
+seq)`` order and, after each, drains a FIFO of ready continuations:
 
-* the **arrival loop** draws the open-loop request stream and admits
-  each request to the bounded queue — or rejects it on the spot when
-  the backlog sits at the bound (open-loop backpressure: the generator
-  never slows down, the service sheds);
-* the **scheduler task** is the *single writer* over the controllers:
-  it drains admissions, spends a sampled service time per decision,
-  then routes the request to its controller shard; departure and
-  timeout coroutines never mutate cluster state themselves — they
-  enqueue commands the scheduler executes in FIFO order;
-* per-VM **departure** sleepers and pending-**timeout** watchdogs.
+* **arrivals** admit each open-loop request to the bounded queue — or
+  reject it on the spot when the backlog sits at the bound (the
+  generator never slows down, the service sheds);
+* the **scheduler** is the *single writer* over the controllers: it
+  takes commands back to back, waits a sampled service time per
+  decision, then routes the request to its controller shard;
+* per-VM **departure** and pending-**expiry** timers only enqueue
+  commands for the scheduler.
+
+Ties follow asyncio's ``call_soon`` order for the same service written
+as tasks: a command put while the scheduler is idle resumes it; a
+placement's expiry and then departure timer are armed only after the
+scheduler next waits; ``_STOP`` is queued once the arrival stream has
+closed, and the run ends when the scheduler reads it.
 
 Everything observable is deterministic per seed — the decision log and
 the controllers' audit logs replay byte-for-byte — except the wall
@@ -26,14 +31,13 @@ scheduler's compute (the placement kernel) in user-facing seconds.
 
 from __future__ import annotations
 
-import asyncio
-import itertools
 import math
 import numbers
 import time
+from collections import deque
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,7 +45,7 @@ from repro.api.run import build_machines
 from repro.api.spec import RunSpec
 from repro.controlplane.controller import CloudController, VMState
 from repro.core.config import SlackVMConfig
-from repro.core.errors import CapacityError, ConfigError
+from repro.core.errors import CapacityError, ConfigError, ServingError
 from repro.core.spec import Spec
 from repro.core.types import VMRequest
 from repro.hardware.machine import MachineSpec
@@ -70,7 +74,7 @@ SERVICE_SPEC_VERSION = 1
 #: Headroom over the Little's-law demand estimate when auto-sizing.
 AUTO_SIZE_HEADROOM = 1.25
 
-#: Sentinel closing the scheduler task's command queue.
+#: Sentinel closing the scheduler's command queue.
 _STOP = None
 
 
@@ -270,10 +274,7 @@ def _hist_stats(hist: Histogram, prefix: str, unit: str = "s") -> Dict[str, floa
     count = int(snap.get("count", 0))
     stats = {f"{prefix}_count": float(count)}
     for key in ("mean", "p50", "p99", "max"):
-        value = snap.get(key, 0.0)
-        stats[f"{prefix}_{key}_{unit}" if key != "max" else f"{prefix}_max_{unit}"] = (
-            float(value) if count else 0.0
-        )
+        stats[f"{prefix}_{key}_{unit}"] = float(snap.get(key, 0.0)) if count else 0.0
     return stats
 
 
@@ -282,7 +283,8 @@ class PlacementService:
 
     Construct, then drive :meth:`run` with
     :func:`~repro.serving.clock.run_virtual` (or call :func:`serve`).
-    A service instance is single-use: one admission window, one report.
+    A service instance is single-use: one admission window, one report;
+    a second :meth:`run` raises :class:`~repro.core.errors.ServingError`.
     """
 
     def __init__(
@@ -313,10 +315,13 @@ class PlacementService:
             for shard in range(spec.shards)
         ]
         self._router = HashRouter(spec.shards, seed=spec.seed)
-        self._queue: "asyncio.Queue[Optional[Tuple[str, Any]]]" = asyncio.Queue()
+        self._commands: Deque[Optional[Tuple[str, Any]]] = deque()
+        self._ready: Deque[Tuple[Callable[[Any], None], Any]] = deque()
+        self._idle = False  # the scheduler waits on an empty command queue
+        self._stopped = False  # the scheduler has read _STOP
+        self._closes: Optional[float] = None  # admission window end, once run
         self._backlog = 0
         self._placed: Dict[str, Tuple[int, str]] = {}
-        self._side_tasks: List["asyncio.Task[None]"] = []
         #: Append-only, seed-deterministic ledger of every decision.
         self.decision_log: List[str] = []
         self.counts: Dict[str, int] = {
@@ -334,154 +339,148 @@ class PlacementService:
     # -- lifecycle -----------------------------------------------------------
 
     async def run(self) -> ServiceReport:
-        """One full service run: admit, serve, drain, report."""
-        arrivals = asyncio.ensure_future(self._arrival_loop())
-        scheduler = asyncio.ensure_future(self._scheduler_loop())
-        try:
-            await arrivals
-            # The admission window is closed; everything already queued
-            # is still served, later departure/expiry commands are not.
-            self._queue.put_nowait(_STOP)
-            await scheduler
-        finally:
-            for task in self._side_tasks:
-                task.cancel()
-        self._final_gauges()
-        return self.report()
+        """One full service run: admit, serve, drain, report.  Never
+        suspends: ``async`` only so ``run_virtual`` drives it."""
+        if self._closes is not None:
+            raise ServingError("a PlacementService runs once; build a new one")
+        self._closes = self.clock.now() + self.spec.duration
+        ready = self._ready
+        ready.extend(((self._next_arrival, None), (self._scheduler, None)))
+        while not self._stopped:
+            if not ready and not self.clock.advance():
+                raise ServingError("virtual-time deadlock: no timer left before _STOP")
+            while ready:
+                fn, arg = ready.popleft()
+                fn(arg)
+        report = self.report()
+        if self.metrics.enabled:
+            self.metrics.gauge(metric_names.SERVING_TIMEOUT_RATE).set(report.rates["timeout"])
+            self.metrics.gauge(metric_names.SERVING_REJECT_RATE).set(report.rates["reject"])
+        return report
 
-    # -- coroutines ----------------------------------------------------------
+    # -- arrivals ------------------------------------------------------------
 
-    async def _arrival_loop(self) -> None:
-        spec = self.spec
-        metrics = self.metrics
-        closes = self.clock.now() + spec.duration  # admission window end
-        while True:
-            gap, request = self.source.next_request(self.clock.now())
-            if request.arrival > closes:
-                return
-            await self.clock.sleep(gap)
-            self.counts["arrivals"] += 1
-            self._depth.observe(self._backlog)
-            if metrics.enabled:
-                metrics.counter(metric_names.SERVING_ARRIVALS).inc()
-                metrics.histogram(metric_names.SERVING_QUEUE_DEPTH).observe(
-                    self._backlog
-                )
-            if self._backlog >= spec.queue_bound:
-                self.counts["rejected"] += 1
-                if metrics.enabled:
-                    metrics.counter(metric_names.SERVING_REJECTED).inc()
-                self._log("reject", request.req_id, f"depth={self._backlog}")
-                continue
+    def _next_arrival(self, _: None = None) -> None:
+        """Arm the next request's arrival, or close the stream with _STOP."""
+        gap, request = self.source.next_request(self.clock.now())
+        if request.arrival > self._closes:
+            self._ready.append((self._put, _STOP))
+        else:
+            self.clock.call_later(gap, self._arrive, request)
+
+    def _arrive(self, request: ServiceRequest) -> None:
+        self._tally("arrivals", metric_names.SERVING_ARRIVALS)
+        self._depth.observe(self._backlog)
+        if self.metrics.enabled:
+            self.metrics.histogram(metric_names.SERVING_QUEUE_DEPTH).observe(self._backlog)
+        if self._backlog >= self.spec.queue_bound:
+            self._tally("rejected", metric_names.SERVING_REJECTED)
+            self._log("reject", request.req_id, f"depth={self._backlog}")
+        else:
             self._backlog += 1
-            self._queue.put_nowait(("arrive", request))
+            self._put(("arrive", request))
+        self._next_arrival()
 
-    async def _scheduler_loop(self) -> None:
-        """The single writer: every controller mutation happens here."""
-        while True:
-            command = await self._queue.get()
+    def _put(self, command: Optional[Tuple[str, Any]]) -> None:
+        """Queue a command for the scheduler, resuming it if idle."""
+        self._commands.append(command)
+        if self._idle:
+            self._idle = False
+            self._ready.append((self._scheduler, None))
+
+    def _arm(self, timer: Tuple[float, Tuple[str, str]]) -> None:
+        """Arm ``(delay, command)``: queue ``command`` once ``delay`` has passed."""
+        delay, command = timer
+        self.clock.call_later(delay, self._put, command)
+
+    # -- the scheduler -------------------------------------------------------
+
+    def _scheduler(self, served: Optional[ServiceRequest] = None) -> None:
+        """The single writer: every controller mutation happens here.
+
+        Resumed by a command put while idle, or with ``served`` once that
+        request's decision time has elapsed.  Takes commands back to
+        back until an admitted arrival's decision time (a timer that
+        resumes it) or an empty queue (idle).
+        """
+        if served is not None:
+            self._place(served)
+        commands = self._commands
+        while commands:
+            command = commands.popleft()
             if command is _STOP:
+                self._stopped = True
                 return
             kind, payload = command
             if kind == "arrive":
                 self._backlog -= 1
-                await self._handle_arrival(payload)
+                waited = self.clock.now() - payload.arrival
+                if waited <= self.spec.timeout_s:
+                    self.clock.call_later(self._service_time.sample(self._service_rng),
+                                          self._scheduler, payload)
+                    return
+                self._tally("timeouts", metric_names.SERVING_TIMEOUTS)
+                self._log("timeout", payload.req_id, f"stage=queue waited={waited:.6f}")
             elif kind == "depart":
                 self._handle_departure(payload)
             else:  # "expire"
                 self._handle_expiry(payload)
+        self._idle = True
 
-    async def _departure(self, request: ServiceRequest) -> None:
-        """Sleep out the VM's lifetime, then ask the scheduler to free it."""
-        await self.clock.sleep(request.lifetime)
-        self._queue.put_nowait(("depart", request.req_id))
+    # -- command handlers (scheduler only) -----------------------------------
 
-    async def _expiry(self, request: ServiceRequest) -> None:
-        """Watchdog for capacity-pending requests: give up at the deadline."""
-        deadline = request.arrival + self.spec.timeout_s
-        await self.clock.sleep(max(0.0, deadline - self.clock.now()))
-        self._queue.put_nowait(("expire", request.req_id))
-
-    def _spawn(self, coro: "asyncio.coroutines.Coroutine[Any, Any, None]") -> None:
-        self._side_tasks.append(asyncio.ensure_future(coro))
-
-    # -- command handlers (scheduler task only) ------------------------------
-
-    async def _handle_arrival(self, request: ServiceRequest) -> None:
-        spec = self.spec
-        metrics = self.metrics
-        now = self.clock.now()
-        if now - request.arrival > spec.timeout_s:
-            self.counts["timeouts"] += 1
-            if metrics.enabled:
-                metrics.counter(metric_names.SERVING_TIMEOUTS).inc()
-            self._log("timeout", request.req_id,
-                      f"stage=queue waited={now - request.arrival:.6f}")
-            return
-        await self.clock.sleep(self._service_time.sample(self._service_rng))
+    def _place(self, request: ServiceRequest) -> None:
         shard = self._route(request)
         controller = self.controllers[shard]
         started = time.perf_counter()
         try:
             ticket = controller.request(request.spec, request.level)
         except CapacityError:  # controller pending queue at max_pending
-            self.counts["rejected"] += 1
-            if metrics.enabled:
-                metrics.counter(metric_names.SERVING_REJECTED).inc()
+            self._tally("rejected", metric_names.SERVING_REJECTED)
             self._log("reject", request.req_id, f"shard={shard} pending-full")
             return
         wall = time.perf_counter() - started
-        wait = self.clock.now() - request.arrival
+        now = self.clock.now()
+        wait = now - request.arrival
         self._lat_place.observe(wall)
         self._lat_wait.observe(wait)
-        if metrics.enabled:
-            metrics.histogram(metric_names.SERVING_LATENCY_PLACEMENT).observe(wall)
-            metrics.histogram(metric_names.SERVING_LATENCY_WAIT).observe(wait)
+        if self.metrics.enabled:
+            self.metrics.histogram(metric_names.SERVING_LATENCY_PLACEMENT).observe(wall)
+            self.metrics.histogram(metric_names.SERVING_LATENCY_WAIT).observe(wait)
         self._placed[request.req_id] = (shard, ticket.vm_id)
+        # The timers are armed from the ready FIFO, so only after the
+        # scheduler next waits: their seq follows its own next timer.
         if ticket.state is VMState.ACTIVE:
-            self.counts["placed"] += 1
-            if metrics.enabled:
-                metrics.counter(metric_names.SERVING_PLACED).inc()
+            self._tally("placed", metric_names.SERVING_PLACED)
             self._log(
                 "place", request.req_id,
                 f"shard={shard} host={ticket.host} vm={ticket.vm_id} "
                 f"pooled={int(ticket.pooled)} wait={wait:.6f}",
             )
         else:
-            self.counts["pending"] += 1
-            if metrics.enabled:
-                metrics.counter(metric_names.SERVING_PENDING).inc()
+            self._tally("pending", metric_names.SERVING_PENDING)
             self._log("pend", request.req_id,
                       f"shard={shard} vm={ticket.vm_id} wait={wait:.6f}")
-            self._spawn(self._expiry(request))
-        self._spawn(self._departure(request))
+            expires = max(0.0, request.arrival + self.spec.timeout_s - now)
+            self._ready.append((self._arm, (expires, ("expire", request.req_id))))
+        self._ready.append((self._arm, (request.lifetime, ("depart", request.req_id))))
 
     def _handle_departure(self, req_id: str) -> None:
-        placed = self._placed.get(req_id)
-        if placed is None:
-            return  # never reached a controller (queue timeout)
-        shard, vm_id = placed
+        shard, vm_id = self._placed[req_id]  # armed only once placed
         controller = self.controllers[shard]
         if controller.ticket(vm_id).state is VMState.DELETED:
             return  # expired out of the pending queue earlier
         controller.delete(vm_id)
-        self.counts["departures"] += 1
-        if self.metrics.enabled:
-            self.metrics.counter(metric_names.SERVING_DEPARTURES).inc()
+        self._tally("departures", metric_names.SERVING_DEPARTURES)
         self._log("depart", req_id, f"shard={shard} vm={vm_id}")
 
     def _handle_expiry(self, req_id: str) -> None:
-        placed = self._placed.get(req_id)
-        if placed is None:
-            return
-        shard, vm_id = placed
+        shard, vm_id = self._placed[req_id]
         controller = self.controllers[shard]
         if controller.ticket(vm_id).state is not VMState.PENDING:
             return  # promoted to ACTIVE (or already gone) before the deadline
         controller.delete(vm_id)
-        self.counts["timeouts"] += 1
-        if self.metrics.enabled:
-            self.metrics.counter(metric_names.SERVING_TIMEOUTS).inc()
+        self._tally("timeouts", metric_names.SERVING_TIMEOUTS)
         self._log("timeout", req_id, f"shard={shard} stage=pending vm={vm_id}")
 
     # -- helpers -------------------------------------------------------------
@@ -494,19 +493,16 @@ class PlacementService:
         )
         return self._router.route(probe)
 
+    def _tally(self, key: str, metric: str) -> None:
+        self.counts[key] += 1
+        if self.metrics.enabled:
+            self.metrics.counter(metric).inc()
+
     def _log(self, event: str, req_id: str, detail: str = "") -> None:
         line = f"{self.clock.now():.6f} {event} {req_id}"
         if detail:
             line = f"{line} {detail}"
         self.decision_log.append(line)
-
-    def _final_gauges(self) -> None:
-        arrivals = self.counts["arrivals"]
-        timeout_rate = self.counts["timeouts"] / arrivals if arrivals else 0.0
-        reject_rate = self.counts["rejected"] / arrivals if arrivals else 0.0
-        if self.metrics.enabled:
-            self.metrics.gauge(metric_names.SERVING_TIMEOUT_RATE).set(timeout_rate)
-            self.metrics.gauge(metric_names.SERVING_REJECT_RATE).set(reject_rate)
 
     def audit_fingerprint(self) -> str:
         """sha256 over the decision log and every shard's audit log."""

@@ -6,7 +6,7 @@ import pytest
 
 from repro.controlplane import CloudController
 from repro.core import VMSpec
-from repro.core.errors import ConfigError
+from repro.core.errors import ConfigError, ServingError
 from repro.hardware import MachineSpec
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry
@@ -211,6 +211,18 @@ def test_injected_clock_is_used():
     assert service.decision_log  # the window opens at the injected start
     assert all(float(line.split()[0]) >= 100.0
                for line in service.decision_log)
+
+
+def test_a_service_runs_once():
+    service = PlacementService(small_spec(duration=1.0))
+    first = run_virtual(service.run(), service.clock)
+    log, now = list(service.decision_log), service.clock.now()
+    with pytest.raises(ServingError, match="runs once"):
+        run_virtual(service.run(), service.clock)
+    # The refused run neither counted, logged nor moved the clock.
+    assert service.counts == first.counts
+    assert service.decision_log == log
+    assert service.clock.now() == now
 
 
 def test_report_summary_mentions_slos():

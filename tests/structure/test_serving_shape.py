@@ -1,5 +1,5 @@
 """``repro.serving`` keeps time on one ``VirtualClock`` and mutates its
-controllers from one task."""
+controllers from one scheduler continuation."""
 
 from __future__ import annotations
 
@@ -57,12 +57,13 @@ def test_every_coroutine_call_is_awaited_or_scheduled(src_tree):
 
 
 def test_every_controller_mutation_is_reachable_from_the_scheduler_loop(src_tree):
-    """``PlacementService._scheduler_loop`` is the single writer: a method
+    """``PlacementService._scheduler`` is the single writer: a method
     that calls a mutating controller method (anything but
     ``state``/``ticket``/``list_vms``) on ``self.controllers`` or a local
-    bound from it must run inside the loop's task: reachable through
-    sync ``self.<m>()`` calls and coroutines awaited on the spot.
-    ``__init__`` builds the fleet before any task exists."""
+    bound from it must run inside the scheduler continuation: reachable
+    through sync ``self.<m>()`` calls and coroutines awaited on the spot
+    (a method handed to a timer or the ready queue runs on its own).
+    ``__init__`` builds the fleet before the run starts."""
     (service,) = [
         node for node in src_tree["serving/service.py"].body
         if isinstance(node, ast.ClassDef) and node.name == "PlacementService"
@@ -105,7 +106,7 @@ def test_every_controller_mutation_is_reachable_from_the_scheduler_loop(src_tree
                 ):
                     yield callee.name
 
-    reachable, frontier = set(), ["_scheduler_loop"]
+    reachable, frontier = set(), ["_scheduler"]
     while frontier:
         name = frontier.pop()
         if name not in reachable:
