@@ -14,11 +14,11 @@ test-fast:
 test-quick:
 	$(PYTHON) -m pytest tests/ -x -q -m "not slow" --ignore=tests/test_examples.py
 
-# Determinism & simulation-safety static analysis (rules R001-R006;
-# the architecture fences are tests/structure/, run by `make test`).
-# Exit codes: 0 clean, 1 new findings, 2 usage error.
+# The structural fences: determinism rules R001-R006 over src and
+# scripts, layering, one writer, replay under skewed clocks, callers,
+# API docs (also part of `make test`).
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.devtools.lint src scripts
+	PYTHONPATH=src $(PYTHON) -m pytest tests/structure -q
 
 # mypy --strict via the [tool.mypy] config in pyproject.toml (the
 # lenient modules are per-module overrides there).  Needs the `dev`
@@ -50,8 +50,7 @@ sweep-oversub-smoke:
 # harness's serve checks (its traced twin drives
 # run_virtual(service.run(), clock)), a 30s-virtual-time run at a fixed
 # seed (completes in well under a second of wall time) with a
-# parseable SLO report and finite p99, and a clean determinism lint on
-# both packages.  Mirrors CI's serving-smoke job.
+# parseable SLO report and finite p99.  Mirrors CI's serving-smoke job.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/serving tests/controlplane -q
 	PYTHONPATH=src $(PYTHON) -m pytest perf/tests/test_harness.py -q -k serve
@@ -62,7 +61,6 @@ serve-smoke:
 		p99 = r['latency']['placement_p99_s']; \
 		assert math.isfinite(p99) and p99 > 0, p99; \
 		print('p99 %.3f ms, %d arrivals' % (p99 * 1e3, r['counts']['arrivals']))"
-	PYTHONPATH=src $(PYTHON) -m repro.devtools.lint src/repro/serving src/repro/controlplane
 
 # Perf-ledger smoke: a quarter-size pass over all eight perf/ workloads
 # (output digests + conservation checks), the harness's own tests, the

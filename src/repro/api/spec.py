@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.core.errors import ConfigError
-from repro.core.spec import Spec
+from repro.core.spec import Spec, check_int
 from repro.oversub.estimators import STRATEGIES
 from repro.sharding.router import ROUTERS
 from repro.simulator.vectorpool import KERNELS, check_policy
@@ -85,13 +85,17 @@ class RunSpec(Spec):
                 f"unknown provider {self.provider!r}; "
                 f"expected one of {sorted(PROVIDERS)}"
             )
-        if self.target_population <= 0:
-            raise ConfigError("target_population must be positive")
-        if self.num_hosts < 0:
-            raise ConfigError("num_hosts must be >= 0 (0 = auto-size)")
+        # ``num_hosts=0`` auto-sizes; ``workers=0`` is one per shard.
+        for name, low in (("target_population", 1), ("seed", 0), ("num_hosts", 0),
+                          ("workers", 0)):
+            check_int(name, getattr(self, name), low)
+        for name in ("pooling", "fail_fast"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
         # Negated so that NaN fails too.
         if not (0 < self.host_cpus < math.inf and 0 < self.host_mem_gb < math.inf):
             raise ConfigError("host_cpus and host_mem_gb must be finite and positive")
+        check_int("host_cpus", self.host_cpus, 1)
         check_policy(self.policy)
         if self.kernel not in KERNELS:
             raise ConfigError(
@@ -110,12 +114,11 @@ class RunSpec(Spec):
             raise ConfigError("oversub_update_every must be finite and positive")
         if self.shards < 1:
             raise ConfigError(f"need at least one shard, got {self.shards}")
+        check_int("shards", self.shards, 1)
         if self.router not in ROUTERS:
             raise ConfigError(
                 f"unknown router {self.router!r}; expected one of {ROUTERS}"
             )
-        if self.workers < 0:
-            raise ConfigError("workers must be >= 0 (0 = one per shard)")
         if self.num_hosts and self.shards > self.num_hosts:
             raise ConfigError(
                 f"cannot split {self.num_hosts} hosts into {self.shards} shards"

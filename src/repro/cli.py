@@ -13,16 +13,14 @@ Exposes the library's main workflows without writing Python:
 * ``slackvm shard`` — one workload through the sharded dispatcher
   (N vector-engine shards in worker processes), with optional
   inline-vs-pool byte-identity verification and speedup reporting;
-* ``slackvm serve`` — the asyncio online placement service on virtual
+* ``slackvm serve`` — the online placement service on virtual
   time: open-loop seeded traffic through a bounded admission queue
   into controller shard(s), emitting a JSON SLO report (placement
   latency p50/p99, queue depth, timeout and rejection rates);
 * ``slackvm testbed`` — the Table IV / Fig. 2 isolation experiment;
 * ``slackvm audit`` — differential replay of one workload through both
   engines (object + vectorized), reporting the first divergence and
-  dumping decision records + metrics as JSON;
-* ``slackvm lint`` — the ``repro.devtools.lint`` static analysis
-  (everything after ``lint`` is handed to it verbatim).
+  dumping decision records + metrics as JSON.
 
 Every subcommand is deterministic given ``--seed``.  The same CLI is
 installed both as ``slackvm`` and as ``repro`` (and runs via
@@ -299,12 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON dump path (metrics + decision records)")
     au.add_argument("--no-decisions", action="store_true",
                     help="omit the per-arrival decision records from the dump")
-
-    sub.add_parser(
-        "lint", add_help=False,
-        help="determinism & simulation-safety static analysis "
-             "(rules R001-R006; options: `lint --help`)",
-    )
     return parser
 
 
@@ -544,11 +536,6 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] == ["lint"]:
-        from repro.devtools.lint import main as lint_main
-
-        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     try:
         rc = _COMMANDS[args.command](args)

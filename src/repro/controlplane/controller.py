@@ -18,13 +18,13 @@ placement decisions per cluster, and so do we.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 from repro.core.config import SlackVMConfig
 from repro.core.errors import CapacityError, ConfigError
+from repro.core.spec import check_int
 from repro.core.types import OversubscriptionLevel, ResourceVector, VMRequest, VMSpec
 from repro.hardware.machine import MachineSpec
 from repro.simulator.vectorpool import VectorBackend, VectorCluster, check_policy
@@ -83,9 +83,7 @@ class CloudController:
     ):
         if not machines:
             raise ConfigError("a controller needs at least one machine")
-        if (isinstance(max_pending, bool) or not isinstance(max_pending, numbers.Integral)
-                or max_pending < 0):
-            raise ConfigError(f"max_pending must be an integer >= 0, got {max_pending!r}")
+        check_int("max_pending", max_pending, 0)
         check_policy(policy)
         self.config = config or SlackVMConfig()
         self.hosts: list[MachineSpec] = list(machines)

@@ -59,7 +59,7 @@ def floats_equal(a: float, b: float, eps: float = CAPACITY_EPSILON) -> bool:
     """Tolerant float equality: ``|a - b| <= eps`` (absolute).
 
     The shared replacement for ``==`` on float-typed scoring/capacity
-    expressions in the decision paths (lint rule R005).  Uses the same
+    expressions in the decision paths (determinism rule R005).  Uses the same
     :data:`CAPACITY_EPSILON` slop as the engines' admission
     comparisons, so "equal" means "the engines could not tell them
     apart".  Also works elementwise on numpy arrays (returns a bool

@@ -19,11 +19,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from typing import Any, Callable, ClassVar, Iterable, Mapping, TypeVar
 
 from repro.core.errors import ConfigError, ReproError
 
-__all__ = ["Spec", "canonical_json", "check_fields", "digest16"]
+__all__ = ["Spec", "canonical_json", "check_fields", "check_int", "digest16"]
 
 _S = TypeVar("_S", bound="Spec")
 
@@ -50,6 +51,18 @@ def check_fields(
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise error(f"unknown {what} fields: {unknown}")
+
+
+def check_int(
+    name: str, value: object, low: int, error: type[ReproError] = ConfigError
+) -> None:
+    """Refuse a bool, a non-integer (``2.5``, NaN, inf) or a value below ``low``.
+
+    An accepted value is not coerced: the spec keeps what it was given,
+    so its wire form and fingerprint do not move.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class Spec:

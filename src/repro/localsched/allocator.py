@@ -80,7 +80,7 @@ class CoreAllocator:
 
         # Sorted materialization: the lexsort below breaks every tie on
         # cpu id, so selection is order-independent — but the array must
-        # still never carry hash order into numpy (lint rule R004).
+        # still never carry hash order into numpy (determinism rule R004).
         free = np.fromiter(sorted(self._free), dtype=int)
         anchor_list = list(anchor)
         others = sorted(

@@ -19,7 +19,6 @@ Design constraints:
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from typing import Iterator, Optional
@@ -209,9 +208,6 @@ class MetricsRegistry:
     def to_dict(self) -> dict:
         """JSON-compatible snapshot of every instrument."""
         return {name: inst.snapshot() for name, inst in sorted(self._instruments.items())}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 class _NullInstrument:

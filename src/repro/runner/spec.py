@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.constants import ROUTERS
 from repro.core.errors import ConfigError, RunnerError
-from repro.core.spec import Spec
+from repro.core.spec import Spec, check_int
 from repro.hardware.machine import SIM_WORKER
 from repro.simulator.vectorpool import KERNELS, check_policy
 from repro.workload.distributions import DISTRIBUTIONS, LevelMix
@@ -145,21 +145,24 @@ class SweepSpec(Spec):
             raise RunnerError("a sweep needs at least one provider")
         if not self.mixes:
             raise RunnerError("a sweep needs at least one mix")
-        if self.seeds is None and self.num_seeds <= 0:
-            raise RunnerError("num_seeds must be positive when seeds is not given")
         if self.seeds is not None:
             if not self.seeds:
                 raise RunnerError("explicit seeds tuple cannot be empty")
-            object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if self.target_population <= 0:
-            raise RunnerError("target_population must be positive")
+            for seed in self.seeds:
+                check_int("seeds", seed, 0, RunnerError)
+            object.__setattr__(self, "seeds", tuple(self.seeds))
+        # num_seeds only counts when no explicit seeds are given.
+        for name, low in (("root_seed", 0), ("num_seeds", int(self.seeds is None)),
+                          ("target_population", 1), ("shards", 1)):
+            check_int(name, getattr(self, name), low, RunnerError)
+        if not isinstance(self.pooling, bool):
+            raise RunnerError(f"pooling must be a bool, got {self.pooling!r}")
         # Negated so that NaN fails too.
         if not (0 < self.machine_cpus < math.inf and 0 < self.machine_mem_gb < math.inf):
             raise RunnerError(
                 "machine_cpus and machine_mem_gb must be finite and positive"
             )
-        if self.shards < 1:
-            raise RunnerError(f"shards must be >= 1, got {self.shards}")
+        check_int("machine_cpus", self.machine_cpus, 1, RunnerError)
         for name in ("policy", "baseline_policy"):
             try:
                 check_policy(getattr(self, name))

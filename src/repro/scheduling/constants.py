@@ -5,7 +5,7 @@ modules below the scheduling layer can import them without a package
 cycle); this module keeps the historical import path alive.  The
 tolerance helpers :func:`floats_equal` / :func:`floats_differ` are the
 required replacement for ``==`` / ``!=`` on float-typed scoring
-expressions (lint rule R005).
+expressions (determinism rule R005).
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ is a future on the same heap, and :func:`run_virtual` drives an asyncio
 loop to quiescence between advances — the contract
 ``run_virtual(service.run(), service.clock)`` keeps.
 
-This is what keeps reprolint R001 clean across :mod:`repro.serving`
-and what makes every serving test replayable.
+This is what keeps :mod:`repro.serving` clean under determinism rule
+R001 (no wall-clock reads) and what makes every serving test replayable.
 """
 
 from __future__ import annotations

@@ -17,11 +17,12 @@ seq)`` order and, after each, drains a FIFO of ready continuations:
 * per-VM **departure** and pending-**expiry** timers only enqueue
   commands for the scheduler.
 
-Ties follow asyncio's ``call_soon`` order for the same service written
-as tasks: a command put while the scheduler is idle resumes it; a
-placement's expiry and then departure timer are armed only after the
-scheduler next waits; ``_STOP`` is queued once the arrival stream has
-closed, and the run ends when the scheduler reads it.
+Ties: equal deadlines fire in creation order; a command put while the
+scheduler is idle resumes it through the ready FIFO; a placement arms
+its expiry and then its departure timer as it is made, before the
+scheduler's own next decision timer; ``_STOP`` is queued once the
+arrival stream has closed, and the run ends when the scheduler reads
+it.  The decisions are those the same service made as asyncio tasks.
 
 Everything observable is deterministic per seed — the decision log and
 the controllers' audit logs replay byte-for-byte — except the wall
@@ -32,7 +33,6 @@ scheduler's compute (the placement kernel) in user-facing seconds.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -46,7 +46,7 @@ from repro.api.spec import RunSpec
 from repro.controlplane.controller import CloudController, VMState
 from repro.core.config import SlackVMConfig
 from repro.core.errors import CapacityError, ConfigError, ServingError
-from repro.core.spec import Spec
+from repro.core.spec import Spec, check_int
 from repro.core.types import VMRequest
 from repro.hardware.machine import MachineSpec
 from repro.obs import names as metric_names
@@ -144,15 +144,12 @@ class ServiceSpec(Spec):
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ConfigError(f"diurnal_amplitude must be in [0, 1), "
                               f"got {self.diurnal_amplitude!r}")
-        # Integer fields: bools, floats (2.5, nan, inf) and values below
-        # the floor are refused; ``num_hosts=0`` auto-sizes the fleet.
+        # ``num_hosts=0`` auto-sizes the fleet.  Stored as ``int`` so a
+        # numpy integer still serializes into the report.
         for name, low in (("seed", 0), ("num_hosts", 0), ("host_cpus", 1),
                           ("shards", 1), ("queue_bound", 1), ("max_pending", 0)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < low):
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            check_int(name, getattr(self, name), low)
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.num_hosts and self.shards > self.num_hosts:
             raise ConfigError(
                 f"cannot split {self.num_hosts} hosts into {self.shards} shards"
@@ -388,11 +385,6 @@ class PlacementService:
             self._idle = False
             self._ready.append((self._scheduler, None))
 
-    def _arm(self, timer: Tuple[float, Tuple[str, str]]) -> None:
-        """Arm ``(delay, command)``: queue ``command`` once ``delay`` has passed."""
-        delay, command = timer
-        self.clock.call_later(delay, self._put, command)
-
     # -- the scheduler -------------------------------------------------------
 
     def _scheduler(self, served: Optional[ServiceRequest] = None) -> None:
@@ -448,8 +440,6 @@ class PlacementService:
             self.metrics.histogram(metric_names.SERVING_LATENCY_PLACEMENT).observe(wall)
             self.metrics.histogram(metric_names.SERVING_LATENCY_WAIT).observe(wait)
         self._placed[request.req_id] = (shard, ticket.vm_id)
-        # The timers are armed from the ready FIFO, so only after the
-        # scheduler next waits: their seq follows its own next timer.
         if ticket.state is VMState.ACTIVE:
             self._tally("placed", metric_names.SERVING_PLACED)
             self._log(
@@ -462,8 +452,8 @@ class PlacementService:
             self._log("pend", request.req_id,
                       f"shard={shard} vm={ticket.vm_id} wait={wait:.6f}")
             expires = max(0.0, request.arrival + self.spec.timeout_s - now)
-            self._ready.append((self._arm, (expires, ("expire", request.req_id))))
-        self._ready.append((self._arm, (request.lifetime, ("depart", request.req_id))))
+            self.clock.call_later(expires, self._put, ("expire", request.req_id))
+        self.clock.call_later(request.lifetime, self._put, ("depart", request.req_id))
 
     def _handle_departure(self, req_id: str) -> None:
         shard, vm_id = self._placed[req_id]  # armed only once placed

@@ -124,7 +124,7 @@ def iter_event_batches(
     while i < n:
         t = events[i].time
         j = i
-        while j < n and events[j].time == t:  # reprolint: disable=R005
+        while j < n and events[j].time == t:
             j += 1
         k = i
         while k < j and events[k].kind == EventKind.DEPARTURE:

@@ -304,7 +304,7 @@ class VectorCluster:
         # which is only bit-identical to the per-level loop when the
         # ratios are *exactly* equal.
         self._uniform_mem = bool(
-            np.all(self.mem_ratios == self.mem_ratios[0])  # reprolint: disable=R005
+            np.all(self.mem_ratios == self.mem_ratios[0])
         )
         # Python-float copies of the level constants: the scalar refresh
         # and accounting paths run entirely on python floats (the IEEE

@@ -1,5 +1,7 @@
 """RunSpec: validation, round-trip, builders, run()."""
 
+import dataclasses
+
 import pytest
 
 from repro.api import (
@@ -72,6 +74,37 @@ class TestValidation:
     def test_bad_knobs_fail_at_construction(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
             RunSpec(**kwargs)
+
+
+#: Values an integer field refuses (bools, fractions, non-finite, below
+#: its floor) and a bool field refuses (anything not a bool), unless
+#: ``(spec, field, value)`` is in ACCEPTED.
+INT_PROBES = (True, 2.5, float("nan"), float("inf"), -1, 0)
+BOOL_PROBES = (1, 0, "yes", None)
+ACCEPTED = {
+    ("RunSpec", "seed", 0),
+    ("RunSpec", "num_hosts", 0),  # auto-size
+    ("RunSpec", "workers", 0),  # one per shard
+    ("SweepSpec", "root_seed", 0),
+    ("SweepSpec", "seeds", (0,)),
+}
+FIELD_CASES = [
+    (cls, f.name, probe if f.type != "Optional[tuple[int, ...]]" else (probe,))
+    for cls in (RunSpec, SweepSpec)
+    for f in dataclasses.fields(cls)
+    if f.init and f.type in ("int", "bool", "Optional[tuple[int, ...]]")
+    for probe in (BOOL_PROBES if f.type == "bool" else INT_PROBES)
+]
+
+
+@pytest.mark.parametrize(("cls", "name", "value"), FIELD_CASES,
+                         ids=[f"{c.__name__}.{n}={v!r}" for c, n, v in FIELD_CASES])
+def test_integer_and_bool_fields_refuse_other_values(cls, name, value):
+    if (cls.__name__, name, value) in ACCEPTED:
+        assert getattr(cls(**{name: value}), name) == value
+        return
+    with pytest.raises(cls.ERROR):
+        cls(**{name: value})
 
 
 class TestSerialization:

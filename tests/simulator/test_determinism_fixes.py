@@ -1,9 +1,10 @@
-"""Regressions for the reprolint determinism fixes (rules R004/R005).
+"""Regressions for the determinism-rule fixes (rules R004/R005).
 
-PR 5's lint pass replaced several hash-order set iterations with
-``sorted(...)`` materializations and one exact float ``!=`` with the
-tolerance helper.  Each change was argued behaviour-neutral; these
-tests pin that argument down:
+To satisfy the determinism rules
+(``tests/structure/test_determinism_rules.py``), several hash-order set
+iterations became ``sorted(...)`` materializations and one exact
+float ``!=`` became the tolerance helper.  Each change was argued
+behaviour-neutral; these tests pin that argument down:
 
 * the allocator's picks must not depend on the *insertion history* of
   its free-CPU set (only on its contents);

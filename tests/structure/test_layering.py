@@ -27,7 +27,7 @@ RANKS = {
     "oversub": 7,
     "sharding": 8,
     "api": 9,
-    "serving": 10, "devtools": 10,
+    "serving": 10,
     "cli": 11,
     "__main__": 12,
 }

@@ -263,7 +263,7 @@ def test_subcommand_set():
     (sub,) = (a for a in build_parser()._actions if a.choices)
     assert list(sub.choices) == [
         "tables", "generate", "size", "evaluate", "sweep", "oversub",
-        "shard", "serve", "testbed", "audit", "lint",
+        "shard", "serve", "testbed", "audit",
     ]
 
 
