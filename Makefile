@@ -16,7 +16,8 @@ test-quick:
 
 # The structural fences: determinism rules R001-R006 over src and
 # scripts, layering, one writer, replay under skewed clocks, callers,
-# API docs (also part of `make test`).
+# API docs, the field contract (every numeric dataclass field declares a
+# bound).  Also part of `make test`.
 lint:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/structure -q
 

@@ -13,12 +13,11 @@ from it lives in :mod:`repro.api.run`.  Serialization, fingerprint and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.core.errors import ConfigError
-from repro.core.spec import Spec, check_int
+from repro.core.spec import Spec, bound, check_bounds
 from repro.oversub.estimators import STRATEGIES
 from repro.sharding.router import ROUTERS
 from repro.simulator.vectorpool import KERNELS, check_policy
@@ -54,13 +53,13 @@ class RunSpec(Spec):
     # -- workload ------------------------------------------------------------
     provider: str = "azure"
     mix: Union[str, LevelMix] = (100.0, 0.0, 0.0)
-    target_population: int = 500
-    seed: int = 0
+    target_population: int = bound(1, default=500)
+    seed: int = bound(0, default=0)
 
     # -- topology ------------------------------------------------------------
-    num_hosts: int = 0
-    host_cpus: int = 32
-    host_mem_gb: float = 128.0
+    num_hosts: int = bound(0, default=0)
+    host_cpus: int = bound(1, default=32)
+    host_mem_gb: float = bound(0, open_low=True, default=128.0)
 
     # -- scheduling ----------------------------------------------------------
     policy: str = "progress"
@@ -71,12 +70,12 @@ class RunSpec(Spec):
 
     # -- dynamic oversubscription -------------------------------------------
     oversub: Optional[str] = None
-    oversub_update_every: float = 3600.0
+    oversub_update_every: float = bound(0, open_low=True, default=3600.0)
 
     # -- sharding ------------------------------------------------------------
-    shards: int = 1
+    shards: int = bound(1, default=1)
     router: str = "hash"
-    workers: int = 0
+    workers: int = bound(0, default=0)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mix", normalize_mix(self.mix))
@@ -86,16 +85,10 @@ class RunSpec(Spec):
                 f"expected one of {sorted(PROVIDERS)}"
             )
         # ``num_hosts=0`` auto-sizes; ``workers=0`` is one per shard.
-        for name, low in (("target_population", 1), ("seed", 0), ("num_hosts", 0),
-                          ("workers", 0)):
-            check_int(name, getattr(self, name), low)
+        check_bounds(self)
         for name in ("pooling", "fail_fast"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        # Negated so that NaN fails too.
-        if not (0 < self.host_cpus < math.inf and 0 < self.host_mem_gb < math.inf):
-            raise ConfigError("host_cpus and host_mem_gb must be finite and positive")
-        check_int("host_cpus", self.host_cpus, 1)
         check_policy(self.policy)
         if self.kernel not in KERNELS:
             raise ConfigError(
@@ -110,11 +103,6 @@ class RunSpec(Spec):
                 f"unknown oversub strategy {self.oversub!r}; "
                 f"expected one of {sorted(STRATEGIES)}"
             )
-        if not 0 < self.oversub_update_every < math.inf:
-            raise ConfigError("oversub_update_every must be finite and positive")
-        if self.shards < 1:
-            raise ConfigError(f"need at least one shard, got {self.shards}")
-        check_int("shards", self.shards, 1)
         if self.router not in ROUTERS:
             raise ConfigError(
                 f"unknown router {self.router!r}; expected one of {ROUTERS}"

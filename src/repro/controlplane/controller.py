@@ -83,12 +83,11 @@ class CloudController:
     ):
         if not machines:
             raise ConfigError("a controller needs at least one machine")
-        check_int("max_pending", max_pending, 0)
+        self.max_pending = check_int("max_pending", max_pending, 0)
         check_policy(policy)
         self.config = config or SlackVMConfig()
         self.hosts: list[MachineSpec] = list(machines)
         self.scheduler = VectorBackend(VectorCluster(self.hosts, self.config), policy)
-        self.max_pending = max_pending
         self._tickets: dict[str, VMTicket] = {}
         self._pending: list[str] = []  # FIFO of vm_ids awaiting capacity
         self._hosted: dict[str, int] = {}  # active vm_id -> hosting level index

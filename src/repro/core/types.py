@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.core.errors import ConfigError
+from repro.core.spec import bound, check_bounds
 
 __all__ = [
     "ResourceVector",
@@ -77,20 +78,11 @@ class OversubscriptionLevel:
     ratio; a *lower* ratio is a stricter (more premium) guarantee.
     """
 
-    ratio: float
-    mem_ratio: float = 1.0
+    ratio: float = bound(1)
+    mem_ratio: float = bound(1, default=1.0)
 
     def __post_init__(self) -> None:
-        # Negated so that NaN fails too.
-        if not 1 <= self.ratio < math.inf:
-            raise ConfigError(
-                f"oversubscription ratio must be finite and >= 1, got {self.ratio}"
-            )
-        if not 1 <= self.mem_ratio < math.inf:
-            raise ConfigError(
-                "memory oversubscription ratio must be finite and >= 1, "
-                f"got {self.mem_ratio}"
-            )
+        check_bounds(self)
 
     @property
     def name(self) -> str:
@@ -140,14 +132,11 @@ DEFAULT_LEVELS: tuple[OversubscriptionLevel, ...] = (LEVEL_1_1, LEVEL_2_1, LEVEL
 class VMSpec:
     """A VM flavor: virtual CPU count and memory size in GB."""
 
-    vcpus: int
-    mem_gb: float
+    vcpus: int = bound(1)
+    mem_gb: float = bound(0, open_low=True)
 
     def __post_init__(self) -> None:
-        if self.vcpus <= 0:
-            raise ConfigError(f"vcpus must be positive, got {self.vcpus}")
-        if self.mem_gb <= 0:
-            raise ConfigError(f"mem_gb must be positive, got {self.mem_gb}")
+        check_bounds(self)
 
     @property
     def mc_ratio(self) -> float:
@@ -183,20 +172,17 @@ class VMRequest:
     vm_id: str
     spec: VMSpec
     level: OversubscriptionLevel
-    arrival: float = 0.0
-    departure: Optional[float] = None
+    arrival: float = bound(0, default=0.0)
+    departure: Optional[float] = bound(0, open_low=True, default=None)
     usage_kind: str = "stress"
-    usage_param: float = 0.5
+    usage_param: float = bound(default=0.5)
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        # Chained comparisons, so NaN fails them too.
-        if not 0 <= self.arrival < math.inf:
-            raise ConfigError(f"arrival must be finite and >= 0, got {self.arrival}")
-        if self.departure is not None and not self.arrival < self.departure < math.inf:
+        check_bounds(self)
+        if self.departure is not None and self.departure <= self.arrival:
             raise ConfigError(
-                f"departure ({self.departure}) must be finite and after "
-                f"arrival ({self.arrival})"
+                f"departure ({self.departure}) must be after arrival ({self.arrival})"
             )
 
     @property

@@ -8,11 +8,11 @@ its simulation use) with memory capacity, and optionally carries a full
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.errors import ConfigError
+from repro.core.spec import bound, check_bounds
 from repro.core.types import ResourceVector
 from repro.hardware.topology import Topology, build_topology, epyc_7662_dual
 
@@ -30,16 +30,12 @@ class MachineSpec:
     """
 
     name: str
-    cpus: int
-    mem_gb: float
+    cpus: int = bound(1)
+    mem_gb: float = bound(0, open_low=True)
     topology_factory: Optional[Callable[[], Topology]] = None
 
     def __post_init__(self) -> None:
-        # Negated so that NaN fails too.
-        if not 0 < self.cpus < math.inf:
-            raise ConfigError(f"cpus must be finite and positive, got {self.cpus}")
-        if not 0 < self.mem_gb < math.inf:
-            raise ConfigError(f"mem_gb must be finite and positive, got {self.mem_gb}")
+        check_bounds(self)
 
     @property
     def capacity(self) -> ResourceVector:

@@ -19,13 +19,12 @@ against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.errors import ConfigError
+from repro.core.spec import bound, check_bounds
 from repro.core.types import VMRequest
 from repro.obs import names as metric_names
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -51,16 +50,6 @@ class CapacityTarget(Protocol):
         """Install the per-host effective capacities."""
 
 
-def check_cadence(update_every: float, samples_per_window: int = 1) -> None:
-    # Negated so that NaN fails too; an infinite period never fires.
-    if not 0 < update_every < math.inf:
-        raise ConfigError(f"update_every must be finite and > 0, got {update_every}")
-    if not 1 <= samples_per_window < math.inf:
-        raise ConfigError(
-            f"samples_per_window must be finite and >= 1, got {samples_per_window}"
-        )
-
-
 @dataclass(frozen=True)
 class OversubParams:
     """Configuration of the dynamic-oversubscription loop.
@@ -70,11 +59,11 @@ class OversubParams:
     """
 
     estimator: CapacityEstimator
-    update_every: float = 1800.0
-    samples_per_window: int = 16
+    update_every: float = bound(0, open_low=True, default=1800.0)
+    samples_per_window: int = bound(1, default=16)
 
     def __post_init__(self) -> None:
-        check_cadence(self.update_every, self.samples_per_window)
+        check_bounds(self)
 
     def build_controller(
         self, metrics: MetricsRegistry = NULL_METRICS
@@ -124,7 +113,7 @@ class OversubController:
 
     estimator: CapacityEstimator
     monitor: ClusterUsageMonitor
-    update_every: float = 1800.0
+    update_every: float = bound(0, open_low=True, default=1800.0)
     metrics: MetricsRegistry = NULL_METRICS
     updates: int = field(default=0, init=False)
     host_windows: int = field(default=0, init=False)
@@ -132,7 +121,7 @@ class OversubController:
     _eff_ratio_sum: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
-        check_cadence(self.update_every)
+        check_bounds(self)
         self.estimator.reset()
 
     def advance(self, target: CapacityTarget, now: float) -> None:

@@ -27,7 +27,6 @@ oversubscription ceiling.  The property suite pins this contract.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable
@@ -35,6 +34,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.errors import ConfigError
+from repro.core.spec import bound, check_bounds, check_int, check_real
 
 __all__ = [
     "PercentilePredictor",
@@ -54,11 +54,10 @@ class PercentilePredictor:
     """Predict peak usage as a high percentile of observed samples
     (Resource Central-style peak prediction)."""
 
-    percentile: float = 99.0
+    percentile: float = bound(0, 100, open_low=True, default=99.0)
 
     def __post_init__(self) -> None:
-        if not 0 < self.percentile <= 100:
-            raise ConfigError(f"percentile must be in (0,100], got {self.percentile}")
+        check_bounds(self)
 
     def predict_rows(self, rows: np.ndarray) -> np.ndarray:
         """The predicted peak of every row of a ``(windows × samples)``
@@ -140,10 +139,8 @@ class CapacityEstimator(ABC):
     _fresh: tuple[float, ...] = ()
 
     def __init__(self, ratio_cap: float = 3.0):
-        # Negated so that NaN fails too; an infinite cap admits unboundedly.
-        if not 1.0 <= ratio_cap < math.inf:
-            raise ConfigError(f"ratio_cap must be finite and >= 1, got {ratio_cap}")
-        self.ratio_cap = ratio_cap
+        # An infinite cap would admit unboundedly.
+        self.ratio_cap = check_real("ratio_cap", ratio_cap, 1.0)
         self.reset()
 
     @abstractmethod
@@ -209,10 +206,8 @@ class PercentileEstimator(CapacityEstimator):
 
     def __init__(self, headroom: float = 0.1, ratio_cap: float = 3.0):
         super().__init__(ratio_cap=ratio_cap)
-        if not 0.0 <= headroom < 1.0:
-            raise ConfigError(f"headroom must be in [0,1), got {headroom}")
         self.predictor = PercentilePredictor(95.0)
-        self.headroom = headroom
+        self.headroom = check_real("headroom", headroom, 0.0, 1.0, open_high=True)
 
     def _estimate(self, windows: HostWindows) -> np.ndarray:
         raw = windows.physical.copy()
@@ -257,24 +252,12 @@ class DoaEstimator(CapacityEstimator):
         ratio_cap: float = 3.0,
     ):
         super().__init__(ratio_cap=ratio_cap)
-        if not 0.0 < alert <= 1.0:
-            raise ConfigError(f"alert threshold must be in (0,1], got {alert}")
-        if not (0 < increase < math.inf and 0 < decrease < math.inf):
-            raise ConfigError("increase and decrease steps must be finite and positive")
-        if not 1 <= stable_windows < math.inf:
-            raise ConfigError(
-                f"stable_windows must be finite and >= 1, got {stable_windows}"
-            )
-        if not 0 <= stability_margin < math.inf:
-            raise ConfigError(
-                f"stability_margin must be finite and >= 0, got {stability_margin}"
-            )
         self.predictor = PercentilePredictor(90.0)
-        self.alert = alert
-        self.increase = increase
-        self.decrease = decrease
-        self.stable_windows = stable_windows
-        self.stability_margin = stability_margin
+        self.alert = check_real("alert", alert, 0.0, 1.0, open_low=True)
+        self.increase = check_real("increase", increase, 0.0, open_low=True)
+        self.decrease = check_real("decrease", decrease, 0.0, open_low=True)
+        self.stable_windows = check_int("stable_windows", stable_windows, 1)
+        self.stability_margin = check_real("stability_margin", stability_margin, 0.0)
 
     def _estimate(self, windows: HostWindows) -> np.ndarray:
         physical = windows.physical
@@ -316,15 +299,9 @@ class GreedyEstimator(CapacityEstimator):
         ratio_cap: float = 3.0,
     ):
         super().__init__(ratio_cap=ratio_cap)
-        if not 0.0 < quiet <= 1.0:
-            raise ConfigError(f"quiet threshold must be in (0,1], got {quiet}")
-        if not 0 < step < math.inf:
-            raise ConfigError(f"step must be finite and positive, got {step}")
-        if not 0.0 <= backoff < 1.0:
-            raise ConfigError(f"backoff must be in [0,1), got {backoff}")
-        self.quiet = quiet
-        self.step = step
-        self.backoff = backoff
+        self.quiet = check_real("quiet", quiet, 0.0, 1.0, open_low=True)
+        self.step = check_real("step", step, 0.0, open_low=True)
+        self.backoff = check_real("backoff", backoff, 0.0, 1.0, open_high=True)
 
     def _estimate(self, windows: HostWindows) -> np.ndarray:
         (ratio,) = self._host_state(windows.hosts)

@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from repro.core.errors import ConfigError
+from repro.core.spec import bound, check_bounds
 from repro.core.types import VMRequest
 from repro.hardware.machine import SIM_WORKER, MachineSpec
-from repro.oversub.controller import OversubParams, check_cadence
+from repro.oversub.controller import OversubParams
 from repro.oversub.estimators import STRATEGIES, make_estimator
 from repro.runner.spec import resolve_mix_entry
 from repro.simulator.engine import SimulationResult
@@ -60,12 +61,12 @@ class OversubSweepSpec:
     providers: tuple[str, ...] = ("azure",)
     mixes: tuple[str, ...] = ("F",)
     seeds: tuple[int, ...] = (0,)
-    target_population: int = 120
-    scarcity: float = 0.5
+    target_population: int = bound(1, default=120)
+    scarcity: float = bound(0, 2, open_low=True, default=0.5)
     policy: str = "progress"
     kernel: str = "incremental"
-    update_every: float = 3600.0
-    samples_per_window: int = 8
+    update_every: float = bound(0, open_low=True, default=3600.0)
+    samples_per_window: int = bound(1, default=8)
     machine: MachineSpec = field(default=SIM_WORKER)
 
     def __post_init__(self) -> None:
@@ -84,16 +85,12 @@ class OversubSweepSpec:
                 )
         if not self.mixes or not self.seeds:
             raise ConfigError("need at least one mix and one seed")
-        if not 0.0 < self.scarcity <= 2.0:
-            raise ConfigError(f"scarcity must be in (0,2], got {self.scarcity}")
+        check_bounds(self)
         check_policy(self.policy)
         if self.kernel not in KERNELS:
             raise ConfigError(
                 f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
             )
-        if not 0 < self.target_population < math.inf:
-            raise ConfigError("target_population must be finite and positive")
-        check_cadence(self.update_every, self.samples_per_window)
 
     @classmethod
     def from_run_spec(

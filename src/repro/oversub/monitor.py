@@ -17,13 +17,12 @@ need.
 
 from __future__ import annotations
 
-import math
 import zlib
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.errors import ConfigError
+from repro.core.spec import check_int, check_real
 from repro.core.types import VMRequest
 from repro.oversub.estimators import HostWindows
 from repro.workload.usage import (
@@ -79,15 +78,8 @@ class ClusterUsageMonitor:
     """
 
     def __init__(self, window: float = 1800.0, samples_per_window: int = 16):
-        # Negated so that NaN fails too.
-        if not 0 < window < math.inf:
-            raise ConfigError(f"window must be finite and positive, got {window}")
-        if not 1 <= samples_per_window < math.inf:
-            raise ConfigError(
-                f"samples_per_window must be finite and >= 1, got {samples_per_window}"
-            )
-        self.window = window
-        self.samples_per_window = samples_per_window
+        self.window = check_real("window", window, 0.0, open_low=True)
+        self.samples_per_window = check_int("samples_per_window", samples_per_window, 1)
         # vm_id -> (request, its demand constants), live VMs only.
         self._constants: dict[str, tuple[VMRequest, tuple[float, ...]]] = {}
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.errors import ConfigError
+from repro.core.spec import bound, check_bounds
 
 __all__ = ["LatencyParams", "LatencyTracker", "percentile_windows"]
 
@@ -42,35 +43,27 @@ class LatencyParams:
 
     #: Base CPU service demand per request, in seconds (≈0.4 ms for the
     #: social-network app's lightweight endpoints).
-    service_time: float = 4.2e-4
+    service_time: float = bound(0, open_low=True, default=4.2e-4)
     #: Speed loss of a thread running on a co-loaded SMT pair: the pair
     #: delivers ``smt_speedup`` total, so each sibling runs at roughly
     #: ``smt_speedup / 2`` of a full core.
-    smt_latency_penalty: float = 0.35
+    smt_latency_penalty: float = bound(0, default=0.35)
     #: PM-wide interference coefficient (shared memory/uncore paths).
-    interference: float = 0.15
+    interference: float = bound(0, default=0.15)
     #: Window length (seconds) over which p90s are computed (wrk2-style).
-    window: float = 30.0
+    window: float = bound(0, open_low=True, default=30.0)
     #: Utilisation clamp for the M/M/1 term (keeps samples finite; the
     #: Lindley backlog handles true overload).
-    rho_max: float = 0.95
+    rho_max: float = bound(0, 1, open_low=True, open_high=True, default=0.95)
     #: Pool-size exponent of the shared-queue term: a pool of ``c``
     #: cores at utilisation ``rho`` delays requests like a single server
     #: at ``rho ** (c ** pool_exponent)`` — large machines absorb load
     #: that saturates a small pinned vNode (square-root-staffing-style
     #: economy of scale).
-    pool_exponent: float = 0.25
+    pool_exponent: float = bound(0, default=0.25)
 
     def __post_init__(self) -> None:
-        # Negated so that NaN fails too.
-        for name in ("service_time", "window"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and positive")
-        for name in ("smt_latency_penalty", "interference", "pool_exponent"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0")
-        if not 0 < self.rho_max < 1:
-            raise ConfigError("rho_max must be in (0,1)")
+        check_bounds(self)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.errors import ConfigError
+from repro.core.spec import check_real
 from repro.core.types import VMRequest
 from repro.perfmodel.fairshare import weighted_water_fill
 from repro.perfmodel.smt import CpuSetCapacity
@@ -78,16 +79,14 @@ class ContentionGroup:
     ):
         if not members:
             raise ConfigError("a contention group needs at least one member")
-        if noise_sigma < 0 or not 0.0 <= noise_rho < 1.0:
-            raise ConfigError("noise_sigma must be >= 0 and noise_rho in [0,1)")
-        if noise_sigma > 0 and rng is None:
+        self._sigma = check_real("noise_sigma", noise_sigma, 0.0)
+        self._rho = check_real("noise_rho", noise_rho, 0.0, 1.0, open_high=True)
+        if self._sigma > 0 and rng is None:
             raise ConfigError("demand noise requires an rng")
         self.capacity = capacity
         self.members = list(members)
         self._vcpus = np.array([m.vm.spec.vcpus for m in self.members], dtype=float)
         self._rng = rng
-        self._sigma = noise_sigma
-        self._rho = noise_rho
         self._noise_state = np.zeros(len(self.members))
         # Fast path: profiles with time-constant demand (idle/stress are
         # the majority of a Cloud mix) are evaluated once.

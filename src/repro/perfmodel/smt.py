@@ -17,10 +17,10 @@ physical cores contributing both their threads to the set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.core.errors import ConfigError
+from repro.core.spec import bound, check_bounds
 
 __all__ = ["CpuSetCapacity"]
 
@@ -33,20 +33,17 @@ DEFAULT_SMT_SPEEDUP = 1.3
 class CpuSetCapacity:
     """Throughput profile of a pinned CPU set."""
 
-    threads: int
-    physical: int
-    smt_speedup: float = DEFAULT_SMT_SPEEDUP
+    threads: int = bound(1)
+    physical: int = bound(1)
+    smt_speedup: float = bound(1, default=DEFAULT_SMT_SPEEDUP)
 
     def __post_init__(self) -> None:
-        if self.physical <= 0 or self.threads < self.physical:
+        check_bounds(self)
+        if not self.physical <= self.threads <= 2 * self.physical:
             raise ConfigError(
-                f"invalid CPU set: {self.threads} threads over {self.physical} cores"
+                f"invalid CPU set: {self.threads} threads over {self.physical} cores "
+                "(at most 2 threads per physical core are modelled)"
             )
-        if self.threads > 2 * self.physical:
-            raise ConfigError("at most 2 threads per physical core are modelled")
-        # Negated so that NaN fails too.
-        if not 1.0 <= self.smt_speedup < math.inf:
-            raise ConfigError(f"smt_speedup must be finite and >= 1, got {self.smt_speedup}")
 
     @property
     def paired_cores(self) -> int:

@@ -27,14 +27,14 @@ through the same :func:`_tick`.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.config import SlackVMConfig
-from repro.core.errors import ConfigError, SimulationError
+from repro.core.errors import SimulationError
+from repro.core.spec import bound, check_bounds
 from repro.core.types import (
     DEFAULT_LEVELS,
     OversubscriptionLevel,
@@ -81,23 +81,16 @@ class TestbedParams:
     machine: MachineSpec = EPYC_7662_DUAL
     catalog: Catalog = AZURE
     levels: tuple[OversubscriptionLevel, ...] = DEFAULT_LEVELS
-    duration: float = 1800.0
-    dt: float = 1.0
-    smt_speedup: float = 1.3
+    duration: float = bound(0, open_low=True, default=1800.0)
+    dt: float = bound(0, open_low=True, default=1.0)
+    smt_speedup: float = bound(1, default=1.3)
     latency: LatencyParams = field(default_factory=LatencyParams)
     #: Per-VM lognormal AR(1) demand burstiness (spreads Fig. 2's boxes).
-    demand_noise_sigma: float = 0.2
-    seed: int = 2024
+    demand_noise_sigma: float = bound(0, default=0.2)
+    seed: int = bound(0, default=2024)
 
     def __post_init__(self) -> None:
-        # Negated so that NaN fails too.
-        for name in ("duration", "dt"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and positive")
-        if not 1.0 <= self.smt_speedup < math.inf:
-            raise ConfigError("smt_speedup must be finite and >= 1")
-        if not 0 <= self.demand_noise_sigma < math.inf:
-            raise ConfigError("demand_noise_sigma must be finite and >= 0")
+        check_bounds(self)
 
 
 @dataclass
@@ -322,15 +315,14 @@ class ChurnParams:
     """Knobs of the churn experiment."""
 
     __test__ = False  # not a pytest class
+    ERROR: ClassVar[type[SimulationError]] = SimulationError
 
     base: TestbedParams = field(default_factory=TestbedParams)
     #: Mean seconds between churn events (one arrival or departure).
-    event_interval: float = 20.0
+    event_interval: float = bound(0, open_low=True, default=20.0)
 
     def __post_init__(self) -> None:
-        # Negated so that NaN fails too.
-        if not 0 < self.event_interval < math.inf:
-            raise SimulationError("event_interval must be finite and positive")
+        check_bounds(self)
 
 
 @dataclass

@@ -18,7 +18,6 @@ guarantees statistically independent streams per seed slot.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from repro.core.constants import ROUTERS
 from repro.core.errors import ConfigError, RunnerError
-from repro.core.spec import Spec, check_int
+from repro.core.spec import Spec, bound, check_bounds, check_int
 from repro.hardware.machine import SIM_WORKER
 from repro.simulator.vectorpool import KERNELS, check_policy
 from repro.workload.distributions import DISTRIBUTIONS, LevelMix
@@ -125,16 +124,16 @@ class SweepSpec(Spec):
     providers: tuple[str, ...] = ("ovhcloud",)
     mixes: tuple[str, ...] = tuple(DISTRIBUTIONS)
     seeds: Optional[tuple[int, ...]] = None
-    root_seed: int = 0
-    num_seeds: int = 1
-    target_population: int = 500
+    root_seed: int = bound(0, default=0)
+    num_seeds: int = bound(0, default=1)
+    target_population: int = bound(1, default=500)
     policy: str = "progress"
     baseline_policy: str = "first_fit"
     pooling: bool = True
-    machine_cpus: int = SIM_WORKER.cpus
-    machine_mem_gb: float = SIM_WORKER.mem_gb
+    machine_cpus: int = bound(1, default=SIM_WORKER.cpus)
+    machine_mem_gb: float = bound(0, open_low=True, default=SIM_WORKER.mem_gb)
     kernel: str = "incremental"
-    shards: int = 1
+    shards: int = bound(1, default=1)
     router: str = "hash"
     resolved_mixes: tuple[tuple[str, LevelMix], ...] = field(
         init=False, repr=False, compare=False, default=()
@@ -148,21 +147,15 @@ class SweepSpec(Spec):
         if self.seeds is not None:
             if not self.seeds:
                 raise RunnerError("explicit seeds tuple cannot be empty")
-            for seed in self.seeds:
-                check_int("seeds", seed, 0, RunnerError)
-            object.__setattr__(self, "seeds", tuple(self.seeds))
+            seeds = tuple(check_int("seeds", s, 0, error=RunnerError) for s in self.seeds)
+            object.__setattr__(self, "seeds", seeds)
+        check_bounds(self)
         # num_seeds only counts when no explicit seeds are given.
-        for name, low in (("root_seed", 0), ("num_seeds", int(self.seeds is None)),
-                          ("target_population", 1), ("shards", 1)):
-            check_int(name, getattr(self, name), low, RunnerError)
+        if self.seeds is None and self.num_seeds < 1:
+            raise RunnerError(f"num_seeds must be >= 1 without explicit seeds, "
+                              f"got {self.num_seeds}")
         if not isinstance(self.pooling, bool):
             raise RunnerError(f"pooling must be a bool, got {self.pooling!r}")
-        # Negated so that NaN fails too.
-        if not (0 < self.machine_cpus < math.inf and 0 < self.machine_mem_gb < math.inf):
-            raise RunnerError(
-                "machine_cpus and machine_mem_gb must be finite and positive"
-            )
-        check_int("machine_cpus", self.machine_cpus, 1, RunnerError)
         for name in ("policy", "baseline_policy"):
             try:
                 check_policy(getattr(self, name))

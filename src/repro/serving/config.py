@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.errors import ConfigError
+from repro.core.spec import bound, check_bounds
 
 __all__ = ["DIST_KINDS", "RVConfig", "DiurnalConfig", "TrafficConfig", "DAY"]
 
@@ -33,16 +34,6 @@ DIST_KINDS = ("constant", "exponential", "lognormal", "poisson")
 
 #: Seconds per day — the default diurnal modulation period.
 DAY = 86_400.0
-
-
-def _require_number(value: object, name: str) -> float:
-    """Coerce ``value`` to float, rejecting bools, strings and NaN/inf."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ConfigError(f"{name} must be finite, got {out!r}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -56,7 +47,7 @@ class RVConfig:
     """
 
     kind: str
-    mean: float
+    mean: float = bound(0, open_low=True)
 
     def __post_init__(self) -> None:
         if self.kind not in DIST_KINDS:
@@ -64,10 +55,7 @@ class RVConfig:
                 f"unknown distribution kind {self.kind!r}; "
                 f"expected one of {DIST_KINDS}"
             )
-        mean = _require_number(self.mean, "mean")
-        if mean <= 0:
-            raise ConfigError(f"mean must be positive, got {mean!r}")
-        object.__setattr__(self, "mean", mean)
+        check_bounds(self)
 
     def sample(self, rng: np.random.Generator) -> float:
         """One non-negative finite draw from the configured distribution."""
@@ -91,18 +79,11 @@ class DiurnalConfig:
     Amplitude must stay below 1 so the rate never reaches zero.
     """
 
-    amplitude: float
-    period: float = DAY
+    amplitude: float = bound(0, 1, open_high=True)
+    period: float = bound(0, open_low=True, default=DAY)
 
     def __post_init__(self) -> None:
-        amplitude = _require_number(self.amplitude, "amplitude")
-        if not 0.0 <= amplitude < 1.0:
-            raise ConfigError(f"amplitude must be in [0, 1), got {amplitude!r}")
-        object.__setattr__(self, "amplitude", amplitude)
-        period = _require_number(self.period, "period")
-        if period <= 0:
-            raise ConfigError(f"period must be positive, got {period!r}")
-        object.__setattr__(self, "period", period)
+        check_bounds(self)
 
     def factor(self, t: float) -> float:
         """The rate multiplier at virtual time ``t`` (always > 0)."""

@@ -30,6 +30,7 @@ from typing import Sequence
 
 from repro.core.constants import ROUTERS
 from repro.core.errors import ConfigError
+from repro.core.spec import check_int
 from repro.core.types import VMRequest
 
 __all__ = ["ROUTERS", "HashRouter", "ScoreRouter", "make_router", "stable_hash_64"]
@@ -63,9 +64,7 @@ class HashRouter:
     name = "hash"
 
     def __init__(self, shards: int, seed: int = 0):
-        if shards < 1:
-            raise ConfigError(f"need at least one shard, got {shards}")
-        self.shards = shards
+        self.shards = check_int("shards", shards, 1)
         self.seed = seed
         points: list[tuple[int, int]] = []
         for shard in range(shards):
@@ -114,8 +113,7 @@ class ScoreRouter:
         shard_cap_cpu: Sequence[float] | None = None,
         shard_cap_mem: Sequence[float] | None = None,
     ):
-        if shards < 1:
-            raise ConfigError(f"need at least one shard, got {shards}")
+        self.shards = shards = check_int("shards", shards, 1)
         if shard_cap_cpu is None or shard_cap_mem is None:
             raise ConfigError("score routing needs per-shard capacities")
         if len(shard_cap_cpu) != shards or len(shard_cap_mem) != shards:
@@ -123,7 +121,6 @@ class ScoreRouter:
                 f"expected {shards} per-shard capacities, got "
                 f"{len(shard_cap_cpu)}/{len(shard_cap_mem)}"
             )
-        self.shards = shards
         self.seed = seed
         self._cap_cpu = [float(c) for c in shard_cap_cpu]
         self._cap_mem = [float(m) for m in shard_cap_mem]

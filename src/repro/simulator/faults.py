@@ -15,12 +15,12 @@ substrate a production adopter needs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from repro.core.config import SlackVMConfig
 from repro.core.errors import SimulationError
+from repro.core.spec import bound, check_bounds
 from repro.core.types import VMRequest
 from repro.hardware.machine import MachineSpec
 from repro.simulator.engine import LoopState, SimulationResult, run_events
@@ -33,14 +33,13 @@ __all__ = ["HostFailure", "FaultReport", "FaultySimulation"]
 class HostFailure:
     """One PM dies (permanently) at ``time``."""
 
-    time: float
-    host: int
+    ERROR: ClassVar[type[SimulationError]] = SimulationError
+
+    time: float = bound(0)
+    host: int = bound(0)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.time < math.inf:
-            raise SimulationError(f"failure time must be finite and >= 0, got {self.time}")
-        if self.host < 0:
-            raise SimulationError(f"host index must be >= 0, got {self.host}")
+        check_bounds(self)
 
 
 @dataclass

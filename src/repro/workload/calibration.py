@@ -16,11 +16,12 @@ runs on numpy alone).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from repro.core.errors import WorkloadError
+from repro.core.spec import bound, check_bounds
 from repro.core.types import VMSpec
 from repro.workload.catalog import OVERSUB_MEM_CAP_GB, Catalog
 
@@ -31,23 +32,19 @@ __all__ = ["CalibrationTarget", "calibrate_catalog"]
 class CalibrationTarget:
     """The statistics a calibrated catalog must reproduce."""
 
+    ERROR: ClassVar[type[WorkloadError]] = WorkloadError
+
     #: Table I: mean vCPUs per VM over the full catalog.
-    mean_vcpus: float
+    mean_vcpus: float = bound(0, open_low=True)
     #: Table I: mean memory (GB) per VM over the full catalog.
-    mean_mem_gb: float
+    mean_mem_gb: float = bound(0, open_low=True)
     #: Table II (divided by the oversubscription ratio): mean GB per
     #: vCPU over the flavors of at most :data:`OVERSUB_MEM_CAP_GB`.
     #: None skips the restricted-moment constraint.
-    restricted_mem_per_vcpu: float | None = None
+    restricted_mem_per_vcpu: float | None = bound(0, open_low=True, default=None)
 
     def __post_init__(self) -> None:
-        if self.mean_vcpus <= 0 or self.mean_mem_gb <= 0:
-            raise WorkloadError("target means must be positive")
-        if (
-            self.restricted_mem_per_vcpu is not None
-            and self.restricted_mem_per_vcpu <= 0
-        ):
-            raise WorkloadError("restricted ratio must be positive")
+        check_bounds(self)
 
 
 def calibrate_catalog(

@@ -17,11 +17,12 @@ levels, lifetimes and behaviours as whole arrays, then per VM one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.errors import WorkloadError
+from repro.core.spec import bound, check_bounds
 from repro.core.types import OversubscriptionLevel, VMRequest
 from repro.workload.catalog import Catalog, cdf_of, draw_index, level_draws
 from repro.workload.distributions import LevelMix
@@ -42,12 +43,14 @@ class WorkloadParams:
     ``target_population / mean_lifetime`` (Little's law).
     """
 
+    ERROR: ClassVar[type[WorkloadError]] = WorkloadError
+
     catalog: Catalog
     level_mix: LevelMix | str = (100.0, 0.0, 0.0)
-    target_population: int = 500
-    duration: float = WEEK
-    mean_lifetime: float = 2 * DAY
-    diurnal_amplitude: float = 0.25
+    target_population: int = bound(1, default=500)
+    duration: float = bound(0, open_low=True, default=WEEK)
+    mean_lifetime: float = bound(0, open_low=True, default=2 * DAY)
+    diurnal_amplitude: float = bound(0, 1, open_high=True, default=0.25)
     behaviour_shares: Mapping[str, float] = field(
         default_factory=lambda: dict(DEFAULT_BEHAVIOUR_SHARES)
     )
@@ -57,12 +60,7 @@ class WorkloadParams:
     seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self) -> None:
-        if self.target_population <= 0:
-            raise WorkloadError("target_population must be positive")
-        if self.duration <= 0 or self.mean_lifetime <= 0:
-            raise WorkloadError("duration and mean_lifetime must be positive")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise WorkloadError("diurnal_amplitude must be in [0,1)")
+        check_bounds(self)
         total = sum(self.behaviour_shares.values())
         if abs(total - 1.0) > 1e-9:
             raise WorkloadError(f"behaviour shares sum to {total}, expected 1")

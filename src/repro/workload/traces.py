@@ -13,7 +13,7 @@ import numbers
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.core.errors import WorkloadError
+from repro.core.errors import ReproError, WorkloadError
 from repro.core.spec import check_fields
 from repro.core.types import OversubscriptionLevel, VMRequest, VMSpec
 
@@ -74,7 +74,13 @@ def save_trace(workload: Sequence[VMRequest], path: str | Path) -> None:
 
 
 def iter_trace(path: str | Path) -> Iterator[VMRequest]:
-    """Stream VM requests from a JSON Lines trace."""
+    """Stream VM requests from a JSON Lines trace.
+
+    A bad row raises with its ``<path>:<lineno>`` location: a
+    :class:`ReproError` keeps its type, anything else ``float()`` or
+    ``json`` raises (``"mem_gb": "abc"``, ``"ratio": null``, a
+    malformed line) becomes a :class:`WorkloadError`.
+    """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -82,10 +88,14 @@ def iter_trace(path: str | Path) -> Iterator[VMRequest]:
             if not line:
                 continue
             try:
-                row = json.loads(line)
+                vm = vm_from_dict(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise WorkloadError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            yield vm_from_dict(row)
+            except ReproError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise WorkloadError(f"{path}:{lineno}: {exc}") from exc
+            yield vm
 
 
 def load_trace(path: str | Path) -> list[VMRequest]:

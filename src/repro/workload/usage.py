@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from repro.core.errors import WorkloadError
+from repro.core.spec import bound, check_bounds
 
 __all__ = [
     "UsageProfile",
@@ -44,7 +46,15 @@ INTERACTIVE_AMPLITUDE = 0.5
 
 
 class UsageProfile(ABC):
-    """Maps time to demanded vCPU fraction in [0, 1]."""
+    """Maps time to demanded vCPU fraction in [0, 1].
+
+    Subclasses are dataclasses whose bounded fields are checked here.
+    """
+
+    ERROR: ClassVar[type[WorkloadError]] = WorkloadError
+
+    def __post_init__(self) -> None:
+        check_bounds(self)
 
     @abstractmethod
     def demand(self, t: float) -> float:
@@ -62,7 +72,7 @@ class UsageProfile(ABC):
 class IdleProfile(UsageProfile):
     """A nearly-idle VM (background OS noise only)."""
 
-    floor: float = 0.02
+    floor: float = bound(0, 1, default=0.02)
 
     def demand(self, t: float) -> float:
         return self.floor
@@ -77,11 +87,7 @@ class IdleProfile(UsageProfile):
 class StressProfile(UsageProfile):
     """stress-ng-like constant CPU load at a fixed utilisation."""
 
-    utilization: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.utilization <= 1.0:
-            raise WorkloadError(f"utilization must be in [0,1], got {self.utilization}")
+    utilization: float = bound(0, 1, default=0.5)
 
     def demand(self, t: float) -> float:
         return self.utilization
@@ -101,15 +107,9 @@ class InteractiveProfile(UsageProfile):
     timezones), never exceeding 1.
     """
 
-    base: float = 0.35
-    amplitude: float = INTERACTIVE_AMPLITUDE
-    phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.base <= 1.0:
-            raise WorkloadError(f"base must be in (0,1], got {self.base}")
-        if not 0.0 <= self.amplitude <= 1.0:
-            raise WorkloadError(f"amplitude must be in [0,1], got {self.amplitude}")
+    base: float = bound(0, 1, open_low=True, default=0.35)
+    amplitude: float = bound(0, 1, default=INTERACTIVE_AMPLITUDE)
+    phase: float = bound(default=0.0)
 
     def demand(self, t: float) -> float:
         wave = 1.0 + self.amplitude * math.sin(2 * math.pi * (t / DAY_SECONDS + self.phase))

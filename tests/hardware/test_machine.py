@@ -51,7 +51,9 @@ def test_topology_cpu_mismatch_rejected():
     "cpus,mem",
     [(0, 10.0), (-1, 10.0), (4, 0.0),
      # Non-finite sizes: NaN passes a `<= 0` guard, inf is no real host.
-     (4, float("nan")), (4, float("inf")), (float("nan"), 10.0), (float("inf"), 10.0)],
+     (4, float("nan")), (4, float("inf")), (float("nan"), 10.0), (float("inf"), 10.0),
+     # A host has a whole number of CPUs.
+     (2.5, 32.0), (True, 32.0)],
 )
 def test_invalid_spec_rejected(cpus, mem):
     with pytest.raises(ConfigError):

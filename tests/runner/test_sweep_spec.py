@@ -107,7 +107,7 @@ def test_spec_validation():
 @pytest.mark.parametrize("field", ["machine_cpus", "machine_mem_gb"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_machine_rejected(field, value):
-    with pytest.raises(RunnerError, match="finite"):
+    with pytest.raises(RunnerError, match=field):
         SweepSpec(**{field: value})
 
 

@@ -1,7 +1,5 @@
 """Failure-injection tests."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -88,13 +86,6 @@ def test_invalid_failures_rejected():
         HostFailure(-1.0, 0)
     with pytest.raises(ConfigError):
         FaultySimulation(machines(2), [], policy="bogus")
-
-
-@pytest.mark.parametrize("time", [math.nan, math.inf])
-def test_non_finite_failure_time_rejected(time):
-    # A NaN time sorted first and then blocked every later failure.
-    with pytest.raises(SimulationError):
-        HostFailure(time, 0)
 
 
 def test_capacity_reported_net_of_failures():

@@ -20,7 +20,7 @@ module, scoped by the module's dotted name:
   (``repro.scheduling.constants``).  The exact comparisons that are
   load-bearing are listed in :data:`ALLOWED`, both ways.
 * **R006** no mutable default argument, and ``object.__setattr__``
-  only inside ``__post_init__``.
+  only inside ``__post_init__`` or :data:`SETATTR_HELPERS`.
 
 Names resolve through each module's import aliases (``from time import
 time as wall`` is still ``time.time``).  The checks are heuristic and
@@ -278,6 +278,12 @@ def r005_float_equality(module: Module) -> Iterator[Hit]:
             yield node, scope
 
 
+#: ``(module, function)`` besides ``__post_init__`` that may write a
+#: frozen field: the field-contract walker, which ``__post_init__``
+#: bodies call to store a value coerced to its field's type.
+SETATTR_HELPERS = {("repro.core.spec", "check_bounds")}
+
+
 def r006_mutable_state(module: Module) -> Iterator[Hit]:
     for node, scope in module.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -291,6 +297,7 @@ def r006_mutable_state(module: Module) -> Iterator[Hit]:
             isinstance(node, ast.Call)
             and module.resolve(node.func) == "object.__setattr__"
             and scope.rpartition(".")[2] != "__post_init__"
+            and (module.name, scope) not in SETATTR_HELPERS
         ):
             yield node, scope
 
@@ -491,7 +498,10 @@ CASES = {
         class Frozen:
             def rewrite(self, value):
                 object.__setattr__(self, "x", value)
-        """, 3),
+
+        def check_bounds(obj):  # the walker's name, but not the walker
+            object.__setattr__(obj, "x", 1)
+        """, 4),
     "r006_allows_none_default_and_post_init": ("R006", "repro.runner.cfg", """
         def collect(items=None):
             return list(items or [])

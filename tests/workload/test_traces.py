@@ -1,8 +1,16 @@
 """Trace (de)serialization tests."""
 
-import pytest
+import json
+import math
+import tempfile
+from pathlib import Path
 
-from repro.core import ConfigError, WorkloadError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import ConfigError, ReproError, WorkloadError
+from repro.simulator.events import workload_events
 from repro.workload import (
     AZURE,
     WorkloadParams,
@@ -105,3 +113,65 @@ def test_malformed_rows_are_workload_errors(tmp_path, line, match):
     path.write_text(line + "\n")
     with pytest.raises(WorkloadError, match=match):
         load_trace(path)
+
+
+_GOOD = {"vm_id": "a", "vcpus": 1, "mem_gb": 1.0, "ratio": 1.0, "arrival": 0}
+
+
+@pytest.mark.parametrize(
+    "key, value, error",
+    [
+        ("mem_gb", "abc", WorkloadError),
+        ("ratio", None, WorkloadError),
+        ("arrival", "x", WorkloadError),
+        ("mem_gb", math.nan, ConfigError),
+        ("mem_gb", math.inf, ConfigError),
+        ("usage_param", math.nan, ConfigError),
+        ("usage_param", math.inf, ConfigError),
+    ],
+)
+def test_bad_values_are_refused_at_their_line(tmp_path, key, value, error):
+    """A NaN ``mem_gb`` used to load (and count as a capacity rejection),
+    an infinite one overflowed in sizing, and ``float()``'s own errors
+    escaped raw."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(_GOOD) + "\n" + json.dumps({**_GOOD, key: value}) + "\n")
+    with pytest.raises(error, match=rf"bad\.jsonl:2: ") as caught:
+        load_trace(path)
+    assert type(caught.value) is error
+
+
+#: One row edit the fuzz below may apply: a key and the value it gets
+#: (``_DROP`` deletes the key).
+_DROP = object()
+_KEYS = ("vm_id", "vcpus", "mem_gb", "ratio", "arrival", "departure", "usage_kind",
+         "usage_param", "extra")
+_VALUES = (_DROP, None, "x", True, math.nan, math.inf, -math.inf, 2.5, 0, -1, 1e308)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 2), st.sampled_from(_KEYS), st.sampled_from(_VALUES)),
+        max_size=4,
+    ),
+    duplicate=st.booleans(),
+)
+def test_loader_fuzz_succeeds_or_raises_repro_errors(edits, duplicate):
+    """Any row mutation either loads into an event list or is refused
+    with a ReproError, never a raw exception."""
+    rows = [dict(_GOOD, vm_id=f"vm-{i}", arrival=i, departure=i + 5.0) for i in range(3)]
+    for index, key, value in edits:
+        if value is _DROP:
+            rows[index].pop(key, None)
+        else:
+            rows[index][key] = value
+    if duplicate:
+        rows.append(dict(rows[0]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        try:
+            workload_events(load_trace(path))
+        except ReproError:
+            pass
