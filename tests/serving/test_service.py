@@ -174,7 +174,7 @@ def test_uneven_fleet_split_replays_the_pinned_decision_log(shards, fingerprint)
     spec = ServiceSpec(provider="ovhcloud", mix="F", rate=40.0, duration=8.0,
                        seed=3, num_hosts=7, shards=shards)
     sizes = [len(c.hosts) for c in PlacementService(spec).controllers]
-    assert sizes == list(ShardPlan.build(7, shards).sizes)
+    assert sizes == list(ShardPlan(7, shards).sizes)
     assert serve(spec).fingerprint.startswith(fingerprint)
 
 

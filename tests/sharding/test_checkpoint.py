@@ -54,8 +54,8 @@ def _resume(machines, out):
 
 def test_fingerprints_and_header_bytes_are_pinned(tmp_path):
     # Literals, not round trips: the file format must not move by a byte.
-    assert ShardPlan.build(10, 3).fingerprint() == "2541b9d9ecfb6e21"
-    assert ShardPlan.build(10, 3).fingerprint("abc") == "845b43ce829b8f7d"
+    assert ShardPlan(10, 3).fingerprint() == "2541b9d9ecfb6e21"
+    assert ShardPlan(10, 3).fingerprint("abc") == "845b43ce829b8f7d"
     spec = RunSpec(provider="ovhcloud", mix="F", target_population=40, seed=5,
                    num_hosts=6, shards=2)
     wl = build_workload(spec)
