@@ -47,13 +47,13 @@ sweep-oversub-smoke:
 		--update-every 1800 -o oversub_smoke.json
 	diff oversub_smoke.json tests/oversub/data/oversub_smoke.json
 
-# Online-service smoke: the serving and control-plane suites, the perf
+# Online-service smoke: the serving suite, the perf
 # harness's serve checks (its traced twin drives
 # run_virtual(service.run(), clock)), a 30s-virtual-time run at a fixed
 # seed (completes in well under a second of wall time) with a
 # parseable SLO report and finite p99.  Mirrors CI's serving-smoke job.
 serve-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/serving tests/controlplane -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/serving -q
 	PYTHONPATH=src $(PYTHON) -m pytest perf/tests/test_harness.py -q -k serve
 	PYTHONPATH=src $(PYTHON) -m repro serve --duration 30 --rate 50 \
 		--seed 7 --report serving_slo.json

@@ -1,74 +1,60 @@
 #!/usr/bin/env python3
-"""Control-plane demo: the online service view of a SlackVM cluster.
+"""Online-service demo: a SlackVM fleet under more load than it holds.
 
-Drives the `CloudController` API the way an IaaS frontend would:
-request VMs at different oversubscription levels, watch the pending
-queue absorb a capacity crunch, delete VMs and see queued requests
-drain, then inspect the per-host vNode reports and the audit log.
+Runs the placement service (`repro.serving`) on virtual time over a
+two-host fleet at an open-loop arrival rate the fleet cannot hold:
+requests that no host fits wait in the shard's capacity-pending FIFO,
+departures drain that FIFO, and the service sheds load twice — at its
+bounded admission queue and when the pending FIFO is full.
+
+`serve(spec)` is `PlacementService(spec)` run on its own virtual clock;
+the demo takes those two steps itself so it can read the shard's audit
+log afterwards.
 
 Run: python examples/control_plane.py
 """
 
-import numpy as np
-
-from repro.controlplane import CloudController, VMState
-from repro.core import DEFAULT_LEVELS, SlackVMConfig, VMSpec
-from repro.hardware import MachineSpec
-from repro.workload import AZURE
+from repro.serving import PlacementService, ServiceSpec, run_virtual
 
 
 def main() -> None:
-    rng = np.random.default_rng(3)
-    controller = CloudController(
-        [MachineSpec(f"pm-{i}", 32, 128.0) for i in range(3)],
-        config=SlackVMConfig(),
+    spec = ServiceSpec(
+        rate=20.0, duration=20.0, mean_lifetime=5.0, seed=2,
+        num_hosts=2, queue_bound=4, max_pending=8, timeout_s=3.0,
+        service_mean=0.04,
     )
-    print("Cluster: 3 PMs x 32 CPUs / 128 GB; levels 1:1, 2:1, 3:1\n")
+    print(f"Fleet: {spec.num_hosts} PMs x {spec.host_cpus} CPUs / "
+          f"{spec.host_mem_gb:g} GB; {spec.rate:g} req/s for "
+          f"{spec.duration:g} virtual s, VMs live {spec.mean_lifetime:g} s\n")
+    service = PlacementService(spec)
+    report = run_virtual(service.run(), service.clock)
 
-    print("Phase 1 — tenants request 60 VMs (Azure-like flavors)...")
-    tickets = []
-    for i in range(60):
-        spec = AZURE.sample(rng)
-        level = DEFAULT_LEVELS[int(rng.integers(3))]
-        ticket = controller.request(spec, level, tenant=f"tenant-{i % 5}")
-        tickets.append(ticket)
-    state = controller.state()
-    print(f"  active: {state.active_vms}, pending: {state.pending_vms}, "
-          f"CPU allocated: {state.cpu_allocation_share:.0%}, "
-          f"memory allocated: {state.mem_allocation_share:.0%}\n")
-
-    print("Phase 2 — a burst of large premium requests hits the queue...")
-    burst = [controller.request(VMSpec(16, 64.0), DEFAULT_LEVELS[0],
-                                tenant="big-corp") for _ in range(4)]
-    for t in burst:
-        print(f"  {t.vm_id}: {t.state.value}" +
-              (f" on pm-{t.host}" if t.host is not None else ""))
+    pends = [line for line in report.decision_log if " pend " in line]
+    print(f"Capacity-pending placements: {len(pends)} (first three)")
+    for line in pends[:3]:
+        print(f"  {line}")
     print()
 
-    print("Phase 3 — early tenants shut down; the queue drains...")
-    active = [t for t in tickets if t.state is VMState.ACTIVE]
-    for t in active[:20]:
-        controller.delete(t.vm_id)
-    for t in burst:
-        t = controller.ticket(t.vm_id)
-        print(f"  {t.vm_id}: {t.state.value}" +
-              (f" on pm-{t.host}" if t.host is not None else ""))
+    (shard,) = service.controllers
+    queued = {vm_id for action, vm_id, _ in shard.audit_log if action == "queue"}
+    drained = [vm_id for action, vm_id, _ in shard.audit_log
+               if action == "place" and vm_id in queued]
+    print(f"Drain: {len(drained)} of {len(queued)} queued VMs were placed "
+          f"once departures freed capacity; {drained[0]}'s audit trail:")
+    for action, vm_id, detail in shard.audit_log:
+        if vm_id == drained[0]:
+            print(f"  {action:<6} {detail}".rstrip())
     print()
 
-    print("Per-host reports (one line per non-empty vNode):")
-    for i in range(3):
-        snap = controller.describe_host(i)
-        nodes = ", ".join(
-            f"{n['level']}: {n['cpus']} CPUs / {n['vcpus']} vCPUs"
-            for n in snap["vnodes"]
-        ) or "(idle)"
-        print(f"  pm-{i}: {snap['num_vms']} VMs | {nodes}")
-    print()
+    rejects = [line for line in report.decision_log if " reject " in line]
+    full = sum("pending-full" in line for line in rejects)
+    print(f"Rejected: {len(rejects) - full} at the admission queue "
+          f"(bound {spec.queue_bound}), {full} with the pending FIFO full "
+          f"(max {spec.max_pending})\n")
 
-    queued = sum(1 for a, _, _ in controller.audit_log if a == "queue")
-    pooled = sum(1 for t in controller.list_vms() if t.pooled)
-    print(f"Audit log: {len(controller.audit_log)} events "
-          f"({queued} queueings); {pooled} placements used §V-B pooling.")
+    print("Report:")
+    for line in report.summary().splitlines():
+        print(f"  {line}")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from repro.core.errors import ConfigError
-from repro.core.spec import bound, check_bounds
+from repro.core.spec import bound, check_bounds, check_int
 from repro.core.types import VMRequest
 from repro.hardware.machine import SIM_WORKER, MachineSpec
 from repro.oversub.controller import OversubParams
@@ -85,6 +85,7 @@ class OversubSweepSpec:
                 )
         if not self.mixes or not self.seeds:
             raise ConfigError("need at least one mix and one seed")
+        object.__setattr__(self, "seeds", tuple(check_int("seeds", s, 0) for s in self.seeds))
         check_bounds(self)
         check_policy(self.policy)
         if self.kernel not in KERNELS:

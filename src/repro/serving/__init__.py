@@ -1,7 +1,7 @@
 """repro.serving — the online placement service.
 
-Wraps :class:`~repro.controlplane.controller.CloudController` shards,
-each placing through the vector engine's kernel, behind a bounded
+Splits the fleet into shards, each placing through the vector engine's
+kernel with a capacity-pending FIFO of its own, behind a bounded
 admission queue driven by open-loop seeded traffic — one synchronous
 loop over a virtual clock's timer heap.  See docs/ARCHITECTURE.md §15.
 """

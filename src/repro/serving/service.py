@@ -2,8 +2,8 @@
 
 Architecture (docs/ARCHITECTURE.md §15)::
 
-    RequestSource ──► bounded admission queue ──► scheduler ──► CloudController shard(s)
-      (open loop)        (backpressure)        (single writer)    (vector placement kernel)
+    RequestSource ──► bounded admission queue ──► scheduler ──► shard(s)
+      (open loop)        (backpressure)        (single writer)   (vector placement kernel)
 
 One synchronous loop fires the virtual clock's timers in ``(deadline,
 seq)`` order and, after each, drains a FIFO of ready continuations:
@@ -11,9 +11,9 @@ seq)`` order and, after each, drains a FIFO of ready continuations:
 * **arrivals** admit each open-loop request to the bounded queue — or
   reject it on the spot when the backlog sits at the bound (the
   generator never slows down, the service sheds);
-* the **scheduler** is the *single writer* over the controllers: it
-  takes commands back to back, waits a sampled service time per
-  decision, then routes the request to its controller shard;
+* the **scheduler** is the *single writer* over the shards: it takes
+  commands back to back, waits a sampled service time per decision,
+  then routes the request to its shard (a host, or its pending FIFO);
 * per-VM **departure** and pending-**expiry** timers only enqueue
   commands for the scheduler.
 
@@ -21,33 +21,32 @@ Ties: equal deadlines fire in creation order; a command put while the
 scheduler is idle resumes it through the ready FIFO; a placement arms
 its expiry and then its departure timer as it is made, before the
 scheduler's own next decision timer; ``_STOP`` is queued once the
-arrival stream has closed, and the run ends when the scheduler reads
-it.  The decisions are those the same service made as asyncio tasks.
+arrival stream has closed, and the run ends when the scheduler reads it.
 
 Everything observable is deterministic per seed — the decision log and
-the controllers' audit logs replay byte-for-byte — except the wall
+the shards' audit logs replay byte-for-byte — except the wall
 -clock placement-latency histogram, which is the point: it prices the
 scheduler's compute (the placement kernel) in user-facing seconds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import deque
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.api.run import build_machines
 from repro.api.spec import RunSpec
-from repro.controlplane.controller import CloudController, VMState
 from repro.core.config import SlackVMConfig
 from repro.core.errors import CapacityError, ConfigError, ServingError
 from repro.core.spec import Spec, bound, check_bounds
-from repro.core.types import VMRequest
+from repro.core.types import OversubscriptionLevel, VMRequest, VMSpec
 from repro.hardware.machine import MachineSpec
 from repro.obs import names as metric_names
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -56,7 +55,7 @@ from repro.serving.config import DIST_KINDS, DiurnalConfig, RVConfig, TrafficCon
 from repro.serving.generator import RequestSource, ServiceRequest
 from repro.sharding.dispatcher import ShardPlan
 from repro.sharding.router import HashRouter
-from repro.simulator.vectorpool import check_policy
+from repro.simulator.vectorpool import VectorBackend, VectorCluster, check_policy
 from repro.workload.catalog import OVERSUB_MEM_CAP_GB, PROVIDERS, Catalog
 from repro.workload.distributions import LevelMix, normalize_mix
 
@@ -88,8 +87,8 @@ class ServiceSpec(Spec):
     ``num_hosts=0`` auto-sizes the fleet from Little's law
     (``rate * mean_lifetime`` concurrent VMs at the catalog's mean
     footprint, with :data:`AUTO_SIZE_HEADROOM`).  ``shards`` splits the
-    fleet into that many independent :class:`CloudController` shards
-    behind a seeded consistent-hash router.
+    fleet into that many independent shards behind a seeded
+    consistent-hash router.
     """
 
     VERSIONS = (SERVICE_SPEC_VERSION,)
@@ -259,8 +258,72 @@ def _hist_stats(hist: Histogram, prefix: str, unit: str = "s") -> Dict[str, floa
     return stats
 
 
+class _Shard:
+    """One block of the fleet: a :class:`VectorBackend` and the VMs it holds.
+
+    ``pending`` is the capacity-pending FIFO (``vm_id -> VMRequest`` in
+    insertion order), ``active`` maps each placed VM to its host and
+    ``audit_log`` appends one ``(action, vm_id, detail)`` per decision.
+    """
+
+    def __init__(self, machines: Sequence[MachineSpec], config: SlackVMConfig,
+                 policy: str, max_pending: int) -> None:
+        self.config = config
+        self.hosts = list(machines)
+        self.scheduler = VectorBackend(VectorCluster(self.hosts, config), policy)
+        self.max_pending = max_pending
+        self.pending: Dict[str, VMRequest] = {}
+        self.active: Dict[str, int] = {}
+        self.audit_log: List[Tuple[str, str, str]] = []
+        self._ids = itertools.count()
+
+    def request(self, spec: VMSpec, level: OversubscriptionLevel
+                ) -> Tuple[str, Optional[int], bool]:
+        """Place a new VM: ``(vm_id, host, pooled)``, with ``host`` None
+        while it waits in ``pending``.  A full ``pending`` raises
+        :class:`CapacityError` (the id is spent all the same)."""
+        vm = VMRequest(vm_id=f"vm-{next(self._ids):06d}", spec=spec, level=level)
+        placed = self._try_place(vm)
+        if placed is not None:
+            return (vm.vm_id, *placed)
+        if len(self.pending) >= self.max_pending:
+            raise CapacityError(
+                f"pending queue full ({self.max_pending}); request rejected"
+            )
+        self.pending[vm.vm_id] = vm
+        self.audit_log.append(("queue", vm.vm_id, "no host fits; queued"))
+        return vm.vm_id, None, False
+
+    def _try_place(self, vm: VMRequest) -> Optional[Tuple[int, bool]]:
+        host = self.scheduler.select(vm)
+        if host is None:
+            return None
+        placement = self.scheduler.deploy(vm, host)
+        hosted = self.scheduler.cluster.level_index(placement.hosted_ratio)
+        self.active[vm.vm_id] = host
+        self.audit_log.append(
+            ("place", vm.vm_id,
+             f"host {host} vNode {self.config.levels[hosted].name}"
+             + (" (pooled)" if placement.pooled else ""))
+        )
+        return host, placement.pooled
+
+    def delete(self, vm_id: str) -> None:
+        """Release an active or pending VM, then retry the pending FIFO:
+        whatever now fits is placed, so a blocked head does not hold
+        back smaller requests behind it."""
+        if vm_id in self.active:
+            self.scheduler.remove(vm_id, self.active.pop(vm_id))
+        else:
+            del self.pending[vm_id]
+        self.audit_log.append(("delete", vm_id, ""))
+        for waiting, vm in list(self.pending.items()):
+            if self._try_place(vm) is not None:
+                del self.pending[waiting]
+
+
 class PlacementService:
-    """The long-running control-plane service over controller shards.
+    """The long-running control-plane service over the fleet's shards.
 
     Construct, then drive :meth:`run` with
     :func:`~repro.serving.clock.run_virtual` (or call :func:`serve`).
@@ -287,12 +350,7 @@ class PlacementService:
         machines = build_fleet(spec)
         plan = ShardPlan(len(machines), spec.shards)
         self.controllers = [
-            CloudController(
-                machines[plan.block(shard)],
-                config,
-                spec.policy,
-                max_pending=spec.max_pending,
-            )
+            _Shard(machines[plan.block(shard)], config, spec.policy, spec.max_pending)
             for shard in range(spec.shards)
         ]
         self._router = HashRouter(spec.shards, seed=spec.seed)
@@ -372,7 +430,7 @@ class PlacementService:
     # -- the scheduler -------------------------------------------------------
 
     def _scheduler(self, served: Optional[ServiceRequest] = None) -> None:
-        """The single writer: every controller mutation happens here.
+        """The single writer: every shard mutation happens here.
 
         Resumed by a command put while idle, or with ``served`` once that
         request's decision time has elapsed.  Takes commands back to
@@ -410,8 +468,8 @@ class PlacementService:
         controller = self.controllers[shard]
         started = time.perf_counter()
         try:
-            ticket = controller.request(request.spec, request.level)
-        except CapacityError:  # controller pending queue at max_pending
+            vm_id, host, pooled = controller.request(request.spec, request.level)
+        except CapacityError:  # the shard's pending FIFO is at max_pending
             self._tally("rejected", metric_names.SERVING_REJECTED)
             self._log("reject", request.req_id, f"shard={shard} pending-full")
             return
@@ -423,18 +481,18 @@ class PlacementService:
         if self.metrics.enabled:
             self.metrics.histogram(metric_names.SERVING_LATENCY_PLACEMENT).observe(wall)
             self.metrics.histogram(metric_names.SERVING_LATENCY_WAIT).observe(wait)
-        self._placed[request.req_id] = (shard, ticket.vm_id)
-        if ticket.state is VMState.ACTIVE:
+        self._placed[request.req_id] = (shard, vm_id)
+        if host is not None:
             self._tally("placed", metric_names.SERVING_PLACED)
             self._log(
                 "place", request.req_id,
-                f"shard={shard} host={ticket.host} vm={ticket.vm_id} "
-                f"pooled={int(ticket.pooled)} wait={wait:.6f}",
+                f"shard={shard} host={host} vm={vm_id} "
+                f"pooled={int(pooled)} wait={wait:.6f}",
             )
         else:
             self._tally("pending", metric_names.SERVING_PENDING)
             self._log("pend", request.req_id,
-                      f"shard={shard} vm={ticket.vm_id} wait={wait:.6f}")
+                      f"shard={shard} vm={vm_id} wait={wait:.6f}")
             expires = max(0.0, request.arrival + self.spec.timeout_s - now)
             self.clock.call_later(expires, self._put, ("expire", request.req_id))
         self.clock.call_later(request.lifetime, self._put, ("depart", request.req_id))
@@ -442,7 +500,7 @@ class PlacementService:
     def _handle_departure(self, req_id: str) -> None:
         shard, vm_id = self._placed[req_id]  # armed only once placed
         controller = self.controllers[shard]
-        if controller.ticket(vm_id).state is VMState.DELETED:
+        if vm_id not in controller.active and vm_id not in controller.pending:
             return  # expired out of the pending queue earlier
         controller.delete(vm_id)
         self._tally("departures", metric_names.SERVING_DEPARTURES)
@@ -451,8 +509,8 @@ class PlacementService:
     def _handle_expiry(self, req_id: str) -> None:
         shard, vm_id = self._placed[req_id]
         controller = self.controllers[shard]
-        if controller.ticket(vm_id).state is not VMState.PENDING:
-            return  # promoted to ACTIVE (or already gone) before the deadline
+        if vm_id not in controller.pending:
+            return  # placed (or already gone) before the deadline
         controller.delete(vm_id)
         self._tally("timeouts", metric_names.SERVING_TIMEOUTS)
         self._log("timeout", req_id, f"shard={shard} stage=pending vm={vm_id}")
@@ -493,14 +551,15 @@ class PlacementService:
         active = pending = hosts = 0
         alloc_cpu = alloc_mem = cap_cpu = cap_mem = 0.0
         for controller in self.controllers:
-            state = controller.state()
-            hosts += state.num_hosts
-            active += state.active_vms
-            pending += state.pending_vms
-            alloc_cpu += state.allocated.cpu
-            alloc_mem += state.allocated.mem
-            cap_cpu += state.capacity.cpu
-            cap_mem += state.capacity.mem
+            hosts += len(controller.hosts)
+            active += len(controller.active)
+            pending += len(controller.pending)
+            cpu, mem = controller.scheduler.totals()
+            alloc_cpu += cpu
+            alloc_mem += mem
+            cpu, mem = controller.scheduler.capacity()
+            cap_cpu += cpu
+            cap_mem += mem
         latency = {}
         latency.update(_hist_stats(self._lat_place, "placement"))
         latency.update(_hist_stats(self._lat_wait, "wait"))

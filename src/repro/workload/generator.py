@@ -22,7 +22,7 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from repro.core.errors import WorkloadError
-from repro.core.spec import bound, check_bounds
+from repro.core.spec import bound, check_bounds, check_int
 from repro.core.types import OversubscriptionLevel, VMRequest
 from repro.workload.catalog import Catalog, cdf_of, draw_index, level_draws
 from repro.workload.distributions import LevelMix
@@ -61,6 +61,10 @@ class WorkloadParams:
 
     def __post_init__(self) -> None:
         check_bounds(self)
+        if not isinstance(self.seed, np.random.SeedSequence):
+            object.__setattr__(
+                self, "seed", check_int("seed", self.seed, 0, error=WorkloadError)
+            )
         total = sum(self.behaviour_shares.values())
         if abs(total - 1.0) > 1e-9:
             raise WorkloadError(f"behaviour shares sum to {total}, expected 1")

@@ -23,6 +23,8 @@ __all__ = ["vm_to_dict", "vm_from_dict", "save_trace", "load_trace", "iter_trace
 _FIELDS = ("vm_id", "vcpus", "mem_gb", "ratio", "arrival",
            "departure", "usage_kind", "usage_param")
 _REQUIRED = set(_FIELDS[:5])
+#: The keys ``float()`` reads: it would take a JSON ``true`` as 1.0.
+_REAL_FIELDS = ("mem_gb", "ratio", "arrival", "departure", "usage_param")
 
 
 def vm_to_dict(vm: VMRequest) -> dict:
@@ -42,8 +44,8 @@ def vm_from_dict(row: dict) -> VMRequest:
     """The inverse of :func:`vm_to_dict`.
 
     A row that is not a mapping, carries a key :func:`vm_to_dict` does
-    not write, lacks a required one or has a fractional ``vcpus`` is a
-    :class:`WorkloadError`.
+    not write, lacks a required one, has a fractional ``vcpus`` or a
+    bool in a numeric field is a :class:`WorkloadError`.
     """
     check_fields(row, _FIELDS, "trace row", WorkloadError)
     missing = _REQUIRED - row.keys()
@@ -54,6 +56,9 @@ def vm_from_dict(row: dict) -> VMRequest:
         isinstance(vcpus, numbers.Integral) or isinstance(vcpus, float) and vcpus.is_integer()
     ):
         raise WorkloadError(f"trace row vcpus must be a whole number, got {vcpus!r}")
+    for key in _REAL_FIELDS:
+        if isinstance(row.get(key), bool):
+            raise WorkloadError(f"trace row {key} must be a number, got {row[key]!r}")
     return VMRequest(
         vm_id=str(row["vm_id"]),
         spec=VMSpec(vcpus=int(vcpus), mem_gb=float(row["mem_gb"])),

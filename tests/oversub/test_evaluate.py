@@ -95,6 +95,9 @@ def test_table_renders_all_cells(sweep):
         dict(policy="wishful"),
         dict(kernel="quantum"),
         dict(target_population=0),
+        dict(seeds=(-1,)),
+        dict(seeds=(True,)),
+        dict(seeds=(0, 2.5)),
     ],
 )
 def test_spec_validation(kwargs):

@@ -4,10 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.controlplane import CloudController
 from repro.core import VMSpec
 from repro.core.errors import ConfigError, ServingError
-from repro.hardware import MachineSpec
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import (
@@ -86,9 +84,6 @@ def test_numeric_fields_refuse_non_finite_negative_and_fractional(name, value):
         return
     with pytest.raises(ConfigError, match=name):
         ServiceSpec(**{name: value})
-    if name == "max_pending":  # the controller guards its own bound too
-        with pytest.raises(ConfigError, match=name):
-            CloudController([MachineSpec("pm-0", 8, 32.0)], max_pending=value)
 
 
 def test_from_dict_rejects_unknown_fields_and_versions():
@@ -141,10 +136,11 @@ def test_sharded_run_routes_to_every_shard():
     spec = small_spec(rate=40.0, duration=5.0, shards=3)
     service = PlacementService(spec)
     run_virtual(service.run(), service.clock)
-    per_shard = [c.state().active_vms + len(
-        [t for t in c.list_vms()]) for c in service.controllers]
-    assert len(service.controllers) == 3
-    assert sum(1 for n in per_shard if n > 0) == 3
+    per_shard = [sum(1 for action, _, _ in c.audit_log if action == "place")
+                 for c in service.controllers]
+    assert len(per_shard) == 3
+    assert all(per_shard)
+    assert sum(per_shard) == service.counts["placed"]
 
 
 def test_premium_only_source_accepts_a_large_flavor_catalog():
@@ -169,7 +165,7 @@ def test_shard_and_unsharded_totals_agree():
     [(1, "76e0e29a22c891d4"), (2, "be81d6e30dfb26a2"), (3, "a11204d3c15d832a")],
 )
 def test_uneven_fleet_split_replays_the_pinned_decision_log(shards, fingerprint):
-    # 7 hosts divide by neither 2 nor 3: the controller blocks are
+    # 7 hosts divide by neither 2 nor 3: the shards' blocks are
     # ShardPlan's balanced contiguous ones, remainder to the low shards.
     spec = ServiceSpec(provider="ovhcloud", mix="F", rate=40.0, duration=8.0,
                        seed=3, num_hosts=7, shards=shards)

@@ -52,7 +52,6 @@ DECISION_PACKAGES = (
     "repro.scheduling",
     "repro.simulator",
     "repro.localsched",
-    "repro.controlplane",
     "repro.obs",
     "repro.runner",
     "repro.sharding",

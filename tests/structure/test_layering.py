@@ -22,7 +22,7 @@ RANKS = {
     "localsched": 2,
     "scheduling": 3, "perfmodel": 3,
     "simulator": 4,
-    "analysis": 5, "controlplane": 5,
+    "analysis": 5,
     "runner": 6,
     "oversub": 7,
     "sharding": 8,

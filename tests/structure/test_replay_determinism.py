@@ -29,7 +29,7 @@ CLOCKS = ((100.0, 0.001), (5000.0, 0.0137))
 #: Artifact file -> the dotted keys in it that carry wall-clock telemetry.
 #: Replay reads none of them; they are dropped before the comparison.
 WALL_CLOCK_KEYS = {
-    # The wall time of each CloudController.request call (the virtual
+    # The wall time of each shard request call (the virtual
     # queue wait is the `wait_*` keys, which must replay).
     "serve.json": tuple(
         f"latency.placement_{stat}_s" for stat in ("p50", "p99", "mean", "max")

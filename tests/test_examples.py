@@ -69,8 +69,10 @@ def test_utilization_study():
 
 def test_control_plane():
     out = run_example("control_plane.py")
-    assert "Audit log:" in out
-    assert "pending" in out
+    assert "Capacity-pending placements:" in out
+    assert "Drain:" in out
+    assert "with the pending FIFO full" in out
+    assert "rejection rate" in out
 
 
 def test_custom_provider():

@@ -132,6 +132,15 @@ def test_invalid_params_rejected():
         params(diurnal_amplitude=1.5)
     with pytest.raises(WorkloadError):
         params(behaviour_shares={"idle": 0.5, "stress": 0.2, "interactive": 0.2})
+    for seed in (-1, True, 2.5):  # -1 used to escape as numpy's raw ValueError
+        with pytest.raises(WorkloadError, match="seed"):
+            params(seed=seed)
+
+
+def test_seed_accepts_a_numpy_int_and_a_seed_sequence():
+    assert type(params(seed=np.int64(3)).seed) is int
+    sequence = np.random.SeedSequence(3)
+    assert params(seed=sequence).seed is sequence
 
 
 def test_peak_population_counts_overlap():

@@ -128,6 +128,12 @@ _GOOD = {"vm_id": "a", "vcpus": 1, "mem_gb": 1.0, "ratio": 1.0, "arrival": 0}
         ("mem_gb", math.inf, ConfigError),
         ("usage_param", math.nan, ConfigError),
         ("usage_param", math.inf, ConfigError),
+        # float() would read a JSON bool as 1.0 / 0.0.
+        ("mem_gb", True, WorkloadError),
+        ("ratio", True, WorkloadError),
+        ("arrival", True, WorkloadError),
+        ("departure", True, WorkloadError),
+        ("usage_param", False, WorkloadError),
     ],
 )
 def test_bad_values_are_refused_at_their_line(tmp_path, key, value, error):
