@@ -12,7 +12,7 @@ import os
 from conftest import RESULTS_DIR, publish
 from repro.analysis.export import export_fig3_csv
 from repro.analysis import grouped_hbar, render_fig3
-from repro.runner import SweepSpec, run_sweep
+from repro.api import RunSpec, SweepSpec, run_sweep
 
 SEED = 42
 POPULATION = 500
@@ -21,8 +21,8 @@ WORKERS = min(4, os.cpu_count() or 1)
 
 def compute():
     # Sharded over a process pool; bit-identical for any worker count.
-    spec = SweepSpec(providers=("ovhcloud",), seeds=(SEED,),
-                     target_population=POPULATION)
+    spec = SweepSpec(base=RunSpec(target_population=POPULATION),
+                     providers=("ovhcloud",), seeds=(SEED,))
     return run_sweep(spec, workers=WORKERS).fig3()
 
 

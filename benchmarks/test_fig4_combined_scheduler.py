@@ -10,17 +10,18 @@ as the pure metric on every mix.
 
 from conftest import publish
 from repro.analysis import render_fig4
-from repro.runner import SweepSpec, run_sweep
+from repro.api import RunSpec, SweepSpec, run_sweep
 
 SEEDS = (42,)
 POPULATION = 500
 
 
 def compute():
-    base = SweepSpec(providers=("ovhcloud",), seeds=SEEDS,
-                     target_population=POPULATION)
     return {
-        policy: run_sweep(base.replace(policy=policy)).fig4()
+        policy: run_sweep(SweepSpec(
+            base=RunSpec(target_population=POPULATION, policy=policy),
+            providers=("ovhcloud",), seeds=SEEDS,
+        )).fig4()
         for policy in ("progress", "progress_bestfit")
     }
 

@@ -11,7 +11,7 @@ import os
 from conftest import RESULTS_DIR, publish
 from repro.analysis.export import export_fig4_csv
 from repro.analysis import render_fig4
-from repro.runner import SweepSpec, run_sweep
+from repro.api import RunSpec, SweepSpec, run_sweep
 
 SEEDS = (42, 7)
 POPULATION = 500
@@ -23,8 +23,8 @@ COMPLEMENTARY = {"E", "F", "I", "J"}  # mixes pairing 1:1 with 3:1
 
 def compute():
     # One grid over a process pool; bit-identical for any worker count.
-    spec = SweepSpec(providers=("ovhcloud", "azure"), seeds=SEEDS,
-                     target_population=POPULATION)
+    spec = SweepSpec(base=RunSpec(target_population=POPULATION),
+                     providers=("ovhcloud", "azure"), seeds=SEEDS)
     sweep = run_sweep(spec, workers=WORKERS)
     return {provider: sweep.fig4(provider) for provider in spec.providers}
 

@@ -17,15 +17,15 @@ from pathlib import Path
 import pytest
 
 from conftest import RESULTS_DIR, publish
-from repro.runner import SweepSpec, run_sweep
+from repro.api import RunSpec, SweepSpec, run_sweep
 
 # 8 mixes x 2 seeds = 16 cells, each hiding a minimal_cluster search
 # for the baseline levels plus the shared cluster.
 SPEC = SweepSpec(
+    base=RunSpec(target_population=400),
     providers=("ovhcloud",),
     mixes=("A", "C", "E", "F", "H", "J", "M", "O"),
     seeds=(42, 7),
-    target_population=400,
 )
 CORES = os.cpu_count() or 1
 

@@ -12,7 +12,7 @@ Run: python examples/provider_study.py [azure|ovhcloud] [population]
 import sys
 
 from repro.analysis import render_fig3, render_fig4
-from repro.runner import SweepSpec, run_sweep
+from repro.api import RunSpec, SweepSpec, run_sweep
 
 
 def main() -> None:
@@ -21,8 +21,8 @@ def main() -> None:
 
     print(f"Sweeping 15 level mixes for {provider} "
           f"(target {population} concurrent VMs, one-week trace)...")
-    sweep = run_sweep(SweepSpec(providers=(provider,), seeds=(42,),
-                                target_population=population))
+    sweep = run_sweep(SweepSpec(base=RunSpec(target_population=population),
+                                providers=(provider,), seeds=(42,)))
     outcomes = sweep.fig3()
 
     print()

@@ -8,9 +8,10 @@ against EXPERIMENTS.md.
 Run: python scripts/reproduce_all.py [--fast] [--workers N] [-o REPORT.md]
      (--fast uses smaller populations/durations; ~30 s instead of ~2 min)
 
-Figures 3 and 4 are one ``repro.runner.run_sweep`` grid (both
-providers x 15 mixes x the seeds), sharded over ``--workers``
-processes (default: all cores).  The runner's determinism contract
+Figures 3 and 4 are one ``repro.api.run_sweep`` grid (both
+providers x 15 mixes x the seeds), and the §VIII strategy comparison a
+second one; both are sharded over ``--workers`` processes (default: all
+cores).  The runner's determinism contract
 keeps the report bit-identical for any worker count, so parallelism
 only changes the wall clock.
 """
@@ -32,9 +33,9 @@ from repro.analysis import (
     table1_row,
     table2_row,
 )
-from repro.oversub.evaluate import OversubSweepSpec, run_oversub_sweep
+from repro.api import RunSpec, SweepSpec, run_sweep
+from repro.oversub.evaluate import render_oversub_table
 from repro.perfmodel import TestbedParams, run_testbed
-from repro.runner import SweepSpec, run_sweep
 from repro.workload import PROVIDERS
 
 
@@ -43,7 +44,7 @@ def main() -> None:
     parser.add_argument("--fast", action="store_true",
                         help="smaller populations/durations")
     parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="process-pool width for the Fig. 3/4 sweeps "
+                        help="process-pool width for the sweeps "
                              "(default: all cores; results are identical "
                              "for any value)")
     parser.add_argument("-o", "--output", default="REPORT.md")
@@ -74,8 +75,8 @@ def main() -> None:
     }))
 
     sweep = run_sweep(
-        SweepSpec(providers=("ovhcloud", "azure"), seeds=seeds,
-                  target_population=population),
+        SweepSpec(base=RunSpec(target_population=population),
+                  providers=("ovhcloud", "azure"), seeds=seeds),
         workers=args.workers,
     )
     add("Figure 3 — unallocated resources (OVHcloud)",
@@ -84,12 +85,14 @@ def main() -> None:
         add(f"Figure 4 — PM savings % ({provider})",
             render_fig4(sweep.fig4(provider)))
 
-    oversub = run_oversub_sweep(OversubSweepSpec(
-        providers=("azure", "ovhcloud"), mixes=("F", "J"), seeds=(42,),
-        target_population=60 if args.fast else 120,
-    ))
+    oversub = run_sweep(
+        SweepSpec(base=RunSpec(target_population=60 if args.fast else 120),
+                  providers=("azure", "ovhcloud"), mixes=("F", "J"), seeds=(42,),
+                  strategies=("static", "percentile", "doa", "greedy")),
+        workers=args.workers,
+    )
     add("Dynamic oversubscription — packing gain vs violation risk "
-        "(§VIII, scarcity 0.5)", oversub.table())
+        "(§VIII, scarcity 0.5)", render_oversub_table(oversub.rows()))
 
     out = Path(args.output)
     out.write_text("\n".join(sections), encoding="utf-8")

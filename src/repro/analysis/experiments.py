@@ -1,7 +1,7 @@
 """The result record of the at-scale experiment (paper §VII-B, Fig. 3 & 4).
 
 The protocol that produces it is :func:`repro.api.evaluate`; a grid of
-them is :func:`repro.runner.run_sweep`.
+them is :func:`repro.api.run_sweep`.
 """
 
 from __future__ import annotations

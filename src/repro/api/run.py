@@ -152,7 +152,6 @@ def build_simulation(
         machines,
         cfg,
         policy=spec.policy,
-        kernel=spec.kernel,
         shards=spec.shards,
         router=spec.router,
         workers=spec.workers,
@@ -201,7 +200,7 @@ def evaluate(
     2. **baseline** — split it per level present and size one dedicated
        ``baseline_policy`` cluster per level (each PM offers one level);
     3. **SlackVM** — size one shared cluster where every PM hosts all
-       levels, probing with the spec's policy, kernel and shard geometry
+       levels, probing with the spec's policy and shard geometry
        through :func:`build_simulation` (shard count clamped to the
        probed size — the search explores fleets smaller than the
        geometry);

@@ -1,8 +1,8 @@
 """The unified run specification — one frozen value names one run.
 
 :class:`RunSpec` is the single description every front end (CLI
-handlers, the sweep runner's cells, the ``perf/`` ledger) parses
-into: cluster topology, workload recipe, scheduling policy, kernel,
+handlers, the sweep's cells, the ``perf/`` ledger) parses
+into: cluster topology, workload recipe, scheduling policy,
 oversubscription strategy, shard geometry and seed, with validation at
 construction so a bad knob fails before any work starts.
 
@@ -20,7 +20,7 @@ from repro.core.errors import ConfigError
 from repro.core.spec import Spec, bound, check_bounds
 from repro.oversub.estimators import STRATEGIES
 from repro.sharding.router import ROUTERS
-from repro.simulator.vectorpool import KERNELS, check_policy
+from repro.simulator.vectorpool import check_policy
 from repro.workload.catalog import PROVIDERS
 from repro.workload.distributions import DISTRIBUTIONS, LevelMix, normalize_mix
 
@@ -30,7 +30,9 @@ __all__ = ["ENGINES", "RunSpec", "SPEC_VERSION"]
 ENGINES = ("vector", "object")
 
 #: Bump when the field set changes incompatibly (fingerprints shift).
-SPEC_VERSION = 1
+#: v2 dropped ``kernel``: runs use the incremental kernel, and the
+#: naive reference is an engine argument only the oracle tests pass.
+SPEC_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,6 @@ class RunSpec(Spec):
 
     # -- scheduling ----------------------------------------------------------
     policy: str = "progress"
-    kernel: str = "incremental"
     engine: str = "vector"
     pooling: bool = True
     fail_fast: bool = False
@@ -90,10 +91,6 @@ class RunSpec(Spec):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
         check_policy(self.policy)
-        if self.kernel not in KERNELS:
-            raise ConfigError(
-                f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
-            )
         if self.engine not in ENGINES:
             raise ConfigError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"

@@ -47,16 +47,17 @@ from repro.analysis import (
 )
 from repro.api import (
     RunSpec,
+    SweepSpec,
     build_config,
     build_machines,
     build_simulation,
     build_workload,
     evaluate,
+    run_sweep,
 )
 from repro.core.errors import ReproError
 from repro.hardware import SIM_WORKER, MachineSpec
-from repro.runner import SweepSpec, derive_seeds, run_sweep
-from repro.simulator import KERNELS, POLICIES, demand_lower_bound, minimal_cluster
+from repro.simulator import POLICIES, demand_lower_bound, minimal_cluster
 from repro.workload import (
     DISTRIBUTIONS,
     PROVIDERS,
@@ -92,6 +93,22 @@ def _mix(text: str):
         ) from None
 
 
+def _count(text: str) -> int:
+    """Parse ``--num-seeds``: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
+def _strategies(text: str) -> tuple[str, ...]:
+    """Parse ``--strategies``: a non-empty comma-separated list."""
+    names = tuple(s for s in text.split(",") if s)
+    if not names:
+        raise argparse.ArgumentTypeError("expected at least one strategy")
+    return names
+
+
 #: The :class:`RunSpec`-shaped flags, declared once as ``flag: (spec
 #: field, argparse options)``.  A subcommand takes the ones it needs,
 #: with its own defaults, through ``_add_spec_args``; ``_run_spec``
@@ -114,8 +131,6 @@ _SPEC_FLAGS = {
         type=_machine, help="host spec as CPUS:MEM_GB (default 32:128)")),
     "policy": ("policy", dict(
         choices=POLICIES, help="scheduling policy (default %(default)s)")),
-    "kernel": ("kernel", dict(
-        choices=KERNELS, help="placement kernel (default %(default)s)")),
     "shards": ("shards", dict(
         type=int, help="dispatcher shards; 1 is unsharded (default %(default)s)")),
     "router": ("router", dict(
@@ -143,11 +158,19 @@ def _run_spec(args: argparse.Namespace, **overrides) -> RunSpec:
     return RunSpec(**{**fields, **overrides})
 
 
-def _seeds(args: argparse.Namespace) -> tuple[int, ...]:
-    """``--seed`` literally, or ``--num-seeds`` spawned from it."""
-    if args.num_seeds > 1:
-        return derive_seeds(args.seed, args.num_seeds)
-    return (args.seed,)
+def _grid(args: argparse.Namespace, base: RunSpec, mixes: tuple[str, ...],
+          **axes) -> SweepSpec:
+    """``base`` swept over ``--provider`` × ``mixes`` × the seeds:
+    ``--seed`` literally, or ``--num-seeds`` spawned from it."""
+    return SweepSpec(
+        base=base,
+        providers=(args.provider,),
+        mixes=mixes,
+        seeds=(args.seed,) if args.num_seeds == 1 else None,
+        root_seed=args.seed,
+        num_seeds=args.num_seeds,
+        **axes,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,13 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate",
                         help="compare dedicated clusters vs SlackVM for one mix")
     _add_spec_args(ev, provider="ovhcloud", mix="F", population=500, seed=42,
-                   policy="progress", kernel="incremental", shards=1,
-                   router="hash", machine=SIM_WORKER)
+                   policy="progress", shards=1, router="hash", machine=SIM_WORKER)
 
     sweep = sub.add_parser("sweep", help="run the Fig. 3/4 sweep for a provider")
     _add_spec_args(sweep, provider="ovhcloud", population=250, seed=42,
-                   kernel="incremental", shards=1, router="hash")
-    sweep.add_argument("--num-seeds", type=int, default=1,
+                   shards=1, router="hash")
+    sweep.add_argument("--num-seeds", type=_count, default=1,
                        help="average Fig. 4 over this many seeds derived "
                             "from --seed via SeedSequence.spawn (default 1: "
                             "use --seed literally)")
@@ -200,14 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
              "(packing gain vs violation risk on a scarce cluster)",
     )
     _add_spec_args(ov, provider="azure", population=120, seed=42,
-                   policy="progress", kernel="incremental", machine=SIM_WORKER)
-    ov.add_argument("--strategies", default="static,percentile,doa,greedy",
+                   policy="progress", machine=SIM_WORKER)
+    ov.add_argument("--strategies", type=_strategies,
+                    default="static,percentile,doa,greedy",
                     help="comma-separated strategy subset "
                          "(static, percentile, doa, greedy)")
     ov.add_argument("--mixes", default="F",
                     help="comma-separated mixes (letters A-O or "
                          "'label:S1,S2,S3' triples)")
-    ov.add_argument("--num-seeds", type=int, default=1,
+    ov.add_argument("--num-seeds", type=_count, default=1,
                     help="run this many seeds derived from --seed "
                          "(default 1: use --seed literally)")
     ov.add_argument("--scarcity", type=float, default=0.5,
@@ -225,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_spec_args(sh, provider="azure", mix="F", population=500, seed=42,
                    hosts=0, machine=SIM_WORKER, policy="progress",
-                   kernel="incremental", shards=4, router="hash")
+                   shards=4, router="hash")
     sh.add_argument("--workers", type=int, default=0,
                     help="worker processes (default 0: one per shard; "
                          "1 runs every shard inline)")
@@ -362,15 +385,8 @@ def _cmd_evaluate(args) -> None:
 def _cmd_sweep(args) -> None:
     if args.resume and not args.out:
         raise SystemExit("--resume requires --out")
-    spec = SweepSpec(
-        providers=(args.provider,),
-        mixes=_split_mixes(args.mixes) if args.mixes else tuple(DISTRIBUTIONS),
-        seeds=_seeds(args),
-        target_population=args.population,
-        kernel=args.kernel,
-        shards=args.shards,
-        router=args.router,
-    )
+    mixes = _split_mixes(args.mixes) if args.mixes else tuple(DISTRIBUTIONS)
+    spec = _grid(args, _run_spec(args), mixes)
     progress = (lambda line: print(line, file=sys.stderr)) if args.workers > 1 else None
     sweep = run_sweep(spec, workers=args.workers, out=args.out,
                       resume=args.resume, progress=progress)
@@ -387,24 +403,20 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_oversub(args) -> None:
-    from repro.oversub.evaluate import OversubSweepSpec, run_oversub_sweep
+    from repro.oversub.evaluate import render_oversub_table
 
-    spec = OversubSweepSpec.from_run_spec(
-        _run_spec(args, oversub_update_every=args.update_every),
-        strategies=tuple(s for s in args.strategies.split(",") if s),
-        mixes=_split_mixes(args.mixes),
-        seeds=_seeds(args),
-        scarcity=args.scarcity,
-    )
-    result = run_oversub_sweep(spec)
+    base = _run_spec(args, oversub_update_every=args.update_every)
+    spec = _grid(args, base, _split_mixes(args.mixes),
+                 strategies=args.strategies, scarcity=args.scarcity)
+    rows = run_sweep(spec).rows()
     print(f"Dynamic oversubscription — packing gain vs violation risk "
           f"({args.provider}, scarcity {args.scarcity:g})")
-    print(result.table())
+    print(render_oversub_table(rows))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dicts(), fh, indent=2, sort_keys=True)
+            json.dump(rows, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"wrote {len(result.cells)} cells to {args.out}", file=sys.stderr)
+        print(f"wrote {len(rows)} cells to {args.out}", file=sys.stderr)
 
 
 def _cmd_shard(args) -> int:
@@ -430,8 +442,7 @@ def _cmd_shard(args) -> int:
 
     print(f"{len(workload)} VM lifecycles on {len(machines)} hosts "
           f"({args.machine.cpus} CPUs / {args.machine.mem_gb:g} GB), "
-          f"{spec.shards} shard(s) via {spec.router} routing, "
-          f"kernel {spec.kernel}")
+          f"{spec.shards} shard(s) via {spec.router} routing")
     result, wall = timed(spec, checkpoint=args.checkpoint, resume=args.resume)
     events = len(result.timeline.times)
     print(f"sharded : {events} events in {wall:.2f}s "

@@ -21,7 +21,6 @@ __all__ = [
     "BESTFIT_BLEND",
     "CAPACITY_EPSILON",
     "FIRST_FIT_CHUNK",
-    "ROUTERS",
     "floats_equal",
     "floats_differ",
 ]
@@ -33,7 +32,10 @@ TIEBREAK_WEIGHT = 1e-9
 
 #: Weight of the best-fit packing term in the combined policy (§VII-B2):
 #: large enough to participate in packing, small enough that strong
-#: progress differences still dominate.
+#: progress differences still dominate.  The blend adds a unitless fill
+#: fraction to a progress score in GB per core, so the combined policy's
+#: decisions depend on the memory unit (GB here); every other policy's
+#: do not (``tests/simulator/test_metamorphic.py``).
 BESTFIT_BLEND = 0.2
 
 #: Absolute slop applied to memory-capacity comparisons in *both*
@@ -48,12 +50,6 @@ CAPACITY_EPSILON = 1e-9
 #: host).  Purely a performance knob: block evaluation is elementwise
 #: per host, so any chunk size yields identical placements.
 FIRST_FIT_CHUNK = 1024
-
-#: Registered shard-routing policies (``repro shard --router``), made by
-#: :func:`repro.sharding.router.make_router`.  Defined here so a spec
-#: that ranks below :mod:`repro.sharding` (``SweepSpec``) can check one.
-ROUTERS = ("hash", "score")
-
 
 def floats_equal(a: float, b: float, eps: float = CAPACITY_EPSILON) -> bool:
     """Tolerant float equality: ``|a - b| <= eps`` (absolute).

@@ -2,7 +2,7 @@
 the numeric field contract.
 
 Every declarative value in the library — :class:`repro.api.RunSpec`,
-:class:`repro.runner.SweepSpec`, :class:`repro.serving.ServiceSpec`,
+:class:`repro.api.SweepSpec`, :class:`repro.serving.ServiceSpec`,
 :class:`repro.sharding.ShardPlan` — is a frozen dataclass that
 validates in ``__post_init__`` and inherits everything else from
 :class:`Spec`: ``to_dict`` / ``from_dict`` round-trip through JSON
@@ -206,6 +206,8 @@ class Spec:
         out: dict[str, Any] = {"version": self.VERSIONS[-1]} if self.VERSIONS else {}
         for name in self._wire_fields():
             value = getattr(self, name)
+            if isinstance(value, Spec):  # a nested spec (the sweep's base)
+                value = value.to_dict()
             out[name] = list(value) if isinstance(value, tuple) else value
         return out
 

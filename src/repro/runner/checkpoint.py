@@ -4,7 +4,7 @@ File layout (one JSON object per line, :func:`canonical_json` form):
 
 * line 1 — header: ``{"kind": "header", "version": 1, "fingerprint":
   ..., <body_key>: {...}}``.  The sweep runner stores its
-  :class:`~repro.runner.spec.SweepSpec` under ``"spec"``, the shard
+  :class:`~repro.api.SweepSpec` under ``"spec"``, the shard
   dispatcher its :class:`~repro.sharding.ShardPlan` under ``"plan"``;
 * then one record per *completed* unit of work, in completion order,
   flushed as it is appended: killing a run loses at most the in-flight
@@ -57,12 +57,13 @@ class JsonlCheckpoint:
 
         With ``resume=False`` any existing file is truncated and a
         fresh header written.  With ``resume=True`` an existing file
-        must carry ``fingerprint``; its torn tail, if any, is dropped
+        must carry ``fingerprint`` (one written for another ``body``
+        version is refused by name); its torn tail, if any, is dropped
         and its records returned.  A missing file degrades to a fresh
         start.
         """
         if resume and self.path.exists():
-            records, intact = self._scan(fingerprint)
+            records, intact = self._scan(fingerprint, body)
             with self.path.open("r+b") as fh:
                 fh.truncate(intact)
             self._fh = self.path.open("a", encoding="utf-8")
@@ -107,7 +108,9 @@ class JsonlCheckpoint:
         """
         return self._scan(fingerprint)[0]
 
-    def _scan(self, fingerprint: Optional[str]) -> tuple[list[dict], int]:
+    def _scan(
+        self, fingerprint: Optional[str], body: Optional[dict] = None
+    ) -> tuple[list[dict], int]:
         """``(records, byte length of the newline-terminated prefix)``."""
         if not self.path.exists():
             raise self.error(f"no checkpoint at {self.path}")
@@ -136,6 +139,14 @@ class JsonlCheckpoint:
         if header is None:
             raise self.error(f"{self.path} has no intact header")
         if fingerprint is not None and header.get("fingerprint") != fingerprint:
+            written = header.get(self.body_key)
+            was = written.get("version") if isinstance(written, dict) else None
+            if body is not None and was != body.get("version"):
+                raise self.error(
+                    f"checkpoint {self.path} holds a version {was} {self.body_key}; "
+                    f"this build writes version {body.get('version')} and "
+                    "cannot resume it"
+                )
             raise self.error(
                 f"checkpoint {self.path} was written for a different "
                 f"{self.body_key} or workload (fingerprint "

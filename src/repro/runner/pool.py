@@ -1,5 +1,5 @@
 """The one process-pool loop, shared by the sweep runner and the shard
-dispatcher.
+dispatcher, and the seed derivation both use for their work units.
 
 Both callers hand :func:`run_pool` a module-level worker function and a
 list of JSON-primitive payload dicts and consume ``(payload, result,
@@ -22,7 +22,30 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-__all__ = ["error_record", "run_pool"]
+import numpy as np
+
+from repro.core.errors import RunnerError
+
+__all__ = ["derive_seeds", "error_record", "run_pool"]
+
+
+def derive_seeds(root_seed: int, n: int) -> tuple[int, ...]:
+    """``n`` independent integer seeds derived from one root seed.
+
+    Uses :meth:`numpy.random.SeedSequence.spawn`, so the streams seeded
+    by the results are statistically independent of each other and of
+    the root.  Each child sequence is collapsed to a 128-bit integer
+    (``default_rng`` accepts arbitrary-size ints), keeping derived
+    seeds JSON-serializable and printable in cell keys.
+    """
+    if n < 0:
+        raise RunnerError(f"cannot derive {n} seeds")
+    root = np.random.SeedSequence(root_seed)
+    out = []
+    for child in root.spawn(n):
+        hi, lo = (int(w) for w in child.generate_state(2, dtype=np.uint64))
+        out.append((hi << 64) | lo)
+    return tuple(out)
 
 
 def error_record(exc: BaseException) -> dict[str, str]:

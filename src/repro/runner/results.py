@@ -79,11 +79,12 @@ def outcome_from_dict(data: Mapping) -> DistributionOutcome:
 class CellResult:
     """Outcome (or captured failure) of one sweep cell.
 
-    ``status`` is ``"ok"`` (``outcome`` set) or ``"failed"`` (``error``
-    set to ``{"type", "message", "traceback"}``).  A failed cell is a
-    *result*, not an exception: sibling cells keep running and the
-    failure — including the seed needed to replay it — is checkpointed
-    like any other record.
+    ``status`` is ``"ok"`` — ``outcome`` set by a §VII-B cell, ``rows``
+    (one JSON dict per oversubscription strategy) by a §VIII cell — or
+    ``"failed"`` (``error`` set to ``{"type", "message", "traceback"}``).
+    A failed cell is a *result*, not an exception: sibling cells keep
+    running and the failure — including the seed needed to replay it —
+    is checkpointed like any other record.
     """
 
     provider: str
@@ -92,6 +93,7 @@ class CellResult:
     seed: int
     status: str
     outcome: Optional[DistributionOutcome] = None
+    rows: Optional[tuple[Mapping, ...]] = None
     error: Optional[Mapping] = None
     #: Volatile wall-clock; excluded from serialization *and* equality.
     elapsed_s: float = field(default=0.0, compare=False)
@@ -117,6 +119,8 @@ class CellResult:
         }
         if self.outcome is not None:
             record["outcome"] = outcome_to_dict(self.outcome)
+        if self.rows is not None:
+            record["rows"] = [dict(row) for row in self.rows]
         if self.error is not None:
             record["error"] = dict(self.error)
         return record
@@ -126,7 +130,7 @@ class CellResult:
         status = record.get("status")
         if status not in (STATUS_OK, STATUS_FAILED):
             raise RunnerError(f"cell record has invalid status {status!r}")
-        outcome = record.get("outcome")
+        outcome, rows = record.get("outcome"), record.get("rows")
         return cls(
             provider=record["provider"],
             mix_label=record["mix_label"],
@@ -134,6 +138,7 @@ class CellResult:
             seed=int(record["seed"]),
             status=status,
             outcome=None if outcome is None else outcome_from_dict(outcome),
+            rows=None if rows is None else tuple(rows),
             error=record.get("error"),
             elapsed_s=elapsed_s,
         )

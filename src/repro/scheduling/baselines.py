@@ -73,7 +73,11 @@ _BESTFIT_BLEND = BESTFIT_BLEND
 def slackvm_combined_scheduler() -> ScoreBasedScheduler:
     """The paper's suggested production composition (§VII-B2): the M/C
     progress score complemented with an existing packing rule
-    (best-fit), plus the deterministic first-fit tiebreak."""
+    (best-fit), plus the deterministic first-fit tiebreak.
+
+    The progress score is in GB per core and the best-fit term is a
+    unitless fill fraction, so their ``BESTFIT_BLEND`` sum — and with it
+    this policy's choices — depends on memory being counted in GB."""
     return ScoreBasedScheduler(
         weighers=(
             (ProgressWeigher(), 1.0),

@@ -43,8 +43,7 @@ from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.records import NULL_RECORDER, DecisionRecorder
 from repro.oversub.controller import OversubParams
 from repro.runner.checkpoint import JsonlCheckpoint
-from repro.runner.pool import error_record, run_pool
-from repro.runner.spec import derive_seeds
+from repro.runner.pool import derive_seeds, error_record, run_pool
 from repro.sharding.merge import merge_shard_results
 from repro.sharding.router import ROUTERS, make_router
 from repro.simulator.engine import SimulationResult
@@ -158,7 +157,7 @@ def _run_shard(payload: dict) -> dict:
     """Execute one shard's sub-workload; module-level for pickling.
 
     Same JSON-primitive payload discipline as
-    :func:`repro.runner.runner._run_cell`: everything crossing the
+    :func:`repro.api.sweep._run_cell`: everything crossing the
     process boundary (both ways) is built from JSON scalars and
     containers, so the serial path *is* the parallel path minus the
     pool, and results round-trip losslessly through the JSONL

@@ -28,12 +28,15 @@ import hashlib
 from bisect import bisect_right
 from typing import Sequence
 
-from repro.core.constants import ROUTERS
 from repro.core.errors import ConfigError
 from repro.core.spec import check_int
 from repro.core.types import VMRequest
 
 __all__ = ["ROUTERS", "HashRouter", "ScoreRouter", "make_router", "stable_hash_64"]
+
+#: Registered shard-routing policies (``repro shard --router``), made by
+#: :func:`make_router`.
+ROUTERS = ("hash", "score")
 
 #: Virtual nodes per shard on the consistent-hash ring.  Enough to keep
 #: the expected per-shard share within a few percent of uniform.

@@ -6,9 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.api import RunSpec, evaluate
+from repro.api import RunSpec, SweepSpec, evaluate, run_sweep
 from repro.core.errors import ConfigError, RunnerError
-from repro.runner import SweepSpec, run_sweep
 from repro.workload import OVHCLOUD, WorkloadParams, generate_workload
 
 
@@ -83,7 +82,7 @@ SWEEP = SweepSpec(
     providers=("ovhcloud",),
     mixes=("A", "hot:40,20,40"),
     seeds=(5, 6),
-    target_population=100,
+    base=RunSpec(target_population=100),
 )
 
 

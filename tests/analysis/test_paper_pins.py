@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import RunSpec, evaluate
-from repro.runner import SweepSpec, outcome_to_dict, run_sweep
+from repro.api import RunSpec, SweepSpec, evaluate, run_sweep
+from repro.runner import outcome_to_dict
 
 PINS = json.loads(
     (Path(__file__).parent / "data" / "paper_pins.json").read_text(encoding="utf-8")
@@ -30,13 +30,13 @@ SWEEPS = {
         providers=("ovhcloud",),
         mixes=("A", "F", "O", "hot:40,20,40"),
         seeds=SEEDS,
-        target_population=PINS["target_population"],
+        base=RunSpec(target_population=PINS["target_population"]),
     ),
     "azure": SweepSpec(
         providers=("azure",),
         mixes=("F", "J"),
         seeds=SEEDS,
-        target_population=PINS["target_population"],
+        base=RunSpec(target_population=PINS["target_population"]),
     ),
 }
 
@@ -54,7 +54,7 @@ def test_evaluate_reproduces_the_pinned_cells(provider):
             RunSpec(
                 provider=cell.provider,
                 mix=cell.mix,
-                target_population=spec.target_population,
+                target_population=spec.base.target_population,
                 seed=cell.seed,
             )
         )

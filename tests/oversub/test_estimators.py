@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.core import ConfigError, OversubscriptionLevel
 from repro.oversub import OversubParams
-from repro.oversub.evaluate import OversubSweepSpec
 from repro.oversub.estimators import (
     STRATEGIES,
     DoaEstimator,
@@ -239,7 +238,6 @@ CONSTRUCTORS = (
     (GreedyEstimator, {}),
     (OversubParams, {"estimator": StaticRatio()}),
     (OversubscriptionLevel, {"ratio": 2.0}),
-    (OversubSweepSpec, {}),
 )
 NUMERIC_PARAMS = [
     (cls, extra, name)

@@ -1,80 +1,77 @@
-"""Sweep-evaluation tests (kept tiny: real engine runs per cell)."""
+"""Strategy-comparison tests (kept tiny: real engine runs per cell)."""
+
+import math
 
 import pytest
 
-from repro.core import ConfigError
+from repro.api import RunSpec, SweepSpec, build_workload, run_sweep
+from repro.core.errors import RunnerError
 from repro.hardware.machine import MachineSpec
-from repro.oversub.evaluate import (
-    OversubSweepSpec,
-    render_oversub_table,
-    run_oversub_sweep,
-)
+from repro.oversub import OversubParams, make_estimator
+from repro.oversub.evaluate import SAMPLES_PER_WINDOW, render_oversub_table
+from repro.simulator import VectorSimulation, demand_lower_bound
 
 # Small population + small machine keeps each cell to a handful of
 # hosts while still producing rejections under scarcity.
-TINY = dict(
-    target_population=24,
-    machine=MachineSpec("tiny", 8, 32.0),
-    scarcity=0.5,
-    update_every=1800.0,
-    samples_per_window=4,
-)
+BASE = RunSpec(target_population=24, host_cpus=8, host_mem_gb=32.0,
+               oversub_update_every=1800.0)
+GRID = dict(base=BASE, providers=("azure",), mixes=("F",), seeds=(3,),
+            strategies=("static", "percentile"), scarcity=0.5)
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    return run_oversub_sweep(
-        OversubSweepSpec(strategies=("static", "percentile"), seeds=(3,), **TINY)
-    )
+    return run_sweep(SweepSpec(**GRID)).rows()
 
 
 def test_grid_shape(sweep):
-    assert len(sweep.cells) == 2
-    assert [c.strategy for c in sweep.cells] == ["static", "percentile"]
-    assert all(c.provider == "azure" and c.mix_label == "F" for c in sweep.cells)
+    assert len(sweep) == 2
+    assert [c["strategy"] for c in sweep] == ["static", "percentile"]
+    assert all(c["provider"] == "azure" and c["mix_label"] == "F" for c in sweep)
 
 
 def test_static_is_its_own_baseline(sweep):
-    static = sweep.cells[0]
-    assert static.packing_gain_percent == 0.0
-    assert static.eff_ratio_mean == pytest.approx(1.0)
+    static = sweep[0]
+    assert static["packing_gain_percent"] == 0.0
+    assert static["eff_ratio_mean"] == pytest.approx(1.0)
 
 
 def test_scarce_cluster_actually_rejects(sweep):
     # Without rejections the gain column measures nothing.
-    assert sweep.cells[0].rejected > 0
-    assert sweep.cells[0].placed + sweep.cells[0].rejected == sweep.cells[0].arrivals
+    assert sweep[0]["rejected"] > 0
+    assert sweep[0]["placed"] + sweep[0]["rejected"] == sweep[0]["arrivals"]
 
 
 def test_dynamic_strategy_never_packs_fewer(sweep):
     # Effective capacity >= used >= nothing below physical at admission
     # time, so a dynamic strategy can only open headroom here.
-    assert sweep.cells[1].placed >= sweep.cells[0].placed
+    assert sweep[1]["placed"] >= sweep[0]["placed"]
 
 
-def test_sweep_is_deterministic(sweep):
-    again = run_oversub_sweep(
-        OversubSweepSpec(strategies=("static", "percentile"), seeds=(3,), **TINY)
-    )
-    assert again.to_dicts() == sweep.to_dicts()
+def test_sweep_is_deterministic(sweep, tmp_path):
+    # A second run, through a pool and a checkpoint, gives the same rows.
+    again = run_sweep(SweepSpec(**{**GRID, "mixes": ("F", "J")}), workers=2,
+                      out=str(tmp_path / "oversub.jsonl"))
+    assert again.rows()[:2] == sweep
 
 
 def test_naive_kernel_agrees_with_incremental(sweep):
-    naive = run_oversub_sweep(
-        OversubSweepSpec(
-            strategies=("static", "percentile"), seeds=(3,), kernel="naive", **TINY
-        )
-    )
-    assert [c.placed for c in naive.cells] == [c.placed for c in sweep.cells]
-    assert [c.violation_rate for c in naive.cells] == [
-        c.violation_rate for c in sweep.cells
-    ]
+    # The cell's percentile run, replayed on the reference kernel.
+    workload = build_workload(BASE.replace(provider="azure", mix="F", seed=3))
+    lb = demand_lower_bound(workload, MachineSpec("tiny", 8, 32.0))
+    machines = [MachineSpec(f"pm-{i}", 8, 32.0) for i in range(math.ceil(lb * 0.5))]
+    oversub = OversubParams(estimator=make_estimator("percentile"), update_every=1800.0,
+                            samples_per_window=SAMPLES_PER_WINDOW)
+    naive = VectorSimulation(machines, policy="progress", kernel="naive",
+                             oversub=oversub).run(workload)
+    assert len(naive.placements) == sweep[1]["placed"]
+    assert naive.oversub.violation_rate == sweep[1]["violation_rate"]
 
 
 def test_table_renders_all_cells(sweep):
-    table = sweep.table()
+    table = render_oversub_table(sweep)
     lines = table.splitlines()
-    assert len(lines) == 1 + len(sweep.cells)
+    assert len(lines) == 1 + len(sweep)
     assert lines[0].startswith("strategy")
     assert "static" in lines[1] and "percentile" in lines[2]
     # Empty input still renders the header row (widths shrink to it).
@@ -85,21 +82,21 @@ def test_table_renders_all_cells(sweep):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(strategies=()),
         dict(strategies=("oracle",)),
-        dict(providers=("aws",)),
+        dict(strategies=("static", "static")),
+        dict(providers=("azure", "azure")),
         dict(mixes=()),
         dict(seeds=()),
         dict(scarcity=0.0),
         dict(scarcity=2.5),
-        dict(policy="wishful"),
-        dict(kernel="quantum"),
-        dict(target_population=0),
+        dict(base={"policy": "wishful"}),
+        dict(base=BASE.replace(shards=2)),
+        dict(base={"target_population": 0}),
         dict(seeds=(-1,)),
         dict(seeds=(True,)),
         dict(seeds=(0, 2.5)),
     ],
 )
 def test_spec_validation(kwargs):
-    with pytest.raises(ConfigError):
-        OversubSweepSpec(**kwargs)
+    with pytest.raises(RunnerError):
+        SweepSpec(**{**GRID, **kwargs})

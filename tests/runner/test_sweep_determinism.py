@@ -9,13 +9,13 @@ lines, and object equality of the results and figure reductions.
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry
-from repro.runner import SweepSpec, run_sweep
+from repro.api import RunSpec, SweepSpec, run_sweep
 
 SPEC = SweepSpec(
     providers=("ovhcloud",),
     mixes=("A", "F", "O"),
     seeds=(42, 7),
-    target_population=40,
+    base=RunSpec(target_population=40),
 )
 
 

@@ -9,15 +9,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import RunSpec, SweepSpec, run_sweep
+from repro.api.sweep import _cell_payload, _run_cell
 from repro.core.errors import RunnerError
-from repro.runner import CellResult, JsonlCheckpoint, SweepSpec, run_sweep
-from repro.runner.runner import _cell_payload, _run_cell
+from repro.runner import CellResult, JsonlCheckpoint
 
 SPEC = SweepSpec(
     providers=("ovhcloud",),
     mixes=("A", "C", "F", "O"),
     seeds=(5,),
-    target_population=40,
+    base=RunSpec(target_population=40),
 )
 
 
@@ -66,7 +67,7 @@ def full_sweep(tmp_path_factory):
 def test_checkpoint_header_bytes_are_pinned(full_sweep):
     # A literal, not a round trip: the file format must not move by a byte.
     header = full_sweep[1].split(b"\n", 1)[0]
-    assert hashlib.sha256(header).hexdigest()[:16] == "0d66d9000bbffc43"
+    assert hashlib.sha256(header).hexdigest()[:16] == "f968897ff8b2cdff"
 
 
 def test_resume_tolerates_torn_last_line(tmp_path, full_sweep):
@@ -116,11 +117,23 @@ def test_resume_refuses_a_torn_header(tmp_path, full_sweep, keep):
 def test_resume_refuses_foreign_checkpoint(tmp_path):
     out = tmp_path / "sweep.jsonl"
     run_sweep(SPEC, workers=1, out=str(out))
-    other = SweepSpec(
-        providers=("ovhcloud",), mixes=("A",), seeds=(6,), target_population=40
-    )
+    other = SweepSpec(base=RunSpec(target_population=40), providers=("ovhcloud",),
+                      mixes=("A",), seeds=(6,))
     with pytest.raises(RunnerError, match="different spec.*refusing to resume"):
         run_sweep(other, workers=1, out=str(out), resume=True)
+
+
+def test_resume_refuses_an_older_spec_version_by_name(tmp_path):
+    # A checkpoint written before the grid took a base RunSpec (v2).
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(SPEC, workers=1, out=str(out))
+    header, *cells = out.read_text(encoding="utf-8").splitlines()
+    old = json.loads(header)
+    old["fingerprint"] = "0" * 16
+    old["spec"] = {"version": 2, "providers": ["ovhcloud"], "target_population": 40}
+    out.write_text("\n".join([json.dumps(old), *cells]) + "\n", encoding="utf-8")
+    with pytest.raises(RunnerError, match="version 2 spec.*writes version 3"):
+        run_sweep(SPEC, workers=1, out=str(out), resume=True)
 
 
 def test_resume_requires_checkpoint_path():
@@ -135,7 +148,7 @@ def test_failed_cell_is_recorded_and_siblings_complete(tmp_path):
         providers=("ovhcloud", "nosuch"),
         mixes=("F",),
         seeds=(5,),
-        target_population=40,
+        base=RunSpec(target_population=40),
     )
     out = tmp_path / "faulty.jsonl"
     result = run_sweep(spec, workers=2, out=str(out))
@@ -170,9 +183,7 @@ def test_infeasible_sizing_is_captured_not_raised():
         providers=("ovhcloud",),
         mixes=("A",),
         seeds=(5,),
-        target_population=5,
-        machine_cpus=1,
-        machine_mem_gb=0.5,
+        base=RunSpec(target_population=5, host_cpus=1, host_mem_gb=0.5),
     )
     result = run_sweep(spec, workers=1)
     assert not result.ok
@@ -216,9 +227,9 @@ def test_a_killed_worker_is_a_failed_cell_not_a_crashed_sweep(tmp_path, monkeypa
     markers = tmp_path / "markers"
     markers.mkdir()
     monkeypatch.setenv("REPRO_TEST_MARKERS", str(markers))
-    monkeypatch.setattr("repro.api.evaluate", _evaluate_or_die)
-    spec = SweepSpec(providers=("ovhcloud",), mixes=("A", "C", "O"), seeds=(5,),
-                     target_population=40)
+    monkeypatch.setattr("repro.api.sweep.evaluate", _evaluate_or_die)
+    spec = SweepSpec(base=RunSpec(target_population=40), providers=("ovhcloud",),
+                     mixes=("A", "C", "O"), seeds=(5,))
     out = tmp_path / "sweep.jsonl"
     result = run_sweep(spec, workers=3, out=str(out))
     dead = result.results["ovhcloud/C/5"]

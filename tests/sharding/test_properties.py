@@ -94,7 +94,7 @@ def test_merge_is_invariant_to_worker_completion_order(
     reference = result_stream(sim.run(list(wl)))
 
     events, event_shards, sub = sim._route(list(wl))
-    from repro.runner.spec import derive_seeds
+    from repro.runner import derive_seeds
     from repro.sharding.dispatcher import _config_payload
     from repro.workload.traces import vm_to_dict
 

@@ -74,9 +74,7 @@ def test_reference_kernel_mirrors_the_vector_kernel_signatures():
 
 def test_workloads_and_sizing_searches_are_built_in_one_place(src_calls):
     """Outside ``repro.workload`` a trace is generated only by
-    ``api.build_workload`` (plus ``oversub/evaluate.py``, whose
-    ``samples_per_window=8`` recipe differs from ``RunSpec``'s and is the
-    one named exception), and a minimal-cluster search is started only by
+    ``api.build_workload``, and a minimal-cluster search is started only by
     ``api.evaluate`` and ``repro size`` — a front end that wants either
     goes through ``repro.api``."""
     generators, sizers = set(), set()
@@ -86,5 +84,5 @@ def test_workloads_and_sizing_searches_are_built_in_one_place(src_calls):
                 generators.add(module)
         elif name == "minimal_cluster":
             sizers.add(f"{module}:{top}")
-    assert generators == {"api/run.py", "oversub/evaluate.py"}
+    assert generators == {"api/run.py"}
     assert sizers == {"api/run.py:evaluate", "cli.py:_cmd_size"}

@@ -7,8 +7,7 @@ from __future__ import annotations
 import ast
 import json
 
-from repro.api import RunSpec, run
-from repro.runner import SweepSpec, run_sweep
+from repro.api import RunSpec, SweepSpec, run, run_sweep
 from repro.runner.pool import run_pool
 
 
@@ -29,7 +28,7 @@ def test_one_executor_site_and_module_level_workers(src_tree, src_calls):
     }
     assert executors == {"runner/pool.py"}
     assert workers == {
-        ("runner/runner.py", "_run_cell"),
+        ("api/sweep.py", "_run_cell"),
         ("sharding/dispatcher.py", "_run_shard"),
     }
     assert workers <= module_defs
@@ -42,10 +41,10 @@ def test_pool_payloads_survive_a_json_round_trip(monkeypatch):
         shipped.extend(payloads)
         return run_pool(fn, payloads, workers)
 
-    monkeypatch.setattr("repro.runner.runner.run_pool", spy)
+    monkeypatch.setattr("repro.api.sweep.run_pool", spy)
     monkeypatch.setattr("repro.sharding.dispatcher.run_pool", spy)
     sweep = SweepSpec(
-        providers=("ovhcloud",), mixes=("F",), seeds=(1,), target_population=40
+        base=RunSpec(target_population=40), providers=("ovhcloud",), mixes=("F",), seeds=(1,)
     )
     assert run_sweep(sweep, workers=1).ok
     run(RunSpec(target_population=40, seed=1, shards=2, workers=1))
