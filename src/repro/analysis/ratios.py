@@ -20,6 +20,9 @@ __all__ = ["LimitingFactor", "table1_row", "table2_row", "limiting_factor", "cla
 #: calls OVHcloud's 3.9 vs 4 "balanced" — a ~5 % margin).
 BALANCED_MARGIN = 0.05
 
+#: The paper's oversubscription ratios (1:1, 2:1, 3:1).
+_RATIOS = (1.0, 2.0, 3.0)
+
 
 class LimitingFactor(str, Enum):
     """Which PM resource a workload mix exhausts first."""
@@ -54,12 +57,10 @@ def table1_row(catalog: Catalog) -> Table1Row:
     )
 
 
-def table2_row(
-    catalog: Catalog, levels: tuple[float, ...] = (1.0, 2.0, 3.0)
-) -> Table2Row:
+def table2_row(catalog: Catalog) -> Table2Row:
     return Table2Row(
         provider=catalog.name,
-        ratios={r: catalog.mc_ratio(r) for r in levels},
+        ratios={r: catalog.mc_ratio(r) for r in _RATIOS},
     )
 
 
@@ -72,15 +73,11 @@ def limiting_factor(workload_mc: float, target_mc: float) -> LimitingFactor:
     return LimitingFactor.BALANCED
 
 
-def classify_levels(
-    catalog: Catalog,
-    target_mc: float = 4.0,
-    levels: tuple[float, ...] = (1.0, 2.0, 3.0),
-) -> dict[float, LimitingFactor]:
+def classify_levels(catalog: Catalog, target_mc: float = 4.0) -> dict[float, LimitingFactor]:
     """Limiting factor per oversubscription level for a provider.
 
     With the paper's 4 GB/core PMs this reproduces §III-B's reading:
     Azure 1:1 and 2:1 are CPU-bound, 3:1 memory-bound; OVHcloud 1:1 is
     CPU-bound, 2:1 balanced, 3:1 memory-bound.
     """
-    return {r: limiting_factor(catalog.mc_ratio(r), target_mc) for r in levels}
+    return {r: limiting_factor(catalog.mc_ratio(r), target_mc) for r in _RATIOS}

@@ -27,6 +27,9 @@ from repro.workload.usage import profile_for
 
 __all__ = ["UtilizationReport", "cluster_utilization"]
 
+#: Sample instants over the trace: one per hour of a one-week trace.
+_SAMPLES = 168
+
 
 @dataclass(frozen=True)
 class UtilizationReport:
@@ -50,23 +53,20 @@ class UtilizationReport:
 def cluster_utilization(
     workload: Sequence[VMRequest],
     result: SimulationResult,
-    samples: int = 168,
 ) -> UtilizationReport:
     """Measure a placed workload's real CPU usage against the cluster.
 
-    ``samples`` time points are spread over the trace duration (default
-    one per hour of a one-week trace); at each point the demand of every
-    alive *placed* VM is evaluated from its usage profile.
+    :data:`_SAMPLES` time points are spread over the trace duration; at
+    each point the demand of every alive *placed* VM is evaluated from
+    its usage profile.
     """
-    if samples < 2:
-        raise SimulationError("need at least 2 samples")
     times_arr, alloc_cpu, _mem = result.timeline.as_arrays()
     if len(times_arr) == 0:
         raise SimulationError("simulation produced an empty timeline")
     horizon = float(times_arr[-1])
     if horizon <= 0:
         raise SimulationError("trace horizon must be positive")
-    grid = np.linspace(0.0, horizon, samples)
+    grid = np.linspace(0.0, horizon, _SAMPLES)
 
     placed = [vm for vm in workload if vm.vm_id in result.placements]
     profiles = [profile_for(vm.usage_kind, vm.usage_param) for vm in placed]
@@ -76,8 +76,8 @@ def cluster_utilization(
     )
     vcpus = np.array([vm.spec.vcpus for vm in placed], dtype=float)
 
-    used = np.zeros(samples)
-    exposed = np.zeros(samples)
+    used = np.zeros(_SAMPLES)
+    exposed = np.zeros(_SAMPLES)
     for i, t in enumerate(grid):
         alive = (arrivals <= t) & (t < departures)
         if alive.any():

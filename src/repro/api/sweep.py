@@ -32,7 +32,7 @@ resumed run can verify it is continuing the *same* sweep.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -59,6 +59,10 @@ __all__ = ["SweepCell", "SweepResult", "SweepSpec", "resolve_mix_entry", "run_sw
 #: ``scarcity``; no v1 or v2 payload parses, and a resume against an
 #: older checkpoint is refused by its version.
 SPEC_VERSION = 3
+
+#: The ``RunSpec`` fields every cell replaces; ``base`` carries their
+#: defaults, so equal grids share a fingerprint.
+_CELL_FIELDS = ("provider", "mix", "seed")
 
 
 def resolve_mix_entry(entry: str) -> tuple[str, LevelMix]:
@@ -117,7 +121,9 @@ class SweepSpec(Spec):
     """One run recipe swept over providers × mixes × seeds.
 
     Every cell is ``base`` with its provider, mix and seed replaced
-    (and ``workers=1``: the sweep owns the process pool, one level up);
+    (and ``workers=1``: the sweep owns the process pool, one level up),
+    so those three fields of ``base`` are reset to the ``RunSpec``
+    defaults and two grids that enumerate equal cells fingerprint alike;
     population, host shape, policy, pooling, shard geometry and the
     oversub update period all come from ``base``.  A ``base`` mapping
     (a checkpoint header, ``from_dict``) is parsed into a ``RunSpec``.
@@ -161,6 +167,9 @@ class SweepSpec(Spec):
                 raise RunnerError(f"base: {exc}") from None
         if not isinstance(self.base, RunSpec):
             raise RunnerError(f"base must be a RunSpec, got {self.base!r}")
+        reset = {f.name: f.default for f in fields(RunSpec) if f.name in _CELL_FIELDS}
+        if any(getattr(self.base, name) != value for name, value in reset.items()):
+            object.__setattr__(self, "base", self.base.replace(**reset))
         for name, required in _NOT_IN_PROTOCOL.items():
             if getattr(self.base, name) != required:
                 raise RunnerError(
@@ -290,11 +299,13 @@ def _run_cell(payload: dict) -> dict:
     try:
         spec = RunSpec.from_dict(payload["run_spec"])
         if payload["strategies"]:
+            from repro.core.config import SlackVMConfig
             from repro.oversub.evaluate import compare_strategies
 
             record["rows"] = compare_strategies(
                 build_workload(spec),
                 MachineSpec(name="host", cpus=spec.host_cpus, mem_gb=spec.host_mem_gb),
+                config=SlackVMConfig(pooling=spec.pooling),
                 policy=spec.policy,
                 update_every=spec.oversub_update_every,
                 strategies=payload["strategies"],
@@ -329,10 +340,18 @@ class SweepResult:
     def failures(self) -> list[CellResult]:
         return [r for r in self.results.values() if not r.ok]
 
+    def _require_protocol(self, strategies: bool, accessor: str) -> None:
+        """Refuse an accessor of the protocol this grid does not run."""
+        if bool(self.spec.strategies) != strategies:
+            runs = ("the §VIII strategy comparison" if self.spec.strategies
+                    else "the §VII-B evaluate protocol")
+            raise RunnerError(f"{accessor} reads no cell of this grid: it runs {runs}")
+
     def _figure_cells(
-        self, provider: Optional[str]
+        self, provider: Optional[str], accessor: str
     ) -> list[tuple[CellResult, DistributionOutcome]]:
         """One provider's cells (the spec's first by default), all ok."""
+        self._require_protocol(False, accessor)
         self.raise_on_failure()
         provider = self.spec.providers[0] if provider is None else provider
         if provider not in self.spec.providers:
@@ -351,20 +370,21 @@ class SweepResult:
         first = self.spec.effective_seeds()[0]
         return {
             r.mix_label: outcome
-            for r, outcome in self._figure_cells(provider)
+            for r, outcome in self._figure_cells(provider, "fig3()")
             if r.seed == first
         }
 
     def fig4(self, provider: Optional[str] = None) -> dict[str, float]:
         """Fig. 4 grid: seed-mean PM savings (%) per mix label."""
         savings: dict[str, list[float]] = {}
-        for r, outcome in self._figure_cells(provider):
+        for r, outcome in self._figure_cells(provider, "fig4()"):
             savings.setdefault(r.mix_label, []).append(outcome.savings_percent)
         return {label: float(np.mean(vals)) for label, vals in savings.items()}
 
     def rows(self) -> list[dict[str, Any]]:
         """§VIII rows, one per cell and strategy in grid order, each
         carrying its cell's ``provider``, ``mix_label`` and ``seed``."""
+        self._require_protocol(True, "rows()")
         self.raise_on_failure()
         return [
             {"provider": r.provider, "mix_label": r.mix_label, "seed": r.seed, **row}

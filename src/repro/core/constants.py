@@ -51,8 +51,8 @@ CAPACITY_EPSILON = 1e-9
 #: per host, so any chunk size yields identical placements.
 FIRST_FIT_CHUNK = 1024
 
-def floats_equal(a: float, b: float, eps: float = CAPACITY_EPSILON) -> bool:
-    """Tolerant float equality: ``|a - b| <= eps`` (absolute).
+def floats_equal(a: float, b: float) -> bool:
+    """Tolerant float equality: ``|a - b| <= CAPACITY_EPSILON`` (absolute).
 
     The shared replacement for ``==`` on float-typed scoring/capacity
     expressions in the decision paths (determinism rule R005).  Uses the same
@@ -61,9 +61,9 @@ def floats_equal(a: float, b: float, eps: float = CAPACITY_EPSILON) -> bool:
     apart".  Also works elementwise on numpy arrays (returns a bool
     array in that case).
     """
-    return abs(a - b) <= eps
+    return abs(a - b) <= CAPACITY_EPSILON
 
 
-def floats_differ(a: float, b: float, eps: float = CAPACITY_EPSILON) -> bool:
+def floats_differ(a: float, b: float) -> bool:
     """Tolerant float inequality — scalar negation of :func:`floats_equal`."""
-    return not floats_equal(a, b, eps)
+    return not floats_equal(a, b)

@@ -101,14 +101,13 @@ class LocalScheduler:
         machine: MachineSpec,
         config: SlackVMConfig | None = None,
         topology: Optional[Topology] = None,
-        recorder: Optional[DecisionRecorder] = None,
     ):
         self.machine = machine
         self.config = config or SlackVMConfig()
         self.topology = topology
         #: Observability sink (repro.obs): receives one admission record
-        #: per deploy when set and enabled.
-        self.recorder = recorder
+        #: per deploy when set and enabled; the simulation wires it.
+        self.recorder: Optional[DecisionRecorder] = None
         if topology is not None and topology.num_cpus != machine.cpus:
             raise ConfigError(
                 f"topology has {topology.num_cpus} CPUs, machine spec says {machine.cpus}"

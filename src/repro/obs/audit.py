@@ -180,10 +180,12 @@ def _scores_close(a: Optional[float], b: Optional[float]) -> bool:
     return math.isclose(a, b, rel_tol=SCORE_RTOL, abs_tol=SCORE_RTOL)
 
 
+#: Divergences one diff collects before it stops.
+_MAX_DIVERGENCES = 10
+
+
 def diff_decision_streams(
-    obj: Sequence[DecisionRecord],
-    vec: Sequence[DecisionRecord],
-    max_divergences: int = 10,
+    obj: Sequence[DecisionRecord], vec: Sequence[DecisionRecord]
 ) -> list[Divergence]:
     """Event-by-event diff of two decision streams.
 
@@ -191,13 +193,14 @@ def diff_decision_streams(
     set, chosen host, admission kind, hosted level, vNode growth, then
     per-candidate total scores (within :data:`SCORE_RTOL`).  The first
     failing field is reported for each arrival; collection stops after
-    ``max_divergences`` so a systematic drift doesn't flood the report.
+    :data:`_MAX_DIVERGENCES` so a systematic drift doesn't flood the
+    report.
     """
     divergences: list[Divergence] = []
 
     def add(seq, vm_id, kind, ov, vv, od=None, vd=None) -> bool:
         divergences.append(Divergence(seq, vm_id, kind, ov, vv, od, vd))
-        return len(divergences) >= max_divergences
+        return len(divergences) >= _MAX_DIVERGENCES
 
     if len(obj) != len(vec):
         add(
@@ -255,18 +258,16 @@ def audit_workload(
     workload: list[VMRequest],
     machines: Sequence[MachineSpec],
     policy: str = "progress",
-    config: Optional[SlackVMConfig] = None,
-    max_divergences: int = 10,
 ) -> AuditReport:
     """Replay ``workload`` through both engines and diff their decisions.
 
     The object path gets one :class:`LocalScheduler` per machine (same
-    machine specs, same config) and the scheduler matching ``policy``
+    machine specs, the default config) and the scheduler matching ``policy``
     via :func:`~repro.scheduling.baselines.scheduler_for_policy`; the
     vector path gets :class:`VectorSimulation` with the policy string.
     Both run fully instrumented (decision records + metrics).
     """
-    cfg = config or SlackVMConfig()
+    cfg = SlackVMConfig()
     scheduler = scheduler_for_policy(policy)
 
     obj_recorder = MemoryRecorder()
@@ -287,9 +288,7 @@ def audit_workload(
     ).run(workload)
     vec_wall = perf_counter() - t0
 
-    divergences = diff_decision_streams(
-        obj_recorder.decisions, vec_recorder.decisions, max_divergences
-    )
+    divergences = diff_decision_streams(obj_recorder.decisions, vec_recorder.decisions)
     return AuditReport(
         policy=policy,
         num_hosts=len(list(machines)),

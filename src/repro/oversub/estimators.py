@@ -7,9 +7,9 @@ usage windows (:class:`HostWindows`, one row per host) to the effective
 CPU capacities the scheduler should pack against.  Every rule is
 written once, over arrays; one host is a one-row batch.  Strategies:
 
-* :class:`StaticRatio` — the paper's baseline: a fixed multiple of the
-  physical core count (``ratio=1.0`` reproduces today's behaviour
-  exactly; the per-level oversubscription already lives in the vNodes).
+* :class:`StaticRatio` — the paper's baseline: the physical core count
+  (a host-level ratio of 1 reproduces today's behaviour exactly; the
+  per-level oversubscription already lives in the vNodes).
 * :class:`PercentileEstimator` — Resource Central-style: scale the
   current reservation so the predicted usage peak lands at a headroom
   target below the physical capacity.
@@ -21,8 +21,11 @@ written once, over arrays; one host is a one-row batch.  Strategies:
 
 Every estimate is clamped row-wise into ``[used, ratio_cap × physical]``:
 never below what the VMs demonstrably used (capacity that is already
-consumed cannot be reclaimed by prediction), never above the configured
+consumed cannot be reclaimed by prediction), never above the strategy's
 oversubscription ceiling.  The property suite pins this contract.
+
+Every tunable is a class constant: the evaluation grid builds each
+strategy through :data:`STRATEGIES` with no argument.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.errors import ConfigError
-from repro.core.spec import bound, check_bounds, check_int, check_real
+from repro.core.spec import bound, check_bounds
 
 __all__ = [
     "PercentilePredictor",
@@ -135,12 +138,12 @@ class CapacityEstimator(ABC):
 
     #: Registry key; subclasses override.
     name = "estimator"
+    #: Ceiling of the effective capacity, as a multiple of physical.
+    ratio_cap = 3.0
     #: Initial per-host state, one entry per state row (stateless: none).
     _fresh: tuple[float, ...] = ()
 
-    def __init__(self, ratio_cap: float = 3.0):
-        # An infinite cap would admit unboundedly.
-        self.ratio_cap = check_real("ratio_cap", ratio_cap, 1.0)
+    def __init__(self) -> None:
         self.reset()
 
     @abstractmethod
@@ -158,7 +161,7 @@ class CapacityEstimator(ABC):
         self._state = np.empty((len(self._fresh), 0))
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"{type(self).__name__}(ratio_cap={self.ratio_cap})"
+        return f"{type(self).__name__}()"
 
     def _host_state(self, hosts: np.ndarray) -> np.ndarray:
         """A copy of the ``hosts`` columns of the state (new hosts start
@@ -171,22 +174,19 @@ class CapacityEstimator(ABC):
 
 
 class StaticRatio(CapacityEstimator):
-    """The paper's baseline: effective capacity = ratio × physical.
+    """The paper's baseline: effective capacity = ratio_cap × physical.
 
-    ``ratio=1.0`` (the default) is *exactly* today's behaviour — the
-    per-level oversubscription is already encoded in the vNode ratios,
-    so the host-level effective capacity equals the physical cores and
-    the golden decision traces are reproduced byte-identically.
+    A ratio of 1 is *exactly* today's behaviour — the per-level
+    oversubscription is already encoded in the vNode ratios, so the
+    host-level effective capacity equals the physical cores and the
+    golden decision traces are reproduced byte-identically.
     """
 
     name = "static"
-
-    def __init__(self, ratio: float = 1.0):
-        super().__init__(ratio_cap=ratio)
-        self.ratio = ratio
+    ratio_cap = 1.0
 
     def _estimate(self, windows: HostWindows) -> np.ndarray:
-        return self.ratio * windows.physical
+        return self.ratio_cap * windows.physical
 
 
 class PercentileEstimator(CapacityEstimator):
@@ -203,11 +203,8 @@ class PercentileEstimator(CapacityEstimator):
     """
 
     name = "percentile"
-
-    def __init__(self, headroom: float = 0.1, ratio_cap: float = 3.0):
-        super().__init__(ratio_cap=ratio_cap)
-        self.predictor = PercentilePredictor(95.0)
-        self.headroom = check_real("headroom", headroom, 0.0, 1.0, open_high=True)
+    predictor = PercentilePredictor(95.0)
+    headroom = 0.1
 
     def _estimate(self, windows: HostWindows) -> np.ndarray:
         raw = windows.physical.copy()
@@ -241,23 +238,12 @@ class DoaEstimator(CapacityEstimator):
     name = "doa"
     #: Per host: ratio, previous peak, consecutive stable windows.
     _fresh = (1.0, np.nan, 0.0)
-
-    def __init__(
-        self,
-        alert: float = 0.85,
-        increase: float = 0.1,
-        decrease: float = 0.5,
-        stable_windows: int = 2,
-        stability_margin: float = 0.05,
-        ratio_cap: float = 3.0,
-    ):
-        super().__init__(ratio_cap=ratio_cap)
-        self.predictor = PercentilePredictor(90.0)
-        self.alert = check_real("alert", alert, 0.0, 1.0, open_low=True)
-        self.increase = check_real("increase", increase, 0.0, open_low=True)
-        self.decrease = check_real("decrease", decrease, 0.0, open_low=True)
-        self.stable_windows = check_int("stable_windows", stable_windows, 1)
-        self.stability_margin = check_real("stability_margin", stability_margin, 0.0)
+    predictor = PercentilePredictor(90.0)
+    alert = 0.85
+    increase = 0.1
+    decrease = 0.5
+    stable_windows = 2
+    stability_margin = 0.05
 
     def _estimate(self, windows: HostWindows) -> np.ndarray:
         physical = windows.physical
@@ -290,18 +276,9 @@ class GreedyEstimator(CapacityEstimator):
 
     name = "greedy"
     _fresh = (1.0,)  # per host: ratio
-
-    def __init__(
-        self,
-        quiet: float = 0.7,
-        step: float = 0.25,
-        backoff: float = 0.5,
-        ratio_cap: float = 3.0,
-    ):
-        super().__init__(ratio_cap=ratio_cap)
-        self.quiet = check_real("quiet", quiet, 0.0, 1.0, open_low=True)
-        self.step = check_real("step", step, 0.0, open_low=True)
-        self.backoff = check_real("backoff", backoff, 0.0, 1.0, open_high=True)
+    quiet = 0.7
+    step = 0.25
+    backoff = 0.5
 
     def _estimate(self, windows: HostWindows) -> np.ndarray:
         (ratio,) = self._host_state(windows.hosts)
@@ -314,9 +291,8 @@ class GreedyEstimator(CapacityEstimator):
         return ratio * windows.physical
 
 
-#: Strategy registry: name -> zero-argument factory with the defaults
-#: the evaluation sweep uses.  Fresh instances per cell — DOA and
-#: greedy carry per-host state.
+#: Strategy registry: name -> zero-argument factory.  Fresh instances
+#: per cell — DOA and greedy carry per-host state.
 STRATEGIES: dict[str, Callable[[], CapacityEstimator]] = {
     StaticRatio.name: StaticRatio,
     PercentileEstimator.name: PercentileEstimator,
@@ -326,7 +302,7 @@ STRATEGIES: dict[str, Callable[[], CapacityEstimator]] = {
 
 
 def make_estimator(name: str) -> CapacityEstimator:
-    """Instantiate a registered strategy with its default parameters."""
+    """Instantiate a registered strategy."""
     try:
         factory = STRATEGIES[name]
     except KeyError:

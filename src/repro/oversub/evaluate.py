@@ -22,7 +22,7 @@ simulation engines, which import the rest of the package.
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.core.types import VMRequest
 from repro.hardware.machine import MachineSpec
@@ -31,6 +31,9 @@ from repro.oversub.estimators import make_estimator
 from repro.simulator.engine import SimulationResult
 from repro.simulator.sizing import demand_lower_bound
 from repro.simulator.vectorpool import VectorSimulation
+
+if TYPE_CHECKING:
+    from repro.core.config import SlackVMConfig
 
 __all__ = ["SAMPLES_PER_WINDOW", "compare_strategies", "render_oversub_table"]
 
@@ -42,6 +45,7 @@ def _run_strategy(
     strategy: str,
     machines: Sequence[MachineSpec],
     workload: Sequence[VMRequest],
+    config: SlackVMConfig,
     policy: str,
     update_every: float,
 ) -> SimulationResult:
@@ -50,13 +54,14 @@ def _run_strategy(
         update_every=update_every,
         samples_per_window=SAMPLES_PER_WINDOW,
     )
-    sim = VectorSimulation(list(machines), policy=policy, oversub=oversub)
+    sim = VectorSimulation(list(machines), config=config, policy=policy, oversub=oversub)
     return sim.run(list(workload))
 
 
 def compare_strategies(
     workload: Sequence[VMRequest],
     machine: MachineSpec,
+    config: SlackVMConfig,
     policy: str,
     update_every: float,
     strategies: Sequence[str],
@@ -65,10 +70,11 @@ def compare_strategies(
     """Run ``workload`` once per strategy on a scarce cluster of ``machine``.
 
     The cluster is ``ceil(scarcity × demand lower bound)`` hosts (at
-    least one).  Returns one JSON-primitive row per strategy, in order:
-    ``strategy``, ``hosts``, ``arrivals``, ``placed``, ``rejected``,
-    ``pooled``, ``violation_rate``, ``eff_ratio_mean`` and
-    ``packing_gain_percent`` (placed-count gain over the static run).
+    least one), every host configured by ``config`` (levels, pooling).
+    Returns one JSON-primitive row per strategy, in order: ``strategy``,
+    ``hosts``, ``arrivals``, ``placed``, ``rejected``, ``pooled``,
+    ``violation_rate``, ``eff_ratio_mean`` and ``packing_gain_percent``
+    (placed-count gain over the static run).
     """
     lb = demand_lower_bound(workload, machine)
     hosts = max(1, math.ceil(lb * scarcity))
@@ -78,14 +84,14 @@ def compare_strategies(
     ]
     # The static baseline anchors the gain column even when the caller
     # did not request it as a row.
-    baseline = _run_strategy("static", machines, workload, policy, update_every)
+    baseline = _run_strategy("static", machines, workload, config, policy, update_every)
     base_placed = len(baseline.placements)
     rows = []
     for strategy in strategies:
         result = (
             baseline
             if strategy == "static"
-            else _run_strategy(strategy, machines, workload, policy, update_every)
+            else _run_strategy(strategy, machines, workload, config, policy, update_every)
         )
         placed = len(result.placements)
         gain = (

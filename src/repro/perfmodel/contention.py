@@ -69,18 +69,19 @@ class ContentionGroup:
     distributions of Fig. 2.
     """
 
+    #: Lag-one autocorrelation of the demand noise.
+    noise_rho = 0.9
+
     def __init__(
         self,
         capacity: CpuSetCapacity,
         members: Sequence[GroupMember],
         rng: np.random.Generator | None = None,
         noise_sigma: float = 0.0,
-        noise_rho: float = 0.9,
     ):
         if not members:
             raise ConfigError("a contention group needs at least one member")
         self._sigma = check_real("noise_sigma", noise_sigma, 0.0)
-        self._rho = check_real("noise_rho", noise_rho, 0.0, 1.0, open_high=True)
         if self._sigma > 0 and rng is None:
             raise ConfigError("demand noise requires an rng")
         self.capacity = capacity
@@ -110,8 +111,8 @@ class ContentionGroup:
             return np.ones(len(self.members))
         innovation = self._rng.normal(size=len(self.members))
         self._noise_state = (
-            self._rho * self._noise_state
-            + math.sqrt(1.0 - self._rho**2) * self._sigma * innovation
+            self.noise_rho * self._noise_state
+            + math.sqrt(1.0 - self.noise_rho**2) * self._sigma * innovation
         )
         # exp(x - sigma^2/2) has mean 1 for x ~ N(0, sigma^2).
         return np.exp(self._noise_state - self._sigma**2 / 2.0)

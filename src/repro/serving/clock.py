@@ -42,8 +42,8 @@ class VirtualClock:
     entry.  Sleepers cancelled while parked are skipped silently.
     """
 
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._seq = itertools.count()
         self._timers: List[Tuple[float, int, Callable[[Any], None], Any]] = []
 

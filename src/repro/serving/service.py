@@ -213,8 +213,8 @@ class ServiceReport:
     decision_log: List[str]
     fingerprint: str  # sha256 over decision + audit logs (determinism key)
 
-    def to_dict(self, include_log: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "spec": self.spec.to_dict(),
             "counts": self.counts,
             "rates": self.rates,
@@ -222,10 +222,8 @@ class ServiceReport:
             "queue": self.queue,
             "cluster": self.cluster,
             "fingerprint": self.fingerprint,
+            "decision_log": list(self.decision_log),
         }
-        if include_log:
-            out["decision_log"] = list(self.decision_log)
-        return out
 
     def summary(self) -> str:
         c = self.counts
@@ -592,11 +590,7 @@ class PlacementService:
         )
 
 
-def serve(
-    spec: ServiceSpec,
-    metrics: Optional[MetricsRegistry] = None,
-    clock: Optional[VirtualClock] = None,
-) -> ServiceReport:
-    """Run one service admission window on virtual time and report."""
-    service = PlacementService(spec, clock=clock, metrics=metrics)
+def serve(spec: ServiceSpec, metrics: Optional[MetricsRegistry] = None) -> ServiceReport:
+    """Run one service admission window on a fresh virtual clock and report."""
+    service = PlacementService(spec, metrics=metrics)
     return run_virtual(service.run(), service.clock)

@@ -20,7 +20,6 @@ from repro.simulator.metrics import (
     UnallocatedShares,
     combine_unallocated,
     pm_savings_percent,
-    time_averaged_unallocated,
     unallocated_at_peak,
 )
 from repro.simulator.refkernel import naive_feasibility, naive_scores
@@ -55,7 +54,6 @@ __all__ = [
     "naive_scores",
     "UnallocatedShares",
     "unallocated_at_peak",
-    "time_averaged_unallocated",
     "combine_unallocated",
     "pm_savings_percent",
     "SizingResult",

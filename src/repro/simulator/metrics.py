@@ -3,8 +3,7 @@
 Provides the two quantities the paper's evaluation reports (§VII-B2):
 
 * unallocated CPU / memory shares (Figure 3) — measured at the peak
-  combined allocation of each (minimally-sized) cluster, and also as a
-  time-weighted average for completeness;
+  combined allocation of each (minimally-sized) cluster;
 * PM savings between a dedicated-clusters baseline and SlackVM's shared
   cluster (Figure 4).
 """
@@ -14,14 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.simulator.engine import SimulationResult
 
 __all__ = [
     "UnallocatedShares",
     "unallocated_at_peak",
-    "time_averaged_unallocated",
     "combine_unallocated",
     "pm_savings_percent",
 ]
@@ -45,24 +41,7 @@ def unallocated_at_peak(result: SimulationResult) -> UnallocatedShares:
     return UnallocatedShares(cpu=float(cpu), mem=float(mem))
 
 
-def time_averaged_unallocated(result: SimulationResult) -> UnallocatedShares:
-    """Time-weighted mean unallocated shares over the whole trace."""
-    times, cpu, mem = result.timeline.as_arrays()
-    if len(times) < 2:
-        return UnallocatedShares(1.0, 1.0)
-    dt = np.diff(times)
-    span = dt.sum()
-    if span == 0:
-        return unallocated_at_peak(result)
-    # Allocation recorded at event i holds until event i+1.
-    cpu_share = 1.0 - float((cpu[:-1] * dt).sum() / span) / result.capacity_cpu
-    mem_share = 1.0 - float((mem[:-1] * dt).sum() / span) / result.capacity_mem
-    return UnallocatedShares(cpu=cpu_share, mem=mem_share)
-
-
-def combine_unallocated(
-    results: Sequence[SimulationResult], at_peak: bool = True
-) -> UnallocatedShares:
+def combine_unallocated(results: Sequence[SimulationResult]) -> UnallocatedShares:
     """Capacity-weighted combination across several (dedicated) clusters.
 
     Each dedicated cluster is sized by its own peak, so its unallocated
@@ -76,7 +55,7 @@ def combine_unallocated(
     free_cpu = 0.0
     free_mem = 0.0
     for r in results:
-        shares = unallocated_at_peak(r) if at_peak else time_averaged_unallocated(r)
+        shares = unallocated_at_peak(r)
         free_cpu += shares.cpu * r.capacity_cpu
         free_mem += shares.mem * r.capacity_mem
     return UnallocatedShares(cpu=free_cpu / cap_cpu, mem=free_mem / cap_mem)

@@ -360,19 +360,16 @@ class VectorCluster:
         for entry in self._shape_cache.values():
             entry[0] -= cut
 
-    def invalidate(self, host: Optional[int] = None) -> None:
-        """Mark cached derived quantities stale.
+    def invalidate(self) -> None:
+        """Mark every host's cached derived quantities stale.
 
         Call after mutating the state arrays directly (e.g. editing
-        ``cap_cpu`` in a test rig).  ``host=None`` invalidates every
-        host.  ``deploy``/``remove``/``kill_host`` do this themselves.
+        ``cap_cpu`` in a test rig).  ``deploy``/``remove``/``kill_host``
+        do this themselves, one host at a time.
         """
-        if host is None:
-            self._dirty_all = True
-            self._shape_cache.clear()
-            self._mutlog.clear()
-        else:
-            self._touch(host)
+        self._dirty_all = True
+        self._shape_cache.clear()
+        self._mutlog.clear()
         self.total_alloc_cpu = float(self.alloc_cpu.sum())
         self._recount_mem()
 

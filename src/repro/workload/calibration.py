@@ -1,13 +1,13 @@
 """Catalog calibration: fit flavor probabilities to published statistics.
 
-The frozen :data:`~repro.workload.catalog.AZURE` and
-:data:`~repro.workload.catalog.OVHCLOUD` catalogs were derived with
-this module: given a set of candidate flavors, a prior over them, and
-the provider statistics the paper publishes (Table I means and the
-Table II restricted M/C ratio), find the minimum-KL-divergence
-probability vector satisfying the moment constraints.  Providers
-adopting this library can calibrate catalogs to their own fleet
-statistics the same way.
+Given a set of candidate flavors and the provider statistics the paper
+publishes (Table I means and the Table II restricted M/C ratio), find
+the probability vector closest to uniform (minimum KL divergence) that
+satisfies the moment constraints.  The frozen
+:data:`~repro.workload.catalog.AZURE` and
+:data:`~repro.workload.catalog.OVHCLOUD` catalogs meet the same
+moments (``docs/CALIBRATION.md``); providers adopting this library can
+calibrate catalogs to their own fleet statistics the same way.
 
 Requires scipy (an optional dependency; everything else in the library
 runs on numpy alone).
@@ -26,6 +26,9 @@ from repro.core.types import VMSpec
 from repro.workload.catalog import OVERSUB_MEM_CAP_GB, Catalog
 
 __all__ = ["CalibrationTarget", "calibrate_catalog"]
+
+#: Largest moment residual a calibrated catalog may leave.
+_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -51,12 +54,10 @@ def calibrate_catalog(
     name: str,
     flavors: Sequence[VMSpec],
     target: CalibrationTarget,
-    prior: Sequence[float] | None = None,
-    tol: float = 1e-6,
 ) -> Catalog:
     """Fit flavor probabilities to ``target`` by min-KL projection.
 
-    Solves ``min_p KL(p || prior)`` subject to the linear moment
+    Solves ``min_p KL(p || uniform)`` subject to the linear moment
     constraints, via SLSQP.  Raises :class:`WorkloadError` when the
     constraints are infeasible for the given flavor set (e.g. every
     eligible flavor has a higher memory/vCPU ratio than the target —
@@ -79,13 +80,7 @@ def calibrate_catalog(
     m = np.array([f.mem_gb for f in flavors], dtype=float)
     small = m <= OVERSUB_MEM_CAP_GB
 
-    if prior is None:
-        prior_arr = np.full(n, 1.0 / n)
-    else:
-        prior_arr = np.asarray(prior, dtype=float)
-        if prior_arr.shape != (n,) or np.any(prior_arr <= 0):
-            raise WorkloadError("prior must be positive with one entry per flavor")
-        prior_arr = prior_arr / prior_arr.sum()
+    uniform = np.full(n, 1.0 / n)
 
     rows = [np.ones(n), v, m]
     rhs = [1.0, target.mean_vcpus, target.mean_mem_gb]
@@ -108,7 +103,7 @@ def calibrate_catalog(
 
     def objective(p: np.ndarray) -> float:
         p = np.clip(p, 1e-12, None)
-        return float(np.sum(p * np.log(p / prior_arr)))
+        return float(np.sum(p * np.log(p / uniform)))
 
     constraints = [
         {"type": "eq", "fun": (lambda p, Ai=A[i], bi=b[i]: float(Ai @ p - bi))}
@@ -116,7 +111,7 @@ def calibrate_catalog(
     ]
     res = minimize(
         objective,
-        prior_arr,
+        uniform,
         constraints=constraints,
         bounds=[(1e-9, 1.0)] * n,
         method="SLSQP",
@@ -124,7 +119,7 @@ def calibrate_catalog(
     )
     p = np.clip(res.x, 0.0, None)
     residual = float(np.abs(A @ p - b).max())
-    if not res.success or residual > tol:
+    if not res.success or residual > _TOL:
         raise WorkloadError(
             f"calibration failed (residual {residual:.2e}): the targets may "
             "be infeasible for this flavor set"

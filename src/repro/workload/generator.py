@@ -156,15 +156,14 @@ def remap_levels(
     return out
 
 
-def peak_population(workload: Sequence[VMRequest], horizon: float | None = None) -> int:
-    """Maximum number of concurrently-alive VMs in a trace."""
+def peak_population(workload: Sequence[VMRequest]) -> int:
+    """Maximum number of concurrently-alive VMs in a trace (a VM with no
+    departure stays alive to the end)."""
     deltas: list[tuple[float, int]] = []
     for vm in workload:
         deltas.append((vm.arrival, 1))
         if vm.departure is not None:
             deltas.append((vm.departure, -1))
-        elif horizon is not None:
-            deltas.append((horizon, -1))
     deltas.sort(key=lambda d: (d[0], d[1]))
     alive = peak = 0
     for _, d in deltas:

@@ -121,6 +121,12 @@ def test_figure_of_a_provider_outside_the_sweep_is_an_error(sweep, figure):
         getattr(sweep, figure)("azrue")
 
 
+def test_rows_of_an_evaluate_grid_are_refused(sweep):
+    # No rows would read as "no strategy ran", not as the wrong accessor.
+    with pytest.raises(RunnerError, match=r"rows\(\).*§VII-B evaluate protocol"):
+        sweep.rows()
+
+
 def test_figures_are_per_provider_and_never_partial():
     two = run_sweep(SWEEP.replace(providers=("ovhcloud", "azure"), mixes=("F",), seeds=(5,)))
     assert two.fig3()["F"].provider == "ovhcloud"  # the spec's first by default

@@ -7,7 +7,6 @@ from repro.core import (
     LEVEL_1_1,
     LEVEL_3_1,
     OversubscriptionLevel,
-    SimulationError,
     SlackVMConfig,
     VMRequest,
     VMSpec,
@@ -34,7 +33,7 @@ def test_stress_vm_usage_matches_param():
     trace = [vm("a", vcpus=4, param=0.5, departure=100.0),
              vm("end", vcpus=1, arrival=100.0, param=0.0, kind="idle")]
     result = run(trace)
-    report = cluster_utilization(trace, result, samples=101)
+    report = cluster_utilization(trace, result)
     # 4 vCPUs at 50% for the whole window on an 8-CPU PM ~ 25% used.
     assert report.used_cpu_share == pytest.approx(0.25, abs=0.03)
     assert report.allocated_cpu_share == pytest.approx(0.5, abs=0.05)
@@ -46,7 +45,7 @@ def test_oversubscription_raises_exposed_share():
              vm("b", vcpus=8, level=LEVEL_3_1, param=0.2, departure=100.0),
              vm("end", vcpus=1, arrival=100.0, kind="idle", param=0.0)]
     result = run(trace)
-    report = cluster_utilization(trace, result, samples=50)
+    report = cluster_utilization(trace, result)
     assert report.exposed_vcpu_share > 1.0  # more vCPUs than CPUs
     assert report.allocated_cpu_share < 1.0
 
@@ -60,9 +59,9 @@ def test_oversubscription_improves_efficiency():
                                          kind="idle", param=0.0)]
 
     premium = trace(LEVEL_1_1)
-    r1 = cluster_utilization(premium, run(premium), samples=50)
+    r1 = cluster_utilization(premium, run(premium))
     oversub = trace(LEVEL_3_1)
-    r3 = cluster_utilization(oversub, run(oversub), samples=50)
+    r3 = cluster_utilization(oversub, run(oversub))
     assert r3.overcommit_efficiency > r1.overcommit_efficiency
 
 
@@ -72,15 +71,8 @@ def test_unplaced_vms_are_ignored():
     trace = [giant, small, vm("end", vcpus=1, arrival=100.0, kind="idle", param=0.0)]
     result = run(trace)
     assert "giant" in result.rejections
-    report = cluster_utilization(trace, result, samples=20)
+    report = cluster_utilization(trace, result)
     assert report.exposed_vcpu_share < 1.0
-
-
-def test_sample_validation():
-    trace = [vm("a", departure=10.0)]
-    result = run(trace)
-    with pytest.raises(SimulationError):
-        cluster_utilization(trace, result, samples=1)
 
 
 def test_report_zero_allocation():

@@ -7,10 +7,11 @@ import pytest
 from repro.core import OversubscriptionLevel, SlackVMConfig, VMRequest, VMSpec
 from repro.core.errors import ConfigError
 from repro.hardware import MachineSpec
-from repro.obs import ADMISSION_GROWTH, DecisionRecord, HostDecision
+from repro.localsched import LocalScheduler
+from repro.obs import ADMISSION_GROWTH, DecisionRecord, HostDecision, MemoryRecorder
 from repro.obs.audit import audit_workload, diff_decision_streams
 from repro.scheduling import scheduler_for_policy
-from repro.simulator import POLICIES
+from repro.simulator import POLICIES, Simulation, VectorSimulation
 
 
 def random_workload(n, seed):
@@ -44,11 +45,19 @@ class TestAuditAgreement:
         assert "divergences: 0" in report.summary()
 
     def test_agreement_with_pooling_disabled(self):
-        report = audit_workload(
-            random_workload(30, seed=5), MACHINES, policy="progress",
-            config=SlackVMConfig(pooling=False),
+        # audit_workload's replay, at a non-default config.
+        cfg, workload = SlackVMConfig(pooling=False), random_workload(30, seed=5)
+        obj, vec = MemoryRecorder(), MemoryRecorder()
+        Simulation(
+            [LocalScheduler(m, cfg) for m in MACHINES],
+            scheduler_for_policy("progress"),
+            recorder=obj,
+        ).run(workload)
+        VectorSimulation(MACHINES, config=cfg, policy="progress", recorder=vec).run(
+            workload
         )
-        assert report.ok, report.summary()
+        assert len(obj.decisions) == 30
+        assert diff_decision_streams(obj.decisions, vec.decisions) == []
 
     def test_report_dict_shape(self):
         report = audit_workload(random_workload(10, seed=1), MACHINES)
@@ -129,8 +138,8 @@ class TestDiffLocalization:
     def test_max_divergences_caps_collection(self):
         obj = [_decision(i, f"vm-{i}", 0) for i in range(20)]
         vec = [_decision(i, f"vm-{i}", 1) for i in range(20)]
-        divs = diff_decision_streams(obj, vec, max_divergences=5)
-        assert len(divs) == 5
+        divs = diff_decision_streams(obj, vec)
+        assert len(divs) == 10
 
     def test_admission_divergence(self):
         obj = [_decision(0, "vm-0", 0, admission="growth")]

@@ -38,7 +38,7 @@ def _peak(est, samples):
 
 class ScalarStatic:
     def estimate(self, est, host, physical, allocated, samples):
-        return est.ratio * physical
+        return est.ratio_cap * physical
 
 
 class ScalarPercentile:
@@ -178,13 +178,13 @@ def test_reset_drops_every_hosts_state(strategy, seq):
 
 
 def test_state_does_not_leak_to_a_host_first_seen_later():
-    for est in (DoaEstimator(stable_windows=1), GreedyEstimator()):
+    for est in (DoaEstimator(), GreedyEstimator()):
         quiet = np.full((2, 4), 1.0)
         for _ in range(4):
             est.effective_capacities(HostWindows([16.0, 16.0], [8.0, 8.0], quiet))
         grown = HostWindows([16.0] * 3, [8.0] * 3, np.full((3, 4), 1.0))
         eff = est.effective_capacities(grown)
-        fresh = type(est)(**({"stable_windows": 1} if est.name == "doa" else {}))
+        fresh = type(est)()
         assert eff[2] == fresh.effective_capacities(grown)[2]
         assert eff[0] == eff[1] > eff[2]
 

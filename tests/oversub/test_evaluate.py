@@ -20,8 +20,13 @@ GRID = dict(base=BASE, providers=("azure",), mixes=("F",), seeds=(3,),
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    return run_sweep(SweepSpec(**GRID)).rows()
+def grid():
+    return run_sweep(SweepSpec(**GRID))
+
+
+@pytest.fixture(scope="module")
+def sweep(grid):
+    return grid.rows()
 
 
 def test_grid_shape(sweep):
@@ -100,3 +105,24 @@ def test_table_renders_all_cells(sweep):
 def test_spec_validation(kwargs):
     with pytest.raises(RunnerError):
         SweepSpec(**{**GRID, **kwargs})
+
+
+def test_cells_honour_base_pooling():
+    # Each strategy run places with the cell's pooling knob, not the
+    # engine default.
+    def static_row(pooling):
+        spec = SweepSpec(base=RunSpec(target_population=60, pooling=pooling),
+                         providers=("azure",), mixes=("M",), seeds=(3,),
+                         strategies=("static",))
+        return run_sweep(spec).rows()[0]
+
+    pooled, unpooled = static_row(True), static_row(False)
+    assert pooled["pooled"] > 0
+    assert unpooled["pooled"] == 0
+
+
+@pytest.mark.parametrize("figure", ["fig3", "fig4"])
+def test_figures_of_a_strategy_grid_are_refused(grid, figure):
+    # An empty figure would read as "no savings", not as the wrong accessor.
+    with pytest.raises(RunnerError, match=rf"{figure}\(\).*§VIII strategy comparison"):
+        getattr(grid, figure)()

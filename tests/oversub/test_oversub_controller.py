@@ -7,7 +7,7 @@ from repro.core import ConfigError, LEVEL_1_1, VMRequest, VMSpec
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry
 from repro.oversub.controller import OversubController, OversubParams, OversubSummary
-from repro.oversub.estimators import PercentileEstimator, StaticRatio
+from repro.oversub.estimators import CapacityEstimator, PercentileEstimator, StaticRatio
 from repro.oversub.monitor import ClusterUsageMonitor
 
 
@@ -153,9 +153,13 @@ class TestLedger:
         assert d["updates"] == 1
 
     def test_eff_ratio_mean_tracks_estimator(self):
-        controller = OversubParams(
-            StaticRatio(ratio=2.0), update_every=10.0
-        ).build_controller()
+        class Doubled(CapacityEstimator):
+            ratio_cap = 2.0
+
+            def _estimate(self, windows):
+                return 2.0 * windows.physical
+
+        controller = OversubParams(Doubled(), update_every=10.0).build_controller()
         controller.advance(FakeTarget([16.0, 8.0]), 20.0)
         assert controller.summary().eff_ratio_mean == pytest.approx(2.0)
 

@@ -114,6 +114,20 @@ def test_resume_refuses_a_torn_header(tmp_path, full_sweep, keep):
     assert out.read_bytes() == full_sweep[1][:keep]
 
 
+def test_grids_differing_only_in_base_cell_fields_share_a_checkpoint(tmp_path):
+    # Every cell replaces base's provider, mix and seed, so those must
+    # not split the fingerprint of two grids with equal cells.
+    one = SPEC.replace(mixes=("A",), base=RunSpec(target_population=40, seed=1))
+    two = SPEC.replace(mixes=("A",), base=RunSpec(target_population=40, seed=2,
+                                                  provider="ovhcloud", mix="F"))
+    assert [c.key for c in one.cells()] == [c.key for c in two.cells()]
+    assert one.fingerprint() == two.fingerprint()
+    out = tmp_path / "sweep.jsonl"
+    first = run_sweep(one, workers=1, out=str(out))
+    resumed = run_sweep(two, workers=1, out=str(out), resume=True)
+    assert resumed.executed == () and resumed.results == first.results
+
+
 def test_resume_refuses_foreign_checkpoint(tmp_path):
     out = tmp_path / "sweep.jsonl"
     run_sweep(SPEC, workers=1, out=str(out))

@@ -10,26 +10,25 @@ milliseconds and every interleaving replays bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Any, Coroutine, Optional, Tuple, TypeVar
+from typing import Any, Coroutine, Tuple, TypeVar
 
 from repro.serving.clock import VirtualClock, run_virtual
 
 T = TypeVar("T")
 
-__all__ = ["run_deterministic", "run_with_clock"]
+__all__ = ["clock_at", "run_deterministic"]
 
 
-def run_deterministic(
-    coro: Coroutine[Any, Any, T], start: float = 0.0
-) -> Tuple[T, float]:
+def clock_at(start: float) -> VirtualClock:
+    """A fresh clock already advanced to ``start``, no timer pending."""
+    clock = VirtualClock()
+    clock.call_later(start, lambda _: None)
+    clock.advance()
+    return clock
+
+
+def run_deterministic(coro: Coroutine[Any, Any, T]) -> Tuple[T, float]:
     """Run ``coro`` on a fresh virtual clock; return (result, end time)."""
-    clock = VirtualClock(start)
+    clock = VirtualClock()
     result = run_virtual(coro, clock)
     return result, clock.now()
-
-
-def run_with_clock(
-    coro: Coroutine[Any, Any, T], clock: Optional[VirtualClock] = None
-) -> T:
-    """Run ``coro`` on ``clock`` (or a fresh one) and return its result."""
-    return run_virtual(coro, clock if clock is not None else VirtualClock())

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.errors import ServingError
 from repro.serving.clock import VirtualClock, run_virtual
-from tests.serving.harness import run_deterministic
+from tests.serving.harness import clock_at, run_deterministic
 
 
 def test_sleep_advances_virtual_time_only():
@@ -49,7 +49,7 @@ def test_zero_delay_sleep_wakes_without_advancing():
         await clock.sleep(0.0)
         return clock.now()
 
-    clock = VirtualClock(start=10.0)
+    clock = clock_at(10.0)
     assert run_virtual(body(clock), clock) == 10.0
 
 
@@ -127,7 +127,7 @@ def test_callbacks_and_sleepers_share_one_deadline_seq_order():
 
 def test_advance_fires_one_callback_at_its_deadline():
     seen = []
-    clock = VirtualClock(start=1.0)
+    clock = clock_at(1.0)
     clock.call_later(0.5, lambda arg: seen.append((arg, clock.now())), "x")
     clock.call_later(0.0, seen.append, "now")
     assert clock.advance() and seen == ["now"] and clock.now() == 1.0

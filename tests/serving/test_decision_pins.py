@@ -91,7 +91,10 @@ STARTS = {"ties/constant@5": 5.0}
 
 
 def decision_pin(key: str) -> dict:
-    service = PlacementService(PINNED[key], clock=VirtualClock(STARTS.get(key, 0.0)))
+    clock = VirtualClock()
+    clock.call_later(STARTS.get(key, 0.0), lambda _: None)  # move to the start
+    clock.advance()
+    service = PlacementService(PINNED[key], clock=clock)
     report = run_virtual(service.run(), service.clock)
     audit = [entry for c in service.controllers for entry in c.audit_log]
     queued = {vm_id for action, vm_id, _ in audit if action == "queue"}

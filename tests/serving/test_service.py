@@ -12,7 +12,6 @@ from repro.serving import (
     PlacementService,
     RequestSource,
     ServiceSpec,
-    VirtualClock,
     run_virtual,
     serve,
 )
@@ -20,6 +19,7 @@ from repro.serving.config import RVConfig, TrafficConfig
 from repro.serving.service import auto_size, build_fleet
 from repro.sharding import ShardPlan
 from repro.workload import Catalog
+from tests.serving.harness import clock_at
 
 
 def small_spec(**kw) -> ServiceSpec:
@@ -200,7 +200,7 @@ def test_null_metrics_does_not_change_report():
 
 
 def test_injected_clock_is_used():
-    clock = VirtualClock(start=100.0)
+    clock = clock_at(100.0)
     service = PlacementService(small_spec(duration=2.0), clock=clock)
     run_virtual(service.run(), clock)
     assert clock.now() >= 100.0

@@ -104,7 +104,7 @@ def test_object_engine_matches_golden(machines, workload, policy):
         GOLDEN_DIR / f"{policy}.jsonl"
     )
     recorder = MemoryRecorder()
-    hosts = [LocalScheduler(m, recorder=recorder) for m in machines]
+    hosts = [LocalScheduler(m) for m in machines]
     Simulation(hosts, scheduler_for_policy(policy), recorder=recorder).run(workload)
     divergences = diff_decision_streams(recorder.decisions, golden_decisions)
     assert not divergences, divergences[0].describe()

@@ -10,7 +10,6 @@ from repro.simulator import (
     build_hosts,
     combine_unallocated,
     pm_savings_percent,
-    time_averaged_unallocated,
     unallocated_at_peak,
 )
 
@@ -33,14 +32,6 @@ def test_unallocated_at_peak():
     shares = unallocated_at_peak(result)
     assert shares.cpu == pytest.approx(0.5)
     assert shares.mem == pytest.approx(0.75)
-
-
-def test_time_averaged_unallocated():
-    # 4 CPUs for 10s then 0 for 10s => mean alloc 2 cpus of 8.
-    result = run([vm("a", vcpus=4, mem=8.0, departure=10.0), vm("end", vcpus=1, mem=1.0, arrival=20.0)])
-    shares = time_averaged_unallocated(result)
-    assert shares.cpu == pytest.approx(1 - 2 / 8)
-    assert shares.mem == pytest.approx(1 - 4 / 32)
 
 
 def test_combine_unallocated_weights_by_capacity():

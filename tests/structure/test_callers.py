@@ -1,4 +1,5 @@
-"""Every public definition in ``src/repro`` has a caller outside the tests.
+"""Every public definition in ``src/repro``, and every option it takes, has
+a caller outside the tests.
 
 A capability that only its own unit tests reach is code nothing runs:
 it is documented, reviewed and timed in tier-1, and it guards nothing.
@@ -23,12 +24,34 @@ live one, and never flags a live one.  Top-level assignments (tables,
 constants) carry reachability but are not fenced; public ``def`` and
 ``class`` are, and so are the public methods of public top-level
 classes.  Dunders are never fenced.
+
+The second fence is over parameters: an option that no caller sets is
+a value the tests cover and no experiment uses, so its default belongs
+in the code.  It covers every defaulted parameter of a public
+top-level function, of a public method of a public class, and of a
+public class's ``__init__``.  A parameter's *caller* is a call, in
+``src/repro`` or in the caller directories above, that passes it by
+keyword or by position (a call with ``*args`` or ``**kwargs`` passes
+everything) and whose callee is named, bare, like the function; like
+the class, a subclass that inherits its ``__init__``, or
+``super().__init__`` for an ``__init__``; or like a name assigned from
+a call-free expression that mentions the function (``check = check_int
+if ... else check_real``).  That too over-counts callers; what it
+cannot see is a function handed to another as an argument and called
+under the parameter's name there.  Two exemptions: the parameters of
+a ``TEST_ONLY`` entry, and every module of ``EXEMPT_PACKAGES``.  The
+injection seams of the front doors are listed in ``SEAMS`` with a
+reason; both tables are checked both ways.  Dataclass fields are not
+parameters here: the field contract (``test_field_contract.py``)
+fences those.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 from pathlib import Path
+from typing import Sequence
 
 import repro
 
@@ -57,6 +80,24 @@ TEST_ONLY = {
     "hardware/topology.py::small_smp": "fixture topology of tests/hardware",
 }
 
+#: Modules whose parameters are not fenced: the sharding dispatcher's
+#: surface is still to be decided as a whole.
+EXEMPT_PACKAGES = ("sharding/",)
+
+#: ``module::callee(param)`` -> why a defaulted parameter that no call
+#: outside the tests passes stays: the injection seams of the front doors.
+SEAMS = {
+    "api/run.py::run(workload)": "replays a recorded trace instead of the generated one",
+    "api/run.py::run(recorder)": "the decision sink a caller inspects after the run",
+    "api/run.py::run(metrics)": "the registry a caller reads timings and counters from",
+    "api/run.py::evaluate(workload)": "runs the §VII-B protocol on a recorded trace",
+    "api/sweep.py::run_sweep(metrics)": "the registry a caller reads runner counters from",
+    "cli.py::main(argv)": (
+        "the command line as a list; the console scripts and python -m repro "
+        "read sys.argv"
+    ),
+}
+
 
 def _names(node: ast.AST) -> list[str]:
     """What ``node`` mentions: ``foo`` for a bare name, ``.foo`` for an attribute."""
@@ -71,7 +112,7 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _unreached(src_tree: dict[str, ast.Module], callers: list[ast.Module]) -> set[str]:
+def _unreached(src_tree: dict[str, ast.Module], callers: Sequence[ast.Module]) -> set[str]:
     """``module::name`` of every fenced definition no root reaches."""
     bodies: dict[str, list[list[str]]] = {}  # name -> what each definition mentions
     fenced: dict[str, str] = {}  # module::name -> the name that reaches it
@@ -125,13 +166,117 @@ def _unreached(src_tree: dict[str, ast.Module], callers: list[ast.Module]) -> se
     return {key for key, name in fenced.items() if name not in reached}
 
 
-def _caller_trees() -> list[ast.Module]:
-    return [
+@functools.cache  # both fences read the same trees
+def _caller_trees() -> tuple[ast.Module, ...]:
+    return tuple(
         ast.parse(path.read_text(encoding="utf-8"))
         for directory in CALLERS
         for path in sorted((REPO / directory).rglob("*.py"))
         if "tests" not in path.relative_to(REPO).parts
+    )
+
+
+def _defaulted(fn: ast.FunctionDef | ast.AsyncFunctionDef, bound: bool):
+    """``(param, positional index or None)`` for each defaulted parameter
+    of ``fn``; the index counts the arguments a call writes (after
+    ``self`` / ``cls`` when ``bound``), None for a keyword-only one."""
+    positional = [a.arg for a in (*fn.args.posonlyargs, *fn.args.args)]
+    first_default = len(positional) - len(fn.args.defaults)
+    out = [(name, i - bound) for i, name in enumerate(positional) if i >= first_default]
+    out += [
+        (a.arg, None)
+        for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        if default is not None
     ]
+    return out
+
+
+def _bare(func: ast.expr) -> str:
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def _passes(call: ast.Call, param: str, pos: int | None) -> bool:
+    """Whether ``call`` may pass ``param``: by keyword, by position, or
+    through a ``*args`` / ``**kwargs`` that could carry anything."""
+    return (
+        any(kw.arg in (None, param) for kw in call.keywords)
+        or any(isinstance(a, ast.Starred) for a in call.args)
+        or (pos is not None and len(call.args) > pos)
+    )
+
+
+def _unpassed(src_tree: dict[str, ast.Module], callers: Sequence[ast.Module]) -> set[str]:
+    """``module::callee(param)`` of every fenced defaulted parameter that
+    no call outside the tests passes."""
+    # class -> the subclasses that inherit its ``__init__`` (bases match bare)
+    heirs: dict[str, list[str]] = {}
+    for tree in src_tree.values():
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef) and not any(
+                isinstance(s, ast.FunctionDef) and s.name == "__init__" for s in top.body
+            ):
+                for base in top.bases:
+                    heirs.setdefault(_bare(base), []).append(top.name)
+
+    def constructors(name: str) -> set[str]:
+        names, todo = {"__init__"}, [name]  # ``super().__init__(...)`` counts too
+        while todo:
+            if (n := todo.pop()) not in names:
+                names.add(n)
+                todo.extend(heirs.get(n, ()))
+        return names
+
+    # (module::callee(param), bare names a call may use, param, position)
+    fenced: list[tuple[str, set[str], str, int | None]] = []
+    for module, tree in src_tree.items():
+        if module.endswith("__init__.py") or module.startswith(EXEMPT_PACKAGES):
+            continue
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if top.name.startswith("_") or f"{module}::{top.name}" in TEST_ONLY:
+                continue
+            if not isinstance(top, ast.ClassDef):
+                for param, pos in _defaulted(top, bound=False):
+                    fenced.append((f"{module}::{top.name}({param})", {top.name}, param, pos))
+                continue
+            for fn in top.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if fn.name == "__init__":
+                    callee, names = top.name, constructors(top.name)
+                elif fn.name.startswith("_") or f"{module}::{top.name}.{fn.name}" in TEST_ONLY:
+                    continue
+                else:
+                    callee, names = f"{top.name}.{fn.name}", {fn.name}
+                bound = not any(_bare(d) == "staticmethod" for d in fn.decorator_list)
+                for param, pos in _defaulted(fn, bound):
+                    fenced.append((f"{module}::{callee}({param})", names, param, pos))
+
+    calls: dict[str, list[ast.Call]] = {}  # bare callee name -> its calls
+    aliases: dict[str, set[str]] = {}  # ``check = check_int if ... else check_real``
+    for tree in (*src_tree.values(), *callers):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_bare(node.func), []).append(node)
+            elif (
+                isinstance(node, ast.Assign)
+                and isinstance(node.targets[0], ast.Name)
+                and not any(isinstance(n, ast.Call) for n in ast.walk(node.value))
+            ):
+                aliases.setdefault(node.targets[0].id, set()).update(
+                    name.lstrip(".") for name in _names(node.value)
+                )
+    # A call through an alias is a call to every name the alias was bound from.
+    for alias, names in aliases.items():
+        for name in names:
+            if name != alias:
+                calls.setdefault(name, []).extend(calls.get(alias, ()))
+    return {
+        key
+        for key, names, param, pos in fenced
+        if not any(_passes(c, param, pos) for n in names for c in calls.get(n, ()))
+    }
 
 
 def test_every_public_definition_has_a_non_test_caller(src_tree):
@@ -182,3 +327,69 @@ def test_walker_fences_methods_by_attribute_reach():
         "engine.py::Engine.helper",
         "engine.py::Engine.only_tests_call_this",
     }
+
+
+def test_every_defaulted_parameter_has_a_non_test_caller(src_tree):
+    unpassed = _unpassed(src_tree, _caller_trees())
+    dead, stale = sorted(unpassed - set(SEAMS)), sorted(set(SEAMS) - unpassed)
+    assert not dead, (
+        "only tests set these options: delete each and make its default part "
+        "of the code, or give it a SEAMS reason\n" + "\n".join(dead)
+    )
+    assert not stale, "a real caller passes these now: drop them from SEAMS\n" + "\n".join(stale)
+    assert all(reason.strip() for reason in SEAMS.values())
+
+
+_SYNTHETIC_PARAMS = '''
+def peak(workload, horizon=None, *, strict=False):
+    return workload
+
+
+class Base:
+    def __init__(self, cap=3.0):
+        self.cap = cap
+
+
+class Heir(Base):
+    pass
+
+
+class Own(Base):
+    def __init__(self, step=0.25):
+        super().__init__()
+
+    def tick(self, dt=1.0, jitter=0.0):
+        return dt
+
+    @staticmethod
+    def make(kind="a"):
+        return kind
+'''
+
+
+def test_walker_fences_parameters_no_call_passes():
+    src = {"m.py": ast.parse(_SYNTHETIC_PARAMS)}
+    everything = {
+        "m.py::peak(horizon)",
+        "m.py::peak(strict)",
+        "m.py::Base(cap)",
+        "m.py::Own(step)",
+        "m.py::Own.tick(dt)",
+        "m.py::Own.tick(jitter)",
+        "m.py::Own.make(kind)",
+    }
+    assert _unpassed(src, []) == everything
+    # By position (after ``self``; a static method has none), by
+    # keyword, through an heir that inherits ``__init__``.
+    caller = "peak(w, strict=True)\nHeir(cap=2.0)\nobj.tick(0.5)\nOwn.make('b')\n"
+    assert _unpassed(src, [ast.parse(caller)]) == {
+        "m.py::peak(horizon)", "m.py::Own(step)", "m.py::Own.tick(jitter)",
+    }
+    # ``*args`` / ``**kwargs`` may carry anything; ``super().__init__``
+    # reaches every ``__init__`` by its bare name; a call through an
+    # assigned alias reaches what the alias was bound from.
+    caller = (
+        "peak(*args)\nobj.tick(**opts)\nsuper().__init__(cap=1.0)\n"
+        "make = factory.make if fast else peak\nmake(1)\n"
+    )
+    assert _unpassed(src, [ast.parse(caller)]) == {"m.py::Own(step)"}

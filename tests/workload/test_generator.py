@@ -58,7 +58,7 @@ def test_different_seeds_differ():
 
 def test_population_approaches_target():
     trace = generate_workload(params(target_population=300, seed=9))
-    peak = peak_population(trace, horizon=7 * DAY)
+    peak = peak_population(trace)
     assert 0.75 * 300 <= peak <= 1.25 * 300
 
 
