@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test test-fast test-quick bench golden repro repro-fast report-check examples clean lint typecheck sweep-oversub-smoke serve-smoke perf-smoke
+.PHONY: install test test-fast test-quick bench golden repro repro-fast report-check examples clean lint typecheck sweep-oversub-smoke serve-smoke perf-smoke kernel-fence
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -31,6 +31,16 @@ typecheck:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The kernel fence: what pins the incremental placement kernel
+# (src/repro/simulator/vectorpool.py) to the naive reference, slow tests
+# included — test-quick deselects `slow` and with it the kernel fuzz.
+# Run it after any edit to the kernel.
+kernel-fence:
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/simulator/test_kernel_equivalence.py \
+		tests/simulator/test_golden_trace.py tests/structure/test_engine_shape.py \
+		tests/oversub/test_golden_static.py
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/simulator/test_scale_golden.py -m slow
 
 # Regenerate the golden decision-trace corpus (tests/fixtures/golden).
 golden:

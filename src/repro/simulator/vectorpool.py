@@ -17,17 +17,16 @@ block scan, the shape cache's build and subset refresh) is a caller.
 The hot path is *event-proportional*: per-host derived quantities
 (free capacity, the allocated M/C ratio's deviation from the machine
 target, the negative-progress load factor, per-level pooling slack) are
-maintained through a dirty-host set — ``deploy()`` and ``remove()``
-touch one host, and the next sync refreshes each dirty host's cached
-rows with a scalar routine; only construction, ``invalidate()`` and a
-capacity override rebuild the whole cluster.  ``first_fit`` evaluates
-exact feasibility block by block and stops at the first block holding
-a feasible host instead of touching the full array.
+kept current eagerly — ``deploy()``, ``remove()`` and ``kill_host()``
+rewrite the one host they mutate, from the Python floats they already
+hold; only construction, ``invalidate()`` and a capacity override
+rebuild the whole cluster.  A VM's shape is resolved against the levels
+once per distinct ``(ratio, mem_ratio, vcpus, mem_gb)``.  ``first_fit``
+evaluates exact feasibility block by block and stops at the first block
+holding a feasible host instead of touching the full array.
 
 The event loop is not here: :class:`VectorBackend` binds a cluster to
-a policy, and :func:`repro.simulator.engine.run_events` drives it in
-same-timestamp batches, so a tick's departures all land before its
-first selection and the lazy cache sync is paid once per batch.
+a policy, and :func:`repro.simulator.engine.run_events` drives it.
 
 Every cached quantity is refreshed with the *same elementwise IEEE
 operations* the naive kernel applies cluster-wide, so the incremental
@@ -64,7 +63,7 @@ simulations through this engine, and the ``perf/`` ledger's
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -154,7 +153,7 @@ _LEVEL_RTOL = 1e-9
 # Planes of the packed per-(level, host) cube ``VectorCluster._lvl``.
 _LR_VCPUS, _LR_CPUS, _LR_MAX_SLACK = range(3)
 
-#: Maximum number of (level, shape, policy) masked-score rows kept per
+#: Maximum number of (shape, policy) masked-score rows kept per
 #: cluster.  Catalog workloads re-request a few dozen distinct VM
 #: shapes; workloads with unbounded shape diversity bypass the cache
 #: (the full tables serve them) instead of thrashing it.
@@ -177,14 +176,34 @@ _MEM_SCALE = float(1 << _MEM_SCALE_BITS)
 _MEM_EXACT_LIMIT = 1 << 53
 
 
+def _gather(rows: np.ndarray, sel: slice | np.ndarray) -> np.ndarray:
+    """``rows[..., sel]``: a view for a slice; for an index array,
+    ``take``, several times cheaper than fancy indexing on small sets."""
+    return rows[..., sel] if isinstance(sel, slice) else rows.take(sel, axis=-1)
+
+
+class _Shape(NamedTuple):
+    """One VM shape resolved against the cluster's levels: the level
+    index and the Python-float operands of the admission test and the
+    scores (see :meth:`VectorCluster._shape`)."""
+
+    key: tuple[float, float, int, float]  # requested (ratio, mem_ratio, vcpus, mem_gb)
+    li: int  # resolved level index
+    vcpus: float
+    mem: float  # mem_gb as requested: pooling levels divide it by their own ratio
+    vm_cpu: float  # vcpus / level ratio
+    vm_mem: float  # mem_gb / level mem ratio: the own-level reservation
+    pool: bool  # §V-B pooling applies: enabled, raw ratio > 1, a stricter level
+
+
 class VectorCluster:
     """Array-backed state of every host's vNodes.
 
     State arrays (``cap_cpu``, ``cap_mem``, ``alloc_cpu``, ``alloc_mem``,
     ``vnode_cpus``, ``vnode_vcpus``, ``supported``) are the source of
-    truth; the incremental kernel additionally maintains derived
-    per-host caches behind a dirty-host set (see the module docstring
-    for the invariants).
+    truth; the incremental kernel additionally keeps derived per-host
+    caches current with them (see the module docstring for the
+    invariants).
     """
 
     def __init__(
@@ -216,11 +235,9 @@ class VectorCluster:
         L = len(self.ratios)
         # Per-host state and caches live as rows of one packed matrix
         # (row indices are the module-level ``_R_*`` constants), and the
-        # per-(level, host) state as planes of one packed cube (``_LR_*``).
-        # The named attributes below are *views* into them, so all
-        # existing elementwise code is unchanged while the shape-cache
-        # subset refresh can gather every per-host input for a set of
-        # hosts with a single fancy index per matrix.
+        # per-(level, host) state as planes of one packed cube (``_LR_*``);
+        # the named attributes below are *views* into them.  The shape
+        # cache's subset refresh gathers a host set with one ``take`` each.
         self._base = np.zeros((10, n), dtype=float)
         self._free_cpu = self._base[_R_FREE_CPU]
         self._free_mem_tol = self._base[_R_FREE_MEM_TOL]  # free_mem + epsilon
@@ -281,20 +298,22 @@ class VectorCluster:
         self._mem_scaled = 0
         self._mem_exact = True
         self._init_kernel_state(L, n)
+        self._refresh_all()
 
     # -- incremental-kernel state --------------------------------------------
 
     def _init_kernel_state(self, L: int, n: int) -> None:
-        """Allocate the derived-quantity caches and their dirty sets."""
+        """Allocate the derived-quantity caches and the shape tables."""
         # Stricter oversubscribed levels eligible as §V-B pooling hosts
         # for a VM at each level (static given the config).
         self._stricter_levels: tuple[tuple[int, ...], ...] = tuple(
-            tuple(
-                lj
-                for lj in range(L)
-                if 1 < self.ratios[lj] < self.ratios[li]
-            )
+            tuple(lj for lj in range(L) if 1 < self.ratios[lj] < self.ratios[li])
             for li in range(L)
+        )
+        # The levels whose pooling max-slack reads each level's slack.
+        self._pooled_by: tuple[tuple[int, ...], ...] = tuple(
+            tuple(li for li in range(L) if lj in self._stricter_levels[li])
+            for lj in range(L)
         )
         # With one memory ratio across every level (the common case) the
         # per-level pooling memory checks collapse into the own-level
@@ -303,9 +322,7 @@ class VectorCluster:
         # reuses the own-level memory check for every stricter level,
         # which is only bit-identical to the per-level loop when the
         # ratios are *exactly* equal.
-        self._uniform_mem = bool(
-            np.all(self.mem_ratios == self.mem_ratios[0])
-        )
+        self._uniform_mem = bool(np.all(self.mem_ratios == self.mem_ratios[0]))
         # Python-float copies of the level constants: the scalar refresh
         # and accounting paths run entirely on python floats (the IEEE
         # arithmetic is identical, the interpreter overhead is not).
@@ -323,20 +340,20 @@ class VectorCluster:
         # fuses the naive kernel's per-level pooling reduction into one
         # comparison.
         self._pool_slack = np.empty((L, n), dtype=float)
-        # Shape cache: (level, ratio, vcpus, mem, policy) -> mutable
-        # [log position, masked-score array]; see ``select()``.  The
-        # mutation log records every host touched by deploy/remove so a
-        # cached shape can refresh exactly the hosts that changed since
-        # it last synchronized.
+        # Resolved shapes, keyed by what the VM requests (one per
+        # distinct request, so never more than the workload's VMs); see
+        # ``_shape``.
+        self._shapes: dict[tuple[float, float, int, float], _Shape] = {}
+        # Shape cache: (shape key, policy) -> mutable [log position,
+        # masked-score array]; see ``select()``.  The mutation log
+        # records every host deploy/remove/kill_host mutates so a cached
+        # shape can refresh exactly the hosts that changed since it last
+        # synchronized.
         self._mutlog: list[int] = []
         self._shape_cache: dict[tuple, list] = {}
-        # Dirty-host bookkeeping: every host starts dirty.
-        self._dirty: set[int] = set()
-        self._dirty_all = True
 
-    def _touch(self, host: int) -> None:
-        """Mark one host's derived caches stale (cheap, O(1))."""
-        self._dirty.add(host)
+    def _log(self, host: int) -> None:
+        """Record a mutation of ``host`` for the shape cache (O(1))."""
         self._mutlog.append(host)
         if len(self._mutlog) >= _MUTLOG_COMPACT:
             self._compact_mutlog()
@@ -361,13 +378,13 @@ class VectorCluster:
             entry[0] -= cut
 
     def invalidate(self) -> None:
-        """Mark every host's cached derived quantities stale.
+        """Rebuild every host's derived quantities from the state arrays.
 
         Call after mutating the state arrays directly (e.g. editing
         ``cap_cpu`` in a test rig).  ``deploy``/``remove``/``kill_host``
-        do this themselves, one host at a time.
+        keep the host they mutate current themselves.
         """
-        self._dirty_all = True
+        self._refresh_all()
         self._shape_cache.clear()
         self._mutlog.clear()
         self.total_alloc_cpu = float(self.alloc_cpu.sum())
@@ -419,23 +436,13 @@ class VectorCluster:
             return self._mem_scaled / _MEM_SCALE
         return float(self.alloc_mem.sum())
 
-    def _sync(self) -> None:
-        """Bring the derived caches up to date with the state arrays."""
-        if self._dirty_all:
-            self._refresh_all()
-            self._dirty_all = False
-        else:
-            for j in sorted(self._dirty):
-                self._refresh_host(j)
-        self._dirty.clear()
-
     def _refresh_all(self) -> None:
         """Vectorized cache rebuild (construction, ``invalidate()``, a
         capacity override).
 
         Applies the same elementwise operations as
-        :meth:`_refresh_host`, so both paths produce bit-identical
-        caches.
+        :meth:`_refresh_host` and :meth:`_refresh_slack`, so both paths
+        produce bit-identical caches.
         """
         np.subtract(self.cap_cpu, self.alloc_cpu, out=self._free_cpu)
         np.subtract(self.cap_mem, self.alloc_mem, out=self._free_mem_tol)
@@ -462,42 +469,36 @@ class VectorCluster:
                 )
             self._pool_max_slack[li] = best
 
-    def _refresh_host(self, j: int) -> None:
-        """Scalar cache refresh of one dirty host (the per-event path).
+    def _refresh_host(self, j: int, ac: float, am: float) -> None:
+        """Rewrite host ``j``'s derived ``_base`` rows; ``ac`` / ``am``
+        are its allocations, as the mutating caller already holds them.
 
-        Reads are converted to python floats once: python-float IEEE
-        arithmetic is bit-identical to the numpy elementwise ops of
-        :meth:`_refresh_all` and several times faster than chained
-        ``np.float64`` scalar operations.
+        Python-float IEEE arithmetic is bit-identical to the numpy
+        elementwise ops of :meth:`_refresh_all` and several times
+        faster than chained ``np.float64`` scalar operations.
         """
         base = self._base
         cap_c = base.item(_R_CAP_CPU, j)
         cap_m = base.item(_R_CAP_MEM, j)
-        ac = base.item(_R_ALLOC_CPU, j)
-        am = base.item(_R_ALLOC_MEM, j)
         base[_R_FREE_CPU, j] = cap_c - ac
         base[_R_FREE_MEM_TOL, j] = (cap_m - am) + _EPS
-        tgt = cap_m / cap_c
-        base[_R_TARGET, j] = tgt
-        cur = am / ac if ac > 0 else tgt
-        base[_R_MC_DEV, j] = abs(cur - tgt)
+        base[_R_TARGET, j] = tgt = cap_m / cap_c
+        base[_R_MC_DEV, j] = abs((am / ac if ac > 0 else tgt) - tgt)
         base[_R_LOAD, j] = ac / cap_c + 1.0
-        lvl = self._lvl
-        supported = self.supported
-        slacks = []
-        for li in self._level_range:
-            slack = (
-                lvl.item(li, _LR_CPUS, j) * self._ratio_vals[li]
-                - lvl.item(li, _LR_VCPUS, j)
-            )
-            slacks.append(slack)
-            self._pool_slack[li, j] = slack
-        for li in self._level_range:
+
+    def _refresh_slack(self, j: int, lj: int, vcpus: float, cpus: float) -> None:
+        """Store the pooling slack of host ``j``'s level-``lj`` vNode
+        (``cpus`` / ``vcpus`` are its new size) and the max-slack of
+        every level that pools into it."""
+        pool_slack = self._pool_slack
+        pool_slack[lj, j] = cpus * self._ratio_vals[lj] - vcpus
+        for li in self._pooled_by[lj]:
             best = -math.inf
-            for lj in self._stricter_levels[li]:
-                if slacks[lj] > best and supported.item(lj, j):
-                    best = slacks[lj]
-            lvl[li, _LR_MAX_SLACK, j] = best
+            for lk in self._stricter_levels[li]:
+                slack = pool_slack.item(lk, j)
+                if slack > best and self.supported.item(lk, j):
+                    best = slack
+            self._lvl[li, _LR_MAX_SLACK, j] = best
 
     @property
     def num_hosts(self) -> int:
@@ -522,6 +523,26 @@ class VectorCluster:
             return int(close[0])
         raise ConfigError(f"level {ratio}:1 is not configured")
 
+    def _shape(self, vm: VMRequest) -> _Shape:
+        """``vm``'s resolved shape, looked up by what it requests; the
+        level (and its memory ratio) is validated on a shape's first
+        arrival only."""
+        level, spec = vm.level, vm.spec
+        key = (level.ratio, level.mem_ratio, spec.vcpus, spec.mem_gb)
+        shape = self._shapes.get(key)
+        if shape is None:
+            li = self._vm_level_index(vm)
+            # vm.level.ratio (not the resolved level's) gates pooling:
+            # the two differ for ratios within _LEVEL_RTOL of a level.
+            pool = self.config.pooling and level.ratio > 1
+            shape = self._shapes[key] = _Shape(
+                key, li, float(spec.vcpus), spec.mem_gb,
+                spec.vcpus / self._ratio_vals[li],
+                spec.mem_gb / self._mem_ratio_vals[li],
+                pool and bool(self._stricter_levels[li]),
+            )
+        return shape
+
     def _vm_level_index(self, vm: VMRequest) -> int:
         """Level index of a VM, validating the memory ratio too."""
         li = self.level_index(vm.level.ratio)
@@ -544,14 +565,15 @@ class VectorCluster:
         """
         if self.kernel == "naive":
             return refkernel.naive_feasibility(self, vm)
-        li = self._vm_level_index(vm)
-        self._sync()
-        return self._admission_rows(vm, li, slice(None), self._base)
+        shape = self._shape(vm)
+        feasible, growth, own_ok = self._admission_rows(shape, slice(None), self._base)
+        return (own_ok.copy() if feasible is own_ok else feasible), growth, own_ok
 
     def _admission_rows(
-        self, vm: VMRequest, li: int, sel: slice | np.ndarray, base: np.ndarray
+        self, shape: _Shape, sel: slice | np.ndarray, base: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(feasible, growth, own_ok)`` for the hosts in ``sel``.
+        """``(feasible, growth, own_ok)`` for the hosts in ``sel``;
+        ``feasible`` *is* ``own_ok`` when pooling cannot apply.
 
         ``sel`` is a slice or an index array and ``base`` is
         ``self._base[:, sel]`` (gathered by the caller, who may share it
@@ -561,26 +583,26 @@ class VectorCluster:
         *levels*), so a block or a subset gets the verdicts, bit for
         bit, that the whole cluster would — which is what makes the
         first-fit block scan and the shape cache's subset refresh sound.
-        Callers guarantee a synced cache.
         """
-        lvl = self._lvl[li][:, sel]
-        sup = self.supported[li, sel]
-        v = float(vm.spec.vcpus)
-        m = vm.spec.mem_gb
+        li = shape.li
+        lvl = _gather(self._lvl[li], sel)
+        sup = self.supported[li][sel]
+        v = shape.vcpus
         # growth = max(0, ceil((vnode_vcpus[li] + v) / n) - vnode_cpus[li])
         growth = np.add(lvl[_LR_VCPUS], v)
-        np.divide(growth, self.ratios[li], out=growth)
+        np.divide(growth, self._ratio_vals[li], out=growth)
         np.ceil(growth, out=growth)
         np.subtract(growth, lvl[_LR_CPUS], out=growth)
         np.maximum(growth, 0.0, out=growth)
-        # own_ok = supported & (own mem fits) & (growth fits free CPUs)
-        mem_ok = np.less_equal(m / self.mem_ratios[li], base[_R_FREE_MEM_TOL])
+        # Both paths need the own level offered (pooling mirrors
+        # LocalScheduler.supports) and, with one memory ratio, the
+        # own-level memory check.
+        mem_ok = np.less_equal(shape.vm_mem, base[_R_FREE_MEM_TOL])
+        np.logical_and(mem_ok, sup, out=mem_ok)
         own_ok = np.less_equal(growth, base[_R_FREE_CPU])
         np.logical_and(own_ok, mem_ok, out=own_ok)
-        np.logical_and(own_ok, sup, out=own_ok)
-        rows = self._stricter_levels[li]
-        if not (rows and self.config.pooling and vm.level.ratio > 1):
-            return own_ok.copy(), growth, own_ok
+        if not shape.pool:
+            return own_ok, growth, own_ok
         if self._uniform_mem:
             # One memory ratio everywhere: each stricter level's memory
             # check equals the own-level one, and the per-level slack
@@ -591,28 +613,21 @@ class VectorCluster:
             np.logical_and(pool, mem_ok, out=pool)
         else:
             pool = np.zeros_like(own_ok)
-            for lj in rows:
-                fits = np.greater_equal(self._pool_slack[lj, sel], v)
-                np.logical_and(
-                    fits,
-                    np.less_equal(m / self.mem_ratios[lj], base[_R_FREE_MEM_TOL]),
-                    out=fits,
-                )
-                np.logical_and(fits, self.supported[lj, sel], out=fits)
+            for lj in self._stricter_levels[li]:
+                mem_lj = shape.mem / self._mem_ratio_vals[lj]
+                fits = np.greater_equal(self._pool_slack[lj][sel], v)
+                mem_fits = np.less_equal(mem_lj, base[_R_FREE_MEM_TOL])
+                np.logical_and(fits, mem_fits, out=fits)
+                np.logical_and(fits, self.supported[lj][sel], out=fits)
                 np.logical_or(pool, fits, out=pool)
-        # Pooling also requires the VM's own level to be part of the
-        # host's offer (mirrors LocalScheduler.supports).
-        np.logical_and(pool, sup, out=pool)
+            np.logical_and(pool, sup, out=pool)
         return np.logical_or(own_ok, pool, out=pool), growth, own_ok
 
-    def _score_rows(
-        self, vm: VMRequest, li: int, policy: str, base: np.ndarray
-    ) -> np.ndarray:
+    def _score_rows(self, shape: _Shape, policy: str, base: np.ndarray) -> np.ndarray:
         """Policy scores (higher better) of the hosts whose ``_base``
         rows are ``base``, mirroring the object weighers.  Reads the
-        rows, never writes them; callers guarantee a synced cache."""
-        vm_cpu = vm.spec.vcpus / self.ratios[li]
-        vm_mem = vm.spec.mem_gb / self.mem_ratios[li]
+        rows, never writes them."""
+        vm_cpu, vm_mem = shape.vm_cpu, shape.vm_mem
         if policy in ("best_fit", "worst_fit"):
             s = self._free_after(base, vm_cpu, vm_mem)
             if policy == "best_fit":
@@ -628,8 +643,7 @@ class VectorCluster:
             np.abs(s, out=s)
             np.subtract(base[_R_MC_DEV], s, out=s)
             if policy != "progress_no_factor":
-                np.multiply(s, base[_R_LOAD], out=f2)
-                np.copyto(s, f2, where=np.less(s, 0.0))
+                np.multiply(s, base[_R_LOAD], out=s, where=np.less(s, 0.0))
             if policy == "progress_bestfit":
                 # The paper's suggested composition: the M/C incentive
                 # alongside an existing packing rule (§VII-B2).
@@ -638,9 +652,7 @@ class VectorCluster:
                 np.multiply(f2, _BESTFIT_BLEND, out=f2)
                 np.add(s, f2, out=s)
         else:
-            raise ConfigError(
-                f"unknown policy {policy!r}; expected one of {POLICIES}"
-            )
+            raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
         return np.add(s, base[_R_TIEBREAK], out=s)
 
     @staticmethod
@@ -657,13 +669,15 @@ class VectorCluster:
         return np.add(o, t, out=o)
 
     def _masked_rows(
-        self, vm: VMRequest, li: int, policy: str, sel: slice | np.ndarray
+        self, shape: _Shape, policy: str, sel: slice | np.ndarray
     ) -> np.ndarray:
         """``where(feasible, scores, -inf)`` for the hosts in ``sel``:
         what the shape cache stores, from one gather of ``_base``."""
-        base = self._base[:, sel]
-        feasible, _growth, _own = self._admission_rows(vm, li, sel, base)
-        return np.where(feasible, self._score_rows(vm, li, policy, base), -np.inf)
+        base = _gather(self._base, sel)
+        feasible = self._admission_rows(shape, sel, base)[0]
+        scores = self._score_rows(shape, policy, base)
+        np.copyto(scores, -np.inf, where=~feasible)
+        return scores
 
     def first_feasible(self, vm: VMRequest) -> Optional[int]:
         """Lowest-index host that can admit ``vm``; None if nobody can.
@@ -673,14 +687,13 @@ class VectorCluster:
         ``FIRST_FIT_CHUNK`` block at a time, and the scan stops at the
         first block containing a feasible host.
         """
-        li = self._vm_level_index(vm)
         if self.kernel == "naive":
             feasible, _g, _o = refkernel.naive_feasibility(self, vm)
             return int(np.argmax(feasible)) if feasible.any() else None
-        self._sync()
+        shape = self._shape(vm)
         for lo in range(0, self.num_hosts, FIRST_FIT_CHUNK):
             block = slice(lo, lo + FIRST_FIT_CHUNK)
-            feasible, _g, _o = self._admission_rows(vm, li, block, self._base[:, block])
+            feasible = self._admission_rows(shape, block, self._base[:, block])[0]
             j = feasible.argmax()
             if feasible.item(j):
                 return lo + int(j)
@@ -710,27 +723,25 @@ class VectorCluster:
             return self.first_feasible(vm)
         if self.kernel == "naive" or not self._uniform_mem:
             return self._select_uncached(vm, policy)
-        li = self._vm_level_index(vm)
-        # vm.level.ratio participates in the key because the pooling
-        # trigger compares the *raw* ratio against 1, which can differ
-        # from the resolved level's for ratios within _LEVEL_RTOL of it.
-        key = (li, vm.level.ratio, vm.spec.vcpus, vm.spec.mem_gb, policy)
+        shape = self._shape(vm)
+        # The key is the requested shape, not the resolved level: the
+        # pooling trigger reads the raw ratio (see ``_shape``).
+        key = (shape.key, policy)
         entry = self._shape_cache.get(key)
         pos = len(self._mutlog)
         if entry is None:
             if len(self._shape_cache) >= _SHAPE_CACHE_CAP:
                 return self._select_uncached(vm, policy)
-            self._sync()
-            entry = [pos, self._masked_rows(vm, li, policy, slice(None))]
+            entry = [pos, self._masked_rows(shape, policy, slice(None))]
             self._shape_cache[key] = entry
         elif entry[0] < pos:
             touched = self._mutlog[entry[0] : pos]
-            self._sync()
             if len(touched) * 4 >= self.num_hosts:
-                entry[1] = self._masked_rows(vm, li, policy, slice(None))
+                entry[1] = self._masked_rows(shape, policy, slice(None))
             else:
-                idx = np.fromiter(sorted(set(touched)), dtype=np.intp)
-                entry[1][idx] = self._masked_rows(vm, li, policy, idx)
+                # Repeated hosts gather and scatter the same values.
+                idx = np.array(touched)
+                entry[1][idx] = self._masked_rows(shape, policy, idx)
             entry[0] = pos
         masked = entry[1]
         j = masked.argmax()
@@ -750,89 +761,75 @@ class VectorCluster:
         """Place ``vm`` on ``host`` (own-level first, §V-B pooling fallback)."""
         if self.kernel == "naive":
             return refkernel.naive_deploy(self, vm, host)
-        li = self._vm_level_index(vm)
+        shape = self._shape(vm)
+        li = shape.li
         v = vm.spec.vcpus
         m = vm.spec.mem_gb
         if vm.vm_id in self._placements:
             raise CapacityError(f"VM {vm.vm_id} already placed")
-        am = self.alloc_mem.item(host)
-        free_mem = self.cap_mem.item(host) - am
-        vv = self.vnode_vcpus.item(li, host)
-        vc = self.vnode_cpus.item(li, host)
-        ac = self.alloc_cpu.item(host)
+        base = self._base
+        # (cap_mem - alloc_mem) + epsilon; current, as every mutation
+        # refreshes its host.
+        free_mem_tol = base.item(_R_FREE_MEM_TOL, host)
         # Python floats: the same IEEE division as _admission_rows,
         # several times cheaper than a numpy scalar.
+        vv = self.vnode_vcpus.item(li, host)
+        vc = self.vnode_cpus.item(li, host)
         growth = max(0.0, math.ceil((vv + v) / self._ratio_vals[li]) - vc)
-        own_mem = m / self._mem_ratio_vals[li]
         if not self.supported.item(li, host):
             raise CapacityError(
                 f"host {host} does not offer level {vm.level.name}"
             )
-        if (
-            growth <= self.cap_cpu.item(host) - ac
-            and own_mem <= free_mem + _EPS
-        ):
-            self.vnode_cpus[li, host] = vc + growth
-            self.vnode_vcpus[li, host] = vv + v
-            self.alloc_cpu[host] = ac + growth
-            self.alloc_mem[host] = am + own_mem
-            self.total_alloc_cpu += growth
-            self._account_mem(am, am + own_mem)
-            self._placements[vm.vm_id] = (host, li, v, m)
-            self._requests[vm.vm_id] = vm
-            self._touch(host)
-            if self.recorder is not None and self.recorder.enabled:
-                self.recorder.record_admission(
-                    AdmissionRecord(
-                        vm_id=vm.vm_id,
-                        host=self.machines[host].name,
-                        hosted_ratio=vm.level.ratio,
-                        growth=int(growth),
-                        pooled=False,
-                    )
-                )
-            return PlacementRecord(vm.vm_id, host, vm.level.ratio, pooled=False)
-        if self.config.pooling and vm.level.ratio > 1:
+        if growth <= base.item(_R_FREE_CPU, host) and shape.vm_mem <= free_mem_tol:
+            lh, hosted, mem, pooled = li, vm.level.ratio, shape.vm_mem, False
+        else:
             # Loosest stricter oversubscribed vNode with enough slack
-            # (mirrors LocalScheduler._pooling_candidate).
-            best = None
-            for lj in self._level_range:
-                rj = self._ratio_vals[lj]
-                if not (1 < rj < vm.level.ratio):
-                    continue
-                slack = (
-                    self.vnode_cpus.item(lj, host) * rj
-                    - self.vnode_vcpus.item(lj, host)
+            # (mirrors LocalScheduler._pooling_candidate); its vNode
+            # takes the VM without growing.
+            best: Optional[int] = None
+            if self.config.pooling and vm.level.ratio > 1:
+                for lj in self._level_range:
+                    rj = self._ratio_vals[lj]
+                    if (
+                        1 < rj < vm.level.ratio
+                        and self.supported.item(lj, host)
+                        and self._pool_slack.item(lj, host) >= v
+                        and m / self._mem_ratio_vals[lj] <= free_mem_tol
+                        and (best is None or rj > self._ratio_vals[best])
+                    ):
+                        best = lj
+            if best is None:
+                raise CapacityError(f"host {host} cannot take VM {vm.vm_id}")
+            lh, growth, hosted, pooled = best, 0.0, self._ratio_vals[best], True
+            mem = m / self._mem_ratio_vals[lh]
+            vv = self.vnode_vcpus.item(lh, host)
+            vc = self.vnode_cpus.item(lh, host)
+        vv += v
+        vc += growth
+        ac = base.item(_R_ALLOC_CPU, host) + growth
+        am = base.item(_R_ALLOC_MEM, host)
+        self.vnode_vcpus[lh, host] = vv
+        self.vnode_cpus[lh, host] = vc
+        base[_R_ALLOC_CPU, host] = ac
+        base[_R_ALLOC_MEM, host] = am + mem
+        self.total_alloc_cpu += growth
+        self._account_mem(am, am + mem)
+        self._refresh_host(host, ac, am + mem)
+        self._refresh_slack(host, lh, vv, vc)
+        self._placements[vm.vm_id] = (host, lh, v, m)
+        self._requests[vm.vm_id] = vm
+        self._log(host)
+        if self.recorder is not None and self.recorder.enabled:
+            self.recorder.record_admission(
+                AdmissionRecord(
+                    vm_id=vm.vm_id,
+                    host=self.machines[host].name,
+                    hosted_ratio=hosted,
+                    growth=int(growth),
+                    pooled=pooled,
                 )
-                if (
-                    self.supported.item(lj, host)
-                    and slack >= v
-                    and m / self._mem_ratio_vals[lj] <= free_mem + _EPS
-                    and (best is None or rj > self._ratio_vals[best])
-                ):
-                    best = lj
-            if best is not None:
-                self.vnode_vcpus[best, host] += v
-                new_am = am + m / self._mem_ratio_vals[best]
-                self.alloc_mem[host] = new_am
-                self._account_mem(am, new_am)
-                self._placements[vm.vm_id] = (host, best, v, m)
-                self._requests[vm.vm_id] = vm
-                self._touch(host)
-                if self.recorder is not None and self.recorder.enabled:
-                    self.recorder.record_admission(
-                        AdmissionRecord(
-                            vm_id=vm.vm_id,
-                            host=self.machines[host].name,
-                            hosted_ratio=self._ratio_vals[best],
-                            growth=0,
-                            pooled=True,
-                        )
-                    )
-                return PlacementRecord(
-                    vm.vm_id, host, self._ratio_vals[best], pooled=True
-                )
-        raise CapacityError(f"host {host} cannot take VM {vm.vm_id}")
+            )
+        return PlacementRecord(vm.vm_id, host, hosted, pooled=pooled)
 
     def remove(self, vm_id: str) -> None:
         if self.kernel == "naive":
@@ -842,20 +839,24 @@ class VectorCluster:
         except KeyError:
             raise CapacityError(f"VM {vm_id} is not placed") from None
         self._requests.pop(vm_id, None)
+        base = self._base
         vv = self.vnode_vcpus.item(li, host) - v
         self.vnode_vcpus[li, host] = vv
         required = math.ceil(vv / self._ratio_vals[li])
         release = self.vnode_cpus.item(li, host) - required
         self.vnode_cpus[li, host] = required
-        self.alloc_cpu[host] = self.alloc_cpu.item(host) - release
+        ac = base.item(_R_ALLOC_CPU, host) - release
+        base[_R_ALLOC_CPU, host] = ac
         self.total_alloc_cpu -= release
-        old_am = self.alloc_mem.item(host)
+        old_am = base.item(_R_ALLOC_MEM, host)
         am = old_am - m / self._mem_ratio_vals[li]
         if am < _EPS:
             am = 0.0
-        self.alloc_mem[host] = am
+        base[_R_ALLOC_MEM, host] = am
         self._account_mem(old_am, am)
-        self._touch(host)
+        self._refresh_host(host, ac, am)
+        self._refresh_slack(host, li, vv, required)
+        self._log(host)
 
     def kill_host(self, host: int) -> None:
         """Permanently fail a (drained) host: no capacity remains.
@@ -865,10 +866,9 @@ class VectorCluster:
         regardless).  Keeps the derived caches coherent — use this
         instead of zeroing ``cap_*`` by hand.
         """
-        self.cap_cpu[host] = 1e-12
-        self.cap_mem[host] = 1e-12
-        self.physical_cpu[host] = 1e-12
-        self._touch(host)
+        self.cap_cpu[host] = self.cap_mem[host] = self.physical_cpu[host] = 1e-12
+        self._refresh_host(host, self.alloc_cpu.item(host), self.alloc_mem.item(host))
+        self._log(host)
 
     def set_effective_capacity(self, eff: np.ndarray) -> None:
         """Override the CPU capacities the kernels schedule against.
@@ -910,9 +910,7 @@ class VectorCluster:
             return refkernel.naive_scores(self, vm, policy)
         if policy == "first_fit":
             return self._neg_idx.copy()
-        li = self._vm_level_index(vm)
-        self._sync()
-        return self._score_rows(vm, li, policy, self._base)
+        return self._score_rows(self._shape(vm), policy, self._base)
 
     # -- introspection --------------------------------------------------------
 

@@ -78,7 +78,7 @@ class TestAllocatorOrderIndependence:
 
 
 # ---------------------------------------------------------------------------
-# vector kernel: sorted dirty-host sync stays bit-identical to naive
+# vector kernel: per-host refreshes stay bit-identical to naive
 # ---------------------------------------------------------------------------
 
 
@@ -114,8 +114,9 @@ class TestDirtyHostSync:
     def test_multi_host_refresh_matches_naive(self):
         inc, ref = _pair()
         placed = []
-        # Dirty every host: deploys land round-robin, removals then
-        # re-dirty a scattered subset so _sync walks several hosts.
+        # Touch every host: deploys land round-robin, removals then
+        # touch a scattered subset, so the shape cache replays several
+        # hosts between probes.
         for i in range(10):
             vm = _vm(i, 2, 4.0, 2.0)
             probe = _vm(100 + i, 1, 2.0, 2.0)

@@ -34,12 +34,13 @@ public class's ``__init__``.  A parameter's *caller* is a call, in
 keyword or by position (a call with ``*args`` or ``**kwargs`` passes
 everything) and whose callee is named, bare, like the function; like
 the class, a subclass that inherits its ``__init__``, or
-``super().__init__`` for an ``__init__``; or like a name assigned from
+``super().__init__`` for an ``__init__``; like a name assigned from
 a call-free expression that mentions the function (``check = check_int
-if ... else check_real``).  That too over-counts callers; what it
-cannot see is a function handed to another as an argument and called
-under the parameter's name there.  Two exemptions: the parameters of
-a ``TEST_ONLY`` entry, and every module of ``EXEMPT_PACKAGES``.  The
+if ... else check_real``); or like the parameter that receives the
+function as an argument (``minimal_cluster(simulation_factory=probe)``
+by keyword, ``run_pool(_run_cell, ...)`` by position), whose calls are
+then the function's.  That too over-counts callers.  Two exemptions:
+the parameters of a ``TEST_ONLY`` entry, and every module of ``EXEMPT_PACKAGES``.  The
 injection seams of the front doors are listed in ``SEAMS`` with a
 reason; both tables are checked both ways.  Dataclass fields are not
 parameters here: the field contract (``test_field_contract.py``)
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import ast
 import functools
+from itertools import takewhile
 from pathlib import Path
 from typing import Sequence
 
@@ -253,12 +255,38 @@ def _unpassed(src_tree: dict[str, ast.Module], callers: Sequence[ast.Module]) ->
                 for param, pos in _defaulted(fn, bound):
                     fenced.append((f"{module}::{callee}({param})", names, param, pos))
 
+    # bare name -> the positional parameters of each def so named (after
+    # ``self`` / ``cls`` for a method; a class's are its ``__init__``'s)
+    signatures: dict[str, list[list[str]]] = {}
+    for tree in src_tree.values():
+        for top in tree.body:
+            defs = [(top.name, top, False)] if isinstance(top, ast.FunctionDef) else []
+            if isinstance(top, ast.ClassDef):
+                defs = [
+                    (top.name if fn.name == "__init__" else fn.name, fn, True)
+                    for fn in top.body
+                    if isinstance(fn, ast.FunctionDef)
+                ]
+            for name, fn, method in defs:
+                bound = method and not any(_bare(d) == "staticmethod" for d in fn.decorator_list)
+                names = [a.arg for a in (*fn.args.posonlyargs, *fn.args.args)]
+                signatures.setdefault(name, []).append(names[bound:])
+
     calls: dict[str, list[ast.Call]] = {}  # bare callee name -> its calls
     aliases: dict[str, set[str]] = {}  # ``check = check_int if ... else check_real``
     for tree in (*src_tree.values(), *callers):
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 calls.setdefault(_bare(node.func), []).append(node)
+                # A def handed over as an argument is called under the
+                # receiving parameter's name: ``run_pool(_run_cell, ...)``.
+                handed = [(kw.arg, kw.value) for kw in node.keywords if kw.arg]
+                args = list(takewhile(lambda a: not isinstance(a, ast.Starred), node.args))
+                for sig in signatures.get(_bare(node.func), ()):
+                    handed += zip(sig, args)
+                for param, value in handed:
+                    if isinstance(value, (ast.Name, ast.Attribute)) and _bare(value) in signatures:
+                        aliases.setdefault(param, set()).add(_bare(value))
             elif (
                 isinstance(node, ast.Assign)
                 and isinstance(node.targets[0], ast.Name)
@@ -393,3 +421,33 @@ def test_walker_fences_parameters_no_call_passes():
         "make = factory.make if fast else peak\nmake(1)\n"
     )
     assert _unpassed(src, [ast.parse(caller)]) == {"m.py::Own(step)"}
+
+
+_SYNTHETIC_HANDOFF = '''
+def probe(machines, extra=None, unused=0):
+    return machines
+
+
+def size(workload, factory=None):
+    return factory(workload, extra=1)
+
+
+def run_all(fn, items):
+    return [fn(item, 2) for item in items]
+
+
+def cell(payload, retries=3):
+    return payload
+'''
+
+
+def test_walker_follows_functions_passed_as_arguments():
+    src = {"m.py": ast.parse(_SYNTHETIC_HANDOFF)}
+    assert _unpassed(src, []) == {
+        "m.py::probe(extra)", "m.py::probe(unused)", "m.py::size(factory)", "m.py::cell(retries)",
+    }
+    # ``factory(..., extra=1)`` calls ``probe`` (handed over by keyword)
+    # and ``fn(item, 2)`` calls ``cell`` (by position); nothing passes
+    # ``unused``, through either name.
+    caller = "size(w, factory=probe)\nrun_all(cell, items)\n"
+    assert _unpassed(src, [ast.parse(caller)]) == {"m.py::probe(unused)"}
